@@ -40,12 +40,13 @@ from .density import (
 from .devices import (
     Device,
     DeviceOrders,
+    DeviceReport,
     LocalityProfile,
     builtin_device,
     dependency_domain,
     derive_device,
     deterministic_realizations,
-    device_order,
+    device_structures,
     domanial_structures,
     locality_profile,
     realization_count,
@@ -63,7 +64,6 @@ from .disentangle import (
     PoolConfig,
     build_pool,
     classify_on_subset,
-    disentanglement_order,
     disentanglement_structures,
     post_states,
 )

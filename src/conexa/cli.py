@@ -18,14 +18,12 @@ from . import __version__
 from .connective import connective_order
 from .density import density_structures, total_order
 from .devices import (
+    BUILTIN_DEVICES,
     DEFAULT_CAP,
     builtin_device,
     derive_device,
-    device_order,
-    domanial_structures,
-    locality_profile,
+    device_structures,
     realization_count,
-    tensorial_structures,
 )
 from .disentangle import STRUCTURE_NAMES, PoolConfig, disentanglement_structures
 from .errors import DomainError, ResourceError
@@ -47,9 +45,9 @@ from .serialize import (
     distribution_from_dict,
     join_key,
     state_from_dict,
+    state_to_dict,
     structure_to_dict,
 )
-from .devices import BUILTIN_DEVICES
 
 MENU_TOKENS = {
     "Z": pauli_z,
@@ -195,13 +193,8 @@ def _cmd_analyze_device(args) -> dict:
         device = device_from_dict(_load_json(args.file))
     else:
         raise DomainError("provide --file or --builtin")
-    profile = locality_profile(device, cap=args.cap)
-    structures = tensorial_structures(device, cap=args.cap)
-    kappa_do, kappa_dp = domanial_structures(device, cap=args.cap)
-    orders = device_order(device, cap=args.cap)
-    payload = {name: structure_to_dict(s) for name, s in structures.items()}
-    payload["do"] = structure_to_dict(kappa_do)
-    payload["dp"] = structure_to_dict(kappa_dp)
+    report = device_structures(device, cap=args.cap)
+    profile, orders = report.profile, report.orders
     return {
         "uplicity": device.uplicity,
         "realizations": realization_count(device),
@@ -217,7 +210,7 @@ def _cmd_analyze_device(args) -> dict:
             "quasi_separable_cut": _cut_json(profile.quasi_separable_cut),
             "partially_separable_cut": _cut_json(profile.partially_separable_cut),
         },
-        "structures": payload,
+        "structures": {name: structure_to_dict(s) for name, s in report.structures.items()},
         "orders": {
             "tensorial": orders.tensorial,
             "domanial": orders.domanial,
@@ -310,8 +303,6 @@ def _cmd_order(args) -> dict:
 
 
 def _cmd_builtin(args) -> dict:
-    from .serialize import state_to_dict
-
     if args.list:
         return {
             "states": sorted(BUILTIN_STATES),

@@ -13,6 +13,7 @@ are single integer operations.  Ground sets are capped at 24 points.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -106,6 +107,21 @@ class ConnectiveStructure:
     def __repr__(self):
         parts = ["{" + ",".join(str(l) for l in labs) + "}" for labs in self.member_labels()]
         return f"ConnectiveStructure({list(self.ground.labels)}: {' '.join(parts)})"
+
+
+def _bipartitions(positions) -> list:
+    """Unordered bipartitions (a, b) of the positions, a holding the first one.
+
+    Sizes of a ascend and members follow `itertools.combinations` order, so
+    callers that report the first cut they find report a stable one.
+    """
+    positions = tuple(positions)
+    out = []
+    for r in range(1, len(positions)):
+        for a in itertools.combinations(positions, r):
+            if positions[0] in a:
+                out.append((a, tuple(p for p in positions if p not in a)))
+    return out
 
 
 def _mask_positions(mask: int) -> tuple:

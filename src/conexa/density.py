@@ -12,11 +12,17 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
-from .connective import ConnectiveStructure, GroundSet, connective_order, generate_integral
+from .connective import (
+    ConnectiveStructure,
+    GroundSet,
+    _bipartitions,
+    connective_order,
+    generate_integral,
+)
 from .disentangle import PoolConfig, disentanglement_structures
 from .errors import DomainError
 from .quantum import (
@@ -53,7 +59,6 @@ class DensityReport:
     kappa_corr: ConnectiveStructure
     kappa_s: ConnectiveStructure
     omega_f: int
-    omega: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -61,17 +66,6 @@ class TotalOrder:
     omega_c: int
     omega_f: int
     omega: int
-
-
-def _bipartitions_of(positions) -> list:
-    positions = tuple(positions)
-    anchor = positions[0]
-    out = []
-    for r in range(1, len(positions)):
-        for a in itertools.combinations(positions, r):
-            if anchor in a:
-                out.append((a, tuple(p for p in positions if p not in a)))
-    return out
 
 
 def is_completely_correlated_on(
@@ -88,7 +82,7 @@ def is_completely_correlated_on(
         raise DomainError("correlation analysis needs at least two sites")
     reduced = partial_trace(rho, j)
     positions = tuple(range(len(j)))
-    for a, b in _bipartitions_of(positions):
+    for a, b in _bipartitions(positions):
         rho_a = partial_trace(reduced, a).matrix
         rho_b = partial_trace(reduced, b).matrix
         product = _reassemble_product(rho_a, rho_b, a, b, reduced.layout.dims)
@@ -130,14 +124,14 @@ def is_completely_entangled_on(
     if abs(purity(reduced) - 1.0) <= tol:
         _, eigvecs = np.linalg.eigh(reduced.matrix)
         psi = PureState(reduced.layout, eigvecs[:, -1])
-        for a, _b in _bipartitions_of(positions):
+        for a, _b in _bipartitions(positions):
             coeffs = np.linalg.svd(_matricize(psi, a), compute_uv=False)
             if len(coeffs) < 2 or float(coeffs[1]) <= tol:
                 entangled_everywhere = False
                 break
         return entangled_everywhere, quality
 
-    for a, b in _bipartitions_of(positions):
+    for a, b in _bipartitions(positions):
         verdict = ppt_is_separable(reduced, a, b, tol=tol)
         if verdict is Verdict.SEPARABLE:
             entangled_everywhere = False

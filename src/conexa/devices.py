@@ -18,7 +18,9 @@ from typing import Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .connective import (
+    ConnectiveStructure,
     GroundSet,
+    _bipartitions,
     connective_order,
     discrete_structure,
     generate_integral,
@@ -228,15 +230,6 @@ def _is_product_along(device: Device, blocks: Sequence[tuple]) -> bool:
     return True
 
 
-def _bipartitions(k: int) -> list:
-    out = []
-    for r in range(1, k):
-        for a in itertools.combinations(range(k), r):
-            if 0 in a:
-                out.append((a, tuple(s for s in range(k) if s not in a)))
-    return out
-
-
 def _block_function_space(device: Device, block: tuple) -> tuple:
     """(question tuples, candidate answer tuples) for one block of sites."""
     questions = list(itertools.product(*(device.questions[s] for s in block)))
@@ -314,7 +307,7 @@ def locality_profile(device: Device, cap: int = DEFAULT_CAP) -> LocalityProfile:
     quasi_separable_cut = None
     partially_separable_cut = None
     pseudo_covered: set = set()
-    for cut in _bipartitions(k):
+    for cut in _bipartitions(range(k)):
         if separable_cut is None and _is_product_along(device, cut):
             separable_cut = cut
         has_sep, covered = _covered_by_block_functions(device, cut, cap)
@@ -346,29 +339,37 @@ def locality_profile(device: Device, cap: int = DEFAULT_CAP) -> LocalityProfile:
 # tensorial structures
 
 
-def tensorial_structures(device: Device, cap: int = DEFAULT_CAP) -> dict:
-    """The seven structures generated by sub-device non-locality, labels 1..k."""
+def _subset_profiles(device: Device, cap: int) -> dict:
+    """locality_profile of every sub-device on two or more sites, keyed by its
+    sites; the full site set is profiled on the device itself."""
     k = device.uplicity
     if k < 2:
-        raise DomainError("tensorial structures need uplicity >= 2")
+        raise DomainError("device structures need uplicity >= 2")
+    return {
+        j: locality_profile(device if r == k else sub_device(device, j), cap=cap)
+        for r in range(2, k + 1)
+        for j in itertools.combinations(range(k), r)
+    }
+
+
+def _generate_tensorial(k: int, profiles: Mapping[tuple, LocalityProfile]) -> dict:
+    """The seven structures generated by the sub-devices each notion fails on."""
     ground = GroundSet(range(1, k + 1))
     generators: dict = {name: [] for name in TENSORIAL_NAMES}
-    for r in range(2, k + 1):
-        for j in itertools.combinations(range(k), r):
-            profile = locality_profile(sub_device(device, j), cap=cap)
-            labels = tuple(s + 1 for s in j)
-            membership = {
-                "NPS": not profile.partially_separable,
-                "NOS": not profile.pseudo_separable,
-                "NPL": not profile.partially_local,
-                "NQS": not profile.quasi_separable,
-                "NQL": not profile.quasi_local,
-                "NS": not profile.separable,
-                "NL": not profile.local,
-            }
-            for name, member in membership.items():
-                if member:
-                    generators[name].append(labels)
+    for j, profile in profiles.items():
+        labels = tuple(s + 1 for s in j)
+        membership = {
+            "NPS": not profile.partially_separable,
+            "NOS": not profile.pseudo_separable,
+            "NPL": not profile.partially_local,
+            "NQS": not profile.quasi_separable,
+            "NQL": not profile.quasi_local,
+            "NS": not profile.separable,
+            "NL": not profile.local,
+        }
+        for name, member in membership.items():
+            if member:
+                generators[name].append(labels)
     structures = {
         name: generate_integral(ground, gens) for name, gens in generators.items()
     }
@@ -386,6 +387,11 @@ def tensorial_structures(device: Device, cap: int = DEFAULT_CAP) -> dict:
         if not structures[fine].connected <= structures[coarse].connected:
             raise RuntimeError(f"tensorial inclusion {fine} <= {coarse} violated")
     return structures
+
+
+def tensorial_structures(device: Device, cap: int = DEFAULT_CAP) -> dict:
+    """The seven structures generated by sub-device non-locality, labels 1..k."""
+    return _generate_tensorial(device.uplicity, _subset_profiles(device, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +533,27 @@ class DeviceOrders:
     overall: int
 
 
-def device_order(device: Device, cap: int = DEFAULT_CAP) -> DeviceOrders:
-    """Max connective orders of the tensorial and domanial structure families."""
-    tensorial = max(
-        connective_order(s) for s in tensorial_structures(device, cap=cap).values()
-    )
-    kappa_do, kappa_dp = domanial_structures(device, cap=cap)
-    domanial = max(connective_order(kappa_do), connective_order(kappa_dp))
-    return DeviceOrders(tensorial, domanial, max(tensorial, domanial))
+@dataclass(frozen=True)
+class DeviceReport:
+    """Full-device locality profile, the nine structures (the seven tensorial
+    ones, "do" and "dp"), and the max connective orders of both families."""
+
+    profile: LocalityProfile
+    structures: Mapping[str, ConnectiveStructure]
+    orders: DeviceOrders
+
+
+def device_structures(device: Device, cap: int = DEFAULT_CAP) -> DeviceReport:
+    """Every device layer once: sub-device profiles, tensorial and domanial
+    structures, and their orders."""
+    k = device.uplicity
+    profiles = _subset_profiles(device, cap)
+    structures = _generate_tensorial(k, profiles)
+    tensorial = max(connective_order(s) for s in structures.values())
+    structures["do"], structures["dp"] = domanial_structures(device, cap=cap)
+    domanial = max(connective_order(structures["do"]), connective_order(structures["dp"]))
+    orders = DeviceOrders(tensorial, domanial, max(tensorial, domanial))
+    return DeviceReport(profiles[tuple(range(k))], structures, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -570,21 +589,18 @@ def derive_device(
     for site, menu in enumerate(menus):
         if not menu:
             raise DomainError(f"menu for site {site} is empty")
-        entries = []
-        for label, matrix in menu:
-            entries.append((str(label), Observable(site, matrix, nondegenerate=True)))
-        if len({label for label, _ in entries}) != len(entries):
+        by_label = {
+            str(label): Observable(site, matrix, nondegenerate=True) for label, matrix in menu
+        }
+        if len(by_label) != len(menu):
             raise DomainError(f"menu labels for site {site} are not distinct")
-        observables.append(entries)
+        observables.append(by_label)
 
     eigenvalues_per_site: list = [set() for _ in range(k)]
-    for site, entries in enumerate(observables):
-        for _, obs in entries:
+    for site, by_label in enumerate(observables):
+        for obs in by_label.values():
             vals, _ = obs.eigensystem()
             eigenvalues_per_site[site].update(_format_eigenvalue(v) for v in vals)
-
-    def result_label(site: int, value: float) -> str:
-        return _format_eigenvalue(value)
 
     raw_results = [sorted(vals, key=float) for vals in eigenvalues_per_site]
     if recode == "paper":
@@ -593,23 +609,18 @@ def derive_device(
         ]
         results = tuple(tuple(rename[i][raw] for raw in raw_results[i]) for i in range(k))
     else:
-        rename = [{raw: raw for raw in rs} for rs in raw_results]
         results = tuple(tuple(rs) for rs in raw_results)
 
-    questions = tuple(tuple(label for label, _ in entries) for entries in observables)
+    questions = tuple(tuple(by_label) for by_label in observables)
     relation = {}
     for q in itertools.product(*questions):
-        selected = [
-            dict(observables[site])[q[site]] for site in range(k)
-        ]
+        selected = [observables[site][q[site]] for site in range(k)]
         answers = set()
         for outcome in measure_projective(psi, selected, tol=tol):
-            answers.add(
-                tuple(
-                    rename[site][result_label(site, outcome.values[site])]
-                    for site in range(k)
-                )
-            )
+            answer = tuple(_format_eigenvalue(outcome.values[site]) for site in range(k))
+            if recode == "paper":
+                answer = tuple(rename[site][raw] for site, raw in enumerate(answer))
+            answers.add(answer)
         relation[q] = answers
     return Device(questions, results, relation)
 

@@ -18,9 +18,14 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .connective import ConnectiveStructure, GroundSet, connective_order, generate_integral
+from .connective import (
+    ConnectiveStructure,
+    GroundSet,
+    _bipartitions,
+    connective_order,
+    generate_integral,
+)
 from .errors import DomainError
-from .parallel import pmap
 from .quantum import (
     DEFAULT_TOL,
     PureState,
@@ -255,18 +260,6 @@ def post_states(
     return states
 
 
-def _bipartitions(n: int) -> list:
-    """Unordered bipartitions of positions 0..n-1, each as (tuple, tuple)."""
-    out = []
-    positions = range(n)
-    for r in range(1, n):
-        for a in itertools.combinations(positions, r):
-            if 0 in a:
-                b = tuple(p for p in positions if p not in a)
-                out.append((a, b))
-    return out
-
-
 def _separable_cuts(phi: PureState, cuts, tol: float) -> set:
     """Which of the given bipartitions (by position) split phi into a product."""
     found = set()
@@ -316,7 +309,7 @@ def classify_on_subset(
         raise DomainError("classification needs a subset with at least two sites")
     if any(psi.layout.dims[s] < 2 for s in psi.layout.site_indices()):
         raise DomainError("analysis requires every site dimension >= 2")
-    cuts = _bipartitions(len(j))
+    cuts = _bipartitions(range(len(j)))
 
     factor = _factor_on(psi, j, tol)
     if factor is not None:
@@ -385,14 +378,10 @@ def disentanglement_structures(
     k = psi.layout.sites
     if k < 2:
         raise DomainError("disentanglement analysis needs at least two sites")
-    subsets = [
-        tuple(c)
-        for r in range(2, k + 1)
-        for c in itertools.combinations(range(k), r)
-    ]
-    results = pmap(lambda j: classify_on_subset(psi, j, pool, tol=tol), subsets)
     classes = {
-        tuple(s + 1 for s in j): cls for j, cls in zip(subsets, results)
+        tuple(s + 1 for s in j): classify_on_subset(psi, j, pool, tol=tol)
+        for r in range(2, k + 1)
+        for j in itertools.combinations(range(k), r)
     }
     ground = GroundSet(range(1, k + 1))
     structures = {}
@@ -405,8 +394,3 @@ def disentanglement_structures(
         structures[name] = generate_integral(ground, generators)
     omega = max(connective_order(structures[name]) for name in STRUCTURE_NAMES)
     return DisentanglementReport(k, classes, structures, omega, pool)
-
-
-def disentanglement_order(report: DisentanglementReport) -> int:
-    """Maximum connective order over the six disentanglement structures."""
-    return max(connective_order(s) for s in report.structures.values())

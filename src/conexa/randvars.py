@@ -16,6 +16,7 @@ from typing import Mapping
 from .connective import (
     ConnectiveStructure,
     GroundSet,
+    _bipartitions,
     generate_integral,
     irreducibles,
 )
@@ -137,16 +138,7 @@ def is_separable_split(dist: FiniteJointDistribution, j1, j2) -> bool:
 
 
 def _subset_is_separable(dist, positions) -> bool:
-    positions = tuple(positions)
-    anchor = positions[0]
-    for r in range(1, len(positions)):
-        for a in itertools.combinations(positions, r):
-            if anchor not in a:
-                continue
-            b = tuple(p for p in positions if p not in a)
-            if _independent(dist, a, b):
-                return True
-    return False
+    return any(_independent(dist, a, b) for a, b in _bipartitions(positions))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 """CLI contract: reports, exit codes, determinism, schema validity."""
 
+import itertools
 import json
 from importlib import resources
 
 import jsonschema
+import numpy as np
 
+from conexa import cli, devices
 from conexa.cli import main
-from conexa.serialize import canonical_json, device_to_dict, state_to_dict
+from conexa.connective import connective_order
+from conexa.serialize import canonical_json, device_to_dict, state_to_dict, structure_to_dict
 from conexa.devices import builtin_device
 from conexa.quantum import builtin_state
 
@@ -223,9 +227,82 @@ def test_text_format(capsys):
     assert "omega" in out or "orders" in out
 
 
-def test_thread_env_var_does_not_change_results(capsys, monkeypatch):
-    args = ("analyze-state", "--builtin", "GHZ", "--seed", "7")
-    _, serial, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("CONEXA_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, *args)
-    assert serial == threaded
+def test_analyze_device_runs_each_layer_once(capsys, monkeypatch):
+    calls = {"locality_profile": 0, "domanial_structures": 0}
+    for name in calls:
+        original = getattr(devices, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # the CLI's own binding too, should it import a layer and call it directly
+        monkeypatch.setattr(devices, name, counted)
+        monkeypatch.setattr(cli, name, counted, raising=False)
+    code, _, _ = run_cli(capsys, "analyze-device", "--builtin", "K")
+    assert code == 0
+    # three pairs and the full site set, each profiled once; one domanial scan
+    assert calls == {"locality_profile": 4, "domanial_structures": 1}
+
+
+def _random_devices():
+    rng = np.random.default_rng(11)
+    for k, count in ((2, 3), (3, 2)):
+        answers = list(itertools.product("01", repeat=k))
+        for _ in range(count):
+            relation = {}
+            for q in itertools.product("01", repeat=k):
+                picks = rng.choice(len(answers), size=int(rng.integers(1, 3)), replace=False)
+                relation[q] = {answers[i] for i in picks}
+            yield devices.Device((("0", "1"),) * k, (("0", "1"),) * k, relation)
+
+
+def _labels(cut):
+    return None if cut is None else [[s + 1 for s in part] for part in cut]
+
+
+def test_analyze_device_matches_separate_layers(tmp_path, capsys):
+    """The one-pass report equals the one assembled from each layer on its own."""
+    cases = [(["--builtin", name], builtin_device(name)) for name in ("EPR", "EPR2", "GHZ", "K")]
+    epr = builtin_device("EPR")
+    separable = devices.tensor_device(epr, epr)
+    for i, dev in enumerate([separable, *_random_devices()]):
+        path = tmp_path / f"dev{i}.json"
+        path.write_text(json.dumps(device_to_dict(dev)))
+        cases.append((["--file", str(path)], dev))
+    for argv, dev in cases:
+        code, out, _ = run_cli(capsys, "analyze-device", *argv)
+        assert code == 0
+        result = load_report(out)["result"]
+        profile = devices.locality_profile(dev)
+        structures = dict(devices.tensorial_structures(dev))
+        tensorial = max(connective_order(s) for s in structures.values())
+        structures["do"], structures["dp"] = devices.domanial_structures(dev)
+        domanial = max(connective_order(structures["do"]), connective_order(structures["dp"]))
+        expected = {
+            "uplicity": dev.uplicity,
+            "realizations": devices.realization_count(dev),
+            "profile": {
+                "local": profile.local,
+                "quasi_local": profile.quasi_local,
+                "partially_local": profile.partially_local,
+                "separable": profile.separable,
+                "quasi_separable": profile.quasi_separable,
+                "pseudo_separable": profile.pseudo_separable,
+                "partially_separable": profile.partially_separable,
+                "separable_cut": _labels(profile.separable_cut),
+                "quasi_separable_cut": _labels(profile.quasi_separable_cut),
+                "partially_separable_cut": _labels(profile.partially_separable_cut),
+            },
+            "structures": {name: structure_to_dict(s) for name, s in structures.items()},
+            "orders": {
+                "tensorial": tensorial,
+                "domanial": domanial,
+                "overall": max(tensorial, domanial),
+                "ludic": "excluded (out of scope)",
+            },
+        }
+        assert result == expected, argv
+        report = devices.device_structures(dev)
+        assert report.profile == profile
+        assert report.structures == structures

@@ -12,7 +12,7 @@ from conexa.devices import (
     dependency_domain,
     derive_device,
     deterministic_realizations,
-    device_order,
+    device_structures,
     domanial_structures,
     locality_profile,
     realization_count,
@@ -376,13 +376,13 @@ def test_local_deterministic_device_domanial_discrete():
 
 
 def test_device_orders():
-    assert device_order(builtin_device("EPR")) == device_order(builtin_device("EPR"))
-    orders = device_order(builtin_device("EPR"))
+    assert device_structures(builtin_device("EPR")) == device_structures(builtin_device("EPR"))
+    orders = device_structures(builtin_device("EPR")).orders
     assert (orders.tensorial, orders.domanial, orders.overall) == (1, 0, 1)
     product = tensor_device(coin(), coin())
-    orders = device_order(product)
+    orders = device_structures(product).orders
     assert (orders.tensorial, orders.domanial, orders.overall) == (0, 0, 0)
-    orders = device_order(builtin_device("K"))
+    orders = device_structures(builtin_device("K")).orders
     assert (orders.tensorial, orders.domanial, orders.overall) == (1, 0, 1)
 
 

@@ -13,7 +13,6 @@ from conexa.disentangle import (
     PoolConfig,
     build_pool,
     classify_on_subset,
-    disentanglement_order,
     disentanglement_structures,
     post_states,
 )
@@ -151,7 +150,6 @@ def test_ghz_structures_pinned():
     for name in ("BIP", "IP", "ML", "NCS"):
         assert rep.structures[name] == power_set(3)
     assert rep.omega_c == 1
-    assert disentanglement_order(rep) == 1
 
 
 def test_epr_structures_all_coarse():
