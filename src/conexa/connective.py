@@ -168,13 +168,16 @@ def is_connected_set(structure: ConnectiveStructure, subset) -> bool:
 def irreducibles(structure: ConnectiveStructure) -> frozenset:
     """Connected parts (size >= 2) not regenerated by the other connected parts.
 
-    Singletons and the empty set are never irreducible: integrality restores them.
+    The family is closed under unions with a common point, so a part k is
+    regenerated exactly when k = a | b for connected proper subsets a, b of k
+    that meet: the last union step producing k is such a pair.  Singletons
+    and the empty set are never irreducible: integrality restores them.
     """
     candidates = [m for m in structure.connected if _popcount(m) >= 2]
     result = set()
     for k in candidates:
-        others = [m for m in candidates if m != k]
-        if k not in _close(structure.ground.size, others):
+        parts = [m for m in candidates if m != k and m & k == m]
+        if not any(a & b and a | b == k for a, b in itertools.combinations(parts, 2)):
             result.add(k)
     return frozenset(result)
 

@@ -1,11 +1,15 @@
 """Finite multilocal devices: locality taxonomy and connectivity structures.
 
 A device is a coherent relation from question tuples to nonempty sets of
-answer tuples, one slot per site.  Locality predicates are decided by
-exhaustive search over deterministic realizations (selection functions inside
-the relation), guarded by a configurable cap; the domanial structures take a
-meet over every deterministic realization's dependency pattern, which is
-enumerated in vectorized chunks so that million-realization devices stay fast.
+answer tuples, one slot per site.  Both structure families are read off one
+scan of the deterministic realizations (selection functions inside the
+relation), vectorized over chunks and guarded by a configurable cap on their
+number.  Each realization gets a dependency code: which questions each output
+reads.  A realization factors along a partition of the sites exactly when no
+output reads a question outside its block, so the locality predicates (and
+the tensorial structures built from them) come from the codes and the pairs
+the factoring realizations select; the domanial structures are the meet of
+every code's domain structures.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .connective import (
     connective_order,
     discrete_structure,
     generate_integral,
+    indiscrete_structure,
     meet_structures,
 )
 from .errors import DomainError, ResourceError
@@ -193,17 +198,108 @@ def realization_count(device: Device) -> int:
     return math.prod(len(v) for v in device.relation.values())
 
 
-def deterministic_realizations(device: Device, cap: int = DEFAULT_CAP) -> Iterator[DeterministicRealization]:
-    """Stream every selection function f(q) in D(q), smallest-question order."""
+def _capped_count(device: Device, cap: int) -> int:
     total = realization_count(device)
     if total > cap:
         raise ResourceError(
             f"device has {total} deterministic realizations, above the cap {cap}"
         )
+    return total
+
+
+def deterministic_realizations(device: Device, cap: int = DEFAULT_CAP) -> Iterator[DeterministicRealization]:
+    """Stream every selection function f(q) in D(q), smallest-question order."""
+    _capped_count(device, cap)
     qs = device.question_tuples()
     choice_lists = [sorted(device.relation[q]) for q in qs]
     for combo in itertools.product(*choice_lists):
         yield DeterministicRealization(dict(zip(qs, combo)))
+
+
+# ---------------------------------------------------------------------------
+# the realization scan
+
+# Realizations decoded per vectorized step of the scan.
+_CHUNK = 1 << 18
+
+
+def _scan(device: Device, cap: int, cuts=None, early_exit=None) -> tuple:
+    """(dependency codes, selected pairs per partition) over the deterministic
+    realizations.
+
+    A realization is a choice index per question.  Its dependency code sets bit
+    (i, j) when some pair of questions differing only in slot j yields
+    different i-th outputs.  The question set is a full product, so the
+    realization factors along a partition of the sites exactly when it sets no
+    bit (i, j) with i and j in different blocks.  Given `cuts`, the partitions
+    are the singletons followed by each cut, and each gets the set of
+    (question, answer) pairs selected by the realizations factoring along it;
+    it is empty when none does.
+
+    Work is vectorized over chunks of the mixed-radix realization space.
+    `early_exit(codes)` sees the codes found so far after every chunk; the
+    scan stops once it returns true (when given) and every partition selects
+    every pair of the relation.
+    """
+    total = _capped_count(device, cap)
+    qs = device.question_tuples()
+    k = device.uplicity
+    if k * k > 63:
+        raise ResourceError("dependency scan supports at most 7 sites")
+    choices = [sorted(device.relation[q]) for q in qs]
+    sizes = [len(c) for c in choices]
+    # Each pair of questions differing in slot j alone, with a table of the
+    # bits (i, j) its two choices set, indexed by choice_a * sizes[b] + choice_b.
+    answers = [np.array(choice) for choice in choices]
+    q_pos = {q: idx for idx, q in enumerate(qs)}
+    toggles = []
+    for a, q in enumerate(qs):
+        for j in range(k):
+            bits = np.array([1 << (i * k + j) for i in range(k)], dtype=np.int64)
+            for lab in device.questions[j]:
+                b = q_pos[q[:j] + (lab,) + q[j + 1:]]
+                if b > a:
+                    differ = answers[a][:, None, :] != answers[b][None, :, :]
+                    toggles.append((a, b, (differ * bits).sum(axis=-1).ravel()))
+    strides = [math.prod(sizes[qi + 1:]) for qi in range(len(qs))]
+
+    partitions = [] if cuts is None else [tuple((s,) for s in range(k)), *cuts]
+    crossing = [
+        np.int64(sum(
+            1 << (i * k + j) for a in blocks for b in blocks if a != b for i in a for j in b
+        ))
+        for blocks in partitions
+    ]
+    chosen = [[np.zeros(size, dtype=bool) for size in sizes] for _ in partitions]
+
+    found: set = set()
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        n = np.arange(lo, hi, dtype=np.int64)
+        cidx = [(n // strides[qi]) % sizes[qi] for qi in range(len(qs))]
+        dep = np.zeros(hi - lo, dtype=np.int64)
+        for a, b, table in toggles:
+            dep |= table[cidx[a] * sizes[b] + cidx[b]]
+        found.update(int(c) for c in np.unique(dep))
+        covered = True
+        for mask, per_question in zip(crossing, chosen):
+            if all(seen.all() for seen in per_question):
+                continue
+            factors = (dep & mask) == 0
+            for qi, seen in enumerate(per_question):
+                seen |= np.bincount(cidx[qi][factors], minlength=sizes[qi]) > 0
+            covered = covered and all(seen.all() for seen in per_question)
+        if (early_exit is None or early_exit(found)) and covered:
+            break
+    selected = [
+        frozenset(
+            (qs[qi], choices[qi][c])
+            for qi, seen in enumerate(per_question)
+            for c in np.flatnonzero(seen)
+        )
+        for per_question in chosen
+    ]
+    return found, selected
 
 
 # ---------------------------------------------------------------------------
@@ -230,100 +326,23 @@ def _is_product_along(device: Device, blocks: Sequence[tuple]) -> bool:
     return True
 
 
-def _block_function_space(device: Device, block: tuple) -> tuple:
-    """(question tuples, candidate answer tuples) for one block of sites."""
-    questions = list(itertools.product(*(device.questions[s] for s in block)))
-    answers = list(itertools.product(*(device.results[s] for s in block)))
-    return questions, answers
-
-
-def _covered_by_block_functions(device: Device, blocks: Sequence[tuple], cap: int) -> tuple:
-    """(any_valid, covered_pairs) for realizations f that factor along the blocks.
-
-    A block function assigns to each block-question a block-answer; the
-    assembled realization must select inside D(q) for every q.  Valid
-    realizations are enumerated exhaustively (cap-guarded) and their graphs
-    unioned; enumeration stops early once the union covers the whole relation.
-    """
-    spaces = [_block_function_space(device, block) for block in blocks]
-    size = 1
-    for questions, answers in spaces:
-        size *= len(answers) ** len(questions)
-        if size > cap:
-            raise ResourceError(
-                f"local/separable search space exceeds the cap {cap}"
-            )
+def _profile(device: Device, cuts: Sequence[tuple], selected: Sequence[frozenset]) -> LocalityProfile:
+    """The seven notions from the pairs `_scan` selects along the singletons
+    and along each cut, in that order."""
     all_pairs = set(device.pairs())
-    covered: set = set()
-    any_valid = False
-    qs = device.question_tuples()
-    q_projections = [
-        [tuple(q[s] for s in block) for q in qs] for block in blocks
-    ]
-    function_choices = [
-        list(itertools.product(answers, repeat=len(questions)))
-        for questions, answers in spaces
-    ]
-    block_q_index = [
-        {bq: i for i, bq in enumerate(questions)} for questions, _ in spaces
-    ]
-    for combo in itertools.product(*function_choices):
-        graph = []
-        valid = True
-        for qi, q in enumerate(qs):
-            full = [None] * device.uplicity
-            for b, block in enumerate(blocks):
-                bq = q_projections[b][qi]
-                answer = combo[b][block_q_index[b][bq]]
-                for s, x in zip(block, answer):
-                    full[s] = x
-            r = tuple(full)
-            if r not in device.relation[q]:
-                valid = False
-                break
-            graph.append((q, r))
-        if valid:
-            any_valid = True
-            covered.update(graph)
-            if covered == all_pairs:
-                break
-    return any_valid, covered
-
-
-def locality_profile(device: Device, cap: int = DEFAULT_CAP) -> LocalityProfile:
-    """Decide the seven locality notions for a coherent device of uplicity >= 2."""
-    k = device.uplicity
-    if k < 2:
-        raise DomainError("locality analysis is defined for uplicity >= 2 only")
-    singletons = [(s,) for s in range(k)]
-    local = _is_product_along(device, singletons)
-    all_pairs = set(device.pairs())
-
-    has_local, covered_local = _covered_by_block_functions(device, singletons, cap)
-    quasi_local = covered_local == all_pairs
-    partially_local = has_local
-
-    separable_cut = None
-    quasi_separable_cut = None
-    partially_separable_cut = None
-    pseudo_covered: set = set()
-    for cut in _bipartitions(range(k)):
-        if separable_cut is None and _is_product_along(device, cut):
-            separable_cut = cut
-        has_sep, covered = _covered_by_block_functions(device, cut, cap)
-        if has_sep and partially_separable_cut is None:
-            partially_separable_cut = cut
-        if covered == all_pairs and quasi_separable_cut is None:
-            quasi_separable_cut = cut
-        pseudo_covered |= covered
-
+    local_pairs, *cut_pairs = selected
+    separable_cut = next((cut for cut in cuts if _is_product_along(device, cut)), None)
+    quasi_separable_cut = next(
+        (cut for cut, pairs in zip(cuts, cut_pairs) if pairs == all_pairs), None
+    )
+    partially_separable_cut = next((cut for cut, pairs in zip(cuts, cut_pairs) if pairs), None)
     profile = LocalityProfile(
-        local=local,
-        quasi_local=quasi_local,
-        partially_local=partially_local,
+        local=_is_product_along(device, [(s,) for s in range(device.uplicity)]),
+        quasi_local=local_pairs == all_pairs,
+        partially_local=bool(local_pairs),
         separable=separable_cut is not None,
         quasi_separable=quasi_separable_cut is not None,
-        pseudo_separable=pseudo_covered == all_pairs,
+        pseudo_separable=set().union(*cut_pairs) == all_pairs,
         partially_separable=partially_separable_cut is not None,
         separable_cut=separable_cut,
         quasi_separable_cut=quasi_separable_cut,
@@ -335,19 +354,33 @@ def locality_profile(device: Device, cap: int = DEFAULT_CAP) -> LocalityProfile:
     return profile
 
 
+def locality_profile(device: Device, cap: int = DEFAULT_CAP) -> LocalityProfile:
+    """Decide the seven locality notions for a coherent device of uplicity >= 2.
+
+    Raises ResourceError when the device has more than `cap` deterministic
+    realizations.
+    """
+    k = device.uplicity
+    if k < 2:
+        raise DomainError("locality analysis is defined for uplicity >= 2 only")
+    cuts = _bipartitions(range(k))
+    _, selected = _scan(device, cap, cuts)
+    return _profile(device, cuts, selected)
+
+
 # ---------------------------------------------------------------------------
 # tensorial structures
 
 
 def _subset_profiles(device: Device, cap: int) -> dict:
-    """locality_profile of every sub-device on two or more sites, keyed by its
-    sites; the full site set is profiled on the device itself."""
+    """locality_profile of every proper sub-device on two or more sites, keyed
+    by its sites."""
     k = device.uplicity
     if k < 2:
         raise DomainError("device structures need uplicity >= 2")
     return {
-        j: locality_profile(device if r == k else sub_device(device, j), cap=cap)
-        for r in range(2, k + 1)
+        j: locality_profile(sub_device(device, j), cap=cap)
+        for r in range(2, k)
         for j in itertools.combinations(range(k), r)
     }
 
@@ -391,7 +424,9 @@ def _generate_tensorial(k: int, profiles: Mapping[tuple, LocalityProfile]) -> di
 
 def tensorial_structures(device: Device, cap: int = DEFAULT_CAP) -> dict:
     """The seven structures generated by sub-device non-locality, labels 1..k."""
-    return _generate_tensorial(device.uplicity, _subset_profiles(device, cap))
+    profiles = _subset_profiles(device, cap)
+    profiles[tuple(range(device.uplicity))] = locality_profile(device, cap=cap)
+    return _generate_tensorial(device.uplicity, profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -415,115 +450,41 @@ def dependency_domain(f: "DeterministicRealization | Mapping", i: int) -> frozen
     return frozenset(depends)
 
 
-def _dependency_codes(device: Device, cap: int, chunk: int = 1 << 18,
-                      early_exit=None) -> set:
-    """Distinct output-input dependency matrices over all deterministic realizations.
+class _DomanialMeets:
+    """Running meets of the per-realization domain structures, labels 1..k.
 
-    Each realization is a choice index per question; the dependency bit (i, j)
-    is set when some pair of questions differing only in slot j yields
-    different i-th outputs.  Work is vectorized over chunks of the mixed-radix
-    realization space.
+    Called with the dependency codes found so far, it folds in the new ones
+    and says whether both meets have reached the discrete structure, the
+    bottom of the meet lattice, past which no code can change them.
     """
-    total = realization_count(device)
-    if total > cap:
-        raise ResourceError(
-            f"device has {total} deterministic realizations, above the cap {cap}"
-        )
-    qs = device.question_tuples()
-    k = device.uplicity
-    if k * k > 63:
-        raise ResourceError("dependency scan supports at most 7 sites")
-    choices = [sorted(device.relation[q]) for q in qs]
-    sizes = [len(c) for c in choices]
-    result_index = [
-        {label: idx for idx, label in enumerate(rs)} for rs in device.results
-    ]
-    # answer component codes: codes[qi][i][choice]
-    codes = [
-        np.array(
-            [[result_index[i][r[i]] for r in choice] for i in range(k)],
-            dtype=np.int64,
-        )
-        for choice in choices
-    ]
-    q_pos = {q: idx for idx, q in enumerate(qs)}
-    toggle_pairs: list = [[] for _ in range(k)]
-    for j in range(k):
-        seen = set()
-        for qi, q in enumerate(qs):
-            base = q[:j] + q[j + 1:]
-            if (j, base) in seen:
-                continue
-            seen.add((j, base))
-            siblings = [
-                q_pos[q[:j] + (lab,) + q[j + 1:]] for lab in device.questions[j]
-            ]
-            for a, b in itertools.combinations(siblings, 2):
-                toggle_pairs[j].append((a, b))
 
-    strides = [0] * len(qs)
-    acc = 1
-    for idx in range(len(qs) - 1, -1, -1):
-        strides[idx] = acc
-        acc *= sizes[idx]
+    def __init__(self, k: int):
+        self.k = k
+        self.ground = GroundSet(range(1, k + 1))
+        self.do = self.dp = indiscrete_structure(self.ground)
+        self.seen: set = set()
 
-    found: set = set()
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        n = np.arange(lo, hi, dtype=np.int64)
-        cidx = [(n // strides[qi]) % sizes[qi] for qi in range(len(qs))]
-        dep = np.zeros(hi - lo, dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                if not toggle_pairs[j]:
-                    continue
-                bit = np.int64(1 << (i * k + j))
-                hit = np.zeros(hi - lo, dtype=bool)
-                for a, b in toggle_pairs[j]:
-                    hit |= codes[a][i][cidx[a]] != codes[b][i][cidx[b]]
-                dep |= np.where(hit, bit, np.int64(0))
-        found.update(int(c) for c in np.unique(dep))
-        if early_exit is not None and early_exit(found):
-            break
-    return found
+    def __call__(self, codes: set) -> bool:
+        k = self.k
+        for code in codes - self.seen:
+            self.seen.add(code)
+            masks = [code >> (i * k) & ((1 << k) - 1) for i in range(k)]
+            pointed = [m | 1 << i for i, m in enumerate(masks)]
+            self.do = meet_structures([self.do, generate_integral(self.ground, masks)])
+            self.dp = meet_structures([self.dp, generate_integral(self.ground, pointed)])
+        bottom = discrete_structure(self.ground)
+        return self.do == bottom and self.dp == bottom
 
 
 def domanial_structures(device: Device, cap: int = DEFAULT_CAP) -> tuple:
     """(kappa_do, kappa_dp): meets of per-realization domain structures, labels 1..k.
 
-    The enumeration may stop early once both running meets reach the discrete
-    structure, the bottom of the meet lattice.
+    The scan may stop early once both running meets reach the discrete
+    structure.
     """
-    k = device.uplicity
-    ground = GroundSet(range(1, k + 1))
-    bottom = discrete_structure(ground)
-    state = {"do": None, "dp": None, "seen": set()}
-
-    def structures_for(code: int) -> tuple:
-        do_sets = []
-        dp_sets = []
-        for i in range(k):
-            mask = 0
-            for j in range(k):
-                if code >> (i * k + j) & 1:
-                    mask |= 1 << j
-            do_sets.append(mask)
-            dp_sets.append(mask | (1 << i))
-        return (
-            generate_integral(ground, do_sets),
-            generate_integral(ground, dp_sets),
-        )
-
-    def absorb(codes: set) -> bool:
-        for code in codes - state["seen"]:
-            state["seen"].add(code)
-            s_do, s_dp = structures_for(code)
-            state["do"] = s_do if state["do"] is None else meet_structures([state["do"], s_do])
-            state["dp"] = s_dp if state["dp"] is None else meet_structures([state["dp"], s_dp])
-        return state["do"] == bottom and state["dp"] == bottom
-
-    _dependency_codes(device, cap, early_exit=absorb)
-    return state["do"], state["dp"]
+    meets = _DomanialMeets(device.uplicity)
+    _scan(device, cap, early_exit=meets)
+    return meets.do, meets.dp
 
 
 @dataclass(frozen=True)
@@ -545,15 +506,25 @@ class DeviceReport:
 
 def device_structures(device: Device, cap: int = DEFAULT_CAP) -> DeviceReport:
     """Every device layer once: sub-device profiles, tensorial and domanial
-    structures, and their orders."""
+    structures, and their orders.
+
+    One scan of the full device yields both its locality profile and the
+    domanial meets; it stops once the meets are discrete and every partition
+    selects every pair.  Each device scanned, the full one and every sub-device
+    on two or more sites, must have at most `cap` realizations.
+    """
     k = device.uplicity
     profiles = _subset_profiles(device, cap)
+    cuts = _bipartitions(range(k))
+    meets = _DomanialMeets(k)
+    _, selected = _scan(device, cap, cuts, early_exit=meets)
+    profile = profiles[tuple(range(k))] = _profile(device, cuts, selected)
     structures = _generate_tensorial(k, profiles)
     tensorial = max(connective_order(s) for s in structures.values())
-    structures["do"], structures["dp"] = domanial_structures(device, cap=cap)
-    domanial = max(connective_order(structures["do"]), connective_order(structures["dp"]))
+    structures["do"], structures["dp"] = meets.do, meets.dp
+    domanial = max(connective_order(meets.do), connective_order(meets.dp))
     orders = DeviceOrders(tensorial, domanial, max(tensorial, domanial))
-    return DeviceReport(profiles[tuple(range(k))], structures, orders)
+    return DeviceReport(profile, structures, orders)
 
 
 # ---------------------------------------------------------------------------

@@ -168,3 +168,81 @@ def oracle_completely_correlated(matrix: np.ndarray, dims, sites) -> bool:
             if np.max(np.abs(product - reduced)) <= 1e-9:
                 return False
     return True
+
+
+def oracle_locality_profile(device) -> dict:
+    """The ten `LocalityProfile` fields by enumerating every realization.
+
+    Reads only `device.questions` and `device.relation`.  A realization
+    factors along blocks when, on each block, questions with equal block
+    projections get answers with equal block projections.  The device is a
+    product along blocks when each answer set is the product of the block
+    projections of all answers.  Cuts are anchored at site 0, smaller first
+    block first, in `itertools.combinations` order.
+    """
+    k = len(device.questions)
+    relation = device.relation
+    qs = sorted(relation)
+    pairs = {(q, r) for q in qs for r in relation[q]}
+
+    def project(t, block):
+        return tuple(t[s] for s in block)
+
+    def factors(f, blocks):
+        for block in blocks:
+            seen = {}
+            for q in qs:
+                part = project(f[q], block)
+                if seen.setdefault(project(q, block), part) != part:
+                    return False
+        return True
+
+    def is_product(blocks):
+        restricted = [{} for _ in blocks]
+        for q, r in pairs:
+            for b, block in enumerate(blocks):
+                restricted[b].setdefault(project(q, block), set()).add(project(r, block))
+        for q in qs:
+            options = [restricted[b][project(q, block)] for b, block in enumerate(blocks)]
+            expected = set()
+            for parts in itertools.product(*options):
+                r = [None] * k
+                for block, part in zip(blocks, parts):
+                    for s, x in zip(block, part):
+                        r[s] = x
+                expected.add(tuple(r))
+            if expected != set(relation[q]):
+                return False
+        return True
+
+    realizations = [
+        dict(zip(qs, combo))
+        for combo in itertools.product(*(sorted(relation[q]) for q in qs))
+    ]
+
+    def selected(blocks):
+        return {(q, f[q]) for f in realizations if factors(f, blocks) for q in qs}
+
+    cuts = [
+        (a, tuple(s for s in range(k) if s not in a))
+        for size in range(1, k)
+        for a in itertools.combinations(range(k), size)
+        if 0 in a
+    ]
+    local_pairs = selected([(s,) for s in range(k)])
+    cut_pairs = [selected(cut) for cut in cuts]
+    separable_cut = next((c for c in cuts if is_product(c)), None)
+    quasi_cut = next((c for c, p in zip(cuts, cut_pairs) if p == pairs), None)
+    partial_cut = next((c for c, p in zip(cuts, cut_pairs) if p), None)
+    return {
+        "local": is_product([(s,) for s in range(k)]),
+        "quasi_local": local_pairs == pairs,
+        "partially_local": bool(local_pairs),
+        "separable": separable_cut is not None,
+        "quasi_separable": quasi_cut is not None,
+        "pseudo_separable": set().union(*cut_pairs) == pairs,
+        "partially_separable": partial_cut is not None,
+        "separable_cut": separable_cut,
+        "quasi_separable_cut": quasi_cut,
+        "partially_separable_cut": partial_cut,
+    }

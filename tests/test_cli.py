@@ -7,7 +7,7 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
-from conexa import cli, devices
+from conexa import devices
 from conexa.cli import main
 from conexa.connective import connective_order
 from conexa.serialize import canonical_json, device_to_dict, state_to_dict, structure_to_dict
@@ -112,15 +112,39 @@ def test_analyze_device_builtin_k(capsys):
 
 
 def test_analyze_device_cap_exit_code(capsys):
-    # cap below the locality search space: generic resource failure
+    # cap below the 256 realizations of each pair sub-device, scanned first
     code, _, err = run_cli(capsys, "analyze-device", "--builtin", "K", "--cap", "10")
     assert code == 3
     assert "cap" in err
-    # cap between the locality search space and the realization count: the
-    # error names the offending product size
+    # cap between the pair sub-devices and the full device: the error names
+    # the full device's realization count
     code, _, err = run_cli(capsys, "analyze-device", "--builtin", "K", "--cap", "10000")
     assert code == 3
     assert "1048576" in err
+
+
+def test_analyze_device_cap_bounds_realizations(tmp_path, capsys):
+    """The cap bounds the realizations of each scanned device: 20,736 for this
+    table, although one cut's block functions number 9^4 * 9 = 59,049."""
+    rng = np.random.default_rng(17)
+    questions = (("0", "1"),) * 3
+    results = (("0", "1", "2"),) * 3
+    answers = list(itertools.product(*results))
+    sizes = rng.permutation([4, 4, 4, 4, 3, 3, 3, 3])
+    relation = {
+        q: {answers[i] for i in rng.choice(len(answers), size=int(size), replace=False)}
+        for q, size in zip(itertools.product(*questions), sizes)
+    }
+    dev = devices.Device(questions, results, relation)
+    assert devices.realization_count(dev) == 20736
+    path = tmp_path / "ternary.json"
+    path.write_text(json.dumps(device_to_dict(dev)))
+    code, out, _ = run_cli(capsys, "analyze-device", "--file", str(path), "--cap", "30000")
+    assert code == 0
+    assert load_report(out)["result"]["realizations"] == 20736
+    code, _, err = run_cli(capsys, "analyze-device", "--file", str(path), "--cap", "20000")
+    assert code == 3
+    assert "20736" in err
 
 
 def test_analyze_rvs_from_file(tmp_path, capsys):
@@ -228,21 +252,20 @@ def test_text_format(capsys):
 
 
 def test_analyze_device_runs_each_layer_once(capsys, monkeypatch):
-    calls = {"locality_profile": 0, "domanial_structures": 0}
-    for name in calls:
-        original = getattr(devices, name)
+    """One realization scan per device: the full device's scan feeds both its
+    locality profile and the domanial meets."""
+    scanned = []
+    original = devices._scan
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counted(device, *args, **kwargs):
+        scanned.append(device.uplicity)
+        return original(device, *args, **kwargs)
 
-        # the CLI's own binding too, should it import a layer and call it directly
-        monkeypatch.setattr(devices, name, counted)
-        monkeypatch.setattr(cli, name, counted, raising=False)
+    monkeypatch.setattr(devices, "_scan", counted)
     code, _, _ = run_cli(capsys, "analyze-device", "--builtin", "K")
     assert code == 0
-    # three pairs and the full site set, each profiled once; one domanial scan
-    assert calls == {"locality_profile": 4, "domanial_structures": 1}
+    # the three pair sub-devices, then the full device
+    assert scanned == [2, 2, 2, 3]
 
 
 def _random_devices():

@@ -1,9 +1,12 @@
 """Multilocal devices: taxonomy, structures, realization scans, derivation."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conexa.connective import generate_integral, meet_structures
 from conexa.devices import (
@@ -32,7 +35,14 @@ from conexa.quantum import (
     tensor_state,
 )
 
-from helpers import borromean, discrete, ground, power_set, random_state_vector
+from helpers import (
+    borromean,
+    discrete,
+    ground,
+    oracle_locality_profile,
+    power_set,
+    random_state_vector,
+)
 
 BITS = ("0", "1")
 
@@ -235,6 +245,33 @@ def test_deterministic_collapse_of_taxonomy():
         assert (
             p.separable == p.quasi_separable == p.pseudo_separable == p.partially_separable
         )
+
+
+@st.composite
+def coherent_devices(draw):
+    """2-3 sites, 1-3 questions and answers per site, at most 4096 realizations."""
+    k = draw(st.integers(2, 3))
+    questions = tuple(tuple(str(x) for x in range(draw(st.integers(1, 3)))) for _ in range(k))
+    results = tuple(tuple(str(x) for x in range(draw(st.integers(1, 3)))) for _ in range(k))
+    answers = list(itertools.product(*results))
+    budget = 4096
+    relation = {}
+    for q in itertools.product(*questions):
+        picked = draw(st.lists(
+            st.sampled_from(answers), min_size=1, max_size=min(len(answers), budget), unique=True
+        ))
+        budget //= len(picked)
+        relation[q] = set(picked)
+    return Device(questions, results, relation)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(coherent_devices())
+def test_locality_profile_matches_oracle(dev):
+    assert realization_count(dev) <= 4096
+    profile = locality_profile(dev)
+    assert dataclasses.asdict(profile) == oracle_locality_profile(dev)
+    assert device_structures(dev).profile == profile
 
 
 # ---------------------------------------------------------------------------
