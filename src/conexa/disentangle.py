@@ -7,12 +7,22 @@ the measurement set is a continuum, quantifiers are evaluated over a finite
 pool of product bases (structured plus seeded Haar-random ones) and results
 are flagged POOL_LIMITED unless an exact factorization certificate removes
 the pool dependence altogether.
+
+The kernel is batched.  For a chunk of experiments, each measured site is
+contracted for every experiment and outcome at once, giving the residual
+J-states as one (experiments, outcomes, dim_J) array; outcomes with residual
+norm <= tol are impossible.  Each bipartition of J is then tested for every
+possible outcome with one stacked SVD (second Schmidt coefficient <= tol).
+Classification does not deduplicate residuals, since a repeated state never
+changes its any/all tests; `post_states` deduplicates up to phase from one
+Gram matrix, keeping the first of each class in outcome order.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -32,10 +42,13 @@ from .quantum import (
     SiteLayout,
     _check_sites,
     _matricize,
-    partial_contract,
 )
 
 PHASE_MATCH = 1.0 - 1e-9
+# Residual amplitudes contracted at once: classification takes the pool's
+# experiments in chunks of at most this many amplitudes (at least one
+# experiment), which bounds memory up to MAX_TOTAL_DIM.
+_CHUNK = 1 << 16
 
 STRUCTURE_NAMES = ("GI", "BIP", "MT", "IP", "ML", "NCS")
 
@@ -177,13 +190,6 @@ class DisentanglementReport:
     pool: PoolConfig
 
 
-def _haar_basis(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random unitary via QR with the standard phase fix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _structured_bases(dim: int) -> list:
     """Computational basis plus a Hadamard-type (d=2) or Fourier (d>2) basis."""
     bases = [np.eye(dim, dtype=np.complex128)]
@@ -194,6 +200,31 @@ def _structured_bases(dim: int) -> list:
         j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
         bases.append(np.exp(2j * np.pi * j * k / dim) / np.sqrt(dim))
     return bases
+
+
+def _haar_bases(rng: np.random.Generator, dims: Sequence[int], count: int) -> list:
+    """`count` Haar-random unitaries per site: one array (count, d, d) per site.
+
+    The normals are drawn in one call and consumed per experiment and per site
+    as a real d x d block, then an imaginary one; one stacked QR per distinct
+    dimension with the standard phase fix gives each unitary.
+    """
+    widths = [2 * d * d for d in dims]
+    normals = rng.standard_normal(count * sum(widths)).reshape(count, -1)
+    offsets = np.cumsum([0, *widths])
+    gaussian = []
+    for d, lo, hi in zip(dims, offsets, offsets[1:]):
+        block = normals[:, lo:hi].reshape(count, 2, d, d)
+        gaussian.append(block[:, 0] + 1j * block[:, 1])
+    out = [None] * len(dims)
+    for d in set(dims):
+        positions = [i for i, di in enumerate(dims) if di == d]
+        q, r = np.linalg.qr(np.concatenate([gaussian[i] for i in positions]))
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        q = q * (diag / np.abs(diag))[:, None, :]
+        for k, i in enumerate(positions):
+            out[i] = q[k * count:(k + 1) * count]
+    return out
 
 
 def build_pool(layout: SiteLayout, sites, config: PoolConfig) -> MeasurementPool:
@@ -218,12 +249,47 @@ def build_pool(layout: SiteLayout, sites, config: PoolConfig) -> MeasurementPool
     ]
     if config.n_random:
         rng = np.random.default_rng([int(config.seed), *sites])
-        for _ in range(config.n_random):
-            combo = [_haar_basis(rng, layout.dims[s]) for s in sites]
+        random_bases = _haar_bases(rng, [layout.dims[s] for s in sites], config.n_random)
+        for e in range(config.n_random):
             experiments.append(
-                DeterminantExperiment(sites, combo, tag=f"RANDOM({config.seed})")
+                DeterminantExperiment(
+                    sites, [b[e] for b in random_bases], tag=f"RANDOM({config.seed})"
+                )
             )
     return MeasurementPool(sites, experiments)
+
+
+def _residuals(
+    psi: PureState, j: tuple, experiments: Sequence[DeterminantExperiment], tol: float
+) -> tuple:
+    """Normalized residual J-states of every outcome of every experiment.
+
+    Returns an array of shape (experiments, outcomes, dim_J), outcomes in
+    row-major order over the measured sites, and the mask of possible outcomes
+    (residual norm > tol); impossible rows are zero.  Each measured site is
+    contracted for all experiments at once: row o of the conjugate-transposed
+    basis applies the bra of outcome o.
+    """
+    complement = tuple(s for s in psi.layout.site_indices() if s not in j)
+    for experiment in experiments:
+        if experiment.sites != complement:
+            raise DomainError(
+                f"experiment sites {experiment.sites} != complement {complement} of J"
+            )
+    n = len(experiments)
+    total = psi.layout.total_dim
+    # axes: (experiment, outcomes so far, unmeasured amplitudes)
+    t = np.transpose(psi.tensor, complement + j).reshape(1, 1, total)
+    t = np.broadcast_to(t, (n, 1, total))
+    for i, s in enumerate(complement):
+        d = psi.layout.dims[s]
+        bras = np.stack([e.bases[i] for e in experiments]).conj().transpose(0, 2, 1)
+        t = bras[:, None] @ t.reshape(n, -1, d, t.shape[-1] // d)
+    t = t.reshape(n, -1, math.prod(psi.layout.dims[s] for s in j))
+    norms = np.linalg.norm(t, axis=-1)
+    possible = norms > tol
+    residuals = np.divide(t, norms[..., None], out=np.zeros_like(t), where=possible[..., None])
+    return residuals, possible
 
 
 def post_states(
@@ -234,48 +300,48 @@ def post_states(
 ) -> list:
     """Residual J-states of psi under one experiment, deduplicated up to phase.
 
-    Outcomes with probability <= tol^2 are impossible and excluded.
+    Every outcome is contracted at once.  Outcomes with residual norm <= tol
+    (probability <= tol^2) are impossible and excluded.  Two residuals are
+    duplicates when their overlap has modulus > PHASE_MATCH, read from one
+    Gram matrix; the first of each class in outcome order is kept.  The
+    identity experiment applies only to J = all sites and leaves psi itself.
     """
     j = _check_sites(psi.layout, j_sites)
-    if experiment.sites == ():
-        if len(j) != psi.layout.sites:
-            raise DomainError("the identity experiment applies only to J = all sites")
+    residuals, possible = _residuals(psi, j, (experiment,), tol)
+    if not experiment.sites:
         return [psi]
-    complement = tuple(s for s in psi.layout.site_indices() if s not in j)
-    if experiment.sites != complement:
-        raise DomainError(
-            f"experiment sites {experiment.sites} != complement {complement} of J"
-        )
-    states: list = []
-    dims = [psi.layout.dims[s] for s in experiment.sites]
-    for combo in itertools.product(*(range(d) for d in dims)):
-        vectors = {
-            site: experiment.bases[i][:, combo[i]] for i, site in enumerate(experiment.sites)
-        }
-        hit = partial_contract(psi, vectors, tol=tol)
-        if hit is None:
-            continue
-        if not any(abs(hit.state.overlap(seen)) > PHASE_MATCH for seen in states):
-            states.append(hit.state)
-    return states
+    vectors = residuals[possible]
+    duplicate = np.abs(vectors.conj() @ vectors.T) > PHASE_MATCH
+    kept: list = []
+    for i in range(len(vectors)):
+        if not duplicate[i, kept].any():
+            kept.append(i)
+    layout = psi.layout.restrict(j)
+    return [PureState(layout, vectors[i]) for i in kept]
 
 
-def _separable_cuts(phi: PureState, cuts, tol: float) -> set:
-    """Which of the given bipartitions (by position) split phi into a product."""
-    found = set()
-    for a, b in cuts:
-        coeffs = np.linalg.svd(_matricize(phi, a), compute_uv=False)
-        if len(coeffs) < 2 or float(coeffs[1]) <= tol:
-            found.add((a, b))
-    return found
+def _separable_cuts(states: np.ndarray, dims: tuple, cuts, tol: float) -> np.ndarray:
+    """Bool array (states, cuts): which bipartitions (by position) split each state.
+
+    `states` holds one unit vector over the layout `dims` per row; each cut is
+    one stacked SVD testing the second Schmidt coefficient.
+    """
+    tensors = states.reshape(-1, *dims)
+    out = np.empty((len(tensors), len(cuts)), dtype=bool)
+    for c, (a, b) in enumerate(cuts):
+        axes = (0, *(p + 1 for p in a + b))
+        rows = math.prod(dims[p] for p in a)
+        mats = tensors.transpose(axes).reshape(len(tensors), rows, math.prod(dims) // rows)
+        out[:, c] = np.linalg.svd(mats, compute_uv=False)[:, 1] <= tol
+    return out
 
 
 def _classify_single_state(phi: PureState, cuts, tol: float) -> IntricationClass:
     """Class of (state, J) when the residual set is {phi} for every experiment."""
-    seps = _separable_cuts(phi, cuts, tol)
-    if not seps:
+    seps = _separable_cuts(phi.amplitudes, phi.layout.dims, cuts, tol)[0]
+    if not seps.any():
         return IntricationClass.GLOBALLY_ENTANGLED
-    if len(seps) == len(cuts):
+    if seps.all():
         return IntricationClass.TOTALLY_SEPARATED
     return IntricationClass.CLEARLY_SEPARABLE_ONLY
 
@@ -303,6 +369,9 @@ def classify_on_subset(
     CERTIFIED when J is the full site set (only the identity measurement
     exists) or when psi factors across (J, complement), which pins the
     residual set to the J-factor for every conceivable experiment.
+    Experiments are contracted in chunks of at most _CHUNK amplitudes, and
+    residuals are not deduplicated: a repeated state never changes the
+    any/all tests below.
     """
     j = _check_sites(psi.layout, j_sites)
     if len(j) < 2:
@@ -319,40 +388,40 @@ def classify_on_subset(
         complement = tuple(s for s in psi.layout.site_indices() if s not in j)
         pool = build_pool(psi.layout, complement, pool)
 
-    all_ent = []
-    all_sep = []
-    has_both = []
-    sep_along: dict = {cut: True for cut in cuts}
-    any_ent = False
-    any_sep = False
-    for experiment in pool.experiments:
-        outcomes = post_states(psi, j, experiment, tol=tol)
-        profiles = [_separable_cuts(phi, cuts, tol) for phi in outcomes]
-        ent_here = any(not p for p in profiles)
-        sep_here = any(p for p in profiles)
-        any_ent |= ent_here
-        any_sep |= sep_here
-        all_ent.append(not sep_here)
-        all_sep.append(not ent_here)
-        has_both.append(ent_here and sep_here)
-        for cut in cuts:
-            if not all(cut in p for p in profiles):
-                sep_along[cut] = False
+    experiments = pool.experiments
+    dims_j = tuple(psi.layout.dims[s] for s in j)
+    # per experiment: some outcome splits along no cut / along some cut
+    ent_here = np.zeros(len(experiments), dtype=bool)
+    sep_here = np.zeros(len(experiments), dtype=bool)
+    # per cut: every outcome of every experiment splits along it
+    sep_along = np.ones(len(cuts), dtype=bool)
+    step = max(1, _CHUNK // psi.layout.total_dim)
+    for start in range(0, len(experiments), step):
+        residuals, possible = _residuals(psi, j, experiments[start:start + step], tol)
+        owner = start + np.nonzero(possible)[0]
+        profiles = _separable_cuts(residuals[possible], dims_j, cuts, tol)
+        separable = profiles.any(axis=1)
+        ent_here[owner[~separable]] = True
+        sep_here[owner[separable]] = True
+        sep_along &= profiles.all(axis=0)
+    all_ent = ~sep_here
+    all_sep = ~ent_here
+    has_both = ent_here & sep_here
 
-    if all(all_ent):
+    if all_ent.all():
         kind = IntricationClass.GLOBALLY_ENTANGLED
-    elif all(all_sep):
-        if all(sep_along.values()):
+    elif all_sep.all():
+        if sep_along.all():
             kind = IntricationClass.TOTALLY_SEPARATED
-        elif any(sep_along.values()):
+        elif sep_along.any():
             kind = IntricationClass.CLEARLY_SEPARABLE_ONLY
         else:
             kind = IntricationClass.GLOBALLY_SEPARABLE_ONLY
-    elif all(has_both):
+    elif has_both.all():
         kind = IntricationClass.TOTALLY_MIXED
     else:
-        well_ent = any(all_ent) and not all(all_ent)
-        well_sep = any(all_sep) and not all(all_sep)
+        well_ent = all_ent.any()
+        well_sep = all_sep.any()
         if well_ent and well_sep:
             kind = IntricationClass.WELL_ENTANGLED_AND_SEPARABLE
         elif well_ent:
@@ -362,7 +431,7 @@ def classify_on_subset(
         else:
             # mixed but no homogeneous experiment: every experiment mixes
             kind = IntricationClass.TOTALLY_MIXED
-        assert any_ent and any_sep
+        assert ent_here.any() and sep_here.any()
     return Classification(kind, Confidence.POOL_LIMITED)
 
 

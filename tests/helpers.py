@@ -246,3 +246,102 @@ def oracle_locality_profile(device) -> dict:
         "quasi_separable_cut": quasi_cut,
         "partially_separable_cut": partial_cut,
     }
+
+
+def _oracle_separable(tensor: np.ndarray, part, tol: float) -> bool:
+    """Second Schmidt coefficient of `tensor` across `part` vs the other axes."""
+    rest = [a for a in range(tensor.ndim) if a not in part]
+    rows = int(np.prod([tensor.shape[a] for a in part]))
+    mat = np.transpose(tensor, list(part) + rest).reshape(rows, -1)
+    return float(np.linalg.svd(mat, compute_uv=False)[1]) <= tol
+
+
+def oracle_classify(amplitudes, dims, j, experiments, tol: float = 1e-9) -> tuple:
+    """(class name, confidence name) of a pure state on the sites `j`.
+
+    `experiments` lists, per experiment, one basis matrix (columns = basis
+    vectors) per site outside `j`, in site order.  Each outcome is contracted
+    on its own, one local bra at a time; outcomes with residual norm <= tol
+    are impossible.  Every residual is tested across every bipartition of `j`
+    (anchored at its first site) with one SVD.  The verdict is certified when
+    `j` is every site or the state factors across `j` and the other sites,
+    since then every experiment leaves the same J-factor.
+    """
+    dims = tuple(dims)
+    j = sorted(j)
+    complement = [s for s in range(len(dims)) if s not in j]
+    psi = np.asarray(amplitudes, dtype=complex).reshape(dims)
+    positions = range(len(j))
+    cuts = [a for r in range(1, len(j)) for a in itertools.combinations(positions, r) if 0 in a]
+
+    def profile(tensor):
+        return {a for a in cuts if _oracle_separable(tensor, a, tol)}
+
+    def single_state_class(tensor):
+        seps = profile(tensor)
+        if not seps:
+            return "GLOBALLY_ENTANGLED"
+        if len(seps) == len(cuts):
+            return "TOTALLY_SEPARATED"
+        return "CLEARLY_SEPARABLE_ONLY"
+
+    if not complement:
+        return single_state_class(psi), "CERTIFIED"
+    mat = np.transpose(psi, j + complement).reshape(int(np.prod([dims[s] for s in j])), -1)
+    u, s, _ = np.linalg.svd(mat)
+    if float(s[1]) <= tol:
+        return single_state_class(u[:, 0].reshape([dims[s] for s in j])), "CERTIFIED"
+
+    per_experiment = []
+    for bases in experiments:
+        profiles = []
+        for outcome in itertools.product(*(range(dims[s]) for s in complement)):
+            residual = psi
+            for site, basis, o in reversed(list(zip(complement, bases, outcome))):
+                residual = np.tensordot(residual, np.conj(basis[:, o]), axes=([site], [0]))
+            norm = np.linalg.norm(residual)
+            if norm > tol:
+                profiles.append(profile(residual / norm))
+        per_experiment.append(profiles)
+
+    outcomes = [p for profiles in per_experiment for p in profiles]
+    all_entangled = [all(not p for p in profiles) for profiles in per_experiment]
+    all_separable = [all(p for p in profiles) for profiles in per_experiment]
+    if all(all_entangled):
+        kind = "GLOBALLY_ENTANGLED"
+    elif all(all_separable):
+        along = [a for a in cuts if all(a in p for p in outcomes)]
+        if len(along) == len(cuts):
+            kind = "TOTALLY_SEPARATED"
+        elif along:
+            kind = "CLEARLY_SEPARABLE_ONLY"
+        else:
+            kind = "GLOBALLY_SEPARABLE_ONLY"
+    elif any(all_entangled) and any(all_separable):
+        kind = "WELL_ENTANGLED_AND_SEPARABLE"
+    elif any(all_entangled):
+        kind = "WELL_ENTANGLED_ONLY"
+    elif any(all_separable):
+        kind = "WELL_SEPARABLE_ONLY"
+    else:
+        kind = "TOTALLY_MIXED"
+    return kind, "POOL_LIMITED"
+
+
+def replay_haar_bases(dims, sites, n_random: int, seed: int) -> list:
+    """Per-experiment Haar bases drawn one matrix at a time, as pools were first built.
+
+    For each experiment and each site: a real then an imaginary d x d block
+    of normals, one QR, and the phase fix that makes diag(R) positive.
+    """
+    rng = np.random.default_rng([seed, *sites])
+    out = []
+    for _ in range(n_random):
+        combo = []
+        for s in sites:
+            d = dims[s]
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            q, r = np.linalg.qr(z)
+            combo.append(q * (np.diag(r) / np.abs(np.diag(r))))
+        out.append(combo)
+    return out

@@ -1,18 +1,22 @@
 """CLI contract: reports, exit codes, determinism, schema validity."""
 
+import hashlib
 import itertools
 import json
 from importlib import resources
 
 import jsonschema
 import numpy as np
+import pytest
 
 from conexa import devices
 from conexa.cli import main
 from conexa.connective import connective_order
 from conexa.serialize import canonical_json, device_to_dict, state_to_dict, structure_to_dict
 from conexa.devices import builtin_device
-from conexa.quantum import builtin_state
+from conexa.quantum import PureState, SiteLayout, builtin_state
+
+from helpers import random_state_vector
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +244,35 @@ def test_byte_identical_reports(capsys):
     _, second, _ = run_cli(capsys, *args)
     assert first == second
     assert first == canonical_json(json.loads(first))
+
+
+# sha256 of the canonical `analyze-state --seed 7` reports.  K is left out: its
+# pairs are classified GLOBALLY_ENTANGLED (POOL_LIMITED) although a Y-basis
+# measurement of site 3 separates them, and exact one-site-complement
+# classification is meant to change that report.
+GOLDEN_STATE_REPORTS = {
+    ("--builtin", "EPR"): "dd34858f76263d1a9255b8a6be1f289ec3f4a2992a26e063ea607c4e18d59694",
+    ("--builtin", "GHZ"): "89615a131d3aabc3e50d0ef96143fbe229079ba8775023950108b0462a0d45ad",
+    ("--builtin", "O2"): "ddc1cec782fbcc50046d3af655db0c2cfa470a00bcef1ebd36fe33a34ece8456",
+    (11, (2, 2, 2, 2)): "2e42e7f1add6edc0371db79ceaafae15092e11dad2461cef502e5e345c38832d",
+    (12, (3, 2, 3)): "c8c9015ba0b4dc353fd5ff54eebfd145378e6c67d371973d6bec8ab88ddcb68c",
+}
+
+
+@pytest.mark.parametrize("source", list(GOLDEN_STATE_REPORTS), ids=str)
+def test_analyze_state_reports_pinned(source, tmp_path, capsys):
+    if source[0] == "--builtin":
+        argv = list(source)
+    else:
+        seed, dims = source
+        layout = SiteLayout(dims)
+        psi = PureState(layout, random_state_vector(np.random.default_rng(seed), layout.total_dim))
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state_to_dict(psi)))
+        argv = ["--file", str(path)]
+    code, out, _ = run_cli(capsys, "analyze-state", *argv, "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STATE_REPORTS[source]
 
 
 def test_text_format(capsys):

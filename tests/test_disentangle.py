@@ -1,10 +1,14 @@
 """Measurement-pool classification and the six disentanglement structures."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conexa import disentangle
 from conexa.disentangle import (
     Confidence,
     DeterminantExperiment,
@@ -19,7 +23,13 @@ from conexa.disentangle import (
 from conexa.errors import DomainError
 from conexa.quantum import PureState, SiteLayout, basis_state, builtin_state, tensor_state
 
-from helpers import borromean, power_set, random_state_vector
+from helpers import (
+    borromean,
+    oracle_classify,
+    power_set,
+    random_state_vector,
+    replay_haar_bases,
+)
 
 CFG = PoolConfig(n_random=20, seed=7)
 STRUCTURED_ONLY = PoolConfig(n_random=0)
@@ -240,3 +250,161 @@ def test_extra_bases_enter_the_pool():
     cfg = PoolConfig(n_random=0, extra_bases={0: [tilted]})
     pool = build_pool(layout, (0,), cfg)
     assert len(pool.experiments) == 3
+
+
+@pytest.mark.parametrize("dims", [(2,), (3, 2), (2, 3, 2)])
+@pytest.mark.parametrize("seed", [42, 43])
+def test_pool_random_bases_match_per_matrix_draws(dims, seed):
+    layout = SiteLayout(dims)
+    sites = tuple(range(len(dims)))
+    pool = build_pool(layout, sites, PoolConfig(n_random=3, seed=seed))
+    drawn = [e.bases for e in pool.experiments if e.tag.startswith("RANDOM")]
+    expected = replay_haar_bases(dims, sites, 3, seed)
+    assert len(drawn) == len(expected) == 3
+    for got, want in zip(drawn, expected):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_classify_rejects_pool_on_wrong_sites():
+    ghz = builtin_state("GHZ")
+    wrong = build_pool(ghz.layout, (1,), STRUCTURED_ONLY)
+    with pytest.raises(DomainError):
+        classify_on_subset(ghz, (0, 1), wrong)
+
+
+def _oracle_state(kind, dims, rng):
+    """Amplitudes of a random, product, GHZ-like, block-product or sparse state."""
+    total = math.prod(dims)
+    if kind == "random":
+        return random_state_vector(rng, total)
+    if kind == "product":
+        vec = np.ones(1, dtype=complex)
+        for d in dims:
+            vec = np.kron(vec, random_state_vector(rng, d))
+        return vec
+    if kind == "ghz":
+        vec = np.zeros(dims, dtype=complex)
+        for i in range(min(dims)):
+            vec[(i,) * len(dims)] = rng.standard_normal() + 1j * rng.standard_normal()
+        return vec.reshape(-1)
+    if kind == "blocks":
+        # a product of random or GHZ-like states over a random grouping of sites
+        label = rng.integers(0, len(dims), size=len(dims))
+        blocks = [tuple(np.flatnonzero(label == b)) for b in np.unique(label)]
+        tensor = np.ones((), dtype=complex)
+        for block in blocks:
+            inner = "ghz" if len(block) > 1 and rng.integers(2) else "random"
+            part = _oracle_state(inner, tuple(dims[s] for s in block), rng)
+            tensor = np.multiply.outer(tensor, part.reshape([dims[s] for s in block]))
+        order = [s for block in blocks for s in block]
+        return np.transpose(tensor, np.argsort(order)).reshape(-1)
+    # sparse: a few basis states, so many outcomes are impossible or separable
+    vec = np.zeros(total, dtype=complex)
+    support = rng.choice(total, size=int(rng.integers(2, 5)), replace=False)
+    vec[support] = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+    return vec
+
+
+def _random_basis(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+@st.composite
+def oracle_cases(draw):
+    """A 3-4-site state with local dims in {2, 3}, a subset J, a pool kind and a tol.
+
+    Under the large tolerance some experiments have no possible outcome.
+    """
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=3, max_size=4)))
+    kind = draw(st.sampled_from(("random", "product", "ghz", "blocks", "sparse")))
+    seed = draw(st.integers(0, 2**32 - 1))
+    j = tuple(sorted(draw(st.sets(st.integers(0, len(dims) - 1), min_size=2))))
+    pool_kind = draw(st.sampled_from(("config", "extras", "caller")))
+    n_random = draw(st.integers(0, 3))
+    return dims, kind, seed, j, pool_kind, n_random, draw(st.sampled_from((1e-9, 0.55)))
+
+
+def _check_against_oracle(case):
+    dims, kind, seed, j, pool_kind, n_random, tol = case
+    rng = np.random.default_rng(seed)
+    psi = PureState(SiteLayout(dims), _oracle_state(kind, dims, rng))
+    complement = tuple(s for s in range(len(dims)) if s not in j)
+    if pool_kind == "caller" and complement:
+        options = [[np.eye(dims[s]), _random_basis(rng, dims[s])] for s in complement]
+        pool = MeasurementPool(
+            complement,
+            [DeterminantExperiment(complement, c) for c in itertools.product(*options)],
+        )
+        experiments = pool.experiments
+    else:
+        extras = None
+        if pool_kind == "extras":
+            extras = {s: [_random_basis(rng, dims[s])] for s in complement}
+        pool = PoolConfig(n_random=n_random, seed=5, extra_bases=extras)
+        experiments = build_pool(psi.layout, complement, pool).experiments
+    cls = classify_on_subset(psi, j, pool, tol=tol)
+    expected = oracle_classify(psi.amplitudes, dims, j, [e.bases for e in experiments], tol)
+    assert (cls.kind.value, cls.confidence.value) == expected
+
+
+GHZ_LIKE = ((2, 3, 2), "ghz", 0, (0, 2), "config", 2, 1e-9)
+PRODUCT = ((3, 2, 2, 3), "product", 0, (1, 2, 3), "config", 2, 1e-9)
+SPARSE_CALLER_POOL = ((2, 2, 2, 2), "sparse", 0, (0, 1), "caller", 0, 1e-9)
+GHZ_LIKE_EXTRAS = ((2, 3, 2), "ghz", 0, (0, 2), "extras", 2, 1e-9)
+# a qubit times a GHZ-like triple: CLEARLY_SEPARABLE_ONLY (POOL_LIMITED)
+BLOCKS_CLEARLY_SEPARABLE = ((2, 2, 2, 2), "blocks", 20, (0, 1, 2), "config", 2, 1e-9)
+# WELL_ENTANGLED_ONLY (POOL_LIMITED): only some experiments mix verdicts
+SPARSE_WELL_ENTANGLED = ((2, 2, 2), "sparse", 0, (0, 1), "config", 2, 1e-9)
+# every X x X outcome has norm 1/2 <= tol: the chunk holding that experiment alone
+# has no possible outcome
+GHZ4_EMPTY_CHUNK = ((2, 2, 2, 2), "ghz", 6, (0, 1), "config", 0, 0.55)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(oracle_cases())
+@example(GHZ_LIKE)
+@example(PRODUCT)
+@example(SPARSE_CALLER_POOL)
+@example(BLOCKS_CLEARLY_SEPARABLE)
+def test_classify_matches_oracle(case):
+    _check_against_oracle(case)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(oracle_cases())
+@example(GHZ_LIKE_EXTRAS)
+@example(SPARSE_WELL_ENTANGLED)
+@example(GHZ4_EMPTY_CHUNK)
+def test_classify_matches_oracle_across_chunks(case):
+    # three experiments per chunk, so pools of four or more span several chunks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(disentangle, "_CHUNK", 3 * math.prod(case[0]))
+        _check_against_oracle(case)
+
+
+def test_oracle_examples_hit_impossible_outcomes_and_certified_path():
+    dims, kind, seed, j = GHZ_LIKE[:4]
+    ghz = PureState(SiteLayout(dims), _oracle_state(kind, dims, np.random.default_rng(seed)))
+    z_on_qutrit = build_pool(ghz.layout, (1,), STRUCTURED_ONLY).experiments[0]
+    assert len(post_states(ghz, j, z_on_qutrit)) == 2  # outcome 2 is impossible
+    dims, kind, seed, j = PRODUCT[:4]
+    product = PureState(SiteLayout(dims), _oracle_state(kind, dims, np.random.default_rng(seed)))
+    assert classify_on_subset(product, j, CFG).confidence is Confidence.CERTIFIED
+
+
+def test_classify_conjugates_the_measured_basis():
+    # Measuring site 3 along v leaves conj(v0) I + conj(v1) diag(-2i, -3) on
+    # sites 1, 2: a product exactly when conj(v) ~ (2i, 1) or (3, 1).  The
+    # tilted basis holds v = (-2i, 1)/sqrt(5); its conjugate holds no such v.
+    tensor = np.zeros((2, 2, 2), dtype=complex)
+    tensor[:, :, 0] = np.eye(2)
+    tensor[:, :, 1] = np.diag([-2j, -3])
+    psi = PureState(SiteLayout((2, 2, 2)), tensor.reshape(-1))
+    tilted = np.array([[-2j, 1], [1, -2j]]) / math.sqrt(5.0)
+    experiments = [np.eye(2), tilted]
+    pool = MeasurementPool((2,), [DeterminantExperiment((2,), [b]) for b in experiments])
+    cls = classify_on_subset(psi, (0, 1), pool)
+    assert cls.kind is IntricationClass.WELL_ENTANGLED_ONLY
+    expected = oracle_classify(psi.amplitudes, (2, 2, 2), (0, 1), [[b] for b in experiments])
+    assert (cls.kind.value, cls.confidence.value) == expected
