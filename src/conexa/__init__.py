@@ -57,7 +57,6 @@ from .devices import (
 from .disentangle import (
     Classification,
     Confidence,
-    DeterminantExperiment,
     DisentanglementReport,
     IntricationClass,
     MeasurementPool,

@@ -32,7 +32,7 @@ from .connective import (
     meet_structures,
 )
 from .errors import DomainError, ResourceError
-from .quantum import DEFAULT_TOL, Observable, PureState, measure_projective
+from .quantum import DEFAULT_TOL, Observable, PureState, _residuals
 
 # 2**20, not 10**6: the reference three-site device has exactly 4^4 * 8^4
 # deterministic realizations and must stay enumerable under the default.
@@ -556,43 +556,54 @@ def derive_device(
     k = psi.layout.sites
     if len(menus) != k:
         raise DomainError(f"expected one menu per site ({k}), got {len(menus)}")
-    observables: list = []
+    systems: list = []
     for site, menu in enumerate(menus):
         if not menu:
             raise DomainError(f"menu for site {site} is empty")
-        by_label = {
-            str(label): Observable(site, matrix, nondegenerate=True) for label, matrix in menu
-        }
+        by_label = {}
+        for label, matrix in menu:
+            obs = Observable(site, matrix, nondegenerate=True)
+            if obs.dim != psi.layout.dims[site]:
+                raise DomainError(
+                    f"observable on site {site} has dimension {obs.dim}, "
+                    f"site has {psi.layout.dims[site]}"
+                )
+            by_label[str(label)] = obs.eigensystem()
         if len(by_label) != len(menu):
             raise DomainError(f"menu labels for site {site} are not distinct")
-        observables.append(by_label)
+        systems.append(by_label)
 
-    eigenvalues_per_site: list = [set() for _ in range(k)]
-    for site, by_label in enumerate(observables):
-        for obs in by_label.values():
-            vals, _ = obs.eigensystem()
-            eigenvalues_per_site[site].update(_format_eigenvalue(v) for v in vals)
-
-    raw_results = [sorted(vals, key=float) for vals in eigenvalues_per_site]
+    raw_results = [
+        sorted({_format_eigenvalue(v) for vals, _ in by_label.values() for v in vals}, key=float)
+        for by_label in systems
+    ]
     if recode == "paper":
-        rename = [
-            {raw: str(idx) for idx, raw in enumerate(rs)} for rs in raw_results
-        ]
-        results = tuple(tuple(rename[i][raw] for raw in raw_results[i]) for i in range(k))
+        results = tuple(tuple(str(idx) for idx in range(len(rs))) for rs in raw_results)
     else:
         results = tuple(tuple(rs) for rs in raw_results)
+    # per site: label -> the answer of each eigenvector
+    answers_of = [
+        {
+            label: [names[raws.index(_format_eigenvalue(v))] for v in vals]
+            for label, (vals, _) in by_label.items()
+        }
+        for by_label, raws, names in zip(systems, raw_results, results)
+    ]
 
-    questions = tuple(tuple(by_label) for by_label in observables)
-    relation = {}
-    for q in itertools.product(*questions):
-        selected = [observables[site][q[site]] for site in range(k)]
-        answers = set()
-        for outcome in measure_projective(psi, selected, tol=tol):
-            answer = tuple(_format_eigenvalue(outcome.values[site]) for site in range(k))
-            if recode == "paper":
-                answer = tuple(rename[site][raw] for site, raw in enumerate(answer))
-            answers.add(answer)
-        relation[q] = answers
+    questions = tuple(tuple(by_label) for by_label in systems)
+    tuples = list(itertools.product(*questions))
+    bases = [
+        np.stack([by_label[q[site]][1] for q in tuples]) for site, by_label in enumerate(systems)
+    ]
+    _, norms = _residuals(psi, tuple(range(k)), bases)
+    indices = np.indices(psi.layout.dims).reshape(k, -1).T
+    relation = {
+        q: {
+            tuple(answers_of[site][q[site]][i] for site, i in enumerate(indices[o]))
+            for o in np.flatnonzero(possible)
+        }
+        for q, possible in zip(tuples, norms > tol)
+    }
     return Device(questions, results, relation)
 
 

@@ -8,14 +8,18 @@ pool of product bases (structured plus seeded Haar-random ones) and results
 are flagged POOL_LIMITED unless an exact factorization certificate removes
 the pool dependence altogether.
 
-The kernel is batched.  For a chunk of experiments, each measured site is
-contracted for every experiment and outcome at once, giving the residual
-J-states as one (experiments, outcomes, dim_J) array; outcomes with residual
-norm <= tol are impossible.  Each bipartition of J is then tested for every
-possible outcome with one stacked SVD (second Schmidt coefficient <= tol).
-Classification does not deduplicate residuals, since a repeated state never
-changes its any/all tests; `post_states` deduplicates up to phase from one
-Gram matrix, keeping the first of each class in outcome order.
+A pool holds one stack of unitaries per measured site, one row per
+experiment, checked for orthonormality once per stack.  For a chunk of
+experiments, the contraction kernel `quantum._residuals` measures every site
+outside J for every experiment and outcome at once, giving the residual
+J-states as one (experiments, outcomes, dim_J) array; an outcome is possible
+iff its residual norm is > tol.  Each bipartition of J is then tested for
+every possible outcome with one stacked SVD (second Schmidt coefficient
+<= tol).  Classification does not deduplicate residuals, since a repeated
+state never changes its any/all tests; `post_states` deduplicates up to
+phase from one Gram matrix (|<a|b>| > 1 - tol, the rule of
+`PureState.equals_up_to_phase`), keeping the first of each class in outcome
+order.
 """
 
 from __future__ import annotations
@@ -42,9 +46,9 @@ from .quantum import (
     SiteLayout,
     _check_sites,
     _matricize,
+    _residuals,
 )
 
-PHASE_MATCH = 1.0 - 1e-9
 # Residual amplitudes contracted at once: classification takes the pool's
 # experiments in chunks of at most this many amplitudes (at least one
 # experiment), which bounds memory up to MAX_TOTAL_DIM.
@@ -100,62 +104,38 @@ _FAMILY_CLASSES = {
 
 
 @dataclass(frozen=True)
-class DeterminantExperiment:
-    """A product of orthonormal local bases, one per measured site.
+class MeasurementPool:
+    """Finite stand-in for the continuum of determinant experiments on a site set.
 
-    Each basis is stored as a unitary matrix whose columns are the basis
-    vectors; it stands for any nondegenerate observable with that eigenbasis,
-    since eigenvalue labels never affect residual states.
+    `bases[i]` stacks one unitary per experiment for site `sites[i]`, shape
+    (experiments, d, d), with the basis vectors as columns; experiment e
+    measures every site in its basis at row e.  A basis stands for any
+    nondegenerate observable with that eigenbasis, since eigenvalue labels
+    never affect residual states.  A pool on no sites is the single identity
+    experiment.
     """
 
     sites: tuple
     bases: tuple
-    tag: str = "STRUCTURED"
 
-    def __init__(self, sites: Iterable[int], bases: Sequence[np.ndarray], tag: str = "STRUCTURED"):
+    def __init__(self, sites: Iterable[int], bases: Sequence[np.ndarray]):
         sites = tuple(int(s) for s in sites)
-        bases = tuple(np.asarray(b, dtype=np.complex128) for b in bases)
+        bases = tuple(np.array(b, dtype=np.complex128) for b in bases)
         if len(sites) != len(bases):
-            raise DomainError("one basis per measured site is required")
+            raise DomainError("one basis stack per measured site is required")
         for s, b in zip(sites, bases):
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                raise DomainError(f"basis for site {s} must be a square matrix")
-            if np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))) > 1e-9:
+            if b.ndim != 3 or b.shape[1] != b.shape[2]:
+                raise DomainError(f"bases for site {s} must stack square matrices")
+            if not len(b):
+                raise DomainError("a measurement pool cannot be empty")
+            if len(b) != len(bases[0]):
+                raise DomainError("every site needs one basis per experiment")
+            gram = b.conj().transpose(0, 2, 1) @ b
+            if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-9:
                 raise DomainError(f"basis for site {s} is not orthonormal")
-        for b in bases:
             b.setflags(write=False)
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "tag", tag)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DeterminantExperiment)
-            and self.sites == other.sites
-            and all(np.array_equal(a, b) for a, b in zip(self.bases, other.bases))
-        )
-
-    def __hash__(self):
-        return hash((self.sites, tuple(b.tobytes() for b in self.bases)))
-
-
-@dataclass(frozen=True)
-class MeasurementPool:
-    """Finite stand-in for the continuum of determinant experiments on a site set."""
-
-    sites: tuple
-    experiments: tuple
-
-    def __init__(self, sites: Iterable[int], experiments: Sequence[DeterminantExperiment]):
-        sites = tuple(int(s) for s in sites)
-        experiments = tuple(experiments)
-        if not experiments:
-            raise DomainError("a measurement pool cannot be empty")
-        for e in experiments:
-            if e.sites != sites:
-                raise DomainError("all experiments in a pool must share the same sites")
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "experiments", experiments)
 
 
 @dataclass(frozen=True)
@@ -230,88 +210,60 @@ def _haar_bases(rng: np.random.Generator, dims: Sequence[int], count: int) -> li
 def build_pool(layout: SiteLayout, sites, config: PoolConfig) -> MeasurementPool:
     """Structured product bases, caller extras, and seeded Haar-random bases.
 
-    An empty site set yields the single identity experiment, under which the
-    residual-state set of any state is the state itself.
+    The structured and extra bases enter as every combination across the
+    sites (row-major over the sites), followed by `n_random` Haar
+    experiments.  An empty site set yields the single identity experiment,
+    under which the residual-state set of any state is the state itself.
     """
     sites = _check_sites(layout, sites)
     if not sites:
-        return MeasurementPool((), [DeterminantExperiment((), (), tag="IDENTITY")])
-    per_site = []
+        return MeasurementPool((), ())
     extras = config.extra_bases or {}
+    options = []
     for s in sites:
-        options = _structured_bases(layout.dims[s])
+        d = layout.dims[s]
+        site_options = _structured_bases(d)
         for extra in extras.get(s, ()):
-            options.append(np.asarray(extra, dtype=np.complex128))
-        per_site.append(options)
-    experiments = [
-        DeterminantExperiment(sites, combo, tag="STRUCTURED")
-        for combo in itertools.product(*per_site)
-    ]
+            extra = np.asarray(extra, dtype=np.complex128)
+            if extra.shape != (d, d):
+                raise DomainError(
+                    f"basis for site {s} has shape {extra.shape}, site has dimension {d}"
+                )
+            site_options.append(extra)
+        options.append(np.stack(site_options))
+    grid = np.indices([len(o) for o in options]).reshape(len(sites), -1)
+    bases = [o[row] for o, row in zip(options, grid)]
     if config.n_random:
         rng = np.random.default_rng([int(config.seed), *sites])
         random_bases = _haar_bases(rng, [layout.dims[s] for s in sites], config.n_random)
-        for e in range(config.n_random):
-            experiments.append(
-                DeterminantExperiment(
-                    sites, [b[e] for b in random_bases], tag=f"RANDOM({config.seed})"
-                )
-            )
-    return MeasurementPool(sites, experiments)
-
-
-def _residuals(
-    psi: PureState, j: tuple, experiments: Sequence[DeterminantExperiment], tol: float
-) -> tuple:
-    """Normalized residual J-states of every outcome of every experiment.
-
-    Returns an array of shape (experiments, outcomes, dim_J), outcomes in
-    row-major order over the measured sites, and the mask of possible outcomes
-    (residual norm > tol); impossible rows are zero.  Each measured site is
-    contracted for all experiments at once: row o of the conjugate-transposed
-    basis applies the bra of outcome o.
-    """
-    complement = tuple(s for s in psi.layout.site_indices() if s not in j)
-    for experiment in experiments:
-        if experiment.sites != complement:
-            raise DomainError(
-                f"experiment sites {experiment.sites} != complement {complement} of J"
-            )
-    n = len(experiments)
-    total = psi.layout.total_dim
-    # axes: (experiment, outcomes so far, unmeasured amplitudes)
-    t = np.transpose(psi.tensor, complement + j).reshape(1, 1, total)
-    t = np.broadcast_to(t, (n, 1, total))
-    for i, s in enumerate(complement):
-        d = psi.layout.dims[s]
-        bras = np.stack([e.bases[i] for e in experiments]).conj().transpose(0, 2, 1)
-        t = bras[:, None] @ t.reshape(n, -1, d, t.shape[-1] // d)
-    t = t.reshape(n, -1, math.prod(psi.layout.dims[s] for s in j))
-    norms = np.linalg.norm(t, axis=-1)
-    possible = norms > tol
-    residuals = np.divide(t, norms[..., None], out=np.zeros_like(t), where=possible[..., None])
-    return residuals, possible
+        bases = [np.concatenate(pair) for pair in zip(bases, random_bases)]
+    return MeasurementPool(sites, bases)
 
 
 def post_states(
     psi: PureState,
     j_sites,
-    experiment: DeterminantExperiment,
+    bases: Sequence[np.ndarray],
     tol: float = DEFAULT_TOL,
 ) -> list:
     """Residual J-states of psi under one experiment, deduplicated up to phase.
 
-    Every outcome is contracted at once.  Outcomes with residual norm <= tol
-    (probability <= tol^2) are impossible and excluded.  Two residuals are
-    duplicates when their overlap has modulus > PHASE_MATCH, read from one
-    Gram matrix; the first of each class in outcome order is kept.  The
-    identity experiment applies only to J = all sites and leaves psi itself.
+    `bases` holds one basis matrix (columns = basis vectors) per site outside
+    J, in site order; the empty tuple is the identity experiment, which
+    applies only to J = all sites and leaves psi itself.  Outcomes with
+    residual norm <= tol (probability <= tol^2) are impossible and excluded.
+    Two residuals are duplicates when their overlap has modulus > 1 - tol,
+    read from one Gram matrix; the first of each class in outcome order is
+    kept.
     """
     j = _check_sites(psi.layout, j_sites)
-    residuals, possible = _residuals(psi, j, (experiment,), tol)
-    if not experiment.sites:
+    complement = tuple(s for s in psi.layout.site_indices() if s not in j)
+    experiment = MeasurementPool(complement, [np.asarray(b)[None] for b in bases])
+    if not complement:
         return [psi]
-    vectors = residuals[possible]
-    duplicate = np.abs(vectors.conj() @ vectors.T) > PHASE_MATCH
+    residuals, norms = _residuals(psi, complement, experiment.bases)
+    vectors = residuals[0][norms[0] > tol]
+    duplicate = np.abs(vectors.conj() @ vectors.T) > 1.0 - tol
     kept: list = []
     for i in range(len(vectors)):
         if not duplicate[i, kept].any():
@@ -384,20 +336,24 @@ def classify_on_subset(
     if factor is not None:
         return Classification(_classify_single_state(factor, cuts, tol), Confidence.CERTIFIED)
 
+    complement = tuple(s for s in psi.layout.site_indices() if s not in j)
     if isinstance(pool, PoolConfig):
-        complement = tuple(s for s in psi.layout.site_indices() if s not in j)
         pool = build_pool(psi.layout, complement, pool)
+    elif pool.sites != complement:
+        raise DomainError(f"pool sites {pool.sites} != complement {complement} of J")
 
-    experiments = pool.experiments
+    count = len(pool.bases[0])
     dims_j = tuple(psi.layout.dims[s] for s in j)
     # per experiment: some outcome splits along no cut / along some cut
-    ent_here = np.zeros(len(experiments), dtype=bool)
-    sep_here = np.zeros(len(experiments), dtype=bool)
+    ent_here = np.zeros(count, dtype=bool)
+    sep_here = np.zeros(count, dtype=bool)
     # per cut: every outcome of every experiment splits along it
     sep_along = np.ones(len(cuts), dtype=bool)
     step = max(1, _CHUNK // psi.layout.total_dim)
-    for start in range(0, len(experiments), step):
-        residuals, possible = _residuals(psi, j, experiments[start:start + step], tol)
+    for start in range(0, count, step):
+        chunk = [b[start:start + step] for b in pool.bases]
+        residuals, norms = _residuals(psi, complement, chunk)
+        possible = norms > tol
         owner = start + np.nonzero(possible)[0]
         profiles = _separable_cuts(residuals[possible], dims_j, cuts, tol)
         separable = profiles.any(axis=1)

@@ -3,11 +3,18 @@
 Pure states are complex amplitude vectors over a row-major product of local
 site dimensions; density operators are positive unit-trace matrices over the
 same indexing.  Everything here is a pure function over immutable values.
+
+One kernel, `_residuals`, contracts sites of a pure state against stacked
+local bases; `partial_contract`, `measure_projective`, the disentanglement
+pools' `post_states` and classification, and `devices.derive_device` are all
+built on it.  One rule holds for all of them: an outcome is possible iff its
+residual norm is > tol, that is, its probability is > tol^2.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -253,14 +260,39 @@ def is_separable_bipartition(psi: PureState, j1, j2, tol: float = DEFAULT_TOL) -
     return len(coeffs) < 2 or float(coeffs[1]) <= tol
 
 
-def _contract_tensor(tensor: np.ndarray, vectors: Mapping[int, np.ndarray]) -> np.ndarray:
-    """Apply <v| on each given axis, leaving the remaining axes in order."""
-    ndim = tensor.ndim
-    operands = [tensor, list(range(ndim))]
-    for axis, vec in sorted(vectors.items()):
-        operands.extend([np.conj(vec), [axis]])
-    out = [i for i in range(ndim) if i not in vectors]
-    return np.einsum(*operands, out)
+def _residuals(psi: PureState, sites: tuple, bases: Sequence[np.ndarray]) -> tuple:
+    """Contract `sites` of psi against stacked local bras: the one contraction kernel.
+
+    `bases[i]` has shape (n, d, m) for site `sites[i]` of dimension d: stack
+    entry e holds m column vectors, and outcome o of entry e applies the bras
+    of their conjugates.  Returns the residuals over the unmeasured sites (in
+    site order), shape (n, outcomes, dim_rest) with outcomes in row-major
+    order over `sites` as given, normalized wherever the norm is nonzero,
+    and their norms (n, outcomes).  The squared norm is the outcome
+    probability, and an outcome is possible iff its norm is > tol.
+    """
+    _check_sites(psi.layout, sites)
+    if not sites or len(bases) != len(sites):
+        raise DomainError("one basis stack per measured site is required")
+    dims = psi.layout.dims
+    n = len(bases[0])
+    for s, b in zip(sites, bases):
+        if b.ndim != 3 or b.shape[0] != n or b.shape[1] != dims[s]:
+            raise DomainError(
+                f"bases for site {s} have shape {b.shape}, expected ({n}, {dims[s]}, m)"
+            )
+    rest = tuple(s for s in psi.layout.site_indices() if s not in sites)
+    total = psi.layout.total_dim
+    # axes: (stack entry, outcomes so far, unmeasured amplitudes)
+    t = np.transpose(psi.tensor, tuple(sites) + rest).reshape(1, 1, total)
+    t = np.broadcast_to(t, (n, 1, total))
+    for s, b in zip(sites, bases):
+        bras = b.conj().transpose(0, 2, 1)
+        t = bras[:, None] @ t.reshape(n, -1, dims[s], t.shape[-1] // dims[s])
+    t = t.reshape(n, -1, math.prod(dims[s] for s in rest))
+    norms = np.linalg.norm(t, axis=-1)
+    nonzero = (norms > 0)[..., None]
+    return np.divide(t, norms[..., None], out=np.zeros_like(t), where=nonzero), norms
 
 
 def partial_contract(
@@ -271,39 +303,29 @@ def partial_contract(
     """Project the given sites onto local unit vectors and renormalize the rest.
 
     Returns the contracted state on the remaining sites together with the
-    outcome probability (squared pre-normalization norm), or None when the
-    outcome is impossible (residual norm <= tol).
+    outcome probability (squared residual norm), or None when the outcome is
+    impossible (residual norm <= tol).
     """
     sites = _check_sites(psi.layout, site_vectors.keys())
     if not sites:
         raise DomainError("partial_contract needs at least one site vector")
     if len(sites) == psi.layout.sites:
         raise DomainError("partial_contract must leave at least one site")
-    vectors = {}
+    bases = []
     for s in sites:
         v = np.asarray(site_vectors[s], dtype=np.complex128).reshape(-1)
         if v.size != psi.layout.dims[s]:
             raise DomainError(f"vector for site {s} has wrong dimension {v.size}")
         if abs(np.linalg.norm(v) - 1.0) > 1e-6:
             raise DomainError(f"vector for site {s} is not a unit vector")
-        vectors[s] = v
-    residual = _contract_tensor(psi.tensor, vectors)
-    norm = float(np.linalg.norm(residual))
+        bases.append(v.reshape(1, -1, 1))
+    residuals, norms = _residuals(psi, sites, bases)
+    norm = float(norms[0, 0])
     if norm <= tol:
         return None
-    remaining = [s for s in psi.layout.site_indices() if s not in vectors]
-    state = PureState(SiteLayout(psi.layout.dims[s] for s in remaining), residual)
+    remaining = [s for s in psi.layout.site_indices() if s not in sites]
+    state = PureState(SiteLayout(psi.layout.dims[s] for s in remaining), residuals[0, 0])
     return Contraction(state, norm * norm)
-
-
-def _embed_tensor(rest: np.ndarray, vectors: Mapping[int, np.ndarray], dims: tuple) -> np.ndarray:
-    """Outer-product the local vectors back into their axes around `rest`."""
-    ndim = len(dims)
-    remaining = [i for i in range(ndim) if i not in vectors]
-    operands = [rest, remaining]
-    for axis, vec in sorted(vectors.items()):
-        operands.extend([vec, [axis]])
-    return np.einsum(*operands, list(range(ndim)))
 
 
 def measure_projective(
@@ -315,50 +337,31 @@ def measure_projective(
 
     Composing the per-site spectral projectors is equivalent to measuring the
     tensor observable with eigenvalue tuples kept distinct, so outcomes are
-    indexed by tuples rather than by eigenvalue products.  Outcomes with
-    probability <= tol are dropped.
+    indexed by tuples rather than by eigenvalue products, in row-major order
+    over the observables as given.  Outcomes with residual norm <= tol
+    (probability <= tol^2) are dropped.  Each post-measurement state is the
+    product of the chosen eigenvectors and the normalized residual, with its
+    axes put back in site order.
     """
     if not observables:
         raise DomainError("measure_projective needs at least one observable")
-    sites = [o.site for o in observables]
+    sites = tuple(o.site for o in observables)
     if len(set(sites)) != len(sites):
         raise DomainError(f"observables must act on distinct sites: {sites}")
-    _check_sites(psi.layout, sites)
-    systems = []
-    for obs in observables:
-        if obs.dim != psi.layout.dims[obs.site]:
-            raise DomainError(
-                f"observable on site {obs.site} has dimension {obs.dim}, "
-                f"site has {psi.layout.dims[obs.site]}"
-            )
-        vals, vecs = obs.eigensystem()
-        systems.append((obs.site, vals, vecs))
-
-    outcomes = []
-    tensor = psi.tensor
+    systems = [o.eigensystem() for o in observables]
+    residuals, norms = _residuals(psi, sites, [vecs[None] for _, vecs in systems])
     dims = psi.layout.dims
-
-    def recurse(idx, chosen):
-        if idx == len(systems):
-            vectors = {site: vec for site, (vec, _) in chosen.items()}
-            residual = _contract_tensor(tensor, vectors)
-            prob = float(np.vdot(residual, residual).real)
-            if prob <= tol:
-                return
-            full = _embed_tensor(residual, vectors, dims)
-            values = tuple(val for _, (_, val) in sorted(chosen.items(), key=lambda kv: order[kv[0]]))
-            outcomes.append(
-                MeasurementOutcome(values, prob, PureState(psi.layout, full))
-            )
-            return
-        site, vals, vecs = systems[idx]
-        for j in range(len(vals)):
-            chosen[site] = (vecs[:, j], float(vals[j]))
-            recurse(idx + 1, chosen)
-        del chosen[site]
-
-    order = {obs.site: i for i, obs in enumerate(observables)}
-    recurse(0, {})
+    rest = tuple(s for s in psi.layout.site_indices() if s not in sites)
+    order = np.argsort(sites + rest)
+    outcomes = []
+    for o in np.flatnonzero(norms[0] > tol):
+        idx = np.unravel_index(o, [len(vals) for vals, _ in systems])
+        factors = [vecs[:, i] for (_, vecs), i in zip(systems, idx)]
+        factors.append(residuals[0, o].reshape([dims[s] for s in rest]))
+        full = np.transpose(functools.reduce(np.multiply.outer, factors), order)
+        values = tuple(float(vals[i]) for (vals, _), i in zip(systems, idx))
+        probability = float(norms[0, o]) ** 2
+        outcomes.append(MeasurementOutcome(values, probability, PureState(psi.layout, full)))
     return outcomes
 
 

@@ -345,3 +345,48 @@ def replay_haar_bases(dims, sites, n_random: int, seed: int) -> list:
             combo.append(q * (np.diag(r) / np.abs(np.diag(r))))
         out.append(combo)
     return out
+
+
+def _product_projector(dims, vectors) -> np.ndarray:
+    """Kronecker product over all sites of |v><v| (measured) or the identity."""
+    out = np.ones((1, 1), dtype=complex)
+    for site, d in enumerate(dims):
+        v = vectors.get(site)
+        factor = np.eye(d) if v is None else np.outer(v, np.conj(v))
+        out = np.kron(out, factor)
+    return out
+
+
+def oracle_measure(amplitudes, dims, observables, tol: float = 1e-9) -> list:
+    """(eigenvalue indices, values, probability, post-state) of every possible joint outcome.
+
+    `observables` lists (site, hermitian matrix) pairs.  Outcomes run in
+    row-major order over the observables as given, each site's eigenvalues
+    ascending; each applies the full product projector to the state.  An
+    outcome is possible when its probability is > tol**2.
+    """
+    psi = np.asarray(amplitudes, dtype=complex)
+    systems = [(site, *np.linalg.eigh(np.asarray(m, dtype=complex))) for site, m in observables]
+    out = []
+    for idx in itertools.product(*(range(len(vals)) for _, vals, _ in systems)):
+        vectors = {site: vecs[:, i] for (site, _, vecs), i in zip(systems, idx)}
+        post = _product_projector(dims, vectors) @ psi
+        prob = float(np.vdot(post, post).real)
+        if prob > tol * tol:
+            values = tuple(float(vals[i]) for (_, vals, _), i in zip(systems, idx))
+            out.append((idx, values, prob, post / np.sqrt(prob)))
+    return out
+
+
+def oracle_device_relation(amplitudes, dims, menus, tol: float = 1e-9) -> dict:
+    """Question tuple -> the eigenvalue-index tuples of its possible outcomes.
+
+    `menus[i]` lists (label, hermitian matrix) choices for site i; index i in
+    an answer slot is the i-th ascending eigenvalue of the chosen observable.
+    """
+    out = {}
+    for choice in itertools.product(*menus):
+        observables = [(site, m) for site, (_, m) in enumerate(choice)]
+        q = tuple(label for label, _ in choice)
+        out[q] = {idx for idx, *_ in oracle_measure(amplitudes, dims, observables, tol)}
+    return out

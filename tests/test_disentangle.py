@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conexa import disentangle
 from conexa.disentangle import (
     Confidence,
-    DeterminantExperiment,
     IntricationClass,
     MeasurementPool,
     PoolConfig,
@@ -41,17 +40,22 @@ def random_pure(rng, dims):
     return PureState(layout, random_state_vector(rng, layout.total_dim))
 
 
+def experiments_of(pool):
+    """Per-experiment bases, one matrix per measured site, read from the stacks."""
+    return [[b[e] for b in pool.bases] for e in range(len(pool.bases[0]))]
+
+
 def test_pool_on_empty_site_set_is_identity():
     ghz = builtin_state("GHZ")
     pool = build_pool(ghz.layout, (), STRUCTURED_ONLY)
-    assert len(pool.experiments) == 1
-    assert post_states(ghz, (0, 1, 2), pool.experiments[0]) == [ghz]
+    assert pool.sites == () and pool.bases == ()
+    assert post_states(ghz, (0, 1, 2), pool.bases) == [ghz]
 
 
 def test_pool_structured_sizes():
     layout = SiteLayout((2, 2, 2))
-    assert len(build_pool(layout, (0,), STRUCTURED_ONLY).experiments) == 2
-    assert len(build_pool(layout, (0, 1), STRUCTURED_ONLY).experiments) == 4
+    assert [b.shape for b in build_pool(layout, (0,), STRUCTURED_ONLY).bases] == [(2, 2, 2)]
+    assert [b.shape for b in build_pool(layout, (0, 1), STRUCTURED_ONLY).bases] == [(4, 2, 2)] * 2
 
 
 def test_pool_requires_seed_for_random_bases():
@@ -63,23 +67,21 @@ def test_pool_deterministic_per_seed():
     layout = SiteLayout((2, 2))
     a = build_pool(layout, (0,), PoolConfig(n_random=3, seed=42))
     b = build_pool(layout, (0,), PoolConfig(n_random=3, seed=42))
-    assert a.experiments == b.experiments
+    assert np.array_equal(a.bases[0], b.bases[0])
     c = build_pool(layout, (0,), PoolConfig(n_random=3, seed=43))
-    assert a.experiments != c.experiments
+    assert a.bases[0].shape == c.bases[0].shape
+    assert not np.array_equal(a.bases[0], c.bases[0])
 
 
 def test_fourier_basis_used_for_qutrits():
     layout = SiteLayout((3, 3))
     pool = build_pool(layout, (0,), STRUCTURED_ONLY)
-    assert len(pool.experiments) == 2
-    for e in pool.experiments:
-        assert e.bases[0].shape == (3, 3)
+    assert pool.bases[0].shape == (2, 3, 3)
 
 
 def test_post_states_ghz_z_experiment():
     ghz = builtin_state("GHZ")
-    z_basis = DeterminantExperiment((0,), [np.eye(2)])
-    states = post_states(ghz, (1, 2), z_basis)
+    states = post_states(ghz, (1, 2), [np.eye(2)])
     assert len(states) == 2
     expected = {basis_state((2, 2), (0, 0)), basis_state((2, 2), (1, 1))}
     for s in states:
@@ -89,7 +91,7 @@ def test_post_states_ghz_z_experiment():
 def test_post_states_ghz_x_experiment_all_entangled():
     ghz = builtin_state("GHZ")
     h = np.array([[1, 1], [1, -1]]) * INV_SQRT2
-    states = post_states(ghz, (1, 2), DeterminantExperiment((0,), [h]))
+    states = post_states(ghz, (1, 2), [h])
     epr_plus = builtin_state("EPR")
     epr_minus = PureState(SiteLayout((2, 2)), [1, 0, 0, -1])
     assert len(states) == 2
@@ -104,8 +106,8 @@ def test_post_states_of_product_factorize():
     # joint layout: J = sites (0, 1), measured site = 2
     joint = tensor_state(psi_j, psi_rest)
     pool = build_pool(joint.layout, (2,), PoolConfig(n_random=4, seed=9))
-    for e in pool.experiments:
-        states = post_states(joint, (0, 1), e)
+    for bases in experiments_of(pool):
+        states = post_states(joint, (0, 1), bases)
         assert len(states) == 1
         assert states[0].equals_up_to_phase(psi_j)
 
@@ -230,18 +232,25 @@ def test_pool_monotonicity_verdict_movement():
 
 
 def test_pool_mismatched_experiments_rejected():
-    layout = SiteLayout((2, 2))
-    e0 = DeterminantExperiment((0,), [np.eye(2)])
-    e1 = DeterminantExperiment((1,), [np.eye(2)])
+    eye = np.eye(2)[None]
+    with pytest.raises(DomainError):  # one experiment on site 0, two on site 1
+        MeasurementPool((0, 1), [eye, np.concatenate([eye, eye])])
+    with pytest.raises(DomainError):  # two sites, one stack
+        MeasurementPool((0, 1), [eye])
+    with pytest.raises(DomainError):  # a matrix, not a stack of them
+        MeasurementPool((0,), [np.eye(2)])
     with pytest.raises(DomainError):
-        MeasurementPool((0,), [e0, e1])
-    with pytest.raises(DomainError):
-        MeasurementPool((0,), [])
+        MeasurementPool((0,), [np.empty((0, 2, 2))])
 
 
 def test_experiment_requires_orthonormal_basis():
-    with pytest.raises(DomainError):
-        DeterminantExperiment((0,), [np.array([[1, 1], [0, 0]])])
+    singular = np.array([[1, 1], [0, 0]])
+    with pytest.raises(DomainError, match="not orthonormal"):
+        MeasurementPool((0,), [np.stack([np.eye(2), singular])])
+    with pytest.raises(DomainError, match="not orthonormal"):
+        post_states(builtin_state("EPR"), (1,), [singular])
+    with pytest.raises(DomainError, match="not orthonormal"):
+        build_pool(SiteLayout((2, 2)), (0,), PoolConfig(n_random=0, extra_bases={0: [singular]}))
 
 
 def test_extra_bases_enter_the_pool():
@@ -249,7 +258,8 @@ def test_extra_bases_enter_the_pool():
     tilted = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
     cfg = PoolConfig(n_random=0, extra_bases={0: [tilted]})
     pool = build_pool(layout, (0,), cfg)
-    assert len(pool.experiments) == 3
+    assert pool.bases[0].shape == (3, 2, 2)
+    assert np.array_equal(pool.bases[0][2], tilted)
 
 
 @pytest.mark.parametrize("dims", [(2,), (3, 2), (2, 3, 2)])
@@ -258,9 +268,9 @@ def test_pool_random_bases_match_per_matrix_draws(dims, seed):
     layout = SiteLayout(dims)
     sites = tuple(range(len(dims)))
     pool = build_pool(layout, sites, PoolConfig(n_random=3, seed=seed))
-    drawn = [e.bases for e in pool.experiments if e.tag.startswith("RANDOM")]
+    drawn = experiments_of(pool)[-3:]
     expected = replay_haar_bases(dims, sites, 3, seed)
-    assert len(drawn) == len(expected) == 3
+    assert len(pool.bases[0]) == 2 ** len(dims) + 3
     for got, want in zip(drawn, expected):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -332,19 +342,18 @@ def _check_against_oracle(case):
     complement = tuple(s for s in range(len(dims)) if s not in j)
     if pool_kind == "caller" and complement:
         options = [[np.eye(dims[s]), _random_basis(rng, dims[s])] for s in complement]
-        pool = MeasurementPool(
-            complement,
-            [DeterminantExperiment(complement, c) for c in itertools.product(*options)],
-        )
-        experiments = pool.experiments
+        combos = list(itertools.product(*options))
+        pool = MeasurementPool(complement, [np.stack(bases) for bases in zip(*combos)])
+        experiments = experiments_of(pool)
     else:
         extras = None
         if pool_kind == "extras":
             extras = {s: [_random_basis(rng, dims[s])] for s in complement}
         pool = PoolConfig(n_random=n_random, seed=5, extra_bases=extras)
-        experiments = build_pool(psi.layout, complement, pool).experiments
+        built = build_pool(psi.layout, complement, pool)
+        experiments = experiments_of(built) if complement else []
     cls = classify_on_subset(psi, j, pool, tol=tol)
-    expected = oracle_classify(psi.amplitudes, dims, j, [e.bases for e in experiments], tol)
+    expected = oracle_classify(psi.amplitudes, dims, j, experiments, tol)
     assert (cls.kind.value, cls.confidence.value) == expected
 
 
@@ -386,7 +395,7 @@ def test_classify_matches_oracle_across_chunks(case):
 def test_oracle_examples_hit_impossible_outcomes_and_certified_path():
     dims, kind, seed, j = GHZ_LIKE[:4]
     ghz = PureState(SiteLayout(dims), _oracle_state(kind, dims, np.random.default_rng(seed)))
-    z_on_qutrit = build_pool(ghz.layout, (1,), STRUCTURED_ONLY).experiments[0]
+    z_on_qutrit = experiments_of(build_pool(ghz.layout, (1,), STRUCTURED_ONLY))[0]
     assert len(post_states(ghz, j, z_on_qutrit)) == 2  # outcome 2 is impossible
     dims, kind, seed, j = PRODUCT[:4]
     product = PureState(SiteLayout(dims), _oracle_state(kind, dims, np.random.default_rng(seed)))
@@ -403,8 +412,27 @@ def test_classify_conjugates_the_measured_basis():
     psi = PureState(SiteLayout((2, 2, 2)), tensor.reshape(-1))
     tilted = np.array([[-2j, 1], [1, -2j]]) / math.sqrt(5.0)
     experiments = [np.eye(2), tilted]
-    pool = MeasurementPool((2,), [DeterminantExperiment((2,), [b]) for b in experiments])
+    pool = MeasurementPool((2,), [np.stack(experiments)])
     cls = classify_on_subset(psi, (0, 1), pool)
     assert cls.kind is IntricationClass.WELL_ENTANGLED_ONLY
     expected = oracle_classify(psi.amplitudes, (2, 2, 2), (0, 1), [[b] for b in experiments])
     assert (cls.kind.value, cls.confidence.value) == expected
+
+
+def test_post_states_dedup_follows_tol():
+    # the two Z outcomes on site 0 leave |0> and cos(t)|0> + sin(t)|1>, overlap 1 - 1e-6
+    c = 1.0 - 1e-6
+    psi = PureState(SiteLayout((2, 2)), [1, 0, c, math.sqrt(1.0 - c * c)])
+    assert len(post_states(psi, (1,), [np.eye(2)], tol=1e-9)) == 2
+    assert len(post_states(psi, (1,), [np.eye(2)], tol=1e-5)) == 1
+
+
+def test_wrong_dimension_bases_raise_domain_error():
+    ghz = builtin_state("GHZ")
+    qutrit_pool = MeasurementPool((2,), [np.eye(3)[None]])
+    with pytest.raises(DomainError):
+        classify_on_subset(ghz, (0, 1), qutrit_pool)
+    with pytest.raises(DomainError):
+        classify_on_subset(ghz, (0, 1), PoolConfig(n_random=0, extra_bases={2: [np.eye(3)]}))
+    with pytest.raises(DomainError):
+        post_states(ghz, (0, 1), [np.eye(3)])

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conexa.devices import derive_device
+from conexa.disentangle import post_states
 from conexa.errors import DomainError
 from conexa.quantum import (
     DensityOperator,
@@ -26,7 +30,13 @@ from conexa.quantum import (
     tensor_state,
 )
 
-from helpers import oracle_partial_trace, oracle_partial_transpose, random_state_vector
+from helpers import (
+    oracle_device_relation,
+    oracle_measure,
+    oracle_partial_trace,
+    oracle_partial_transpose,
+    random_state_vector,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -212,6 +222,98 @@ def test_partial_contract_agrees_with_measurement():
             hit = partial_contract(psi, {0: x_vecs[o.values[0]], 1: z_vecs[o.values[1]]})
             assert hit is not None
             assert abs(hit.probability - o.probability) < 1e-9
+
+
+@pytest.mark.parametrize("amplitude, possible", [(1e-6, True), (1e-10, False)])
+def test_one_possibility_rule(amplitude, possible):
+    # |11> has probability amplitude**2: possible iff its residual norm is > tol
+    psi = PureState(SiteLayout((2, 2)), [1, 0, 0, amplitude])
+    assert (partial_contract(psi, {0: np.array([0.0, 1.0])}) is not None) is possible
+    zz = [Observable(0, pauli_z()), Observable(1, pauli_z())]
+    values = [o.values for o in measure_projective(psi, zz)]
+    assert values == ([(-1.0, -1.0), (1.0, 1.0)] if possible else [(1.0, 1.0)])
+    assert len(post_states(psi, (1,), [np.eye(2)])) == (2 if possible else 1)
+    device = derive_device(psi, [[("*", pauli_z())]] * 2)
+    expected = {("1", "1"), ("-1", "-1")} if possible else {("1", "1")}
+    assert device.relation[("*", "*")] == expected
+
+
+def test_kernel_rejects_wrong_dimension():
+    with pytest.raises(DomainError):
+        measure_projective(builtin_state("EPR"), [Observable(1, np.diag([0.0, 1.0, 2.0]))])
+    with pytest.raises(DomainError):
+        derive_device(builtin_state("EPR"), [[("*", pauli_z())], [("*", np.diag([0.0, 1.0, 2.0]))]])
+
+
+def _case_state(rng, dims, sparse):
+    total = math.prod(dims)
+    if not sparse:
+        return random_state_vector(rng, total)
+    vec = np.zeros(total, dtype=complex)
+    support = rng.choice(total, size=min(total, int(rng.integers(1, 4))), replace=False)
+    vec[support] = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+    return vec
+
+
+def _case_observable(rng, d, computational):
+    """Nondegenerate, with distinct integer eigenvalues, so labels are exact."""
+    eigenvalues = rng.choice(np.arange(-3, 4), size=d, replace=False).astype(float)
+    basis = np.eye(d)
+    if not computational:
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        basis = np.linalg.qr(z)[0]
+    return basis @ np.diag(eigenvalues) @ basis.conj().T
+
+
+@st.composite
+def measurement_cases(draw, min_sites, max_sites):
+    """Dims in {2, 3}, a seed, sparse or random amplitudes, computational or Haar bases."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=min_sites, max_size=max_sites)))
+    return dims, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(measurement_cases(1, 4), st.data())
+def test_measure_projective_matches_projector_oracle(case, data):
+    dims, seed, sparse, computational = case
+    rng = np.random.default_rng(seed)
+    psi = PureState(SiteLayout(dims), _case_state(rng, dims, sparse))
+    order = data.draw(st.permutations(range(len(dims))))
+    sites = order[: data.draw(st.integers(1, len(dims)))]
+    observables = [(s, _case_observable(rng, dims[s], computational)) for s in sites]
+    got = measure_projective(psi, [Observable(s, m) for s, m in observables])
+    want = oracle_measure(psi.amplitudes, dims, observables)
+    assert len(got) == len(want)
+    for o, (_, values, prob, post) in zip(got, want):
+        assert o.values == pytest.approx(values, abs=1e-12)
+        assert abs(o.probability - prob) < 1e-9
+        assert abs(np.vdot(o.post_state.amplitudes, post)) > 1 - 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(measurement_cases(2, 3), st.data())
+def test_derive_device_matches_projector_oracle(case, data):
+    dims, seed, sparse, computational = case
+    rng = np.random.default_rng(seed)
+    psi = PureState(SiteLayout(dims), _case_state(rng, dims, sparse))
+    menus = [
+        [(label, _case_observable(rng, d, computational)) for label in "ab"[: rng.integers(1, 3)]]
+        for d in dims
+    ]
+    relation = oracle_device_relation(psi.amplitudes, dims, menus)
+    # ascending eigenvalues of each menu observable, and each site's sorted union
+    spectra = [{label: np.round(np.linalg.eigvalsh(m)).astype(int) for label, m in menu} for menu in menus]
+    union = [sorted(set().union(*map(set, site.values()))) for site in spectra]
+    for recode in (None, "paper"):
+        def name(site, value):
+            return str(union[site].index(value)) if recode else str(value)
+        device = derive_device(psi, menus, recode=recode)
+        assert device.results == tuple(tuple(name(s, v) for v in vals) for s, vals in enumerate(union))
+        expected = {
+            q: {tuple(name(s, spectra[s][q[s]][i]) for s, i in enumerate(idx)) for idx in answers}
+            for q, answers in relation.items()
+        }
+        assert device.relation == expected
 
 
 def test_partial_trace_of_epr_is_maximally_mixed():
