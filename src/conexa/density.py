@@ -3,14 +3,16 @@
 A reduced operator on a subset J is *completely correlated* when no
 bipartition of J factorizes it, and *completely entangled* when it is
 entangled across every bipartition of J.  Both predicates feed generator
-families for integral connectivity structures on the site set.
+families for integral connectivity structures on the site set.  An
+analysis reduces rho to each site tuple once: a subset's reduction serves
+both predicates and the correlation test of every subset it is a side of.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -23,7 +25,7 @@ from .connective import (
     connective_order,
     generate_integral,
 )
-from .disentangle import PoolConfig, disentanglement_structures
+from .disentangle import PoolConfig, _separable_cuts, disentanglement_structures
 from .errors import DomainError
 from .quantum import (
     DEFAULT_TOL,
@@ -31,7 +33,6 @@ from .quantum import (
     PureState,
     Verdict,
     _check_sites,
-    _matricize,
     partial_trace,
     ppt_is_separable,
     purity,
@@ -77,31 +78,8 @@ def is_completely_correlated_on(
     corresponding reductions, so it suffices to compare against the product
     of reductions, bipartition by bipartition, in max-entry norm.
     """
-    j = _check_sites(rho.layout, j_sites)
-    if len(j) < 2:
-        raise DomainError("correlation analysis needs at least two sites")
-    reduced = partial_trace(rho, j)
-    positions = tuple(range(len(j)))
-    for a, b in _bipartitions(positions):
-        rho_a = partial_trace(reduced, a).matrix
-        rho_b = partial_trace(reduced, b).matrix
-        product = _reassemble_product(rho_a, rho_b, a, b, reduced.layout.dims)
-        if np.max(np.abs(product - reduced.matrix)) <= tol:
-            return False
-    return True
-
-
-def _reassemble_product(mat_a, mat_b, sites_a, sites_b, dims) -> np.ndarray:
-    """kron(mat_a, mat_b) with axes permuted back into the original site order."""
-    k = len(dims)
-    raw = np.kron(mat_a, mat_b)
-    order = list(sites_a) + list(sites_b)
-    raw_dims = tuple(dims[s] for s in order)
-    tens = raw.reshape(raw_dims + raw_dims)
-    inverse = [order.index(i) for i in range(k)]
-    perm = inverse + [k + p for p in inverse]
-    n = math.prod(dims)
-    return np.transpose(tens, perm).reshape(n, n)
+    j = _subset(rho, j_sites, "correlation")
+    return _completely_correlated(_reductions(rho), j, tol)
 
 
 def is_completely_entangled_on(
@@ -113,34 +91,51 @@ def is_completely_entangled_on(
     partial-transpose criterion, whose negative answer is only exact for 2x2
     and 2x3 splits (quality PPT_NECESSARY otherwise).
     """
+    j = _subset(rho, j_sites, "entanglement")
+    return _completely_entangled(partial_trace(rho, j), tol)
+
+
+def _subset(rho: DensityOperator, j_sites, analysis: str) -> tuple:
     j = _check_sites(rho.layout, j_sites)
     if len(j) < 2:
-        raise DomainError("entanglement analysis needs at least two sites")
-    reduced = partial_trace(rho, j)
-    positions = tuple(range(len(j)))
-    quality = VerdictQuality.EXACT
-    entangled_everywhere = True
+        raise DomainError(f"{analysis} analysis needs at least two sites")
+    return j
 
+
+def _reductions(rho: DensityOperator):
+    """partial_trace of rho by sorted site tuple, each tuple reduced once."""
+    return functools.cache(lambda sites: partial_trace(rho, sites))
+
+
+def _completely_correlated(reduce, j: tuple, tol: float) -> bool:
+    reduced = reduce(j).matrix
+    k = len(j)
+    for cut in _bipartitions(range(k)):
+        # each side's reduction as a tensor whose axes are labelled by their
+        # positions in J (ket p, bra k + p): einsum puts the product in J order
+        operands = []
+        for side in cut:
+            rho_side = reduce(tuple(j[p] for p in side))
+            operands.append(rho_side.matrix.reshape(rho_side.layout.dims * 2))
+            operands.append([*side, *(k + p for p in side)])
+        product = np.einsum(*operands, list(range(2 * k))).reshape(reduced.shape)
+        if np.max(np.abs(product - reduced)) <= tol:
+            return False
+    return True
+
+
+def _completely_entangled(reduced: DensityOperator, tol: float) -> tuple:
+    cuts = _bipartitions(range(reduced.layout.sites))
     if abs(purity(reduced) - 1.0) <= tol:
-        _, eigvecs = np.linalg.eigh(reduced.matrix)
-        psi = PureState(reduced.layout, eigvecs[:, -1])
-        for a, _b in _bipartitions(positions):
-            coeffs = np.linalg.svd(_matricize(psi, a), compute_uv=False)
-            if len(coeffs) < 2 or float(coeffs[1]) <= tol:
-                entangled_everywhere = False
-                break
-        return entangled_everywhere, quality
-
-    for a, b in _bipartitions(positions):
-        verdict = ppt_is_separable(reduced, a, b, tol=tol)
-        if verdict is Verdict.SEPARABLE:
-            entangled_everywhere = False
-        elif verdict is Verdict.PPT_INCONCLUSIVE:
-            # positive partial transpose is only necessary for separability;
-            # treat as separable but degrade the quality flag
-            entangled_everywhere = False
-            quality = VerdictQuality.PPT_NECESSARY
-    return entangled_everywhere, quality
+        top = np.linalg.eigh(reduced.matrix)[1][:, -1]
+        split = _separable_cuts(top, reduced.layout.dims, cuts, tol)
+        return not split.any(), VerdictQuality.EXACT
+    # positive partial transpose is only necessary for separability: an
+    # inconclusive cut counts as separable but degrades the quality flag
+    verdicts = [ppt_is_separable(reduced, a, b, tol=tol) for a, b in cuts]
+    inconclusive = Verdict.PPT_INCONCLUSIVE in verdicts
+    quality = VerdictQuality.PPT_NECESSARY if inconclusive else VerdictQuality.EXACT
+    return all(v is Verdict.ENTANGLED for v in verdicts), quality
 
 
 def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> DensityReport:
@@ -148,11 +143,12 @@ def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> Densit
     k = rho.layout.sites
     if k < 2:
         raise DomainError("density analysis needs at least two sites")
+    reduce = _reductions(rho)
     subsets = {}
     for r in range(2, k + 1):
         for j in itertools.combinations(range(k), r):
-            corr = is_completely_correlated_on(rho, j, tol=tol)
-            intr, quality = is_completely_entangled_on(rho, j, tol=tol)
+            corr = _completely_correlated(reduce, j, tol)
+            intr, quality = _completely_entangled(reduce(j), tol)
             subsets[tuple(s + 1 for s in j)] = SubsetDensityVerdict(corr, intr, quality)
     ground = GroundSet(range(1, k + 1))
     kappa_corr = generate_integral(

@@ -284,7 +284,9 @@ def _separable_cuts(states: np.ndarray, dims: tuple, cuts, tol: float) -> np.nda
         axes = (0, *(p + 1 for p in a + b))
         rows = math.prod(dims[p] for p in a)
         mats = tensors.transpose(axes).reshape(len(tensors), rows, math.prod(dims) // rows)
-        out[:, c] = np.linalg.svd(mats, compute_uv=False)[:, 1] <= tol
+        coeffs = np.linalg.svd(mats, compute_uv=False)
+        # a side of dimension 1 leaves one coefficient: every state splits there
+        out[:, c] = coeffs[:, 1] <= tol if coeffs.shape[1] > 1 else True
     return out
 
 

@@ -151,6 +151,15 @@ class DensityOperator:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "matrix", mat)
 
+    @classmethod
+    def _derived(cls, layout: SiteLayout, mat: np.ndarray) -> "DensityOperator":
+        """Wrap a matrix computed from a validated operator, without the input checks."""
+        mat.setflags(write=False)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "layout", layout)
+        object.__setattr__(rho, "matrix", mat)
+        return rho
+
     def __eq__(self, other):
         return (
             isinstance(other, DensityOperator)
@@ -177,10 +186,8 @@ class Observable:
             raise DomainError(f"observable must be a square matrix, got shape {mat.shape}")
         if np.max(np.abs(mat - mat.conj().T)) > tol:
             raise DomainError("observable is not Hermitian within tolerance")
-        if nondegenerate and mat.shape[0] > 1:
-            eigs = np.linalg.eigvalsh(mat)
-            if np.min(np.diff(eigs)) <= tol:
-                raise DomainError("observable has (numerically) repeated eigenvalues")
+        if nondegenerate:
+            _check_nondegenerate(np.linalg.eigvalsh(mat), tol)
         mat.setflags(write=False)
         object.__setattr__(self, "site", int(site))
         object.__setattr__(self, "matrix", mat)
@@ -204,6 +211,12 @@ class Observable:
 
     def __hash__(self):
         return hash((self.site, self.matrix.tobytes()))
+
+
+def _check_nondegenerate(eigenvalues: np.ndarray, tol: float) -> None:
+    """Reject an ascending spectrum with two eigenvalues within tol."""
+    if len(eigenvalues) > 1 and np.min(np.diff(eigenvalues)) <= tol:
+        raise DomainError("observable has (numerically) repeated eigenvalues")
 
 
 @dataclass(frozen=True)
@@ -333,12 +346,14 @@ def measure_projective(
     observables: Sequence[Observable],
     tol: float = DEFAULT_TOL,
 ) -> list:
-    """Joint projective measurement of commuting single-site observables.
+    """Joint projective measurement of commuting nondegenerate single-site observables.
 
     Composing the per-site spectral projectors is equivalent to measuring the
     tensor observable with eigenvalue tuples kept distinct, so outcomes are
     indexed by tuples rather than by eigenvalue products, in row-major order
-    over the observables as given.  Outcomes with residual norm <= tol
+    over the observables as given.  Each outcome projects onto one product
+    of eigenvectors, so an observable with eigenvalues within tol of each
+    other raises DomainError.  Outcomes with residual norm <= tol
     (probability <= tol^2) are dropped.  Each post-measurement state is the
     product of the chosen eigenvectors and the normalized residual, with its
     axes put back in site order.
@@ -349,6 +364,8 @@ def measure_projective(
     if len(set(sites)) != len(sites):
         raise DomainError(f"observables must act on distinct sites: {sites}")
     systems = [o.eigensystem() for o in observables]
+    for vals, _ in systems:
+        _check_nondegenerate(vals, tol)
     residuals, norms = _residuals(psi, sites, [vecs[None] for _, vecs in systems])
     dims = psi.layout.dims
     rest = tuple(s for s in psi.layout.site_indices() if s not in sites)
@@ -370,7 +387,11 @@ def measure_projective(
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Reduce to the sites in `keep`, tracing everything else out."""
+    """Reduce to the sites in `keep`, tracing everything else out.
+
+    The result skips the input checks that rho passed: rounding grows with
+    the number of sites traced out, and must not fail a valid operator.
+    """
     keep = _check_sites(rho.layout, keep)
     if not keep:
         raise DomainError("partial_trace needs a nonempty set of sites to keep")
@@ -382,7 +403,7 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     out = [i for i in keep] + [k + i for i in keep]
     reduced = np.einsum(tens, ket + bra, out)
     side = math.prod(dims[s] for s in keep)
-    return DensityOperator(rho.layout.restrict(keep), reduced.reshape(side, side))
+    return DensityOperator._derived(rho.layout.restrict(keep), reduced.reshape(side, side))
 
 
 def purity(rho: DensityOperator) -> float:

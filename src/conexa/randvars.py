@@ -8,6 +8,7 @@ independence tests on the reference examples involve no tolerances at all.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,29 +104,32 @@ def marginal(dist: FiniteJointDistribution, positions) -> dict:
     return table
 
 
-def _independent(dist, j1, j2) -> bool:
+def _marginals(dist: FiniteJointDistribution):
+    """marginal of dist by sorted position tuple, each tuple computed once."""
+    return functools.cache(lambda positions: marginal(dist, positions))
+
+
+def _independent(marg, j1: tuple, j2: tuple, tol) -> bool:
     """Whether the marginals on j1 and j2 are independent within the joint on j1|j2.
 
-    Exact tables compare with integer-free Fraction arithmetic; float tables
-    use the module tolerance.  A support-size mismatch short-circuits.
+    Every entry must match the product of marginals within tol: 0 for exact
+    tables, whose Fraction arithmetic makes that equality, and FLOAT_TOL for
+    float tables.  A support-size mismatch short-circuits.
     """
-    union = tuple(sorted(set(j1) | set(j2)))
-    joint = marginal(dist, union)
-    m1 = marginal(dist, j1)
-    m2 = marginal(dist, j2)
+    union = tuple(sorted(j1 + j2))
+    joint, m1, m2 = marg(union), marg(j1), marg(j2)
     if len(joint) != len(m1) * len(m2):
         return False
     pos1 = [union.index(p) for p in j1]
     pos2 = [union.index(p) for p in j2]
-    if dist.exact:
-        for t, p in joint.items():
-            if p != m1[tuple(t[i] for i in pos1)] * m2[tuple(t[i] for i in pos2)]:
-                return False
-        return True
-    for t, p in joint.items():
-        if abs(p - m1[tuple(t[i] for i in pos1)] * m2[tuple(t[i] for i in pos2)]) > FLOAT_TOL:
-            return False
-    return True
+    return all(
+        abs(p - m1[tuple(t[i] for i in pos1)] * m2[tuple(t[i] for i in pos2)]) <= tol
+        for t, p in joint.items()
+    )
+
+
+def _tol(dist: FiniteJointDistribution):
+    return 0 if dist.exact else FLOAT_TOL
 
 
 def is_separable_split(dist: FiniteJointDistribution, j1, j2) -> bool:
@@ -134,11 +138,7 @@ def is_separable_split(dist: FiniteJointDistribution, j1, j2) -> bool:
     b = _check_positions(dist, j2)
     if not a or not b or set(a) & set(b) or len(a) + len(b) != dist.variables:
         raise DomainError(f"{a} and {b} do not partition the variable set")
-    return _independent(dist, a, b)
-
-
-def _subset_is_separable(dist, positions) -> bool:
-    return any(_independent(dist, a, b) for a, b in _bipartitions(positions))
+    return _independent(_marginals(dist), a, b, _tol(dist))
 
 
 @dataclass(frozen=True)
@@ -153,11 +153,13 @@ def rv_analysis(dist: FiniteJointDistribution) -> RvReport:
     was needed at all (the raw family can already be closed)."""
     k = dist.variables
     ground = GroundSet(range(1, k + 1))
-    raw = []
-    for r in range(2, k + 1):
-        for j in itertools.combinations(range(k), r):
-            if not _subset_is_separable(dist, j):
-                raw.append(tuple(p + 1 for p in j))
+    marg, tol = _marginals(dist), _tol(dist)
+    raw = [
+        tuple(p + 1 for p in j)
+        for r in range(2, k + 1)
+        for j in itertools.combinations(range(k), r)
+        if not any(_independent(marg, a, b, tol) for a, b in _bipartitions(j))
+    ]
     structure = generate_integral(ground, raw)
     raw_masks = {ground.mask_of(j) for j in raw}
     closure_masks = {m for m in structure.connected if m.bit_count() >= 2}
@@ -188,59 +190,33 @@ def brunnian_family(k: int, n: int) -> FiniteJointDistribution:
 def realize_structure(kappa: ConnectiveStructure) -> FiniteJointDistribution:
     """A family of random variables whose structure is exactly kappa.
 
-    Each irreducible generator gets an independent parity family over Z/2Z on
-    its members; each point's variable is the vector of its components across
-    the generators containing it.  Points in no generator get an independent
-    fair bit so that every variable is nondegenerate.
+    The blocks are the irreducible generators, then the points in none of
+    them.  Each block gets independent fair bits: a generator's members hold
+    a parity family over Z/2Z, and a lone point one bit of its own, so that
+    every variable is nondegenerate.  A point's variable is the string of its
+    bits across the blocks containing it, in block order.
     """
     k = kappa.ground.size
     generators = sorted(irreducibles(kappa), key=lambda m: (m.bit_count(), m))
-    gen_members = [
-        [i for i in range(k) if mask >> i & 1] for mask in generators
-    ]
-    lone = [
-        i for i in range(k) if not any(mask >> i & 1 for mask in generators)
-    ]
-    free_slots = []
-    for members in gen_members:
-        free_slots.append(len(members) - 1)
-    total_bits = sum(free_slots) + len(lone)
-
-    components_of = [[] for _ in range(k)]
-    for g, members in enumerate(gen_members):
-        for i in members:
-            components_of[i].append(("gen", g))
-    for i in lone:
-        components_of[i].append(("lone", i))
-
-    weight = Fraction(1, 2**total_bits)
+    blocks = [[i for i in range(k) if mask >> i & 1] for mask in generators]
+    blocks += [[i] for i in range(k) if not any(i in b for b in blocks)]
+    # a generator's last member takes the parity of the others' bits; a
+    # lone point's one bit has no partner, so its parity is never used
+    widths = [max(1, len(b) - 1) for b in blocks]
+    weight = Fraction(1, 2 ** sum(widths))
     prob: dict = {}
-    for bits in itertools.product((0, 1), repeat=total_bits):
+    for bits in itertools.product("01", repeat=sum(widths)):
+        parts = [[] for _ in range(k)]
         cursor = 0
-        gen_values = []
-        for g, members in enumerate(gen_members):
-            free = bits[cursor : cursor + free_slots[g]]
-            cursor += free_slots[g]
-            values = dict(zip(members[:-1], free))
-            values[members[-1]] = sum(free) % 2
-            gen_values.append(values)
-        lone_values = dict(zip(lone, bits[cursor:]))
-        key = []
-        for i in range(k):
-            parts = []
-            for kind, idx in components_of[i]:
-                if kind == "gen":
-                    parts.append(str(gen_values[idx][i]))
-                else:
-                    parts.append(str(lone_values[idx]))
-            key.append("".join(parts))
-        key = tuple(key)
+        for members, width in zip(blocks, widths):
+            free = bits[cursor : cursor + width]
+            cursor += width
+            for i, bit in zip(members, free + (str(free.count("1") % 2),)):
+                parts[i].append(bit)
+        key = tuple("".join(p) for p in parts)
         prob[key] = prob.get(key, Fraction(0)) + weight
-
-    outcomes = []
-    for i in range(k):
-        width = len(components_of[i])
-        outcomes.append(
-            tuple("".join(combo) for combo in itertools.product("01", repeat=width))
-        )
+    outcomes = [
+        tuple("".join(c) for c in itertools.product("01", repeat=sum(i in b for b in blocks)))
+        for i in range(k)
+    ]
     return FiniteJointDistribution(outcomes, prob)

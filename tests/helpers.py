@@ -170,6 +170,40 @@ def oracle_completely_correlated(matrix: np.ndarray, dims, sites) -> bool:
     return True
 
 
+def oracle_completely_entangled(matrix: np.ndarray, dims, sites, tol: float = 1e-9) -> tuple:
+    """(verdict, quality name) for entanglement of the reduction across every cut.
+
+    A pure reduction (tr r^2 = 1 within tol) is tested with one SVD per cut
+    of its top eigenvector; a mixed one with the smallest eigenvalue of the
+    partial transpose per cut, whose positivity decides separability only
+    for 2x2 and 2x3 cuts and flags the verdict PPT_NECESSARY otherwise.
+    """
+    sites = sorted(sites)
+    reduced = oracle_partial_trace(matrix, dims, sites)
+    sub_dims = [dims[s] for s in sites]
+    positions = range(len(sites))
+    cuts = [a for r in range(1, len(sites)) for a in itertools.combinations(positions, r) if 0 in a]
+    if abs(np.trace(reduced @ reduced).real - 1.0) <= tol:
+        top = np.linalg.eigh(reduced)[1][:, -1].reshape(sub_dims)
+        for a in cuts:
+            rows = int(np.prod([sub_dims[p] for p in a]))
+            mat = np.transpose(top, list(a) + [p for p in positions if p not in a]).reshape(rows, -1)
+            s = np.linalg.svd(mat, compute_uv=False)
+            if len(s) < 2 or s[1] <= tol:
+                return False, "EXACT"
+        return True, "EXACT"
+    verdict, quality = True, "EXACT"
+    for a in cuts:
+        b = [p for p in positions if p not in a]
+        min_eig = np.linalg.eigvalsh(oracle_partial_transpose(reduced, sub_dims, b))[0]
+        if min_eig >= -tol:
+            verdict = False
+            sides = {int(np.prod([sub_dims[p] for p in a])), int(np.prod([sub_dims[p] for p in b]))}
+            if sides not in ({2}, {2, 3}):
+                quality = "PPT_NECESSARY"
+    return verdict, quality
+
+
 def oracle_locality_profile(device) -> dict:
     """The ten `LocalityProfile` fields by enumerating every realization.
 

@@ -97,6 +97,25 @@ def test_analyze_density_from_file(tmp_path, capsys):
     assert subsets["12"]["completely_entangled"] is False
 
 
+def test_analyze_density_does_not_revalidate_reductions(tmp_path, capsys):
+    # anti-Hermitian entries of 0.45e-9 pass the constructor's 1e-9 bound;
+    # tracing out the last five qubits sums 32 of them into one entry
+    from conexa.quantum import DensityOperator, partial_trace
+    from conexa.serialize import density_to_dict
+
+    matrix = np.eye(64, dtype=complex) / 64
+    t = np.arange(32)
+    matrix[t, 32 + t] += 0.45e-9
+    matrix[32 + t, t] -= 0.45e-9
+    rho = DensityOperator(SiteLayout((2,) * 6), matrix)
+    assert abs(partial_trace(rho, [0]).matrix[0, 1] - 32 * 0.45e-9) < 1e-15
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(density_to_dict(rho)))
+    code, out, err = run_cli(capsys, "analyze-density", "--file", str(path))
+    assert (code, err) == (0, "")
+    assert load_report(out)["result"]["orders"]["omega_f"] == 0
+
+
 def test_analyze_device_builtin_k(capsys):
     code, out, _ = run_cli(capsys, "analyze-device", "--builtin", "K")
     assert code == 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conexa.density import (
     VerdictQuality,
@@ -13,6 +15,7 @@ from conexa.density import (
 from conexa.disentangle import IntricationClass, PoolConfig, classify_on_subset
 from conexa.errors import DomainError
 from conexa.quantum import (
+    DensityOperator,
     PureState,
     SiteLayout,
     basis_state,
@@ -20,11 +23,14 @@ from conexa.quantum import (
     partial_trace,
     tensor_state,
 )
+from conexa.randvars import brunnian_family, realize_structure, rv_structure
 
 from helpers import (
+    all_integral_structures,
     borromean,
     discrete,
     oracle_completely_correlated,
+    oracle_completely_entangled,
     power_set,
     random_state_vector,
     structure,
@@ -158,3 +164,87 @@ def test_total_order_reference_states():
     o2 = total_order(builtin_state("O2"), CFG)
     assert o2.omega == 2
     assert o2.omega_f == 2
+
+
+def _random_operator(rng, dims, rank):
+    """Rank-`rank` density matrix over `dims` from complex normal vectors."""
+    n = int(np.prod(dims))
+    vecs = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    mat = vecs @ vecs.conj().T
+    return mat / np.trace(mat).real
+
+
+@st.composite
+def density_cases(draw):
+    """Dims in {2, 3} on 2-4 sites, and a rank-1..3 operator or a permuted product."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=2, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if not draw(st.booleans()):
+        return dims, _random_operator(rng, dims, draw(st.integers(1, 3)))
+    # rho_A (x) rho_B on a random split of the sites, axes put back in order
+    k = len(dims)
+    order = draw(st.permutations(range(k)))
+    split = draw(st.integers(1, k - 1))
+    a, b = order[:split], order[split:]
+    factors = [
+        _random_operator(rng, [dims[s] for s in part], draw(st.integers(1, 3)))
+        for part in (a, b)
+    ]
+    raw = np.kron(*factors).reshape([dims[s] for s in a + b] * 2)
+    inverse = [list(a + b).index(i) for i in range(k)]
+    n = int(np.prod(dims))
+    return dims, np.transpose(raw, inverse + [k + p for p in inverse]).reshape(n, n)
+
+
+# a pure operator split along one cut of the full set but entangled across others
+_EPR_AND_QUBIT = np.kron(builtin_state("EPR").density().matrix, np.full((2, 2), 0.5))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(density_cases())
+@example(((2, 2, 2), _EPR_AND_QUBIT))
+def test_density_structures_match_oracles(case):
+    dims, matrix = case
+    report = density_structures(DensityOperator(SiteLayout(dims), matrix))
+    assert len(report.subsets) == 2 ** len(dims) - len(dims) - 1
+    for labels, verdict in report.subsets.items():
+        sites = [s - 1 for s in labels]
+        assert verdict.completely_correlated == oracle_completely_correlated(matrix, dims, sites)
+        entangled, quality = oracle_completely_entangled(matrix, dims, sites)
+        assert (verdict.completely_entangled, verdict.quality.value) == (entangled, quality)
+
+
+def test_site_of_dimension_one_is_analyzed():
+    rho = PureState(SiteLayout((1, 2, 2)), [1, 0, 0, 1]).density()
+    report = density_structures(rho)
+    pair = report.subsets[(2, 3)]
+    assert (pair.completely_correlated, pair.completely_entangled, pair.quality) == (
+        True, True, VerdictQuality.EXACT
+    )
+    assert report.kappa_corr == structure(3, [(2, 3)])
+
+
+def _diagonal_embedding(dist):
+    """The classical joint law of `dist` as diag(p) over one site per variable."""
+    dims = [len(alphabet) for alphabet in dist.outcomes]
+    diag = np.zeros(int(np.prod(dims)))
+    for outcome, p in dist.prob.items():
+        index = [alphabet.index(x) for alphabet, x in zip(dist.outcomes, outcome)]
+        diag[np.ravel_multi_index(index, dims)] = float(p)
+    return DensityOperator(SiteLayout(dims), np.diag(diag))
+
+
+def test_classical_density_matches_rv_engine():
+    # a diagonal operator is correlated exactly where its law is dependent,
+    # and it is entangled across no cut
+    dists = [realize_structure(kappa) for kappa in all_integral_structures(3)]
+    dists += [brunnian_family(k, n) for k, n in ((2, 2), (3, 2), (2, 3))]
+    dists += [
+        dist for dist in map(realize_structure, all_integral_structures(4))
+        if np.prod([len(alphabet) for alphabet in dist.outcomes]) <= 64
+    ]
+    assert len(dists) == 12 + 3 + 79
+    for dist in dists:
+        report = density_structures(_diagonal_embedding(dist))
+        assert report.kappa_corr == rv_structure(dist)
+        assert report.kappa_s == discrete(dist.variables)

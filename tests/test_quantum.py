@@ -205,6 +205,17 @@ def test_nondegenerate_flag_rejects_identity():
         Observable(0, np.eye(2), nondegenerate=True)
 
 
+@pytest.mark.parametrize("psi, matrix", [
+    (builtin_state("EPR"), np.eye(2)),
+    (basis_state((3,), (2,)), np.diag([0.0, 0.0, 1.0])),
+])
+def test_measure_rejects_degenerate_observable(psi, matrix):
+    # the kernel measures rank-1 projectors only, so a repeated eigenvalue
+    # would split one outcome into several with equal values
+    with pytest.raises(DomainError, match="repeated eigenvalues"):
+        measure_projective(psi, [Observable(0, matrix)])
+
+
 def test_partial_contract_agrees_with_measurement():
     # contracting against a full product basis of L reproduces the outcome
     # probabilities of measuring nondegenerate observables with that eigenbasis

@@ -1,5 +1,6 @@
 """Random-variable families: separability, brunnian constructions, realization."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from conexa.randvars import (
     rv_analysis,
     rv_structure,
 )
+from conexa.serialize import canonical_json, distribution_to_dict
 
 from helpers import all_integral_structures, borromean, discrete, power_set, structure
 
@@ -146,19 +148,17 @@ def test_realize_round_trip_all_three_point_structures():
 def test_marginalization_commutes_with_structure_analysis():
     # generator membership of K inside J computed on the full distribution
     # agrees with the analysis of the marginal distribution on J
-    from conexa.randvars import _subset_is_separable
-
     for dist in (brunnian_family(3, 2), realize_structure(structure(4, [(1, 2), (2, 3, 4)]))):
         k = dist.variables
+        raw = rv_analysis(dist).raw_generators
         for j in itertools.combinations(range(k), 3):
             table = marginal(dist, j)
             sub = FiniteJointDistribution(tuple(dist.outcomes[i] for i in j), table)
             sub_report = rv_analysis(sub)
             expected = {
-                tuple(j.index(p) + 1 for p in subset)
-                for r in range(2, 4)
-                for subset in itertools.combinations(j, r)
-                if not _subset_is_separable(dist, subset)
+                tuple(j.index(label - 1) + 1 for label in subset)
+                for subset in raw
+                if all(label - 1 in j for label in subset)
             }
             assert set(sub_report.raw_generators) == expected
 
@@ -185,3 +185,40 @@ def test_float_probabilities_accepted():
     )
     assert is_separable_split(dist, [0], [1])
     assert rv_structure(dist) == discrete(2)
+
+
+def _float_pair(table):
+    return FiniteJointDistribution((("0", "1"), ("0", "1")), table)
+
+
+@pytest.mark.parametrize("delta, separable", [(1e-13, True), (1e-11, False)])
+def test_float_independence_tolerance(delta, separable):
+    # both marginals are exactly uniform, so |p - m1 m2| = delta everywhere
+    dist = _float_pair({
+        ("0", "0"): 0.25 + delta, ("0", "1"): 0.25 - delta,
+        ("1", "0"): 0.25 - delta, ("1", "1"): 0.25 + delta,
+    })
+    assert is_separable_split(dist, [0], [1]) is separable
+    assert rv_structure(dist) == (discrete(2) if separable else power_set(2))
+
+
+def test_float_support_shortcut():
+    # within FLOAT_TOL of a product law entry by entry, but the support has
+    # three outcomes where a product of two two-outcome marginals has four
+    dist = _float_pair({("0", "0"): 1 - 2e-13, ("0", "1"): 1e-13, ("1", "0"): 1e-13})
+    assert not is_separable_split(dist, [0], [1])
+    assert rv_structure(dist) == power_set(2)
+
+
+REALIZATIONS_SHA256 = "e099d503974274ab10c6a8494ba8069b08ac62e930b5867f5f0a46486af09430"
+
+
+def test_realizations_pinned():
+    # canonical JSON of the realization of every 3- and 4-point structure
+    digest = hashlib.sha256()
+    count = 0
+    for n in (3, 4):
+        for kappa in all_integral_structures(n):
+            digest.update(canonical_json(distribution_to_dict(realize_structure(kappa))).encode())
+            count += 1
+    assert (count, digest.hexdigest()) == (432, REALIZATIONS_SHA256)
