@@ -2,17 +2,18 @@
 
 Every command prints a single report (JSON by default) to standard output and
 exits 0 on success, 2 on a domain/input error, 3 on a cap/resource error.
-Reports embed the tool version, the seed and the tolerances, so identical
-inputs produce byte-identical output.
+Input files are read by one loader, `_load`, through the decoders in
+`serialize`, so a malformed file exits 2 like any other bad input.  Reports
+embed the tool version, the seed and the tolerances, so identical inputs
+produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-
-import numpy as np
 
 from . import __version__
 from .connective import connective_order
@@ -44,6 +45,7 @@ from .serialize import (
     device_to_dict,
     distribution_from_dict,
     join_key,
+    menus_from_dict,
     state_from_dict,
     state_to_dict,
     structure_to_dict,
@@ -57,16 +59,33 @@ MENU_TOKENS = {
 }
 
 
-def _load_json(path: str) -> object:
+def _load(path: str, decode):
+    """decode(the JSON document in `path`), with every fault of the file a DomainError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise DomainError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    try:
+        return decode(data)
+    except DomainError:
+        raise
+    except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError) as exc:
+        reason = " ".join(f"{type(exc).__name__}: {exc}".split())
+        raise DomainError(f"malformed input in {path}: {reason}") from None
+
+
+def _input(path, name, builtin, decode, hint: str):
+    """builtin(name) when a builtin is named, else the decoded file at `path`."""
+    if name:
+        return builtin(name)
+    if path:
+        return _load(path, decode)
+    raise DomainError(hint)
 
 
 def _envelope(command: str, args, result: dict) -> dict:
@@ -123,14 +142,6 @@ def _pool_config(args) -> PoolConfig:
     return PoolConfig(n_random=args.samples, seed=args.seed)
 
 
-def _state_from_args(args):
-    if getattr(args, "builtin", None):
-        return builtin_state(args.builtin)
-    if getattr(args, "file", None):
-        return state_from_dict(_load_json(args.file))
-    raise DomainError("provide --file or --builtin")
-
-
 def _classes_dict(report) -> dict:
     return {
         join_key(tuple(str(x) for x in j)): {
@@ -142,7 +153,8 @@ def _classes_dict(report) -> dict:
 
 
 def _cmd_analyze_state(args) -> dict:
-    psi = _state_from_args(args)
+    psi = _input(args.file, args.builtin, builtin_state, state_from_dict,
+                 "provide --file or --builtin")
     report = disentanglement_structures(psi, _pool_config(args), tol=args.tol)
     selected = STRUCTURE_NAMES
     if args.structures:
@@ -161,12 +173,9 @@ def _cmd_analyze_state(args) -> dict:
 
 
 def _cmd_analyze_density(args) -> dict:
-    if args.builtin:
-        rho = builtin_state(args.builtin).density()
-    elif args.file:
-        rho = density_from_dict(_load_json(args.file))
-    else:
-        raise DomainError("provide --file or --builtin")
+    rho = _input(args.file, args.builtin, lambda name: builtin_state(name).density(),
+                 lambda data: density_from_dict(data, tol=args.tol),
+                 "provide --file or --builtin")
     report = density_structures(rho, tol=args.tol)
     return {
         "dims": list(rho.layout.dims),
@@ -187,12 +196,8 @@ def _cmd_analyze_density(args) -> dict:
 
 
 def _cmd_analyze_device(args) -> dict:
-    if args.builtin:
-        device = builtin_device(args.builtin)
-    elif args.file:
-        device = device_from_dict(_load_json(args.file))
-    else:
-        raise DomainError("provide --file or --builtin")
+    device = _input(args.file, args.builtin, builtin_device, device_from_dict,
+                    "provide --file or --builtin")
     report = device_structures(device, cap=args.cap)
     profile, orders = report.profile, report.orders
     return {
@@ -227,9 +232,8 @@ def _cut_json(cut):
 
 
 def _cmd_analyze_rvs(args) -> dict:
-    if not args.file:
-        raise DomainError("provide --file with a joint-distribution JSON")
-    dist = distribution_from_dict(_load_json(args.file))
+    dist = _input(args.file, None, None, distribution_from_dict,
+                  "provide --file with a joint-distribution JSON")
     report = rv_analysis(dist)
     return {
         "variables": dist.variables,
@@ -262,38 +266,21 @@ def _parse_menu_tokens(spec: str, sites: int) -> list:
     return [list(menu) for _ in range(sites)]
 
 
-def _menus_from_args(args, psi) -> list:
-    spec = args.menus
-    if spec.endswith(".json"):
-        data = _load_json(spec)
-        menus = []
-        for site_entries in data:
-            menu = []
-            for entry in site_entries:
-                mat = np.array(
-                    [[complex(re, im) for re, im in row] for row in entry["matrix"]]
-                )
-                menu.append((str(entry["label"]), mat))
-            menus.append(menu)
-        return menus
-    return _parse_menu_tokens(spec, psi.layout.sites)
-
-
 def _cmd_derive_device(args) -> dict:
-    if args.builtin_state:
-        psi = builtin_state(args.builtin_state)
-    elif args.state:
-        psi = state_from_dict(_load_json(args.state))
+    psi = _input(args.state, args.builtin_state, builtin_state, state_from_dict,
+                 "provide --state or --builtin-state")
+    if args.menus.endswith(".json"):
+        menus = _load(args.menus, menus_from_dict)
     else:
-        raise DomainError("provide --state or --builtin-state")
-    menus = _menus_from_args(args, psi)
+        menus = _parse_menu_tokens(args.menus, psi.layout.sites)
     recode = args.recode if args.recode != "raw" else None
     device = derive_device(psi, menus, recode=recode, tol=args.tol)
     return {"device": device_to_dict(device)}
 
 
 def _cmd_order(args) -> dict:
-    psi = _state_from_args(args)
+    psi = _input(args.file, args.builtin, builtin_state, state_from_dict,
+                 "provide --file or --builtin")
     orders = total_order(psi, _pool_config(args), tol=args.tol)
     return {
         "omega_c": orders.omega_c,
@@ -315,6 +302,7 @@ def _cmd_builtin(args) -> dict:
     raise DomainError("provide --list, --state or --device")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conexa",

@@ -94,9 +94,6 @@ class ConnectiveStructure:
         base = {0} | {1 << i for i in range(ground.size)}
         object.__setattr__(self, "connected", masks | base)
 
-    def is_connected(self, mask: int) -> bool:
-        return mask in self.connected
-
     def members(self) -> list:
         """Connected subsets in canonical order: by size, then by ground positions."""
         return sorted(self.connected, key=lambda m: (_popcount(m), _mask_positions(m)))
@@ -122,6 +119,39 @@ def _bipartitions(positions) -> list:
             if positions[0] in a:
                 out.append((a, tuple(p for p in positions if p not in a)))
     return out
+
+
+def _check_indices(indices, count: int, noun: str) -> tuple:
+    """Distinct indices into `count` items, sorted; `noun` names an item."""
+    indices = tuple(sorted(int(i) for i in indices))
+    if len(set(indices)) != len(indices):
+        raise DomainError(f"duplicate {noun} indices: {indices}")
+    for i in indices:
+        if not 0 <= i < count:
+            raise DomainError(f"{noun} index {i} out of range for {count} {noun}s")
+    return indices
+
+
+def _check_partition(part_a, part_b, count: int, noun: str) -> tuple:
+    """Two nonempty index sets, each sorted, that partition `count` items."""
+    a = _check_indices(part_a, count, noun)
+    b = _check_indices(part_b, count, noun)
+    if not a or not b:
+        raise DomainError("both parts of a bipartition must be nonempty")
+    if set(a) & set(b) or len(a) + len(b) != count:
+        raise DomainError(f"{a} and {b} do not partition the {count} {noun}s")
+    return a, b
+
+
+def _check_labels(label_sets, kind: str) -> tuple:
+    """Label sets as tuples of strings, each nonempty, distinct and comma-free."""
+    label_sets = tuple(tuple(str(x) for x in labels) for labels in label_sets)
+    for labels in label_sets:
+        if not labels or len(set(labels)) != len(labels):
+            raise DomainError(f"{kind} labels must be nonempty and distinct: {labels}")
+        if any("," in lab for lab in labels):
+            raise DomainError(f"{kind} labels must not contain commas (reserved for JSON keys)")
+    return label_sets
 
 
 def _mask_positions(mask: int) -> tuple:

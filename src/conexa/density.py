@@ -22,17 +22,18 @@ from .connective import (
     ConnectiveStructure,
     GroundSet,
     _bipartitions,
+    _check_indices,
     connective_order,
     generate_integral,
 )
-from .disentangle import PoolConfig, _separable_cuts, disentanglement_structures
+from .disentangle import PoolConfig, disentanglement_structures
 from .errors import DomainError
 from .quantum import (
     DEFAULT_TOL,
     DensityOperator,
     PureState,
     Verdict,
-    _check_sites,
+    _separable_cuts,
     partial_trace,
     ppt_is_separable,
     purity,
@@ -96,7 +97,7 @@ def is_completely_entangled_on(
 
 
 def _subset(rho: DensityOperator, j_sites, analysis: str) -> tuple:
-    j = _check_sites(rho.layout, j_sites)
+    j = _check_indices(j_sites, rho.layout.sites, "site")
     if len(j) < 2:
         raise DomainError(f"{analysis} analysis needs at least two sites")
     return j

@@ -25,6 +25,8 @@ from .connective import (
     ConnectiveStructure,
     GroundSet,
     _bipartitions,
+    _check_indices,
+    _check_labels,
     connective_order,
     discrete_structure,
     generate_integral,
@@ -54,21 +56,12 @@ class Device:
     relation: Mapping[tuple, frozenset]
 
     def __init__(self, questions, results, relation):
-        questions = tuple(tuple(str(q) for q in qs) for qs in questions)
-        results = tuple(tuple(str(r) for r in rs) for rs in results)
+        questions = _check_labels(questions, "question")
+        results = _check_labels(results, "result")
         if len(questions) != len(results):
             raise DomainError("questions and results must list the same number of sites")
         if not questions:
             raise DomainError("a device needs at least one site")
-        for qs in questions:
-            if not qs or len(set(qs)) != len(qs):
-                raise DomainError(f"question labels must be nonempty and distinct: {qs}")
-        for rs in results:
-            if not rs or len(set(rs)) != len(rs):
-                raise DomainError(f"result labels must be nonempty and distinct: {rs}")
-        for labels in questions + results:
-            if any("," in lab for lab in labels):
-                raise DomainError("labels must not contain commas (reserved for JSON keys)")
         table = {}
         for q, answers in relation.items():
             q = tuple(str(x) for x in q)
@@ -161,7 +154,7 @@ class LocalityProfile:
 
 def sub_device(device: Device, j_sites) -> Device:
     """Restriction to J: restricted tuples related when some full pair extends them."""
-    j = _check_device_sites(device, j_sites)
+    j = _check_indices(j_sites, device.uplicity, "site")
     if not j:
         raise DomainError("sub-device needs a nonempty site set")
     questions = tuple(device.questions[s] for s in j)
@@ -170,16 +163,6 @@ def sub_device(device: Device, j_sites) -> Device:
     for q, r in device.pairs():
         relation[tuple(q[s] for s in j)].add(tuple(r[s] for s in j))
     return Device(questions, results, relation)
-
-
-def _check_device_sites(device: Device, sites) -> tuple:
-    sites = tuple(sorted(int(s) for s in sites))
-    if len(set(sites)) != len(sites):
-        raise DomainError(f"duplicate site indices: {sites}")
-    for s in sites:
-        if not 0 <= s < device.uplicity:
-            raise DomainError(f"site index {s} out of range")
-    return sites
 
 
 def tensor_device(a: Device, b: Device) -> Device:
@@ -307,23 +290,20 @@ def _scan(device: Device, cap: int, cuts=None, early_exit=None) -> tuple:
 
 
 def _is_product_along(device: Device, blocks: Sequence[tuple]) -> bool:
-    """Whether the device equals the tensor of its sub-devices on the blocks."""
+    """Whether the device equals the tensor of its sub-devices on the blocks.
+
+    Each answer set R(q) lies inside the product over the blocks B of the
+    sub-device answer sets R_B(q_B), because R_B(q_B) holds the B-part of
+    every answer in R(q).  The blocks partition the sites, so R(q) equals that
+    product exactly when the sizes agree: |R(q)| = prod_B |R_B(q_B)|.
+    """
     subs = [sub_device(device, block) for block in blocks]
-    for q in device.question_tuples():
-        expected = set()
-        block_answers = [
-            sorted(sub.relation[tuple(q[s] for s in block)])
-            for sub, block in zip(subs, blocks)
-        ]
-        for combo in itertools.product(*block_answers):
-            full = [None] * device.uplicity
-            for block, part in zip(blocks, combo):
-                for s, x in zip(block, part):
-                    full[s] = x
-            expected.add(tuple(full))
-        if expected != set(device.relation[q]):
-            return False
-    return True
+    return all(
+        len(answers) == math.prod(
+            len(sub.relation[tuple(q[s] for s in block)]) for sub, block in zip(subs, blocks)
+        )
+        for q, answers in device.relation.items()
+    )
 
 
 def _profile(device: Device, cuts: Sequence[tuple], selected: Sequence[frozenset]) -> LocalityProfile:
@@ -546,8 +526,9 @@ def derive_device(
 ) -> Device:
     """Device table of local menu measurements on a prepared state.
 
-    `menus[i]` lists (label, hermitian matrix) choices for site i; every
-    observable must be nondegenerate.  Answers are eigenvalue labels; with
+    `menus[i]` lists (label, hermitian matrix) choices for site i, the labels
+    being the site's questions; every observable must be Hermitian and
+    nondegenerate within `tol`.  Answers are eigenvalue labels; with
     recode="paper" each site's eigenvalues are renamed by ascending index
     ("0", "1", ...), so a +/-1 spectrum becomes -1 -> "0", +1 -> "1".
     """
@@ -556,21 +537,18 @@ def derive_device(
     k = psi.layout.sites
     if len(menus) != k:
         raise DomainError(f"expected one menu per site ({k}), got {len(menus)}")
+    questions = _check_labels([[label for label, _ in menu] for menu in menus], "question")
     systems: list = []
-    for site, menu in enumerate(menus):
-        if not menu:
-            raise DomainError(f"menu for site {site} is empty")
+    for site, (labels, menu) in enumerate(zip(questions, menus)):
         by_label = {}
-        for label, matrix in menu:
-            obs = Observable(site, matrix, nondegenerate=True)
+        for label, (_, matrix) in zip(labels, menu):
+            obs = Observable(site, matrix, tol=tol)
             if obs.dim != psi.layout.dims[site]:
                 raise DomainError(
                     f"observable on site {site} has dimension {obs.dim}, "
                     f"site has {psi.layout.dims[site]}"
                 )
-            by_label[str(label)] = obs.eigensystem()
-        if len(by_label) != len(menu):
-            raise DomainError(f"menu labels for site {site} are not distinct")
+            by_label[label] = obs.eigensystem()
         systems.append(by_label)
 
     raw_results = [
@@ -590,7 +568,6 @@ def derive_device(
         for by_label, raws, names in zip(systems, raw_results, results)
     ]
 
-    questions = tuple(tuple(by_label) for by_label in systems)
     tuples = list(itertools.product(*questions))
     bases = [
         np.stack([by_label[q[site]][1] for q in tuples]) for site, by_label in enumerate(systems)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -36,6 +35,7 @@ from .connective import (
     ConnectiveStructure,
     GroundSet,
     _bipartitions,
+    _check_indices,
     connective_order,
     generate_integral,
 )
@@ -44,9 +44,9 @@ from .quantum import (
     DEFAULT_TOL,
     PureState,
     SiteLayout,
-    _check_sites,
     _matricize,
     _residuals,
+    _separable_cuts,
 )
 
 # Residual amplitudes contracted at once: classification takes the pool's
@@ -215,7 +215,7 @@ def build_pool(layout: SiteLayout, sites, config: PoolConfig) -> MeasurementPool
     experiments.  An empty site set yields the single identity experiment,
     under which the residual-state set of any state is the state itself.
     """
-    sites = _check_sites(layout, sites)
+    sites = _check_indices(sites, layout.sites, "site")
     if not sites:
         return MeasurementPool((), ())
     extras = config.extra_bases or {}
@@ -256,7 +256,7 @@ def post_states(
     read from one Gram matrix; the first of each class in outcome order is
     kept.
     """
-    j = _check_sites(psi.layout, j_sites)
+    j = _check_indices(j_sites, psi.layout.sites, "site")
     complement = tuple(s for s in psi.layout.site_indices() if s not in j)
     experiment = MeasurementPool(complement, [np.asarray(b)[None] for b in bases])
     if not complement:
@@ -270,24 +270,6 @@ def post_states(
             kept.append(i)
     layout = psi.layout.restrict(j)
     return [PureState(layout, vectors[i]) for i in kept]
-
-
-def _separable_cuts(states: np.ndarray, dims: tuple, cuts, tol: float) -> np.ndarray:
-    """Bool array (states, cuts): which bipartitions (by position) split each state.
-
-    `states` holds one unit vector over the layout `dims` per row; each cut is
-    one stacked SVD testing the second Schmidt coefficient.
-    """
-    tensors = states.reshape(-1, *dims)
-    out = np.empty((len(tensors), len(cuts)), dtype=bool)
-    for c, (a, b) in enumerate(cuts):
-        axes = (0, *(p + 1 for p in a + b))
-        rows = math.prod(dims[p] for p in a)
-        mats = tensors.transpose(axes).reshape(len(tensors), rows, math.prod(dims) // rows)
-        coeffs = np.linalg.svd(mats, compute_uv=False)
-        # a side of dimension 1 leaves one coefficient: every state splits there
-        out[:, c] = coeffs[:, 1] <= tol if coeffs.shape[1] > 1 else True
-    return out
 
 
 def _classify_single_state(phi: PureState, cuts, tol: float) -> IntricationClass:
@@ -327,7 +309,7 @@ def classify_on_subset(
     residuals are not deduplicated: a repeated state never changes the
     any/all tests below.
     """
-    j = _check_sites(psi.layout, j_sites)
+    j = _check_indices(j_sites, psi.layout.sites, "site")
     if len(j) < 2:
         raise DomainError("classification needs a subset with at least two sites")
     if any(psi.layout.dims[s] < 2 for s in psi.layout.site_indices()):

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .connective import _check_indices, _check_partition
 from .errors import DomainError
 
 DEFAULT_TOL = 1e-9
@@ -55,29 +56,16 @@ class SiteLayout:
         return tuple(range(self.sites))
 
     def restrict(self, sites: Iterable[int]) -> "SiteLayout":
-        sites = _check_sites(self, sites)
+        sites = _check_indices(sites, self.sites, "site")
         return SiteLayout(self.dims[s] for s in sites)
 
 
-def _check_sites(layout: SiteLayout, sites: Iterable[int]) -> tuple:
-    """Validate and sort a collection of site indices."""
-    sites = tuple(sorted(int(s) for s in sites))
-    if len(set(sites)) != len(sites):
-        raise DomainError(f"duplicate site indices: {sites}")
-    for s in sites:
-        if not 0 <= s < layout.sites:
-            raise DomainError(f"site index {s} out of range for {layout.sites} sites")
-    return sites
-
-
-def _check_partition(layout, j1, j2) -> tuple:
-    a = _check_sites(layout, j1)
-    b = _check_sites(layout, j2)
-    if not a or not b:
-        raise DomainError("both parts of a bipartition must be nonempty")
-    if set(a) & set(b) or len(a) + len(b) != layout.sites:
-        raise DomainError(f"{a} and {b} do not partition the {layout.sites} sites")
-    return a, b
+def _finite_copy(values, what: str) -> np.ndarray:
+    """A writable complex copy of `values`, which must all be finite."""
+    arr = np.asarray(values, dtype=np.complex128).copy()
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} has non-finite entries")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -88,7 +76,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __init__(self, layout: SiteLayout, amplitudes):
-        amp = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
+        amp = _finite_copy(amplitudes, "state vector").reshape(-1)
         if amp.size != layout.total_dim:
             raise DomainError(
                 f"amplitude length {amp.size} != total dimension {layout.total_dim}"
@@ -136,7 +124,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __init__(self, layout: SiteLayout, matrix, tol: float = DEFAULT_TOL):
-        mat = np.asarray(matrix, dtype=np.complex128).copy()
+        mat = _finite_copy(matrix, "density matrix")
         n = layout.total_dim
         if mat.shape != (n, n):
             raise DomainError(f"density matrix shape {mat.shape} != ({n}, {n})")
@@ -173,25 +161,23 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian operator on one site, optionally required to be nondegenerate."""
+    """Nondegenerate Hermitian operator on one site: no two eigenvalues within tol."""
 
     site: int
     matrix: np.ndarray
-    nondegenerate: bool = False
 
-    def __init__(self, site: int, matrix, nondegenerate: bool = False,
-                 tol: float = DEFAULT_TOL):
-        mat = np.asarray(matrix, dtype=np.complex128).copy()
+    def __init__(self, site: int, matrix, tol: float = DEFAULT_TOL):
+        mat = _finite_copy(matrix, "observable")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DomainError(f"observable must be a square matrix, got shape {mat.shape}")
         if np.max(np.abs(mat - mat.conj().T)) > tol:
             raise DomainError("observable is not Hermitian within tolerance")
-        if nondegenerate:
-            _check_nondegenerate(np.linalg.eigvalsh(mat), tol)
+        eigenvalues = np.linalg.eigvalsh(mat)
+        if len(eigenvalues) > 1 and np.min(np.diff(eigenvalues)) <= tol:
+            raise DomainError("observable has (numerically) repeated eigenvalues")
         mat.setflags(write=False)
         object.__setattr__(self, "site", int(site))
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "nondegenerate", bool(nondegenerate))
 
     @property
     def dim(self) -> int:
@@ -211,12 +197,6 @@ class Observable:
 
     def __hash__(self):
         return hash((self.site, self.matrix.tobytes()))
-
-
-def _check_nondegenerate(eigenvalues: np.ndarray, tol: float) -> None:
-    """Reject an ascending spectrum with two eigenvalues within tol."""
-    if len(eigenvalues) > 1 and np.min(np.diff(eigenvalues)) <= tol:
-        raise DomainError("observable has (numerically) repeated eigenvalues")
 
 
 @dataclass(frozen=True)
@@ -260,7 +240,7 @@ def _matricize(psi: PureState, part: tuple) -> np.ndarray:
 
 def schmidt_coefficients(psi: PureState, part) -> np.ndarray:
     """Singular values (descending) of the matricization along `part` vs the rest."""
-    part = _check_sites(psi.layout, part)
+    part = _check_indices(part, psi.layout.sites, "site")
     if not part or len(part) == psi.layout.sites:
         raise DomainError("Schmidt coefficients need a proper nonempty bipartition")
     return np.linalg.svd(_matricize(psi, part), compute_uv=False)
@@ -268,9 +248,26 @@ def schmidt_coefficients(psi: PureState, part) -> np.ndarray:
 
 def is_separable_bipartition(psi: PureState, j1, j2, tol: float = DEFAULT_TOL) -> bool:
     """True when psi factorizes across (j1, j2), i.e. the matricization has rank 1."""
-    a, _ = _check_partition(psi.layout, j1, j2)
-    coeffs = schmidt_coefficients(psi, a)
-    return len(coeffs) < 2 or float(coeffs[1]) <= tol
+    cut = _check_partition(j1, j2, psi.layout.sites, "site")
+    return bool(_separable_cuts(psi.amplitudes, psi.layout.dims, [cut], tol)[0, 0])
+
+
+def _separable_cuts(states: np.ndarray, dims: tuple, cuts, tol: float) -> np.ndarray:
+    """Bool array (states, cuts): which bipartitions (by position) split each state.
+
+    `states` holds one unit vector over the layout `dims` per row; each cut is
+    one stacked SVD testing the second Schmidt coefficient.
+    """
+    tensors = states.reshape(-1, *dims)
+    out = np.empty((len(tensors), len(cuts)), dtype=bool)
+    for c, (a, b) in enumerate(cuts):
+        axes = (0, *(p + 1 for p in a + b))
+        rows = math.prod(dims[p] for p in a)
+        mats = tensors.transpose(axes).reshape(len(tensors), rows, math.prod(dims) // rows)
+        coeffs = np.linalg.svd(mats, compute_uv=False)
+        # a side of dimension 1 leaves one coefficient: every state splits there
+        out[:, c] = coeffs[:, 1] <= tol if coeffs.shape[1] > 1 else True
+    return out
 
 
 def _residuals(psi: PureState, sites: tuple, bases: Sequence[np.ndarray]) -> tuple:
@@ -284,7 +281,7 @@ def _residuals(psi: PureState, sites: tuple, bases: Sequence[np.ndarray]) -> tup
     and their norms (n, outcomes).  The squared norm is the outcome
     probability, and an outcome is possible iff its norm is > tol.
     """
-    _check_sites(psi.layout, sites)
+    _check_indices(sites, psi.layout.sites, "site")
     if not sites or len(bases) != len(sites):
         raise DomainError("one basis stack per measured site is required")
     dims = psi.layout.dims
@@ -319,7 +316,7 @@ def partial_contract(
     outcome probability (squared residual norm), or None when the outcome is
     impossible (residual norm <= tol).
     """
-    sites = _check_sites(psi.layout, site_vectors.keys())
+    sites = _check_indices(site_vectors.keys(), psi.layout.sites, "site")
     if not sites:
         raise DomainError("partial_contract needs at least one site vector")
     if len(sites) == psi.layout.sites:
@@ -352,11 +349,11 @@ def measure_projective(
     tensor observable with eigenvalue tuples kept distinct, so outcomes are
     indexed by tuples rather than by eigenvalue products, in row-major order
     over the observables as given.  Each outcome projects onto one product
-    of eigenvectors, so an observable with eigenvalues within tol of each
-    other raises DomainError.  Outcomes with residual norm <= tol
-    (probability <= tol^2) are dropped.  Each post-measurement state is the
-    product of the chosen eigenvectors and the normalized residual, with its
-    axes put back in site order.
+    of eigenvectors, which is a spectral projector since every `Observable`
+    is nondegenerate.  Outcomes with residual norm <= tol (probability <=
+    tol^2) are dropped.  Each post-measurement state is the product of the
+    chosen eigenvectors and the normalized residual, with its axes put back
+    in site order.
     """
     if not observables:
         raise DomainError("measure_projective needs at least one observable")
@@ -364,8 +361,6 @@ def measure_projective(
     if len(set(sites)) != len(sites):
         raise DomainError(f"observables must act on distinct sites: {sites}")
     systems = [o.eigensystem() for o in observables]
-    for vals, _ in systems:
-        _check_nondegenerate(vals, tol)
     residuals, norms = _residuals(psi, sites, [vecs[None] for _, vecs in systems])
     dims = psi.layout.dims
     rest = tuple(s for s in psi.layout.site_indices() if s not in sites)
@@ -392,7 +387,7 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     The result skips the input checks that rho passed: rounding grows with
     the number of sites traced out, and must not fail a valid operator.
     """
-    keep = _check_sites(rho.layout, keep)
+    keep = _check_indices(keep, rho.layout.sites, "site")
     if not keep:
         raise DomainError("partial_trace needs a nonempty set of sites to keep")
     k = rho.layout.sites
@@ -413,7 +408,7 @@ def purity(rho: DensityOperator) -> float:
 
 def partial_transpose(rho: DensityOperator, sites) -> np.ndarray:
     """Matrix of the partial transpose over the given sites."""
-    sites = _check_sites(rho.layout, sites)
+    sites = _check_indices(sites, rho.layout.sites, "site")
     k = rho.layout.sites
     dims = rho.layout.dims
     tens = rho.matrix.reshape(dims + dims)
@@ -431,7 +426,7 @@ def ppt_is_separable(rho: DensityOperator, j1, j2, tol: float = DEFAULT_TOL) -> 
     dimension; a positive partial transpose certifies separability only for
     2x2 and 2x3 local dimensions, so larger systems return PPT_INCONCLUSIVE.
     """
-    a, b = _check_partition(rho.layout, j1, j2)
+    a, b = _check_partition(j1, j2, rho.layout.sites, "site")
     min_eig = float(np.linalg.eigvalsh(partial_transpose(rho, b))[0])
     if min_eig < -tol:
         return Verdict.ENTANGLED

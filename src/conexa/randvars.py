@@ -18,6 +18,9 @@ from .connective import (
     ConnectiveStructure,
     GroundSet,
     _bipartitions,
+    _check_indices,
+    _check_labels,
+    _check_partition,
     generate_integral,
     irreducibles,
 )
@@ -34,14 +37,9 @@ class FiniteJointDistribution:
     prob: Mapping[tuple, object]
 
     def __init__(self, outcomes, prob: Mapping):
-        outcomes = tuple(tuple(str(x) for x in alphabet) for alphabet in outcomes)
+        outcomes = _check_labels(outcomes, "outcome")
         if not outcomes:
             raise DomainError("a joint distribution needs at least one variable")
-        for alphabet in outcomes:
-            if not alphabet or len(set(alphabet)) != len(alphabet):
-                raise DomainError(f"outcome labels must be nonempty and distinct: {alphabet}")
-            if any("," in lab for lab in alphabet):
-                raise DomainError("labels must not contain commas (reserved for JSON keys)")
         table = {}
         exact = True
         for t, p in prob.items():
@@ -55,8 +53,8 @@ class FiniteJointDistribution:
             else:
                 p = float(p)
                 exact = False
-            if p < 0:
-                raise DomainError(f"negative probability for {t}")
+            if not p >= 0:  # also rejects NaN
+                raise DomainError(f"probability {p} for {t} is not >= 0")
             if p != 0:
                 table[t] = table.get(t, Fraction(0) if exact else 0.0) + p
         if not table:
@@ -83,19 +81,9 @@ class FiniteJointDistribution:
         )
 
 
-def _check_positions(dist: FiniteJointDistribution, positions) -> tuple:
-    positions = tuple(sorted(int(p) for p in positions))
-    if len(set(positions)) != len(positions):
-        raise DomainError(f"duplicate variable indices: {positions}")
-    for p in positions:
-        if not 0 <= p < dist.variables:
-            raise DomainError(f"variable index {p} out of range")
-    return positions
-
-
 def marginal(dist: FiniteJointDistribution, positions) -> dict:
     """Marginal table over the given variable positions (sorted)."""
-    positions = _check_positions(dist, positions)
+    positions = _check_indices(positions, dist.variables, "variable")
     table: dict = {}
     zero = Fraction(0) if dist.exact else 0.0
     for t, p in dist.prob.items():
@@ -134,10 +122,7 @@ def _tol(dist: FiniteJointDistribution):
 
 def is_separable_split(dist: FiniteJointDistribution, j1, j2) -> bool:
     """Whether (j1, j2) partitions the family into two independent blocks."""
-    a = _check_positions(dist, j1)
-    b = _check_positions(dist, j2)
-    if not a or not b or set(a) & set(b) or len(a) + len(b) != dist.variables:
-        raise DomainError(f"{a} and {b} do not partition the variable set")
+    a, b = _check_partition(j1, j2, dist.variables, "variable")
     return _independent(_marginals(dist), a, b, _tol(dist))
 
 

@@ -1,4 +1,10 @@
-"""JSON encodings for every value type, with canonical ordering for golden files."""
+"""JSON encodings for every value type, with canonical ordering for golden files.
+
+The `*_from_dict` decoders are the one place that turns outside input into
+values.  A malformed document makes them raise whatever its shape provokes
+(KeyError, TypeError, ValueError, ...); the CLI's loader reports any of these
+as a DomainError naming the file.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ import numpy as np
 from .connective import ConnectiveStructure, GroundSet
 from .devices import Device
 from .errors import DomainError
-from .quantum import DensityOperator, PureState, SiteLayout
+from .quantum import DEFAULT_TOL, DensityOperator, PureState, SiteLayout
 from .randvars import FiniteJointDistribution
 
 
@@ -72,6 +78,20 @@ def _complex_pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
+def _complex_array(data, ndim: int) -> np.ndarray:
+    """Complex array of `ndim` >= 1 dimensions from nested lists of [re, im] pairs.
+
+    Each entry is complex(re, im), which takes numbers only: a numeric
+    string is an error, not a number.
+    """
+    def decode(x, depth):
+        if depth == 1:
+            return [complex(re, im) for re, im in x]
+        return [decode(y, depth - 1) for y in x]
+
+    return np.array(decode(data, ndim), dtype=np.complex128)
+
+
 def state_to_dict(psi: PureState) -> dict:
     return {
         "dims": list(psi.layout.dims),
@@ -80,9 +100,7 @@ def state_to_dict(psi: PureState) -> dict:
 
 
 def state_from_dict(data: Mapping) -> PureState:
-    layout = SiteLayout(data["dims"])
-    amp = np.array([complex(re, im) for re, im in data["amplitudes"]])
-    return PureState(layout, amp)
+    return PureState(SiteLayout(data["dims"]), _complex_array(data["amplitudes"], 1))
 
 
 def density_to_dict(rho: DensityOperator) -> dict:
@@ -92,12 +110,17 @@ def density_to_dict(rho: DensityOperator) -> dict:
     }
 
 
-def density_from_dict(data: Mapping) -> DensityOperator:
-    layout = SiteLayout(data["dims"])
-    mat = np.array(
-        [[complex(re, im) for re, im in row] for row in data["matrix"]]
-    )
-    return DensityOperator(layout, mat)
+def density_from_dict(data: Mapping, tol: float = DEFAULT_TOL) -> DensityOperator:
+    return DensityOperator(SiteLayout(data["dims"]), _complex_array(data["matrix"], 2), tol=tol)
+
+
+def menus_from_dict(data: Sequence) -> list:
+    """Per-site menus, each a list of {"label", "matrix"} entries, as the
+    (label, matrix) lists `devices.derive_device` takes."""
+    return [
+        [(str(entry["label"]), _complex_array(entry["matrix"], 2)) for entry in site_entries]
+        for site_entries in data
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -381,3 +381,104 @@ def test_analyze_device_matches_separate_layers(tmp_path, capsys):
         report = devices.device_structures(dev)
         assert report.profile == profile
         assert report.structures == structures
+
+
+def _identity4(entry01=(0.0, 0.0)):
+    """I/4 on two qubits as JSON pairs, with `entry01` at (0, 1) only."""
+    rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    rows[0][1] = list(entry01)
+    return rows
+
+
+_AMPS = [[1, 0], [0, 0], [0, 0], [1, 0]]
+_BITS = [["0", "1"], ["0", "1"]]
+
+# (command argv before the file, JSON text) for each kind of malformed input;
+# NaN and 1e400 are written as JSON number literals that Python's parser reads
+MALFORMED_INPUTS = {
+    "one-element amplitude pair": (
+        ["analyze-state", "--seed", "1", "--file"],
+        json.dumps({"dims": [2, 2], "amplitudes": [[1, 0], [0], [0, 0], [1, 0]]}),
+    ),
+    "missing amplitudes": (["analyze-state", "--seed", "1", "--file"], '{"dims": [2, 2]}'),
+    "non-integer dims": (
+        ["analyze-state", "--seed", "1", "--file"],
+        json.dumps({"dims": ["x"], "amplitudes": [[1, 0], [0, 0]]}),
+    ),
+    "NaN amplitude": (
+        ["analyze-state", "--seed", "1", "--file"],
+        json.dumps({"dims": [2, 2], "amplitudes": [[float("nan"), 0], *_AMPS[1:]]}),
+    ),
+    "overflowing amplitude": (
+        ["analyze-state", "--seed", "1", "--file"],
+        '{"dims": [2, 2], "amplitudes": [[1e400, 0], [0, 0], [0, 0], [1, 0]]}',
+    ),
+    "density as a list": (["analyze-density", "--file"], json.dumps(_identity4())),
+    "NaN density entry": (
+        ["analyze-density", "--file"],
+        json.dumps({"dims": [2, 2], "matrix": _identity4((float("nan"), 0.0))}),
+    ),
+    "non-numeric probability": (
+        ["analyze-rvs", "--file"],
+        json.dumps({"outcomes": _BITS, "prob": {"00": "x", "11": "1/2"}}),
+    ),
+    "zero-denominator probability": (
+        ["analyze-rvs", "--file"],
+        json.dumps({"outcomes": _BITS, "prob": {"00": "1/0", "11": "1/2"}}),
+    ),
+    "NaN probability": (
+        ["analyze-rvs", "--file"],
+        json.dumps({"outcomes": _BITS, "prob": {"00": float("nan"), "01": 0.5, "10": 0.5}}),
+    ),
+    "missing relation": (
+        ["analyze-device", "--file"],
+        json.dumps({"questions": [["*"], ["*"]], "results": _BITS}),
+    ),
+    "relation as a list": (
+        ["analyze-device", "--file"],
+        json.dumps({"questions": [["*"], ["*"]], "results": _BITS, "relation": []}),
+    ),
+    "menu matrix of numbers": (
+        ["derive-device", "--builtin-state", "EPR", "--menus"],
+        json.dumps([[{"label": "z", "matrix": [[1, 0], [0, -1]]}]] * 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(kind, tmp_path, capsys):
+    argv, text = MALFORMED_INPUTS[kind]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_analyze_density_tol_reaches_input_check(tmp_path, capsys):
+    # I/4 with 1e-8 at (0, 1) alone: Hermitian within 1e-6, not within 1e-9
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": _identity4((1e-8, 0.0))}))
+    code, _, err = run_cli(capsys, "analyze-density", "--file", str(path), "--tol", "1e-9")
+    assert code == 2
+    assert "not Hermitian" in err
+    code, out, err = run_cli(capsys, "analyze-density", "--file", str(path), "--tol", "1e-6")
+    assert (code, err) == (0, "")
+    assert load_report(out)["result"]["orders"]["omega_f"] == 0
+
+
+def test_derive_device_tol_reaches_menu_observables(tmp_path, capsys):
+    # Z with a 1e-8 off-diagonal asymmetry: an observable within 1e-6 only
+    z = [[[1, 0], [1e-8, 0]], [[0, 0], [-1, 0]]]
+    path = tmp_path / "menus.json"
+    path.write_text(json.dumps([[{"label": "*", "matrix": z}]] * 2))
+    argv = ["derive-device", "--builtin-state", "EPR", "--menus", str(path)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "not Hermitian" in err
+    code, out, err = run_cli(capsys, *argv, "--tol", "1e-6")
+    assert (code, err) == (0, "")
+    _, expected, _ = run_cli(capsys, "derive-device", "--builtin-state", "EPR", "--menus", "Z",
+                             "--tol", "1e-6")
+    assert out == expected

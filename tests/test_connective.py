@@ -5,6 +5,9 @@ import pytest
 
 from conexa.connective import (
     GroundSet,
+    _check_indices,
+    _check_labels,
+    _check_partition,
     brunnian_structure,
     closure_axiom_holds,
     connective_order,
@@ -15,7 +18,15 @@ from conexa.connective import (
     is_connected_set,
     meet_structures,
 )
+from conexa.devices import Device, builtin_device, derive_device, sub_device
 from conexa.errors import DomainError
+from conexa.quantum import builtin_state, is_separable_bipartition, partial_trace, ppt_is_separable
+from conexa.randvars import (
+    FiniteJointDistribution,
+    brunnian_family,
+    is_separable_split,
+    marginal,
+)
 
 from helpers import (
     all_integral_structures,
@@ -197,3 +208,73 @@ def test_structure_counts_small_grounds():
 def test_discrete_structure_matches_empty_generation():
     g = ground(4)
     assert discrete_structure(g) == generate_integral(g, [])
+
+
+# The shared input rules, each reached directly and through the engines that
+# check it: (noun in the message, call).
+
+
+def _index_calls(indices):
+    rho = builtin_state("GHZ").density()
+    return [
+        ("site", lambda: _check_indices(indices, 3, "site")),
+        ("site", lambda: partial_trace(rho, indices)),
+        ("site", lambda: sub_device(builtin_device("K"), indices)),
+        ("variable", lambda: marginal(brunnian_family(2, 2), indices)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [((0, 3), "{noun} index 3 out of range for 3 {noun}s"), ((1, 1), "duplicate {noun} indices")],
+)
+def test_index_rule_is_shared(indices, message):
+    for noun, call in _index_calls(indices):
+        with pytest.raises(DomainError, match=message.format(noun=noun)):
+            call()
+    assert _check_indices([2, 0], 3, "site") == (0, 2)
+
+
+def test_partition_rule_is_shared():
+    calls = [
+        ("site", lambda: _check_partition([0], [1], 3, "site")),
+        ("site", lambda: is_separable_bipartition(builtin_state("GHZ"), [0], [1])),
+        ("site", lambda: ppt_is_separable(builtin_state("GHZ").density(), [0], [1])),
+        ("variable", lambda: is_separable_split(brunnian_family(2, 2), [0], [1])),
+    ]
+    for noun, call in calls:
+        with pytest.raises(DomainError, match=f"do not partition the 3 {noun}s"):
+            call()
+    with pytest.raises(DomainError, match="nonempty"):
+        is_separable_split(brunnian_family(2, 2), [], [0, 1, 2])
+    assert _check_partition([2], [1, 0], 3, "site") == ((2,), (0, 1))
+
+
+def _label_calls(labels):
+    """Each call puts `labels` in the second slot of a two-slot label list."""
+    bits = ("0", "1")
+    z = np.diag([1.0, -1.0])
+    return [
+        ("question", lambda: _check_labels([bits, labels], "question")),
+        ("question", lambda: Device([bits, labels], [bits, bits], {})),
+        ("result", lambda: Device([bits, bits], [bits, labels], {})),
+        ("outcome", lambda: FiniteJointDistribution([bits, labels], {})),
+        ("question", lambda: derive_device(
+            builtin_state("EPR"), [[("z", z)], [(lab, z) for lab in labels]])),
+    ]
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ((), "{kind} labels must be nonempty and distinct"),
+        (("a", "a"), "{kind} labels must be nonempty and distinct"),
+        (("a", "b,c"), "{kind} labels must not contain commas"),
+    ],
+    ids=["empty", "duplicate", "comma"],
+)
+def test_label_rule_is_shared(labels, message):
+    for kind, call in _label_calls(labels):
+        with pytest.raises(DomainError, match=message.format(kind=kind)):
+            call()
+    assert _check_labels([[0, 1]], "outcome") == (("0", "1"),)

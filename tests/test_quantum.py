@@ -202,7 +202,7 @@ def test_observable_rejects_non_hermitian():
 
 def test_nondegenerate_flag_rejects_identity():
     with pytest.raises(DomainError):
-        Observable(0, np.eye(2), nondegenerate=True)
+        Observable(0, np.eye(2))
 
 
 @pytest.mark.parametrize("psi, matrix", [
