@@ -232,9 +232,9 @@ def _cut_json(cut):
 
 
 def _cmd_analyze_rvs(args) -> dict:
-    dist = _input(args.file, None, None, distribution_from_dict,
+    dist = _input(args.file, None, None, lambda data: distribution_from_dict(data, tol=args.tol),
                   "provide --file with a joint-distribution JSON")
-    report = rv_analysis(dist)
+    report = rv_analysis(dist, tol=args.tol)
     return {
         "variables": dist.variables,
         "structure": structure_to_dict(report.structure),

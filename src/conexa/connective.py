@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError
 
@@ -144,7 +144,13 @@ def _check_partition(part_a, part_b, count: int, noun: str) -> tuple:
 
 
 def _check_labels(label_sets, kind: str) -> tuple:
-    """Label sets as tuples of strings, each nonempty, distinct and comma-free."""
+    """Label sets as tuples of strings, each nonempty, distinct and comma-free.
+
+    A label set given as one string is an error, not a set of characters.
+    """
+    label_sets = tuple(label_sets)
+    if any(isinstance(labels, str) for labels in label_sets):
+        raise DomainError(f"{kind} label sets must be lists of labels, not strings")
     label_sets = tuple(tuple(str(x) for x in labels) for labels in label_sets)
     for labels in label_sets:
         if not labels or len(set(labels)) != len(labels):
@@ -188,6 +194,28 @@ def generate_integral(ground: GroundSet, generators: Iterable) -> ConnectiveStru
     """Smallest integral structure whose connected family contains all generators."""
     masks = [_as_mask(ground, g) for g in generators]
     return ConnectiveStructure(ground, _close(ground.size, masks))
+
+
+def _subset_structures(k: int, verdict, families: Mapping) -> tuple:
+    """(verdicts, structures): judge every subset of k sites, then generate.
+
+    `verdict(j)` is called once per sorted 0-based site tuple j with at least
+    two sites, by size and then in `itertools.combinations` order, so the
+    full site set comes last; each verdict is keyed by the 1-based labels
+    of j.  Structure `name` on the ground 1..k is generated by the subsets
+    whose verdict `families[name]` accepts.
+    """
+    verdicts = {
+        tuple(s + 1 for s in j): verdict(j)
+        for r in range(2, k + 1)
+        for j in itertools.combinations(range(k), r)
+    }
+    ground = GroundSet(range(1, k + 1))
+    structures = {
+        name: generate_integral(ground, [j for j, v in verdicts.items() if accepts(v)])
+        for name, accepts in families.items()
+    }
+    return verdicts, structures
 
 
 def is_connected_set(structure: ConnectiveStructure, subset) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -20,11 +19,10 @@ import numpy as np
 
 from .connective import (
     ConnectiveStructure,
-    GroundSet,
     _bipartitions,
     _check_indices,
+    _subset_structures,
     connective_order,
-    generate_integral,
 )
 from .disentangle import PoolConfig, disentanglement_structures
 from .errors import DomainError
@@ -145,19 +143,16 @@ def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> Densit
     if k < 2:
         raise DomainError("density analysis needs at least two sites")
     reduce = _reductions(rho)
-    subsets = {}
-    for r in range(2, k + 1):
-        for j in itertools.combinations(range(k), r):
-            corr = _completely_correlated(reduce, j, tol)
-            intr, quality = _completely_entangled(reduce(j), tol)
-            subsets[tuple(s + 1 for s in j)] = SubsetDensityVerdict(corr, intr, quality)
-    ground = GroundSet(range(1, k + 1))
-    kappa_corr = generate_integral(
-        ground, [j for j, v in subsets.items() if v.completely_correlated]
-    )
-    kappa_s = generate_integral(
-        ground, [j for j, v in subsets.items() if v.completely_entangled]
-    )
+
+    def verdict(j):
+        corr = _completely_correlated(reduce, j, tol)
+        return SubsetDensityVerdict(corr, *_completely_entangled(reduce(j), tol))
+
+    subsets, structures = _subset_structures(k, verdict, {
+        "corr": lambda v: v.completely_correlated,
+        "S": lambda v: v.completely_entangled,
+    })
+    kappa_corr, kappa_s = structures["corr"], structures["S"]
     omega_f = max(connective_order(kappa_corr), connective_order(kappa_s))
     return DensityReport(k, subsets, kappa_corr, kappa_s, omega_f)
 

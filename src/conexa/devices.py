@@ -27,6 +27,7 @@ from .connective import (
     _bipartitions,
     _check_indices,
     _check_labels,
+    _subset_structures,
     connective_order,
     discrete_structure,
     generate_integral,
@@ -40,7 +41,31 @@ from .quantum import DEFAULT_TOL, Observable, PureState, _residuals
 # deterministic realizations and must stay enumerable under the default.
 DEFAULT_CAP = 1 << 20
 
-TENSORIAL_NAMES = ("NPS", "NOS", "NPL", "NQS", "NQL", "NS", "NL")
+# The locality implication lattice: each notion implies the next.
+_IMPLIES = (
+    ("local", "quasi_local"),
+    ("quasi_local", "partially_local"),
+    ("local", "separable"),
+    ("quasi_local", "quasi_separable"),
+    ("partially_local", "partially_separable"),
+    ("separable", "quasi_separable"),
+    ("quasi_separable", "pseudo_separable"),
+    ("pseudo_separable", "partially_separable"),
+)
+# Each notion's tensorial structure, generated by the sub-devices it fails
+# on; report order.
+_STRUCTURE_OF = {
+    "partially_separable": "NPS",
+    "pseudo_separable": "NOS",
+    "partially_local": "NPL",
+    "quasi_separable": "NQS",
+    "quasi_local": "NQL",
+    "separable": "NS",
+    "local": "NL",
+}
+# (fine, coarse) tensorial structures: where a implies b, every sub-device
+# failing b fails a.
+_INCLUSIONS = tuple((_STRUCTURE_OF[b], _STRUCTURE_OF[a]) for a, b in _IMPLIES)
 
 
 @dataclass(frozen=True)
@@ -137,18 +162,8 @@ class LocalityProfile:
 
     def check_implications(self) -> list:
         """Violated arrows of the locality implication lattice (empty when sound)."""
-        arrows = [
-            ("local", "quasi_local"),
-            ("quasi_local", "partially_local"),
-            ("local", "separable"),
-            ("quasi_local", "quasi_separable"),
-            ("partially_local", "partially_separable"),
-            ("separable", "quasi_separable"),
-            ("quasi_separable", "pseudo_separable"),
-            ("pseudo_separable", "partially_separable"),
-        ]
         return [
-            (a, b) for a, b in arrows if getattr(self, a) and not getattr(self, b)
+            (a, b) for a, b in _IMPLIES if getattr(self, a) and not getattr(self, b)
         ]
 
 
@@ -306,11 +321,12 @@ def _is_product_along(device: Device, blocks: Sequence[tuple]) -> bool:
     )
 
 
-def _profile(device: Device, cuts: Sequence[tuple], selected: Sequence[frozenset]) -> LocalityProfile:
-    """The seven notions from the pairs `_scan` selects along the singletons
-    and along each cut, in that order."""
+def _profile(device: Device, cap: int, early_exit=None) -> LocalityProfile:
+    """The seven notions from one `_scan` along the singletons and every cut:
+    the pairs selected by the realizations factoring along each."""
+    cuts = _bipartitions(range(device.uplicity))
+    _, (local_pairs, *cut_pairs) = _scan(device, cap, cuts, early_exit)
     all_pairs = set(device.pairs())
-    local_pairs, *cut_pairs = selected
     separable_cut = next((cut for cut in cuts if _is_product_along(device, cut)), None)
     quasi_separable_cut = next(
         (cut for cut, pairs in zip(cuts, cut_pairs) if pairs == all_pairs), None
@@ -340,73 +356,43 @@ def locality_profile(device: Device, cap: int = DEFAULT_CAP) -> LocalityProfile:
     Raises ResourceError when the device has more than `cap` deterministic
     realizations.
     """
-    k = device.uplicity
-    if k < 2:
+    if device.uplicity < 2:
         raise DomainError("locality analysis is defined for uplicity >= 2 only")
-    cuts = _bipartitions(range(k))
-    _, selected = _scan(device, cap, cuts)
-    return _profile(device, cuts, selected)
+    return _profile(device, cap)
 
 
 # ---------------------------------------------------------------------------
 # tensorial structures
 
 
-def _subset_profiles(device: Device, cap: int) -> dict:
-    """locality_profile of every proper sub-device on two or more sites, keyed
-    by its sites."""
+def _tensorial(device: Device, cap: int, full_profile) -> tuple:
+    """(full-device profile, the seven tensorial structures, labels 1..k).
+
+    Every sub-device on two or more sites is profiled, the full device last
+    by `full_profile()`.
+    """
     k = device.uplicity
     if k < 2:
         raise DomainError("device structures need uplicity >= 2")
-    return {
-        j: locality_profile(sub_device(device, j), cap=cap)
-        for r in range(2, k)
-        for j in itertools.combinations(range(k), r)
-    }
 
+    def verdict(j):
+        if len(j) == k:
+            return full_profile()
+        return locality_profile(sub_device(device, j), cap=cap)
 
-def _generate_tensorial(k: int, profiles: Mapping[tuple, LocalityProfile]) -> dict:
-    """The seven structures generated by the sub-devices each notion fails on."""
-    ground = GroundSet(range(1, k + 1))
-    generators: dict = {name: [] for name in TENSORIAL_NAMES}
-    for j, profile in profiles.items():
-        labels = tuple(s + 1 for s in j)
-        membership = {
-            "NPS": not profile.partially_separable,
-            "NOS": not profile.pseudo_separable,
-            "NPL": not profile.partially_local,
-            "NQS": not profile.quasi_separable,
-            "NQL": not profile.quasi_local,
-            "NS": not profile.separable,
-            "NL": not profile.local,
-        }
-        for name, member in membership.items():
-            if member:
-                generators[name].append(labels)
-    structures = {
-        name: generate_integral(ground, gens) for name, gens in generators.items()
-    }
-    chains = [
-        ("NPS", "NPL"),
-        ("NPL", "NQL"),
-        ("NQL", "NL"),
-        ("NPS", "NOS"),
-        ("NOS", "NQS"),
-        ("NQS", "NS"),
-        ("NS", "NL"),
-        ("NQS", "NQL"),
-    ]
-    for fine, coarse in chains:
+    profiles, structures = _subset_structures(k, verdict, {
+        name: lambda profile, notion=notion: not getattr(profile, notion)
+        for notion, name in _STRUCTURE_OF.items()
+    })
+    for fine, coarse in _INCLUSIONS:
         if not structures[fine].connected <= structures[coarse].connected:
             raise RuntimeError(f"tensorial inclusion {fine} <= {coarse} violated")
-    return structures
+    return profiles[tuple(range(1, k + 1))], structures
 
 
 def tensorial_structures(device: Device, cap: int = DEFAULT_CAP) -> dict:
     """The seven structures generated by sub-device non-locality, labels 1..k."""
-    profiles = _subset_profiles(device, cap)
-    profiles[tuple(range(device.uplicity))] = locality_profile(device, cap=cap)
-    return _generate_tensorial(device.uplicity, profiles)
+    return _tensorial(device, cap, lambda: locality_profile(device, cap=cap))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +479,8 @@ def device_structures(device: Device, cap: int = DEFAULT_CAP) -> DeviceReport:
     selects every pair.  Each device scanned, the full one and every sub-device
     on two or more sites, must have at most `cap` realizations.
     """
-    k = device.uplicity
-    profiles = _subset_profiles(device, cap)
-    cuts = _bipartitions(range(k))
-    meets = _DomanialMeets(k)
-    _, selected = _scan(device, cap, cuts, early_exit=meets)
-    profile = profiles[tuple(range(k))] = _profile(device, cuts, selected)
-    structures = _generate_tensorial(k, profiles)
+    meets = _DomanialMeets(device.uplicity)
+    profile, structures = _tensorial(device, cap, lambda: _profile(device, cap, meets))
     tensorial = max(connective_order(s) for s in structures.values())
     structures["do"], structures["dp"] = meets.do, meets.dp
     domanial = max(connective_order(meets.do), connective_order(meets.dp))

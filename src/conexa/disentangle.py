@@ -25,7 +25,6 @@ order.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -33,11 +32,10 @@ import numpy as np
 
 from .connective import (
     ConnectiveStructure,
-    GroundSet,
     _bipartitions,
     _check_indices,
+    _subset_structures,
     connective_order,
-    generate_integral,
 )
 from .errors import DomainError
 from .quantum import (
@@ -53,8 +51,6 @@ from .quantum import (
 # experiments in chunks of at most this many amplitudes (at least one
 # experiment), which bounds memory up to MAX_TOTAL_DIM.
 _CHUNK = 1 << 16
-
-STRUCTURE_NAMES = ("GI", "BIP", "MT", "IP", "ML", "NCS")
 
 
 class IntricationClass(enum.Enum):
@@ -101,6 +97,7 @@ _FAMILY_CLASSES = {
     "NCS": {IntricationClass.GLOBALLY_ENTANGLED, IntricationClass.GLOBALLY_SEPARABLE_ONLY}
     | MIXED_CLASSES,
 }
+STRUCTURE_NAMES = tuple(_FAMILY_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -272,16 +269,6 @@ def post_states(
     return [PureState(layout, vectors[i]) for i in kept]
 
 
-def _classify_single_state(phi: PureState, cuts, tol: float) -> IntricationClass:
-    """Class of (state, J) when the residual set is {phi} for every experiment."""
-    seps = _separable_cuts(phi.amplitudes, phi.layout.dims, cuts, tol)[0]
-    if not seps.any():
-        return IntricationClass.GLOBALLY_ENTANGLED
-    if seps.all():
-        return IntricationClass.TOTALLY_SEPARATED
-    return IntricationClass.CLEARLY_SEPARABLE_ONLY
-
-
 def _factor_on(psi: PureState, j: tuple, tol: float) -> Optional[PureState]:
     """The J-factor of psi when psi splits as (J-part) x (rest), else None."""
     if len(j) == psi.layout.sites:
@@ -291,6 +278,35 @@ def _factor_on(psi: PureState, j: tuple, tol: float) -> Optional[PureState]:
     if len(s) >= 2 and float(s[1]) > tol:
         return None
     return PureState(SiteLayout(psi.layout.dims[site] for site in j), u[:, 0])
+
+
+def _decide(ent_here, sep_here, sep_along) -> IntricationClass:
+    """The class of (state, J) from its tallies over the experiments and cuts.
+
+    `ent_here[e]` / `sep_here[e]`: some possible outcome of experiment e
+    splits along no cut / along some cut of J; `sep_along[c]`: every outcome
+    of every experiment splits along cut c.
+    """
+    all_ent = ~sep_here
+    all_sep = ~ent_here
+    if all_ent.all():
+        return IntricationClass.GLOBALLY_ENTANGLED
+    if all_sep.all():
+        if sep_along.all():
+            return IntricationClass.TOTALLY_SEPARATED
+        if sep_along.any():
+            return IntricationClass.CLEARLY_SEPARABLE_ONLY
+        return IntricationClass.GLOBALLY_SEPARABLE_ONLY
+    well_ent = all_ent.any()
+    well_sep = all_sep.any()
+    if well_ent and well_sep:
+        return IntricationClass.WELL_ENTANGLED_AND_SEPARABLE
+    if well_ent:
+        return IntricationClass.WELL_ENTANGLED_ONLY
+    if well_sep:
+        return IntricationClass.WELL_SEPARABLE_ONLY
+    # every experiment has outcomes of both kinds
+    return IntricationClass.TOTALLY_MIXED
 
 
 def classify_on_subset(
@@ -318,7 +334,11 @@ def classify_on_subset(
 
     factor = _factor_on(psi, j, tol)
     if factor is not None:
-        return Classification(_classify_single_state(factor, cuts, tol), Confidence.CERTIFIED)
+        # the one residual state of every experiment: one experiment, one outcome
+        profile = _separable_cuts(factor.amplitudes, factor.layout.dims, cuts, tol)
+        separable = profile.any(axis=1)
+        kind = _decide(~separable, separable, profile.all(axis=0))
+        return Classification(kind, Confidence.CERTIFIED)
 
     complement = tuple(s for s in psi.layout.site_indices() if s not in j)
     if isinstance(pool, PoolConfig):
@@ -344,35 +364,7 @@ def classify_on_subset(
         ent_here[owner[~separable]] = True
         sep_here[owner[separable]] = True
         sep_along &= profiles.all(axis=0)
-    all_ent = ~sep_here
-    all_sep = ~ent_here
-    has_both = ent_here & sep_here
-
-    if all_ent.all():
-        kind = IntricationClass.GLOBALLY_ENTANGLED
-    elif all_sep.all():
-        if sep_along.all():
-            kind = IntricationClass.TOTALLY_SEPARATED
-        elif sep_along.any():
-            kind = IntricationClass.CLEARLY_SEPARABLE_ONLY
-        else:
-            kind = IntricationClass.GLOBALLY_SEPARABLE_ONLY
-    elif has_both.all():
-        kind = IntricationClass.TOTALLY_MIXED
-    else:
-        well_ent = all_ent.any()
-        well_sep = all_sep.any()
-        if well_ent and well_sep:
-            kind = IntricationClass.WELL_ENTANGLED_AND_SEPARABLE
-        elif well_ent:
-            kind = IntricationClass.WELL_ENTANGLED_ONLY
-        elif well_sep:
-            kind = IntricationClass.WELL_SEPARABLE_ONLY
-        else:
-            # mixed but no homogeneous experiment: every experiment mixes
-            kind = IntricationClass.TOTALLY_MIXED
-        assert ent_here.any() and sep_here.any()
-    return Classification(kind, Confidence.POOL_LIMITED)
+    return Classification(_decide(ent_here, sep_here, sep_along), Confidence.POOL_LIMITED)
 
 
 def disentanglement_structures(
@@ -387,19 +379,10 @@ def disentanglement_structures(
     k = psi.layout.sites
     if k < 2:
         raise DomainError("disentanglement analysis needs at least two sites")
-    classes = {
-        tuple(s + 1 for s in j): classify_on_subset(psi, j, pool, tol=tol)
-        for r in range(2, k + 1)
-        for j in itertools.combinations(range(k), r)
-    }
-    ground = GroundSet(range(1, k + 1))
-    structures = {}
-    for name in STRUCTURE_NAMES:
-        generators = [
-            j_labels
-            for j_labels, cls in classes.items()
-            if cls.kind in _FAMILY_CLASSES[name]
-        ]
-        structures[name] = generate_integral(ground, generators)
-    omega = max(connective_order(structures[name]) for name in STRUCTURE_NAMES)
+    classes, structures = _subset_structures(
+        k,
+        lambda j: classify_on_subset(psi, j, pool, tol=tol),
+        {name: lambda c, kinds=kinds: c.kind in kinds for name, kinds in _FAMILY_CLASSES.items()},
+    )
+    omega = max(connective_order(s) for s in structures.values())
     return DisentanglementReport(k, classes, structures, omega, pool)

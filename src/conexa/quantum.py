@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -30,12 +31,16 @@ MAX_TOTAL_DIM = 2**14
 
 @dataclass(frozen=True)
 class SiteLayout:
-    """Local Hilbert-space dimensions, one per site, in fixed row-major order."""
+    """Local Hilbert-space dimensions, one per site, in fixed row-major order.
+
+    Dimensions must be integers: a string or a float is an error, not a
+    dimension to convert.
+    """
 
     dims: tuple
 
     def __init__(self, dims: Iterable[int], max_total_dim: int = MAX_TOTAL_DIM):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(operator.index(d) for d in dims)
         if any(d < 1 for d in dims):
             raise DomainError(f"site dimensions must be >= 1: {dims}")
         if math.prod(dims) > max_total_dim:
@@ -70,7 +75,11 @@ def _finite_copy(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit vector over the layout's product space, auto-normalized on construction."""
+    """Unit vector over the layout's product space, auto-normalized on construction.
+
+    A vector whose norm overflows is first divided by its largest real or
+    imaginary part; a vector of finite norm is normalized as given.
+    """
 
     layout: SiteLayout
     amplitudes: np.ndarray
@@ -81,7 +90,11 @@ class PureState:
             raise DomainError(
                 f"amplitude length {amp.size} != total dimension {layout.total_dim}"
             )
-        norm = float(np.linalg.norm(amp))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(amp))
+        if not math.isfinite(norm):
+            amp /= np.abs(amp.view(np.float64)).max()
+            norm = float(np.linalg.norm(amp))
         if norm <= 1e-12:
             raise DomainError("state vector is (numerically) zero")
         amp /= norm

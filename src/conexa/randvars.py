@@ -3,7 +3,8 @@
 A subfamily is separable when some bipartition of it splits the joint law
 into a product; the structure of the family is generated by the inseparable
 subsets.  Probabilities are exact rationals whenever the inputs are, so the
-independence tests on the reference examples involve no tolerances at all.
+independence tests on the reference examples involve no tolerances at all;
+float tables are compared within the caller's tolerance.
 """
 
 from __future__ import annotations
@@ -16,27 +17,28 @@ from typing import Mapping
 
 from .connective import (
     ConnectiveStructure,
-    GroundSet,
     _bipartitions,
     _check_indices,
     _check_labels,
     _check_partition,
-    generate_integral,
+    _subset_structures,
     irreducibles,
 )
 from .errors import DomainError
-
-FLOAT_TOL = 1e-12
+from .quantum import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
 class FiniteJointDistribution:
-    """Probability table over a product of finite outcome alphabets."""
+    """Probability table over a product of finite outcome alphabets.
+
+    A float table must sum to 1 within `tol`; an exact one exactly.
+    """
 
     outcomes: tuple
     prob: Mapping[tuple, object]
 
-    def __init__(self, outcomes, prob: Mapping):
+    def __init__(self, outcomes, prob: Mapping, tol: float = DEFAULT_TOL):
         outcomes = _check_labels(outcomes, "outcome")
         if not outcomes:
             raise DomainError("a joint distribution needs at least one variable")
@@ -63,8 +65,8 @@ class FiniteJointDistribution:
         if exact:
             if total != 1:
                 raise DomainError(f"probabilities sum to {total}, not 1")
-        elif abs(float(total) - 1.0) > FLOAT_TOL:
-            raise DomainError(f"probabilities sum to {total}, not 1 within {FLOAT_TOL}")
+        elif abs(float(total) - 1.0) > tol:
+            raise DomainError(f"probabilities sum to {total}, not 1 within {tol}")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "prob", table)
         object.__setattr__(self, "exact", exact)
@@ -100,9 +102,9 @@ def _marginals(dist: FiniteJointDistribution):
 def _independent(marg, j1: tuple, j2: tuple, tol) -> bool:
     """Whether the marginals on j1 and j2 are independent within the joint on j1|j2.
 
-    Every entry must match the product of marginals within tol: 0 for exact
-    tables, whose Fraction arithmetic makes that equality, and FLOAT_TOL for
-    float tables.  A support-size mismatch short-circuits.
+    Every entry must match the product of marginals within tol, which `_tol`
+    makes 0 for exact tables, whose Fraction arithmetic makes that equality.
+    A support-size mismatch short-circuits.
     """
     union = tuple(sorted(j1 + j2))
     joint, m1, m2 = marg(union), marg(j1), marg(j2)
@@ -116,14 +118,14 @@ def _independent(marg, j1: tuple, j2: tuple, tol) -> bool:
     )
 
 
-def _tol(dist: FiniteJointDistribution):
-    return 0 if dist.exact else FLOAT_TOL
+def _tol(dist: FiniteJointDistribution, tol: float):
+    return 0 if dist.exact else tol
 
 
-def is_separable_split(dist: FiniteJointDistribution, j1, j2) -> bool:
+def is_separable_split(dist: FiniteJointDistribution, j1, j2, tol: float = DEFAULT_TOL) -> bool:
     """Whether (j1, j2) partitions the family into two independent blocks."""
     a, b = _check_partition(j1, j2, dist.variables, "variable")
-    return _independent(_marginals(dist), a, b, _tol(dist))
+    return _independent(_marginals(dist), a, b, _tol(dist, tol))
 
 
 @dataclass(frozen=True)
@@ -133,27 +135,25 @@ class RvReport:
     raw_family_closed: bool
 
 
-def rv_analysis(dist: FiniteJointDistribution) -> RvReport:
+def rv_analysis(dist: FiniteJointDistribution, tol: float = DEFAULT_TOL) -> RvReport:
     """Inseparable subsets, the structure they generate, and whether generation
     was needed at all (the raw family can already be closed)."""
-    k = dist.variables
-    ground = GroundSet(range(1, k + 1))
-    marg, tol = _marginals(dist), _tol(dist)
-    raw = [
-        tuple(p + 1 for p in j)
-        for r in range(2, k + 1)
-        for j in itertools.combinations(range(k), r)
-        if not any(_independent(marg, a, b, tol) for a, b in _bipartitions(j))
-    ]
-    structure = generate_integral(ground, raw)
-    raw_masks = {ground.mask_of(j) for j in raw}
+    marg, tol = _marginals(dist), _tol(dist, tol)
+    inseparable, structures = _subset_structures(
+        dist.variables,
+        lambda j: not any(_independent(marg, a, b, tol) for a, b in _bipartitions(j)),
+        {"rv": bool},
+    )
+    structure = structures["rv"]
+    raw = tuple(j for j, insep in inseparable.items() if insep)
+    raw_masks = {structure.ground.mask_of(j) for j in raw}
     closure_masks = {m for m in structure.connected if m.bit_count() >= 2}
-    return RvReport(structure, tuple(raw), raw_masks == closure_masks)
+    return RvReport(structure, raw, raw_masks == closure_masks)
 
 
-def rv_structure(dist: FiniteJointDistribution) -> ConnectiveStructure:
+def rv_structure(dist: FiniteJointDistribution, tol: float = DEFAULT_TOL) -> ConnectiveStructure:
     """Integral structure generated by the inseparable subfamilies, labels 1..k."""
-    return rv_analysis(dist).structure
+    return rv_analysis(dist, tol=tol).structure
 
 
 def brunnian_family(k: int, n: int) -> FiniteJointDistribution:

@@ -145,13 +145,12 @@ def device_to_dict(device: Device) -> dict:
 
 
 def device_from_dict(data: Mapping) -> Device:
-    questions = [tuple(qs) for qs in data["questions"]]
-    k = len(questions)
+    k = len(data["questions"])
     relation = {
         split_key(q, k): {split_key(r, k) for r in answers}
         for q, answers in data["relation"].items()
     }
-    return Device(questions, [tuple(rs) for rs in data["results"]], relation)
+    return Device(data["questions"], data["results"], relation)
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +184,13 @@ def distribution_to_dict(dist: FiniteJointDistribution) -> dict:
     }
 
 
-def distribution_from_dict(data: Mapping) -> FiniteJointDistribution:
-    outcomes = [tuple(rs) for rs in data["outcomes"]]
-    k = len(outcomes)
+def distribution_from_dict(data: Mapping, tol: float = DEFAULT_TOL) -> FiniteJointDistribution:
+    k = len(data["outcomes"])
     prob = {
         split_key(key, k): _prob_from_json(value)
         for key, value in data["prob"].items()
     }
-    return FiniteJointDistribution(outcomes, prob)
+    return FiniteJointDistribution(data["outcomes"], prob, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,17 @@ import pytest
 
 from conexa import devices
 from conexa.cli import main
-from conexa.connective import connective_order
-from conexa.serialize import canonical_json, device_to_dict, state_to_dict, structure_to_dict
+from conexa.connective import GroundSet, brunnian_structure, connective_order, generate_integral
+from conexa.serialize import (
+    canonical_json,
+    device_to_dict,
+    distribution_to_dict,
+    state_to_dict,
+    structure_to_dict,
+)
 from conexa.devices import builtin_device
 from conexa.quantum import PureState, SiteLayout, builtin_state
+from conexa.randvars import realize_structure
 
 from helpers import random_state_vector
 
@@ -294,6 +301,53 @@ def test_analyze_state_reports_pinned(source, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STATE_REPORTS[source]
 
 
+# Structures realized as random-variable families for the analyze-rvs goldens.
+REALIZED = {
+    "brunnian 3": brunnian_structure(3),
+    "pair and triple 4": generate_integral(GroundSet(range(4)), [(0, 1), (1, 2, 3)]),
+    "chain 5": generate_integral(GroundSet(range(5)), [(0, 1, 2), (2, 3), (3, 4)]),
+}
+
+# sha256 of the canonical reports of the other engines: analyze-density and
+# order (--seed 7) on the builtin states, analyze-device on the builtin
+# devices, analyze-rvs on the REALIZED families.  K is left out of `order`
+# for the reason given above.
+GOLDEN_REPORTS = {
+    ("analyze-density", "EPR"): "15613ff8f97e05025efaaad8d53be9af5bedbc8df29ece7129f555002c71b369",
+    ("analyze-density", "GHZ"): "c26352e959391ea5e7b0ec7d1083cf7eace5917280ba9cba3e061a33619151d6",
+    ("analyze-density", "O2"): "f07c8d94be45f26f72cba3b2d8931b9e4bf87f60ae709515a392723aa696cc04",
+    ("analyze-density", "K"): "c26352e959391ea5e7b0ec7d1083cf7eace5917280ba9cba3e061a33619151d6",
+    ("order", "EPR"): "91738fa2abcb6f4d6269e7b1aa3becaacd7e07062ed878e1dffa06cd4aa95cd2",
+    ("order", "GHZ"): "91738fa2abcb6f4d6269e7b1aa3becaacd7e07062ed878e1dffa06cd4aa95cd2",
+    ("order", "O2"): "0e3e8645d394db49896e7bc7bc50c32adfbd5e57522fc4c4f4478da155d04f97",
+    ("analyze-device", "EPR"): "83e5e164229a7ca783131c2b5d6229b95673b13c4d2df1e0b6bccf485dc562d1",
+    ("analyze-device", "EPR2"): "a71933312efce409dfdef11951eaf5968d7114049648cbdf01bec6e792a08db0",
+    ("analyze-device", "GHZ"): "28865df20534b414814efe4d11c7bd6dd45e3ebc6c3722340748acc4ec37e66b",
+    ("analyze-device", "K"): "96e5d349ffd7570d35371c483fe9b6d2ae701f9d3daf0f12bf4872d8b3f0fee2",
+    ("analyze-rvs", "brunnian 3"):
+        "193b9180aa7d96d00b331b866670a18b12d0c6fc2a81c8406e784c1a57dc7a93",
+    ("analyze-rvs", "pair and triple 4"):
+        "488c7e34e12dc37a8acb6df99509c35ef6d50cfbd48d65c41f9ee546d5f23bd7",
+    ("analyze-rvs", "chain 5"): "667db5013df5d8b47f5f408e019882a90ee2620aad84de6a3d1d0a0f1023e8fa",
+}
+
+
+def _golden_argv(command, name, tmp_path) -> list:
+    if command == "analyze-rvs":
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(distribution_to_dict(realize_structure(REALIZED[name]))))
+        return [command, "--file", str(path)]
+    seed = ["--seed", "7"] if command == "order" else []
+    return [command, "--builtin", name, *seed]
+
+
+@pytest.mark.parametrize("source", list(GOLDEN_REPORTS), ids=str)
+def test_engine_reports_pinned(source, tmp_path, capsys):
+    code, out, _ = run_cli(capsys, *_golden_argv(*source, tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[source]
+
+
 def test_text_format(capsys):
     code, out, _ = run_cli(
         capsys, "analyze-state", "--builtin", "EPR", "--seed", "1", "--format", "text"
@@ -438,6 +492,23 @@ MALFORMED_INPUTS = {
         ["analyze-device", "--file"],
         json.dumps({"questions": [["*"], ["*"]], "results": _BITS, "relation": []}),
     ),
+    "string dims": (
+        ["analyze-state", "--seed", "1", "--file"],
+        json.dumps({"dims": ["2", 2], "amplitudes": _AMPS}),
+    ),
+    "fractional dims": (
+        ["analyze-state", "--seed", "1", "--file"],
+        json.dumps({"dims": [2, 2.7], "amplitudes": _AMPS}),
+    ),
+    "device label sets as strings": (
+        ["analyze-device", "--file"],
+        json.dumps({"questions": ["01", "01"], "results": _BITS,
+                    "relation": {q: ["00", "11"] for q in ("00", "01", "10", "11")}}),
+    ),
+    "distribution label sets as strings": (
+        ["analyze-rvs", "--file"],
+        json.dumps({"outcomes": ["01", "01"], "prob": {"00": "1/2", "11": "1/2"}}),
+    ),
     "menu matrix of numbers": (
         ["derive-device", "--builtin-state", "EPR", "--menus"],
         json.dumps([[{"label": "z", "matrix": [[1, 0], [0, -1]]}]] * 2),
@@ -482,3 +553,32 @@ def test_derive_device_tol_reaches_menu_observables(tmp_path, capsys):
     _, expected, _ = run_cli(capsys, "derive-device", "--builtin-state", "EPR", "--menus", "Z",
                              "--tol", "1e-6")
     assert out == expected
+
+
+def test_overflowing_norm_reports_like_the_unscaled_state(tmp_path, capsys):
+    # every entry is finite, but the squared norm of EPR scaled by 1e300 is not
+    reports = []
+    for scale in (1, 1e300):
+        path = tmp_path / f"epr{scale}.json"
+        amplitudes = [[scale * re, 0.0] for re, _ in _AMPS]
+        path.write_text(json.dumps({"dims": [2, 2], "amplitudes": amplitudes}))
+        code, out, err = run_cli(capsys, "analyze-state", "--samples", "0", "--file", str(path))
+        assert (code, err) == (0, "")
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert load_report(reports[1])["result"]["classes"]["12"]["class"] == "GLOBALLY_ENTANGLED"
+
+
+def test_analyze_rvs_tol_reaches_float_tables(tmp_path, capsys):
+    # |p - m1 m2| = 0.05 everywhere: dependent at the default tolerance only
+    path = tmp_path / "dist.json"
+    prob = {"00": 0.3, "01": 0.2, "10": 0.2, "11": 0.3}
+    path.write_text(json.dumps({"outcomes": _BITS, "prob": prob}))
+    structures = {}
+    for tol in ("1e-9", "0.5"):
+        code, out, err = run_cli(capsys, "analyze-rvs", "--file", str(path), "--tol", tol)
+        assert (code, err) == (0, "")
+        report = load_report(out)
+        assert report["tolerance"] == float(tol)
+        structures[tol] = report["result"]["structure"]["connected"]
+    assert structures == {"1e-9": [[], ["1"], ["2"], ["1", "2"]], "0.5": [[], ["1"], ["2"]]}

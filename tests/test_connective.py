@@ -8,6 +8,7 @@ from conexa.connective import (
     _check_indices,
     _check_labels,
     _check_partition,
+    _subset_structures,
     brunnian_structure,
     closure_axiom_holds,
     connective_order,
@@ -278,3 +279,24 @@ def test_label_rule_is_shared(labels, message):
         with pytest.raises(DomainError, match=message.format(kind=kind)):
             call()
     assert _check_labels([[0, 1]], "outcome") == (("0", "1"),)
+
+
+def test_subset_driver_order_and_labels():
+    seen = []
+
+    def verdict(j):
+        seen.append(j)
+        return len(j)
+
+    families = {"pairs": lambda size: size == 2, "none": lambda size: False}
+    verdicts, structures = _subset_structures(4, verdict, families)
+    assert seen == [
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+        (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+        (0, 1, 2, 3),
+    ]
+    assert list(verdicts) == [tuple(s + 1 for s in j) for j in seen]
+    assert list(verdicts.values()) == [len(j) for j in seen]
+    assert list(structures) == ["pairs", "none"]
+    assert structures["pairs"] == indiscrete_structure(GroundSet(range(1, 5)))
+    assert structures["none"] == discrete_structure(GroundSet(range(1, 5)))

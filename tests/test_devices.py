@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from conexa.connective import generate_integral, meet_structures
 from conexa.devices import (
+    _INCLUSIONS,
+    _STRUCTURE_OF,
     Device,
     builtin_device,
     dependency_domain,
@@ -475,3 +477,14 @@ def test_derived_product_state_device_is_separable():
     profile = locality_profile(dev)
     assert profile.separable
     assert profile.separable_cut == ((0,), (1,))
+
+
+def test_tensorial_inclusions_follow_the_implication_lattice():
+    # the inclusion chains once written out by hand next to the lattice
+    chains = {
+        ("NPS", "NPL"), ("NPL", "NQL"), ("NQL", "NL"), ("NPS", "NOS"),
+        ("NOS", "NQS"), ("NQS", "NS"), ("NS", "NL"), ("NQS", "NQL"),
+    }
+    assert len(_INCLUSIONS) == 8
+    assert set(_INCLUSIONS) == chains
+    assert list(_STRUCTURE_OF.values()) == ["NPS", "NOS", "NPL", "NQS", "NQL", "NS", "NL"]

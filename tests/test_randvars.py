@@ -198,12 +198,35 @@ def test_float_independence_tolerance(delta, separable):
         ("0", "0"): 0.25 + delta, ("0", "1"): 0.25 - delta,
         ("1", "0"): 0.25 - delta, ("1", "1"): 0.25 + delta,
     })
+    assert is_separable_split(dist, [0], [1], tol=1e-12) is separable
+    assert rv_structure(dist, tol=1e-12) == (discrete(2) if separable else power_set(2))
+
+
+@pytest.mark.parametrize("delta, separable", [(1e-11, True), (1e-10, True), (1e-8, False)])
+def test_float_independence_default_tolerance(delta, separable):
+    # the default tolerance is DEFAULT_TOL = 1e-9, as for `analyze-rvs`
+    p, q = 0.25 + delta, 0.25 - delta
+    dist = _float_pair({("0", "0"): p, ("0", "1"): q, ("1", "0"): q, ("1", "1"): p})
     assert is_separable_split(dist, [0], [1]) is separable
-    assert rv_structure(dist) == (discrete(2) if separable else power_set(2))
+    assert rv_analysis(dist).structure == (discrete(2) if separable else power_set(2))
+
+
+def test_float_sum_checked_within_tolerance():
+    table = {("0", "0"): 0.5 + 1e-10, ("1", "1"): 0.5}
+    assert _float_pair(table).variables == 2
+    with pytest.raises(DomainError, match="not 1 within 1e-12"):
+        FiniteJointDistribution((("0", "1"), ("0", "1")), table, tol=1e-12)
+
+
+def test_exact_tables_ignore_tolerance():
+    # Fraction arithmetic decides exactly, whatever the tolerance
+    dist = brunnian_family(2, 2)
+    assert not is_separable_split(dist, [0, 1], [2], tol=0.5)
+    assert rv_structure(dist, tol=0.5) == rv_structure(dist)
 
 
 def test_float_support_shortcut():
-    # within FLOAT_TOL of a product law entry by entry, but the support has
+    # within 1e-12 of a product law entry by entry, but the support has
     # three outcomes where a product of two two-outcome marginals has four
     dist = _float_pair({("0", "0"): 1 - 2e-13, ("0", "1"): 1e-13, ("1", "0"): 1e-13})
     assert not is_separable_split(dist, [0], [1])
