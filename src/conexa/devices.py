@@ -365,11 +365,11 @@ def locality_profile(device: Device, cap: int = DEFAULT_CAP) -> LocalityProfile:
 # tensorial structures
 
 
-def _tensorial(device: Device, cap: int, full_profile) -> tuple:
+def _tensorial(device: Device, cap: int, early_exit=None) -> tuple:
     """(full-device profile, the seven tensorial structures, labels 1..k).
 
-    Every sub-device on two or more sites is profiled, the full device last
-    by `full_profile()`.
+    Every sub-device on two or more sites is profiled, the full device last,
+    its scan passing `early_exit` on to `_scan`.
     """
     k = device.uplicity
     if k < 2:
@@ -377,7 +377,7 @@ def _tensorial(device: Device, cap: int, full_profile) -> tuple:
 
     def verdict(j):
         if len(j) == k:
-            return full_profile()
+            return _profile(device, cap, early_exit)
         return locality_profile(sub_device(device, j), cap=cap)
 
     profiles, structures = _subset_structures(k, verdict, {
@@ -392,7 +392,7 @@ def _tensorial(device: Device, cap: int, full_profile) -> tuple:
 
 def tensorial_structures(device: Device, cap: int = DEFAULT_CAP) -> dict:
     """The seven structures generated by sub-device non-locality, labels 1..k."""
-    return _tensorial(device, cap, lambda: locality_profile(device, cap=cap))[1]
+    return _tensorial(device, cap)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +480,7 @@ def device_structures(device: Device, cap: int = DEFAULT_CAP) -> DeviceReport:
     on two or more sites, must have at most `cap` realizations.
     """
     meets = _DomanialMeets(device.uplicity)
-    profile, structures = _tensorial(device, cap, lambda: _profile(device, cap, meets))
+    profile, structures = _tensorial(device, cap, meets)
     tensorial = max(connective_order(s) for s in structures.values())
     structures["do"], structures["dp"] = meets.do, meets.dp
     domanial = max(connective_order(meets.do), connective_order(meets.dp))

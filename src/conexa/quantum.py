@@ -33,16 +33,17 @@ MAX_TOTAL_DIM = 2**14
 class SiteLayout:
     """Local Hilbert-space dimensions, one per site, in fixed row-major order.
 
-    Dimensions must be integers: a string or a float is an error, not a
-    dimension to convert.
+    Dimensions must be integers: a string, a float or a boolean is an error,
+    not a dimension to convert.
     """
 
     dims: tuple
 
     def __init__(self, dims: Iterable[int], max_total_dim: int = MAX_TOTAL_DIM):
-        dims = tuple(operator.index(d) for d in dims)
-        if any(d < 1 for d in dims):
-            raise DomainError(f"site dimensions must be >= 1: {dims}")
+        values = tuple(dims)
+        dims = tuple(operator.index(d) for d in values)
+        if any(isinstance(v, bool) or d < 1 for v, d in zip(values, dims)):
+            raise DomainError(f"site dimensions must be integers >= 1: {values}")
         if math.prod(dims) > max_total_dim:
             raise DomainError(
                 f"total dimension {math.prod(dims)} exceeds cap {max_total_dim}"

@@ -151,9 +151,9 @@ def rv_analysis(dist: FiniteJointDistribution, tol: float = DEFAULT_TOL) -> RvRe
     return RvReport(structure, raw, raw_masks == closure_masks)
 
 
-def rv_structure(dist: FiniteJointDistribution, tol: float = DEFAULT_TOL) -> ConnectiveStructure:
+def rv_structure(dist: FiniteJointDistribution) -> ConnectiveStructure:
     """Integral structure generated by the inseparable subfamilies, labels 1..k."""
-    return rv_analysis(dist, tol=tol).structure
+    return rv_analysis(dist).structure
 
 
 def brunnian_family(k: int, n: int) -> FiniteJointDistribution:

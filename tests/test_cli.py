@@ -496,6 +496,10 @@ MALFORMED_INPUTS = {
         ["analyze-state", "--seed", "1", "--file"],
         json.dumps({"dims": ["2", 2], "amplitudes": _AMPS}),
     ),
+    "boolean dims": (
+        ["analyze-density", "--file"],
+        json.dumps({"dims": [True, 2, 2], "matrix": _identity4()}),
+    ),
     "fractional dims": (
         ["analyze-state", "--seed", "1", "--file"],
         json.dumps({"dims": [2, 2.7], "amplitudes": _AMPS}),

@@ -199,7 +199,7 @@ def test_float_independence_tolerance(delta, separable):
         ("1", "0"): 0.25 - delta, ("1", "1"): 0.25 + delta,
     })
     assert is_separable_split(dist, [0], [1], tol=1e-12) is separable
-    assert rv_structure(dist, tol=1e-12) == (discrete(2) if separable else power_set(2))
+    assert rv_analysis(dist, tol=1e-12).structure == (discrete(2) if separable else power_set(2))
 
 
 @pytest.mark.parametrize("delta, separable", [(1e-11, True), (1e-10, True), (1e-8, False)])
@@ -222,7 +222,7 @@ def test_exact_tables_ignore_tolerance():
     # Fraction arithmetic decides exactly, whatever the tolerance
     dist = brunnian_family(2, 2)
     assert not is_separable_split(dist, [0, 1], [2], tol=0.5)
-    assert rv_structure(dist, tol=0.5) == rv_structure(dist)
+    assert rv_analysis(dist, tol=0.5).structure == rv_structure(dist)
 
 
 def test_float_support_shortcut():
