@@ -11,6 +11,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -199,21 +200,13 @@ def _cmd_analyze_device(args) -> dict:
     device = _input(args.file, args.builtin, builtin_device, device_from_dict,
                     "provide --file or --builtin")
     report = device_structures(device, cap=args.cap)
-    profile, orders = report.profile, report.orders
+    orders = report.orders
     return {
         "uplicity": device.uplicity,
         "realizations": realization_count(device),
         "profile": {
-            "local": profile.local,
-            "quasi_local": profile.quasi_local,
-            "partially_local": profile.partially_local,
-            "separable": profile.separable,
-            "quasi_separable": profile.quasi_separable,
-            "pseudo_separable": profile.pseudo_separable,
-            "partially_separable": profile.partially_separable,
-            "separable_cut": _cut_json(profile.separable_cut),
-            "quasi_separable_cut": _cut_json(profile.quasi_separable_cut),
-            "partially_separable_cut": _cut_json(profile.partially_separable_cut),
+            name: _cut_json(value) if name.endswith("_cut") else value
+            for name, value in dataclasses.asdict(report.profile).items()
         },
         "structures": {name: structure_to_dict(s) for name, s in report.structures.items()},
         "orders": {

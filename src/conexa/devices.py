@@ -27,12 +27,9 @@ from .connective import (
     _bipartitions,
     _check_indices,
     _check_labels,
+    _close,
     _subset_structures,
     connective_order,
-    discrete_structure,
-    generate_integral,
-    indiscrete_structure,
-    meet_structures,
 )
 from .errors import DomainError, ResourceError
 from .quantum import DEFAULT_TOL, Observable, PureState, _residuals
@@ -221,23 +218,22 @@ def deterministic_realizations(device: Device, cap: int = DEFAULT_CAP) -> Iterat
 _CHUNK = 1 << 18
 
 
-def _scan(device: Device, cap: int, cuts=None, early_exit=None) -> tuple:
-    """(dependency codes, selected pairs per partition) over the deterministic
-    realizations.
+def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
+    """Coverage matrix over the deterministic realizations: one row per
+    partition, and one column per pair in `device.pairs()` order.  Given
+    `cuts`, the partitions are the singletons followed by each cut; without
+    them the matrix has no rows and the scan only feeds `early_exit`.
 
     A realization is a choice index per question.  Its dependency code sets bit
     (i, j) when some pair of questions differing only in slot j yields
     different i-th outputs.  The question set is a full product, so the
     realization factors along a partition of the sites exactly when it sets no
-    bit (i, j) with i and j in different blocks.  Given `cuts`, the partitions
-    are the singletons followed by each cut, and each gets the set of
-    (question, answer) pairs selected by the realizations factoring along it;
-    it is empty when none does.
+    bit (i, j) with i and j in different blocks.  Entry (p, c) is true when
+    some realization factoring along partition p selects pair c.
 
     Work is vectorized over chunks of the mixed-radix realization space.
-    `early_exit(codes)` sees the codes found so far after every chunk; the
-    scan stops once it returns true (when given) and every partition selects
-    every pair of the relation.
+    `early_exit(codes)` sees each chunk's distinct codes; the scan stops once
+    it returns true (when given) and every entry is true.
     """
     total = _capped_count(device, cap)
     qs = device.question_tuples()
@@ -259,45 +255,33 @@ def _scan(device: Device, cap: int, cuts=None, early_exit=None) -> tuple:
                 if b > a:
                     differ = answers[a][:, None, :] != answers[b][None, :, :]
                     toggles.append((a, b, (differ * bits).sum(axis=-1).ravel()))
-    strides = [math.prod(sizes[qi + 1:]) for qi in range(len(qs))]
+    # question qi's pairs are the columns spans[qi]
+    offsets = np.cumsum([0, *sizes])
+    spans = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
 
-    partitions = [] if cuts is None else [tuple((s,) for s in range(k)), *cuts]
+    partitions = [tuple((s,) for s in range(k)), *cuts] if cuts else []
     crossing = [
         np.int64(sum(
             1 << (i * k + j) for a in blocks for b in blocks if a != b for i in a for j in b
         ))
         for blocks in partitions
     ]
-    chosen = [[np.zeros(size, dtype=bool) for size in sizes] for _ in partitions]
+    coverage = np.zeros((len(partitions), offsets[-1]), dtype=bool)
 
-    found: set = set()
     for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        n = np.arange(lo, hi, dtype=np.int64)
-        cidx = [(n // strides[qi]) % sizes[qi] for qi in range(len(qs))]
-        dep = np.zeros(hi - lo, dtype=np.int64)
+        cidx = np.unravel_index(np.arange(lo, min(lo + _CHUNK, total)), sizes)
+        dep = np.zeros(len(cidx[0]), dtype=np.int64)
         for a, b, table in toggles:
             dep |= table[cidx[a] * sizes[b] + cidx[b]]
-        found.update(int(c) for c in np.unique(dep))
-        covered = True
-        for mask, per_question in zip(crossing, chosen):
-            if all(seen.all() for seen in per_question):
+        for mask, row in zip(crossing, coverage):
+            if row.all():
                 continue
             factors = (dep & mask) == 0
-            for qi, seen in enumerate(per_question):
-                seen |= np.bincount(cidx[qi][factors], minlength=sizes[qi]) > 0
-            covered = covered and all(seen.all() for seen in per_question)
-        if (early_exit is None or early_exit(found)) and covered:
+            for choice, size, span in zip(cidx, sizes, spans):
+                row[span] |= np.bincount(choice[factors], minlength=size) > 0
+        if (early_exit is None or early_exit(np.unique(dep).tolist())) and coverage.all():
             break
-    selected = [
-        frozenset(
-            (qs[qi], choices[qi][c])
-            for qi, seen in enumerate(per_question)
-            for c in np.flatnonzero(seen)
-        )
-        for per_question in chosen
-    ]
-    return found, selected
+    return coverage
 
 
 # ---------------------------------------------------------------------------
@@ -323,22 +307,21 @@ def _is_product_along(device: Device, blocks: Sequence[tuple]) -> bool:
 
 def _profile(device: Device, cap: int, early_exit=None) -> LocalityProfile:
     """The seven notions from one `_scan` along the singletons and every cut:
-    the pairs selected by the realizations factoring along each."""
-    cuts = _bipartitions(range(device.uplicity))
-    _, (local_pairs, *cut_pairs) = _scan(device, cap, cuts, early_exit)
-    all_pairs = set(device.pairs())
+    which pairs the realizations factoring along each select."""
+    k = device.uplicity
+    cuts = _bipartitions(range(k))
+    coverage = _scan(device, cap, cuts, early_exit)
+    every, some = coverage.all(axis=1), coverage.any(axis=1)
     separable_cut = next((cut for cut in cuts if _is_product_along(device, cut)), None)
-    quasi_separable_cut = next(
-        (cut for cut, pairs in zip(cuts, cut_pairs) if pairs == all_pairs), None
-    )
-    partially_separable_cut = next((cut for cut, pairs in zip(cuts, cut_pairs) if pairs), None)
+    quasi_separable_cut = next((cut for cut, e in zip(cuts, every[1:]) if e), None)
+    partially_separable_cut = next((cut for cut, s in zip(cuts, some[1:]) if s), None)
     profile = LocalityProfile(
-        local=_is_product_along(device, [(s,) for s in range(device.uplicity)]),
-        quasi_local=local_pairs == all_pairs,
-        partially_local=bool(local_pairs),
+        local=_is_product_along(device, [(s,) for s in range(k)]),
+        quasi_local=bool(every[0]),
+        partially_local=bool(some[0]),
         separable=separable_cut is not None,
         quasi_separable=quasi_separable_cut is not None,
-        pseudo_separable=set().union(*cut_pairs) == all_pairs,
+        pseudo_separable=bool(coverage[1:].any(axis=0).all()),
         partially_separable=partially_separable_cut is not None,
         separable_cut=separable_cut,
         quasi_separable_cut=quasi_separable_cut,
@@ -417,29 +400,35 @@ def dependency_domain(f: "DeterministicRealization | Mapping", i: int) -> frozen
 
 
 class _DomanialMeets:
-    """Running meets of the per-realization domain structures, labels 1..k.
+    """Running meets of the per-realization domain structures, each a
+    frozenset of masks over the sites.
 
-    Called with the dependency codes found so far, it folds in the new ones
-    and says whether both meets have reached the discrete structure, the
-    bottom of the meet lattice, past which no code can change them.
+    Called with dependency codes, it folds in the ones it has not seen and
+    says whether both meets have reached the discrete family (the empty set
+    and the k singletons), the bottom of the meet lattice, past which no code
+    can change them.
     """
 
     def __init__(self, k: int):
         self.k = k
-        self.ground = GroundSet(range(1, k + 1))
-        self.do = self.dp = indiscrete_structure(self.ground)
+        self.do = self.dp = frozenset(range(1 << k))
         self.seen: set = set()
 
-    def __call__(self, codes: set) -> bool:
+    def __call__(self, codes) -> bool:
         k = self.k
-        for code in codes - self.seen:
+        for code in codes:
+            if code in self.seen:
+                continue
             self.seen.add(code)
             masks = [code >> (i * k) & ((1 << k) - 1) for i in range(k)]
-            pointed = [m | 1 << i for i, m in enumerate(masks)]
-            self.do = meet_structures([self.do, generate_integral(self.ground, masks)])
-            self.dp = meet_structures([self.dp, generate_integral(self.ground, pointed)])
-        bottom = discrete_structure(self.ground)
-        return self.do == bottom and self.dp == bottom
+            self.do &= _close(k, masks)
+            self.dp &= _close(k, [m | 1 << i for i, m in enumerate(masks)])
+        return len(self.do) == len(self.dp) == k + 1
+
+    def structures(self) -> tuple:
+        """(kappa_do, kappa_dp) on the labels 1..k."""
+        ground = GroundSet(range(1, self.k + 1))
+        return ConnectiveStructure(ground, self.do), ConnectiveStructure(ground, self.dp)
 
 
 def domanial_structures(device: Device, cap: int = DEFAULT_CAP) -> tuple:
@@ -450,7 +439,7 @@ def domanial_structures(device: Device, cap: int = DEFAULT_CAP) -> tuple:
     """
     meets = _DomanialMeets(device.uplicity)
     _scan(device, cap, early_exit=meets)
-    return meets.do, meets.dp
+    return meets.structures()
 
 
 @dataclass(frozen=True)
@@ -482,8 +471,8 @@ def device_structures(device: Device, cap: int = DEFAULT_CAP) -> DeviceReport:
     meets = _DomanialMeets(device.uplicity)
     profile, structures = _tensorial(device, cap, meets)
     tensorial = max(connective_order(s) for s in structures.values())
-    structures["do"], structures["dp"] = meets.do, meets.dp
-    domanial = max(connective_order(meets.do), connective_order(meets.dp))
+    structures["do"], structures["dp"] = meets.structures()
+    domanial = max(connective_order(structures["do"]), connective_order(structures["dp"]))
     orders = DeviceOrders(tensorial, domanial, max(tensorial, domanial))
     return DeviceReport(profile, structures, orders)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conexa import devices
 from conexa.connective import generate_integral, meet_structures
 from conexa.devices import (
     _INCLUSIONS,
@@ -276,6 +277,30 @@ def test_locality_profile_matches_oracle(dev):
     assert device_structures(dev).profile == profile
 
 
+# Seven realizations per scan chunk: coverage builds up over many chunks, and
+# the full-device scan of `device_structures` can stop between two of them.
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(coherent_devices())
+def test_locality_profile_matches_oracle_across_chunks(dev):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(devices, "_CHUNK", 7)
+        profile = locality_profile(dev)
+        full = device_structures(dev).profile
+    assert dataclasses.asdict(profile) == oracle_locality_profile(dev)
+    assert full == profile
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(coherent_devices())
+def test_domanial_structures_match_bruteforce_across_chunks(dev):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(devices, "_CHUNK", 7)
+        meets = domanial_structures(dev)
+    assert meets == bruteforce_domanial(dev)
+
+
 # ---------------------------------------------------------------------------
 # tensorial structures
 
@@ -351,6 +376,21 @@ def test_dependency_domain_of_k_realization():
     assert dependency_domain(table, 2) == frozenset({0, 1})
     dk = builtin_device("K")
     assert all(table[q] in dk.relation[q] for q in table)
+
+
+def bruteforce_domanial(dev):
+    """(kappa_do, kappa_dp) as meets over every deterministic realization."""
+    k = dev.uplicity
+    g = ground(k)
+    do_meet = dp_meet = None
+    for f in deterministic_realizations(dev):
+        do_sets = [dependency_domain(f, i) for i in range(k)]
+        dp_sets = [set(d) | {i} for i, d in enumerate(do_sets)]
+        s_do = generate_integral(g, [tuple(x + 1 for x in d) for d in do_sets])
+        s_dp = generate_integral(g, [tuple(x + 1 for x in d) for d in dp_sets])
+        do_meet = s_do if do_meet is None else meet_structures([do_meet, s_do])
+        dp_meet = s_dp if dp_meet is None else meet_structures([dp_meet, s_dp])
+    return do_meet, dp_meet
 
 
 def test_domanial_structures_small_device_against_bruteforce():
