@@ -304,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_pool=False, with_cap=False):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    def add_common(p, with_tol=True, with_pool=False, with_cap=False):
+        if with_tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--format", choices=("json", "text"), default="json")
         if with_pool:
             p.add_argument("--seed", type=int, default=None)
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-device", help="locality profile and device structures")
     p.add_argument("--file")
     p.add_argument("--builtin")
-    add_common(p, with_cap=True)
+    add_common(p, with_tol=False, with_cap=True)
     p.set_defaults(fn=_cmd_analyze_device)
 
     p = sub.add_parser("analyze-rvs", help="structure of a random-variable family")
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true")
     p.add_argument("--state")
     p.add_argument("--device")
-    add_common(p)
+    add_common(p, with_tol=False)
     p.set_defaults(fn=_cmd_builtin)
 
     return parser

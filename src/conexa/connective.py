@@ -146,12 +146,15 @@ def _check_partition(part_a, part_b, count: int, noun: str) -> tuple:
 def _check_labels(label_sets, kind: str) -> tuple:
     """Label sets as tuples of strings, each nonempty, distinct and comma-free.
 
-    A label set given as one string is an error, not a set of characters.
+    A label set given as one string is an error, not a set of characters, and
+    a label that is not a string is an error, not a string to convert.
     """
     label_sets = tuple(label_sets)
     if any(isinstance(labels, str) for labels in label_sets):
         raise DomainError(f"{kind} label sets must be lists of labels, not strings")
-    label_sets = tuple(tuple(str(x) for x in labels) for labels in label_sets)
+    label_sets = tuple(tuple(labels) for labels in label_sets)
+    if not all(isinstance(x, str) for labels in label_sets for x in labels):
+        raise DomainError(f"{kind} labels must be strings")
     for labels in label_sets:
         if not labels or len(set(labels)) != len(labels):
             raise DomainError(f"{kind} labels must be nonempty and distinct: {labels}")

@@ -39,15 +39,13 @@ class SiteLayout:
 
     dims: tuple
 
-    def __init__(self, dims: Iterable[int], max_total_dim: int = MAX_TOTAL_DIM):
+    def __init__(self, dims: Iterable[int]):
         values = tuple(dims)
         dims = tuple(operator.index(d) for d in values)
         if any(isinstance(v, bool) or d < 1 for v, d in zip(values, dims)):
             raise DomainError(f"site dimensions must be integers >= 1: {values}")
-        if math.prod(dims) > max_total_dim:
-            raise DomainError(
-                f"total dimension {math.prod(dims)} exceeds cap {max_total_dim}"
-            )
+        if math.prod(dims) > MAX_TOTAL_DIM:
+            raise DomainError(f"total dimension {math.prod(dims)} exceeds cap {MAX_TOTAL_DIM}")
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -436,16 +434,20 @@ def partial_transpose(rho: DensityOperator, sites) -> np.ndarray:
 def ppt_is_separable(rho: DensityOperator, j1, j2, tol: float = DEFAULT_TOL) -> Verdict:
     """Peres-Horodecki decision across a bipartition.
 
-    A negative partial-transpose eigenvalue certifies entanglement in any
-    dimension; a positive partial transpose certifies separability only for
-    2x2 and 2x3 local dimensions, so larger systems return PPT_INCONCLUSIVE.
+    A side of dimension 1 makes every operator a product across the cut.
+    Otherwise a negative partial-transpose eigenvalue certifies entanglement
+    in any dimension; a positive partial transpose certifies separability
+    only for 2x2 and 2x3 local dimensions, so larger systems return
+    PPT_INCONCLUSIVE.
     """
     a, b = _check_partition(j1, j2, rho.layout.sites, "site")
+    da = math.prod(rho.layout.dims[s] for s in a)
+    db = math.prod(rho.layout.dims[s] for s in b)
+    if min(da, db) == 1:
+        return Verdict.SEPARABLE
     min_eig = float(np.linalg.eigvalsh(partial_transpose(rho, b))[0])
     if min_eig < -tol:
         return Verdict.ENTANGLED
-    da = math.prod(rho.layout.dims[s] for s in a)
-    db = math.prod(rho.layout.dims[s] for s in b)
     if (da, db) in {(2, 2), (2, 3), (3, 2)}:
         return Verdict.SEPARABLE
     return Verdict.PPT_INCONCLUSIVE

@@ -118,7 +118,7 @@ def menus_from_dict(data: Sequence) -> list:
     """Per-site menus, each a list of {"label", "matrix"} entries, as the
     (label, matrix) lists `devices.derive_device` takes."""
     return [
-        [(str(entry["label"]), _complex_array(entry["matrix"], 2)) for entry in site_entries]
+        [(entry["label"], _complex_array(entry["matrix"], 2)) for entry in site_entries]
         for site_entries in data
     ]
 

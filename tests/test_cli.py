@@ -320,10 +320,10 @@ GOLDEN_REPORTS = {
     ("order", "EPR"): "91738fa2abcb6f4d6269e7b1aa3becaacd7e07062ed878e1dffa06cd4aa95cd2",
     ("order", "GHZ"): "91738fa2abcb6f4d6269e7b1aa3becaacd7e07062ed878e1dffa06cd4aa95cd2",
     ("order", "O2"): "0e3e8645d394db49896e7bc7bc50c32adfbd5e57522fc4c4f4478da155d04f97",
-    ("analyze-device", "EPR"): "83e5e164229a7ca783131c2b5d6229b95673b13c4d2df1e0b6bccf485dc562d1",
-    ("analyze-device", "EPR2"): "a71933312efce409dfdef11951eaf5968d7114049648cbdf01bec6e792a08db0",
-    ("analyze-device", "GHZ"): "28865df20534b414814efe4d11c7bd6dd45e3ebc6c3722340748acc4ec37e66b",
-    ("analyze-device", "K"): "96e5d349ffd7570d35371c483fe9b6d2ae701f9d3daf0f12bf4872d8b3f0fee2",
+    ("analyze-device", "EPR"): "5c7ded7773fef7f54737546fa98990e420986cd45199913256e3c6ae5c540166",
+    ("analyze-device", "EPR2"): "bf3b7691cc64ea5ac915657bc73312f85c79622b3ac94e200c96b91cd9eaa2ff",
+    ("analyze-device", "GHZ"): "b6f12c3a3f4ae8454cb4cca749a57c3d3315f5ae321ca65ca83dfa420d86159e",
+    ("analyze-device", "K"): "b82176806f415591368d986fce7a53a8d1d2c020c0df5bd63ca86a31ab738655",
     ("analyze-rvs", "brunnian 3"):
         "193b9180aa7d96d00b331b866670a18b12d0c6fc2a81c8406e784c1a57dc7a93",
     ("analyze-rvs", "pair and triple 4"):
@@ -516,6 +516,19 @@ MALFORMED_INPUTS = {
     "menu matrix of numbers": (
         ["derive-device", "--builtin-state", "EPR", "--menus"],
         json.dumps([[{"label": "z", "matrix": [[1, 0], [0, -1]]}]] * 2),
+    ),
+    "device labels as numbers": (
+        ["analyze-device", "--file"],
+        json.dumps({"questions": [[0], [0]], "results": _BITS,
+                    "relation": {"00": ["00", "11"]}}),
+    ),
+    "distribution labels as numbers": (
+        ["analyze-rvs", "--file"],
+        json.dumps({"outcomes": [[0, 1], [0, 1]], "prob": {"00": "1/2", "11": "1/2"}}),
+    ),
+    "menu label as a number": (
+        ["derive-device", "--builtin-state", "EPR", "--menus"],
+        json.dumps([[{"label": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}]] * 2),
     ),
 }
 

@@ -278,7 +278,8 @@ def test_label_rule_is_shared(labels, message):
     for kind, call in _label_calls(labels):
         with pytest.raises(DomainError, match=message.format(kind=kind)):
             call()
-    assert _check_labels([[0, 1]], "outcome") == (("0", "1"),)
+    with pytest.raises(DomainError, match="outcome labels must be strings"):
+        _check_labels([[0, 1]], "outcome")
 
 
 def test_subset_driver_order_and_labels():

@@ -221,6 +221,9 @@ def test_site_of_dimension_one_is_analyzed():
     assert (pair.completely_correlated, pair.completely_entangled, pair.quality) == (
         True, True, VerdictQuality.EXACT
     )
+    # site 1 has dimension 1, so every cut of (1, 2) and (1, 3) is a product
+    for j in ((1, 2), (1, 3)):
+        assert report.subsets[j].quality is VerdictQuality.EXACT, j
     assert report.kappa_corr == structure(3, [(2, 3)])
 
 

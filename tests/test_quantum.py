@@ -407,6 +407,9 @@ def test_ppt_inconclusive_beyond_low_dimensions():
     b = random_pure(rng, (2, 2))
     joint = tensor_state(a, b).density()
     assert ppt_is_separable(joint, [0, 1], [2, 3]) is Verdict.PPT_INCONCLUSIVE
+    # a 1 x 4 cut has a side of dimension 1: always a product
+    epr = PureState(SiteLayout((1, 2, 2)), [1, 0, 0, 1]).density()
+    assert ppt_is_separable(epr, [0], [1, 2]) is Verdict.SEPARABLE
 
 
 def test_state_normalization_and_zero_rejection():
