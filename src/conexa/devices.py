@@ -240,11 +240,10 @@ def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
     k = device.uplicity
     if k * k > 63:
         raise ResourceError("dependency scan supports at most 7 sites")
-    choices = [sorted(device.relation[q]) for q in qs]
-    sizes = [len(c) for c in choices]
+    answers = [np.array(sorted(device.relation[q])) for q in qs]
+    sizes = [len(choices) for choices in answers]
     # Each pair of questions differing in slot j alone, with a table of the
     # bits (i, j) its two choices set, indexed by choice_a * sizes[b] + choice_b.
-    answers = [np.array(choice) for choice in choices]
     q_pos = {q: idx for idx, q in enumerate(qs)}
     toggles = []
     for a, q in enumerate(qs):
@@ -416,9 +415,7 @@ class _DomanialMeets:
 
     def __call__(self, codes) -> bool:
         k = self.k
-        for code in codes:
-            if code in self.seen:
-                continue
+        for code in set(codes) - self.seen:
             self.seen.add(code)
             masks = [code >> (i * k) & ((1 << k) - 1) for i in range(k)]
             self.do &= _close(k, masks)
