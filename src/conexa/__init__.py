@@ -60,7 +60,6 @@ from .disentangle import (
     DisentanglementReport,
     IntricationClass,
     MeasurementPool,
-    PoolConfig,
     build_pool,
     classify_on_subset,
     disentanglement_structures,

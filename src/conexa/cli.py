@@ -4,8 +4,10 @@ Every command prints a single report (JSON by default) to standard output and
 exits 0 on success, 2 on a domain/input error, 3 on a cap/resource error.
 Input files are read by one loader, `_load`, through the decoders in
 `serialize`, so a malformed file exits 2 like any other bad input.  Reports
-embed the tool version, the seed and the tolerances, so identical inputs
-produce byte-identical output.
+embed the tool version and the tolerances, so identical inputs produce
+byte-identical output.  Measurement pools are fixed, so no analysis draws
+random numbers; `--seed` of `analyze-state` and `order` is still accepted
+and ignored.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .devices import (
     device_structures,
     realization_count,
 )
-from .disentangle import STRUCTURE_NAMES, PoolConfig, disentanglement_structures
+from .disentangle import STRUCTURE_NAMES, disentanglement_structures
 from .errors import DomainError, ResourceError
 from .quantum import (
     DEFAULT_TOL,
@@ -94,10 +96,8 @@ def _envelope(command: str, args, result: dict) -> dict:
         "tool": "conexa",
         "version": __version__,
         "command": command,
-        "seed": getattr(args, "seed", None),
         "tolerance": getattr(args, "tol", None),
         "parameters": {
-            "samples": getattr(args, "samples", None),
             "cap": getattr(args, "cap", None),
             "recode": getattr(args, "recode", None),
         },
@@ -137,12 +137,6 @@ def _emit(report: dict, fmt: str) -> None:
             print(f"{key}: {result[key]}")
 
 
-def _pool_config(args) -> PoolConfig:
-    if args.samples > 0 and args.seed is None:
-        raise DomainError("--seed is required when random pool bases are in use")
-    return PoolConfig(n_random=args.samples, seed=args.seed)
-
-
 def _classes_dict(report) -> dict:
     return {
         join_key(tuple(str(x) for x in j)): {
@@ -156,7 +150,7 @@ def _classes_dict(report) -> dict:
 def _cmd_analyze_state(args) -> dict:
     psi = _input(args.file, args.builtin, builtin_state, state_from_dict,
                  "provide --file or --builtin")
-    report = disentanglement_structures(psi, _pool_config(args), tol=args.tol)
+    report = disentanglement_structures(psi, tol=args.tol)
     selected = STRUCTURE_NAMES
     if args.structures:
         selected = tuple(name.strip() for name in args.structures.split(","))
@@ -274,7 +268,7 @@ def _cmd_derive_device(args) -> dict:
 def _cmd_order(args) -> dict:
     psi = _input(args.file, args.builtin, builtin_state, state_from_dict,
                  "provide --file or --builtin")
-    orders = total_order(psi, _pool_config(args), tol=args.tol)
+    orders = total_order(psi, tol=args.tol)
     return {
         "omega_c": orders.omega_c,
         "omega_f": orders.omega_f,
@@ -304,14 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_tol=True, with_pool=False, with_cap=False):
+    def add_common(p, with_tol=True, with_seed=False, with_cap=False):
         if with_tol:
             p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--format", choices=("json", "text"), default="json")
-        if with_pool:
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--samples", type=int, default=20,
-                           help="number of random pool bases per measured site set")
+        if with_seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="ignored: measurement pools are fixed")
         if with_cap:
             p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
@@ -319,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file")
     p.add_argument("--builtin")
     p.add_argument("--structures", help="comma list among GI,BIP,MT,IP,ML,NCS")
-    add_common(p, with_pool=True)
+    add_common(p, with_seed=True)
     p.set_defaults(fn=_cmd_analyze_state)
 
     p = sub.add_parser("analyze-density", help="correlation and Sugita structures")
@@ -351,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order", help="connective orders of a pure state")
     p.add_argument("--file")
     p.add_argument("--builtin")
-    add_common(p, with_pool=True)
+    add_common(p, with_seed=True)
     p.set_defaults(fn=_cmd_order)
 
     p = sub.add_parser("builtin", help="emit a builtin state or device")

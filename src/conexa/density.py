@@ -24,7 +24,7 @@ from .connective import (
     _subset_structures,
     connective_order,
 )
-from .disentangle import PoolConfig, disentanglement_structures
+from .disentangle import disentanglement_structures
 from .errors import DomainError
 from .quantum import (
     DEFAULT_TOL,
@@ -157,9 +157,9 @@ def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> Densit
     return DensityReport(k, subsets, kappa_corr, kappa_s, omega_f)
 
 
-def total_order(psi: PureState, pool: PoolConfig, tol: float = DEFAULT_TOL) -> TotalOrder:
+def total_order(psi: PureState, tol: float = DEFAULT_TOL) -> TotalOrder:
     """Run both pipelines on a pure state; the total order is their maximum."""
-    report_c = disentanglement_structures(psi, pool, tol=tol)
+    report_c = disentanglement_structures(psi, tol=tol)
     report_f = density_structures(psi.density(), tol=tol)
     return TotalOrder(
         report_c.omega_c,

@@ -86,9 +86,7 @@ class Device:
             raise DomainError("a device needs at least one site")
         table = {}
         for q, answers in relation.items():
-            q = tuple(str(x) for x in q)
-            answers = frozenset(tuple(str(x) for x in r) for r in answers)
-            table[q] = answers
+            table[tuple(q)] = frozenset(tuple(r) for r in answers)
         result_sets = [set(rs) for rs in results]
         for q in itertools.product(*questions):
             if q not in table or not table[q]:

@@ -3,10 +3,12 @@
 For a subset J of sites, every joint nondegenerate projective measurement on
 the complementary sites sends the state to a set of residual J-states.  The
 classification of (state, J) pairs quantifies over those measurements; since
-the measurement set is a continuum, quantifiers are evaluated over a finite
-pool of product bases (structured plus seeded Haar-random ones) and results
-are flagged POOL_LIMITED unless an exact factorization certificate removes
-the pool dependence altogether.
+the measurement set is a continuum, quantifiers are evaluated over a fixed
+finite pool of product bases (every combination of the structured bases,
+then one experiment in a generic basis at every site) and results are
+flagged POOL_LIMITED unless an exact factorization certificate removes the
+pool dependence altogether.  The pool is a function of the layout and the
+measured sites alone, so every analysis is deterministic.
 
 A pool holds one stack of unitaries per measured site, one row per
 experiment, checked for orthonormality once per stack.  For a chunk of
@@ -136,21 +138,6 @@ class MeasurementPool:
 
 
 @dataclass(frozen=True)
-class PoolConfig:
-    """How to build pools: structured bases plus n_random seeded Haar bases."""
-
-    n_random: int = 20
-    seed: Optional[int] = None
-    extra_bases: Optional[Mapping[int, Sequence[np.ndarray]]] = None
-
-    def __post_init__(self):
-        if self.n_random < 0:
-            raise DomainError("n_random must be >= 0")
-        if self.n_random > 0 and self.seed is None:
-            raise DomainError("a seed is required when random bases are requested")
-
-
-@dataclass(frozen=True)
 class Classification:
     kind: IntricationClass
     confidence: Confidence
@@ -164,7 +151,6 @@ class DisentanglementReport:
     classes: Mapping[tuple, Classification]
     structures: Mapping[str, ConnectiveStructure]
     omega_c: int
-    pool: PoolConfig
 
 
 def _structured_bases(dim: int) -> list:
@@ -179,43 +165,38 @@ def _structured_bases(dim: int) -> list:
     return bases
 
 
-def _haar_bases(rng: np.random.Generator, dims: Sequence[int], count: int) -> list:
-    """`count` Haar-random unitaries per site: one array (count, d, d) per site.
+def _generic_basis(dim: int) -> np.ndarray:
+    """A fixed basis in general position, from a closed formula.
 
-    The normals are drawn in one call and consumed per experiment and per site
-    as a real d x d block, then an imaginary one; one stacked QR per distinct
-    dimension with the standard phase fix gives each unitary.
+    The second structured basis with row j multiplied by exp(i sqrt(2) (j+1)),
+    then its first two rows turned by a real rotation of 0.4 rad: unitary by
+    construction.  It stands in for "some basis avoids the measure-zero
+    product directions" without a random draw.
     """
-    widths = [2 * d * d for d in dims]
-    normals = rng.standard_normal(count * sum(widths)).reshape(count, -1)
-    offsets = np.cumsum([0, *widths])
-    gaussian = []
-    for d, lo, hi in zip(dims, offsets, offsets[1:]):
-        block = normals[:, lo:hi].reshape(count, 2, d, d)
-        gaussian.append(block[:, 0] + 1j * block[:, 1])
-    out = [None] * len(dims)
-    for d in set(dims):
-        positions = [i for i, di in enumerate(dims) if di == d]
-        q, r = np.linalg.qr(np.concatenate([gaussian[i] for i in positions]))
-        diag = np.diagonal(r, axis1=1, axis2=2)
-        q = q * (diag / np.abs(diag))[:, None, :]
-        for k, i in enumerate(positions):
-            out[i] = q[k * count:(k + 1) * count]
-    return out
+    phases = np.exp(1j * np.sqrt(2.0) * np.arange(1, dim + 1))
+    basis = _structured_bases(dim)[1] * phases[:, None]
+    c, s = np.cos(0.4), np.sin(0.4)
+    basis[:2] = np.array([[c, -s], [s, c]]) @ basis[:2]
+    return basis
 
 
-def build_pool(layout: SiteLayout, sites, config: PoolConfig) -> MeasurementPool:
-    """Structured product bases, caller extras, and seeded Haar-random bases.
+def build_pool(
+    layout: SiteLayout,
+    sites,
+    extra_bases: Optional[Mapping[int, Sequence[np.ndarray]]] = None,
+) -> MeasurementPool:
+    """Structured product bases and caller extras, then one generic experiment.
 
     The structured and extra bases enter as every combination across the
-    sites (row-major over the sites), followed by `n_random` Haar
-    experiments.  An empty site set yields the single identity experiment,
-    under which the residual-state set of any state is the state itself.
+    sites (row-major over the sites); the last experiment measures every site
+    in its `_generic_basis`.  An empty site set yields the single identity
+    experiment, under which the residual-state set of any state is the state
+    itself.
     """
     sites = _check_indices(sites, layout.sites, "site")
     if not sites:
         return MeasurementPool((), ())
-    extras = config.extra_bases or {}
+    extras = extra_bases or {}
     options = []
     for s in sites:
         d = layout.dims[s]
@@ -229,11 +210,10 @@ def build_pool(layout: SiteLayout, sites, config: PoolConfig) -> MeasurementPool
             site_options.append(extra)
         options.append(np.stack(site_options))
     grid = np.indices([len(o) for o in options]).reshape(len(sites), -1)
-    bases = [o[row] for o, row in zip(options, grid)]
-    if config.n_random:
-        rng = np.random.default_rng([int(config.seed), *sites])
-        random_bases = _haar_bases(rng, [layout.dims[s] for s in sites], config.n_random)
-        bases = [np.concatenate(pair) for pair in zip(bases, random_bases)]
+    bases = [
+        np.concatenate([o[row], _generic_basis(layout.dims[s])[None]])
+        for s, o, row in zip(sites, options, grid)
+    ]
     return MeasurementPool(sites, bases)
 
 
@@ -312,12 +292,13 @@ def _decide(ent_here, sep_here, sep_along) -> IntricationClass:
 def classify_on_subset(
     psi: PureState,
     j_sites,
-    pool: "MeasurementPool | PoolConfig",
+    pool: Optional[MeasurementPool] = None,
     tol: float = DEFAULT_TOL,
 ) -> Classification:
     """Classify the entanglement of psi on the subset J.
 
-    Quantifiers over measurements run on the finite pool; the result is
+    Quantifiers over measurements run on the finite pool on the complement of
+    J (`build_pool` of the complement when none is given); the result is
     CERTIFIED when J is the full site set (only the identity measurement
     exists) or when psi factors across (J, complement), which pins the
     residual set to the J-factor for every conceivable experiment.
@@ -341,8 +322,8 @@ def classify_on_subset(
         return Classification(kind, Confidence.CERTIFIED)
 
     complement = tuple(s for s in psi.layout.site_indices() if s not in j)
-    if isinstance(pool, PoolConfig):
-        pool = build_pool(psi.layout, complement, pool)
+    if pool is None:
+        pool = build_pool(psi.layout, complement)
     elif pool.sites != complement:
         raise DomainError(f"pool sites {pool.sites} != complement {complement} of J")
 
@@ -367,11 +348,7 @@ def classify_on_subset(
     return Classification(_decide(ent_here, sep_here, sep_along), Confidence.POOL_LIMITED)
 
 
-def disentanglement_structures(
-    psi: PureState,
-    pool: PoolConfig,
-    tol: float = DEFAULT_TOL,
-) -> DisentanglementReport:
+def disentanglement_structures(psi: PureState, tol: float = DEFAULT_TOL) -> DisentanglementReport:
     """Classify every subset with >= 2 sites and generate the six structures.
 
     Ground labels are 1-based site numbers.
@@ -381,8 +358,8 @@ def disentanglement_structures(
         raise DomainError("disentanglement analysis needs at least two sites")
     classes, structures = _subset_structures(
         k,
-        lambda j: classify_on_subset(psi, j, pool, tol=tol),
+        lambda j: classify_on_subset(psi, j, tol=tol),
         {name: lambda c, kinds=kinds: c.kind in kinds for name, kinds in _FAMILY_CLASSES.items()},
     )
     omega = max(connective_order(s) for s in structures.values())
-    return DisentanglementReport(k, classes, structures, omega, pool)
+    return DisentanglementReport(k, classes, structures, omega)

@@ -45,7 +45,7 @@ class FiniteJointDistribution:
         table = {}
         exact = True
         for t, p in prob.items():
-            t = tuple(str(x) for x in t)
+            t = tuple(t)
             if len(t) != len(outcomes) or any(
                 x not in outcomes[i] for i, x in enumerate(t)
             ):

@@ -176,7 +176,8 @@ def oracle_completely_entangled(matrix: np.ndarray, dims, sites, tol: float = 1e
     A pure reduction (tr r^2 = 1 within tol) is tested with one SVD per cut
     of its top eigenvector; a mixed one with the smallest eigenvalue of the
     partial transpose per cut, whose positivity decides separability only
-    for 2x2 and 2x3 cuts and flags the verdict PPT_NECESSARY otherwise.
+    for 2x2 and 2x3 cuts and cuts with a side of dimension 1, and flags the
+    verdict PPT_NECESSARY otherwise.
     """
     sites = sorted(sites)
     reduced = oracle_partial_trace(matrix, dims, sites)
@@ -199,7 +200,7 @@ def oracle_completely_entangled(matrix: np.ndarray, dims, sites, tol: float = 1e
         if min_eig >= -tol:
             verdict = False
             sides = {int(np.prod([sub_dims[p] for p in a])), int(np.prod([sub_dims[p] for p in b]))}
-            if sides not in ({2}, {2, 3}):
+            if 1 not in sides and sides not in ({2}, {2, 3}):
                 quality = "PPT_NECESSARY"
     return verdict, quality
 
@@ -360,25 +361,6 @@ def oracle_classify(amplitudes, dims, j, experiments, tol: float = 1e-9) -> tupl
     else:
         kind = "TOTALLY_MIXED"
     return kind, "POOL_LIMITED"
-
-
-def replay_haar_bases(dims, sites, n_random: int, seed: int) -> list:
-    """Per-experiment Haar bases drawn one matrix at a time, as pools were first built.
-
-    For each experiment and each site: a real then an imaginary d x d block
-    of normals, one QR, and the phase fix that makes diag(R) positive.
-    """
-    rng = np.random.default_rng([seed, *sites])
-    out = []
-    for _ in range(n_random):
-        combo = []
-        for s in sites:
-            d = dims[s]
-            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            q, r = np.linalg.qr(z)
-            combo.append(q * (np.diag(r) / np.abs(np.diag(r))))
-        out.append(combo)
-    return out
 
 
 def _product_projector(dims, vectors) -> np.ndarray:

@@ -24,7 +24,7 @@ from conexa.devices import (
     realization_count,
     tensorial_structures,
 )
-from conexa.disentangle import IntricationClass, PoolConfig, disentanglement_structures
+from conexa.disentangle import IntricationClass, disentanglement_structures
 from conexa.quantum import (
     Observable,
     PureState,
@@ -50,16 +50,13 @@ from helpers import (
     structure,
 )
 
-POOL = PoolConfig(n_random=20, seed=7)
-
-
 def conclude(n: int, message: str) -> None:
     print(f"[criterion {n:2d}] PASS  {message}")
 
 
 def test_criterion_01_ghz_disentanglement():
     start = time.perf_counter()
-    report = disentanglement_structures(builtin_state("GHZ"), POOL)
+    report = disentanglement_structures(builtin_state("GHZ"))
     elapsed = time.perf_counter() - start
     assert report.structures["GI"] == borromean(3)
     assert report.structures["MT"] == borromean(3)
@@ -94,8 +91,8 @@ def det2(m: list) -> int:
 def test_criterion_02_o2_structure_and_order():
     o2 = builtin_state("O2")
     start = time.perf_counter()
-    report = disentanglement_structures(o2, POOL)
-    orders = total_order(o2, POOL)
+    report = disentanglement_structures(o2)
+    orders = total_order(o2)
     elapsed = time.perf_counter() - start
     assert orders.omega == 2
     assert elapsed < 1.0, f"O2 analysis took {elapsed:.3f}s"
@@ -143,10 +140,10 @@ def test_criterion_02_o2_structure_and_order():
 
 
 def test_criterion_03_epr_structures():
-    report = disentanglement_structures(builtin_state("EPR"), POOL)
+    report = disentanglement_structures(builtin_state("EPR"))
     for name, s in report.structures.items():
         assert s == power_set(2), name
-    orders = total_order(builtin_state("EPR"), POOL)
+    orders = total_order(builtin_state("EPR"))
     assert orders.omega == 1
     conclude(3, "EPR: all six structures coarse, Omega=1")
 
@@ -307,7 +304,7 @@ def test_criterion_10_property_suites():
     from conexa.connective import closure_axiom_holds
 
     emitted = []
-    rep = disentanglement_structures(builtin_state("GHZ"), POOL)
+    rep = disentanglement_structures(builtin_state("GHZ"))
     emitted.extend(rep.structures.values())
     dens = density_structures(builtin_state("O2").density())
     emitted.extend([dens.kappa_corr, dens.kappa_s])
@@ -317,10 +314,9 @@ def test_criterion_10_property_suites():
     assert all(closure_axiom_holds(s) for s in emitted)
 
     # six-structure inclusion chains on 50 random three-qubit states
-    cfg = PoolConfig(n_random=3, seed=99)
     for _ in range(50):
         psi = PureState(SiteLayout((2, 2, 2)), random_state_vector(rng, 8))
-        s = {k: v.connected for k, v in disentanglement_structures(psi, cfg).structures.items()}
+        s = {k: v.connected for k, v in disentanglement_structures(psi).structures.items()}
         assert s["GI"] <= s["BIP"] <= s["IP"]
         assert s["GI"] <= s["MT"] <= s["IP"]
         assert s["IP"] <= s["ML"] <= s["NCS"]

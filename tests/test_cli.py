@@ -44,7 +44,7 @@ def validate_schema(report: dict) -> None:
 
 
 def test_analyze_state_ghz(capsys):
-    code, out, _ = run_cli(capsys, "analyze-state", "--builtin", "GHZ", "--seed", "7")
+    code, out, _ = run_cli(capsys, "analyze-state", "--builtin", "GHZ")
     assert code == 0
     report = load_report(out)
     validate_schema(report)
@@ -53,12 +53,12 @@ def test_analyze_state_ghz(capsys):
     gi = result["structures"]["GI"]["connected"]
     assert gi == [[], ["1"], ["2"], ["3"], ["1", "2", "3"]]
     assert result["classes"]["123"]["class"] == "GLOBALLY_ENTANGLED"
-    assert report["seed"] == 7
+    assert "seed" not in report and "samples" not in report["parameters"]
 
 
 def test_analyze_state_structure_filter(capsys):
     code, out, _ = run_cli(
-        capsys, "analyze-state", "--builtin", "EPR", "--seed", "1", "--structures", "GI,MT"
+        capsys, "analyze-state", "--builtin", "EPR", "--structures", "GI,MT"
     )
     assert code == 0
     report = load_report(out)
@@ -66,9 +66,14 @@ def test_analyze_state_structure_filter(capsys):
 
 
 def test_analyze_state_requires_seed(capsys):
-    code, _, err = run_cli(capsys, "analyze-state", "--builtin", "GHZ")
-    assert code == 2
-    assert "seed" in err
+    # no seed is required: the pool is fixed, and --seed is parsed and ignored
+    for command in ("analyze-state", "order"):
+        reports = set()
+        for seed in ([], ["--seed", "1"], ["--seed", "2"]):
+            code, out, err = run_cli(capsys, command, "--builtin", "O2", *seed)
+            assert (code, err) == (0, "")
+            reports.add(out)
+        assert len(reports) == 1, command
 
 
 def test_analyze_density_ghz(capsys):
@@ -231,7 +236,7 @@ def test_derive_device_matches_builtin_ghz(capsys):
 
 
 def test_order_command(capsys):
-    code, out, _ = run_cli(capsys, "order", "--builtin", "O2", "--seed", "7")
+    code, out, _ = run_cli(capsys, "order", "--builtin", "O2")
     assert code == 0
     report = load_report(out)
     validate_schema(report)
@@ -253,35 +258,35 @@ def test_builtin_listing_and_emission(capsys):
 def test_malformed_json_exit_code_and_position(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"dims": [2, 2], "amplitudes": [[1, 0],')
-    code, _, err = run_cli(capsys, "analyze-state", "--file", str(path), "--seed", "1")
+    code, _, err = run_cli(capsys, "analyze-state", "--file", str(path))
     assert code == 2
     assert "line" in err and "column" in err
 
 
 def test_unknown_builtin_exit_code(capsys):
-    code, _, err = run_cli(capsys, "analyze-state", "--builtin", "W", "--seed", "1")
+    code, _, err = run_cli(capsys, "analyze-state", "--builtin", "W")
     assert code == 2
     assert "unknown builtin" in err
 
 
 def test_byte_identical_reports(capsys):
-    args = ("analyze-state", "--builtin", "GHZ", "--seed", "7")
+    args = ("analyze-state", "--builtin", "GHZ")
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
     assert first == canonical_json(json.loads(first))
 
 
-# sha256 of the canonical `analyze-state --seed 7` reports.  K is left out: its
+# sha256 of the canonical `analyze-state` reports.  K is left out: its
 # pairs are classified GLOBALLY_ENTANGLED (POOL_LIMITED) although a Y-basis
 # measurement of site 3 separates them, and exact one-site-complement
 # classification is meant to change that report.
 GOLDEN_STATE_REPORTS = {
-    ("--builtin", "EPR"): "dd34858f76263d1a9255b8a6be1f289ec3f4a2992a26e063ea607c4e18d59694",
-    ("--builtin", "GHZ"): "89615a131d3aabc3e50d0ef96143fbe229079ba8775023950108b0462a0d45ad",
-    ("--builtin", "O2"): "ddc1cec782fbcc50046d3af655db0c2cfa470a00bcef1ebd36fe33a34ece8456",
-    (11, (2, 2, 2, 2)): "2e42e7f1add6edc0371db79ceaafae15092e11dad2461cef502e5e345c38832d",
-    (12, (3, 2, 3)): "c8c9015ba0b4dc353fd5ff54eebfd145378e6c67d371973d6bec8ab88ddcb68c",
+    ("--builtin", "EPR"): "e075b05bbd83a898829f77e57126e6fff70d9b29207c9d98b43d98bca8c4c546",
+    ("--builtin", "GHZ"): "dfc7cdcf918dfcff77f1e2094b23c84f0e841bcbb474c59dcf082d6d53a5e5f9",
+    ("--builtin", "O2"): "a15a9302342e776dee8a85311c7a5b64c9729fa563de50ae776e2d10a10d3378",
+    (11, (2, 2, 2, 2)): "c3e403edf22a132da8985764547893a8b7b6781244f8448f8a7bcf3212578320",
+    (12, (3, 2, 3)): "3b56d49f81b46f75d826ce61c8aa87c0b19793f63793e436c5c81f5cf78524af",
 }
 
 
@@ -296,7 +301,7 @@ def test_analyze_state_reports_pinned(source, tmp_path, capsys):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state_to_dict(psi)))
         argv = ["--file", str(path)]
-    code, out, _ = run_cli(capsys, "analyze-state", *argv, "--seed", "7")
+    code, out, _ = run_cli(capsys, "analyze-state", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STATE_REPORTS[source]
 
@@ -309,26 +314,26 @@ REALIZED = {
 }
 
 # sha256 of the canonical reports of the other engines: analyze-density and
-# order (--seed 7) on the builtin states, analyze-device on the builtin
+# order on the builtin states, analyze-device on the builtin
 # devices, analyze-rvs on the REALIZED families.  K is left out of `order`
 # for the reason given above.
 GOLDEN_REPORTS = {
-    ("analyze-density", "EPR"): "15613ff8f97e05025efaaad8d53be9af5bedbc8df29ece7129f555002c71b369",
-    ("analyze-density", "GHZ"): "c26352e959391ea5e7b0ec7d1083cf7eace5917280ba9cba3e061a33619151d6",
-    ("analyze-density", "O2"): "f07c8d94be45f26f72cba3b2d8931b9e4bf87f60ae709515a392723aa696cc04",
-    ("analyze-density", "K"): "c26352e959391ea5e7b0ec7d1083cf7eace5917280ba9cba3e061a33619151d6",
-    ("order", "EPR"): "91738fa2abcb6f4d6269e7b1aa3becaacd7e07062ed878e1dffa06cd4aa95cd2",
-    ("order", "GHZ"): "91738fa2abcb6f4d6269e7b1aa3becaacd7e07062ed878e1dffa06cd4aa95cd2",
-    ("order", "O2"): "0e3e8645d394db49896e7bc7bc50c32adfbd5e57522fc4c4f4478da155d04f97",
-    ("analyze-device", "EPR"): "5c7ded7773fef7f54737546fa98990e420986cd45199913256e3c6ae5c540166",
-    ("analyze-device", "EPR2"): "bf3b7691cc64ea5ac915657bc73312f85c79622b3ac94e200c96b91cd9eaa2ff",
-    ("analyze-device", "GHZ"): "b6f12c3a3f4ae8454cb4cca749a57c3d3315f5ae321ca65ca83dfa420d86159e",
-    ("analyze-device", "K"): "b82176806f415591368d986fce7a53a8d1d2c020c0df5bd63ca86a31ab738655",
+    ("analyze-density", "EPR"): "9bba03901656ad592f6113cbc9d7d9f1c99379e226e991b17665babe3a65af54",
+    ("analyze-density", "GHZ"): "2dde1bb94d06f6410c2b84a72a885f05abcdc91b2ced92cc38c8f1f77f44a0f8",
+    ("analyze-density", "O2"): "81b7156ac88e3b7de87869da90cd109e2b3b93abc19dcec072a14d2e0b44329f",
+    ("analyze-density", "K"): "2dde1bb94d06f6410c2b84a72a885f05abcdc91b2ced92cc38c8f1f77f44a0f8",
+    ("order", "EPR"): "344367186f409220408276ecad6f40ece801aa14628de6827ae77ba030049db6",
+    ("order", "GHZ"): "344367186f409220408276ecad6f40ece801aa14628de6827ae77ba030049db6",
+    ("order", "O2"): "feb8ea0c687514ea17fd886d55c0715284e37b9a44e67a6dbd19891627559f40",
+    ("analyze-device", "EPR"): "e21afb2128784bdd7d5e31b966adae6d9c7ae3d5385ae5af09c67bcc03b7d422",
+    ("analyze-device", "EPR2"): "368169c710a3ace4115a20c72f604068d2e91280399219cdd84ce82c21b264a0",
+    ("analyze-device", "GHZ"): "a34bc31cc08ad74f8addaf8ca60dc635d6ac3ff9216ccd47b8dac5c51831c109",
+    ("analyze-device", "K"): "65b986c757a4547b085a29dff9c4b1bb85ca98e11f9e93a1a66126bc67c3eabf",
     ("analyze-rvs", "brunnian 3"):
-        "193b9180aa7d96d00b331b866670a18b12d0c6fc2a81c8406e784c1a57dc7a93",
+        "bd5ed7ce77509dbe4c05b7d84876f681b23ca79cc69952ca1d171423d7c96cb5",
     ("analyze-rvs", "pair and triple 4"):
-        "488c7e34e12dc37a8acb6df99509c35ef6d50cfbd48d65c41f9ee546d5f23bd7",
-    ("analyze-rvs", "chain 5"): "667db5013df5d8b47f5f408e019882a90ee2620aad84de6a3d1d0a0f1023e8fa",
+        "7b3196e3a1b668ca006746b6d7f804459e69b5e86c7fce2ace90429a18654f97",
+    ("analyze-rvs", "chain 5"): "20e6924fef533dfe191821b4bafc5f2631d12e2546a03e45f22b388023da86bb",
 }
 
 
@@ -337,8 +342,7 @@ def _golden_argv(command, name, tmp_path) -> list:
         path = tmp_path / "dist.json"
         path.write_text(json.dumps(distribution_to_dict(realize_structure(REALIZED[name]))))
         return [command, "--file", str(path)]
-    seed = ["--seed", "7"] if command == "order" else []
-    return [command, "--builtin", name, *seed]
+    return [command, "--builtin", name]
 
 
 @pytest.mark.parametrize("source", list(GOLDEN_REPORTS), ids=str)
@@ -350,7 +354,7 @@ def test_engine_reports_pinned(source, tmp_path, capsys):
 
 def test_text_format(capsys):
     code, out, _ = run_cli(
-        capsys, "analyze-state", "--builtin", "EPR", "--seed", "1", "--format", "text"
+        capsys, "analyze-state", "--builtin", "EPR", "--format", "text"
     )
     assert code == 0
     assert "structures:" in out
@@ -451,20 +455,20 @@ _BITS = [["0", "1"], ["0", "1"]]
 # NaN and 1e400 are written as JSON number literals that Python's parser reads
 MALFORMED_INPUTS = {
     "one-element amplitude pair": (
-        ["analyze-state", "--seed", "1", "--file"],
+        ["analyze-state", "--file"],
         json.dumps({"dims": [2, 2], "amplitudes": [[1, 0], [0], [0, 0], [1, 0]]}),
     ),
-    "missing amplitudes": (["analyze-state", "--seed", "1", "--file"], '{"dims": [2, 2]}'),
+    "missing amplitudes": (["analyze-state", "--file"], '{"dims": [2, 2]}'),
     "non-integer dims": (
-        ["analyze-state", "--seed", "1", "--file"],
+        ["analyze-state", "--file"],
         json.dumps({"dims": ["x"], "amplitudes": [[1, 0], [0, 0]]}),
     ),
     "NaN amplitude": (
-        ["analyze-state", "--seed", "1", "--file"],
+        ["analyze-state", "--file"],
         json.dumps({"dims": [2, 2], "amplitudes": [[float("nan"), 0], *_AMPS[1:]]}),
     ),
     "overflowing amplitude": (
-        ["analyze-state", "--seed", "1", "--file"],
+        ["analyze-state", "--file"],
         '{"dims": [2, 2], "amplitudes": [[1e400, 0], [0, 0], [0, 0], [1, 0]]}',
     ),
     "density as a list": (["analyze-density", "--file"], json.dumps(_identity4())),
@@ -493,7 +497,7 @@ MALFORMED_INPUTS = {
         json.dumps({"questions": [["*"], ["*"]], "results": _BITS, "relation": []}),
     ),
     "string dims": (
-        ["analyze-state", "--seed", "1", "--file"],
+        ["analyze-state", "--file"],
         json.dumps({"dims": ["2", 2], "amplitudes": _AMPS}),
     ),
     "boolean dims": (
@@ -501,7 +505,7 @@ MALFORMED_INPUTS = {
         json.dumps({"dims": [True, 2, 2], "matrix": _identity4()}),
     ),
     "fractional dims": (
-        ["analyze-state", "--seed", "1", "--file"],
+        ["analyze-state", "--file"],
         json.dumps({"dims": [2, 2.7], "amplitudes": _AMPS}),
     ),
     "device label sets as strings": (
@@ -579,7 +583,7 @@ def test_overflowing_norm_reports_like_the_unscaled_state(tmp_path, capsys):
         path = tmp_path / f"epr{scale}.json"
         amplitudes = [[scale * re, 0.0] for re, _ in _AMPS]
         path.write_text(json.dumps({"dims": [2, 2], "amplitudes": amplitudes}))
-        code, out, err = run_cli(capsys, "analyze-state", "--samples", "0", "--file", str(path))
+        code, out, err = run_cli(capsys, "analyze-state", "--file", str(path))
         assert (code, err) == (0, "")
         reports.append(out)
     assert reports[0] == reports[1]

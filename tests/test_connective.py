@@ -1,5 +1,7 @@
 """Connectivity-structure kernel: generation, irreducibles, order, meet."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,17 @@ def test_label_rule_is_shared(labels, message):
             call()
     with pytest.raises(DomainError, match="outcome labels must be strings"):
         _check_labels([[0, 1]], "outcome")
+
+
+def test_integer_relation_and_table_keys_are_refused():
+    # keys must name the string labels; integers are not turned into them
+    with pytest.raises(DomainError, match="not coherent"):
+        Device([["0"], ["0"]], [["0", "1"], ["0", "1"]], {(0, 0): {(0, 0), (1, 1)}})
+    with pytest.raises(DomainError, match="not well-typed"):
+        Device([["0"], ["0"]], [["0", "1"], ["0", "1"]], {("0", "0"): {(0, 0), (1, 1)}})
+    half = Fraction(1, 2)
+    with pytest.raises(DomainError, match="not well-typed"):
+        FiniteJointDistribution([["0", "1"], ["0", "1"]], {(0, 0): half, (1, 1): half})
 
 
 def test_subset_driver_order_and_labels():

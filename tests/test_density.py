@@ -12,7 +12,7 @@ from conexa.density import (
     is_completely_entangled_on,
     total_order,
 )
-from conexa.disentangle import IntricationClass, PoolConfig, classify_on_subset
+from conexa.disentangle import IntricationClass, classify_on_subset
 from conexa.errors import DomainError
 from conexa.quantum import (
     DensityOperator,
@@ -35,9 +35,6 @@ from helpers import (
     random_state_vector,
     structure,
 )
-
-CFG = PoolConfig(n_random=20, seed=7)
-
 
 def random_pure(rng, dims):
     layout = SiteLayout(dims)
@@ -151,17 +148,17 @@ def test_pure_state_cross_module_agreement_on_full_set():
     for _ in range(20):
         psi = random_pure(rng, (2, 2, 2))
         verdict, _ = is_completely_entangled_on(psi.density(), (0, 1, 2))
-        cls = classify_on_subset(psi, (0, 1, 2), CFG)
+        cls = classify_on_subset(psi, (0, 1, 2))
         assert verdict == (cls.kind is IntricationClass.GLOBALLY_ENTANGLED)
 
 
 def test_total_order_reference_states():
-    assert total_order(builtin_state("EPR"), CFG) == total_order(builtin_state("EPR"), CFG)
-    epr = total_order(builtin_state("EPR"), CFG)
+    assert total_order(builtin_state("EPR")) == total_order(builtin_state("EPR"))
+    epr = total_order(builtin_state("EPR"))
     assert (epr.omega_c, epr.omega_f, epr.omega) == (1, 1, 1)
-    ghz = total_order(builtin_state("GHZ"), CFG)
+    ghz = total_order(builtin_state("GHZ"))
     assert (ghz.omega_c, ghz.omega_f, ghz.omega) == (1, 1, 1)
-    o2 = total_order(builtin_state("O2"), CFG)
+    o2 = total_order(builtin_state("O2"))
     assert o2.omega == 2
     assert o2.omega_f == 2
 
@@ -176,8 +173,8 @@ def _random_operator(rng, dims, rank):
 
 @st.composite
 def density_cases(draw):
-    """Dims in {2, 3} on 2-4 sites, and a rank-1..3 operator or a permuted product."""
-    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=2, max_size=4)))
+    """Dims in {1, 2, 3} on 2-4 sites, and a rank-1..3 operator or a permuted product."""
+    dims = tuple(draw(st.lists(st.sampled_from((1, 2, 3)), min_size=2, max_size=4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if not draw(st.booleans()):
         return dims, _random_operator(rng, dims, draw(st.integers(1, 3)))

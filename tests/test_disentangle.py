@@ -13,7 +13,6 @@ from conexa.disentangle import (
     Confidence,
     IntricationClass,
     MeasurementPool,
-    PoolConfig,
     build_pool,
     classify_on_subset,
     disentanglement_structures,
@@ -27,11 +26,8 @@ from helpers import (
     oracle_classify,
     power_set,
     random_state_vector,
-    replay_haar_bases,
 )
 
-CFG = PoolConfig(n_random=20, seed=7)
-STRUCTURED_ONLY = PoolConfig(n_random=0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -47,36 +43,42 @@ def experiments_of(pool):
 
 def test_pool_on_empty_site_set_is_identity():
     ghz = builtin_state("GHZ")
-    pool = build_pool(ghz.layout, (), STRUCTURED_ONLY)
+    pool = build_pool(ghz.layout, ())
     assert pool.sites == () and pool.bases == ()
     assert post_states(ghz, (0, 1, 2), pool.bases) == [ghz]
 
 
 def test_pool_structured_sizes():
+    # the structured grid, then the one generic experiment
     layout = SiteLayout((2, 2, 2))
-    assert [b.shape for b in build_pool(layout, (0,), STRUCTURED_ONLY).bases] == [(2, 2, 2)]
-    assert [b.shape for b in build_pool(layout, (0, 1), STRUCTURED_ONLY).bases] == [(4, 2, 2)] * 2
-
-
-def test_pool_requires_seed_for_random_bases():
-    with pytest.raises(DomainError):
-        PoolConfig(n_random=5, seed=None)
-
-
-def test_pool_deterministic_per_seed():
-    layout = SiteLayout((2, 2))
-    a = build_pool(layout, (0,), PoolConfig(n_random=3, seed=42))
-    b = build_pool(layout, (0,), PoolConfig(n_random=3, seed=42))
-    assert np.array_equal(a.bases[0], b.bases[0])
-    c = build_pool(layout, (0,), PoolConfig(n_random=3, seed=43))
-    assert a.bases[0].shape == c.bases[0].shape
-    assert not np.array_equal(a.bases[0], c.bases[0])
+    assert [b.shape for b in build_pool(layout, (0,)).bases] == [(3, 2, 2)]
+    assert [b.shape for b in build_pool(layout, (0, 1)).bases] == [(5, 2, 2)] * 2
 
 
 def test_fourier_basis_used_for_qutrits():
     layout = SiteLayout((3, 3))
-    pool = build_pool(layout, (0,), STRUCTURED_ONLY)
-    assert pool.bases[0].shape == (2, 3, 3)
+    pool = build_pool(layout, (0,))
+    assert pool.bases[0].shape == (3, 3, 3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_pool_ends_with_the_generic_basis(d):
+    # Hadamard (d = 2) or Fourier, row j times exp(i sqrt(2) (j + 1)), first two
+    # rows turned by 0.4 rad
+    if d == 2:
+        second = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    else:
+        j, k = np.meshgrid(range(d), range(d), indexing="ij")
+        second = np.exp(2j * np.pi * j * k / d) / math.sqrt(d)
+    expected = second * np.exp(1j * math.sqrt(2) * np.arange(1, d + 1))[:, None]
+    c, s = math.cos(0.4), math.sin(0.4)
+    expected[:2] = np.array([[c, -s], [s, c]]) @ expected[:2]
+    pool = build_pool(SiteLayout((d, 2, d)), (0, 2))
+    for stack in pool.bases:
+        generic = stack[-1]
+        assert np.allclose(generic, expected, atol=1e-12)
+        assert np.allclose(generic.conj().T @ generic, np.eye(d), atol=1e-12)
+        assert not any(np.allclose(generic, b) for b in stack[:-1])
 
 
 def test_post_states_ghz_z_experiment():
@@ -105,7 +107,7 @@ def test_post_states_of_product_factorize():
     psi_rest = random_pure(rng, (2,))
     # joint layout: J = sites (0, 1), measured site = 2
     joint = tensor_state(psi_j, psi_rest)
-    pool = build_pool(joint.layout, (2,), PoolConfig(n_random=4, seed=9))
+    pool = build_pool(joint.layout, (2,))
     for bases in experiments_of(pool):
         states = post_states(joint, (0, 1), bases)
         assert len(states) == 1
@@ -113,13 +115,13 @@ def test_post_states_of_product_factorize():
 
 
 def test_classify_ghz_full_set_certified():
-    cls = classify_on_subset(builtin_state("GHZ"), (0, 1, 2), CFG)
+    cls = classify_on_subset(builtin_state("GHZ"), (0, 1, 2))
     assert cls.kind is IntricationClass.GLOBALLY_ENTANGLED
     assert cls.confidence is Confidence.CERTIFIED
 
 
 def test_classify_ghz_pair_well_entangled_and_separable():
-    cls = classify_on_subset(builtin_state("GHZ"), (1, 2), CFG)
+    cls = classify_on_subset(builtin_state("GHZ"), (1, 2))
     assert cls.kind is IntricationClass.WELL_ENTANGLED_AND_SEPARABLE
     assert cls.confidence is Confidence.POOL_LIMITED
 
@@ -127,7 +129,7 @@ def test_classify_ghz_pair_well_entangled_and_separable():
 def test_classify_product_state_totally_separated():
     zero3 = basis_state((2, 2, 2), (0, 0, 0))
     for j in ((0, 1), (0, 2), (1, 2), (0, 1, 2)):
-        cls = classify_on_subset(zero3, j, CFG)
+        cls = classify_on_subset(zero3, j)
         assert cls.kind is IntricationClass.TOTALLY_SEPARATED
         assert cls.confidence is Confidence.CERTIFIED
 
@@ -135,7 +137,7 @@ def test_classify_product_state_totally_separated():
 def test_classify_epr_times_qubit_certified_entangled():
     rng = np.random.default_rng(4)
     joint = tensor_state(builtin_state("EPR"), random_pure(rng, (2,)))
-    cls = classify_on_subset(joint, (0, 1), CFG)
+    cls = classify_on_subset(joint, (0, 1))
     assert cls.kind is IntricationClass.GLOBALLY_ENTANGLED
     assert cls.confidence is Confidence.CERTIFIED
 
@@ -145,18 +147,18 @@ def test_classify_depends_only_on_factor_for_products():
     psi_j = random_pure(rng, (2, 2))
     for tail_seed in (1, 2):
         tail = random_pure(np.random.default_rng(tail_seed), (2,))
-        cls = classify_on_subset(tensor_state(psi_j, tail), (0, 1), CFG)
+        cls = classify_on_subset(tensor_state(psi_j, tail), (0, 1))
         assert cls.confidence is Confidence.CERTIFIED
         assert cls.kind is IntricationClass.GLOBALLY_ENTANGLED
 
 
 def test_classify_rejects_small_subsets():
     with pytest.raises(DomainError):
-        classify_on_subset(builtin_state("GHZ"), (0,), CFG)
+        classify_on_subset(builtin_state("GHZ"), (0,))
 
 
 def test_ghz_structures_pinned():
-    rep = disentanglement_structures(builtin_state("GHZ"), CFG)
+    rep = disentanglement_structures(builtin_state("GHZ"))
     assert rep.structures["GI"] == borromean(3)
     assert rep.structures["MT"] == borromean(3)
     for name in ("BIP", "IP", "ML", "NCS"):
@@ -165,7 +167,7 @@ def test_ghz_structures_pinned():
 
 
 def test_epr_structures_all_coarse():
-    rep = disentanglement_structures(builtin_state("EPR"), CFG)
+    rep = disentanglement_structures(builtin_state("EPR"))
     for name, s in rep.structures.items():
         assert s == power_set(2), name
     assert rep.omega_c == 1
@@ -184,7 +186,7 @@ def test_o2_subset_classes_and_structures():
     assert abs(hit.probability - 9.0 / 26.0) < 1e-12
     assert hit.state.equals_up_to_phase(basis_state((2, 2), (1, 1)))
 
-    rep = disentanglement_structures(o2, CFG)
+    rep = disentanglement_structures(o2)
     assert rep.classes[(2, 3)].kind is IntricationClass.WELL_ENTANGLED_ONLY
     assert rep.classes[(1, 2)].kind is IntricationClass.WELL_ENTANGLED_AND_SEPARABLE
     assert rep.classes[(1, 2, 3)].kind is IntricationClass.GLOBALLY_ENTANGLED
@@ -195,10 +197,9 @@ def test_o2_subset_classes_and_structures():
 
 def test_structure_inclusion_chains_random_states():
     rng = np.random.default_rng(21)
-    cfg = PoolConfig(n_random=3, seed=77)
     for _ in range(50):
         psi = random_pure(rng, (2, 2, 2))
-        rep = disentanglement_structures(psi, cfg)
+        rep = disentanglement_structures(psi)
         s = {name: st.connected for name, st in rep.structures.items()}
         assert s["GI"] <= s["BIP"] <= s["IP"]
         assert s["GI"] <= s["MT"] <= s["IP"]
@@ -207,8 +208,8 @@ def test_structure_inclusion_chains_random_states():
 
 def test_classification_deterministic():
     psi = builtin_state("O2")
-    a = disentanglement_structures(psi, CFG)
-    b = disentanglement_structures(psi, CFG)
+    a = disentanglement_structures(psi)
+    b = disentanglement_structures(psi)
     assert a.classes == b.classes
     assert a.structures == b.structures
 
@@ -218,17 +219,35 @@ def test_pool_monotonicity_verdict_movement():
     mixed_family = IntricationClass.TOTALLY_MIXED, IntricationClass.WELL_ENTANGLED_ONLY, \
         IntricationClass.WELL_SEPARABLE_ONLY, IntricationClass.WELL_ENTANGLED_AND_SEPARABLE
     rng = np.random.default_rng(22)
-    small = PoolConfig(n_random=0)
-    large = PoolConfig(n_random=10, seed=5)
     for _ in range(20):
         psi = random_pure(rng, (2, 2, 2))
         for j in ((0, 1), (0, 2), (1, 2)):
+            (c,) = {0, 1, 2} - set(j)
+            small = build_pool(psi.layout, (c,))
+            large = build_pool(psi.layout, (c,), extra_bases={c: [_random_basis(rng, 2)]})
             c_small = classify_on_subset(psi, j, small).kind
             c_large = classify_on_subset(psi, j, large).kind
             if c_small in mixed_family:
                 assert c_large in mixed_family
             if c_large is IntricationClass.GLOBALLY_ENTANGLED:
                 assert c_small is IntricationClass.GLOBALLY_ENTANGLED
+
+
+def test_generic_experiment_decides_the_adversarial_state():
+    # Measuring site c along v leaves a pencil whose product directions are
+    # exactly the Z and X ones, so every structured experiment mixes product and
+    # entangled outcomes; only the generic experiment is entangled throughout.
+    amplitudes = np.array([1, 0, 0, 0, 0, 1, 1, 1]) / 2.0
+    psi = PureState(SiteLayout((2, 2, 2)), amplitudes)
+    hadamard = np.array([[1, 1], [1, -1]]) * INV_SQRT2
+    for j in ((0, 1), (0, 2), (1, 2)):
+        (c,) = {0, 1, 2} - set(j)
+        cls = classify_on_subset(psi, j)
+        assert cls == disentangle.Classification(
+            IntricationClass.WELL_ENTANGLED_ONLY, Confidence.POOL_LIMITED
+        )
+        grid = MeasurementPool((c,), [np.stack([np.eye(2), hadamard])])
+        assert classify_on_subset(psi, j, grid).kind is IntricationClass.TOTALLY_MIXED
 
 
 def test_pool_mismatched_experiments_rejected():
@@ -250,34 +269,20 @@ def test_experiment_requires_orthonormal_basis():
     with pytest.raises(DomainError, match="not orthonormal"):
         post_states(builtin_state("EPR"), (1,), [singular])
     with pytest.raises(DomainError, match="not orthonormal"):
-        build_pool(SiteLayout((2, 2)), (0,), PoolConfig(n_random=0, extra_bases={0: [singular]}))
+        build_pool(SiteLayout((2, 2)), (0,), extra_bases={0: [singular]})
 
 
 def test_extra_bases_enter_the_pool():
     layout = SiteLayout((2, 2))
     tilted = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
-    cfg = PoolConfig(n_random=0, extra_bases={0: [tilted]})
-    pool = build_pool(layout, (0,), cfg)
-    assert pool.bases[0].shape == (3, 2, 2)
+    pool = build_pool(layout, (0,), extra_bases={0: [tilted]})
+    assert pool.bases[0].shape == (4, 2, 2)
     assert np.array_equal(pool.bases[0][2], tilted)
-
-
-@pytest.mark.parametrize("dims", [(2,), (3, 2), (2, 3, 2)])
-@pytest.mark.parametrize("seed", [42, 43])
-def test_pool_random_bases_match_per_matrix_draws(dims, seed):
-    layout = SiteLayout(dims)
-    sites = tuple(range(len(dims)))
-    pool = build_pool(layout, sites, PoolConfig(n_random=3, seed=seed))
-    drawn = experiments_of(pool)[-3:]
-    expected = replay_haar_bases(dims, sites, 3, seed)
-    assert len(pool.bases[0]) == 2 ** len(dims) + 3
-    for got, want in zip(drawn, expected):
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_classify_rejects_pool_on_wrong_sites():
     ghz = builtin_state("GHZ")
-    wrong = build_pool(ghz.layout, (1,), STRUCTURED_ONLY)
+    wrong = build_pool(ghz.layout, (1,))
     with pytest.raises(DomainError):
         classify_on_subset(ghz, (0, 1), wrong)
 
@@ -324,19 +329,21 @@ def _random_basis(rng, d):
 def oracle_cases(draw):
     """A 3-4-site state with local dims in {2, 3}, a subset J, a pool kind and a tol.
 
+    Pool kinds: the default pool, `build_pool` with one random extra basis per
+    measured site, or a caller's `MeasurementPool`.
+
     Under the large tolerance some experiments have no possible outcome.
     """
     dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=3, max_size=4)))
     kind = draw(st.sampled_from(("random", "product", "ghz", "blocks", "sparse")))
     seed = draw(st.integers(0, 2**32 - 1))
     j = tuple(sorted(draw(st.sets(st.integers(0, len(dims) - 1), min_size=2))))
-    pool_kind = draw(st.sampled_from(("config", "extras", "caller")))
-    n_random = draw(st.integers(0, 3))
-    return dims, kind, seed, j, pool_kind, n_random, draw(st.sampled_from((1e-9, 0.55)))
+    pool_kind = draw(st.sampled_from(("default", "extras", "caller")))
+    return dims, kind, seed, j, pool_kind, draw(st.sampled_from((1e-9, 0.55)))
 
 
 def _check_against_oracle(case):
-    dims, kind, seed, j, pool_kind, n_random, tol = case
+    dims, kind, seed, j, pool_kind, tol = case
     rng = np.random.default_rng(seed)
     psi = PureState(SiteLayout(dims), _oracle_state(kind, dims, rng))
     complement = tuple(s for s in range(len(dims)) if s not in j)
@@ -349,25 +356,25 @@ def _check_against_oracle(case):
         extras = None
         if pool_kind == "extras":
             extras = {s: [_random_basis(rng, dims[s])] for s in complement}
-        pool = PoolConfig(n_random=n_random, seed=5, extra_bases=extras)
-        built = build_pool(psi.layout, complement, pool)
+        built = build_pool(psi.layout, complement, extras)
+        pool = built if pool_kind == "extras" else None
         experiments = experiments_of(built) if complement else []
     cls = classify_on_subset(psi, j, pool, tol=tol)
     expected = oracle_classify(psi.amplitudes, dims, j, experiments, tol)
     assert (cls.kind.value, cls.confidence.value) == expected
 
 
-GHZ_LIKE = ((2, 3, 2), "ghz", 0, (0, 2), "config", 2, 1e-9)
-PRODUCT = ((3, 2, 2, 3), "product", 0, (1, 2, 3), "config", 2, 1e-9)
-SPARSE_CALLER_POOL = ((2, 2, 2, 2), "sparse", 0, (0, 1), "caller", 0, 1e-9)
-GHZ_LIKE_EXTRAS = ((2, 3, 2), "ghz", 0, (0, 2), "extras", 2, 1e-9)
+GHZ_LIKE = ((2, 3, 2), "ghz", 0, (0, 2), "default", 1e-9)
+PRODUCT = ((3, 2, 2, 3), "product", 0, (1, 2, 3), "default", 1e-9)
+SPARSE_CALLER_POOL = ((2, 2, 2, 2), "sparse", 0, (0, 1), "caller", 1e-9)
+GHZ_LIKE_EXTRAS = ((2, 3, 2), "ghz", 0, (0, 2), "extras", 1e-9)
 # a qubit times a GHZ-like triple: CLEARLY_SEPARABLE_ONLY (POOL_LIMITED)
-BLOCKS_CLEARLY_SEPARABLE = ((2, 2, 2, 2), "blocks", 20, (0, 1, 2), "config", 2, 1e-9)
+BLOCKS_CLEARLY_SEPARABLE = ((2, 2, 2, 2), "blocks", 20, (0, 1, 2), "default", 1e-9)
 # WELL_ENTANGLED_ONLY (POOL_LIMITED): only some experiments mix verdicts
-SPARSE_WELL_ENTANGLED = ((2, 2, 2), "sparse", 0, (0, 1), "config", 2, 1e-9)
-# every X x X outcome has norm 1/2 <= tol: the chunk holding that experiment alone
-# has no possible outcome
-GHZ4_EMPTY_CHUNK = ((2, 2, 2, 2), "ghz", 6, (0, 1), "config", 0, 0.55)
+SPARSE_WELL_ENTANGLED = ((2, 2, 2), "sparse", 0, (0, 1), "default", 1e-9)
+# every X x X outcome has norm 1/2 and every generic one at most 0.52 <= tol: the
+# chunk holding those two experiments has no possible outcome
+GHZ4_EMPTY_CHUNK = ((2, 2, 2, 2), "ghz", 6, (0, 1), "default", 0.55)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -395,11 +402,11 @@ def test_classify_matches_oracle_across_chunks(case):
 def test_oracle_examples_hit_impossible_outcomes_and_certified_path():
     dims, kind, seed, j = GHZ_LIKE[:4]
     ghz = PureState(SiteLayout(dims), _oracle_state(kind, dims, np.random.default_rng(seed)))
-    z_on_qutrit = experiments_of(build_pool(ghz.layout, (1,), STRUCTURED_ONLY))[0]
+    z_on_qutrit = experiments_of(build_pool(ghz.layout, (1,)))[0]
     assert len(post_states(ghz, j, z_on_qutrit)) == 2  # outcome 2 is impossible
     dims, kind, seed, j = PRODUCT[:4]
     product = PureState(SiteLayout(dims), _oracle_state(kind, dims, np.random.default_rng(seed)))
-    assert classify_on_subset(product, j, CFG).confidence is Confidence.CERTIFIED
+    assert classify_on_subset(product, j).confidence is Confidence.CERTIFIED
 
 
 def test_classify_conjugates_the_measured_basis():
@@ -433,6 +440,6 @@ def test_wrong_dimension_bases_raise_domain_error():
     with pytest.raises(DomainError):
         classify_on_subset(ghz, (0, 1), qutrit_pool)
     with pytest.raises(DomainError):
-        classify_on_subset(ghz, (0, 1), PoolConfig(n_random=0, extra_bases={2: [np.eye(3)]}))
+        build_pool(ghz.layout, (2,), extra_bases={2: [np.eye(3)]})
     with pytest.raises(DomainError):
         post_states(ghz, (0, 1), [np.eye(3)])
