@@ -50,6 +50,7 @@ from helpers import (
     structure,
 )
 
+
 def conclude(n: int, message: str) -> None:
     print(f"[criterion {n:2d}] PASS  {message}")
 
