@@ -169,14 +169,15 @@ def _generic_basis(dim: int) -> np.ndarray:
     """A fixed basis in general position, from a closed formula.
 
     The second structured basis with row j multiplied by exp(i sqrt(2) (j+1)),
-    then its first two rows turned by a real rotation of 0.4 rad: unitary by
-    construction.  It stands in for "some basis avoids the measure-zero
+    then its first two rows turned by a real rotation of 0.4 rad (when there
+    are two): unitary by construction.  It stands in for "some basis avoids the measure-zero
     product directions" without a random draw.
     """
     phases = np.exp(1j * np.sqrt(2.0) * np.arange(1, dim + 1))
     basis = _structured_bases(dim)[1] * phases[:, None]
-    c, s = np.cos(0.4), np.sin(0.4)
-    basis[:2] = np.array([[c, -s], [s, c]]) @ basis[:2]
+    if dim > 1:
+        c, s = np.cos(0.4), np.sin(0.4)
+        basis[:2] = np.array([[c, -s], [s, c]]) @ basis[:2]
     return basis
 
 

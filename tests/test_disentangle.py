@@ -55,6 +55,15 @@ def test_pool_structured_sizes():
     assert [b.shape for b in build_pool(layout, (0, 1)).bases] == [(5, 2, 2)] * 2
 
 
+def test_pool_on_a_site_of_dimension_one():
+    # a one-dimensional site has only the 1x1 bases; the generic one is a phase
+    pool = build_pool(SiteLayout((1, 2, 2)), (0, 1))
+    trivial = pool.bases[0]
+    assert trivial.shape == (5, 1, 1)
+    assert np.allclose(np.abs(trivial), 1.0)
+    assert np.allclose(trivial[-1], np.exp(1j * math.sqrt(2)))
+
+
 def test_fourier_basis_used_for_qutrits():
     layout = SiteLayout((3, 3))
     pool = build_pool(layout, (0,))
