@@ -2,18 +2,22 @@
 
 A subfamily is separable when some bipartition of it splits the joint law
 into a product; the structure of the family is generated by the inseparable
-subsets.  Probabilities are exact rationals whenever the inputs are, so the
-independence tests on the reference examples involve no tolerances at all;
-float tables are compared within the caller's tolerance.
+subsets.  An exact table is held as integer counts over a common
+denominator D, so the independence tests on the reference examples compare
+integers and involve no tolerances at all; float tables are compared within
+the caller's tolerance.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
+
+import numpy as np
 
 from .connective import (
     ConnectiveStructure,
@@ -32,7 +36,15 @@ from .quantum import DEFAULT_TOL
 class FiniteJointDistribution:
     """Probability table over a product of finite outcome alphabets.
 
-    A float table must sum to 1 within `tol`; an exact one exactly.
+    A float table must sum to 1 within `tol`; an exact one exactly.  A table
+    with any float entry is a float table, every entry converted to float.
+
+    Besides the public `prob`, the support is kept as rows of an index matrix
+    (`_index`, one outcome index per variable) with one weight per row
+    (`_weights`) over a scale (`_scale`).  An exact table's weights are the
+    integer counts p * D for D the lcm of its denominators, as int64 while
+    D**2 < 2**62 (so products of two counts cannot overflow) and Python ints
+    beyond; a float table's weights are its probabilities, with scale 1.0.
     """
 
     outcomes: tuple
@@ -42,13 +54,13 @@ class FiniteJointDistribution:
         outcomes = _check_labels(outcomes, "outcome")
         if not outcomes:
             raise DomainError("a joint distribution needs at least one variable")
-        table = {}
+        label_index = [{x: i for i, x in enumerate(labels)} for labels in outcomes]
+        table, rows = {}, {}
         exact = True
         for t, p in prob.items():
             t = tuple(t)
-            if len(t) != len(outcomes) or any(
-                x not in outcomes[i] for i, x in enumerate(t)
-            ):
+            row = tuple(index.get(x) for index, x in zip(label_index, t))
+            if len(t) != len(outcomes) or None in row:
                 raise DomainError(f"outcome tuple {t} is not well-typed")
             if isinstance(p, Fraction) or isinstance(p, int):
                 p = Fraction(p)
@@ -58,18 +70,29 @@ class FiniteJointDistribution:
             if not p >= 0:  # also rejects NaN
                 raise DomainError(f"probability {p} for {t} is not >= 0")
             if p != 0:
-                table[t] = table.get(t, Fraction(0) if exact else 0.0) + p
+                table[t] = table.get(t, 0) + p
+                rows[t] = row
         if not table:
             raise DomainError("distribution support is empty")
-        total = sum(table.values())
         if exact:
-            if total != 1:
-                raise DomainError(f"probabilities sum to {total}, not 1")
-        elif abs(float(total) - 1.0) > tol:
-            raise DomainError(f"probabilities sum to {total}, not 1 within {tol}")
+            scale = math.lcm(*(p.denominator for p in table.values()))
+            counts = [p.numerator * (scale // p.denominator) for p in table.values()]
+            total = sum(counts)
+            if total != scale:
+                raise DomainError(f"probabilities sum to {Fraction(total, scale)}, not 1")
+            weights = np.array(counts, dtype=np.int64 if scale * scale < 2**62 else object)
+        else:
+            table = {t: float(p) for t, p in table.items()}
+            total = sum(table.values())
+            if abs(total - 1.0) > tol:
+                raise DomainError(f"probabilities sum to {total}, not 1 within {tol}")
+            scale, weights = 1.0, np.array(list(table.values()))
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "prob", table)
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_index", np.array(list(rows.values()), dtype=np.int64))
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_scale", scale)
 
     @property
     def variables(self) -> int:
@@ -82,50 +105,72 @@ class FiniteJointDistribution:
             and self.prob == other.prob
         )
 
+    def __hash__(self):
+        return hash((self.outcomes, frozenset(self.prob.items())))
+
+
+def _marginals(dist: FiniteJointDistribution):
+    """(row ids, weights) of the marginal on each sorted position tuple, each computed once.
+
+    Rows agreeing on the positions share an id, and the ids count up from 0
+    to the marginal's support size; weights[id] sums the rows' weights in
+    row order.  The id on a tuple refines the id on its prefix by the last
+    position's outcome index, so it stays below the row count: no dense array
+    over the product of the alphabets is ever built.
+    """
+    index, weights = dist._index, dist._weights
+
+    @functools.cache
+    def marg(positions: tuple) -> tuple:
+        if positions:
+            *prefix, last = positions
+            key = marg(tuple(prefix))[0] * len(dist.outcomes[last]) + index[:, last]
+            ids = np.unique(key, return_inverse=True)[1]
+        else:
+            ids = np.zeros(len(weights), dtype=np.int64)
+        sums = np.zeros(ids.max() + 1, dtype=weights.dtype)
+        np.add.at(sums, ids, weights)
+        return ids, sums
+
+    return marg
+
 
 def marginal(dist: FiniteJointDistribution, positions) -> dict:
     """Marginal table over the given variable positions (sorted)."""
     positions = _check_indices(positions, dist.variables, "variable")
-    table: dict = {}
-    zero = Fraction(0) if dist.exact else 0.0
-    for t, p in dist.prob.items():
-        key = tuple(t[i] for i in positions)
-        table[key] = table.get(key, zero) + p
-    return table
+    ids, sums = _marginals(dist)(positions)
+    first: dict = {}
+    for row, i in enumerate(ids.tolist()):
+        first.setdefault(i, row)
+    rows = list(dist.prob)
+    value = (lambda w: Fraction(int(w), dist._scale)) if dist.exact else float
+    return {tuple(rows[r][p] for p in positions): value(sums[i]) for i, r in first.items()}
 
 
-def _marginals(dist: FiniteJointDistribution):
-    """marginal of dist by sorted position tuple, each tuple computed once."""
-    return functools.cache(lambda positions: marginal(dist, positions))
+def _independence(dist: FiniteJointDistribution, tol: float):
+    """Predicate on sorted position tuples (a, b): are the blocks a and b independent?
 
-
-def _independent(marg, j1: tuple, j2: tuple, tol) -> bool:
-    """Whether the marginals on j1 and j2 are independent within the joint on j1|j2.
-
-    Every entry must match the product of marginals within tol, which `_tol`
-    makes 0 for exact tables, whose Fraction arithmetic makes that equality.
-    A support-size mismatch short-circuits.
+    The joint support on a|b must be the product of the two marginal supports,
+    and on every row the joint weight times the scale must match the product
+    of the marginal weights within tol, which is 0 for exact tables: their
+    integer counts make that equality exact.
     """
-    union = tuple(sorted(j1 + j2))
-    joint, m1, m2 = marg(union), marg(j1), marg(j2)
-    if len(joint) != len(m1) * len(m2):
-        return False
-    pos1 = [union.index(p) for p in j1]
-    pos2 = [union.index(p) for p in j2]
-    return all(
-        abs(p - m1[tuple(t[i] for i in pos1)] * m2[tuple(t[i] for i in pos2)]) <= tol
-        for t, p in joint.items()
-    )
+    marg, scale = _marginals(dist), dist._scale
+    tol = 0 if dist.exact else tol
 
+    def independent(a: tuple, b: tuple) -> bool:
+        (ids, joint), (ids_a, wa), (ids_b, wb) = marg(tuple(sorted(a + b))), marg(a), marg(b)
+        if len(joint) != len(wa) * len(wb):
+            return False
+        return bool(np.all(np.abs(joint[ids] * scale - wa[ids_a] * wb[ids_b]) <= tol))
 
-def _tol(dist: FiniteJointDistribution, tol: float):
-    return 0 if dist.exact else tol
+    return independent
 
 
 def is_separable_split(dist: FiniteJointDistribution, j1, j2, tol: float = DEFAULT_TOL) -> bool:
     """Whether (j1, j2) partitions the family into two independent blocks."""
     a, b = _check_partition(j1, j2, dist.variables, "variable")
-    return _independent(_marginals(dist), a, b, _tol(dist, tol))
+    return _independence(dist, tol)(a, b)
 
 
 @dataclass(frozen=True)
@@ -138,10 +183,10 @@ class RvReport:
 def rv_analysis(dist: FiniteJointDistribution, tol: float = DEFAULT_TOL) -> RvReport:
     """Inseparable subsets, the structure they generate, and whether generation
     was needed at all (the raw family can already be closed)."""
-    marg, tol = _marginals(dist), _tol(dist, tol)
+    independent = _independence(dist, tol)
     inseparable, structures = _subset_structures(
         dist.variables,
-        lambda j: not any(_independent(marg, a, b, tol) for a, b in _bipartitions(j)),
+        lambda j: not any(independent(a, b) for a, b in _bipartitions(j)),
         {"rv": bool},
     )
     structure = structures["rv"]

@@ -406,3 +406,50 @@ def oracle_device_relation(amplitudes, dims, menus, tol: float = 1e-9) -> dict:
         q = tuple(label for label, _ in choice)
         out[q] = {idx for idx, *_ in oracle_measure(amplitudes, dims, observables, tol)}
     return out
+
+
+def oracle_marginal(prob, positions) -> dict:
+    """Marginal table of a probability dict by one scan, summing in table order."""
+    out = {}
+    for t, p in prob.items():
+        key = tuple(t[i] for i in positions)
+        out[key] = out.get(key, 0) + p
+    return out
+
+
+def oracle_independent(outcomes, prob, part_a, part_b, tol=0) -> bool:
+    """Whether the blocks part_a and part_b of a table are independent.
+
+    Walks the full outcome product of the union.  An outcome whose marginals
+    both have mass but which the joint law gives none is a dependence, whatever
+    the tolerance; every other outcome must have joint mass within `tol` of
+    the product of its marginals.  Exact tables (Fraction entries) take tol 0.
+    """
+    union = sorted(set(part_a) | set(part_b))
+    part_a, part_b = sorted(part_a), sorted(part_b)
+    joint = oracle_marginal(prob, union)
+    marg_a, marg_b = oracle_marginal(prob, part_a), oracle_marginal(prob, part_b)
+    for combo in itertools.product(*(outcomes[i] for i in union)):
+        ta = tuple(combo[union.index(i)] for i in part_a)
+        tb = tuple(combo[union.index(i)] for i in part_b)
+        if (combo in joint) != (ta in marg_a and tb in marg_b):
+            return False
+        if abs(joint.get(combo, 0) - marg_a.get(ta, 0) * marg_b.get(tb, 0)) > tol:
+            return False
+    return True
+
+
+def oracle_rv_inseparable(outcomes, prob, tol=0) -> set:
+    """1-based label tuples of the subfamilies of two or more variables that no
+    bipartition splits into independent blocks."""
+    k = len(outcomes)
+    out = set()
+    for r in range(2, k + 1):
+        for j in itertools.combinations(range(k), r):
+            cuts = [a for size in range(1, r) for a in itertools.combinations(j, size)]
+            if not any(
+                oracle_independent(outcomes, prob, a, [p for p in j if p not in a], tol)
+                for a in cuts
+            ):
+                out.add(tuple(p + 1 for p in j))
+    return out

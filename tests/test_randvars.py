@@ -2,11 +2,16 @@
 
 import hashlib
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conexa.errors import DomainError
+from conexa.quantum import DEFAULT_TOL
 from conexa.randvars import (
     FiniteJointDistribution,
     brunnian_family,
@@ -18,7 +23,15 @@ from conexa.randvars import (
 )
 from conexa.serialize import canonical_json, distribution_to_dict
 
-from helpers import all_integral_structures, borromean, discrete, power_set, structure
+from helpers import (
+    all_integral_structures,
+    borromean,
+    discrete,
+    oracle_independent,
+    oracle_rv_inseparable,
+    power_set,
+    structure,
+)
 
 
 def independent_bits(k):
@@ -29,23 +42,6 @@ def independent_bits(k):
     return FiniteJointDistribution((("0", "1"),) * k, prob)
 
 
-def oracle_independent(dist, j1, j2) -> bool:
-    """Float-based independence check over the full outcome product."""
-    union = sorted(set(j1) | set(j2))
-    pj = {t: float(p) for t, p in marginal(dist, union).items()}
-    p1 = {t: float(p) for t, p in marginal(dist, j1).items()}
-    p2 = {t: float(p) for t, p in marginal(dist, j2).items()}
-    alphabets = [dist.outcomes[i] for i in union]
-    for combo in itertools.product(*alphabets):
-        t1 = tuple(combo[union.index(i)] for i in sorted(j1))
-        t2 = tuple(combo[union.index(i)] for i in sorted(j2))
-        lhs = pj.get(combo, 0.0)
-        rhs = p1.get(t1, 0.0) * p2.get(t2, 0.0)
-        if abs(lhs - rhs) > 1e-12:
-            return False
-    return True
-
-
 def test_distribution_validation():
     with pytest.raises(DomainError):
         FiniteJointDistribution((("0", "1"),), {("0",): Fraction(1, 2)})
@@ -53,6 +49,29 @@ def test_distribution_validation():
         FiniteJointDistribution((("0", "1"),), {("2",): Fraction(1, 1)})
     with pytest.raises(DomainError):
         FiniteJointDistribution((("0", "1"),), {})
+
+
+def test_mixed_table_is_float_in_either_order():
+    # one float entry makes the whole table float, whichever entry comes first
+    entries = [(("0",), Fraction(1, 2)), (("1",), 0.5)]
+    first, second = (
+        FiniteJointDistribution((("0", "1"),), dict(order)) for order in (entries, entries[::-1])
+    )
+    assert not first.exact and not second.exact
+    assert first.prob == second.prob
+    assert all(type(p) is float for p in [*first.prob.values(), *second.prob.values()])
+    assert distribution_to_dict(first) == distribution_to_dict(second) == {
+        "outcomes": [["0", "1"]], "prob": {"0": 0.5, "1": 0.5}
+    }
+
+
+def test_distribution_hash_agrees_with_equality():
+    xor = brunnian_family(2, 2)
+    reordered = FiniteJointDistribution(xor.outcomes, dict(reversed(list(xor.prob.items()))))
+    as_float = FiniteJointDistribution(xor.outcomes, {t: float(p) for t, p in xor.prob.items()})
+    assert xor == reordered == as_float
+    assert hash(xor) == hash(reordered) == hash(as_float)
+    assert len({xor, reordered, as_float, independent_bits(3)}) == 2
 
 
 def test_xor_triple_table():
@@ -76,7 +95,7 @@ def test_xor_triple_has_no_separable_split():
     for j1 in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
         j2 = [i for i in range(3) if i not in j1]
         assert not is_separable_split(xor, j1, j2)
-        assert not oracle_independent(xor, j1, j2)
+        assert not oracle_independent(xor.outcomes, xor.prob, j1, j2)
 
 
 def test_xor_triple_pairwise_separable():
@@ -176,6 +195,74 @@ def test_raw_family_closed_flag():
     assert not report.raw_family_closed or set(report.raw_generators) == {
         (1, 2), (1, 3), (2, 3), (1, 2, 3)
     }
+
+
+def test_sparse_table_over_large_alphabets():
+    # the parity triple on the first and last of 20,000 labels per variable:
+    # a dense array over the alphabets would need 8 * 10**12 cells
+    alphabet = tuple(str(v) for v in range(20_000))
+    relabel = {"0": alphabet[0], "1": alphabet[-1]}
+    xor = brunnian_family(2, 2)
+    dist = FiniteJointDistribution(
+        (alphabet,) * 3, {tuple(relabel[x] for x in t): p for t, p in xor.prob.items()}
+    )
+    report = rv_analysis(dist)
+    assert (report.structure, report.raw_generators) == (borromean(3), ((1, 2, 3),))
+    assert marginal(dist, [0, 2]) == {
+        (alphabet[0], alphabet[0]): Fraction(1, 4), (alphabet[0], alphabet[-1]): Fraction(1, 4),
+        (alphabet[-1], alphabet[-1]): Fraction(1, 4), (alphabet[-1], alphabet[0]): Fraction(1, 4),
+    }
+
+
+@st.composite
+def rv_cases(draw):
+    """(outcomes, table, kind, blocks) on 2-5 variables of 1-3 outcomes each.
+
+    The table is one random law, or the product of two on a random split of
+    the variables (`blocks` 2), so that independent cuts occur.  Its entries
+    are Fractions of counts up to 3 (kind "small"), Fractions of counts up to
+    2**33, whose common denominator D mostly has D**2 >= 2**62 (kind
+    "huge"), or floats, kind being the tolerance the test applies.
+    """
+    sizes = draw(st.lists(st.sampled_from((1, 2, 2, 3)), min_size=2, max_size=5))
+    k = len(sizes)
+    outcomes = tuple(tuple(str(x) for x in range(n)) for n in sizes)
+    kind = draw(st.sampled_from(("small", "huge", "huge", 1e-9, 1e-3)))
+    order = draw(st.permutations(range(k)))
+    split = draw(st.integers(1, k - 1)) if draw(st.booleans()) else 0
+    blocks = [sorted(order[:split]), sorted(order[split:])] if split else [list(range(k))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    high = 2**33 if kind == "huge" else 3
+
+    def law(part):
+        cells = list(itertools.product(*(outcomes[i] for i in part)))
+        counts = [rng.choice((0, rng.randint(1, high))) for _ in cells]
+        counts[rng.randrange(len(cells))] = rng.randint(1, high)
+        total = sum(counts)
+        return [(cell, Fraction(c, total)) for cell, c in zip(cells, counts) if c]
+
+    table = {}
+    for combo in itertools.product(*(law(part) for part in blocks)):
+        t, p = [None] * k, 1
+        for part, (cell, q) in zip(blocks, combo):
+            for i, x in zip(part, cell):
+                t[i] = x
+            p *= float(q) if isinstance(kind, float) else q
+        table[tuple(t)] = p
+    return outcomes, table, kind, len(blocks)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rv_cases())
+def test_rv_analysis_matches_oracle(case):
+    outcomes, table, kind, blocks = case
+    if kind == "huge":
+        assume(math.lcm(*(p.denominator for p in table.values())) ** 2 >= 2**62)
+    tol = kind if isinstance(kind, float) else DEFAULT_TOL
+    raw = set(rv_analysis(FiniteJointDistribution(outcomes, table), tol=tol).raw_generators)
+    assert raw == oracle_rv_inseparable(outcomes, table, tol if isinstance(kind, float) else 0)
+    if blocks == 2:
+        assert tuple(range(1, len(outcomes) + 1)) not in raw
 
 
 def test_float_probabilities_accepted():
