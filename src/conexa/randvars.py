@@ -139,12 +139,10 @@ def marginal(dist: FiniteJointDistribution, positions) -> dict:
     """Marginal table over the given variable positions (sorted)."""
     positions = _check_indices(positions, dist.variables, "variable")
     ids, sums = _marginals(dist)(positions)
-    first: dict = {}
-    for row, i in enumerate(ids.tolist()):
-        first.setdefault(i, row)
     rows = list(dist.prob)
+    first = np.sort(np.unique(ids, return_index=True)[1]).tolist()
     value = (lambda w: Fraction(int(w), dist._scale)) if dist.exact else float
-    return {tuple(rows[r][p] for p in positions): value(sums[i]) for i, r in first.items()}
+    return {tuple(rows[r][p] for p in positions): value(sums[ids[r]]) for r in first}
 
 
 def _independence(dist: FiniteJointDistribution, tol: float):

@@ -28,6 +28,7 @@ from helpers import (
     borromean,
     discrete,
     oracle_independent,
+    oracle_marginal,
     oracle_rv_inseparable,
     power_set,
     structure,
@@ -259,10 +260,16 @@ def test_rv_analysis_matches_oracle(case):
     if kind == "huge":
         assume(math.lcm(*(p.denominator for p in table.values())) ** 2 >= 2**62)
     tol = kind if isinstance(kind, float) else DEFAULT_TOL
-    raw = set(rv_analysis(FiniteJointDistribution(outcomes, table), tol=tol).raw_generators)
+    dist = FiniteJointDistribution(outcomes, table)
+    raw = set(rv_analysis(dist, tol=tol).raw_generators)
     assert raw == oracle_rv_inseparable(outcomes, table, tol if isinstance(kind, float) else 0)
     if blocks == 2:
         assert tuple(range(1, len(outcomes) + 1)) not in raw
+    # same entries in the same (first-occurrence) order
+    for r in range(len(outcomes) + 1):
+        for positions in itertools.combinations(range(len(outcomes)), r):
+            expected = oracle_marginal(table, positions)
+            assert list(marginal(dist, positions).items()) == list(expected.items())
 
 
 def test_float_probabilities_accepted():
