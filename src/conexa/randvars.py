@@ -110,10 +110,10 @@ class FiniteJointDistribution:
 
 
 def _marginals(dist: FiniteJointDistribution):
-    """(row ids, weights) of the marginal on each sorted position tuple, each computed once.
+    """(row ids, sums) of the marginal on each sorted position tuple, each computed once.
 
     Rows agreeing on the positions share an id, and the ids count up from 0
-    to the marginal's support size; weights[id] sums the rows' weights in
+    to the marginal's support size; sums[id] adds up the rows' weights in
     row order.  The id on a tuple refines the id on its prefix by the last
     position's outcome index, so it stays below the row count: no dense array
     over the product of the alphabets is ever built.
