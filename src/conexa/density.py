@@ -130,11 +130,15 @@ def _completely_entangled(reduced: DensityOperator, tol: float) -> tuple:
         split = _separable_cuts(top, reduced.layout.dims, cuts, tol)
         return not split.any(), VerdictQuality.EXACT
     # positive partial transpose is only necessary for separability: an
-    # inconclusive cut counts as separable but degrades the quality flag
-    verdicts = [ppt_is_separable(reduced, a, b, tol=tol) for a, b in cuts]
-    inconclusive = Verdict.PPT_INCONCLUSIVE in verdicts
-    quality = VerdictQuality.PPT_NECESSARY if inconclusive else VerdictQuality.EXACT
-    return all(v is Verdict.ENTANGLED for v in verdicts), quality
+    # inconclusive cut counts as separable but degrades the quality flag, so
+    # the first one settles both and the remaining cuts are not tested
+    entangled = True
+    for a, b in cuts:
+        verdict = ppt_is_separable(reduced, a, b, tol=tol)
+        if verdict is Verdict.PPT_INCONCLUSIVE:
+            return False, VerdictQuality.PPT_NECESSARY
+        entangled = entangled and verdict is Verdict.ENTANGLED
+    return entangled, VerdictQuality.EXACT
 
 
 def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> DensityReport:

@@ -27,6 +27,8 @@ from .errors import DomainError
 
 DEFAULT_TOL = 1e-9
 MAX_TOTAL_DIM = 2**14
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ class DensityOperator:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > tol:
             raise DomainError(f"density matrix trace {tr} != 1 within tolerance")
-        if float(np.linalg.eigvalsh(mat)[0]) < -tol:
+        if _min_eig_below(mat, -tol):
             raise DomainError("density matrix has a significantly negative eigenvalue")
         mat.setflags(write=False)
         object.__setattr__(self, "layout", layout)
@@ -431,22 +433,60 @@ def partial_transpose(rho: DensityOperator, sites) -> np.ndarray:
     return np.transpose(tens, perm).reshape(n, n)
 
 
+def _min_eig_below(mat: np.ndarray, bound: float) -> bool:
+    """Whether `float(np.linalg.eigvalsh(mat)[0]) < bound`, decided by Cholesky.
+
+    Cholesky of a Hermitian H succeeds in floating point when its least
+    eigenvalue exceeds the rounding margin delta, and fails when it is below
+    -delta; eigvalsh is off by less than delta as well (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, Thms 10.3 and 10.7).  Here delta =
+    4 n (n + 1) eps (||mat||_F + |bound|), plus the least normal float so
+    that the zero matrix gets a band too.  A failed factorization of
+    mat - (bound - 2 delta) I puts the least eigenvalue below bound, and a
+    successful one of mat - (bound + 2 delta) I puts it above; only inside
+    that band, or when the norm overflows, does eigvalsh decide.  `mat`
+    itself is never written: a partial transpose can be a view of a
+    read-only operator.
+    """
+    n = mat.shape[0]
+    norm = math.sqrt(np.vdot(mat, mat).real)
+    delta = 4 * n * (n + 1) * _EPS * (norm + abs(bound)) + _TINY
+    if not math.isfinite(delta):
+        return float(np.linalg.eigvalsh(mat)[0]) < bound
+    work = np.array(mat, order="C")
+    diagonal = work.reshape(-1)[:: n + 1]
+    diagonal -= bound - 2 * delta
+    try:
+        np.linalg.cholesky(work)
+    except np.linalg.LinAlgError:
+        return True
+    diagonal -= 4 * delta
+    try:
+        np.linalg.cholesky(work)
+    except np.linalg.LinAlgError:
+        return float(np.linalg.eigvalsh(mat)[0]) < bound
+    return False
+
+
 def ppt_is_separable(rho: DensityOperator, j1, j2, tol: float = DEFAULT_TOL) -> Verdict:
     """Peres-Horodecki decision across a bipartition.
 
     A side of dimension 1 makes every operator a product across the cut.
-    Otherwise a negative partial-transpose eigenvalue certifies entanglement
-    in any dimension; a positive partial transpose certifies separability
-    only for 2x2 and 2x3 local dimensions, so larger systems return
-    PPT_INCONCLUSIVE.
+    Otherwise a partial-transpose eigenvalue below -tol certifies
+    entanglement in any dimension; a positive partial transpose certifies
+    separability only for 2x2 and 2x3 local dimensions, so larger systems
+    return PPT_INCONCLUSIVE.  The eigenvalue test is `_min_eig_below`: one
+    Cholesky factorization of the partial transpose shifted just below -tol
+    settles the entangled case, a second one shifted just above it the
+    positive case, and only a least eigenvalue within the rounding band
+    between the two shifts is computed by eigvalsh.
     """
     a, b = _check_partition(j1, j2, rho.layout.sites, "site")
     da = math.prod(rho.layout.dims[s] for s in a)
     db = math.prod(rho.layout.dims[s] for s in b)
     if min(da, db) == 1:
         return Verdict.SEPARABLE
-    min_eig = float(np.linalg.eigvalsh(partial_transpose(rho, b))[0])
-    if min_eig < -tol:
+    if _min_eig_below(partial_transpose(rho, b), -tol):
         return Verdict.ENTANGLED
     if (da, db) in {(2, 2), (2, 3), (3, 2)}:
         return Verdict.SEPARABLE

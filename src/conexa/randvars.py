@@ -38,6 +38,7 @@ class FiniteJointDistribution:
 
     A float table must sum to 1 within `tol`; an exact one exactly.  A table
     with any float entry is a float table, every entry converted to float.
+    A boolean is an error, not a probability to convert.
 
     Besides the public `prob`, the support is kept as rows of an index matrix
     (`_index`, one outcome index per variable) with one weight per row
@@ -62,6 +63,8 @@ class FiniteJointDistribution:
             row = tuple(index.get(x) for index, x in zip(label_index, t))
             if len(t) != len(outcomes) or None in row:
                 raise DomainError(f"outcome tuple {t} is not well-typed")
+            if isinstance(p, bool):
+                raise DomainError(f"probability {p} for {t} is a boolean, not a number")
             if isinstance(p, Fraction) or isinstance(p, int):
                 p = Fraction(p)
             else:

@@ -164,6 +164,8 @@ def _prob_to_json(p) -> object:
 
 
 def _prob_from_json(value):
+    if isinstance(value, bool):
+        raise DomainError(f"probability {json.dumps(value)} is a boolean, not a number")
     if isinstance(value, str):
         return Fraction(value)
     return float(value)

@@ -139,6 +139,33 @@ def oracle_partial_transpose(matrix: np.ndarray, dims, sites) -> np.ndarray:
     return out
 
 
+def horodecki_2x4(b: float) -> np.ndarray:
+    """P. Horodecki's 2x4 state for 0 < b < 1: PPT and entangled
+    (Phys. Lett. A 232, 333, 1997)."""
+    m = np.zeros((8, 8))
+    for i in range(3):
+        m[i, i] = m[i + 5, i + 5] = m[i, i + 5] = m[i + 5, i] = b
+    m[3, 3] = b
+    m[4, 4] = m[7, 7] = (1 + b) / 2
+    m[4, 7] = m[7, 4] = np.sqrt(1 - b * b) / 2
+    return m / (7 * b + 1)
+
+
+def tiles_upb(a: float) -> np.ndarray:
+    """The 3x3 state of the tiles UPB (Bennett et al., PRL 82, 5385, 1999) with
+    weight a against white noise: PPT for every a, entangled at a = 1."""
+    e = np.eye(3)
+    products = [
+        (e[0], e[0] - e[1]), (e[0] - e[1], e[2]), (e[2], e[1] - e[2]),
+        (e[1] - e[2], e[0]), (e.sum(0), e.sum(0)),
+    ]
+    upb = np.eye(9)
+    for x, y in products:
+        v = np.kron(x, y) / (np.linalg.norm(x) * np.linalg.norm(y))
+        upb -= np.outer(v, v)
+    return a * upb / 4 + (1 - a) * np.eye(9) / 9
+
+
 def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)

@@ -484,6 +484,10 @@ MALFORMED_INPUTS = {
         ["analyze-rvs", "--file"],
         json.dumps({"outcomes": _BITS, "prob": {"00": "1/0", "11": "1/2"}}),
     ),
+    "boolean probability": (
+        ["analyze-rvs", "--file"],
+        json.dumps({"outcomes": _BITS, "prob": {"0,0": True}}),
+    ),
     "NaN probability": (
         ["analyze-rvs", "--file"],
         json.dumps({"outcomes": _BITS, "prob": {"00": float("nan"), "01": 0.5, "10": 0.5}}),

@@ -29,6 +29,7 @@ from helpers import (
     all_integral_structures,
     borromean,
     discrete,
+    horodecki_2x4,
     oracle_completely_correlated,
     oracle_completely_entangled,
     power_set,
@@ -89,6 +90,18 @@ def test_product_not_completely_entangled():
     verdict, quality = is_completely_entangled_on(joint, (0, 1))
     assert verdict is False
     assert quality is VerdictQuality.EXACT
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (1, 2, 4)])
+def test_inconclusive_cut_flags_ppt_necessary(dims):
+    # Horodecki's 2x4 state is PPT across 2|4.  On (1, 2, 4) the first cut
+    # has a side of dimension 1 and is exactly separable; the later
+    # inconclusive cuts still flag the subset
+    matrix = horodecki_2x4(0.5)
+    rho = DensityOperator(SiteLayout(dims), matrix)
+    got = is_completely_entangled_on(rho, (0, 1, 2))
+    assert got == (False, VerdictQuality.PPT_NECESSARY)
+    assert oracle_completely_entangled(matrix, dims, [0, 1, 2]) == (False, "PPT_NECESSARY")
 
 
 def test_small_subsets_rejected():

@@ -1,6 +1,7 @@
 """Quantum kernel: tensor products, Schmidt data, measurement, reductions, PPT."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conexa.disentangle import post_states
 from conexa.errors import DomainError
 from conexa.quantum import (
     DensityOperator,
+    _min_eig_below,
     Observable,
     PureState,
     SiteLayout,
@@ -22,6 +24,7 @@ from conexa.quantum import (
     measure_projective,
     partial_contract,
     partial_trace,
+    partial_transpose,
     pauli_x,
     pauli_z,
     ppt_is_separable,
@@ -31,11 +34,13 @@ from conexa.quantum import (
 )
 
 from helpers import (
+    horodecki_2x4,
     oracle_device_relation,
     oracle_measure,
     oracle_partial_trace,
     oracle_partial_transpose,
     random_state_vector,
+    tiles_upb,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -410,6 +415,83 @@ def test_ppt_inconclusive_beyond_low_dimensions():
     # a 1 x 4 cut has a side of dimension 1: always a product
     epr = PureState(SiteLayout((1, 2, 2)), [1, 0, 0, 1]).density()
     assert ppt_is_separable(epr, [0], [1, 2]) is Verdict.SEPARABLE
+
+
+def _haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _planted(rng, n, lowest):
+    """U diag(lambda) U^dagger with least eigenvalue `lowest` and the rest above it."""
+    spectrum = np.concatenate([[lowest], lowest + rng.random(n - 1)])
+    u = _haar_unitary(rng, n)
+    return (u * spectrum) @ u.conj().T
+
+
+def _margin(mat, bound):
+    """The rounding margin delta of `_min_eig_below`."""
+    n = len(mat)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    return 4 * n * (n + 1) * eps * (np.linalg.norm(mat) + abs(bound)) + tiny
+
+
+@pytest.mark.parametrize("k", [-5, -3, -1, -0.5, 0, 0.5, 1, 3, 5])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 40), bound=st.sampled_from([-1e-9, 0.0, -0.3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_min_eig_below_agrees_with_eigvalsh(k, n, bound, seed):
+    rng = np.random.default_rng(seed)
+    delta = _margin(_planted(rng, n, bound), bound)
+    mat = _planted(np.random.default_rng(seed), n, bound + k * delta)
+    want = float(np.linalg.eigvalsh(mat)[0]) < bound
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+        got = _min_eig_below(mat, bound)
+    assert got == want
+    # eigvalsh decides only inside the +-2 delta band around the bound
+    assert spy.call_count == 0 or abs(k) <= 2
+
+
+def test_min_eig_below_leaves_its_input_unwritten():
+    # a side of dimension 1 makes the partial transpose a view of rho.matrix
+    rho = PureState(SiteLayout((1, 2)), [1, 0]).density()
+    assert _min_eig_below(partial_transpose(rho, [0]), 0.5)
+    assert np.array_equal(rho.matrix, [[1, 0], [0, 0]])
+
+
+def test_density_negative_eigenvalue_check():
+    layout = SiteLayout((2,))
+    DensityOperator(layout, np.diag([1 + 5e-10, -5e-10]))
+    for mat in (np.diag([1 + 2e-9, -2e-9]), [[0.5, 1e200], [1e200, 0.5]]):
+        # the second one's norm overflows, which leaves the decision to eigvalsh
+        with pytest.raises(DomainError, match="negative eigenvalue"):
+            DensityOperator(layout, mat)
+
+
+@pytest.mark.parametrize("a", np.linspace(0.05, 0.95, 19))
+def test_ppt_entangled_states_stay_inconclusive(a):
+    # PPT but entangled: the partial transpose has no negative eigenvalue,
+    # so neither ENTANGLED nor, beyond 2x3, SEPARABLE may be returned
+    for dims, matrix in (((2, 4), horodecki_2x4(a)), ((3, 3), tiles_upb(a))):
+        rho = DensityOperator(SiteLayout(dims), matrix)
+        assert ppt_is_separable(rho, [0], [1]) is Verdict.PPT_INCONCLUSIVE
+
+
+def test_tiles_state_kernel_stays_inconclusive():
+    # without noise the partial transpose equals the state and has a
+    # five-dimensional kernel: its least eigenvalue rounds to about 0
+    rho = DensityOperator(SiteLayout((3, 3)), tiles_upb(1.0))
+    assert ppt_is_separable(rho, [0], [1]) is Verdict.PPT_INCONCLUSIVE
+
+
+@pytest.mark.parametrize("p", [0, 0.1, 0.2, 0.3, 0.32, 0.35, 0.4, 0.6, 0.8, 1])
+def test_werner_state_is_entangled_exactly_above_one_third(p):
+    singlet = np.array([0, 1, -1, 0]) / math.sqrt(2)
+    werner = p * np.outer(singlet, singlet) + (1 - p) * np.eye(4) / 4
+    rho = DensityOperator(SiteLayout((2, 2)), werner)
+    want = Verdict.ENTANGLED if p > 1 / 3 else Verdict.SEPARABLE
+    assert ppt_is_separable(rho, [0], [1]) is want
+    assert ppt_is_separable(rho, [1], [0]) is want
 
 
 def test_state_normalization_and_zero_rejection():

@@ -52,6 +52,13 @@ def test_distribution_validation():
         FiniteJointDistribution((("0", "1"),), {})
 
 
+def test_boolean_probability_is_refused():
+    # bool is an int subclass: True must not be read as the exact probability 1
+    for p in (True, False):
+        with pytest.raises(DomainError, match="boolean"):
+            FiniteJointDistribution((("0", "1"),), {("0",): p, ("1",): Fraction(1)})
+
+
 def test_mixed_table_is_float_in_either_order():
     # one float entry makes the whole table float, whichever entry comes first
     entries = [(("0",), Fraction(1, 2)), (("1",), 0.5)]
