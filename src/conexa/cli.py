@@ -47,7 +47,7 @@ from .serialize import (
     device_from_dict,
     device_to_dict,
     distribution_from_dict,
-    join_key,
+    make_key_joiner,
     menus_from_dict,
     state_from_dict,
     state_to_dict,
@@ -64,9 +64,17 @@ MENU_TOKENS = {
 
 def _load(path: str, decode):
     """decode(the JSON document in `path`), with every fault of the file a DomainError."""
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            repeated = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+            raise DomainError(f"malformed JSON in {path}: key {repeated!r} repeats in one object")
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys)
     except FileNotFoundError:
         raise DomainError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
@@ -137,14 +145,10 @@ def _emit(report: dict, fmt: str) -> None:
             print(f"{key}: {result[key]}")
 
 
-def _classes_dict(report) -> dict:
-    return {
-        join_key(tuple(str(x) for x in j)): {
-            "class": cls.kind.value,
-            "confidence": cls.confidence.value,
-        }
-        for j, cls in report.classes.items()
-    }
+def _subset_key(sites: int):
+    """Key of a subset of the sites: one key policy over the labels "1".."k"."""
+    join = make_key_joiner([[str(s) for s in range(1, sites + 1)]])
+    return lambda j: join(str(x) for x in j)
 
 
 def _cmd_analyze_state(args) -> dict:
@@ -157,9 +161,13 @@ def _cmd_analyze_state(args) -> dict:
         unknown = [n for n in selected if n not in STRUCTURE_NAMES]
         if unknown:
             raise DomainError(f"unknown structure names {unknown}; known: {STRUCTURE_NAMES}")
+    key = _subset_key(psi.layout.sites)
     return {
         "dims": list(psi.layout.dims),
-        "classes": _classes_dict(report),
+        "classes": {
+            key(j): {"class": cls.kind.value, "confidence": cls.confidence.value}
+            for j, cls in report.classes.items()
+        },
         "structures": {
             name: structure_to_dict(report.structures[name]) for name in selected
         },
@@ -172,10 +180,11 @@ def _cmd_analyze_density(args) -> dict:
                  lambda data: density_from_dict(data, tol=args.tol),
                  "provide --file or --builtin")
     report = density_structures(rho, tol=args.tol)
+    key = _subset_key(rho.layout.sites)
     return {
         "dims": list(rho.layout.dims),
         "subsets": {
-            join_key(tuple(str(x) for x in j)): {
+            key(j): {
                 "completely_correlated": v.completely_correlated,
                 "completely_entangled": v.completely_entangled,
                 "quality": v.quality.value,

@@ -22,10 +22,6 @@ from .errors import DomainError
 MAX_GROUND_SIZE = 24
 
 
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 @dataclass(frozen=True)
 class GroundSet:
     """Ordered set of distinct point labels; subsets are bitmasks over this order."""
@@ -96,7 +92,7 @@ class ConnectiveStructure:
 
     def members(self) -> list:
         """Connected subsets in canonical order: by size, then by ground positions."""
-        return sorted(self.connected, key=lambda m: (_popcount(m), _mask_positions(m)))
+        return sorted(self.connected, key=lambda m: (m.bit_count(), _mask_positions(m)))
 
     def member_labels(self) -> list:
         return [self.ground.labels_of(m) for m in self.members()]
@@ -113,12 +109,12 @@ def _bipartitions(positions) -> list:
     callers that report the first cut they find report a stable one.
     """
     positions = tuple(positions)
-    out = []
-    for r in range(1, len(positions)):
-        for a in itertools.combinations(positions, r):
-            if positions[0] in a:
-                out.append((a, tuple(p for p in positions if p not in a)))
-    return out
+    return [
+        (a, tuple(p for p in positions if p not in a))
+        for r in range(1, len(positions))
+        for a in itertools.combinations(positions, r)
+        if positions[0] in a
+    ]
 
 
 def _check_indices(indices, count: int, noun: str) -> tuple:
@@ -234,7 +230,7 @@ def irreducibles(structure: ConnectiveStructure) -> frozenset:
     that meet: the last union step producing k is such a pair.  Singletons
     and the empty set are never irreducible: integrality restores them.
     """
-    candidates = [m for m in structure.connected if _popcount(m) >= 2]
+    candidates = [m for m in structure.connected if m.bit_count() >= 2]
     result = set()
     for k in candidates:
         parts = [m for m in candidates if m != k and m & k == m]
@@ -249,17 +245,15 @@ def connective_order(structure: ConnectiveStructure) -> int:
     An antichain of irreducibles has order 1; no irreducibles at all gives 0,
     so a discrete structure has order 0.
     """
-    irr = sorted(irreducibles(structure), key=_popcount)
     height: dict = {}
-    best = 0
-    for k in irr:
+    # by size, so every irreducible below k has its height when k is reached
+    for k in sorted(irreducibles(structure), key=int.bit_count):
         h = 1
-        for m in irr:
-            if m != k and m & k == m and m in height:
-                h = max(h, height[m] + 1)
+        for m, below in height.items():
+            if m & k == m and below >= h:
+                h = below + 1
         height[k] = h
-        best = max(best, h)
-    return best
+    return max(height.values(), default=0)
 
 
 def meet_structures(structures: Sequence[ConnectiveStructure]) -> ConnectiveStructure:
@@ -267,9 +261,8 @@ def meet_structures(structures: Sequence[ConnectiveStructure]) -> ConnectiveStru
     if not structures:
         raise DomainError("meet of an empty list of structures")
     ground = structures[0].ground
-    for s in structures[1:]:
-        if s.ground != ground:
-            raise DomainError("meet requires structures over the same ground set")
+    if any(s.ground != ground for s in structures):
+        raise DomainError("meet requires structures over the same ground set")
     connected = frozenset.intersection(*(s.connected for s in structures))
     return ConnectiveStructure(ground, connected)
 
@@ -294,9 +287,5 @@ def indiscrete_structure(ground: GroundSet) -> ConnectiveStructure:
 
 def closure_axiom_holds(structure: ConnectiveStructure) -> bool:
     """Exhaustive pair scan of the union-with-common-point axiom."""
-    members = list(structure.connected)
-    for a in members:
-        for b in members:
-            if a & b and (a | b) not in structure.connected:
-                return False
-    return True
+    members = structure.connected
+    return all(not a & b or a | b in members for a in members for b in members)

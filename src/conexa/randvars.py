@@ -37,69 +37,76 @@ class FiniteJointDistribution:
     """Probability table over a product of finite outcome alphabets.
 
     A float table must sum to 1 within `tol`; an exact one exactly.  A table
-    with any float entry is a float table, every entry converted to float.
-    A boolean is an error, not a probability to convert.
+    with any float entry, a zero included, is a float table.  A boolean is an
+    error, not a probability to convert.  Entries naming one outcome add up.
 
-    Besides the public `prob`, the support is kept as rows of an index matrix
+    The only stored table is the support as rows of an index matrix
     (`_index`, one outcome index per variable) with one weight per row
-    (`_weights`) over a scale (`_scale`).  An exact table's weights are the
-    integer counts p * D for D the lcm of its denominators, as int64 while
-    D**2 < 2**62 (so products of two counts cannot overflow) and Python ints
-    beyond; a float table's weights are its probabilities, with scale 1.0.
+    (`_weights`) over a scale (`_scale`); `prob` is derived from it.  An exact
+    table's weights are the integer counts p * D for D the lcm of its
+    denominators, as int64 while D**2 < 2**62 (so products of two counts
+    cannot overflow) and Python ints beyond; a float table's weights are its
+    probabilities, with scale 1.0.
     """
 
     outcomes: tuple
-    prob: Mapping[tuple, object]
 
     def __init__(self, outcomes, prob: Mapping, tol: float = DEFAULT_TOL):
         outcomes = _check_labels(outcomes, "outcome")
         if not outcomes:
             raise DomainError("a joint distribution needs at least one variable")
         label_index = [{x: i for i, x in enumerate(labels)} for labels in outcomes]
-        table, rows = {}, {}
+        rows, entries = {}, []
         exact = True
         for t, p in prob.items():
             t = tuple(t)
-            row = tuple(index.get(x) for index, x in zip(label_index, t))
+            row = tuple(map(dict.get, label_index, t))
             if len(t) != len(outcomes) or None in row:
                 raise DomainError(f"outcome tuple {t} is not well-typed")
             if isinstance(p, bool):
                 raise DomainError(f"probability {p} for {t} is a boolean, not a number")
-            if isinstance(p, Fraction) or isinstance(p, int):
-                p = Fraction(p)
+            if isinstance(p, (int, Fraction)):
+                sign = p.numerator  # has p's sign, and is 0 with p
             else:
-                p = float(p)
+                p = sign = float(p)
                 exact = False
-            if not p >= 0:  # also rejects NaN
+            if not sign >= 0:  # also rejects NaN
                 raise DomainError(f"probability {p} for {t} is not >= 0")
-            if p != 0:
-                table[t] = table.get(t, 0) + p
-                rows[t] = row
-        if not table:
+            if sign:
+                entries.append((rows.setdefault(row, len(rows)), p))
+        if not rows:
             raise DomainError("distribution support is empty")
         if exact:
-            scale = math.lcm(*(p.denominator for p in table.values()))
-            counts = [p.numerator * (scale // p.denominator) for p in table.values()]
-            total = sum(counts)
-            if total != scale:
-                raise DomainError(f"probabilities sum to {Fraction(total, scale)}, not 1")
-            weights = np.array(counts, dtype=np.int64 if scale * scale < 2**62 else object)
+            scale = math.lcm(*(p.denominator for _, p in entries))
+            entries = [(r, p.numerator * (scale // p.denominator)) for r, p in entries]
         else:
-            table = {t: float(p) for t, p in table.items()}
-            total = sum(table.values())
-            if abs(total - 1.0) > tol:
-                raise DomainError(f"probabilities sum to {total}, not 1 within {tol}")
-            scale, weights = 1.0, np.array(list(table.values()))
+            scale, entries = 1.0, [(r, float(p)) for r, p in entries]
+        weights = [0] * len(rows)
+        for r, w in entries:
+            weights[r] += w
+        total = sum(weights)
+        if exact and total != scale:
+            raise DomainError(f"probabilities sum to {Fraction(total, scale)}, not 1")
+        if not exact and abs(total - 1.0) > tol:
+            raise DomainError(f"probabilities sum to {total}, not 1 within {tol}")
+        dtype = float if not exact else np.int64 if scale * scale < 2**62 else object
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "prob", table)
         object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "_index", np.array(list(rows.values()), dtype=np.int64))
-        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_index", np.array(list(rows), dtype=np.int64))
+        object.__setattr__(self, "_weights", np.array(weights, dtype=dtype))
         object.__setattr__(self, "_scale", scale)
 
     @property
     def variables(self) -> int:
         return len(self.outcomes)
+
+    @property
+    def prob(self) -> dict:
+        """The table: each support outcome's probability, in first-occurrence order."""
+        return marginal(self, range(self.variables))
+
+    def __repr__(self):
+        return f"FiniteJointDistribution(outcomes={self.outcomes!r}, prob={self.prob!r})"
 
     def __eq__(self, other):
         return (
@@ -142,10 +149,12 @@ def marginal(dist: FiniteJointDistribution, positions) -> dict:
     """Marginal table over the given variable positions (sorted)."""
     positions = _check_indices(positions, dist.variables, "variable")
     ids, sums = _marginals(dist)(positions)
-    rows = list(dist.prob)
-    first = np.sort(np.unique(ids, return_index=True)[1]).tolist()
+    first = np.sort(np.unique(ids, return_index=True)[1])
     value = (lambda w: Fraction(int(w), dist._scale)) if dist.exact else float
-    return {tuple(rows[r][p] for p in positions): value(sums[ids[r]]) for r in first}
+    return {
+        tuple(dist.outcomes[p][row[p]] for p in positions): value(sums[i])
+        for row, i in zip(dist._index[first].tolist(), ids[first].tolist())
+    }
 
 
 def _independence(dist: FiniteJointDistribution, tol: float):
@@ -210,11 +219,10 @@ def brunnian_family(k: int, n: int) -> FiniteJointDistribution:
         raise DomainError(f"brunnian family needs a modulus n >= 2, got {n}")
     alphabet = tuple(str(v) for v in range(n))
     weight = Fraction(1, n**k)
-    prob: dict = {}
-    for values in itertools.product(range(n), repeat=k):
-        total = sum(values) % n
-        key = tuple(str(v) for v in values) + (str(total),)
-        prob[key] = weight
+    prob = {
+        tuple(str(v) for v in (*values, sum(values) % n)): weight
+        for values in itertools.product(range(n), repeat=k)
+    }
     return FiniteJointDistribution((alphabet,) * (k + 1), prob)
 
 
@@ -244,8 +252,7 @@ def realize_structure(kappa: ConnectiveStructure) -> FiniteJointDistribution:
             cursor += width
             for i, bit in zip(members, free + (str(free.count("1") % 2),)):
                 parts[i].append(bit)
-        key = tuple("".join(p) for p in parts)
-        prob[key] = prob.get(key, Fraction(0)) + weight
+        prob[tuple("".join(p) for p in parts)] = weight
     outcomes = [
         tuple("".join(c) for c in itertools.product("01", repeat=sum(i in b for b in blocks)))
         for i in range(k)

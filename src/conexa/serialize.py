@@ -2,12 +2,14 @@
 
 The `*_from_dict` decoders are the one place that turns outside input into
 values.  A malformed document makes them raise whatever its shape provokes
-(KeyError, TypeError, ValueError, ...); the CLI's loader reports any of these
-as a DomainError naming the file.
+(KeyError, TypeError, ValueError, ...), and two table keys naming one tuple
+a DomainError; the CLI's loader reports any of these as a DomainError naming
+the file.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -19,14 +21,6 @@ from .devices import Device
 from .errors import DomainError
 from .quantum import DEFAULT_TOL, DensityOperator, PureState, SiteLayout
 from .randvars import FiniteJointDistribution
-
-
-def join_key(labels: Sequence[str]) -> str:
-    """Tuple key as a string: concatenated when unambiguous, comma-joined otherwise."""
-    labels = [str(x) for x in labels]
-    if all(len(x) == 1 for x in labels):
-        return "".join(labels)
-    return ",".join(labels)
 
 
 def make_key_joiner(label_sets: Sequence[Sequence[str]]):
@@ -48,6 +42,16 @@ def split_key(key: str, arity: int) -> tuple:
     if len(parts) != arity:
         raise DomainError(f"key {key!r} does not split into {arity} labels")
     return parts
+
+
+def _split_keys(table: Mapping, arity: int) -> dict:
+    """The table keyed by split_key, refusing two keys that split alike."""
+    keys = {}
+    for key in table:
+        parts = split_key(key, arity)
+        if keys.setdefault(parts, key) != key:
+            raise DomainError(f"keys {keys[parts]!r} and {key!r} both name {parts}")
+    return {parts: table[key] for parts, key in keys.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +151,8 @@ def device_to_dict(device: Device) -> dict:
 def device_from_dict(data: Mapping) -> Device:
     k = len(data["questions"])
     relation = {
-        split_key(q, k): {split_key(r, k) for r in answers}
-        for q, answers in data["relation"].items()
+        q: {split_key(r, k) for r in answers}
+        for q, answers in _split_keys(data["relation"], k).items()
     }
     return Device(data["questions"], data["results"], relation)
 
@@ -163,35 +167,30 @@ def _prob_to_json(p) -> object:
     return float(p)
 
 
+# a table repeats few distinct probability strings: each is parsed once
+_fraction = functools.lru_cache(maxsize=1024)(Fraction)
+
+
 def _prob_from_json(value):
     if isinstance(value, bool):
         raise DomainError(f"probability {json.dumps(value)} is a boolean, not a number")
     if isinstance(value, str):
-        return Fraction(value)
+        return _fraction(value)
     return float(value)
 
 
 def distribution_to_dict(dist: FiniteJointDistribution) -> dict:
     join = make_key_joiner(dist.outcomes)
-    order = {
-        t: tuple(dist.outcomes[i].index(x) for i, x in enumerate(t))
-        for t in dist.prob
-    }
+    entries = sorted(zip(dist._index.tolist(), dist.prob.items()))
     return {
         "outcomes": [list(rs) for rs in dist.outcomes],
-        "prob": {
-            join(t): _prob_to_json(dist.prob[t])
-            for t in sorted(dist.prob, key=order.get)
-        },
+        "prob": {join(t): _prob_to_json(p) for _, (t, p) in entries},
     }
 
 
 def distribution_from_dict(data: Mapping, tol: float = DEFAULT_TOL) -> FiniteJointDistribution:
     k = len(data["outcomes"])
-    prob = {
-        split_key(key, k): _prob_from_json(value)
-        for key, value in data["prob"].items()
-    }
+    prob = {t: _prob_from_json(value) for t, value in _split_keys(data["prob"], k).items()}
     return FiniteJointDistribution(data["outcomes"], prob, tol=tol)
 
 

@@ -56,6 +56,19 @@ def test_analyze_state_ghz(capsys):
     assert "seed" not in report and "samples" not in report["parameters"]
 
 
+def test_ten_site_subset_keys_are_comma_joined(tmp_path, capsys):
+    # the site label "10" has two characters, so every subset key of the
+    # table is comma-joined: "1,2" and "1,10", never "12"
+    path = tmp_path / "basis10.json"
+    path.write_text(json.dumps({"dims": [2] * 10, "amplitudes": [[1, 0]] + [[0, 0]] * 1023}))
+    code, out, err = run_cli(capsys, "analyze-state", "--file", str(path),
+                             "--structures", "GI")
+    assert (code, err) == (0, "")
+    classes = load_report(out)["result"]["classes"]
+    assert len(classes) == 2**10 - 10 - 1 and {"1,2", "1,10", "9,10"} <= set(classes)
+    assert all("," in key for key in classes)
+
+
 def test_analyze_state_structure_filter(capsys):
     code, out, _ = run_cli(
         capsys, "analyze-state", "--builtin", "EPR", "--structures", "GI,MT"
@@ -533,6 +546,21 @@ MALFORMED_INPUTS = {
     "distribution labels as numbers": (
         ["analyze-rvs", "--file"],
         json.dumps({"outcomes": [[0, 1], [0, 1]], "prob": {"00": "1/2", "11": "1/2"}}),
+    ),
+    "aliased outcome keys": (
+        ["analyze-rvs", "--file"],
+        json.dumps({"outcomes": [["a", "b"], ["a", "b"]],
+                    "prob": {"ab": "1/2", "ba": "1/2", "a,b": "1/2"}}),
+    ),
+    "aliased question keys": (
+        ["analyze-device", "--file"],
+        json.dumps({"questions": _BITS, "results": _BITS,
+                    "relation": {"00": ["00"], "01": ["01"], "10": ["10"], "11": ["11"],
+                                 "0,1": ["00"]}}),
+    ),
+    "repeated JSON key": (
+        ["analyze-rvs", "--file"],
+        '{"outcomes": [["0", "1"], ["0", "1"]], "prob": {"00": "1/2", "11": "1/4", "11": "1/2"}}',
     ),
     "menu label as a number": (
         ["derive-device", "--builtin-state", "EPR", "--menus"],

@@ -1,8 +1,10 @@
 """Random-variable families: separability, brunnian constructions, realization."""
 
+import functools
 import hashlib
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from helpers import (
     borromean,
     discrete,
     oracle_independent,
+    oracle_irreducibles,
     oracle_marginal,
     oracle_rv_inseparable,
     power_set,
@@ -71,6 +74,34 @@ def test_mixed_table_is_float_in_either_order():
     assert distribution_to_dict(first) == distribution_to_dict(second) == {
         "outcomes": [["0", "1"]], "prob": {"0": 0.5, "1": 0.5}
     }
+
+
+def test_zero_float_entry_keeps_table_float():
+    # exactness is decided over every entry, the zero ones included
+    dist = FiniteJointDistribution((("0", "1"),), {("0",): Fraction(1), ("1",): 0.0})
+    assert not dist.exact
+    assert dist.prob == {("0",): 1.0} and type(dist.prob[("0",)]) is float
+    assert FiniteJointDistribution((("0", "1"),), {("0",): Fraction(1), ("1",): 0}).exact
+
+
+def test_aliased_keys_are_summed():
+    # the string "ab" and the tuple ("a", "b") name one outcome
+    outcomes = (("a", "b"),) * 2
+    exact = FiniteJointDistribution(
+        outcomes, {"ab": Fraction(1, 4), ("b", "a"): Fraction(1, 2), ("a", "b"): Fraction(1, 4)}
+    )
+    assert list(exact.prob.items()) == [(("a", "b"), Fraction(1, 2)), (("b", "a"), Fraction(1, 2))]
+    floats = FiniteJointDistribution(outcomes, {"ab": 0.25, "ba": 0.5, ("a", "b"): 0.25})
+    assert floats.prob == {("a", "b"): 0.5, ("b", "a"): 0.5}
+    with pytest.raises(DomainError, match="sum to 3/2"):
+        FiniteJointDistribution(outcomes, {"ab": Fraction(1, 2), ("a", "b"): 1})
+
+
+def test_repr_shows_the_table():
+    assert repr(brunnian_family(1, 2)) == (
+        "FiniteJointDistribution(outcomes=(('0', '1'), ('0', '1')), "
+        "prob={('0', '0'): Fraction(1, 2), ('1', '1'): Fraction(1, 2)})"
+    )
 
 
 def test_distribution_hash_agrees_with_equality():
@@ -163,6 +194,17 @@ def test_realize_discrete_gives_independent_bits():
 def test_realize_nested_structure_round_trip():
     kappa = structure(3, [(2, 3), (1, 2, 3)])
     assert rv_structure(realize_structure(kappa)) == kappa
+
+
+def test_realization_support_sizes():
+    # every assignment of the free bits gives its own outcome: a generator g
+    # holds |g| - 1 free bits, a point in no generator one
+    for n in range(1, 5):
+        for kappa in all_integral_structures(n):
+            generators = oracle_irreducibles(kappa)
+            covered = functools.reduce(operator.or_, generators, 0)
+            free = sum(g.bit_count() - 1 for g in generators) + n - covered.bit_count()
+            assert len(realize_structure(kappa).prob) == 2**free
 
 
 def test_realize_round_trip_all_three_point_structures():
@@ -272,6 +314,11 @@ def test_rv_analysis_matches_oracle(case):
     assert raw == oracle_rv_inseparable(outcomes, table, tol if isinstance(kind, float) else 0)
     if blocks == 2:
         assert tuple(range(1, len(outcomes) + 1)) not in raw
+    # the table, then its JSON keys in the order of the outcome indices
+    full = oracle_marginal(table, range(len(outcomes)))
+    assert list(dist.prob.items()) == list(full.items())
+    by_index = sorted(full, key=lambda t: [outcomes[i].index(x) for i, x in enumerate(t)])
+    assert list(distribution_to_dict(dist)["prob"]) == ["".join(t) for t in by_index]
     # same entries in the same (first-occurrence) order
     for r in range(len(outcomes) + 1):
         for positions in itertools.combinations(range(len(outcomes)), r):

@@ -17,7 +17,7 @@ from conexa.serialize import (
     device_to_dict,
     distribution_from_dict,
     distribution_to_dict,
-    join_key,
+    make_key_joiner,
     split_key,
     state_from_dict,
     state_to_dict,
@@ -29,8 +29,10 @@ from helpers import structure
 
 
 def test_key_join_and_split():
-    assert join_key(("0", "1")) == "01"
-    assert join_key(("-1", "1")) == "-1,1"
+    assert make_key_joiner([("0", "1")] * 2)(("0", "1")) == "01"
+    assert make_key_joiner([("-1", "1")] * 2)(("-1", "1")) == "-1,1"
+    # one multi-character label in any slot comma-joins every key of the table
+    assert make_key_joiner([("0", "1"), ("0", "10")])(("0", "1")) == "0,1"
     assert split_key("01", 2) == ("0", "1")
     assert split_key("-1,1", 2) == ("-1", "1")
     with pytest.raises(DomainError):
