@@ -109,12 +109,12 @@ def _bipartitions(positions) -> list:
     callers that report the first cut they find report a stable one.
     """
     positions = tuple(positions)
-    return [
-        (a, tuple(p for p in positions if p not in a))
-        for r in range(1, len(positions))
-        for a in itertools.combinations(positions, r)
-        if positions[0] in a
-    ]
+    out = []
+    for r in range(1, len(positions)):
+        for a in itertools.combinations(positions, r):
+            if positions[0] in a:
+                out.append((a, tuple(p for p in positions if p not in a)))
+    return out
 
 
 def _check_indices(indices, count: int, noun: str) -> tuple:
@@ -245,15 +245,17 @@ def connective_order(structure: ConnectiveStructure) -> int:
     An antichain of irreducibles has order 1; no irreducibles at all gives 0,
     so a discrete structure has order 0.
     """
+    irr = sorted(irreducibles(structure), key=int.bit_count)
     height: dict = {}
-    # by size, so every irreducible below k has its height when k is reached
-    for k in sorted(irreducibles(structure), key=int.bit_count):
+    best = 0
+    for k in irr:
         h = 1
-        for m, below in height.items():
-            if m & k == m and below >= h:
-                h = below + 1
+        for m in irr:
+            if m != k and m & k == m and m in height:
+                h = max(h, height[m] + 1)
         height[k] = h
-    return max(height.values(), default=0)
+        best = max(best, h)
+    return best
 
 
 def meet_structures(structures: Sequence[ConnectiveStructure]) -> ConnectiveStructure:
@@ -261,8 +263,9 @@ def meet_structures(structures: Sequence[ConnectiveStructure]) -> ConnectiveStru
     if not structures:
         raise DomainError("meet of an empty list of structures")
     ground = structures[0].ground
-    if any(s.ground != ground for s in structures):
-        raise DomainError("meet requires structures over the same ground set")
+    for s in structures[1:]:
+        if s.ground != ground:
+            raise DomainError("meet requires structures over the same ground set")
     connected = frozenset.intersection(*(s.connected for s in structures))
     return ConnectiveStructure(ground, connected)
 
@@ -287,5 +290,9 @@ def indiscrete_structure(ground: GroundSet) -> ConnectiveStructure:
 
 def closure_axiom_holds(structure: ConnectiveStructure) -> bool:
     """Exhaustive pair scan of the union-with-common-point axiom."""
-    members = structure.connected
-    return all(not a & b or a | b in members for a in members for b in members)
+    members = list(structure.connected)
+    for a in members:
+        for b in members:
+            if a & b and (a | b) not in structure.connected:
+                return False
+    return True

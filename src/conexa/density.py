@@ -163,6 +163,10 @@ def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> Densit
 
 def total_order(psi: PureState, tol: float = DEFAULT_TOL) -> TotalOrder:
     """Run both pipelines on a pure state; the total order is their maximum."""
-    omega_c = disentanglement_structures(psi, tol=tol).omega_c
-    omega_f = density_structures(psi.density(), tol=tol).omega_f
-    return TotalOrder(omega_c, omega_f, max(omega_c, omega_f))
+    report_c = disentanglement_structures(psi, tol=tol)
+    report_f = density_structures(psi.density(), tol=tol)
+    return TotalOrder(
+        report_c.omega_c,
+        report_f.omega_f,
+        max(report_c.omega_c, report_f.omega_f),
+    )

@@ -84,7 +84,9 @@ class Device:
             raise DomainError("questions and results must list the same number of sites")
         if not questions:
             raise DomainError("a device needs at least one site")
-        table = {tuple(q): frozenset(tuple(r) for r in answers) for q, answers in relation.items()}
+        table = {}
+        for q, answers in relation.items():
+            table[tuple(q)] = frozenset(tuple(r) for r in answers)
         result_sets = [set(rs) for rs in results]
         for q in itertools.product(*questions):
             if q not in table or not table[q]:
@@ -177,11 +179,10 @@ def tensor_device(a: Device, b: Device) -> Device:
     """Cartesian-product relation; the result's sites are a's then b's."""
     questions = a.questions + b.questions
     results = a.results + b.results
-    relation = {
-        qa + qb: {ra + rb for ra in answers_a for rb in answers_b}
-        for qa, answers_a in a.relation.items()
-        for qb, answers_b in b.relation.items()
-    }
+    relation = {}
+    for qa, answers_a in a.relation.items():
+        for qb, answers_b in b.relation.items():
+            relation[qa + qb] = {ra + rb for ra in answers_a for rb in answers_b}
     return Device(questions, results, relation)
 
 

@@ -219,10 +219,11 @@ def brunnian_family(k: int, n: int) -> FiniteJointDistribution:
         raise DomainError(f"brunnian family needs a modulus n >= 2, got {n}")
     alphabet = tuple(str(v) for v in range(n))
     weight = Fraction(1, n**k)
-    prob = {
-        tuple(str(v) for v in (*values, sum(values) % n)): weight
-        for values in itertools.product(range(n), repeat=k)
-    }
+    prob: dict = {}
+    for values in itertools.product(range(n), repeat=k):
+        total = sum(values) % n
+        key = tuple(str(v) for v in values) + (str(total),)
+        prob[key] = weight
     return FiniteJointDistribution((alphabet,) * (k + 1), prob)
 
 

@@ -9,7 +9,6 @@ the file.
 
 from __future__ import annotations
 
-import functools
 import json
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -167,24 +166,21 @@ def _prob_to_json(p) -> object:
     return float(p)
 
 
-# a table repeats few distinct probability strings: each is parsed once
-_fraction = functools.lru_cache(maxsize=1024)(Fraction)
-
-
 def _prob_from_json(value):
     if isinstance(value, bool):
         raise DomainError(f"probability {json.dumps(value)} is a boolean, not a number")
     if isinstance(value, str):
-        return _fraction(value)
+        return Fraction(value)
     return float(value)
 
 
 def distribution_to_dict(dist: FiniteJointDistribution) -> dict:
     join = make_key_joiner(dist.outcomes)
-    entries = sorted(zip(dist._index.tolist(), dist.prob.items()))
+    label_index = [{x: i for i, x in enumerate(labels)} for labels in dist.outcomes]
+    entries = sorted(dist.prob.items(), key=lambda e: tuple(map(dict.get, label_index, e[0])))
     return {
         "outcomes": [list(rs) for rs in dist.outcomes],
-        "prob": {join(t): _prob_to_json(p) for _, (t, p) in entries},
+        "prob": {join(t): _prob_to_json(p) for t, p in entries},
     }
 
 

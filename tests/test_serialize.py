@@ -8,7 +8,7 @@ import pytest
 from conexa.devices import builtin_device
 from conexa.errors import DomainError
 from conexa.quantum import builtin_state, partial_trace
-from conexa.randvars import brunnian_family
+from conexa.randvars import FiniteJointDistribution, brunnian_family
 from conexa.serialize import (
     canonical_json,
     density_from_dict,
@@ -95,6 +95,16 @@ def test_distribution_round_trip_rational():
     back = distribution_from_dict(data)
     assert back == dist
     assert all(isinstance(p, Fraction) for p in back.prob.values())
+
+
+def test_distribution_keys_follow_the_declared_outcome_order():
+    # labels declared out of lexicographic order, entries given in neither order
+    dist = FiniteJointDistribution(
+        (("b", "a"), ("1", "0")),
+        {("a", "0"): Fraction(1, 4), ("b", "0"): Fraction(1, 4),
+         ("a", "1"): Fraction(1, 4), ("b", "1"): Fraction(1, 4)},
+    )
+    assert list(distribution_to_dict(dist)["prob"]) == ["b1", "b0", "a1", "a0"]
 
 
 def test_distribution_accepts_floats():
