@@ -3,13 +3,14 @@
 A device is a coherent relation from question tuples to nonempty sets of
 answer tuples, one slot per site.  Both structure families are read off one
 scan of the deterministic realizations (selection functions inside the
-relation), vectorized over chunks and guarded by a configurable cap on their
-number.  Each realization gets a dependency code: which questions each output
-reads.  A realization factors along a partition of the sites exactly when no
-output reads a question outside its block, so the locality predicates (and
-the tensorial structures built from them) come from the codes and the pairs
-the factoring realizations select; the domanial structures are the meet of
-every code's domain structures.
+relation), guarded by a configurable cap on their number.  The realizations
+form an array with one axis per question that has several answers, and the
+scan broadcasts over blocks of its trailing axes.  Each realization gets a dependency code: which
+questions each output reads.  A realization factors along a partition of the
+sites exactly when no output reads a question outside its block, so the
+locality predicates (and the tensorial structures built from them) come from
+the codes and the pairs the factoring realizations select; the domanial
+structures are the meet of every code's domain structures.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ class Device:
     """Question/answer label sets per site plus the relation table.
 
     Coherence (a nonempty answer set for every question tuple) is enforced at
-    construction time.
+    construction time.  The relation is a set of pairs, so relation keys that
+    name one question tuple pool their answers.
     """
 
     questions: tuple
@@ -84,9 +86,10 @@ class Device:
             raise DomainError("questions and results must list the same number of sites")
         if not questions:
             raise DomainError("a device needs at least one site")
-        table = {}
+        table: dict = {}
         for q, answers in relation.items():
-            table[tuple(q)] = frozenset(tuple(r) for r in answers)
+            table.setdefault(tuple(q), set()).update(tuple(r) for r in answers)
+        table = {q: frozenset(answers) for q, answers in table.items()}
         result_sets = [set(rs) for rs in results]
         for q in itertools.product(*questions):
             if q not in table or not table[q]:
@@ -212,8 +215,21 @@ def deterministic_realizations(device: Device, cap: int = DEFAULT_CAP) -> Iterat
 # ---------------------------------------------------------------------------
 # the realization scan
 
-# Realizations decoded per vectorized step of the scan.
+# Most realizations per vectorized step of the scan; a step holds more only
+# when its one question axis alone has more.
 _CHUNK = 1 << 18
+
+
+def _axis_any(x: np.ndarray) -> list:
+    """Per axis of the boolean array x, whether each index along it holds a
+    true entry.  Each level halves the axis list with two reductions, instead
+    of one reduction over all other axes per axis."""
+    if x.ndim == 1:
+        return [x]
+    half = x.ndim // 2
+    return _axis_any(x.any(axis=tuple(range(half, x.ndim)))) + _axis_any(
+        x.any(axis=tuple(range(half)))
+    )
 
 
 def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
@@ -222,60 +238,93 @@ def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
     `cuts`, the partitions are the singletons followed by each cut; without
     them the matrix has no rows and the scan only feeds `early_exit`.
 
-    A realization is a choice index per question.  Its dependency code sets bit
-    (i, j) when some pair of questions differing only in slot j yields
-    different i-th outputs.  The question set is a full product, so the
-    realization factors along a partition of the sites exactly when it sets no
-    bit (i, j) with i and j in different blocks.  Entry (p, c) is true when
-    some realization factoring along partition p selects pair c.
+    A realization is a choice index per question, so the realizations form an
+    array in C order, with one axis per question that has two or more
+    answers.  Its dependency code sets bit (i, j) when some pair of questions
+    differing only in slot j yields different i-th outputs.  The question set
+    is a full product, so the realization factors along a partition of the
+    sites exactly when it sets no bit (i, j) with i and j in different blocks.
+    Entry (p, c) is true when some realization factoring along partition p
+    selects pair c.
 
-    Work is vectorized over chunks of the mixed-radix realization space.
-    `early_exit(codes)` sees each chunk's distinct codes; the scan stops once
+    The scan loops over the leading axes and broadcasts over the trailing
+    ones: at most `_CHUNK` realizations per block, but at least one axis.
+    `early_exit(codes)` sees each block's distinct codes; the scan stops once
     it returns true (when given) and every entry is true.
     """
-    total = _capped_count(device, cap)
+    _capped_count(device, cap)
     qs = device.question_tuples()
     k = device.uplicity
     if k * k > 63:
         raise ResourceError("dependency scan supports at most 7 sites")
+    code_dtype = np.min_scalar_type((1 << k * k) - 1)
     answers = [np.array(sorted(device.relation[q])) for q in qs]
     sizes = [len(choices) for choices in answers]
-    # Each pair of questions differing in slot j alone, with a table of the
-    # bits (i, j) its two choices set, indexed by choice_a * sizes[b] + choice_b.
+    free = [qi for qi, size in enumerate(sizes) if size > 1] or [len(qs) - 1]
+    lead = len(free) - 1
+    while lead and math.prod(sizes[qi] for qi in free[lead - 1:]) <= _CHUNK:
+        lead -= 1
+    leading = free[:lead]
+    axis = {qi: n for n, qi in enumerate(free[lead:])}
+    block = [sizes[qi] for qi in axis]
+    # A block fixes the choices of the questions with no axis in it: the
+    # block index on the leading ones, 0 on those with one answer.
+    fixed = [qi for qi in range(len(qs)) if qi not in axis]
+    choice = [0] * len(qs)
+
+    # Each pair of questions a < b differing in slot j alone sets the bits
+    # (i, j) its two choices give, by a table of shape (sizes[a], sizes[b]).
+    # A table on no leading question is the same in every block and ORs into
+    # `base`; a table on leading a and block axis b gives each block one row,
+    # and any other table one entry.
     q_pos = {q: idx for idx, q in enumerate(qs)}
-    toggles = []
+    base = np.zeros(block, dtype=code_dtype)
+    rows, entries = [], []
     for a, q in enumerate(qs):
         for j in range(k):
             bits = np.array([1 << (i * k + j) for i in range(k)], dtype=np.int64)
             for lab in device.questions[j]:
                 b = q_pos[q[:j] + (lab,) + q[j + 1:]]
-                if b > a:
-                    differ = answers[a][:, None, :] != answers[b][None, :, :]
-                    toggles.append((a, b, (differ * bits).sum(axis=-1).ravel()))
-    # question qi's pairs are the columns spans[qi]
+                if b <= a:
+                    continue
+                differ = answers[a][:, None, :] != answers[b][None, :, :]
+                table = (differ * bits).sum(axis=-1).astype(code_dtype)
+                shape = [sizes[qi] if qi in (a, b) else 1 for qi in axis]
+                if a not in leading and b not in leading:
+                    base |= table.reshape(shape)
+                elif b in axis:
+                    rows.append((a, table.reshape(sizes[a], *shape)))
+                else:
+                    entries.append((a, b, table.tolist()))
+    # question qi's pairs are the columns offsets[qi]:offsets[qi + 1]; block
+    # axis n's are spans[n]
     offsets = np.cumsum([0, *sizes])
-    spans = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    spans = [slice(offsets[qi], offsets[qi + 1]) for qi in axis]
 
     partitions = [tuple((s,) for s in range(k)), *cuts] if cuts else []
     crossing = [
-        np.int64(sum(
-            1 << (i * k + j) for a in blocks for b in blocks if a != b for i in a for j in b
-        ))
+        sum(1 << (i * k + j) for a in blocks for b in blocks if a != b for i in a for j in b)
         for blocks in partitions
     ]
     coverage = np.zeros((len(partitions), offsets[-1]), dtype=bool)
 
-    for lo in range(0, total, _CHUNK):
-        cidx = np.unravel_index(np.arange(lo, min(lo + _CHUNK, total)), sizes)
-        dep = np.zeros(len(cidx[0]), dtype=np.int64)
-        for a, b, table in toggles:
-            dep |= table[cidx[a] * sizes[b] + cidx[b]]
+    for idx in np.ndindex(*(sizes[qi] for qi in leading)):
+        const = 0
+        for qi, c in zip(leading, idx):
+            choice[qi] = c
+        for a, b, table in entries:
+            const |= table[choice[a]][choice[b]]
+        dep = base | const
+        for a, table in rows:
+            dep |= table[choice[a]]
         for mask, row in zip(crossing, coverage):
             if row.all():
                 continue
-            factors = (dep & mask) == 0
-            for choice, size, span in zip(cidx, sizes, spans):
-                row[span] |= np.bincount(choice[factors], minlength=size) > 0
+            hits = _axis_any((dep & mask) == 0)
+            if hits[0].any():
+                row[[offsets[qi] + choice[qi] for qi in fixed]] = True
+                for span, hit in zip(spans, hits):
+                    row[span] |= hit
         if (early_exit is None or early_exit(np.unique(dep).tolist())) and coverage.all():
             break
     return coverage
@@ -400,10 +449,10 @@ class _DomanialMeets:
     """Running meets of the per-realization domain structures, each a
     frozenset of masks over the sites.
 
-    Called with dependency codes, it folds in the ones it has not seen and
-    says whether both meets have reached the discrete family (the empty set
-    and the k singletons), the bottom of the meet lattice, past which no code
-    can change them.
+    Called with dependency codes, it says whether both meets have reached the
+    discrete family (the empty set and the k singletons), the bottom of the
+    meet lattice.  Until then it folds in the codes it has not seen; past it
+    no code can change them.
     """
 
     def __init__(self, k: int):
@@ -414,6 +463,8 @@ class _DomanialMeets:
     def __call__(self, codes) -> bool:
         k = self.k
         for code in set(codes) - self.seen:
+            if len(self.do) == len(self.dp) == k + 1:
+                break
             self.seen.add(code)
             masks = [code >> (i * k) & ((1 << k) - 1) for i in range(k)]
             self.do &= _close(k, masks)

@@ -167,10 +167,14 @@ def _prob_to_json(p) -> object:
 
 
 def _prob_from_json(value):
+    """A `"p/q"` string as a Fraction and an integer as it is, both exact; any
+    other number as a float."""
     if isinstance(value, bool):
         raise DomainError(f"probability {json.dumps(value)} is a boolean, not a number")
     if isinstance(value, str):
         return Fraction(value)
+    if isinstance(value, int):
+        return value
     return float(value)
 
 

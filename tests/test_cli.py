@@ -195,6 +195,24 @@ def test_analyze_device_cap_bounds_realizations(tmp_path, capsys):
     assert "20736" in err
 
 
+def test_analyze_device_with_more_questions_than_array_dimensions(tmp_path, capsys):
+    """81 question tuples, above numpy's 64 array dimensions: a local
+    deterministic device whose outputs are the question parities."""
+    relation = {
+        "".join(q): ["".join(str(int(x) % 2) for x in q)]
+        for q in itertools.product("012", repeat=4)
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"questions": [["0", "1", "2"]] * 4, "results": [["0", "1"]] * 4, "relation": relation}
+    ))
+    code, out, _ = run_cli(capsys, "analyze-device", "--file", str(path))
+    assert code == 0
+    result = load_report(out)["result"]
+    assert result["profile"]["local"]
+    assert result["orders"]["overall"] == 0
+
+
 def test_analyze_rvs_from_file(tmp_path, capsys):
     path = tmp_path / "xor.json"
     path.write_text(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conexa import devices
-from conexa.connective import generate_integral, meet_structures
+from conexa.connective import _bipartitions, generate_integral, meet_structures
 from conexa.devices import (
     _INCLUSIONS,
     _STRUCTURE_OF,
@@ -79,6 +80,17 @@ def random_deterministic_device(rng, k=3) -> Device:
 
 # ---------------------------------------------------------------------------
 # construction, sub-devices, tensor products
+
+
+def test_relation_keys_naming_one_question_pool_their_answers():
+    # a relation is a set of pairs, as repeated distribution entries add up
+    b = ("0", "1")
+    dev = Device([b, b], [b, b], {
+        "00": [("0", "0")], "01": [("0", "1")], "10": [("1", "0")], "11": [("1", "1")],
+        ("0", "1"): [("1", "1")],
+    })
+    assert dev.relation[("0", "1")] == {("0", "1"), ("1", "1")}
+    assert realization_count(dev) == 2
 
 
 def test_incoherent_device_rejected():
@@ -251,13 +263,17 @@ def test_deterministic_collapse_of_taxonomy():
 
 
 @st.composite
-def coherent_devices(draw):
-    """2-3 sites, 1-3 questions and answers per site, at most 4096 realizations."""
-    k = draw(st.integers(2, 3))
-    questions = tuple(tuple(str(x) for x in range(draw(st.integers(1, 3)))) for _ in range(k))
-    results = tuple(tuple(str(x) for x in range(draw(st.integers(1, 3)))) for _ in range(k))
+def coherent_devices(draw, sites=(2, 3), labels=3, budget=4096):
+    """`sites` sites, 1 to `labels` questions and answers per site, at most
+    `budget` realizations."""
+    k = draw(st.integers(*sites))
+    questions = tuple(
+        tuple(str(x) for x in range(draw(st.integers(1, labels)))) for _ in range(k)
+    )
+    results = tuple(
+        tuple(str(x) for x in range(draw(st.integers(1, labels)))) for _ in range(k)
+    )
     answers = list(itertools.product(*results))
-    budget = 4096
     relation = {}
     for q in itertools.product(*questions):
         picked = draw(st.lists(
@@ -299,6 +315,68 @@ def test_domanial_structures_match_bruteforce_across_chunks(dev):
         mp.setattr(devices, "_CHUNK", 7)
         meets = domanial_structures(dev)
     assert meets == bruteforce_domanial(dev)
+
+
+# Dependency codes take the smallest unsigned dtype holding k * k bits: uint16
+# on 4 sites, uint32 on 5.
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(coherent_devices(sites=(4, 5), labels=2, budget=64))
+def test_wide_devices_match_oracles(dev):
+    assert dataclasses.asdict(locality_profile(dev)) == oracle_locality_profile(dev)
+    assert domanial_structures(dev) == bruteforce_domanial(dev)
+
+
+def _scan_results(dev):
+    """The coverage matrix and both meets of the scans `device_structures`
+    and `domanial_structures` make."""
+    cuts = _bipartitions(range(dev.uplicity))
+    meets, alone = devices._DomanialMeets(dev.uplicity), devices._DomanialMeets(dev.uplicity)
+    coverage = devices._scan(dev, devices.DEFAULT_CAP, cuts, meets)
+    devices._scan(dev, devices.DEFAULT_CAP, early_exit=alone)
+    return coverage.tolist(), meets.structures(), alone.structures()
+
+
+def _results_per_block_size(dev):
+    default = devices._CHUNK
+    results = []
+    for chunk in (1, 7, default):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(devices, "_CHUNK", chunk)
+            results.append(_scan_results(dev))
+    return results
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(coherent_devices(budget=512))
+def test_scan_results_do_not_depend_on_block_size(dev):
+    one, seven, default = _results_per_block_size(dev)
+    assert one == seven == default
+
+
+def test_scan_block_of_one_axis_above_the_chunk():
+    # the last question has 8 answers: at _CHUNK 1 and 7 every block is its axis
+    relation = {q: {("0", "0", "0"), q} for q in itertools.product(BITS, repeat=3)}
+    relation[("1", "1", "1")] = full_answers(3)
+    dev = Device((BITS,) * 3, (BITS,) * 3, relation)
+    one, seven, default = _results_per_block_size(dev)
+    assert one == seven == default
+    assert dataclasses.asdict(locality_profile(dev)) == oracle_locality_profile(dev)
+    assert domanial_structures(dev) == bruteforce_domanial(dev)
+
+
+def test_scan_gives_no_axis_to_questions_with_one_answer():
+    # 81 question tuples, more than numpy's 64 array dimensions; only the
+    # questions with two answers (five, by the count) span an axis
+    rng = random.Random(15)
+    relation = {}
+    for n, q in enumerate(itertools.product("012", repeat=4)):
+        relation[q] = {tuple(rng.choice(BITS) for _ in range(4)) for _ in range(1 + (n % 16 == 0))}
+    dev = Device((("0", "1", "2"),) * 4, (BITS,) * 4, relation)
+    assert realization_count(dev) == 32
+    assert dataclasses.asdict(locality_profile(dev)) == oracle_locality_profile(dev)
+    assert domanial_structures(dev) == bruteforce_domanial(dev)
 
 
 # ---------------------------------------------------------------------------

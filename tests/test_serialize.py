@@ -116,6 +116,14 @@ def test_distribution_accepts_floats():
     assert abs(float(sum(dist.prob.values())) - 1.0) < 1e-12
 
 
+def test_distribution_integer_entries_stay_exact():
+    data = {"outcomes": [["0", "1"], ["0", "1"]], "prob": {"00": "1/2", "11": "1/2", "01": 0}}
+    dist = distribution_from_dict(data)
+    assert dist.exact
+    assert dist.prob == {("0", "0"): Fraction(1, 2), ("1", "1"): Fraction(1, 2)}
+    assert all(type(p) is Fraction for p in dist.prob.values())
+
+
 def test_canonical_json_is_stable():
     payload = {"b": 1, "a": [3, 2]}
     assert canonical_json(payload) == canonical_json({"a": [3, 2], "b": 1})
