@@ -249,8 +249,9 @@ def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
 
     The scan loops over the leading axes and broadcasts over the trailing
     ones: at most `_CHUNK` realizations per block, but at least one axis.
-    `early_exit(codes)` sees each block's distinct codes; the scan stops once
-    it returns true (when given) and every entry is true.
+    `early_exit(codes)` sees each block's distinct codes until it first
+    returns true, and is not called again after that; the scan stops once it
+    has returned true (when given) and every entry is true.
     """
     _capped_count(device, cap)
     qs = device.question_tuples()
@@ -307,6 +308,7 @@ def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
         for blocks in partitions
     ]
     coverage = np.zeros((len(partitions), offsets[-1]), dtype=bool)
+    settled = early_exit is None
 
     for idx in np.ndindex(*(sizes[qi] for qi in leading)):
         const = 0
@@ -325,7 +327,9 @@ def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
                 row[[offsets[qi] + choice[qi] for qi in fixed]] = True
                 for span, hit in zip(spans, hits):
                     row[span] |= hit
-        if (early_exit is None or early_exit(np.unique(dep).tolist())) and coverage.all():
+        if not settled:
+            settled = bool(early_exit(np.unique(dep).tolist()))
+        if settled and coverage.all():
             break
     return coverage
 

@@ -7,8 +7,9 @@ the measurement set is a continuum, quantifiers are evaluated over a fixed
 finite pool of product bases (every combination of the structured bases,
 then one experiment in a generic basis at every site) and results are
 flagged POOL_LIMITED unless an exact factorization certificate removes the
-pool dependence altogether.  The pool is a function of the layout and the
-measured sites alone, so every analysis is deterministic.
+pool dependence altogether.  The pool is a function of the dimensions of the
+measured sites alone, so every analysis is deterministic, and one analysis
+builds one pool per tuple of complement dimensions.
 
 A pool holds one stack of unitaries per measured site, one row per
 experiment, checked for orthonormality once per stack.  For a chunk of
@@ -16,12 +17,14 @@ experiments, the contraction kernel `quantum._residuals` measures every site
 outside J for every experiment and outcome at once, giving the residual
 J-states as one (experiments, outcomes, dim_J) array; an outcome is possible
 iff its residual norm is > tol.  Each bipartition of J is then tested for
-every possible outcome with one stacked SVD (second Schmidt coefficient
-<= tol).  Classification does not deduplicate residuals, since a repeated
-state never changes its any/all tests; `post_states` deduplicates up to
-phase from one Gram matrix (|<a|b>| > 1 - tol, the rule of
-`PureState.equals_up_to_phase`), keeping the first of each class in outcome
-order.
+every possible outcome by `quantum._separable_cuts` (second Schmidt
+coefficient <= tol): the cuts whose shorter side has dimension 2 together in
+closed form, with LAPACK only inside a rounding band around tol, and every
+other cut by one stacked SVD.  Classification does not deduplicate
+residuals, since a repeated state never changes its any/all tests;
+`post_states` deduplicates up to phase from one Gram matrix (|<a|b>| > 1 -
+tol, the rule of `PureState.equals_up_to_phase`), keeping the first of each
+class in outcome order.
 """
 
 from __future__ import annotations
@@ -135,6 +138,13 @@ class MeasurementPool:
             b.setflags(write=False)
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "bases", bases)
+
+    def _moved(self, sites: tuple) -> "MeasurementPool":
+        """The same experiments on other sites of the same dimensions, unchecked."""
+        pool = object.__new__(MeasurementPool)
+        object.__setattr__(pool, "sites", sites)
+        object.__setattr__(pool, "bases", self.bases)
+        return pool
 
 
 @dataclass(frozen=True)
@@ -255,7 +265,7 @@ def _factor_on(psi: PureState, j: tuple, tol: float) -> Optional[PureState]:
     if len(j) == psi.layout.sites:
         return psi
     mat = _matricize(psi, j)
-    u, s, _ = np.linalg.svd(mat)
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
     if len(s) >= 2 and float(s[1]) > tol:
         return None
     return PureState(SiteLayout(psi.layout.dims[site] for site in j), u[:, 0])
@@ -352,14 +362,27 @@ def classify_on_subset(
 def disentanglement_structures(psi: PureState, tol: float = DEFAULT_TOL) -> DisentanglementReport:
     """Classify every subset with >= 2 sites and generate the six structures.
 
-    Ground labels are 1-based site numbers.
+    A pool depends only on the dimensions of the measured sites, so one pool
+    is built (and checked) per distinct tuple of complement dimensions and
+    moved onto every complement of that shape; the pools live as long as
+    this call.  Ground labels are 1-based site numbers.
     """
     k = psi.layout.sites
     if k < 2:
         raise DomainError("disentanglement analysis needs at least two sites")
+    dims = psi.layout.dims
+    pools: dict = {}
+
+    def verdict(j):
+        complement = tuple(s for s in range(k) if s not in j)
+        shape = tuple(dims[s] for s in complement)
+        if shape not in pools:
+            pools[shape] = build_pool(psi.layout, complement)
+        return classify_on_subset(psi, j, pools[shape]._moved(complement), tol=tol)
+
     classes, structures = _subset_structures(
         k,
-        lambda j: classify_on_subset(psi, j, tol=tol),
+        verdict,
         {name: lambda c, kinds=kinds: c.kind in kinds for name, kinds in _FAMILY_CLASSES.items()},
     )
     omega = max(connective_order(s) for s in structures.values())

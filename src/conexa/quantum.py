@@ -269,19 +269,86 @@ def is_separable_bipartition(psi: PureState, j1, j2, tol: float = DEFAULT_TOL) -
 def _separable_cuts(states: np.ndarray, dims: tuple, cuts, tol: float) -> np.ndarray:
     """Bool array (states, cuts): which bipartitions (by position) split each state.
 
-    `states` holds one unit vector over the layout `dims` per row; each cut is
-    one stacked SVD testing the second Schmidt coefficient.
+    `states` holds one unit vector over the layout `dims` per row.  A state
+    splits along a cut when the second Schmidt coefficient of its
+    matricization is <= tol, exactly as `np.linalg.svd` computes it: a side of
+    dimension 1 leaves one coefficient, so every state splits there; the cuts
+    whose shorter side has dimension 2 are decided together by
+    `_second_below`, and every other cut by one stacked SVD.
     """
     tensors = states.reshape(-1, *dims)
-    out = np.empty((len(tensors), len(cuts)), dtype=bool)
+    out = np.ones((len(tensors), len(cuts)), dtype=bool)
+    two_rows, two_row_mats = [], []
     for c, (a, b) in enumerate(cuts):
         axes = (0, *(p + 1 for p in a + b))
         rows = math.prod(dims[p] for p in a)
-        mats = tensors.transpose(axes).reshape(len(tensors), rows, math.prod(dims) // rows)
-        coeffs = np.linalg.svd(mats, compute_uv=False)
-        # a side of dimension 1 leaves one coefficient: every state splits there
-        out[:, c] = coeffs[:, 1] <= tol if coeffs.shape[1] > 1 else True
+        cols = math.prod(dims) // rows
+        if min(rows, cols) == 1:
+            continue
+        mats = tensors.transpose(axes).reshape(len(tensors), rows, cols)
+        if min(rows, cols) == 2:
+            two_rows.append(c)
+            two_row_mats.append(mats)
+        else:
+            out[:, c] = np.linalg.svd(mats, compute_uv=False)[:, 1] <= tol
+    if two_rows:
+        out[:, two_rows] = _second_below(two_row_mats, tol)
     return out
+
+
+def _second_below(mats: list, tol: float) -> np.ndarray:
+    """Bool array (matrices, stacks): `np.linalg.svd(m, compute_uv=False)[:, 1]
+    <= tol` for each stack m in `mats`, all of one shape with 2 rows or 2
+    columns, decided without LAPACK outside a rounding band.
+
+    Let a be the longer of a matrix M's two rows (or columns), b the other,
+    and r = b - (<a,b>/||a||^2) a the part of b orthogonal to a.  Then
+    sigma_1 sigma_2 = ||a|| ||r|| =: P (P^2 is the Gram determinant) and
+    sigma_1^2 + sigma_2^2 = ||M||_F^2 =: F^2, so F/sqrt(2) <= sigma_1 <= F
+    puts sigma_2 in [P/F, sqrt(2) P/F].
+
+    Rounding, with m the longer side and eps the machine epsilon: each
+    computed dot product and squared norm of length m is off by at most about
+    m eps times the product of its operands' norms (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, Sec. 3.1).  As ||a|| >= ||b||, the
+    coefficient <a,b>/||a||^2 has modulus <= 1, so the computed r is within
+    about 3 m eps ||b|| of the exact one, P within about 4 m eps ||a|| ||b||
+    <= 2 m eps F^2, and each computed end of the interval within
+    (4 m + 10) eps F of the exact one.  LAPACK's sigma_2 is off by at most
+    p eps sigma_1, with p growing like the Householder reduction's backward
+    error, c m (LAPACK Users' Guide Sec. 4.9; Higham Thm 19.4).  The band
+    half-width delta = 16 (m + 2) eps F covers both with room, plus the
+    least normal float so that a zero matrix falls inside the band.
+
+    An upper end below tol - delta answers "separable" and a lower end above
+    tol + delta "entangled".  Only the matrices in between, or with a zero or
+    non-finite F, go to the stacked SVD, on the matrices as given: a
+    transposed matrix can round sigma_2 = tol the other way.  The work is
+    O(m) per matrix; no m x m array of 2 x 2 minors is formed.
+    """
+    # (2 stacks, matrices, m): every first row (or column), then every second
+    pairs = np.array([m[:, i] if m.shape[1] == 2 else m[:, :, i] for i in (0, 1) for m in mats])
+    flat = pairs.view(np.float64)
+    squares = np.einsum("vnk,vnk->vn", flat, flat)
+    first, second = pairs[: len(mats)], pairs[len(mats):]
+    sq_first, sq_second = squares[: len(mats)], squares[len(mats):]
+    swap = (sq_second > sq_first)[..., None]
+    a = np.where(swap, second, first)
+    b = np.where(swap, first, second)
+    sq_a = np.maximum(sq_first, sq_second)
+    frob = np.sqrt(sq_first + sq_second)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.einsum("cnk,cnk->cn", a.conj(), b) / sq_a
+        residual = (b - coef[..., None] * a).view(np.float64)
+        low = np.sqrt(sq_a * np.einsum("cnk,cnk->cn", residual, residual)) / frob
+    delta = 16 * (pairs.shape[-1] + 2) * _EPS * frob + _TINY
+    out = math.sqrt(2.0) * low < tol - delta
+    band = ~(out | (low > tol + delta))
+    if band.any():
+        for m, rows, verdicts in zip(mats, band, out):
+            if rows.any():
+                verdicts[rows] = np.linalg.svd(m[rows], compute_uv=False)[:, 1] <= tol
+    return out.T
 
 
 def _residuals(psi: PureState, sites: tuple, bases: Sequence[np.ndarray]) -> tuple:

@@ -168,10 +168,19 @@ def _prob_to_json(p) -> object:
 
 def _prob_from_json(value):
     """A `"p/q"` string as a Fraction and an integer as it is, both exact; any
-    other number as a float."""
+    other number as a float.
+
+    A string of ASCII digits, a slash and ASCII digits is split into its two
+    integers, which gives the value (or the ZeroDivisionError) that
+    `Fraction` gives for the string; every other string is parsed by
+    `Fraction`.
+    """
     if isinstance(value, bool):
         raise DomainError(f"probability {json.dumps(value)} is a boolean, not a number")
     if isinstance(value, str):
+        p, slash, q = value.partition("/")
+        if slash and p.isdigit() and q.isdigit() and value.isascii():
+            return Fraction(int(p), int(q))
         return Fraction(value)
     if isinstance(value, int):
         return value

@@ -598,6 +598,14 @@ def test_malformed_input_exits_2(kind, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_zero_denominator_probability_message(tmp_path, capsys):
+    path = tmp_path / "rvs.json"
+    path.write_text(json.dumps({"outcomes": _BITS, "prob": {"00": "1/0", "11": "1/2"}}))
+    code, out, err = run_cli(capsys, "analyze-rvs", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed input in {path}: ZeroDivisionError: Fraction(1, 0)\n"
+
+
 def test_analyze_density_tol_reaches_input_check(tmp_path, capsys):
     # I/4 with 1e-8 at (0, 1) alone: Hermitian within 1e-6, not within 1e-9
     path = tmp_path / "rho.json"

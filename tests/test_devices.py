@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -353,6 +354,42 @@ def _results_per_block_size(dev):
 def test_scan_results_do_not_depend_on_block_size(dev):
     one, seven, default = _results_per_block_size(dev)
     assert one == seven == default
+
+
+class _CountingExit:
+    """An early-exit callback that records each answer of the one it wraps."""
+
+    def __init__(self, inner):
+        self.inner, self.answers = inner, []
+
+    def __call__(self, codes):
+        self.answers.append(bool(self.inner(codes)))
+        return self.answers[-1]
+
+
+def test_scan_stops_asking_early_exit_once_it_holds():
+    # the meets of K are discrete after its first block, and the coverage
+    # matrix still needs every later one
+    dev = builtin_device("K")
+    cuts = _bipartitions(range(dev.uplicity))
+    meets = _CountingExit(devices._DomanialMeets(dev.uplicity))
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        coverage = devices._scan(dev, devices.DEFAULT_CAP, cuts, meets)
+    assert meets.answers == [True]
+    assert unique.call_count == 1
+    assert not coverage.all()
+    assert coverage.tolist() == _scan_results(dev)[0]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(coherent_devices(budget=512), st.sampled_from([1, 7]))
+def test_scan_asks_early_exit_until_it_first_holds(dev, chunk):
+    cuts = _bipartitions(range(dev.uplicity))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(devices, "_CHUNK", chunk)
+        meets = _CountingExit(devices._DomanialMeets(dev.uplicity))
+        devices._scan(dev, devices.DEFAULT_CAP, cuts, meets)
+    assert True not in meets.answers[:-1]
 
 
 def test_scan_block_of_one_axis_above_the_chunk():

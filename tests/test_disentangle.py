@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -294,6 +295,34 @@ def test_classify_rejects_pool_on_wrong_sites():
     wrong = build_pool(ghz.layout, (1,))
     with pytest.raises(DomainError):
         classify_on_subset(ghz, (0, 1), wrong)
+
+
+def test_one_pool_per_complement_shape():
+    # complements of (2, 3, 2, 2): shapes (2, 3), (2, 2), (3, 2), (2,), (3,)
+    # and () over 11 subsets
+    psi = random_pure(np.random.default_rng(21), (2, 3, 2, 2))
+    with mock.patch.object(disentangle, "build_pool", wraps=build_pool) as pools, \
+            mock.patch.object(disentangle, "classify_on_subset",
+                              wraps=classify_on_subset) as classify:
+        report = disentanglement_structures(psi)
+    shapes = [tuple(psi.layout.dims[s] for s in call.args[1]) for call in pools.call_args_list]
+    assert sorted(shapes) == [(), (2,), (2, 2), (2, 3), (3,), (3, 2)]
+    assert classify.call_count == 11
+    # each subset is classified as with a pool built for its own complement
+    for j, c in report.classes.items():
+        assert classify_on_subset(psi, tuple(s - 1 for s in j)) == c
+
+
+def test_classify_rejects_a_wrong_explicit_pool():
+    psi = random_pure(np.random.default_rng(22), (2, 3, 2))
+    # right sites, but built for a qubit where site 1 is a qutrit
+    wrong_dims = build_pool(SiteLayout((2, 2, 2)), (1,))
+    with pytest.raises(DomainError):
+        classify_on_subset(psi, (0, 2), wrong_dims)
+    with pytest.raises(DomainError):
+        classify_on_subset(psi, (0, 2), build_pool(psi.layout, (0,)))
+    with pytest.raises(DomainError, match="not orthonormal"):
+        classify_on_subset(psi, (0, 2), MeasurementPool((1,), [2 * np.eye(3)[None]]))
 
 
 def _oracle_state(kind, dims, rng):

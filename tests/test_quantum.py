@@ -1,11 +1,12 @@
 """Quantum kernel: tensor products, Schmidt data, measurement, reductions, PPT."""
 
+import itertools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conexa.devices import derive_device
@@ -14,6 +15,7 @@ from conexa.errors import DomainError
 from conexa.quantum import (
     DensityOperator,
     _min_eig_below,
+    _separable_cuts,
     Observable,
     PureState,
     SiteLayout,
@@ -118,6 +120,74 @@ def test_separability_examples():
 def test_separability_needs_partition():
     with pytest.raises(DomainError):
         is_separable_bipartition(builtin_state("GHZ"), [0], [1])
+
+
+# Second Schmidt coefficients planted by `_planted_cut`: a Haar matrix, an
+# exact product (on a random or a basis row), and near-threshold values
+# around tol, where the closed form hands over to the SVD.  A tol near 1/2
+# puts sigma_1 close to sigma_2, where the closed form's bracket is widest.
+_NEAR = [1 / math.sqrt(2), 1 - 1e-12, 1 + 1e-12, 1 - 1e-6, 1 + 1e-6, 1.0]
+_CUT_KINDS = ["haar", "product", "basis product", *(f"near {k}" for k in range(len(_NEAR)))]
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / abs(np.diagonal(r)))
+
+
+def _planted_cut(rng, kind, m, tol):
+    """A unit 2 x m matrix of the given kind."""
+    if kind == "haar":
+        mat = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
+        return mat / np.linalg.norm(mat)
+    if kind.endswith("product"):
+        row = np.eye(2)[rng.integers(2)] if kind == "basis product" else _unitary(rng, 2)[:, 0]
+        return np.outer(row, _unitary(rng, m)[0])
+    second = tol * _NEAR[int(kind.split()[1])]
+    values = np.array([math.sqrt(1 - second**2), second])
+    return (_unitary(rng, 2) * values) @ _unitary(rng, m)[:2].conj()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kinds=st.lists(st.sampled_from(_CUT_KINDS), min_size=1, max_size=6),
+       m=st.integers(2, 64), tall=st.booleans(), tol=st.sampled_from([1e-9, 0.3, 0.6]),
+       seed=st.integers(0, 2**32 - 1))
+@example(kinds=["near 5"] * 4, m=3, tall=True, tol=1e-9, seed=0)
+def test_two_row_cuts_agree_with_svd(kinds, m, tall, tol, seed):
+    rng = np.random.default_rng(seed)
+    mats = np.stack([_planted_cut(rng, kind, m, tol) for kind in kinds])
+    if tall:
+        mats = mats.transpose(0, 2, 1).copy()
+    want = np.linalg.svd(mats, compute_uv=False)[:, 1] <= tol
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as spy:
+        got = _separable_cuts(mats.reshape(len(kinds), -1), mats.shape[1:], [((0,), (1,))], tol)
+    assert got[:, 0].tolist() == want.tolist()
+    # LAPACK runs only on the matrices in the rounding band around tol, and
+    # on them as given, not transposed
+    if tol < 1e-6 and all(not kind.startswith("near") for kind in kinds):
+        assert spy.call_count == 0
+    for call in spy.call_args_list:
+        assert call.args[0].shape[1:] == mats.shape[1:]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_every_cut_agrees_with_svd(dims, seed):
+    # random states and products of two random factors, over every cut
+    rng = np.random.default_rng(seed)
+    layout = SiteLayout(dims)
+    split = int(rng.integers(1, len(dims)))
+    states = [random_pure(rng, dims), tensor_state(random_pure(rng, dims[:split]),
+                                                   random_pure(rng, dims[split:]))]
+    amplitudes = np.stack([psi.amplitudes for psi in states])
+    cuts = [(a, tuple(s for s in range(len(dims)) if s not in a))
+            for r in range(1, len(dims)) for a in itertools.combinations(range(len(dims)), r)]
+    got = _separable_cuts(amplitudes, layout.dims, cuts, 1e-9)
+    for c, (a, b) in enumerate(cuts):
+        for i, psi in enumerate(states):
+            coeffs = np.linalg.svd(psi.tensor.transpose(a + b).reshape(
+                math.prod(dims[p] for p in a), -1), compute_uv=False)
+            assert got[i, c] == (len(coeffs) < 2 or coeffs[1] <= 1e-9)
 
 
 def test_tensor_then_separable_on_build_seam():

@@ -10,6 +10,7 @@ from conexa.errors import DomainError
 from conexa.quantum import builtin_state, partial_trace
 from conexa.randvars import FiniteJointDistribution, brunnian_family
 from conexa.serialize import (
+    _prob_from_json,
     canonical_json,
     density_from_dict,
     density_to_dict,
@@ -122,6 +123,13 @@ def test_distribution_integer_entries_stay_exact():
     assert dist.exact
     assert dist.prob == {("0", "0"): Fraction(1, 2), ("1", "1"): Fraction(1, 2)}
     assert all(type(p) is Fraction for p in dist.prob.values())
+
+
+@pytest.mark.parametrize("text", ["2/4", " 1/2", "0.25", "1e-1", "01/06", "3", "-1/2"])
+def test_probability_strings_decode_as_fractions_do(text):
+    # plain "p/q" strings skip the string parser; the others still use it
+    value = _prob_from_json(text)
+    assert type(value) is Fraction and value == Fraction(text)
 
 
 def test_canonical_json_is_stable():
