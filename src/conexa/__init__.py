@@ -4,7 +4,8 @@ Subpackages by concern:
 
 - ``connective``: finite integral connectivity structures (generation,
   irreducibles, order, meet).
-- ``quantum``: dense states, projective measurement, partial trace, PPT.
+- ``quantum``: dense states, the one contraction kernel behind every local
+  measurement, partial trace, PPT.
 - ``disentangle``: measurement-pool classification of pure states and the six
   disentanglement structures.
 - ``density``: correlation / Sugita structures of density operators and the
@@ -33,8 +34,6 @@ from .density import (
     DensityReport,
     TotalOrder,
     density_structures,
-    is_completely_correlated_on,
-    is_completely_entangled_on,
     total_order,
 )
 from .devices import (
@@ -43,16 +42,12 @@ from .devices import (
     DeviceReport,
     LocalityProfile,
     builtin_device,
-    dependency_domain,
     derive_device,
-    deterministic_realizations,
     device_structures,
-    domanial_structures,
     locality_profile,
     realization_count,
     sub_device,
     tensor_device,
-    tensorial_structures,
 )
 from .disentangle import (
     Classification,
@@ -63,32 +58,24 @@ from .disentangle import (
     build_pool,
     classify_on_subset,
     disentanglement_structures,
-    post_states,
 )
 from .errors import DomainError, ResourceError
 from .quantum import (
     DensityOperator,
-    MeasurementOutcome,
     Observable,
     PureState,
     SiteLayout,
     Verdict,
     builtin_state,
-    is_separable_bipartition,
-    measure_projective,
-    partial_contract,
     partial_trace,
     ppt_is_separable,
     purity,
-    schmidt_coefficients,
     tensor_state,
 )
 from .randvars import (
     FiniteJointDistribution,
     RvReport,
     brunnian_family,
-    is_separable_split,
     realize_structure,
     rv_analysis,
-    rv_structure,
 )

@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 from . import __version__
@@ -298,6 +299,17 @@ def _cmd_builtin(args) -> dict:
     raise DomainError("provide --list, --state or --device")
 
 
+def _tolerance(text: str) -> float:
+    """The `--tol` type: a finite number >= 0, else argparse exits 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -309,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_tol=True, with_seed=False, with_cap=False):
         if with_tol:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         p.add_argument("--format", choices=("json", "text"), default="json")
         if with_seed:
             p.add_argument("--seed", type=int, default=None,

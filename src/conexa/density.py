@@ -20,7 +20,6 @@ import numpy as np
 from .connective import (
     ConnectiveStructure,
     _bipartitions,
-    _check_indices,
     _subset_structures,
     connective_order,
 )
@@ -66,39 +65,6 @@ class TotalOrder:
     omega_c: int
     omega_f: int
     omega: int
-
-
-def is_completely_correlated_on(
-    rho: DensityOperator, j_sites, tol: float = DEFAULT_TOL
-) -> bool:
-    """True when no bipartition of J factorizes the reduction of rho to J.
-
-    If a factorization across (J1, J2) exists its factors must equal the
-    corresponding reductions, so it suffices to compare against the product
-    of reductions, bipartition by bipartition, in max-entry norm.
-    """
-    j = _subset(rho, j_sites, "correlation")
-    return _completely_correlated(_reductions(rho), j, tol)
-
-
-def is_completely_entangled_on(
-    rho: DensityOperator, j_sites, tol: float = DEFAULT_TOL
-) -> tuple:
-    """(verdict, quality) for entanglement of the reduction across every bipartition.
-
-    Pure reductions get an exact Schmidt-rank test; mixed ones go through the
-    partial-transpose criterion, whose negative answer is only exact for 2x2
-    and 2x3 splits (quality PPT_NECESSARY otherwise).
-    """
-    j = _subset(rho, j_sites, "entanglement")
-    return _completely_entangled(partial_trace(rho, j), tol)
-
-
-def _subset(rho: DensityOperator, j_sites, analysis: str) -> tuple:
-    j = _check_indices(j_sites, rho.layout.sites, "site")
-    if len(j) < 2:
-        raise DomainError(f"{analysis} analysis needs at least two sites")
-    return j
 
 
 def _reductions(rho: DensityOperator):

@@ -128,22 +128,6 @@ class Device:
 
 
 @dataclass(frozen=True)
-class DeterministicRealization:
-    """A selection function inside a device's relation."""
-
-    mapping: Mapping[tuple, tuple]
-
-    def __init__(self, mapping: Mapping[tuple, tuple]):
-        object.__setattr__(self, "mapping", dict(mapping))
-
-    def __call__(self, q: tuple) -> tuple:
-        return self.mapping[q]
-
-    def __eq__(self, other):
-        return isinstance(other, DeterministicRealization) and self.mapping == other.mapping
-
-
-@dataclass(frozen=True)
 class LocalityProfile:
     """The seven locality booleans plus witnesses where one exists."""
 
@@ -194,24 +178,6 @@ def realization_count(device: Device) -> int:
     return math.prod(len(v) for v in device.relation.values())
 
 
-def _capped_count(device: Device, cap: int) -> int:
-    total = realization_count(device)
-    if total > cap:
-        raise ResourceError(
-            f"device has {total} deterministic realizations, above the cap {cap}"
-        )
-    return total
-
-
-def deterministic_realizations(device: Device, cap: int = DEFAULT_CAP) -> Iterator[DeterministicRealization]:
-    """Stream every selection function f(q) in D(q), smallest-question order."""
-    _capped_count(device, cap)
-    qs = device.question_tuples()
-    choice_lists = [sorted(device.relation[q]) for q in qs]
-    for combo in itertools.product(*choice_lists):
-        yield DeterministicRealization(dict(zip(qs, combo)))
-
-
 # ---------------------------------------------------------------------------
 # the realization scan
 
@@ -253,7 +219,9 @@ def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
     returns true, and is not called again after that; the scan stops once it
     has returned true (when given) and every entry is true.
     """
-    _capped_count(device, cap)
+    total = realization_count(device)
+    if total > cap:
+        raise ResourceError(f"device has {total} deterministic realizations, above the cap {cap}")
     qs = device.question_tuples()
     k = device.uplicity
     if k * k > 63:
@@ -423,30 +391,8 @@ def _tensorial(device: Device, cap: int, early_exit=None) -> tuple:
     return profiles[tuple(range(1, k + 1))], structures
 
 
-def tensorial_structures(device: Device, cap: int = DEFAULT_CAP) -> dict:
-    """The seven structures generated by sub-device non-locality, labels 1..k."""
-    return _tensorial(device, cap)[1]
-
-
 # ---------------------------------------------------------------------------
 # domanial structures
-
-
-def dependency_domain(f: "DeterministicRealization | Mapping", i: int) -> frozenset:
-    """Indices j such that toggling question j alone can change output i."""
-    mapping = f.mapping if isinstance(f, DeterministicRealization) else dict(f)
-    qs = sorted(mapping)
-    k = len(qs[0])
-    if not 0 <= i < len(next(iter(mapping.values()))):
-        raise DomainError(f"output index {i} out of range")
-    depends = set()
-    for j in range(k):
-        groups: dict = {}
-        for q in qs:
-            groups.setdefault(q[:j] + q[j + 1:], set()).add(mapping[q][i])
-        if any(len(vals) > 1 for vals in groups.values()):
-            depends.add(j)
-    return frozenset(depends)
 
 
 class _DomanialMeets:
@@ -479,17 +425,6 @@ class _DomanialMeets:
         """(kappa_do, kappa_dp) on the labels 1..k."""
         ground = GroundSet(range(1, self.k + 1))
         return ConnectiveStructure(ground, self.do), ConnectiveStructure(ground, self.dp)
-
-
-def domanial_structures(device: Device, cap: int = DEFAULT_CAP) -> tuple:
-    """(kappa_do, kappa_dp): meets of per-realization domain structures, labels 1..k.
-
-    The scan may stop early once both running meets reach the discrete
-    structure.
-    """
-    meets = _DomanialMeets(device.uplicity)
-    _scan(device, cap, early_exit=meets)
-    return meets.structures()
 
 
 @dataclass(frozen=True)
@@ -548,7 +483,8 @@ def derive_device(
 
     `menus[i]` lists (label, hermitian matrix) choices for site i, the labels
     being the site's questions; every observable must be Hermitian and
-    nondegenerate within `tol`.  Answers are eigenvalue labels; with
+    nondegenerate within `tol`.  Answers are eigenvalue labels (rounded to 9
+    decimals), and no two eigenvalues of one observable may share one; with
     recode="paper" each site's eigenvalues are renamed by ascending index
     ("0", "1", ...), so a +/-1 spectrum becomes -1 -> "0", +1 -> "1".
     """
@@ -569,6 +505,10 @@ def derive_device(
                     f"site has {psi.layout.dims[site]}"
                 )
             by_label[label] = obs.eigensystem()
+            if len({_format_eigenvalue(v) for v in by_label[label][0]}) < obs.dim:
+                raise DomainError(
+                    f"observable {label!r} on site {site} has two eigenvalues with one label"
+                )
         systems.append(by_label)
 
     raw_results = [

@@ -20,11 +20,8 @@ iff its residual norm is > tol.  Each bipartition of J is then tested for
 every possible outcome by `quantum._separable_cuts` (second Schmidt
 coefficient <= tol): the cuts whose shorter side has dimension 2 together in
 closed form, with LAPACK only inside a rounding band around tol, and every
-other cut by one stacked SVD.  Classification does not deduplicate
-residuals, since a repeated state never changes its any/all tests;
-`post_states` deduplicates up to phase from one Gram matrix (|<a|b>| > 1 -
-tol, the rule of `PureState.equals_up_to_phase`), keeping the first of each
-class in outcome order.
+other cut by one stacked SVD.  Residuals are not deduplicated, since a
+repeated state never changes the any/all tests of the classification.
 """
 
 from __future__ import annotations
@@ -226,38 +223,6 @@ def build_pool(
         for s, o, row in zip(sites, options, grid)
     ]
     return MeasurementPool(sites, bases)
-
-
-def post_states(
-    psi: PureState,
-    j_sites,
-    bases: Sequence[np.ndarray],
-    tol: float = DEFAULT_TOL,
-) -> list:
-    """Residual J-states of psi under one experiment, deduplicated up to phase.
-
-    `bases` holds one basis matrix (columns = basis vectors) per site outside
-    J, in site order; the empty tuple is the identity experiment, which
-    applies only to J = all sites and leaves psi itself.  Outcomes with
-    residual norm <= tol (probability <= tol^2) are impossible and excluded.
-    Two residuals are duplicates when their overlap has modulus > 1 - tol,
-    read from one Gram matrix; the first of each class in outcome order is
-    kept.
-    """
-    j = _check_indices(j_sites, psi.layout.sites, "site")
-    complement = tuple(s for s in psi.layout.site_indices() if s not in j)
-    experiment = MeasurementPool(complement, [np.asarray(b)[None] for b in bases])
-    if not complement:
-        return [psi]
-    residuals, norms = _residuals(psi, complement, experiment.bases)
-    vectors = residuals[0][norms[0] > tol]
-    duplicate = np.abs(vectors.conj() @ vectors.T) > 1.0 - tol
-    kept: list = []
-    for i in range(len(vectors)):
-        if not duplicate[i, kept].any():
-            kept.append(i)
-    layout = psi.layout.restrict(j)
-    return [PureState(layout, vectors[i]) for i in kept]
 
 
 def _factor_on(psi: PureState, j: tuple, tol: float) -> Optional[PureState]:

@@ -5,20 +5,18 @@ site dimensions; density operators are positive unit-trace matrices over the
 same indexing.  Everything here is a pure function over immutable values.
 
 One kernel, `_residuals`, contracts sites of a pure state against stacked
-local bases; `partial_contract`, `measure_projective`, the disentanglement
-pools' `post_states` and classification, and `devices.derive_device` are all
-built on it.  One rule holds for all of them: an outcome is possible iff its
+local bases; the disentanglement classification and `devices.derive_device`
+both measure through it, under one rule: an outcome is possible iff its
 residual norm is > tol, that is, its probability is > tol^2.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -78,8 +76,9 @@ def _finite_copy(values, what: str) -> np.ndarray:
 class PureState:
     """Unit vector over the layout's product space, auto-normalized on construction.
 
-    A vector whose norm overflows is first divided by its largest real or
-    imaginary part; a vector of finite norm is normalized as given.
+    A vector whose norm overflows or is at most 1e-12 is first divided by its
+    largest real or imaginary part; any other vector is normalized as given.
+    Only a vector with no nonzero entry is refused.
     """
 
     layout: SiteLayout
@@ -93,11 +92,12 @@ class PureState:
             )
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(amp))
-        if not math.isfinite(norm):
-            amp /= np.abs(amp.view(np.float64)).max()
+        if not math.isfinite(norm) or norm <= 1e-12:
+            peak = np.abs(amp.view(np.float64)).max()
+            if peak == 0:
+                raise DomainError("state vector is zero")
+            amp /= peak
             norm = float(np.linalg.norm(amp))
-        if norm <= 1e-12:
-            raise DomainError("state vector is (numerically) zero")
         amp /= norm
         amp.setflags(write=False)
         object.__setattr__(self, "layout", layout)
@@ -213,20 +213,6 @@ class Observable:
         return hash((self.site, self.matrix.tobytes()))
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """One joint result: eigenvalue tuple, its probability, the post-measurement state."""
-
-    values: tuple
-    probability: float
-    post_state: PureState
-
-
-class Contraction(NamedTuple):
-    state: PureState
-    probability: float
-
-
 class Verdict(enum.Enum):
     SEPARABLE = "SEPARABLE"
     ENTANGLED = "ENTANGLED"
@@ -250,20 +236,6 @@ def _matricize(psi: PureState, part: tuple) -> np.ndarray:
     t = np.transpose(psi.tensor, perm)
     rows = math.prod(psi.layout.dims[s] for s in part)
     return t.reshape(rows, -1)
-
-
-def schmidt_coefficients(psi: PureState, part) -> np.ndarray:
-    """Singular values (descending) of the matricization along `part` vs the rest."""
-    part = _check_indices(part, psi.layout.sites, "site")
-    if not part or len(part) == psi.layout.sites:
-        raise DomainError("Schmidt coefficients need a proper nonempty bipartition")
-    return np.linalg.svd(_matricize(psi, part), compute_uv=False)
-
-
-def is_separable_bipartition(psi: PureState, j1, j2, tol: float = DEFAULT_TOL) -> bool:
-    """True when psi factorizes across (j1, j2), i.e. the matricization has rank 1."""
-    cut = _check_partition(j1, j2, psi.layout.sites, "site")
-    return bool(_separable_cuts(psi.amplitudes, psi.layout.dims, [cut], tol)[0, 0])
 
 
 def _separable_cuts(states: np.ndarray, dims: tuple, cuts, tol: float) -> np.ndarray:
@@ -384,78 +356,6 @@ def _residuals(psi: PureState, sites: tuple, bases: Sequence[np.ndarray]) -> tup
     norms = np.linalg.norm(t, axis=-1)
     nonzero = (norms > 0)[..., None]
     return np.divide(t, norms[..., None], out=np.zeros_like(t), where=nonzero), norms
-
-
-def partial_contract(
-    psi: PureState,
-    site_vectors: Mapping[int, np.ndarray],
-    tol: float = DEFAULT_TOL,
-) -> Optional[Contraction]:
-    """Project the given sites onto local unit vectors and renormalize the rest.
-
-    Returns the contracted state on the remaining sites together with the
-    outcome probability (squared residual norm), or None when the outcome is
-    impossible (residual norm <= tol).
-    """
-    sites = _check_indices(site_vectors.keys(), psi.layout.sites, "site")
-    if not sites:
-        raise DomainError("partial_contract needs at least one site vector")
-    if len(sites) == psi.layout.sites:
-        raise DomainError("partial_contract must leave at least one site")
-    bases = []
-    for s in sites:
-        v = np.asarray(site_vectors[s], dtype=np.complex128).reshape(-1)
-        if v.size != psi.layout.dims[s]:
-            raise DomainError(f"vector for site {s} has wrong dimension {v.size}")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-6:
-            raise DomainError(f"vector for site {s} is not a unit vector")
-        bases.append(v.reshape(1, -1, 1))
-    residuals, norms = _residuals(psi, sites, bases)
-    norm = float(norms[0, 0])
-    if norm <= tol:
-        return None
-    remaining = [s for s in psi.layout.site_indices() if s not in sites]
-    state = PureState(SiteLayout(psi.layout.dims[s] for s in remaining), residuals[0, 0])
-    return Contraction(state, norm * norm)
-
-
-def measure_projective(
-    psi: PureState,
-    observables: Sequence[Observable],
-    tol: float = DEFAULT_TOL,
-) -> list:
-    """Joint projective measurement of commuting nondegenerate single-site observables.
-
-    Composing the per-site spectral projectors is equivalent to measuring the
-    tensor observable with eigenvalue tuples kept distinct, so outcomes are
-    indexed by tuples rather than by eigenvalue products, in row-major order
-    over the observables as given.  Each outcome projects onto one product
-    of eigenvectors, which is a spectral projector since every `Observable`
-    is nondegenerate.  Outcomes with residual norm <= tol (probability <=
-    tol^2) are dropped.  Each post-measurement state is the product of the
-    chosen eigenvectors and the normalized residual, with its axes put back
-    in site order.
-    """
-    if not observables:
-        raise DomainError("measure_projective needs at least one observable")
-    sites = tuple(o.site for o in observables)
-    if len(set(sites)) != len(sites):
-        raise DomainError(f"observables must act on distinct sites: {sites}")
-    systems = [o.eigensystem() for o in observables]
-    residuals, norms = _residuals(psi, sites, [vecs[None] for _, vecs in systems])
-    dims = psi.layout.dims
-    rest = tuple(s for s in psi.layout.site_indices() if s not in sites)
-    order = np.argsort(sites + rest)
-    outcomes = []
-    for o in np.flatnonzero(norms[0] > tol):
-        idx = np.unravel_index(o, [len(vals) for vals, _ in systems])
-        factors = [vecs[:, i] for (_, vecs), i in zip(systems, idx)]
-        factors.append(residuals[0, o].reshape([dims[s] for s in rest]))
-        full = np.transpose(functools.reduce(np.multiply.outer, factors), order)
-        values = tuple(float(vals[i]) for (vals, _), i in zip(systems, idx))
-        probability = float(norms[0, o]) ** 2
-        outcomes.append(MeasurementOutcome(values, probability, PureState(psi.layout, full)))
-    return outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .connective import (
     _bipartitions,
     _check_indices,
     _check_labels,
-    _check_partition,
     _subset_structures,
     irreducibles,
 )
@@ -177,12 +176,6 @@ def _independence(dist: FiniteJointDistribution, tol: float):
     return independent
 
 
-def is_separable_split(dist: FiniteJointDistribution, j1, j2, tol: float = DEFAULT_TOL) -> bool:
-    """Whether (j1, j2) partitions the family into two independent blocks."""
-    a, b = _check_partition(j1, j2, dist.variables, "variable")
-    return _independence(dist, tol)(a, b)
-
-
 @dataclass(frozen=True)
 class RvReport:
     structure: ConnectiveStructure
@@ -204,11 +197,6 @@ def rv_analysis(dist: FiniteJointDistribution, tol: float = DEFAULT_TOL) -> RvRe
     raw_masks = {structure.ground.mask_of(j) for j in raw}
     closure_masks = {m for m in structure.connected if m.bit_count() >= 2}
     return RvReport(structure, raw, raw_masks == closure_masks)
-
-
-def rv_structure(dist: FiniteJointDistribution) -> ConnectiveStructure:
-    """Integral structure generated by the inseparable subfamilies, labels 1..k."""
-    return rv_analysis(dist).structure
 
 
 def brunnian_family(k: int, n: int) -> FiniteJointDistribution:

@@ -277,10 +277,7 @@ def oracle_locality_profile(device) -> dict:
                 return False
         return True
 
-    realizations = [
-        dict(zip(qs, combo))
-        for combo in itertools.product(*(sorted(relation[q]) for q in qs))
-    ]
+    realizations = list(oracle_realizations(device))
 
     def selected(blocks):
         return {(q, f[q]) for f in realizations if factors(f, blocks) for q in qs}
@@ -308,6 +305,43 @@ def oracle_locality_profile(device) -> dict:
         "quasi_separable_cut": quasi_cut,
         "partially_separable_cut": partial_cut,
     }
+
+
+def oracle_realizations(device):
+    """Every deterministic realization, a dict question -> answer in
+    `device.relation`, with the smallest question varying slowest."""
+    qs = sorted(device.relation)
+    for combo in itertools.product(*(sorted(device.relation[q]) for q in qs)):
+        yield dict(zip(qs, combo))
+
+
+def oracle_dependency_domain(f: dict, i: int) -> frozenset:
+    """Slots j such that changing question j alone can change output i of f."""
+    qs = sorted(f)
+    depends = set()
+    for j in range(len(qs[0])):
+        groups = {}
+        for q in qs:
+            groups.setdefault(q[:j] + q[j + 1:], set()).add(f[q][i])
+        if any(len(values) > 1 for values in groups.values()):
+            depends.add(j)
+    return frozenset(depends)
+
+
+def oracle_domanial(device) -> tuple:
+    """(kappa_do, kappa_dp) as meets over every deterministic realization f.
+
+    f's do structure is generated by the dependency domain of each output,
+    its dp structure by each domain together with the output's own site.
+    """
+    k = len(device.questions)
+    do = dp = None
+    for f in oracle_realizations(device):
+        masks = [sum(1 << j for j in oracle_dependency_domain(f, i)) for i in range(k)]
+        f_do = oracle_close(k, masks)
+        f_dp = oracle_close(k, [m | 1 << i for i, m in enumerate(masks)])
+        do, dp = (f_do, f_dp) if do is None else (do & f_do, dp & f_dp)
+    return ConnectiveStructure(ground(k), do), ConnectiveStructure(ground(k), dp)
 
 
 def _oracle_separable(tensor: np.ndarray, part, tol: float) -> bool:

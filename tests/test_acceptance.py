@@ -19,25 +19,24 @@ from conexa.density import VerdictQuality, density_structures, total_order
 from conexa.devices import (
     builtin_device,
     derive_device,
-    domanial_structures,
+    device_structures,
     locality_profile,
     realization_count,
-    tensorial_structures,
 )
 from conexa.disentangle import IntricationClass, disentanglement_structures
 from conexa.quantum import (
     Observable,
     PureState,
     SiteLayout,
+    _residuals,
     builtin_state,
-    measure_projective,
     partial_trace,
     pauli_x,
     pauli_x_binary,
     pauli_z,
     pauli_z_binary,
 )
-from conexa.randvars import brunnian_family, realize_structure, rv_structure
+from conexa.randvars import brunnian_family, realize_structure, rv_analysis
 
 from helpers import (
     all_integral_structures,
@@ -228,8 +227,8 @@ def test_criterion_07_k_device_structures():
     dk = builtin_device("K")
     assert realization_count(dk) == 1_048_576
     start = time.perf_counter()
-    structures = tensorial_structures(dk)
-    kappa_do, kappa_dp = domanial_structures(dk)
+    structures = device_structures(dk).structures
+    kappa_do, kappa_dp = structures["do"], structures["dp"]
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"K analysis took {elapsed:.3f}s"
     assert kappa_do == discrete(3)
@@ -268,7 +267,7 @@ def test_criterion_08_epr_device_profile():
     profile = locality_profile(depr)
     assert profile.quasi_separable
     assert not profile.separable
-    structures = tensorial_structures(depr)
+    structures = device_structures(depr).structures
     assert structures["NS"] == power_set(2)
     assert structures["NL"] == power_set(2)
     for name in ("NPS", "NOS", "NPL", "NQS", "NQL"):
@@ -278,17 +277,17 @@ def test_criterion_08_epr_device_profile():
 
 def test_criterion_09_random_variables():
     start = time.perf_counter()
-    assert rv_structure(brunnian_family(2, 2)) == borromean(3)
-    assert rv_structure(brunnian_family(3, 2)) == borromean(4)
+    assert rv_analysis(brunnian_family(2, 2)).structure == borromean(3)
+    assert rv_analysis(brunnian_family(3, 2)).structure == borromean(4)
     three_point = all_integral_structures(3)
     assert len(three_point) == 12
     for kappa in three_point:
         dist = realize_structure(kappa)
         assert dist.exact, "realization must use exact rational probabilities"
-        assert rv_structure(dist) == kappa
+        assert rv_analysis(dist).structure == kappa
     four_point = all_integral_structures(4)
     for kappa in four_point:
-        assert rv_structure(realize_structure(kappa)) == kappa
+        assert rv_analysis(realize_structure(kappa)).structure == kappa
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"round trips took {elapsed:.3f}s"
     conclude(
@@ -309,9 +308,9 @@ def test_criterion_10_property_suites():
     emitted.extend(rep.structures.values())
     dens = density_structures(builtin_state("O2").density())
     emitted.extend([dens.kappa_corr, dens.kappa_s])
-    emitted.extend(tensorial_structures(builtin_device("EPR")).values())
-    emitted.extend(domanial_structures(builtin_device("EPR2")))
-    emitted.append(rv_structure(brunnian_family(2, 2)))
+    emitted.extend(device_structures(builtin_device("EPR")).structures.values())
+    emitted.extend(device_structures(builtin_device("EPR2")).structures.values())
+    emitted.append(rv_analysis(brunnian_family(2, 2)).structure)
     assert all(closure_axiom_holds(s) for s in emitted)
 
     # six-structure inclusion chains on 50 random three-qubit states
@@ -332,17 +331,18 @@ def test_criterion_10_property_suites():
             selector = int(rng.integers(1, 16))
             relation[q] = {r for i, r in enumerate(answers) if selector >> i & 1}
         dev = Device((("0", "1"),) * 2, (("0", "1"),) * 2, relation)
-        s = {k: v.connected for k, v in tensorial_structures(dev).items()}
+        s = {k: v.connected for k, v in device_structures(dev).structures.items()}
         assert s["NPS"] <= s["NPL"] <= s["NQL"] <= s["NL"]
         assert s["NPS"] <= s["NOS"] <= s["NQS"] <= s["NS"] <= s["NL"]
         assert s["NQS"] <= s["NQL"]
 
-    # measurement probabilities sum to one on 100 random states
+    # measurement probabilities (squared residual norms) sum to one on 100 random states
+    menu = (pauli_z(), pauli_x(), pauli_z())
+    bases = [Observable(s, m).eigensystem()[1][None] for s, m in enumerate(menu)]
     for _ in range(100):
         psi = PureState(SiteLayout((2, 2, 2)), random_state_vector(rng, 8))
-        outcomes = measure_projective(
-            psi, [Observable(0, pauli_z()), Observable(1, pauli_x()), Observable(2, pauli_z())]
-        )
-        assert abs(sum(o.probability for o in outcomes) - 1.0) < 1e-9
+        _, norms = _residuals(psi, (0, 1, 2), bases)
+        possible = norms[norms > 1e-9]
+        assert abs(float(np.sum(possible**2)) - 1.0) < 1e-9
 
     conclude(10, "closure scans, inclusion chains, device chains, probability sums")

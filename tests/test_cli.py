@@ -439,9 +439,12 @@ def test_analyze_device_matches_separate_layers(tmp_path, capsys):
         assert code == 0
         result = load_report(out)["result"]
         profile = devices.locality_profile(dev)
-        structures = dict(devices.tensorial_structures(dev))
+        # the tensorial layer without early exit, the domanial one from its own scan
+        structures = devices._tensorial(dev, devices.DEFAULT_CAP)[1]
         tensorial = max(connective_order(s) for s in structures.values())
-        structures["do"], structures["dp"] = devices.domanial_structures(dev)
+        meets = devices._DomanialMeets(dev.uplicity)
+        devices._scan(dev, devices.DEFAULT_CAP, early_exit=meets)
+        structures["do"], structures["dp"] = meets.structures()
         domanial = max(connective_order(structures["do"]), connective_order(structures["dp"]))
         expected = {
             "uplicity": dev.uplicity,
@@ -635,17 +638,56 @@ def test_derive_device_tol_reaches_menu_observables(tmp_path, capsys):
 
 
 def test_overflowing_norm_reports_like_the_unscaled_state(tmp_path, capsys):
-    # every entry is finite, but the squared norm of EPR scaled by 1e300 is not
+    # every entry is finite, but the squared norm of EPR scaled by 1e300 is
+    # not, and that of EPR scaled by 1e-300 underflows to 0; only the zero
+    # vector is refused
     reports = []
-    for scale in (1, 1e300):
+    for scale in (1, 1e300, 1e-13, 1e-300, 0):
         path = tmp_path / f"epr{scale}.json"
         amplitudes = [[scale * re, 0.0] for re, _ in _AMPS]
         path.write_text(json.dumps({"dims": [2, 2], "amplitudes": amplitudes}))
         code, out, err = run_cli(capsys, "analyze-state", "--file", str(path))
-        assert (code, err) == (0, "")
+        assert (code, err) == ((2, "error: state vector is zero\n") if scale == 0 else (0, ""))
         reports.append(out)
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2] == reports[3]
+    assert reports[4] == ""
     assert load_report(reports[1])["result"]["classes"]["12"]["class"] == "GLOBALLY_ENTANGLED"
+
+
+# Each command that takes --tol, with the rest of a valid command line; the
+# tolerance is refused before any input is read.
+TOL_COMMANDS = {
+    "analyze-state": ["--builtin", "GHZ"],
+    "analyze-density": ["--builtin", "GHZ"],
+    "analyze-rvs": ["--file", "dist.json"],
+    "derive-device": ["--builtin-state", "EPR", "--menus", "Z"],
+    "order": ["--builtin", "EPR"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+@pytest.mark.parametrize("command", list(TOL_COMMANDS))
+def test_tol_must_be_finite_and_non_negative(command, value, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *TOL_COMMANDS[command], f"--tol={value}"])
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out) == (2, "")
+    assert f"argument --tol: must be a finite number >= 0, got '{value}'" in captured.err
+
+
+def test_derive_device_refuses_two_eigenvalues_with_one_label(tmp_path, capsys):
+    # diag(0, 4e-10) is nondegenerate within 1e-12, but both eigenvalues
+    # round to the answer label "0"
+    def diag(a, b):
+        return [[[a, 0], [0, 0]], [[0, 0], [b, 0]]]
+
+    path = tmp_path / "menus.json"
+    path.write_text(json.dumps([[{"label": "a", "matrix": diag(0, 4e-10)}],
+                                [{"label": "a", "matrix": diag(0, 1)}]]))
+    argv = ["derive-device", "--builtin-state", "EPR", "--menus", str(path), "--tol", "1e-12"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: observable 'a' on site 0 has two eigenvalues with one label\n"
 
 
 def test_analyze_rvs_tol_reaches_float_tables(tmp_path, capsys):
@@ -654,10 +696,11 @@ def test_analyze_rvs_tol_reaches_float_tables(tmp_path, capsys):
     prob = {"00": 0.3, "01": 0.2, "10": 0.2, "11": 0.3}
     path.write_text(json.dumps({"outcomes": _BITS, "prob": prob}))
     structures = {}
-    for tol in ("1e-9", "0.5"):
+    for tol in ("0", "1e-9", "0.5"):
         code, out, err = run_cli(capsys, "analyze-rvs", "--file", str(path), "--tol", tol)
         assert (code, err) == (0, "")
         report = load_report(out)
         assert report["tolerance"] == float(tol)
         structures[tol] = report["result"]["structure"]["connected"]
-    assert structures == {"1e-9": [[], ["1"], ["2"], ["1", "2"]], "0.5": [[], ["1"], ["2"]]}
+    dependent = [[], ["1"], ["2"], ["1", "2"]]
+    assert structures == {"0": dependent, "1e-9": dependent, "0.5": [[], ["1"], ["2"]]}

@@ -23,13 +23,8 @@ from conexa.connective import (
 )
 from conexa.devices import Device, builtin_device, derive_device, sub_device
 from conexa.errors import DomainError
-from conexa.quantum import builtin_state, is_separable_bipartition, partial_trace, ppt_is_separable
-from conexa.randvars import (
-    FiniteJointDistribution,
-    brunnian_family,
-    is_separable_split,
-    marginal,
-)
+from conexa.quantum import builtin_state, partial_trace, ppt_is_separable
+from conexa.randvars import FiniteJointDistribution, brunnian_family, marginal
 
 from helpers import (
     all_integral_structures,
@@ -241,15 +236,13 @@ def test_index_rule_is_shared(indices, message):
 def test_partition_rule_is_shared():
     calls = [
         ("site", lambda: _check_partition([0], [1], 3, "site")),
-        ("site", lambda: is_separable_bipartition(builtin_state("GHZ"), [0], [1])),
         ("site", lambda: ppt_is_separable(builtin_state("GHZ").density(), [0], [1])),
-        ("variable", lambda: is_separable_split(brunnian_family(2, 2), [0], [1])),
     ]
     for noun, call in calls:
         with pytest.raises(DomainError, match=f"do not partition the 3 {noun}s"):
             call()
     with pytest.raises(DomainError, match="nonempty"):
-        is_separable_split(brunnian_family(2, 2), [], [0, 1, 2])
+        _check_partition([], [0, 1, 2], 3, "site")
     assert _check_partition([2], [1, 0], 3, "site") == ((2,), (0, 1))
 
 

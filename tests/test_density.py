@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from conexa.density import (
     VerdictQuality,
     density_structures,
-    is_completely_correlated_on,
-    is_completely_entangled_on,
     total_order,
 )
 from conexa.disentangle import IntricationClass, classify_on_subset
@@ -23,7 +21,7 @@ from conexa.quantum import (
     partial_trace,
     tensor_state,
 )
-from conexa.randvars import brunnian_family, realize_structure, rv_structure
+from conexa.randvars import brunnian_family, realize_structure, rv_analysis
 
 from helpers import (
     all_integral_structures,
@@ -42,21 +40,26 @@ def random_pure(rng, dims):
     return PureState(layout, random_state_vector(rng, layout.total_dim))
 
 
+def verdict_on(rho, j):
+    """The analysis's verdict on the 0-based site tuple j."""
+    return density_structures(rho).subsets[tuple(s + 1 for s in j)]
+
+
 def test_ghz_pair_completely_correlated_matches_oracle():
     rho = builtin_state("GHZ").density()
-    assert is_completely_correlated_on(rho, (0, 1))
+    assert verdict_on(rho, (0, 1)).completely_correlated
     assert oracle_completely_correlated(rho.matrix, rho.layout.dims, (0, 1))
 
 
 def test_product_density_not_correlated():
     rng = np.random.default_rng(2)
     joint = tensor_state(random_pure(rng, (2,)), random_pure(rng, (2,))).density()
-    assert not is_completely_correlated_on(joint, (0, 1))
+    assert not verdict_on(joint, (0, 1)).completely_correlated
 
 
 def test_epr_completely_correlated():
     rho = builtin_state("EPR").density()
-    assert is_completely_correlated_on(rho, (0, 1))
+    assert verdict_on(rho, (0, 1)).completely_correlated
 
 
 def test_correlation_ignores_uncorrelated_bystander():
@@ -65,31 +68,31 @@ def test_correlation_ignores_uncorrelated_bystander():
     # product either
     rng = np.random.default_rng(3)
     triple = tensor_state(builtin_state("EPR"), random_pure(rng, (2,))).density()
-    assert is_completely_correlated_on(triple, (0, 1))
-    assert not is_completely_correlated_on(triple, (0, 1, 2))
+    assert verdict_on(triple, (0, 1)).completely_correlated
+    assert not verdict_on(triple, (0, 1, 2)).completely_correlated
     assert oracle_completely_correlated(triple.matrix, triple.layout.dims, (0, 1, 2)) is False
 
 
 def test_ghz_full_set_completely_entangled_exact():
     rho = builtin_state("GHZ").density()
-    verdict, quality = is_completely_entangled_on(rho, (0, 1, 2))
-    assert verdict is True
-    assert quality is VerdictQuality.EXACT
+    v = verdict_on(rho, (0, 1, 2))
+    assert v.completely_entangled is True
+    assert v.quality is VerdictQuality.EXACT
 
 
 def test_ghz_pair_not_completely_entangled():
     rho = builtin_state("GHZ").density()
-    verdict, quality = is_completely_entangled_on(rho, (0, 1))
-    assert verdict is False
-    assert quality is VerdictQuality.EXACT
+    v = verdict_on(rho, (0, 1))
+    assert v.completely_entangled is False
+    assert v.quality is VerdictQuality.EXACT
 
 
 def test_product_not_completely_entangled():
     rng = np.random.default_rng(4)
     joint = tensor_state(random_pure(rng, (2,)), random_pure(rng, (2,))).density()
-    verdict, quality = is_completely_entangled_on(joint, (0, 1))
-    assert verdict is False
-    assert quality is VerdictQuality.EXACT
+    v = verdict_on(joint, (0, 1))
+    assert v.completely_entangled is False
+    assert v.quality is VerdictQuality.EXACT
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (1, 2, 4)])
@@ -99,17 +102,16 @@ def test_inconclusive_cut_flags_ppt_necessary(dims):
     # inconclusive cuts still flag the subset
     matrix = horodecki_2x4(0.5)
     rho = DensityOperator(SiteLayout(dims), matrix)
-    got = is_completely_entangled_on(rho, (0, 1, 2))
-    assert got == (False, VerdictQuality.PPT_NECESSARY)
+    v = verdict_on(rho, (0, 1, 2))
+    assert (v.completely_entangled, v.quality) == (False, VerdictQuality.PPT_NECESSARY)
     assert oracle_completely_entangled(matrix, dims, [0, 1, 2]) == (False, "PPT_NECESSARY")
 
 
 def test_small_subsets_rejected():
-    rho = builtin_state("GHZ").density()
-    with pytest.raises(DomainError):
-        is_completely_correlated_on(rho, (0,))
-    with pytest.raises(DomainError):
-        is_completely_entangled_on(rho, (1,))
+    # an operator on one site has no subset of two sites to judge
+    rho = partial_trace(builtin_state("GHZ").density(), (1,))
+    with pytest.raises(DomainError, match="at least two sites"):
+        density_structures(rho)
 
 
 def test_ghz_density_structures():
@@ -160,7 +162,7 @@ def test_pure_state_cross_module_agreement_on_full_set():
     rng = np.random.default_rng(7)
     for _ in range(20):
         psi = random_pure(rng, (2, 2, 2))
-        verdict, _ = is_completely_entangled_on(psi.density(), (0, 1, 2))
+        verdict = verdict_on(psi.density(), (0, 1, 2)).completely_entangled
         cls = classify_on_subset(psi, (0, 1, 2))
         assert verdict == (cls.kind is IntricationClass.GLOBALLY_ENTANGLED)
 
@@ -259,5 +261,5 @@ def test_classical_density_matches_rv_engine():
     assert len(dists) == 12 + 3 + 79
     for dist in dists:
         report = density_structures(_diagonal_embedding(dist))
-        assert report.kappa_corr == rv_structure(dist)
+        assert report.kappa_corr == rv_analysis(dist).structure
         assert report.kappa_s == discrete(dist.variables)

@@ -11,22 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conexa import devices
-from conexa.connective import _bipartitions, generate_integral, meet_structures
+from conexa.connective import _bipartitions
 from conexa.devices import (
     _INCLUSIONS,
     _STRUCTURE_OF,
     Device,
     builtin_device,
-    dependency_domain,
     derive_device,
-    deterministic_realizations,
     device_structures,
-    domanial_structures,
     locality_profile,
     realization_count,
     sub_device,
     tensor_device,
-    tensorial_structures,
 )
 from conexa.errors import DomainError, ResourceError
 from conexa.quantum import (
@@ -43,8 +39,10 @@ from conexa.quantum import (
 from helpers import (
     borromean,
     discrete,
-    ground,
+    oracle_dependency_domain,
+    oracle_domanial,
     oracle_locality_profile,
+    oracle_realizations,
     power_set,
     random_state_vector,
 )
@@ -69,6 +67,19 @@ def random_device(rng, k=2) -> Device:
         selector = int(rng.integers(1, 2 ** len(answers)))
         relation[q] = {r for i, r in enumerate(answers) if selector >> i & 1}
     return Device(questions, (BITS,) * k, relation)
+
+
+def tensorial(dev) -> dict:
+    """The seven tensorial structures, from profiles without the domanial early exit."""
+    return devices._tensorial(dev, devices.DEFAULT_CAP)[1]
+
+
+def domanial(dev) -> tuple:
+    """(kappa_do, kappa_dp) from a scan for the domanial meets alone, which
+    may stop once both are discrete."""
+    meets = devices._DomanialMeets(dev.uplicity)
+    devices._scan(dev, devices.DEFAULT_CAP, early_exit=meets)
+    return meets.structures()
 
 
 def random_deterministic_device(rng, k=3) -> Device:
@@ -133,14 +144,14 @@ def test_tensor_of_two_coins_differs_from_epr():
 
 def test_realization_streams():
     depr = builtin_device("EPR")
-    realizations = list(deterministic_realizations(depr))
-    assert len(realizations) == 2
-    assert {f(("*", "*")) for f in realizations} == {("0", "0"), ("1", "1")}
+    realizations = list(oracle_realizations(depr))
+    assert len(realizations) == realization_count(depr) == 2
+    assert {f[("*", "*")] for f in realizations} == {("0", "0"), ("1", "1")}
 
     det = random_deterministic_device(np.random.default_rng(1))
     assert realization_count(det) == 1
-    only = next(iter(deterministic_realizations(det)))
-    assert all(only(q) in det.relation[q] for q in det.relation)
+    only = next(iter(oracle_realizations(det)))
+    assert all(only[q] in det.relation[q] for q in det.relation)
 
 
 def test_realization_count_of_k_device():
@@ -149,10 +160,10 @@ def test_realization_count_of_k_device():
 
 def test_realization_cap_enforced():
     dk = builtin_device("K")
-    with pytest.raises(ResourceError):
-        list(deterministic_realizations(dk, cap=1000))
-    with pytest.raises(ResourceError):
-        domanial_structures(dk, cap=1000)
+    with pytest.raises(ResourceError, match="above the cap 1000"):
+        devices._scan(dk, 1000)
+    with pytest.raises(ResourceError, match="above the cap 1000"):
+        device_structures(dk, cap=1000)
 
 
 def test_union_of_realizations_reconstructs_device():
@@ -160,9 +171,9 @@ def test_union_of_realizations_reconstructs_device():
     for _ in range(10):
         dev = random_device(rng, k=2)
         union: dict = {q: set() for q in dev.relation}
-        for f in deterministic_realizations(dev):
+        for f in oracle_realizations(dev):
             for q in dev.relation:
-                union[q].add(f(q))
+                union[q].add(f[q])
         assert union == {q: set(v) for q, v in dev.relation.items()}
 
 
@@ -236,7 +247,7 @@ def test_epr2_profile_and_structures():
     p = locality_profile(depr2)
     assert p.quasi_local and not p.local
     assert p.quasi_separable and not p.separable
-    structures = tensorial_structures(depr2)
+    structures = tensorial(depr2)
     assert structures["NS"] == power_set(2)
     assert structures["NL"] == power_set(2)
     for name in ("NPS", "NOS", "NPL", "NQS", "NQL"):
@@ -314,8 +325,8 @@ def test_locality_profile_matches_oracle_across_chunks(dev):
 def test_domanial_structures_match_bruteforce_across_chunks(dev):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(devices, "_CHUNK", 7)
-        meets = domanial_structures(dev)
-    assert meets == bruteforce_domanial(dev)
+        meets = domanial(dev)
+    assert meets == oracle_domanial(dev)
 
 
 # Dependency codes take the smallest unsigned dtype holding k * k bits: uint16
@@ -326,12 +337,12 @@ def test_domanial_structures_match_bruteforce_across_chunks(dev):
 @given(coherent_devices(sites=(4, 5), labels=2, budget=64))
 def test_wide_devices_match_oracles(dev):
     assert dataclasses.asdict(locality_profile(dev)) == oracle_locality_profile(dev)
-    assert domanial_structures(dev) == bruteforce_domanial(dev)
+    assert domanial(dev) == oracle_domanial(dev)
 
 
 def _scan_results(dev):
-    """The coverage matrix and both meets of the scans `device_structures`
-    and `domanial_structures` make."""
+    """The coverage matrix and both meets of a scan along every partition,
+    as `device_structures` makes, and the meets of a stand-alone scan."""
     cuts = _bipartitions(range(dev.uplicity))
     meets, alone = devices._DomanialMeets(dev.uplicity), devices._DomanialMeets(dev.uplicity)
     coverage = devices._scan(dev, devices.DEFAULT_CAP, cuts, meets)
@@ -400,7 +411,7 @@ def test_scan_block_of_one_axis_above_the_chunk():
     one, seven, default = _results_per_block_size(dev)
     assert one == seven == default
     assert dataclasses.asdict(locality_profile(dev)) == oracle_locality_profile(dev)
-    assert domanial_structures(dev) == bruteforce_domanial(dev)
+    assert domanial(dev) == oracle_domanial(dev)
 
 
 def test_scan_gives_no_axis_to_questions_with_one_answer():
@@ -413,7 +424,7 @@ def test_scan_gives_no_axis_to_questions_with_one_answer():
     dev = Device((("0", "1", "2"),) * 4, (BITS,) * 4, relation)
     assert realization_count(dev) == 32
     assert dataclasses.asdict(locality_profile(dev)) == oracle_locality_profile(dev)
-    assert domanial_structures(dev) == bruteforce_domanial(dev)
+    assert domanial(dev) == oracle_domanial(dev)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +432,7 @@ def test_scan_gives_no_axis_to_questions_with_one_answer():
 
 
 def test_epr_tensorial_structures():
-    structures = tensorial_structures(builtin_device("EPR"))
+    structures = tensorial(builtin_device("EPR"))
     for name in ("NPS", "NOS", "NPL", "NQS", "NQL"):
         assert structures[name] == discrete(2), name
     assert structures["NS"] == power_set(2)
@@ -430,13 +441,13 @@ def test_epr_tensorial_structures():
 
 def test_product_device_structures_discrete():
     dev = tensor_device(tensor_device(coin(), coin()), coin())
-    structures = tensorial_structures(dev)
+    structures = tensorial(dev)
     for name, s in structures.items():
         assert s == discrete(3), name
 
 
 def test_k_tensorial_structures():
-    structures = tensorial_structures(builtin_device("K"))
+    structures = tensorial(builtin_device("K"))
     assert structures["NL"] == borromean(3)
     assert structures["NS"] == borromean(3)
     assert structures["NPL"] == borromean(3)
@@ -452,7 +463,7 @@ def test_tensorial_chains_random_devices():
     rng = np.random.default_rng(5)
     for _ in range(50):
         dev = random_device(rng, k=2)
-        s = {name: st.connected for name, st in tensorial_structures(dev).items()}
+        s = {name: st.connected for name, st in tensorial(dev).items()}
         assert s["NPS"] <= s["NPL"] <= s["NQL"] <= s["NL"]
         assert s["NPS"] <= s["NOS"] <= s["NQS"] <= s["NS"] <= s["NL"]
         assert s["NQS"] <= s["NQL"]
@@ -465,16 +476,16 @@ def test_tensorial_chains_random_devices():
 def test_dependency_domain_of_rotation():
     qs = list(itertools.product(BITS, repeat=3))
     rotation = {q: (q[1], q[2], q[0]) for q in qs}
-    assert dependency_domain(rotation, 0) == frozenset({1})
-    assert dependency_domain(rotation, 1) == frozenset({2})
-    assert dependency_domain(rotation, 2) == frozenset({0})
+    assert oracle_dependency_domain(rotation, 0) == frozenset({1})
+    assert oracle_dependency_domain(rotation, 1) == frozenset({2})
+    assert oracle_dependency_domain(rotation, 2) == frozenset({0})
 
 
 def test_dependency_domain_of_constant_is_empty():
     qs = list(itertools.product(BITS, repeat=2))
     constant = {q: ("0", "1") for q in qs}
-    assert dependency_domain(constant, 0) == frozenset()
-    assert dependency_domain(constant, 1) == frozenset()
+    assert oracle_dependency_domain(constant, 0) == frozenset()
+    assert oracle_dependency_domain(constant, 1) == frozenset()
 
 
 def test_dependency_domain_of_k_realization():
@@ -486,50 +497,22 @@ def test_dependency_domain_of_k_realization():
         table[("0", "1", q3)] = ("0", "1", "1")
         table[("1", "0", q3)] = ("1", "0", "1")
         table[("1", "1", q3)] = ("1", "1", "1")
-    assert dependency_domain(table, 0) == frozenset({0})
-    assert dependency_domain(table, 1) == frozenset({1})
-    assert dependency_domain(table, 2) == frozenset({0, 1})
+    assert oracle_dependency_domain(table, 0) == frozenset({0})
+    assert oracle_dependency_domain(table, 1) == frozenset({1})
+    assert oracle_dependency_domain(table, 2) == frozenset({0, 1})
     dk = builtin_device("K")
     assert all(table[q] in dk.relation[q] for q in table)
-
-
-def bruteforce_domanial(dev):
-    """(kappa_do, kappa_dp) as meets over every deterministic realization."""
-    k = dev.uplicity
-    g = ground(k)
-    do_meet = dp_meet = None
-    for f in deterministic_realizations(dev):
-        do_sets = [dependency_domain(f, i) for i in range(k)]
-        dp_sets = [set(d) | {i} for i, d in enumerate(do_sets)]
-        s_do = generate_integral(g, [tuple(x + 1 for x in d) for d in do_sets])
-        s_dp = generate_integral(g, [tuple(x + 1 for x in d) for d in dp_sets])
-        do_meet = s_do if do_meet is None else meet_structures([do_meet, s_do])
-        dp_meet = s_dp if dp_meet is None else meet_structures([dp_meet, s_dp])
-    return do_meet, dp_meet
 
 
 def test_domanial_structures_small_device_against_bruteforce():
     rng = np.random.default_rng(6)
     for _ in range(5):
         dev = random_device(rng, k=2)
-        kappa_do, kappa_dp = domanial_structures(dev)
-        g = ground(2)
-        do_meet = None
-        dp_meet = None
-        for f in deterministic_realizations(dev):
-            do_sets = [dependency_domain(f, i) for i in range(2)]
-            dp_sets = [set(d) | {i} for i, d in enumerate(do_sets)]
-            s_do = generate_integral(g, [tuple(x + 1 for x in d) for d in do_sets])
-            s_dp = generate_integral(g, [tuple(x + 1 for x in d) for d in dp_sets])
-            do_meet = s_do if do_meet is None else meet_structures([do_meet, s_do])
-            dp_meet = s_dp if dp_meet is None else meet_structures([dp_meet, s_dp])
-        assert kappa_do == do_meet
-        assert kappa_dp == dp_meet
+        assert domanial(dev) == oracle_domanial(dev)
 
 
 def test_domanial_structures_three_site_against_bruteforce():
     rng = np.random.default_rng(123)
-    g = ground(3)
     answers = sorted(itertools.product(BITS, repeat=3))
     for _ in range(3):
         relation = {}
@@ -538,21 +521,11 @@ def test_domanial_structures_three_site_against_bruteforce():
             picks = rng.choice(len(answers), size=size, replace=False)
             relation[q] = {answers[i] for i in picks}
         dev = Device((BITS,) * 3, (BITS,) * 3, relation)
-        kappa_do, kappa_dp = domanial_structures(dev)
-        do_meet = dp_meet = None
-        for f in deterministic_realizations(dev):
-            do_sets = [dependency_domain(f, i) for i in range(3)]
-            dp_sets = [set(d) | {i} for i, d in enumerate(do_sets)]
-            s_do = generate_integral(g, [tuple(x + 1 for x in d) for d in do_sets])
-            s_dp = generate_integral(g, [tuple(x + 1 for x in d) for d in dp_sets])
-            do_meet = s_do if do_meet is None else meet_structures([do_meet, s_do])
-            dp_meet = s_dp if dp_meet is None else meet_structures([dp_meet, s_dp])
-        assert kappa_do == do_meet
-        assert kappa_dp == dp_meet
+        assert domanial(dev) == oracle_domanial(dev)
 
 
 def test_k_domanial_structures_discrete():
-    kappa_do, kappa_dp = domanial_structures(builtin_device("K"))
+    kappa_do, kappa_dp = domanial(builtin_device("K"))
     assert kappa_do == discrete(3)
     assert kappa_dp == discrete(3)
 
@@ -564,7 +537,7 @@ def test_local_deterministic_device_domanial_discrete():
         (BITS, BITS),
         {q: {(q[0], q[1])} for q in qs},
     )
-    kappa_do, kappa_dp = domanial_structures(dev)
+    kappa_do, kappa_dp = domanial(dev)
     assert kappa_do == discrete(2)
     assert kappa_dp == discrete(2)
 

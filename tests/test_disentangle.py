@@ -17,10 +17,16 @@ from conexa.disentangle import (
     build_pool,
     classify_on_subset,
     disentanglement_structures,
-    post_states,
 )
 from conexa.errors import DomainError
-from conexa.quantum import PureState, SiteLayout, basis_state, builtin_state, tensor_state
+from conexa.quantum import (
+    PureState,
+    SiteLayout,
+    _residuals,
+    basis_state,
+    builtin_state,
+    tensor_state,
+)
 
 from helpers import (
     borromean,
@@ -42,11 +48,23 @@ def experiments_of(pool):
     return [[b[e] for b in pool.bases] for e in range(len(pool.bases[0]))]
 
 
+def residual_states(psi, j, bases, tol=1e-9) -> list:
+    """The possible residual J-states of psi, in outcome order, under one
+    experiment: one basis per site outside J, in site order."""
+    complement = tuple(s for s in range(psi.layout.sites) if s not in j)
+    residuals, norms = _residuals(psi, complement, [np.asarray(b)[None] for b in bases])
+    return [PureState(psi.layout.restrict(j), v) for v in residuals[0][norms[0] > tol]]
+
+
 def test_pool_on_empty_site_set_is_identity():
+    # on J = every site the one experiment measures nothing and leaves psi
     ghz = builtin_state("GHZ")
     pool = build_pool(ghz.layout, ())
     assert pool.sites == () and pool.bases == ()
-    assert post_states(ghz, (0, 1, 2), pool.bases) == [ghz]
+    cls = classify_on_subset(ghz, (0, 1, 2), pool)
+    assert cls == disentangle.Classification(
+        IntricationClass.GLOBALLY_ENTANGLED, Confidence.CERTIFIED
+    )
 
 
 def test_pool_structured_sizes():
@@ -93,7 +111,7 @@ def test_pool_ends_with_the_generic_basis(d):
 
 def test_post_states_ghz_z_experiment():
     ghz = builtin_state("GHZ")
-    states = post_states(ghz, (1, 2), [np.eye(2)])
+    states = residual_states(ghz, (1, 2), [np.eye(2)])
     assert len(states) == 2
     expected = {basis_state((2, 2), (0, 0)), basis_state((2, 2), (1, 1))}
     for s in states:
@@ -103,7 +121,7 @@ def test_post_states_ghz_z_experiment():
 def test_post_states_ghz_x_experiment_all_entangled():
     ghz = builtin_state("GHZ")
     h = np.array([[1, 1], [1, -1]]) * INV_SQRT2
-    states = post_states(ghz, (1, 2), [h])
+    states = residual_states(ghz, (1, 2), [h])
     epr_plus = builtin_state("EPR")
     epr_minus = PureState(SiteLayout((2, 2)), [1, 0, 0, -1])
     assert len(states) == 2
@@ -119,9 +137,10 @@ def test_post_states_of_product_factorize():
     joint = tensor_state(psi_j, psi_rest)
     pool = build_pool(joint.layout, (2,))
     for bases in experiments_of(pool):
-        states = post_states(joint, (0, 1), bases)
-        assert len(states) == 1
-        assert states[0].equals_up_to_phase(psi_j)
+        # both outcomes are possible, and each leaves the J-factor
+        states = residual_states(joint, (0, 1), bases)
+        assert len(states) == 2
+        assert all(state.equals_up_to_phase(psi_j) for state in states)
 
 
 def test_classify_ghz_full_set_certified():
@@ -189,12 +208,10 @@ def test_o2_subset_classes_and_structures():
     # global-entanglement structure collapses to the borromean one.
     o2 = builtin_state("O2")
     v = np.array([1.0, -1.0]) * INV_SQRT2
-    from conexa.quantum import partial_contract
-
-    hit = partial_contract(o2, {0: v})
-    assert hit is not None
-    assert abs(hit.probability - 9.0 / 26.0) < 1e-12
-    assert hit.state.equals_up_to_phase(basis_state((2, 2), (1, 1)))
+    residuals, norms = _residuals(o2, (0,), [v.reshape(1, 2, 1)])
+    assert abs(norms[0, 0] ** 2 - 9.0 / 26.0) < 1e-12
+    hit = PureState(SiteLayout((2, 2)), residuals[0, 0])
+    assert hit.equals_up_to_phase(basis_state((2, 2), (1, 1)))
 
     rep = disentanglement_structures(o2)
     assert rep.classes[(2, 3)].kind is IntricationClass.WELL_ENTANGLED_ONLY
@@ -277,7 +294,7 @@ def test_experiment_requires_orthonormal_basis():
     with pytest.raises(DomainError, match="not orthonormal"):
         MeasurementPool((0,), [np.stack([np.eye(2), singular])])
     with pytest.raises(DomainError, match="not orthonormal"):
-        post_states(builtin_state("EPR"), (1,), [singular])
+        MeasurementPool((1,), [singular[None]])
     with pytest.raises(DomainError, match="not orthonormal"):
         build_pool(SiteLayout((2, 2)), (0,), extra_bases={0: [singular]})
 
@@ -441,7 +458,7 @@ def test_oracle_examples_hit_impossible_outcomes_and_certified_path():
     dims, kind, seed, j = GHZ_LIKE[:4]
     ghz = PureState(SiteLayout(dims), _oracle_state(kind, dims, np.random.default_rng(seed)))
     z_on_qutrit = experiments_of(build_pool(ghz.layout, (1,)))[0]
-    assert len(post_states(ghz, j, z_on_qutrit)) == 2  # outcome 2 is impossible
+    assert len(residual_states(ghz, j, z_on_qutrit)) == 2  # outcome 2 is impossible
     dims, kind, seed, j = PRODUCT[:4]
     product = PureState(SiteLayout(dims), _oracle_state(kind, dims, np.random.default_rng(seed)))
     assert classify_on_subset(product, j).confidence is Confidence.CERTIFIED
@@ -464,14 +481,6 @@ def test_classify_conjugates_the_measured_basis():
     assert (cls.kind.value, cls.confidence.value) == expected
 
 
-def test_post_states_dedup_follows_tol():
-    # the two Z outcomes on site 0 leave |0> and cos(t)|0> + sin(t)|1>, overlap 1 - 1e-6
-    c = 1.0 - 1e-6
-    psi = PureState(SiteLayout((2, 2)), [1, 0, c, math.sqrt(1.0 - c * c)])
-    assert len(post_states(psi, (1,), [np.eye(2)], tol=1e-9)) == 2
-    assert len(post_states(psi, (1,), [np.eye(2)], tol=1e-5)) == 1
-
-
 def test_wrong_dimension_bases_raise_domain_error():
     ghz = builtin_state("GHZ")
     qutrit_pool = MeasurementPool((2,), [np.eye(3)[None]])
@@ -480,4 +489,4 @@ def test_wrong_dimension_bases_raise_domain_error():
     with pytest.raises(DomainError):
         build_pool(ghz.layout, (2,), extra_bases={2: [np.eye(3)]})
     with pytest.raises(DomainError):
-        post_states(ghz, (0, 1), [np.eye(3)])
+        _residuals(ghz, (2,), [np.eye(3)[None]])

@@ -1,5 +1,6 @@
 """Quantum kernel: tensor products, Schmidt data, measurement, reductions, PPT."""
 
+import functools
 import itertools
 import math
 from unittest import mock
@@ -10,11 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conexa.devices import derive_device
-from conexa.disentangle import post_states
 from conexa.errors import DomainError
 from conexa.quantum import (
     DensityOperator,
+    _matricize,
     _min_eig_below,
+    _residuals,
     _separable_cuts,
     Observable,
     PureState,
@@ -22,16 +24,12 @@ from conexa.quantum import (
     Verdict,
     basis_state,
     builtin_state,
-    is_separable_bipartition,
-    measure_projective,
-    partial_contract,
     partial_trace,
     partial_transpose,
     pauli_x,
     pauli_z,
     ppt_is_separable,
     purity,
-    schmidt_coefficients,
     tensor_state,
 )
 
@@ -57,6 +55,38 @@ def random_pure(rng, dims) -> PureState:
     return PureState(layout, random_state_vector(rng, layout.total_dim))
 
 
+def schmidt(psi, part) -> np.ndarray:
+    return np.linalg.svd(_matricize(psi, tuple(part)), compute_uv=False)
+
+
+def separable(psi, a, b, tol=1e-9) -> bool:
+    cut = (tuple(a), tuple(b))
+    return bool(_separable_cuts(psi.amplitudes, psi.layout.dims, [cut], tol)[0, 0])
+
+
+def contract(psi, site_vectors):
+    """(residual state, probability) of projecting each site onto its vector."""
+    sites = tuple(site_vectors)
+    bases = [np.reshape(site_vectors[s], (1, -1, 1)) for s in sites]
+    residuals, norms = _residuals(psi, sites, bases)
+    rest = [d for s, d in enumerate(psi.layout.dims) if s not in sites]
+    return PureState(SiteLayout(rest), residuals[0, 0]), float(norms[0, 0]) ** 2
+
+
+def measure(psi, observables, tol=1e-9) -> list:
+    """(eigenvalues, probability, residual) of each possible joint outcome of
+    the (site, matrix) observables, as `derive_device` measures them."""
+    systems = [Observable(site, m).eigensystem() for site, m in observables]
+    sites = tuple(site for site, _ in observables)
+    residuals, norms = _residuals(psi, sites, [vecs[None] for _, vecs in systems])
+    out = []
+    for o in np.flatnonzero(norms[0] > tol):
+        idx = np.unravel_index(o, [len(vals) for vals, _ in systems])
+        values = tuple(float(vals[i]) for (vals, _), i in zip(systems, idx))
+        out.append((values, float(norms[0, o]) ** 2, residuals[0, o]))
+    return out
+
+
 def test_tensor_of_basis_states():
     s = tensor_state(qubit(1, 0), qubit(1, 0))
     assert np.allclose(s.amplitudes, [1, 0, 0, 0])
@@ -70,7 +100,7 @@ def test_tensor_is_bilinear_on_plus_zero():
 def test_epr_is_not_a_tensor_product():
     # rank-2 Schmidt spectrum certifies EPR is outside the image of tensor_state
     epr = builtin_state("EPR")
-    coeffs = schmidt_coefficients(epr, [0])
+    coeffs = schmidt(epr, [0])
     assert np.allclose(coeffs, [INV_SQRT2, INV_SQRT2])
     rng = np.random.default_rng(5)
     for _ in range(25):
@@ -79,7 +109,7 @@ def test_epr_is_not_a_tensor_product():
 
 
 def test_schmidt_of_product_state():
-    coeffs = schmidt_coefficients(basis_state((2, 2), (0, 0)), [0])
+    coeffs = schmidt(basis_state((2, 2), (0, 0)), [0])
     assert np.allclose(coeffs, [1, 0])
 
 
@@ -87,7 +117,8 @@ def test_schmidt_of_ghz_matches_svd_oracle():
     ghz = builtin_state("GHZ")
     mat = ghz.amplitudes.reshape(2, 4)
     expected = np.linalg.svd(mat, compute_uv=False)
-    assert np.allclose(schmidt_coefficients(ghz, [0]), expected)
+    assert np.array_equal(_matricize(ghz, (0,)), mat)
+    assert np.allclose(schmidt(ghz, [0]), expected)
     assert np.allclose(expected, [INV_SQRT2, INV_SQRT2])
 
 
@@ -97,29 +128,30 @@ def test_schmidt_squares_sum_to_one_and_swap_invariance():
         psi = random_pure(rng, (2, 3, 2))
         for part in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
             comp = [s for s in range(3) if s not in part]
-            a = schmidt_coefficients(psi, part)
-            b = schmidt_coefficients(psi, comp)
+            a = schmidt(psi, part)
+            b = schmidt(psi, comp)
             assert abs(float(np.sum(a**2)) - 1.0) < 1e-9
             assert np.allclose(sorted(a[a > 1e-12]), sorted(b[b > 1e-12]))
 
 
 def test_schmidt_rejects_trivial_bipartition():
-    with pytest.raises(DomainError):
-        schmidt_coefficients(builtin_state("EPR"), [])
-    with pytest.raises(DomainError):
-        schmidt_coefficients(builtin_state("EPR"), [0, 1])
+    rho = builtin_state("EPR").density()
+    with pytest.raises(DomainError, match="nonempty"):
+        ppt_is_separable(rho, [], [0, 1])
+    with pytest.raises(DomainError, match="nonempty"):
+        ppt_is_separable(rho, [0, 1], [])
 
 
 def test_separability_examples():
     epr = builtin_state("EPR")
-    assert not is_separable_bipartition(epr, [0], [1])
-    assert is_separable_bipartition(basis_state((2, 2), (0, 0)), [0], [1])
-    assert not is_separable_bipartition(builtin_state("GHZ"), [0], [1, 2])
+    assert not separable(epr, [0], [1])
+    assert separable(basis_state((2, 2), (0, 0)), [0], [1])
+    assert not separable(builtin_state("GHZ"), [0], [1, 2])
 
 
 def test_separability_needs_partition():
     with pytest.raises(DomainError):
-        is_separable_bipartition(builtin_state("GHZ"), [0], [1])
+        ppt_is_separable(builtin_state("GHZ").density(), [0], [1])
 
 
 # Second Schmidt coefficients planted by `_planted_cut`: a Haar matrix, an
@@ -196,78 +228,71 @@ def test_tensor_then_separable_on_build_seam():
         a = random_pure(rng, (2, 2))
         b = random_pure(rng, (2,))
         joined = tensor_state(a, b)
-        assert is_separable_bipartition(joined, [0, 1], [2])
+        assert separable(joined, [0, 1], [2])
 
 
 def test_partial_contract_ghz_z_outcome():
     ghz = builtin_state("GHZ")
-    hit = partial_contract(ghz, {0: np.array([1.0, 0.0])})
-    assert abs(hit.probability - 0.5) < 1e-12
-    assert hit.state.equals_up_to_phase(basis_state((2, 2), (0, 0)))
+    state, probability = contract(ghz, {0: np.array([1.0, 0.0])})
+    assert abs(probability - 0.5) < 1e-12
+    assert state.equals_up_to_phase(basis_state((2, 2), (0, 0)))
 
 
 def test_partial_contract_ghz_x_outcome_is_epr():
     ghz = builtin_state("GHZ")
     plus = np.array([1.0, 1.0]) * INV_SQRT2
-    hit = partial_contract(ghz, {0: plus})
-    assert abs(hit.probability - 0.5) < 1e-12
-    assert hit.state.equals_up_to_phase(builtin_state("EPR"))
+    state, probability = contract(ghz, {0: plus})
+    assert abs(probability - 0.5) < 1e-12
+    assert state.equals_up_to_phase(builtin_state("EPR"))
 
 
 def test_partial_contract_impossible_outcome_is_none():
+    # a zero residual stays zero instead of being divided by its norm
     s01 = basis_state((2, 2), (0, 1))
-    assert partial_contract(s01, {0: np.array([0.0, 1.0])}) is None
-
-
-def test_partial_contract_must_leave_a_site():
-    with pytest.raises(DomainError):
-        partial_contract(builtin_state("EPR"), {0: np.array([1, 0]), 1: np.array([1, 0])})
+    residuals, norms = _residuals(s01, (0,), [np.array([0.0, 1.0]).reshape(1, 2, 1)])
+    assert norms.tolist() == [[0.0]]
+    assert not residuals.any()
 
 
 def test_measure_z_on_eigenstate():
-    outcomes = measure_projective(qubit(1, 0), [Observable(0, pauli_z())])
+    outcomes = measure(qubit(1, 0), [(0, pauli_z())])
     assert len(outcomes) == 1
-    assert outcomes[0].values == (1.0,)
-    assert abs(outcomes[0].probability - 1.0) < 1e-12
+    values, probability, _ = outcomes[0]
+    assert values == (1.0,)
+    assert abs(probability - 1.0) < 1e-12
 
 
 def test_measure_z_on_epr_site():
     epr = builtin_state("EPR")
-    outcomes = measure_projective(epr, [Observable(0, pauli_z())])
-    by_value = {o.values[0]: o for o in outcomes}
+    by_value = {values[0]: (p, residual) for values, p, residual in measure(epr, [(0, pauli_z())])}
     assert set(by_value) == {1.0, -1.0}
-    assert abs(by_value[1.0].probability - 0.5) < 1e-12
-    assert by_value[1.0].post_state.equals_up_to_phase(basis_state((2, 2), (0, 0)))
-    assert by_value[-1.0].post_state.equals_up_to_phase(basis_state((2, 2), (1, 1)))
+    assert abs(by_value[1.0][0] - 0.5) < 1e-12
+    # the residual on site 1 is |0> after +1 and |1> after -1
+    assert abs(np.vdot(by_value[1.0][1], [1, 0])) > 1 - 1e-12
+    assert abs(np.vdot(by_value[-1.0][1], [0, 1])) > 1 - 1e-12
 
 
 def test_measure_zzz_on_ghz():
     ghz = builtin_state("GHZ")
-    outcomes = measure_projective(ghz, [Observable(s, pauli_z()) for s in range(3)])
-    assert len(outcomes) == 2
-    by_value = {o.values: o for o in outcomes}
-    assert set(by_value) == {(1.0, 1.0, 1.0), (-1.0, -1.0, -1.0)}
-    for o in outcomes:
-        assert abs(o.probability - 0.5) < 1e-12
-    assert by_value[(1.0, 1.0, 1.0)].post_state.equals_up_to_phase(
-        basis_state((2, 2, 2), (0, 0, 0))
-    )
+    outcomes = measure(ghz, [(s, pauli_z()) for s in range(3)])
+    assert [values for values, _, _ in outcomes] == [(-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)]
+    for _, probability, residual in outcomes:
+        assert abs(probability - 0.5) < 1e-12
+        # no site is left: the residual is a phase
+        assert residual.shape == (1,) and abs(abs(residual[0]) - 1.0) < 1e-12
 
 
 def test_measurement_probabilities_sum_to_one():
     rng = np.random.default_rng(9)
     for _ in range(100):
         psi = random_pure(rng, (2, 2, 2))
-        chosen = [Observable(0, pauli_z()), Observable(2, pauli_x())]
-        total = sum(o.probability for o in measure_projective(psi, chosen))
+        total = sum(p for _, p, _ in measure(psi, [(0, pauli_z()), (2, pauli_x())]))
         assert abs(total - 1.0) < 1e-9
 
 
 def test_measure_rejects_duplicate_sites():
-    with pytest.raises(DomainError):
-        measure_projective(
-            builtin_state("EPR"), [Observable(0, pauli_z()), Observable(0, pauli_x())]
-        )
+    with pytest.raises(DomainError, match="duplicate site"):
+        _residuals(builtin_state("EPR"), (0, 0), [np.eye(2)[None]] * 2)
 
 
 def test_observable_rejects_non_hermitian():
@@ -288,37 +313,34 @@ def test_measure_rejects_degenerate_observable(psi, matrix):
     # the kernel measures rank-1 projectors only, so a repeated eigenvalue
     # would split one outcome into several with equal values
     with pytest.raises(DomainError, match="repeated eigenvalues"):
-        measure_projective(psi, [Observable(0, matrix)])
+        derive_device(psi, [[("*", matrix)]] * psi.layout.sites)
 
 
 def test_partial_contract_agrees_with_measurement():
-    # contracting against a full product basis of L reproduces the outcome
-    # probabilities of measuring nondegenerate observables with that eigenbasis
+    # contracting against one product of basis vectors reproduces the
+    # probability and the post-state of that outcome of the projector oracle
     rng = np.random.default_rng(10)
+    x_vecs = {-1.0: np.array([1.0, -1.0]) * INV_SQRT2, 1.0: np.array([1.0, 1.0]) * INV_SQRT2}
+    z_vecs = {1.0: np.array([1.0, 0.0]), -1.0: np.array([0.0, 1.0])}
     for _ in range(10):
         psi = random_pure(rng, (2, 2, 2))
-        outcomes = measure_projective(
-            psi, [Observable(0, pauli_x()), Observable(1, pauli_z())]
-        )
-        minus = np.array([1.0, -1.0]) * INV_SQRT2
-        plus = np.array([1.0, 1.0]) * INV_SQRT2
-        x_vecs = {-1.0: minus, 1.0: plus}
-        z_vecs = {1.0: np.array([1.0, 0.0]), -1.0: np.array([0.0, 1.0])}
-        for o in outcomes:
-            hit = partial_contract(psi, {0: x_vecs[o.values[0]], 1: z_vecs[o.values[1]]})
-            assert hit is not None
-            assert abs(hit.probability - o.probability) < 1e-9
+        outcomes = oracle_measure(psi.amplitudes, (2, 2, 2), [(0, pauli_x()), (1, pauli_z())])
+        assert len(outcomes) == 4
+        for _, (x, z), probability, post in outcomes:
+            state, p = contract(psi, {0: x_vecs[x], 1: z_vecs[z]})
+            assert abs(p - probability) < 1e-9
+            full = np.kron(np.kron(x_vecs[x], z_vecs[z]), state.amplitudes)
+            assert abs(np.vdot(full, post)) > 1 - 1e-9
 
 
 @pytest.mark.parametrize("amplitude, possible", [(1e-6, True), (1e-10, False)])
 def test_one_possibility_rule(amplitude, possible):
     # |11> has probability amplitude**2: possible iff its residual norm is > tol
     psi = PureState(SiteLayout((2, 2)), [1, 0, 0, amplitude])
-    assert (partial_contract(psi, {0: np.array([0.0, 1.0])}) is not None) is possible
-    zz = [Observable(0, pauli_z()), Observable(1, pauli_z())]
-    values = [o.values for o in measure_projective(psi, zz)]
+    _, norms = _residuals(psi, (0,), [np.eye(2)[None]])
+    assert (norms[0] > 1e-9).tolist() == [True, possible]
+    values = [values for values, _, _ in measure(psi, [(0, pauli_z()), (1, pauli_z())])]
     assert values == ([(-1.0, -1.0), (1.0, 1.0)] if possible else [(1.0, 1.0)])
-    assert len(post_states(psi, (1,), [np.eye(2)])) == (2 if possible else 1)
     device = derive_device(psi, [[("*", pauli_z())]] * 2)
     expected = {("1", "1"), ("-1", "-1")} if possible else {("1", "1")}
     assert device.relation[("*", "*")] == expected
@@ -326,7 +348,7 @@ def test_one_possibility_rule(amplitude, possible):
 
 def test_kernel_rejects_wrong_dimension():
     with pytest.raises(DomainError):
-        measure_projective(builtin_state("EPR"), [Observable(1, np.diag([0.0, 1.0, 2.0]))])
+        _residuals(builtin_state("EPR"), (1,), [np.eye(3)[None]])
     with pytest.raises(DomainError):
         derive_device(builtin_state("EPR"), [[("*", pauli_z())], [("*", np.diag([0.0, 1.0, 2.0]))]])
 
@@ -361,19 +383,29 @@ def measurement_cases(draw, min_sites, max_sites):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(measurement_cases(1, 4), st.data())
 def test_measure_projective_matches_projector_oracle(case, data):
+    # the kernel's norms squared are the outcome probabilities, and each
+    # eigenvector product times the residual is the post-state up to phase
     dims, seed, sparse, computational = case
     rng = np.random.default_rng(seed)
     psi = PureState(SiteLayout(dims), _case_state(rng, dims, sparse))
     order = data.draw(st.permutations(range(len(dims))))
-    sites = order[: data.draw(st.integers(1, len(dims)))]
+    sites = tuple(order[: data.draw(st.integers(1, len(dims)))])
     observables = [(s, _case_observable(rng, dims[s], computational)) for s in sites]
-    got = measure_projective(psi, [Observable(s, m) for s, m in observables])
+    systems = [Observable(s, m).eigensystem() for s, m in observables]
+    residuals, norms = _residuals(psi, sites, [vecs[None] for _, vecs in systems])
+    rest = tuple(s for s in range(len(dims)) if s not in sites)
+    possible = np.flatnonzero(norms[0] > 1e-9)
     want = oracle_measure(psi.amplitudes, dims, observables)
-    assert len(got) == len(want)
-    for o, (_, values, prob, post) in zip(got, want):
-        assert o.values == pytest.approx(values, abs=1e-12)
-        assert abs(o.probability - prob) < 1e-9
-        assert abs(np.vdot(o.post_state.amplitudes, post)) > 1 - 1e-9
+    assert len(possible) == len(want)
+    for o, (idx, values, prob, post) in zip(possible, want):
+        assert np.unravel_index(o, [dims[s] for s in sites]) == idx
+        assert tuple(float(vals[i]) for (vals, _), i in zip(systems, idx)) == pytest.approx(
+            values, abs=1e-12)
+        assert abs(norms[0, o] ** 2 - prob) < 1e-9
+        factors = [vecs[:, i] for (_, vecs), i in zip(systems, idx)]
+        factors.append(residuals[0, o].reshape([dims[s] for s in rest]))
+        full = np.transpose(functools.reduce(np.multiply.outer, factors), np.argsort(sites + rest))
+        assert abs(np.vdot(full.reshape(-1), post)) > 1 - 1e-9
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -16,12 +16,11 @@ from conexa.errors import DomainError
 from conexa.quantum import DEFAULT_TOL
 from conexa.randvars import (
     FiniteJointDistribution,
+    _independence,
     brunnian_family,
-    is_separable_split,
     marginal,
     realize_structure,
     rv_analysis,
-    rv_structure,
 )
 from conexa.serialize import canonical_json, distribution_to_dict
 
@@ -36,6 +35,11 @@ from helpers import (
     power_set,
     structure,
 )
+
+
+def independent(dist, a, b, tol=DEFAULT_TOL) -> bool:
+    """Whether the blocks a and b are independent, as `rv_analysis` tests them."""
+    return _independence(dist, tol)(tuple(sorted(a)), tuple(sorted(b)))
 
 
 def independent_bits(k):
@@ -124,7 +128,7 @@ def test_xor_triple_table():
 
 
 def test_independent_bits_split():
-    assert is_separable_split(independent_bits(2), [0], [1])
+    assert independent(independent_bits(2), [0], [1])
 
 
 def test_xor_triple_has_no_separable_split():
@@ -133,7 +137,7 @@ def test_xor_triple_has_no_separable_split():
     xor = brunnian_family(2, 2)
     for j1 in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
         j2 = [i for i in range(3) if i not in j1]
-        assert not is_separable_split(xor, j1, j2)
+        assert not independent(xor, j1, j2)
         assert not oracle_independent(xor.outcomes, xor.prob, j1, j2)
 
 
@@ -143,28 +147,22 @@ def test_xor_triple_pairwise_separable():
     for pair in ((0, 1), (0, 2), (1, 2)):
         table = marginal(xor, pair)
         pair_dist = FiniteJointDistribution((("0", "1"),) * 2, table)
-        assert is_separable_split(pair_dist, [0], [1])
+        assert independent(pair_dist, [0], [1])
         assert all(p == Fraction(1, 4) for p in table.values())
 
 
-def test_split_requires_partition():
-    xor = brunnian_family(2, 2)
-    with pytest.raises(DomainError):
-        is_separable_split(xor, [0], [1])
-
-
 def test_rv_structure_of_xor_triple_is_borromean():
-    assert rv_structure(brunnian_family(2, 2)) == borromean(3)
+    assert rv_analysis(brunnian_family(2, 2)).structure == borromean(3)
 
 
 def test_rv_structure_of_independent_bits_is_discrete():
-    assert rv_structure(independent_bits(3)) == discrete(3)
+    assert rv_analysis(independent_bits(3)).structure == discrete(3)
 
 
 def test_rv_structure_of_brunnian_families():
-    assert rv_structure(brunnian_family(3, 2)) == borromean(4)
-    assert rv_structure(brunnian_family(3, 3)) == borromean(4)
-    assert rv_structure(brunnian_family(1, 2)) == power_set(2)
+    assert rv_analysis(brunnian_family(3, 2)).structure == borromean(4)
+    assert rv_analysis(brunnian_family(3, 3)).structure == borromean(4)
+    assert rv_analysis(brunnian_family(1, 2)).structure == power_set(2)
 
 
 def test_brunnian_validation():
@@ -177,7 +175,7 @@ def test_brunnian_validation():
 def test_realize_borromean_round_trip():
     kappa = borromean(3)
     dist = realize_structure(kappa)
-    assert rv_structure(dist) == kappa
+    assert rv_analysis(dist).structure == kappa
     # up to outcome relabeling this is the parity triple: uniform support of
     # size 4 with the third bit determined
     assert len(dist.prob) == 4
@@ -187,13 +185,13 @@ def test_realize_borromean_round_trip():
 def test_realize_discrete_gives_independent_bits():
     kappa = discrete(3)
     dist = realize_structure(kappa)
-    assert rv_structure(dist) == kappa
+    assert rv_analysis(dist).structure == kappa
     assert len(dist.prob) == 8
 
 
 def test_realize_nested_structure_round_trip():
     kappa = structure(3, [(2, 3), (1, 2, 3)])
-    assert rv_structure(realize_structure(kappa)) == kappa
+    assert rv_analysis(realize_structure(kappa)).structure == kappa
 
 
 def test_realization_support_sizes():
@@ -211,7 +209,7 @@ def test_realize_round_trip_all_three_point_structures():
     structures = all_integral_structures(3)
     assert len(structures) == 12
     for kappa in structures:
-        assert rv_structure(realize_structure(kappa)) == kappa
+        assert rv_analysis(realize_structure(kappa)).structure == kappa
 
 
 def test_marginalization_commutes_with_structure_analysis():
@@ -331,8 +329,8 @@ def test_float_probabilities_accepted():
         (("0", "1"), ("0", "1")),
         {("0", "0"): 0.25, ("0", "1"): 0.25, ("1", "0"): 0.25, ("1", "1"): 0.25},
     )
-    assert is_separable_split(dist, [0], [1])
-    assert rv_structure(dist) == discrete(2)
+    assert independent(dist, [0], [1])
+    assert rv_analysis(dist).structure == discrete(2)
 
 
 def _float_pair(table):
@@ -346,7 +344,7 @@ def test_float_independence_tolerance(delta, separable):
         ("0", "0"): 0.25 + delta, ("0", "1"): 0.25 - delta,
         ("1", "0"): 0.25 - delta, ("1", "1"): 0.25 + delta,
     })
-    assert is_separable_split(dist, [0], [1], tol=1e-12) is separable
+    assert independent(dist, [0], [1], tol=1e-12) is separable
     assert rv_analysis(dist, tol=1e-12).structure == (discrete(2) if separable else power_set(2))
 
 
@@ -355,7 +353,7 @@ def test_float_independence_default_tolerance(delta, separable):
     # the default tolerance is DEFAULT_TOL = 1e-9, as for `analyze-rvs`
     p, q = 0.25 + delta, 0.25 - delta
     dist = _float_pair({("0", "0"): p, ("0", "1"): q, ("1", "0"): q, ("1", "1"): p})
-    assert is_separable_split(dist, [0], [1]) is separable
+    assert independent(dist, [0], [1]) is separable
     assert rv_analysis(dist).structure == (discrete(2) if separable else power_set(2))
 
 
@@ -369,16 +367,16 @@ def test_float_sum_checked_within_tolerance():
 def test_exact_tables_ignore_tolerance():
     # Fraction arithmetic decides exactly, whatever the tolerance
     dist = brunnian_family(2, 2)
-    assert not is_separable_split(dist, [0, 1], [2], tol=0.5)
-    assert rv_analysis(dist, tol=0.5).structure == rv_structure(dist)
+    assert not independent(dist, [0, 1], [2], tol=0.5)
+    assert rv_analysis(dist, tol=0.5).structure == rv_analysis(dist).structure
 
 
 def test_float_support_shortcut():
     # within 1e-12 of a product law entry by entry, but the support has
     # three outcomes where a product of two two-outcome marginals has four
     dist = _float_pair({("0", "0"): 1 - 2e-13, ("0", "1"): 1e-13, ("1", "0"): 1e-13})
-    assert not is_separable_split(dist, [0], [1])
-    assert rv_structure(dist) == power_set(2)
+    assert not independent(dist, [0], [1])
+    assert rv_analysis(dist).structure == power_set(2)
 
 
 REALIZATIONS_SHA256 = "e099d503974274ab10c6a8494ba8069b08ac62e930b5867f5f0a46486af09430"
