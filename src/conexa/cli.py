@@ -92,7 +92,8 @@ def _load(path: str, decode):
 
 
 def _input(path, name, builtin, decode, hint: str):
-    """builtin(name) when a builtin is named, else the decoded file at `path`."""
+    """builtin(name) when a builtin is named, else the decoded file at `path`;
+    the parser admits at most one of the two."""
     if name:
         return builtin(name)
     if path:
@@ -310,6 +311,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _cap(text: str) -> int:
+    """The `--cap` type: an integer >= 1, else argparse exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -327,24 +339,27 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None,
                            help="ignored: measurement pools are fixed")
         if with_cap:
-            p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+            p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
+
+    def add_input(p, path="--file", builtin="--builtin"):
+        # one input source: giving both exits 2 from the parser
+        group = p.add_mutually_exclusive_group()
+        group.add_argument(path)
+        group.add_argument(builtin)
 
     p = sub.add_parser("analyze-state", help="disentanglement structures of a pure state")
-    p.add_argument("--file")
-    p.add_argument("--builtin")
+    add_input(p)
     p.add_argument("--structures", help="comma list among GI,BIP,MT,IP,ML,NCS")
     add_common(p, with_seed=True)
     p.set_defaults(fn=_cmd_analyze_state)
 
     p = sub.add_parser("analyze-density", help="correlation and Sugita structures")
-    p.add_argument("--file")
-    p.add_argument("--builtin")
+    add_input(p)
     add_common(p)
     p.set_defaults(fn=_cmd_analyze_density)
 
     p = sub.add_parser("analyze-device", help="locality profile and device structures")
-    p.add_argument("--file")
-    p.add_argument("--builtin")
+    add_input(p)
     add_common(p, with_tol=False, with_cap=True)
     p.set_defaults(fn=_cmd_analyze_device)
 
@@ -354,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_analyze_rvs)
 
     p = sub.add_parser("derive-device", help="device table of menu measurements on a state")
-    p.add_argument("--state")
-    p.add_argument("--builtin-state")
+    add_input(p, "--state", "--builtin-state")
     p.add_argument("--menus", required=True,
                    help="menu JSON path or shorthand tokens (Z, X, Zp, Xp)")
     p.add_argument("--recode", choices=("paper", "raw"), default="raw")
@@ -363,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_derive_device)
 
     p = sub.add_parser("order", help="connective orders of a pure state")
-    p.add_argument("--file")
-    p.add_argument("--builtin")
+    add_input(p)
     add_common(p, with_seed=True)
     p.set_defaults(fn=_cmd_order)
 

@@ -15,10 +15,11 @@ structures are the meet of every code's domain structures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -112,12 +113,6 @@ class Device:
     def question_tuples(self) -> list:
         return sorted(self.relation)
 
-    def pairs(self) -> Iterator[tuple]:
-        """All related (question, answer) pairs."""
-        for q in self.question_tuples():
-            for r in sorted(self.relation[q]):
-                yield q, r
-
     def __eq__(self, other):
         return (
             isinstance(other, Device)
@@ -157,9 +152,16 @@ def sub_device(device: Device, j_sites) -> Device:
     questions = tuple(device.questions[s] for s in j)
     results = tuple(device.results[s] for s in j)
     relation: dict = {q: set() for q in itertools.product(*questions)}
-    for q, r in device.pairs():
-        relation[tuple(q[s] for s in j)].add(tuple(r[s] for s in j))
+    for q, answers in device.relation.items():
+        relation[tuple(q[s] for s in j)].update(tuple(r[s] for s in j) for r in answers)
     return Device(questions, results, relation)
+
+
+def _sub_devices(device: Device):
+    """sub_device of the device by sorted site tuple, each tuple built once;
+    the tuple of every site is the device itself."""
+    k = device.uplicity
+    return functools.cache(lambda j: device if len(j) == k else sub_device(device, j))
 
 
 def tensor_device(a: Device, b: Device) -> Device:
@@ -200,9 +202,9 @@ def _axis_any(x: np.ndarray) -> list:
 
 def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
     """Coverage matrix over the deterministic realizations: one row per
-    partition, and one column per pair in `device.pairs()` order.  Given
-    `cuts`, the partitions are the singletons followed by each cut; without
-    them the matrix has no rows and the scan only feeds `early_exit`.
+    partition, and one column per related (question, answer) pair, sorted.
+    Given `cuts`, the partitions are the singletons followed by each cut;
+    without them the matrix has no rows and the scan only feeds `early_exit`.
 
     A realization is a choice index per question, so the realizations form an
     array in C order, with one axis per question that has two or more
@@ -306,35 +308,42 @@ def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
 # locality predicates
 
 
-def _is_product_along(device: Device, blocks: Sequence[tuple]) -> bool:
-    """Whether the device equals the tensor of its sub-devices on the blocks.
+def _is_product_along(device: Device, parts: Sequence[Device], blocks: Sequence[tuple]) -> bool:
+    """Whether the device equals the tensor of `parts`, its sub-devices on the blocks.
 
     Each answer set R(q) lies inside the product over the blocks B of the
     sub-device answer sets R_B(q_B), because R_B(q_B) holds the B-part of
     every answer in R(q).  The blocks partition the sites, so R(q) equals that
     product exactly when the sizes agree: |R(q)| = prod_B |R_B(q_B)|.
     """
-    subs = [sub_device(device, block) for block in blocks]
     return all(
         len(answers) == math.prod(
-            len(sub.relation[tuple(q[s] for s in block)]) for sub, block in zip(subs, blocks)
+            len(part.relation[tuple(q[s] for s in block)]) for part, block in zip(parts, blocks)
         )
         for q, answers in device.relation.items()
     )
 
 
-def _profile(device: Device, cap: int, early_exit=None) -> LocalityProfile:
-    """The seven notions from one `_scan` along the singletons and every cut:
-    which pairs the realizations factoring along each select."""
-    k = device.uplicity
+def _profile(reduce, j: tuple, cap: int, early_exit=None) -> LocalityProfile:
+    """The seven notions of the sub-device `reduce(j)` from one `_scan` along
+    the singletons and every cut: which pairs the realizations factoring
+    along each select.  The product tests read the block sub-devices from
+    `reduce` too; cuts and blocks are positions within J."""
+    device = reduce(j)
+    k = len(j)
     cuts = _bipartitions(range(k))
     coverage = _scan(device, cap, cuts, early_exit)
     every, some = coverage.all(axis=1), coverage.any(axis=1)
-    separable_cut = next((cut for cut in cuts if _is_product_along(device, cut)), None)
+
+    def product_along(blocks):
+        parts = [reduce(tuple(j[p] for p in block)) for block in blocks]
+        return _is_product_along(device, parts, blocks)
+
+    separable_cut = next((cut for cut in cuts if product_along(cut)), None)
     quasi_separable_cut = next((cut for cut, e in zip(cuts, every[1:]) if e), None)
     partially_separable_cut = next((cut for cut, s in zip(cuts, some[1:]) if s), None)
     profile = LocalityProfile(
-        local=_is_product_along(device, [(s,) for s in range(k)]),
+        local=product_along([(p,) for p in range(k)]),
         quasi_local=bool(every[0]),
         partially_local=bool(some[0]),
         separable=separable_cut is not None,
@@ -359,7 +368,7 @@ def locality_profile(device: Device, cap: int = DEFAULT_CAP) -> LocalityProfile:
     """
     if device.uplicity < 2:
         raise DomainError("locality analysis is defined for uplicity >= 2 only")
-    return _profile(device, cap)
+    return _profile(_sub_devices(device), tuple(range(device.uplicity)), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +379,16 @@ def _tensorial(device: Device, cap: int, early_exit=None) -> tuple:
     """(full-device profile, the seven tensorial structures, labels 1..k).
 
     Every sub-device on two or more sites is profiled, the full device last,
-    its scan passing `early_exit` on to `_scan`.
+    its scan passing `early_exit` on to `_scan`.  One cache serves every
+    profile, so each sub-device is built once.
     """
     k = device.uplicity
     if k < 2:
         raise DomainError("device structures need uplicity >= 2")
+    reduce = _sub_devices(device)
 
     def verdict(j):
-        if len(j) == k:
-            return _profile(device, cap, early_exit)
-        return locality_profile(sub_device(device, j), cap=cap)
+        return _profile(reduce, j, cap, early_exit if len(j) == k else None)
 
     profiles, structures = _subset_structures(k, verdict, {
         name: lambda profile, notion=notion: not getattr(profile, notion)

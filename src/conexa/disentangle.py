@@ -8,27 +8,31 @@ finite pool of product bases (every combination of the structured bases,
 then one experiment in a generic basis at every site) and results are
 flagged POOL_LIMITED unless an exact factorization certificate removes the
 pool dependence altogether.  The pool is a function of the dimensions of the
-measured sites alone, so every analysis is deterministic, and one analysis
-builds one pool per tuple of complement dimensions.
+measured sites alone (`build_pool(dims)`), so every analysis is
+deterministic, and one analysis builds one pool per tuple of complement
+dimensions and reads it for every complement of that shape.
 
-A pool holds one stack of unitaries per measured site, one row per
-experiment, checked for orthonormality once per stack.  For a chunk of
-experiments, the contraction kernel `quantum._residuals` measures every site
-outside J for every experiment and outcome at once, giving the residual
-J-states as one (experiments, outcomes, dim_J) array; an outcome is possible
-iff its residual norm is > tol.  Each bipartition of J is then tested for
-every possible outcome by `quantum._separable_cuts` (second Schmidt
-coefficient <= tol): the cuts whose shorter side has dimension 2 together in
-closed form, with LAPACK only inside a rounding band around tol, and every
-other cut by one stacked SVD.  Residuals are not deduplicated, since a
-repeated state never changes the any/all tests of the classification.
+A pool holds one stack of unitaries per measured site, in site order, one row
+per experiment, checked for orthonormality once per stack; it names no
+sites.  For a chunk of experiments, the contraction kernel
+`quantum._residuals` measures every site outside J for every experiment and
+outcome at once, giving the residual J-states as one (experiments, outcomes,
+dim_J) array; an outcome is possible iff its residual norm is > tol.  Each
+bipartition of J is then tested for every possible outcome by
+`quantum._separable_cuts` (second Schmidt coefficient <= tol): the cuts
+whose shorter side has dimension 2 together in closed form, with LAPACK only
+inside a rounding band around tol, and every other cut by one stacked SVD.
+Residuals are not deduplicated, since a repeated state never changes the
+any/all tests of the classification.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -104,44 +108,35 @@ STRUCTURE_NAMES = tuple(_FAMILY_CLASSES)
 
 @dataclass(frozen=True)
 class MeasurementPool:
-    """Finite stand-in for the continuum of determinant experiments on a site set.
+    """Finite stand-in for the continuum of determinant experiments on the
+    sites outside J.
 
-    `bases[i]` stacks one unitary per experiment for site `sites[i]`, shape
-    (experiments, d, d), with the basis vectors as columns; experiment e
-    measures every site in its basis at row e.  A basis stands for any
-    nondegenerate observable with that eigenbasis, since eigenvalue labels
-    never affect residual states.  A pool on no sites is the single identity
-    experiment.
+    `bases[i]` stacks one unitary per experiment for the i-th measured site
+    in site order, shape (experiments, d, d), with the basis vectors as
+    columns; experiment e measures every site in its basis at row e.  A pool
+    holds no site numbers: it serves every site set whose dimensions match
+    its stacks.  A basis stands for any nondegenerate observable with that
+    eigenbasis, since eigenvalue labels never affect residual states.
     """
 
-    sites: tuple
     bases: tuple
 
-    def __init__(self, sites: Iterable[int], bases: Sequence[np.ndarray]):
-        sites = tuple(int(s) for s in sites)
+    def __init__(self, bases: Iterable[np.ndarray]):
         bases = tuple(np.array(b, dtype=np.complex128) for b in bases)
-        if len(sites) != len(bases):
-            raise DomainError("one basis stack per measured site is required")
-        for s, b in zip(sites, bases):
+        if not bases:
+            raise DomainError("a measurement pool measures at least one site")
+        for i, b in enumerate(bases):
             if b.ndim != 3 or b.shape[1] != b.shape[2]:
-                raise DomainError(f"bases for site {s} must stack square matrices")
+                raise DomainError(f"bases for measured site {i} must stack square matrices")
             if not len(b):
                 raise DomainError("a measurement pool cannot be empty")
             if len(b) != len(bases[0]):
                 raise DomainError("every site needs one basis per experiment")
             gram = b.conj().transpose(0, 2, 1) @ b
             if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-9:
-                raise DomainError(f"basis for site {s} is not orthonormal")
+                raise DomainError(f"basis for measured site {i} is not orthonormal")
             b.setflags(write=False)
-        object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "bases", bases)
-
-    def _moved(self, sites: tuple) -> "MeasurementPool":
-        """The same experiments on other sites of the same dimensions, unchecked."""
-        pool = object.__new__(MeasurementPool)
-        object.__setattr__(pool, "sites", sites)
-        object.__setattr__(pool, "bases", self.bases)
-        return pool
 
 
 @dataclass(frozen=True)
@@ -188,41 +183,17 @@ def _generic_basis(dim: int) -> np.ndarray:
     return basis
 
 
-def build_pool(
-    layout: SiteLayout,
-    sites,
-    extra_bases: Optional[Mapping[int, Sequence[np.ndarray]]] = None,
-) -> MeasurementPool:
-    """Structured product bases and caller extras, then one generic experiment.
+def build_pool(dims) -> MeasurementPool:
+    """The pool on measured sites of dimensions `dims`, in site order.
 
-    The structured and extra bases enter as every combination across the
-    sites (row-major over the sites); the last experiment measures every site
-    in its `_generic_basis`.  An empty site set yields the single identity
-    experiment, under which the residual-state set of any state is the state
-    itself.
+    Every combination of the structured bases across the sites (row-major),
+    then one experiment that measures every site in its `_generic_basis`.
     """
-    sites = _check_indices(sites, layout.sites, "site")
-    if not sites:
-        return MeasurementPool((), ())
-    extras = extra_bases or {}
-    options = []
-    for s in sites:
-        d = layout.dims[s]
-        site_options = _structured_bases(d)
-        for extra in extras.get(s, ()):
-            extra = np.asarray(extra, dtype=np.complex128)
-            if extra.shape != (d, d):
-                raise DomainError(
-                    f"basis for site {s} has shape {extra.shape}, site has dimension {d}"
-                )
-            site_options.append(extra)
-        options.append(np.stack(site_options))
-    grid = np.indices([len(o) for o in options]).reshape(len(sites), -1)
-    bases = [
-        np.concatenate([o[row], _generic_basis(layout.dims[s])[None]])
-        for s, o, row in zip(sites, options, grid)
-    ]
-    return MeasurementPool(sites, bases)
+    dims = SiteLayout(dims).dims
+    combos = itertools.product(*(_structured_bases(d) for d in dims))
+    return MeasurementPool(
+        np.stack([*column, _generic_basis(d)]) for d, column in zip(dims, zip(*combos))
+    )
 
 
 def _factor_on(psi: PureState, j: tuple, tol: float) -> Optional[PureState]:
@@ -273,11 +244,13 @@ def classify_on_subset(
 ) -> Classification:
     """Classify the entanglement of psi on the subset J.
 
-    Quantifiers over measurements run on the finite pool on the complement of
-    J (`build_pool` of the complement when none is given); the result is
-    CERTIFIED when J is the full site set (only the identity measurement
-    exists) or when psi factors across (J, complement), which pins the
-    residual set to the J-factor for every conceivable experiment.
+    Quantifiers over measurements run on the finite pool, one stack per site
+    of the complement of J in site order (`build_pool` of the complement's
+    dimensions when none is given; reading a pool of other dimensions raises
+    DomainError).  The result is CERTIFIED, and no pool is read, when J is
+    the full site set (only the identity measurement exists) or when psi
+    factors across (J, complement), which pins the residual set to the
+    J-factor for every conceivable experiment.
     Experiments are contracted in chunks of at most _CHUNK amplitudes, and
     residuals are not deduplicated: a repeated state never changes the
     any/all tests below.
@@ -299,9 +272,7 @@ def classify_on_subset(
 
     complement = tuple(s for s in psi.layout.site_indices() if s not in j)
     if pool is None:
-        pool = build_pool(psi.layout, complement)
-    elif pool.sites != complement:
-        raise DomainError(f"pool sites {pool.sites} != complement {complement} of J")
+        pool = build_pool(psi.layout.dims[s] for s in complement)
 
     count = len(pool.bases[0])
     dims_j = tuple(psi.layout.dims[s] for s in j)
@@ -329,21 +300,18 @@ def disentanglement_structures(psi: PureState, tol: float = DEFAULT_TOL) -> Dise
 
     A pool depends only on the dimensions of the measured sites, so one pool
     is built (and checked) per distinct tuple of complement dimensions and
-    moved onto every complement of that shape; the pools live as long as
-    this call.  Ground labels are 1-based site numbers.
+    serves every complement of that shape; the pools live as long as this
+    call.  J = every site measures nothing and needs no pool.  Ground labels
+    are 1-based site numbers.
     """
     k = psi.layout.sites
     if k < 2:
         raise DomainError("disentanglement analysis needs at least two sites")
-    dims = psi.layout.dims
-    pools: dict = {}
+    pool = functools.cache(build_pool)
 
     def verdict(j):
-        complement = tuple(s for s in range(k) if s not in j)
-        shape = tuple(dims[s] for s in complement)
-        if shape not in pools:
-            pools[shape] = build_pool(psi.layout, complement)
-        return classify_on_subset(psi, j, pools[shape]._moved(complement), tol=tol)
+        shape = tuple(d for s, d in enumerate(psi.layout.dims) if s not in j)
+        return classify_on_subset(psi, j, pool(shape) if shape else None, tol=tol)
 
     classes, structures = _subset_structures(
         k,

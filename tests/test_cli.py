@@ -675,6 +675,34 @@ def test_tol_must_be_finite_and_non_negative(command, value, capsys):
     assert f"argument --tol: must be a finite number >= 0, got '{value}'" in captured.err
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "x", "1.5"])
+def test_cap_must_be_a_positive_integer(value, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["analyze-device", "--builtin", "K", f"--cap={value}"])
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out) == (2, "")
+    assert f"argument --cap: must be an integer >= 1, got '{value}'" in captured.err
+
+
+# Each command with two input sources: both given, before any is read.
+BOTH_INPUTS = {
+    "analyze-state": ["--builtin", "GHZ", "--file", "state.json"],
+    "analyze-density": ["--builtin", "GHZ", "--file", "state.json"],
+    "analyze-device": ["--builtin", "K", "--file", "device.json"],
+    "order": ["--builtin", "GHZ", "--file", "state.json"],
+    "derive-device": ["--builtin-state", "GHZ", "--state", "state.json", "--menus", "ZX"],
+}
+
+
+@pytest.mark.parametrize("command", list(BOTH_INPUTS))
+def test_input_sources_are_mutually_exclusive(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *BOTH_INPUTS[command]])
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out) == (2, "")
+    assert "not allowed with argument" in captured.err
+
+
 def test_derive_device_refuses_two_eigenvalues_with_one_label(tmp_path, capsys):
     # diag(0, 4e-10) is nondegenerate within 1e-12, but both eigenvalues
     # round to the answer label "0"

@@ -468,6 +468,16 @@ def test_tensorial_chains_random_devices():
         assert s["NPS"] <= s["NOS"] <= s["NQS"] <= s["NS"] <= s["NL"]
         assert s["NQS"] <= s["NQL"]
 
+def test_device_structures_builds_each_sub_device_once():
+    # every proper nonempty site tuple of a 4-site device is a profiled
+    # sub-device or a block of one; one analysis builds each of them once
+    dev = tensor_device(builtin_device("EPR2"), builtin_device("EPR"))
+    with mock.patch.object(devices, "sub_device", wraps=sub_device) as built:
+        device_structures(dev)
+    tuples = [call.args[1] for call in built.call_args_list]
+    assert len(tuples) == 14
+    assert set(tuples) == {j for n in (1, 2, 3) for j in itertools.combinations(range(4), n)}
+
 
 # ---------------------------------------------------------------------------
 # dependency domains and domanial structures

@@ -56,27 +56,26 @@ def residual_states(psi, j, bases, tol=1e-9) -> list:
     return [PureState(psi.layout.restrict(j), v) for v in residuals[0][norms[0] > tol]]
 
 
-def test_pool_on_empty_site_set_is_identity():
-    # on J = every site the one experiment measures nothing and leaves psi
-    ghz = builtin_state("GHZ")
-    pool = build_pool(ghz.layout, ())
-    assert pool.sites == () and pool.bases == ()
-    cls = classify_on_subset(ghz, (0, 1, 2), pool)
-    assert cls == disentangle.Classification(
-        IntricationClass.GLOBALLY_ENTANGLED, Confidence.CERTIFIED
+def pool_with_extras(dims, extras):
+    """The pool `build_pool(dims)` would be with the bases `extras[i]` appended
+    to the structured ones of measured site i: every combination across the
+    sites, then the generic experiment."""
+    options = [disentangle._structured_bases(d) + list(more) for d, more in zip(dims, extras)]
+    combos = list(itertools.product(*options))
+    return MeasurementPool(
+        np.stack([*column, disentangle._generic_basis(d)]) for d, column in zip(dims, zip(*combos))
     )
 
 
 def test_pool_structured_sizes():
     # the structured grid, then the one generic experiment
-    layout = SiteLayout((2, 2, 2))
-    assert [b.shape for b in build_pool(layout, (0,)).bases] == [(3, 2, 2)]
-    assert [b.shape for b in build_pool(layout, (0, 1)).bases] == [(5, 2, 2)] * 2
+    assert [b.shape for b in build_pool((2,)).bases] == [(3, 2, 2)]
+    assert [b.shape for b in build_pool((2, 2)).bases] == [(5, 2, 2)] * 2
 
 
 def test_pool_on_a_site_of_dimension_one():
     # a one-dimensional site has only the 1x1 bases; the generic one is a phase
-    pool = build_pool(SiteLayout((1, 2, 2)), (0, 1))
+    pool = build_pool((1, 2))
     trivial = pool.bases[0]
     assert trivial.shape == (5, 1, 1)
     assert np.allclose(np.abs(trivial), 1.0)
@@ -84,8 +83,7 @@ def test_pool_on_a_site_of_dimension_one():
 
 
 def test_fourier_basis_used_for_qutrits():
-    layout = SiteLayout((3, 3))
-    pool = build_pool(layout, (0,))
+    pool = build_pool((3,))
     assert pool.bases[0].shape == (3, 3, 3)
 
 
@@ -101,7 +99,7 @@ def test_pool_ends_with_the_generic_basis(d):
     expected = second * np.exp(1j * math.sqrt(2) * np.arange(1, d + 1))[:, None]
     c, s = math.cos(0.4), math.sin(0.4)
     expected[:2] = np.array([[c, -s], [s, c]]) @ expected[:2]
-    pool = build_pool(SiteLayout((d, 2, d)), (0, 2))
+    pool = build_pool((d, d))
     for stack in pool.bases:
         generic = stack[-1]
         assert np.allclose(generic, expected, atol=1e-12)
@@ -135,7 +133,7 @@ def test_post_states_of_product_factorize():
     psi_rest = random_pure(rng, (2,))
     # joint layout: J = sites (0, 1), measured site = 2
     joint = tensor_state(psi_j, psi_rest)
-    pool = build_pool(joint.layout, (2,))
+    pool = build_pool((2,))
     for bases in experiments_of(pool):
         # both outcomes are possible, and each leaves the J-factor
         states = residual_states(joint, (0, 1), bases)
@@ -250,8 +248,8 @@ def test_pool_monotonicity_verdict_movement():
         psi = random_pure(rng, (2, 2, 2))
         for j in ((0, 1), (0, 2), (1, 2)):
             (c,) = {0, 1, 2} - set(j)
-            small = build_pool(psi.layout, (c,))
-            large = build_pool(psi.layout, (c,), extra_bases={c: [_random_basis(rng, 2)]})
+            small = build_pool((2,))
+            large = pool_with_extras((2,), [[_random_basis(rng, 2)]])
             c_small = classify_on_subset(psi, j, small).kind
             c_large = classify_on_subset(psi, j, large).kind
             if c_small in mixed_family:
@@ -268,62 +266,51 @@ def test_generic_experiment_decides_the_adversarial_state():
     psi = PureState(SiteLayout((2, 2, 2)), amplitudes)
     hadamard = np.array([[1, 1], [1, -1]]) * INV_SQRT2
     for j in ((0, 1), (0, 2), (1, 2)):
-        (c,) = {0, 1, 2} - set(j)
         cls = classify_on_subset(psi, j)
         assert cls == disentangle.Classification(
             IntricationClass.WELL_ENTANGLED_ONLY, Confidence.POOL_LIMITED
         )
-        grid = MeasurementPool((c,), [np.stack([np.eye(2), hadamard])])
+        grid = MeasurementPool([np.stack([np.eye(2), hadamard])])
         assert classify_on_subset(psi, j, grid).kind is IntricationClass.TOTALLY_MIXED
 
 
 def test_pool_mismatched_experiments_rejected():
     eye = np.eye(2)[None]
     with pytest.raises(DomainError):  # one experiment on site 0, two on site 1
-        MeasurementPool((0, 1), [eye, np.concatenate([eye, eye])])
-    with pytest.raises(DomainError):  # two sites, one stack
-        MeasurementPool((0, 1), [eye])
-    with pytest.raises(DomainError):  # a matrix, not a stack of them
-        MeasurementPool((0,), [np.eye(2)])
+        MeasurementPool([eye, np.concatenate([eye, eye])])
+    with pytest.raises(DomainError):  # no measured site
+        MeasurementPool([])
     with pytest.raises(DomainError):
-        MeasurementPool((0,), [np.empty((0, 2, 2))])
+        build_pool(())
+    with pytest.raises(DomainError):  # a matrix, not a stack of them
+        MeasurementPool([np.eye(2)])
+    with pytest.raises(DomainError):
+        MeasurementPool([np.empty((0, 2, 2))])
+    with pytest.raises(DomainError):  # two measured sites, one stack
+        classify_on_subset(random_pure(np.random.default_rng(23), (2, 2, 2, 2)), (0, 1),
+                           MeasurementPool([eye]))
 
 
 def test_experiment_requires_orthonormal_basis():
     singular = np.array([[1, 1], [0, 0]])
     with pytest.raises(DomainError, match="not orthonormal"):
-        MeasurementPool((0,), [np.stack([np.eye(2), singular])])
+        MeasurementPool([np.stack([np.eye(2), singular])])
     with pytest.raises(DomainError, match="not orthonormal"):
-        MeasurementPool((1,), [singular[None]])
+        MeasurementPool([singular[None]])
     with pytest.raises(DomainError, match="not orthonormal"):
-        build_pool(SiteLayout((2, 2)), (0,), extra_bases={0: [singular]})
-
-
-def test_extra_bases_enter_the_pool():
-    layout = SiteLayout((2, 2))
-    tilted = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
-    pool = build_pool(layout, (0,), extra_bases={0: [tilted]})
-    assert pool.bases[0].shape == (4, 2, 2)
-    assert np.array_equal(pool.bases[0][2], tilted)
-
-
-def test_classify_rejects_pool_on_wrong_sites():
-    ghz = builtin_state("GHZ")
-    wrong = build_pool(ghz.layout, (1,))
-    with pytest.raises(DomainError):
-        classify_on_subset(ghz, (0, 1), wrong)
+        pool_with_extras((2,), [[singular]])
 
 
 def test_one_pool_per_complement_shape():
-    # complements of (2, 3, 2, 2): shapes (2, 3), (2, 2), (3, 2), (2,), (3,)
-    # and () over 11 subsets
+    # complements of (2, 3, 2, 2): shapes (2, 3), (2, 2), (3, 2), (2,) and (3,)
+    # over 11 subsets; J = every site measures nothing and needs no pool
     psi = random_pure(np.random.default_rng(21), (2, 3, 2, 2))
     with mock.patch.object(disentangle, "build_pool", wraps=build_pool) as pools, \
             mock.patch.object(disentangle, "classify_on_subset",
                               wraps=classify_on_subset) as classify:
         report = disentanglement_structures(psi)
-    shapes = [tuple(psi.layout.dims[s] for s in call.args[1]) for call in pools.call_args_list]
-    assert sorted(shapes) == [(), (2,), (2, 2), (2, 3), (3,), (3, 2)]
+    shapes = [call.args[0] for call in pools.call_args_list]
+    assert sorted(shapes) == [(2,), (2, 2), (2, 3), (3,), (3, 2)]
     assert classify.call_count == 11
     # each subset is classified as with a pool built for its own complement
     for j, c in report.classes.items():
@@ -332,14 +319,14 @@ def test_one_pool_per_complement_shape():
 
 def test_classify_rejects_a_wrong_explicit_pool():
     psi = random_pure(np.random.default_rng(22), (2, 3, 2))
-    # right sites, but built for a qubit where site 1 is a qutrit
-    wrong_dims = build_pool(SiteLayout((2, 2, 2)), (1,))
+    # built for a qubit where the complement, site 1, is a qutrit
     with pytest.raises(DomainError):
-        classify_on_subset(psi, (0, 2), wrong_dims)
+        classify_on_subset(psi, (0, 2), build_pool((2,)))
+    # built for two measured sites where the complement is one
     with pytest.raises(DomainError):
-        classify_on_subset(psi, (0, 2), build_pool(psi.layout, (0,)))
+        classify_on_subset(psi, (0, 2), build_pool((2, 3)))
     with pytest.raises(DomainError, match="not orthonormal"):
-        classify_on_subset(psi, (0, 2), MeasurementPool((1,), [2 * np.eye(3)[None]]))
+        classify_on_subset(psi, (0, 2), MeasurementPool([2 * np.eye(3)[None]]))
 
 
 def _oracle_state(kind, dims, rng):
@@ -384,8 +371,8 @@ def _random_basis(rng, d):
 def oracle_cases(draw):
     """A 3-4-site state with local dims in {2, 3}, a subset J, a pool kind and a tol.
 
-    Pool kinds: the default pool, `build_pool` with one random extra basis per
-    measured site, or a caller's `MeasurementPool`.
+    Pool kinds: the default pool, the default pool with one random extra basis
+    per measured site (`pool_with_extras`), or a caller's `MeasurementPool`.
 
     Under the large tolerance some experiments have no possible outcome.
     """
@@ -401,19 +388,16 @@ def _check_against_oracle(case):
     dims, kind, seed, j, pool_kind, tol = case
     rng = np.random.default_rng(seed)
     psi = PureState(SiteLayout(dims), _oracle_state(kind, dims, rng))
-    complement = tuple(s for s in range(len(dims)) if s not in j)
-    if pool_kind == "caller" and complement:
-        options = [[np.eye(dims[s]), _random_basis(rng, dims[s])] for s in complement]
-        combos = list(itertools.product(*options))
-        pool = MeasurementPool(complement, [np.stack(bases) for bases in zip(*combos)])
-        experiments = experiments_of(pool)
-    else:
-        extras = None
-        if pool_kind == "extras":
-            extras = {s: [_random_basis(rng, dims[s])] for s in complement}
-        built = build_pool(psi.layout, complement, extras)
-        pool = built if pool_kind == "extras" else None
-        experiments = experiments_of(built) if complement else []
+    shape = tuple(d for s, d in enumerate(dims) if s not in j)
+    pool, experiments = None, []
+    if shape:
+        if pool_kind == "caller":
+            options = [[np.eye(d), _random_basis(rng, d)] for d in shape]
+            combos = list(itertools.product(*options))
+            pool = MeasurementPool(np.stack(bases) for bases in zip(*combos))
+        elif pool_kind == "extras":
+            pool = pool_with_extras(shape, [[_random_basis(rng, d)] for d in shape])
+        experiments = experiments_of(pool or build_pool(shape))
     cls = classify_on_subset(psi, j, pool, tol=tol)
     expected = oracle_classify(psi.amplitudes, dims, j, experiments, tol)
     assert (cls.kind.value, cls.confidence.value) == expected
@@ -457,7 +441,7 @@ def test_classify_matches_oracle_across_chunks(case):
 def test_oracle_examples_hit_impossible_outcomes_and_certified_path():
     dims, kind, seed, j = GHZ_LIKE[:4]
     ghz = PureState(SiteLayout(dims), _oracle_state(kind, dims, np.random.default_rng(seed)))
-    z_on_qutrit = experiments_of(build_pool(ghz.layout, (1,)))[0]
+    z_on_qutrit = experiments_of(build_pool((3,)))[0]
     assert len(residual_states(ghz, j, z_on_qutrit)) == 2  # outcome 2 is impossible
     dims, kind, seed, j = PRODUCT[:4]
     product = PureState(SiteLayout(dims), _oracle_state(kind, dims, np.random.default_rng(seed)))
@@ -474,7 +458,7 @@ def test_classify_conjugates_the_measured_basis():
     psi = PureState(SiteLayout((2, 2, 2)), tensor.reshape(-1))
     tilted = np.array([[-2j, 1], [1, -2j]]) / math.sqrt(5.0)
     experiments = [np.eye(2), tilted]
-    pool = MeasurementPool((2,), [np.stack(experiments)])
+    pool = MeasurementPool([np.stack(experiments)])
     cls = classify_on_subset(psi, (0, 1), pool)
     assert cls.kind is IntricationClass.WELL_ENTANGLED_ONLY
     expected = oracle_classify(psi.amplitudes, (2, 2, 2), (0, 1), [[b] for b in experiments])
@@ -483,10 +467,8 @@ def test_classify_conjugates_the_measured_basis():
 
 def test_wrong_dimension_bases_raise_domain_error():
     ghz = builtin_state("GHZ")
-    qutrit_pool = MeasurementPool((2,), [np.eye(3)[None]])
+    qutrit_pool = MeasurementPool([np.eye(3)[None]])
     with pytest.raises(DomainError):
         classify_on_subset(ghz, (0, 1), qutrit_pool)
-    with pytest.raises(DomainError):
-        build_pool(ghz.layout, (2,), extra_bases={2: [np.eye(3)]})
     with pytest.raises(DomainError):
         _residuals(ghz, (2,), [np.eye(3)[None]])
