@@ -382,9 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_order)
 
     p = sub.add_parser("builtin", help="emit a builtin state or device")
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--state")
-    p.add_argument("--device")
+    # one request: giving two exits 2 from the parser
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--list", action="store_true")
+    group.add_argument("--state")
+    group.add_argument("--device")
     add_common(p, with_tol=False)
     p.set_defaults(fn=_cmd_builtin)
 

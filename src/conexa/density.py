@@ -6,12 +6,23 @@ entangled across every bipartition of J.  Both predicates feed generator
 families for integral connectivity structures on the site set.  An
 analysis reduces rho to each site tuple once: a subset's reduction serves
 both predicates and the correlation test of every subset it is a side of.
+
+A cut A|B of J factorizes rho_J when every entry of D = rho_J - rho_A (x) rho_B
+is at most tol in modulus.  Then ||D||_F <= n tol for rho_J of dimension n,
+and the Frobenius norm of a Kronecker product is the product of the norms,
+so by the triangle inequality such a cut has
+| ||rho_J||_F - ||rho_A||_F ||rho_B||_F | <= n tol, up to a rounding band
+(`_norms_allow_product`).  Each reduction's norm is
+computed once, and a cut whose norms break that bound is not tested entrywise.
+The bound is only necessary: the entrywise test still decides every cut that
+meets it, so every verdict is the one the entrywise test alone gives.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -26,6 +37,8 @@ from .connective import (
 from .disentangle import disentanglement_structures
 from .errors import DomainError
 from .quantum import (
+    _EPS,
+    _TINY,
     DEFAULT_TOL,
     DensityOperator,
     PureState,
@@ -72,19 +85,64 @@ def _reductions(rho: DensityOperator):
     return functools.cache(lambda sites: partial_trace(rho, sites))
 
 
-def _completely_correlated(reduce, j: tuple, tol: float) -> bool:
+def _norms(reduce):
+    """Frobenius norm of each reduction by site tuple, each computed once."""
+    def norm(sites):
+        mat = reduce(sites).matrix
+        return math.sqrt(np.vdot(mat, mat).real)
+
+    return functools.cache(norm)
+
+
+def _norms_allow_product(norm_j: float, norm_a: float, norm_b: float, n: int,
+                         tol: float) -> bool:
+    """Whether |norm_j - norm_a norm_b| <= n tol + delta for computed
+    Frobenius norms: False only when the entrywise test max |rho_J - P| <= tol,
+    run in floating point on P = rho_A (x) rho_B in J order, cannot pass.
+    rho_J has dimension n.
+
+    With u the unit roundoff (eps / 2): an accepted entry of the computed
+    difference puts the exact one within tol (1 + 4u), and each entry of the
+    computed P is one complex product a b, off by at most 3u |a| |b| (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Lemma 3.5).  Summed in
+    the Frobenius norm, ||rho_J - rho_A (x) rho_B||_F <= n tol (1 + 4u) +
+    3u ||rho_A||_F ||rho_B||_F, which bounds the gap of the exact norms by
+    the triangle inequality.  A norm of N entries computed by vdot and sqrt
+    is off by at most (N + 1) u relatively (Higham, Section 3.1), and
+    N_A + N_B <= n^2 + 1; so the computed gap exceeds n tol by less than
+    delta = 2 (n^2 + 8) eps (norm_j + norm_a norm_b) + 4 n eps tol, which
+    also covers rounding the gap and n tol.  Entries whose squares or
+    products underflow add at most n sqrt(tiny) (1 + norm_a + norm_b), also
+    in delta.  A norm or bound that overflows makes the comparison inf or
+    nan, and the cut is left to the entrywise test.
+    """
+    product = norm_a * norm_b
+    delta = (2 * (n * n + 8) * _EPS * (norm_j + product) + 4 * n * _EPS * tol
+             + 2 * n * math.sqrt(_TINY) * (1 + norm_a + norm_b))
+    return not abs(norm_j - product) > n * tol + delta
+
+
+def _product(sides, cut) -> np.ndarray:
+    """rho_A (x) rho_B as a matrix in J order, from the reductions `sides` to
+    the positions cut = (A, B) of J."""
+    # each side's reduction as a tensor whose axes are labelled by their
+    # positions in J (ket p, bra k + p): einsum puts the product in J order
+    k = len(cut[0]) + len(cut[1])
+    operands = []
+    for rho_side, side in zip(sides, cut):
+        operands.append(rho_side.matrix.reshape(rho_side.layout.dims * 2))
+        operands.append([*side, *(k + p for p in side)])
+    n = sides[0].matrix.shape[0] * sides[1].matrix.shape[0]
+    return np.einsum(*operands, list(range(2 * k))).reshape(n, n)
+
+
+def _completely_correlated(reduce, norm, j: tuple, tol: float) -> bool:
     reduced = reduce(j).matrix
-    k = len(j)
-    for cut in _bipartitions(range(k)):
-        # each side's reduction as a tensor whose axes are labelled by their
-        # positions in J (ket p, bra k + p): einsum puts the product in J order
-        operands = []
-        for side in cut:
-            rho_side = reduce(tuple(j[p] for p in side))
-            operands.append(rho_side.matrix.reshape(rho_side.layout.dims * 2))
-            operands.append([*side, *(k + p for p in side)])
-        product = np.einsum(*operands, list(range(2 * k))).reshape(reduced.shape)
-        if np.max(np.abs(product - reduced)) <= tol:
+    for cut in _bipartitions(range(len(j))):
+        sides = [tuple(j[p] for p in side) for side in cut]
+        # the norms rule out most cuts before any product is formed
+        if (_norms_allow_product(norm(j), *map(norm, sides), reduced.shape[0], tol)
+                and np.max(np.abs(_product([reduce(s) for s in sides], cut) - reduced)) <= tol):
             return False
     return True
 
@@ -113,9 +171,10 @@ def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> Densit
     if k < 2:
         raise DomainError("density analysis needs at least two sites")
     reduce = _reductions(rho)
+    norm = _norms(reduce)
 
     def verdict(j):
-        corr = _completely_correlated(reduce, j, tol)
+        corr = _completely_correlated(reduce, norm, j, tol)
         return SubsetDensityVerdict(corr, *_completely_entangled(reduce(j), tol))
 
     subsets, structures = _subset_structures(k, verdict, {

@@ -171,6 +171,14 @@ def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def random_density_matrix(rng: np.random.Generator, dims, rank: int) -> np.ndarray:
+    """Rank-`rank` density matrix over `dims` from complex normal vectors."""
+    n = int(np.prod(dims))
+    vecs = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    mat = vecs @ vecs.conj().T
+    return mat / np.trace(mat).real
+
+
 def oracle_completely_correlated(matrix: np.ndarray, dims, sites) -> bool:
     """Reduced-product comparison across every bipartition, all by index loops."""
     sites = sorted(sites)

@@ -14,16 +14,17 @@ from conexa.cli import main
 from conexa.connective import GroundSet, brunnian_structure, connective_order, generate_integral
 from conexa.serialize import (
     canonical_json,
+    density_to_dict,
     device_to_dict,
     distribution_to_dict,
     state_to_dict,
     structure_to_dict,
 )
 from conexa.devices import builtin_device
-from conexa.quantum import PureState, SiteLayout, builtin_state
+from conexa.quantum import DensityOperator, PureState, SiteLayout, builtin_state
 from conexa.randvars import realize_structure
 
-from helpers import random_state_vector
+from helpers import random_density_matrix, random_state_vector
 
 
 def run_cli(capsys, *argv):
@@ -344,15 +345,31 @@ REALIZED = {
     "chain 5": generate_integral(GroundSet(range(5)), [(0, 1, 2), (2, 3), (3, 4)]),
 }
 
+
+# Seeded operators for the mixed-path analyze-density goldens, built from
+# default_rng(19): a rank-2 5-qubit operator, and rho_A (x) rho_B on (2, 3)
+# and (2, 2), whose factorizing cut passes the norm bound and takes the
+# full product test.
+SEEDED_DENSITIES = {
+    "rank-2 5-qubit": lambda rng: ((2,) * 5, random_density_matrix(rng, (2,) * 5, 2)),
+    "product 23x22": lambda rng: ((2, 3, 2, 2), np.kron(
+        random_density_matrix(rng, (2, 3), 2), random_density_matrix(rng, (2, 2), 2)
+    )),
+}
+
 # sha256 of the canonical reports of the other engines: analyze-density and
-# order on the builtin states, analyze-device on the builtin
-# devices, analyze-rvs on the REALIZED families.  K is left out of `order`
-# for the reason given above.
+# order on the builtin states, analyze-density on SEEDED_DENSITIES,
+# analyze-device on the builtin devices, analyze-rvs on the REALIZED
+# families.  K is left out of `order` for the reason given above.
 GOLDEN_REPORTS = {
     ("analyze-density", "EPR"): "9bba03901656ad592f6113cbc9d7d9f1c99379e226e991b17665babe3a65af54",
     ("analyze-density", "GHZ"): "2dde1bb94d06f6410c2b84a72a885f05abcdc91b2ced92cc38c8f1f77f44a0f8",
     ("analyze-density", "O2"): "81b7156ac88e3b7de87869da90cd109e2b3b93abc19dcec072a14d2e0b44329f",
     ("analyze-density", "K"): "2dde1bb94d06f6410c2b84a72a885f05abcdc91b2ced92cc38c8f1f77f44a0f8",
+    ("analyze-density", "rank-2 5-qubit"):
+        "768443e1c19d1a1214d31d2aeac64560c1d511880982668bf5e1ad4d2f4bc77f",
+    ("analyze-density", "product 23x22"):
+        "37e1bb2626d55f04cfc327d39142cb5615640d520678bc30521360acd57fecb2",
     ("order", "EPR"): "344367186f409220408276ecad6f40ece801aa14628de6827ae77ba030049db6",
     ("order", "GHZ"): "344367186f409220408276ecad6f40ece801aa14628de6827ae77ba030049db6",
     ("order", "O2"): "feb8ea0c687514ea17fd886d55c0715284e37b9a44e67a6dbd19891627559f40",
@@ -372,6 +389,11 @@ def _golden_argv(command, name, tmp_path) -> list:
     if command == "analyze-rvs":
         path = tmp_path / "dist.json"
         path.write_text(json.dumps(distribution_to_dict(realize_structure(REALIZED[name]))))
+        return [command, "--file", str(path)]
+    if name in SEEDED_DENSITIES:
+        dims, matrix = SEEDED_DENSITIES[name](np.random.default_rng(19))
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(density_to_dict(DensityOperator(SiteLayout(dims), matrix))))
         return [command, "--file", str(path)]
     return [command, "--builtin", name]
 
@@ -684,20 +706,26 @@ def test_cap_must_be_a_positive_integer(value, capsys):
     assert f"argument --cap: must be an integer >= 1, got '{value}'" in captured.err
 
 
-# Each command with two input sources: both given, before any is read.
+# Arguments that exclude each other, two given, before any is read: each
+# command's two input sources, and two of builtin's requests.
 BOTH_INPUTS = {
-    "analyze-state": ["--builtin", "GHZ", "--file", "state.json"],
-    "analyze-density": ["--builtin", "GHZ", "--file", "state.json"],
-    "analyze-device": ["--builtin", "K", "--file", "device.json"],
-    "order": ["--builtin", "GHZ", "--file", "state.json"],
-    "derive-device": ["--builtin-state", "GHZ", "--state", "state.json", "--menus", "ZX"],
+    "analyze-state": ["analyze-state", "--builtin", "GHZ", "--file", "state.json"],
+    "analyze-density": ["analyze-density", "--builtin", "GHZ", "--file", "state.json"],
+    "analyze-device": ["analyze-device", "--builtin", "K", "--file", "device.json"],
+    "order": ["order", "--builtin", "GHZ", "--file", "state.json"],
+    "derive-device": [
+        "derive-device", "--builtin-state", "GHZ", "--state", "state.json", "--menus", "ZX"
+    ],
+    "builtin --state --device": ["builtin", "--state", "GHZ", "--device", "K"],
+    "builtin --list --state": ["builtin", "--list", "--state", "GHZ"],
+    "builtin --list --device": ["builtin", "--list", "--device", "K"],
 }
 
 
-@pytest.mark.parametrize("command", list(BOTH_INPUTS))
-def test_input_sources_are_mutually_exclusive(command, capsys):
+@pytest.mark.parametrize("case", list(BOTH_INPUTS))
+def test_input_sources_are_mutually_exclusive(case, capsys):
     with pytest.raises(SystemExit) as exit_:
-        main([command, *BOTH_INPUTS[command]])
+        main(BOTH_INPUTS[case])
     captured = capsys.readouterr()
     assert (exit_.value.code, captured.out) == (2, "")
     assert "not allowed with argument" in captured.err

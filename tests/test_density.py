@@ -1,5 +1,7 @@
 """Density-side structures: complete correlation, complete entanglement, orders."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,9 @@ from hypothesis import strategies as st
 
 from conexa.density import (
     VerdictQuality,
+    _norms,
+    _norms_allow_product,
+    _product,
     density_structures,
     total_order,
 )
@@ -31,6 +36,7 @@ from helpers import (
     oracle_completely_correlated,
     oracle_completely_entangled,
     power_set,
+    random_density_matrix,
     random_state_vector,
     structure,
 )
@@ -178,28 +184,20 @@ def test_total_order_reference_states():
     assert o2.omega_f == 2
 
 
-def _random_operator(rng, dims, rank):
-    """Rank-`rank` density matrix over `dims` from complex normal vectors."""
-    n = int(np.prod(dims))
-    vecs = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    mat = vecs @ vecs.conj().T
-    return mat / np.trace(mat).real
-
-
 @st.composite
 def density_cases(draw):
     """Dims in {1, 2, 3} on 2-4 sites, and a rank-1..3 operator or a permuted product."""
     dims = tuple(draw(st.lists(st.sampled_from((1, 2, 3)), min_size=2, max_size=4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if not draw(st.booleans()):
-        return dims, _random_operator(rng, dims, draw(st.integers(1, 3)))
+        return dims, random_density_matrix(rng, dims, draw(st.integers(1, 3)))
     # rho_A (x) rho_B on a random split of the sites, axes put back in order
     k = len(dims)
     order = draw(st.permutations(range(k)))
     split = draw(st.integers(1, k - 1))
     a, b = order[:split], order[split:]
     factors = [
-        _random_operator(rng, [dims[s] for s in part], draw(st.integers(1, 3)))
+        random_density_matrix(rng, [dims[s] for s in part], draw(st.integers(1, 3)))
         for part in (a, b)
     ]
     raw = np.kron(*factors).reshape([dims[s] for s in a + b] * 2)
@@ -224,6 +222,74 @@ def test_density_structures_match_oracles(case):
         assert verdict.completely_correlated == oracle_completely_correlated(matrix, dims, sites)
         entangled, quality = oracle_completely_entangled(matrix, dims, sites)
         assert (verdict.completely_entangled, verdict.quality.value) == (entangled, quality)
+
+
+def _uniform(n):
+    """|+><+| on dimension n: every entry 1/n, where the norm bound is tight."""
+    return np.full((n, n), 1 / n, dtype=complex)
+
+
+@st.composite
+def near_products(draw):
+    """(tol, cut, rho_A, rho_B, E): rho_A (x) rho_B on a random cut of 2-4
+    sites of dimension 1-3, and a Hermitian E with max |E| just under tol,
+    either random or of modulus max |E| in every entry, in phase with the
+    product."""
+    tol = draw(st.sampled_from((0.0, 1e-12, 1e-9, 1e-6)))
+    dims = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=2, max_size=4))
+    order = draw(st.permutations(range(len(dims))))
+    split = draw(st.integers(1, len(dims) - 1))
+    cut = tuple(tuple(sorted(part)) for part in (order[:split], order[split:]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sides = []
+    for part in cut:
+        side_dims = [dims[p] for p in part]
+        matrix = (random_density_matrix(rng, side_dims, draw(st.integers(1, 3)))
+                  if draw(st.booleans()) else _uniform(int(np.prod(side_dims))))
+        sides.append(DensityOperator(SiteLayout(side_dims), matrix))
+    scale = tol * draw(st.one_of(
+        st.floats(0, 1, exclude_max=True), st.sampled_from((1 - 2**-40, 1 - 2**-20))
+    ))
+    product = _product(sides, cut)
+    if draw(st.booleans()):
+        noise = rng.standard_normal(product.shape) + 1j * rng.standard_normal(product.shape)
+        noise += noise.conj().T
+    else:
+        noise = np.exp(1j * np.angle(product))
+    return tol, cut, *sides, noise * (scale / np.max(np.abs(noise)))
+
+
+def _bound_allows(reduced, rho_a, rho_b, tol):
+    """_norms_allow_product on the analysis's norms of rho_J, rho_A and rho_B."""
+    ops = {"J": SimpleNamespace(matrix=reduced), "A": rho_a, "B": rho_b}
+    norm = _norms(ops.__getitem__)
+    return _norms_allow_product(norm("J"), norm("A"), norm("B"), reduced.shape[0], tol)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(near_products())
+def test_norm_bound_keeps_every_cut_the_product_test_accepts(case):
+    # the bound only skips cuts: wherever the entrywise test accepts rho_J =
+    # rho_A (x) rho_B + E, the norms must leave the cut to that test
+    tol, cut, rho_a, rho_b, noise = case
+    product = _product([rho_a, rho_b], cut)
+    reduced = product + noise
+    if np.max(np.abs(product - reduced)) <= tol:
+        assert _bound_allows(reduced, rho_a, rho_b, tol)
+
+
+def test_norm_bound_is_tight_on_uniform_products():
+    # |+><+| (x) |+><+| + s tol J has a norm gap of exactly n s tol: kept
+    # just below s = 1, ruled out just above it
+    rho_a = DensityOperator(SiteLayout((2, 2)), _uniform(4))
+    rho_b = DensityOperator(SiteLayout((2,)), _uniform(2))
+    cut = ((0, 2), (1,))
+    product = _product([rho_a, rho_b], cut)
+    tol = 1e-6
+    for scale, allowed in ((1 - 2**-20, True), (1 + 2**-20, False)):
+        reduced = product + scale * tol
+        assert bool(np.max(np.abs(product - reduced)) <= tol) is allowed
+        assert _bound_allows(reduced, rho_a, rho_b, tol) is allowed
 
 
 def test_site_of_dimension_one_is_analyzed():
