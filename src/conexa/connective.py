@@ -119,17 +119,26 @@ def _bipartitions(positions) -> list:
 
 def _check_indices(indices, count: int, noun: str) -> tuple:
     """Distinct indices into `count` items, sorted; `noun` names an item."""
-    indices = tuple(sorted(int(i) for i in indices))
+    indices = tuple(sorted(map(int, indices)))
     if len(set(indices)) != len(indices):
         raise DomainError(f"duplicate {noun} indices: {indices}")
-    for i in indices:
-        if not 0 <= i < count:
-            raise DomainError(f"{noun} index {i} out of range for {count} {noun}s")
+    if indices and not 0 <= indices[0] <= indices[-1] < count:
+        i = next(i for i in indices if not 0 <= i < count)
+        raise DomainError(f"{noun} index {i} out of range for {count} {noun}s")
     return indices
 
 
 def _check_partition(part_a, part_b, count: int, noun: str) -> tuple:
-    """Two nonempty index sets, each sorted, that partition `count` items."""
+    """Two nonempty index sets, each sorted, that partition `count` items.
+
+    Two nonempty tuples of ints that hold 0..count-1 between them, as every
+    cut of `_bipartitions` does, pass on a type test and one comparison;
+    anything else goes through the detailed checks, which name the fault.
+    """
+    if type(part_a) is tuple is type(part_b) and part_a and part_b:
+        whole = part_a + part_b
+        if all(type(i) is int for i in whole) and sorted(whole) == list(range(count)):
+            return tuple(sorted(part_a)), tuple(sorted(part_b))
     a = _check_indices(part_a, count, noun)
     b = _check_indices(part_b, count, noun)
     if not a or not b:

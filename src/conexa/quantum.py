@@ -132,7 +132,24 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, positive, unit-trace matrix with site-dimension metadata."""
+    """Hermitian, positive, unit-trace matrix with site-dimension metadata.
+
+    The trace and the least eigenvalue are checked within tol plus a rounding
+    band, so that the float rounding of a positive operator rho of trace at
+    most 1 + tol passes even at tol = 0.  Rounding moves each entry by at most
+    u = eps / 2 of its size, and ||rho||_F <= tr rho <= 1 + tol.  So:
+
+    - the n rounded diagonal entries are off by at most u (1 + tol) together,
+      and summing them adds at most (n - 1) u (1 + tol) (Higham, *Accuracy
+      and Stability of Numerical Algorithms*, sec. 4.2): the trace band is
+      n eps (1 + tol);
+    - the rounding error E has ||E||_2 <= ||E||_F <= u (1 + tol), so the
+      least eigenvalue of the matrix is at least -u (1 + tol) (Weyl), and
+      eigvalsh is off by less than the 4 n (n + 1) eps ||mat||_F that
+      `_min_eig_below` allows it, with ||mat||_F <= (1 + u) (1 + tol): for
+      n <= MAX_TOTAL_DIM both together stay below the eigenvalue band
+      (4 n (n + 1) + 1) eps (1 + tol).
+    """
 
     layout: SiteLayout
     matrix: np.ndarray
@@ -145,9 +162,9 @@ class DensityOperator:
         if np.max(np.abs(mat - mat.conj().T)) > tol:
             raise DomainError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > tol:
+        if abs(tr - 1.0) > tol + n * _EPS * (1 + tol):
             raise DomainError(f"density matrix trace {tr} != 1 within tolerance")
-        if _min_eig_below(mat, -tol):
+        if _min_eig_below(mat, -tol - (4 * n * (n + 1) + 1) * _EPS * (1 + tol)):
             raise DomainError("density matrix has a significantly negative eigenvalue")
         mat.setflags(write=False)
         object.__setattr__(self, "layout", layout)

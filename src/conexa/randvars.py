@@ -54,35 +54,44 @@ class FiniteJointDistribution:
         outcomes = _check_labels(outcomes, "outcome")
         if not outcomes:
             raise DomainError("a joint distribution needs at least one variable")
+        k = len(outcomes)
         label_index = [{x: i for i, x in enumerate(labels)} for labels in outcomes]
-        rows, entries = {}, []
+        # each distinct value object is checked once: `checked` maps its id to
+        # (the object, its slot in `values`, or None when it is zero), and
+        # holding the object keeps the id from being reused by another value
+        checked, values, rows, entries = {}, [], {}, []
         exact = True
         for t, p in prob.items():
             t = tuple(t)
             row = tuple(map(dict.get, label_index, t))
-            if len(t) != len(outcomes) or None in row:
+            if len(t) != k or None in row:
                 raise DomainError(f"outcome tuple {t} is not well-typed")
-            if isinstance(p, bool):
-                raise DomainError(f"probability {p} for {t} is a boolean, not a number")
-            if isinstance(p, (int, Fraction)):
-                sign = p.numerator  # has p's sign, and is 0 with p
-            else:
-                p = sign = float(p)
-                exact = False
-            if not sign >= 0:  # also rejects NaN
-                raise DomainError(f"probability {p} for {t} is not >= 0")
-            if sign:
-                entries.append((rows.setdefault(row, len(rows)), p))
+            seen = checked.get(id(p))
+            if seen is None:
+                if isinstance(p, bool):
+                    raise DomainError(f"probability {p} for {t} is a boolean, not a number")
+                if isinstance(p, (int, Fraction)):
+                    value, sign = p, p.numerator  # has p's sign, and is 0 with p
+                else:
+                    value = sign = float(p)
+                    exact = False
+                if not sign >= 0:  # also rejects NaN
+                    raise DomainError(f"probability {value} for {t} is not >= 0")
+                seen = checked[id(p)] = (p, len(values) if sign else None)
+                if sign:
+                    values.append(value)
+            if seen[1] is not None:
+                entries.append((rows.setdefault(row, len(rows)), seen[1]))
         if not rows:
             raise DomainError("distribution support is empty")
         if exact:
-            scale = math.lcm(*(p.denominator for _, p in entries))
-            entries = [(r, p.numerator * (scale // p.denominator)) for r, p in entries]
+            scale = math.lcm(*(p.denominator for p in values))
+            values = [p.numerator * (scale // p.denominator) for p in values]
         else:
-            scale, entries = 1.0, [(r, float(p)) for r, p in entries]
+            scale, values = 1.0, [float(p) for p in values]
         weights = [0] * len(rows)
-        for r, w in entries:
-            weights[r] += w
+        for r, v in entries:
+            weights[r] += values[v]
         total = sum(weights)
         if exact and total != scale:
             raise DomainError(f"probabilities sum to {Fraction(total, scale)}, not 1")
@@ -91,7 +100,8 @@ class FiniteJointDistribution:
         dtype = float if not exact else np.int64 if scale * scale < 2**62 else object
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "_index", np.array(list(rows), dtype=np.int64))
+        index = np.fromiter(itertools.chain.from_iterable(rows), np.int64, len(rows) * k)
+        object.__setattr__(self, "_index", index.reshape(len(rows), k))
         object.__setattr__(self, "_weights", np.array(weights, dtype=dtype))
         object.__setattr__(self, "_scale", scale)
 
@@ -119,40 +129,57 @@ class FiniteJointDistribution:
 
 
 def _marginals(dist: FiniteJointDistribution):
-    """(row ids, sums) of the marginal on each sorted position tuple, each computed once.
+    """(ids, sums): the marginal on each sorted position tuple, each part computed once.
 
-    Rows agreeing on the positions share an id, and the ids count up from 0
-    to the marginal's support size; sums[id] adds up the rows' weights in
-    row order.  The id on a tuple refines the id on its prefix by the last
-    position's outcome index, so it stays below the row count: no dense array
-    over the product of the alphabets is ever built.
+    ids(positions) is (row ids, support size): rows agreeing on the positions
+    share an id, and the ids count up from 0 in the order of the marginal's
+    outcome indices.  The key on a tuple refines the ids on its prefix by the
+    last position's outcome index, so it stays below the row count times that
+    alphabet, and the ids rank the keys (a stable argsort, a flag where the
+    sorted key changes, a cumsum), exactly as np.unique(key,
+    return_inverse=True) would: no array over the product of the alphabets,
+    nor over rows times an alphabet, is ever built.  sums(positions)[id] adds
+    up the rows' weights in row order; it is formed only when asked for.
     """
     index, weights = dist._index, dist._weights
 
     @functools.cache
-    def marg(positions: tuple) -> tuple:
-        if positions:
-            *prefix, last = positions
-            key = marg(tuple(prefix))[0] * len(dist.outcomes[last]) + index[:, last]
-            ids = np.unique(key, return_inverse=True)[1]
-        else:
-            ids = np.zeros(len(weights), dtype=np.int64)
-        sums = np.zeros(ids.max() + 1, dtype=weights.dtype)
-        np.add.at(sums, ids, weights)
-        return ids, sums
+    def ids(positions: tuple) -> tuple:
+        if not positions:
+            return np.zeros(len(weights), dtype=np.int64), 1
+        *prefix, last = positions
+        key = ids(tuple(prefix))[0] * len(dist.outcomes[last]) + index[:, last]
+        order = key.argsort(kind="stable")
+        ranked = key[order]
+        ranks = np.empty(len(key), dtype=np.int64)
+        ranks[0] = 0
+        np.not_equal(ranked[1:], ranked[:-1], out=ranks[1:])
+        ranks.cumsum(out=ranks)
+        row_ids = np.empty_like(ranks)
+        row_ids[order] = ranks
+        return row_ids, int(ranks[-1]) + 1
 
-    return marg
+    @functools.cache
+    def sums(positions: tuple) -> np.ndarray:
+        row_ids, size = ids(positions)
+        out = np.zeros(size, dtype=weights.dtype)
+        np.add.at(out, row_ids, weights)
+        return out
+
+    return ids, sums
 
 
 def marginal(dist: FiniteJointDistribution, positions) -> dict:
     """Marginal table over the given variable positions (sorted)."""
     positions = _check_indices(positions, dist.variables, "variable")
-    ids, sums = _marginals(dist)(positions)
-    first = np.sort(np.unique(ids, return_index=True)[1])
+    ids, sums = _marginals(dist)
+    row_ids = ids(positions)[0]
+    first = np.sort(np.unique(row_ids, return_index=True)[1])
     value = (lambda w: Fraction(int(w), dist._scale)) if dist.exact else float
+    weight = sums(positions)
     return {
-        tuple(dist.outcomes[p][row[p]] for p in positions): value(sums[i])
-        for row, i in zip(dist._index[first].tolist(), ids[first].tolist())
+        tuple(dist.outcomes[p][row[p]] for p in positions): value(weight[i])
+        for row, i in zip(dist._index[first].tolist(), row_ids[first].tolist())
     }
 
 
@@ -162,16 +189,20 @@ def _independence(dist: FiniteJointDistribution, tol: float):
     The joint support on a|b must be the product of the two marginal supports,
     and on every row the joint weight times the scale must match the product
     of the marginal weights within tol, which is 0 for exact tables: their
-    integer counts make that equality exact.
+    integer counts make that equality exact.  Most cuts fail on the support
+    sizes, and then no weight is summed.
     """
-    marg, scale = _marginals(dist), dist._scale
+    ids, sums = _marginals(dist)
+    scale = dist._scale
     tol = 0 if dist.exact else tol
 
     def independent(a: tuple, b: tuple) -> bool:
-        (ids, joint), (ids_a, wa), (ids_b, wb) = marg(tuple(sorted(a + b))), marg(a), marg(b)
-        if len(joint) != len(wa) * len(wb):
+        j = tuple(sorted(a + b))
+        (ids_j, size), (ids_a, size_a), (ids_b, size_b) = ids(j), ids(a), ids(b)
+        if size != size_a * size_b:
             return False
-        return bool(np.all(np.abs(joint[ids] * scale - wa[ids_a] * wb[ids_b]) <= tol))
+        products = sums(a)[ids_a] * sums(b)[ids_b]
+        return bool(np.all(np.abs(sums(j)[ids_j] * scale - products) <= tol))
 
     return independent
 

@@ -198,8 +198,19 @@ def distribution_to_dict(dist: FiniteJointDistribution) -> dict:
 
 
 def distribution_from_dict(data: Mapping, tol: float = DEFAULT_TOL) -> FiniteJointDistribution:
+    """The table with each distinct probability string parsed once: its
+    entries share one value, which the constructor then checks once."""
     k = len(data["outcomes"])
-    prob = {t: _prob_from_json(value) for t, value in _split_keys(data["prob"], k).items()}
+    parsed = {}
+
+    def parse(value):
+        if not isinstance(value, str):
+            return _prob_from_json(value)
+        if value not in parsed:
+            parsed[value] = _prob_from_json(value)
+        return parsed[value]
+
+    prob = {t: parse(value) for t, value in _split_keys(data["prob"], k).items()}
     return FiniteJointDistribution(data["outcomes"], prob, tol=tol)
 
 

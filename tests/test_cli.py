@@ -643,6 +643,28 @@ def test_analyze_density_tol_reaches_input_check(tmp_path, capsys):
     assert load_report(out)["result"]["orders"]["omega_f"] == 0
 
 
+def test_analyze_density_tol_zero_accepts_a_rounded_operator(tmp_path, capsys):
+    # the seeded rank-2 5-qubit operator: its trace and least eigenvalue miss
+    # 1 and 0 by rounding alone, which the input checks' band absorbs
+    argv = _golden_argv("analyze-density", "rank-2 5-qubit", tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--tol", "0")
+    assert (code, err) == (0, "")
+    assert load_report(out)["tolerance"] == 0
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-9"])
+def test_analyze_density_refuses_an_eigenvalue_beyond_rounding(tol, tmp_path, capsys):
+    # diag(1/4 + 1e-6, 1/4, 1/2, -1e-6): unit trace, least eigenvalue -1e-6
+    rows = _identity4()
+    for i, value in enumerate((0.25 + 1e-6, 0.25, 0.5, -1e-6)):
+        rows[i][i] = [value, 0.0]
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": rows}))
+    code, out, err = run_cli(capsys, "analyze-density", "--file", str(path), "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err == "error: density matrix has a significantly negative eigenvalue\n"
+
+
 def test_derive_device_tol_reaches_menu_observables(tmp_path, capsys):
     # Z with a 1e-8 off-diagonal asymmetry: an observable within 1e-6 only
     z = [[[1, 0], [1e-8, 0]], [[0, 0], [-1, 0]]]

@@ -7,6 +7,7 @@ import pytest
 
 from conexa.connective import (
     GroundSet,
+    _bipartitions,
     _check_indices,
     _check_labels,
     _check_partition,
@@ -244,6 +245,28 @@ def test_partition_rule_is_shared():
     with pytest.raises(DomainError, match="nonempty"):
         _check_partition([], [0, 1, 2], 3, "site")
     assert _check_partition([2], [1, 0], 3, "site") == ((2,), (0, 1))
+
+
+def test_partition_shortcut_agrees_with_the_detailed_checks():
+    # the cuts of _bipartitions take the shortcut; any other spelling of
+    # a cut, or a fault, takes the detailed checks
+    for k in range(2, 6):
+        for a, b in _bipartitions(range(k)):
+            assert _check_partition(a, b, k, "site") == (a, b)
+            assert _check_partition(b[::-1], list(a), k, "site") == (b, a)
+    cut = _check_partition((np.int64(2), 0.0), [True], 3, "site")
+    assert cut == ((0, 2), (1,)) and {type(i) for part in cut for i in part} == {int}
+    faults = {
+        ((0, 1), (1, 2)): "(0, 1) and (1, 2) do not partition the 3 sites",
+        ((0,), (1,)): "(0,) and (1,) do not partition the 3 sites",
+        ((0, 0), (1, 2)): "duplicate site indices: (0, 0)",
+        ((0, 1), (3,)): "site index 3 out of range for 3 sites",
+        ((), (0, 1, 2)): "both parts of a bipartition must be nonempty",
+    }
+    for (a, b), message in faults.items():
+        with pytest.raises(DomainError) as caught:
+            _check_partition(a, b, 3, "site")
+        assert str(caught.value) == message
 
 
 def _label_calls(labels):

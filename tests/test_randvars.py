@@ -6,8 +6,11 @@ import itertools
 import math
 import operator
 import random
+from collections.abc import Mapping
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,12 +20,13 @@ from conexa.quantum import DEFAULT_TOL
 from conexa.randvars import (
     FiniteJointDistribution,
     _independence,
+    _marginals,
     brunnian_family,
     marginal,
     realize_structure,
     rv_analysis,
 )
-from conexa.serialize import canonical_json, distribution_to_dict
+from conexa.serialize import canonical_json, distribution_from_dict, distribution_to_dict
 
 from helpers import (
     all_integral_structures,
@@ -260,6 +264,77 @@ def test_sparse_table_over_large_alphabets():
         (alphabet[0], alphabet[0]): Fraction(1, 4), (alphabet[0], alphabet[-1]): Fraction(1, 4),
         (alphabet[-1], alphabet[-1]): Fraction(1, 4), (alphabet[-1], alphabet[0]): Fraction(1, 4),
     }
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "probability True for ('1',) is a boolean, not a number"),
+    (Fraction(-1, 4), "probability -1/4 for ('1',) is not >= 0"),
+    (-0.25, "probability -0.25 for ('1',) is not >= 0"),
+])
+def test_repeated_bad_value_object_names_its_first_entry(value, message):
+    # one object on two entries is checked once, on the first of them
+    prob = {("0",): Fraction(1, 2), ("1",): value, ("2",): value}
+    with pytest.raises(DomainError) as caught:
+        FiniteJointDistribution((("0", "1", "2"),), prob)
+    assert str(caught.value) == message
+
+
+class FreshValues(Mapping):
+    """A table whose items() builds a new value object for every entry on each
+    call, so that a freed value's id can come back two entries later."""
+
+    def __init__(self, table, kind):
+        self._table, self._kind = table, kind
+
+    def __getitem__(self, key):
+        return self._kind(self._table[key])
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self):
+        return len(self._table)
+
+
+@pytest.mark.parametrize("kind, values", [
+    # a zero value is held by no row, a Decimal only as its float copy
+    (Fraction, (0, Fraction(1, 4), Fraction(3, 4), 0)),
+    (Decimal, (0.125, 0.375, 0.0625, 0.4375)),
+])
+def test_values_are_told_apart_when_each_entry_is_a_new_object(kind, values):
+    table = dict(zip(itertools.product("01", repeat=2), values))
+    fresh = FiniteJointDistribution((("0", "1"),) * 2, FreshValues(table, kind))
+    plain = FiniteJointDistribution((("0", "1"),) * 2, table)
+    assert fresh.exact == plain.exact == (kind is Fraction)
+    assert fresh._index.tolist() == plain._index.tolist()
+    assert fresh._weights.tolist() == plain._weights.tolist()
+    assert fresh._scale == plain._scale
+
+
+def test_large_alphabets_and_support_decode_and_rank():
+    # x, y uniform on 64 values and z = x + y mod 64: 4,096 rows, each value
+    # spread over a 4,096-label alphabet; one probability string for them all
+    alphabet = [str(v) for v in range(4096)]
+    label = [alphabet[64 * v + v % 7] for v in range(64)]
+    data = {
+        "outcomes": [alphabet] * 3,
+        "prob": {
+            ",".join((label[x], label[y], label[(x + y) % 64])): "1/4096"
+            for x in range(64) for y in range(64)
+        },
+    }
+    dist = distribution_from_dict(data)
+    assert dist._index.shape == (4096, 3) and dist._scale == 4096
+    assert set(dist._weights.tolist()) == {1}
+    report = rv_analysis(dist)
+    assert (report.structure, report.raw_generators) == (borromean(3), ((1, 2, 3),))
+    # the ranked ids are np.unique's inverse over the rows' outcome indices
+    ids = _marginals(dist)[0]
+    for r in (1, 2, 3):
+        for positions in itertools.combinations(range(3), r):
+            row_ids, size = ids(positions)
+            unique, inverse = np.unique(dist._index[:, positions], axis=0, return_inverse=True)
+            assert size == len(unique) and row_ids.tolist() == inverse.ravel().tolist()
 
 
 @st.composite

@@ -132,6 +132,19 @@ def test_probability_strings_decode_as_fractions_do(text):
     assert type(value) is Fraction and value == Fraction(text)
 
 
+@pytest.mark.parametrize("value, message", [
+    ("-1/4", "probability -1/4 for ('1',) is not >= 0"),
+    ("-0.25", "probability -1/4 for ('1',) is not >= 0"),
+    (True, "probability true is a boolean, not a number"),
+])
+def test_repeated_bad_probability_names_its_first_entry(value, message):
+    # each distinct string is parsed and checked once, on its first entry
+    data = {"outcomes": [["0", "1", "2"]], "prob": {"0": "1/2", "1": value, "2": value}}
+    with pytest.raises(DomainError) as caught:
+        distribution_from_dict(data)
+    assert str(caught.value) == message
+
+
 def test_canonical_json_is_stable():
     payload = {"b": 1, "a": [3, 2]}
     assert canonical_json(payload) == canonical_json({"a": [3, 2], "b": 1})
