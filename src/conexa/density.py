@@ -43,9 +43,10 @@ from .quantum import (
     DensityOperator,
     PureState,
     Verdict,
+    _frobenius,
     _separable_cuts,
     partial_trace,
-    ppt_is_separable,
+    ppt_verdicts,
     purity,
 )
 
@@ -87,11 +88,7 @@ def _reductions(rho: DensityOperator):
 
 def _norms(reduce):
     """Frobenius norm of each reduction by site tuple, each computed once."""
-    def norm(sites):
-        mat = reduce(sites).matrix
-        return math.sqrt(np.vdot(mat, mat).real)
-
-    return functools.cache(norm)
+    return functools.cache(lambda sites: _frobenius(reduce(sites).matrix))
 
 
 def _norms_allow_product(norm_j: float, norm_a: float, norm_b: float, n: int,
@@ -148,21 +145,18 @@ def _completely_correlated(reduce, norm, j: tuple, tol: float) -> bool:
 
 
 def _completely_entangled(reduced: DensityOperator, tol: float) -> tuple:
-    cuts = _bipartitions(range(reduced.layout.sites))
     if abs(purity(reduced) - 1.0) <= tol:
         top = np.linalg.eigh(reduced.matrix)[1][:, -1]
+        cuts = _bipartitions(range(reduced.layout.sites))
         split = _separable_cuts(top, reduced.layout.dims, cuts, tol)
         return not split.any(), VerdictQuality.EXACT
     # positive partial transpose is only necessary for separability: an
     # inconclusive cut counts as separable but degrades the quality flag, so
-    # the first one settles both and the remaining cuts are not tested
-    entangled = True
-    for a, b in cuts:
-        verdict = ppt_is_separable(reduced, a, b, tol=tol)
-        if verdict is Verdict.PPT_INCONCLUSIVE:
-            return False, VerdictQuality.PPT_NECESSARY
-        entangled = entangled and verdict is Verdict.ENTANGLED
-    return entangled, VerdictQuality.EXACT
+    # the first one settles both and ends the pass over the cuts
+    verdicts = ppt_verdicts(reduced, tol=tol)
+    if verdicts[-1] is Verdict.PPT_INCONCLUSIVE:
+        return False, VerdictQuality.PPT_NECESSARY
+    return all(v is Verdict.ENTANGLED for v in verdicts), VerdictQuality.EXACT
 
 
 def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> DensityReport:

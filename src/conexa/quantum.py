@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .connective import _check_indices, _check_partition
+from .connective import _bipartitions, _check_indices, _check_partition
 from .errors import DomainError
 
 DEFAULT_TOL = 1e-9
@@ -164,7 +164,8 @@ class DensityOperator:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > tol + n * _EPS * (1 + tol):
             raise DomainError(f"density matrix trace {tr} != 1 within tolerance")
-        if _min_eig_below(mat, -tol - (4 * n * (n + 1) + 1) * _EPS * (1 + tol)):
+        bound = -tol - (4 * n * (n + 1) + 1) * _EPS * (1 + tol)
+        if _min_eig_below(mat, bound, _frobenius(mat)):
             raise DomainError("density matrix has a significantly negative eigenvalue")
         mat.setflags(write=False)
         object.__setattr__(self, "layout", layout)
@@ -401,24 +402,34 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 
 def purity(rho: DensityOperator) -> float:
     """tr(rho^2); equals 1 within tolerance exactly for rank-1 operators."""
-    return float(np.trace(rho.matrix @ rho.matrix).real)
+    return float(np.einsum("ij,ji->", rho.matrix, rho.matrix).real)
+
+
+def _transposed(tens: np.ndarray, sites) -> np.ndarray:
+    """An operator's tensor (k ket axes, then k bra axes) with the ket and
+    bra axes of `sites` swapped: a view, no copy."""
+    k = tens.ndim // 2
+    perm = list(range(2 * k))
+    for s in sites:
+        perm[s], perm[k + s] = perm[k + s], perm[s]
+    return tens.transpose(perm)
 
 
 def partial_transpose(rho: DensityOperator, sites) -> np.ndarray:
     """Matrix of the partial transpose over the given sites."""
     sites = _check_indices(sites, rho.layout.sites, "site")
-    k = rho.layout.sites
-    dims = rho.layout.dims
-    tens = rho.matrix.reshape(dims + dims)
-    perm = list(range(2 * k))
-    for s in sites:
-        perm[s], perm[k + s] = perm[k + s], perm[s]
     n = rho.layout.total_dim
-    return np.transpose(tens, perm).reshape(n, n)
+    return _transposed(rho.matrix.reshape(rho.layout.dims * 2), sites).reshape(n, n)
 
 
-def _min_eig_below(mat: np.ndarray, bound: float) -> bool:
-    """Whether `float(np.linalg.eigvalsh(mat)[0]) < bound`, decided by Cholesky.
+def _frobenius(mat: np.ndarray) -> float:
+    return math.sqrt(np.vdot(mat, mat).real)
+
+
+def _min_eig_below(mat: np.ndarray, bound: float, norm: float) -> bool:
+    """Whether `float(np.linalg.eigvalsh(mat.reshape(n, n))[0]) < bound`,
+    decided by Cholesky, for an array `mat` of n^2 entries with Frobenius
+    norm `norm`.
 
     Cholesky of a Hermitian H succeeds in floating point when its least
     eigenvalue exceeds the rounding margin delta, and fails when it is below
@@ -428,16 +439,19 @@ def _min_eig_below(mat: np.ndarray, bound: float) -> bool:
     that the zero matrix gets a band too.  A failed factorization of
     mat - (bound - 2 delta) I puts the least eigenvalue below bound, and a
     successful one of mat - (bound + 2 delta) I puts it above; only inside
-    that band, or when the norm overflows, does eigvalsh decide.  `mat`
-    itself is never written: a partial transpose can be a view of a
-    read-only operator.
+    that band, or when the norm overflows, does eigvalsh decide.
+
+    The norm is the caller's: a partial transpose only permutes the entries
+    of rho, so rho's norm, computed once, gives every cut the same band.
+    `mat` may be a transposed view of rho's tensor, copied once into the
+    matrix that is factorized; it is never written, since it can be a view
+    of a read-only operator.
     """
-    n = mat.shape[0]
-    norm = math.sqrt(np.vdot(mat, mat).real)
+    n = math.isqrt(mat.size)
     delta = 4 * n * (n + 1) * _EPS * (norm + abs(bound)) + _TINY
     if not math.isfinite(delta):
-        return float(np.linalg.eigvalsh(mat)[0]) < bound
-    work = np.array(mat, order="C")
+        return float(np.linalg.eigvalsh(mat.reshape(n, n))[0]) < bound
+    work = mat.copy().reshape(n, n)
     diagonal = work.reshape(-1)[:: n + 1]
     diagonal -= bound - 2 * delta
     try:
@@ -448,8 +462,23 @@ def _min_eig_below(mat: np.ndarray, bound: float) -> bool:
     try:
         np.linalg.cholesky(work)
     except np.linalg.LinAlgError:
-        return float(np.linalg.eigvalsh(mat)[0]) < bound
+        return float(np.linalg.eigvalsh(mat.reshape(n, n))[0]) < bound
     return False
+
+
+def _ppt_verdict(tens: np.ndarray, a: tuple, b: tuple, norm: float, tol: float) -> Verdict:
+    """The Peres-Horodecki verdict on the cut a|b of the operator with tensor
+    `tens` (k ket axes, then k bra axes) and Frobenius norm `norm`; the cut
+    is not checked."""
+    da = math.prod(tens.shape[s] for s in a)
+    db = math.prod(tens.shape[s] for s in b)
+    if min(da, db) == 1:
+        return Verdict.SEPARABLE
+    if _min_eig_below(_transposed(tens, b), -tol, norm):
+        return Verdict.ENTANGLED
+    if (da, db) in {(2, 2), (2, 3), (3, 2)}:
+        return Verdict.SEPARABLE
+    return Verdict.PPT_INCONCLUSIVE
 
 
 def ppt_is_separable(rho: DensityOperator, j1, j2, tol: float = DEFAULT_TOL) -> Verdict:
@@ -466,15 +495,27 @@ def ppt_is_separable(rho: DensityOperator, j1, j2, tol: float = DEFAULT_TOL) -> 
     between the two shifts is computed by eigvalsh.
     """
     a, b = _check_partition(j1, j2, rho.layout.sites, "site")
-    da = math.prod(rho.layout.dims[s] for s in a)
-    db = math.prod(rho.layout.dims[s] for s in b)
-    if min(da, db) == 1:
-        return Verdict.SEPARABLE
-    if _min_eig_below(partial_transpose(rho, b), -tol):
-        return Verdict.ENTANGLED
-    if (da, db) in {(2, 2), (2, 3), (3, 2)}:
-        return Verdict.SEPARABLE
-    return Verdict.PPT_INCONCLUSIVE
+    tens = rho.matrix.reshape(rho.layout.dims * 2)
+    return _ppt_verdict(tens, a, b, _frobenius(rho.matrix), tol)
+
+
+def ppt_verdicts(rho: DensityOperator, tol: float = DEFAULT_TOL) -> tuple:
+    """`ppt_is_separable` on every bipartition of rho's sites, in one pass.
+
+    The cuts come in the order of `connective._bipartitions`, and the pass
+    ends at the first PPT_INCONCLUSIVE verdict: a tuple shorter than the
+    list of cuts ends with that verdict.  rho's norm is computed once for
+    every cut's rounding band, and each cut's partial transpose is copied
+    once, into the matrix that is factorized.
+    """
+    tens = rho.matrix.reshape(rho.layout.dims * 2)
+    norm = _frobenius(rho.matrix)
+    verdicts = []
+    for a, b in _bipartitions(range(rho.layout.sites)):
+        verdicts.append(_ppt_verdict(tens, a, b, norm, tol))
+        if verdicts[-1] is Verdict.PPT_INCONCLUSIVE:
+            break
+    return tuple(verdicts)
 
 
 # ---------------------------------------------------------------------------

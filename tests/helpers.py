@@ -171,6 +171,12 @@ def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A Haar-random n x n unitary: QR of a complex normal matrix, phases fixed."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_density_matrix(rng: np.random.Generator, dims, rank: int) -> np.ndarray:
     """Rank-`rank` density matrix over `dims` from complex normal vectors."""
     n = int(np.prod(dims))

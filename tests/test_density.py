@@ -1,5 +1,6 @@
 """Density-side structures: complete correlation, complete entanglement, orders."""
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,7 @@ from helpers import (
     all_integral_structures,
     borromean,
     discrete,
+    haar_unitary,
     horodecki_2x4,
     oracle_completely_correlated,
     oracle_completely_entangled,
@@ -222,6 +224,71 @@ def test_density_structures_match_oracles(case):
         assert verdict.completely_correlated == oracle_completely_correlated(matrix, dims, sites)
         entangled, quality = oracle_completely_entangled(matrix, dims, sites)
         assert (verdict.completely_entangled, verdict.quality.value) == (entangled, quality)
+
+
+def _noisy(amplitudes, p):
+    """(1 - p) |psi><psi| + p I / n for the normalized amplitudes psi."""
+    v = np.asarray(amplitudes, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return (1 - p) * np.outer(v, v.conj()) + p * np.eye(len(v)) / len(v)
+
+
+_W = [0, 1, 1, 0, 1, 0, 0, 0]
+_BELL_PLUS = np.kron([1, 0, 0, 1], [1, 1])
+
+# On every cut of every subset, the least partial-transpose eigenvalue of
+# these operators is 0 (GHZ and K at p = 0.8, Bell (x) |+>) or at least 0.005
+# from it, and the largest entry of rho_J - rho_A (x) rho_B is 0 or at least
+# 0.05 in modulus: each verdict is decided far from tol, where the rounding of
+# a local rotation cannot move it.
+_LU_CASES = [
+    _noisy(amplitudes, p)
+    for amplitudes in (builtin_state("GHZ").amplitudes, builtin_state("K").amplitudes, _W)
+    for p in (0, 0.3, 0.8)
+] + [_noisy(_BELL_PLUS, 0)]
+
+
+@pytest.mark.parametrize("matrix", _LU_CASES)
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_density_structures_are_local_unitary_invariant(matrix, seed):
+    # every structure is defined by quantifiers over all local frames, so
+    # (U_1 (x) U_2 (x) U_3) rho (...)^dagger gets every verdict and flag of rho
+    rng = np.random.default_rng(seed)
+    u = functools.reduce(np.kron, [haar_unitary(rng, 2) for _ in range(3)])
+    layout = SiteLayout((2, 2, 2))
+    turned = density_structures(DensityOperator(layout, u @ matrix @ u.conj().T))
+    assert turned.subsets == density_structures(DensityOperator(layout, matrix)).subsets
+
+
+_NAMED = [((2, 2, 2), builtin_state(name).density().matrix) for name in ("GHZ", "O2", "K")] + [
+    ((2, 2, 3), np.kron(builtin_state("EPR").density().matrix, np.eye(3) / 3)),
+    ((2, 2, 2, 2), np.kron(builtin_state("GHZ").density().matrix, _noisy([1, 1j], 0))),
+]
+
+
+@st.composite
+def permuted_cases(draw):
+    """A named or drawn operator, and a permutation of its sites."""
+    dims, matrix = draw(st.one_of(st.sampled_from(_NAMED), density_cases()))
+    return dims, matrix, draw(st.permutations(range(len(dims))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(permuted_cases())
+def test_site_permutation_permutes_every_verdict(case):
+    # site i of the moved operator is site perm[i] of rho: the verdict on a
+    # subset of the moved sites is rho's verdict on its image
+    dims, matrix, perm = case
+    k, n = len(dims), len(matrix)
+    moved = np.transpose(matrix.reshape(dims * 2), [*perm, *(k + p for p in perm)])
+    before = density_structures(DensityOperator(SiteLayout(dims), matrix)).subsets
+    after = density_structures(
+        DensityOperator(SiteLayout(dims[p] for p in perm), moved.reshape(n, n))
+    ).subsets
+    assert len(after) == len(before)
+    for labels, verdict in after.items():
+        assert verdict == before[tuple(sorted(perm[s - 1] + 1 for s in labels))], labels
 
 
 def _uniform(n):

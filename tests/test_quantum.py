@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conexa.connective import _bipartitions
 from conexa.devices import derive_device
 from conexa.errors import DomainError
 from conexa.quantum import (
@@ -29,16 +30,19 @@ from conexa.quantum import (
     pauli_x,
     pauli_z,
     ppt_is_separable,
+    ppt_verdicts,
     purity,
     tensor_state,
 )
 
 from helpers import (
+    haar_unitary,
     horodecki_2x4,
     oracle_device_relation,
     oracle_measure,
     oracle_partial_trace,
     oracle_partial_transpose,
+    random_density_matrix,
     random_state_vector,
     tiles_upb,
 )
@@ -519,15 +523,10 @@ def test_ppt_inconclusive_beyond_low_dimensions():
     assert ppt_is_separable(epr, [0], [1, 2]) is Verdict.SEPARABLE
 
 
-def _haar_unitary(rng, n):
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _planted(rng, n, lowest):
     """U diag(lambda) U^dagger with least eigenvalue `lowest` and the rest above it."""
     spectrum = np.concatenate([[lowest], lowest + rng.random(n - 1)])
-    u = _haar_unitary(rng, n)
+    u = haar_unitary(rng, n)
     return (u * spectrum) @ u.conj().T
 
 
@@ -548,7 +547,7 @@ def test_min_eig_below_agrees_with_eigvalsh(k, n, bound, seed):
     mat = _planted(np.random.default_rng(seed), n, bound + k * delta)
     want = float(np.linalg.eigvalsh(mat)[0]) < bound
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
-        got = _min_eig_below(mat, bound)
+        got = _min_eig_below(mat, bound, np.linalg.norm(mat))
     assert got == want
     # eigvalsh decides only inside the +-2 delta band around the bound
     assert spy.call_count == 0 or abs(k) <= 2
@@ -557,7 +556,7 @@ def test_min_eig_below_agrees_with_eigvalsh(k, n, bound, seed):
 def test_min_eig_below_leaves_its_input_unwritten():
     # a side of dimension 1 makes the partial transpose a view of rho.matrix
     rho = PureState(SiteLayout((1, 2)), [1, 0]).density()
-    assert _min_eig_below(partial_transpose(rho, [0]), 0.5)
+    assert _min_eig_below(partial_transpose(rho, [0]), 0.5, 1.0)
     assert np.array_equal(rho.matrix, [[1, 0], [0, 0]])
 
 
@@ -594,6 +593,70 @@ def test_werner_state_is_entangled_exactly_above_one_third(p):
     want = Verdict.ENTANGLED if p > 1 / 3 else Verdict.SEPARABLE
     assert ppt_is_separable(rho, [0], [1]) is want
     assert ppt_is_separable(rho, [1], [0]) is want
+
+
+def _oracle_ppt(matrix, dims, a, b, tol):
+    """The Peres-Horodecki verdict on the cut a|b from eigvalsh of the oracle
+    partial transpose."""
+    da = math.prod(dims[s] for s in a)
+    db = math.prod(dims[s] for s in b)
+    if min(da, db) == 1:
+        return Verdict.SEPARABLE
+    if np.linalg.eigvalsh(oracle_partial_transpose(matrix, dims, b))[0] < -tol:
+        return Verdict.ENTANGLED
+    return Verdict.SEPARABLE if {da, db} in ({2}, {2, 3}) else Verdict.PPT_INCONCLUSIVE
+
+
+def _least_pt_eigenvalue_at(sigma, dims, b, target):
+    """(1 - p) sigma + p I / n: white noise moves the least eigenvalue of the
+    partial transpose over b from sigma's (below target) to target."""
+    n = len(sigma)
+    mu = np.linalg.eigvalsh(oracle_partial_transpose(sigma, dims, b))[0]
+    p = (target - mu) / (1 / n - mu)
+    assert 0 < p < 1
+    return (1 - p) * sigma + p * np.eye(n) / n
+
+
+def _maximally_correlated(dims):
+    """sum_i |i ... i> / sqrt(m) on dims, m the least local dimension, as a projector."""
+    m = min(dims)
+    v = np.zeros(math.prod(dims))
+    v[[np.ravel_multi_index([i] * len(dims), dims) for i in range(m)]] = 1 / math.sqrt(m)
+    return np.outer(v, v).astype(complex)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+@pytest.mark.parametrize("kind", ["werner", "rank1", "rank2"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 2, 2)])
+def test_ppt_verdicts_at_the_rounding_band(dims, kind, tol):
+    # each cut's least partial-transpose eigenvalue is placed at -tol and at
+    # -tol +- {1, 10} delta, with delta the band of rho's own norm: every
+    # verdict of the one-pass decision and of ppt_is_separable is eigvalsh's
+    rng = np.random.default_rng(sum(dims) * 10 + len(kind))
+    sigma = (_maximally_correlated(dims) if kind == "werner"
+             else random_density_matrix(rng, dims, int(kind[-1])))
+    cuts = _bipartitions(range(len(dims)))
+    for a, b in cuts:
+        if min(math.prod(dims[s] for s in side) for side in (a, b)) == 1:
+            continue
+        delta = _margin(_least_pt_eigenvalue_at(sigma, dims, b, -tol), -tol)
+        for k in (-10, -1, 0, 1, 10):
+            matrix = _least_pt_eigenvalue_at(sigma, dims, b, -tol + k * delta)
+            least = np.linalg.eigvalsh(oracle_partial_transpose(matrix, dims, b))[0]
+            assert abs(least - (-tol + k * delta)) < delta / 4
+            rho = DensityOperator(SiteLayout(dims), matrix)
+            want = [_oracle_ppt(matrix, dims, *cut, tol) for cut in cuts]
+            if Verdict.PPT_INCONCLUSIVE in want:
+                want = want[: want.index(Verdict.PPT_INCONCLUSIVE) + 1]
+            with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+                assert ppt_verdicts(rho, tol=tol) == tuple(want)
+            # once the pass reaches the cut, eigvalsh decides it at the
+            # bound; ten deltas out, the factorizations decide every cut
+            if k == 0 and cuts.index((a, b)) < len(want):
+                assert spy.call_count > 0
+            assert spy.call_count == 0 or abs(k) < 10
+            for cut in cuts:
+                assert ppt_is_separable(rho, *cut, tol=tol) is _oracle_ppt(matrix, dims, *cut, tol)
 
 
 def test_state_normalization_and_zero_rejection():
