@@ -13,6 +13,7 @@ are single integer operations.  Ground sets are capped at 24 points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -102,19 +103,21 @@ class ConnectiveStructure:
         return f"ConnectiveStructure({list(self.ground.labels)}: {' '.join(parts)})"
 
 
-def _bipartitions(positions) -> list:
+@functools.cache
+def _bipartitions(positions) -> tuple:
     """Unordered bipartitions (a, b) of the positions, a holding the first one.
 
     Sizes of a ascend and members follow `itertools.combinations` order, so
-    callers that report the first cut they find report a stable one.
+    callers that report the first cut they find report a stable one.  The
+    positions are a tuple or a range, and each one's cuts are built once.
     """
     positions = tuple(positions)
-    out = []
-    for r in range(1, len(positions)):
-        for a in itertools.combinations(positions, r):
-            if positions[0] in a:
-                out.append((a, tuple(p for p in positions if p not in a)))
-    return out
+    return tuple(
+        (a, tuple(p for p in positions if p not in a))
+        for r in range(1, len(positions))
+        for a in itertools.combinations(positions, r)
+        if positions[0] in a
+    )
 
 
 def _check_indices(indices, count: int, noun: str) -> tuple:

@@ -6,6 +6,12 @@ subsets.  An exact table is held as integer counts over a common
 denominator D, so the independence tests on the reference examples compare
 integers and involve no tolerances at all; float tables are compared within
 the caller's tolerance.
+
+`rv_analysis` decides every cut of every subset in one sweep over the subset
+sizes: one ranking per size gives every subset of that size its support
+rows' ids, one array comparison applies the support-size test to every cut,
+and one more step tests the weights of the cuts that pass it.  `marginal`
+ranks its positions with the same routine, one position at a time.
 """
 
 from __future__ import annotations
@@ -128,83 +134,132 @@ class FiniteJointDistribution:
         return hash((self.outcomes, frozenset(self.prob.items())))
 
 
-def _marginals(dist: FiniteJointDistribution):
-    """(ids, sums): the marginal on each sorted position tuple, each part computed once.
+def _rank(keys: np.ndarray) -> tuple:
+    """(ids, sizes): rank each line of a (lines, rows) integer key matrix.
 
-    ids(positions) is (row ids, support size): rows agreeing on the positions
-    share an id, and the ids count up from 0 in the order of the marginal's
-    outcome indices.  The key on a tuple refines the ids on its prefix by the
-    last position's outcome index, so it stays below the row count times that
-    alphabet, and the ids rank the keys (a stable argsort, a flag where the
-    sorted key changes, a cumsum), exactly as np.unique(key,
-    return_inverse=True) would: no array over the product of the alphabets,
-    nor over rows times an alphabet, is ever built.  sums(positions)[id] adds
-    up the rows' weights in row order; it is formed only when asked for.
+    Entries of a line that share a key share an id, and the ids count up
+    from 0 in key order, exactly as np.unique(line, return_inverse=True)
+    would give them: an argsort along each line, a flag where the sorted key
+    changes, a cumsum, and a scatter back.  The order of equal keys does
+    not change the ids, so the sort need not be stable.  `sizes` holds each
+    line's number of distinct keys.
     """
-    index, weights = dist._index, dist._weights
+    order = keys.argsort(axis=1)
+    order += np.arange(0, keys.size, keys.shape[1])[:, None]
+    ranked = keys.ravel()[order]
+    ranks = np.empty_like(keys)
+    ranks[:, 0] = 0
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=ranks[:, 1:])
+    ranks.cumsum(axis=1, out=ranks)
+    row_ids = np.empty_like(ranks)
+    row_ids.ravel()[order] = ranks
+    return row_ids, ranks[:, -1] + 1
 
-    @functools.cache
-    def ids(positions: tuple) -> tuple:
-        if not positions:
-            return np.zeros(len(weights), dtype=np.int64), 1
-        *prefix, last = positions
-        key = ids(tuple(prefix))[0] * len(dist.outcomes[last]) + index[:, last]
-        order = key.argsort(kind="stable")
-        ranked = key[order]
-        ranks = np.empty(len(key), dtype=np.int64)
-        ranks[0] = 0
-        np.not_equal(ranked[1:], ranked[:-1], out=ranks[1:])
-        ranks.cumsum(out=ranks)
-        row_ids = np.empty_like(ranks)
-        row_ids[order] = ranks
-        return row_ids, int(ranks[-1]) + 1
 
-    @functools.cache
-    def sums(positions: tuple) -> np.ndarray:
-        row_ids, size = ids(positions)
-        out = np.zeros(size, dtype=weights.dtype)
-        np.add.at(out, row_ids, weights)
-        return out
+def _mask(positions) -> int:
+    return sum(1 << p for p in positions)
 
-    return ids, sums
+
+@functools.cache
+def _plan(k: int) -> tuple:
+    """(levels, subsets, starts, cuts): what `_sweep` ranks and decides on k variables.
+
+    Subsets are bitmasks over the variables.  `levels` holds, for each size
+    s = 1..k, the (masks, prefixes, lasts) arrays of the size-s subsets in
+    `itertools.combinations` order: each subset, the subset without its last
+    variable, and that variable.  `subsets` lists the sorted position tuples
+    of size >= 2 in the order `_subset_structures` judges them, `cuts` the
+    (3, cuts) masks (J, a, b) of their cuts, each subset's in `_bipartitions`
+    order, and `starts` the index of each subset's first cut.
+    """
+    levels, subsets, starts, cuts = [], [], [], []
+    for s in range(1, k + 1):
+        combos = list(itertools.combinations(range(k), s))
+        masks = [_mask(j) for j in combos]
+        lasts = [j[-1] for j in combos]
+        prefixes = [m ^ 1 << last for m, last in zip(masks, lasts)]
+        levels.append(tuple(np.array(v, dtype=np.intp) for v in (masks, prefixes, lasts)))
+        for j in combos if s >= 2 else ():
+            subsets.append(j)
+            starts.append(len(cuts))
+            cuts += [(_mask(j), _mask(a), _mask(b)) for a, b in _bipartitions(j)]
+    cuts = np.array(cuts, dtype=np.intp).reshape(-1, 3).T
+    return tuple(levels), tuple(subsets), np.array(starts, dtype=np.intp), cuts
+
+
+# the weight test takes its passing cuts in steps, so that each (cuts, rows)
+# array it gathers holds at most this many entries, or one cut's rows
+_CHUNK = 1 << 20
+
+
+def _sweep(dist: FiniteJointDistribution, tol: float) -> tuple:
+    """(row ids, sizes, independent): every subset ranked, every cut decided.
+
+    `row_ids[m]` holds the rows' ids on the subset with bitmask m (rows
+    agreeing on its variables share an id, counted up from 0 in the order
+    of its outcome indices) and `sizes[m]` its support size; m = 0 is the
+    empty subset.  One size at a time, each subset's key is its prefix's
+    row ids times its last variable's alphabet size plus that variable's
+    outcome index, and one `_rank` call ranks the keys of every subset of
+    the size: the keys stay below the rows times an alphabet, and no array
+    over the product of the alphabets is ever built.
+
+    `independent` holds one verdict per cut of `_plan`: the blocks a and b
+    of J are independent when J's support is the product of theirs,
+    size[J] == size[a] * size[b], and on every row J's weight sum times the
+    scale matches the product of a's and b's within tol, which is 0 for
+    exact tables: their integer counts make that equality exact.  Weight
+    sums are formed, by one np.add.at in row order, only for the subsets
+    that the cuts passing the support test touch.
+    """
+    weights = dist._weights
+    columns = np.ascontiguousarray(dist._index.T)
+    levels, _, _, cuts = _plan(dist.variables)
+    alphabets = np.array([len(labels) for labels in dist.outcomes], dtype=np.int64)
+    row_ids = np.zeros((1 << dist.variables, len(weights)), dtype=np.int64)
+    sizes = np.ones(1 << dist.variables, dtype=np.int64)
+    for masks, prefixes, lasts in levels:
+        keys = row_ids[prefixes] * alphabets[lasts, None] + columns[lasts]
+        row_ids[masks], sizes[masks] = _rank(keys)
+    j, a, b = cuts
+    independent = np.zeros(len(j), dtype=bool)
+    passing = np.flatnonzero(sizes[j] == sizes[a] * sizes[b])
+    if not len(passing):
+        return row_ids, sizes, independent
+    # each row's weight sum on each subset that a passing cut touches
+    hit = np.zeros(len(sizes), dtype=bool)
+    hit[cuts[:, passing]] = True
+    touched, line = np.flatnonzero(hit), np.cumsum(hit) - 1
+    ends = np.cumsum(sizes[touched])
+    flat = row_ids[touched] + (ends - sizes[touched])[:, None]
+    sums = np.zeros(int(ends[-1]), dtype=weights.dtype)
+    np.add.at(sums, flat.ravel(), np.tile(weights, len(touched)))
+    cells = sums[flat]
+    scale, tol = dist._scale, 0 if dist.exact else tol
+    step = max(1, _CHUNK // len(weights))
+    for lo in range(0, len(passing), step):
+        chunk = passing[lo : lo + step]
+        joint, left, right = cells[line[cuts[:, chunk]]]
+        independent[chunk] = np.all(np.abs(joint * scale - left * right) <= tol, axis=1)
+    return row_ids, sizes, independent
 
 
 def marginal(dist: FiniteJointDistribution, positions) -> dict:
     """Marginal table over the given variable positions (sorted)."""
     positions = _check_indices(positions, dist.variables, "variable")
-    ids, sums = _marginals(dist)
-    row_ids = ids(positions)[0]
+    # the ids along the prefix chain, one `_rank` line per position
+    row_ids, size = np.zeros(len(dist._weights), dtype=np.int64), 1
+    for p in positions:
+        ids, sizes = _rank((row_ids * len(dist.outcomes[p]) + dist._index[:, p])[None])
+        row_ids, size = ids[0], int(sizes[0])
+    weight = np.zeros(size, dtype=dist._weights.dtype)
+    np.add.at(weight, row_ids, dist._weights)
     first = np.sort(np.unique(row_ids, return_index=True)[1])
     value = (lambda w: Fraction(int(w), dist._scale)) if dist.exact else float
-    weight = sums(positions)
     return {
         tuple(dist.outcomes[p][row[p]] for p in positions): value(weight[i])
         for row, i in zip(dist._index[first].tolist(), row_ids[first].tolist())
     }
-
-
-def _independence(dist: FiniteJointDistribution, tol: float):
-    """Predicate on sorted position tuples (a, b): are the blocks a and b independent?
-
-    The joint support on a|b must be the product of the two marginal supports,
-    and on every row the joint weight times the scale must match the product
-    of the marginal weights within tol, which is 0 for exact tables: their
-    integer counts make that equality exact.  Most cuts fail on the support
-    sizes, and then no weight is summed.
-    """
-    ids, sums = _marginals(dist)
-    scale = dist._scale
-    tol = 0 if dist.exact else tol
-
-    def independent(a: tuple, b: tuple) -> bool:
-        j = tuple(sorted(a + b))
-        (ids_j, size), (ids_a, size_a), (ids_b, size_b) = ids(j), ids(a), ids(b)
-        if size != size_a * size_b:
-            return False
-        products = sums(a)[ids_a] * sums(b)[ids_b]
-        return bool(np.all(np.abs(sums(j)[ids_j] * scale - products) <= tol))
-
-    return independent
 
 
 @dataclass(frozen=True)
@@ -217,11 +272,11 @@ class RvReport:
 def rv_analysis(dist: FiniteJointDistribution, tol: float = DEFAULT_TOL) -> RvReport:
     """Inseparable subsets, the structure they generate, and whether generation
     was needed at all (the raw family can already be closed)."""
-    independent = _independence(dist, tol)
+    _, subsets, starts, _ = _plan(dist.variables)
+    separable = np.logical_or.reduceat(_sweep(dist, tol)[2], starts)
+    verdicts = dict(zip(subsets, np.logical_not(separable).tolist()))
     inseparable, structures = _subset_structures(
-        dist.variables,
-        lambda j: not any(independent(a, b) for a, b in _bipartitions(j)),
-        {"rv": bool},
+        dist.variables, verdicts.__getitem__, {"rv": bool}
     )
     structure = structures["rv"]
     raw = tuple(j for j, insep in inseparable.items() if insep)

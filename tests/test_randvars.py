@@ -15,12 +15,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conexa import randvars
 from conexa.errors import DomainError
 from conexa.quantum import DEFAULT_TOL
 from conexa.randvars import (
     FiniteJointDistribution,
-    _independence,
-    _marginals,
+    _plan,
+    _sweep,
     brunnian_family,
     marginal,
     realize_structure,
@@ -41,9 +42,16 @@ from helpers import (
 )
 
 
+def mask(positions) -> int:
+    return sum(1 << p for p in positions)
+
+
 def independent(dist, a, b, tol=DEFAULT_TOL) -> bool:
-    """Whether the blocks a and b are independent, as `rv_analysis` tests them."""
-    return _independence(dist, tol)(tuple(sorted(a)), tuple(sorted(b)))
+    """Whether the blocks a and b are independent: the sweep's verdict on that cut."""
+    _, left, right = _plan(dist.variables)[3]
+    a, b = mask(a), mask(b)
+    (cut,) = np.flatnonzero((left == a) & (right == b) | (left == b) & (right == a))
+    return bool(_sweep(dist, tol)[2][cut])
 
 
 def independent_bits(k):
@@ -329,10 +337,10 @@ def test_large_alphabets_and_support_decode_and_rank():
     report = rv_analysis(dist)
     assert (report.structure, report.raw_generators) == (borromean(3), ((1, 2, 3),))
     # the ranked ids are np.unique's inverse over the rows' outcome indices
-    ids = _marginals(dist)[0]
+    ids, sizes = _sweep(dist, DEFAULT_TOL)[:2]
     for r in (1, 2, 3):
         for positions in itertools.combinations(range(3), r):
-            row_ids, size = ids(positions)
+            row_ids, size = ids[mask(positions)], sizes[mask(positions)]
             unique, inverse = np.unique(dist._index[:, positions], axis=0, return_inverse=True)
             assert size == len(unique) and row_ids.tolist() == inverse.ravel().tolist()
 
@@ -397,6 +405,112 @@ def test_rv_analysis_matches_oracle(case):
         for positions in itertools.combinations(range(len(outcomes)), r):
             expected = oracle_marginal(table, positions)
             assert list(marginal(dist, positions).items()) == list(expected.items())
+
+
+def sweep_cuts(dist):
+    """(J, a, b) position tuples of each cut of the sweep, in its order."""
+    return [tuple(tuple(p for p in range(dist.variables) if m >> p & 1) for m in cut)
+            for cut in _plan(dist.variables)[3].T.tolist()]
+
+
+def check_sweep_against_oracle(outcomes, table, tol=DEFAULT_TOL):
+    """Every cut's verdict is the oracle's, and every subset's row ids are
+    np.unique's inverse over the rows' outcome indices."""
+    dist = FiniteJointDistribution(outcomes, table)
+    row_ids, sizes, independent = _sweep(dist, tol)
+    cuts = sweep_cuts(dist)
+    assert len(cuts) == len(independent) == (3 ** len(outcomes) + 1) // 2 - 2 ** len(outcomes)
+    for (j, a, b), verdict in zip(cuts, independent.tolist()):
+        expected = oracle_independent(outcomes, table, a, b, 0 if dist.exact else tol)
+        assert verdict == expected, (j, a, b)
+    assert row_ids[0].tolist() == [0] * len(table) and sizes[0] == 1
+    for m in range(1, 1 << len(outcomes)):
+        positions = [p for p in range(len(outcomes)) if m >> p & 1]
+        unique, inverse = np.unique(dist._index[:, positions], axis=0, return_inverse=True)
+        assert row_ids[m].tolist() == inverse.ravel().tolist() and sizes[m] == len(unique)
+    return dist
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(rv_cases())
+def test_sweep_decides_every_cut_as_the_oracle(case):
+    outcomes, table, kind, _ = case
+    check_sweep_against_oracle(outcomes, table, kind if isinstance(kind, float) else DEFAULT_TOL)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(rv_cases(), st.integers(1, 3))
+def test_sweep_decides_every_cut_as_the_oracle_in_steps(case, cuts_per_step):
+    # a weight-test step of 1-3 cuts, so that the passing cuts span several steps
+    outcomes, table, kind, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randvars, "_CHUNK", cuts_per_step * len(table))
+        check_sweep_against_oracle(outcomes, table, kind if isinstance(kind, float) else DEFAULT_TOL)
+
+
+def test_sweep_on_one_row_and_object_weights():
+    # one support row: every sorted line has no neighbour to compare with
+    one = check_sweep_against_oracle((("0", "1"), ("0",), ("0", "1", "2")),
+                                     {("1", "0", "2"): Fraction(1)})
+    assert _sweep(one, DEFAULT_TOL)[2].all()
+    # a parity triple beside an independent bit, over a denominator D with
+    # D**2 >= 2**62: the weights are Python ints in an object array
+    bit = {"0": 1 - Fraction(3, 2**33 + 1), "1": Fraction(3, 2**33 + 1)}
+    table = {(*t, x): p * q for t, p in brunnian_family(2, 2).prob.items() for x, q in bit.items()}
+    dist = check_sweep_against_oracle((("0", "1"),) * 4, table)
+    assert dist._weights.dtype == object
+    assert rv_analysis(dist).raw_generators == ((1, 2, 3),)
+
+
+def permuted(dist, perm):
+    """The family whose variable i is variable perm[i] of dist."""
+    return FiniteJointDistribution(
+        [dist.outcomes[p] for p in perm],
+        {tuple(t[p] for p in perm): q for t, q in dist.prob.items()},
+    )
+
+
+def check_variable_order(dist, perm, tol=DEFAULT_TOL):
+    # a subset S of the moved family is the subset perm[S] of dist: its
+    # verdict, its support size and the verdict on each of its cuts move with it
+    moved = permuted(dist, perm)
+
+    def image(positions):
+        return tuple(sorted(perm[p] for p in positions))
+
+    before, after = rv_analysis(dist, tol), rv_analysis(moved, tol)
+    assert set(after.raw_generators) == {
+        tuple(sorted(perm.index(p - 1) + 1 for p in j)) for j in before.raw_generators
+    }
+    _, sizes, independent = _sweep(dist, tol)
+    _, moved_sizes, moved_independent = _sweep(moved, tol)
+    for s in range(1, 1 << dist.variables):
+        positions = [p for p in range(dist.variables) if s >> p & 1]
+        assert moved_sizes[s] == sizes[mask(image(positions))]
+    # a cut is the unordered pair of its blocks
+    verdicts = {frozenset((a, b)): v for (_, a, b), v in zip(sweep_cuts(dist), independent.tolist())}
+    for (_, a, b), v in zip(sweep_cuts(moved), moved_independent.tolist()):
+        assert verdicts[frozenset((image(a), image(b)))] == v
+
+
+@pytest.mark.parametrize("dist", [
+    brunnian_family(3, 2),
+    brunnian_family(2, 3),
+    realize_structure(structure(4, [(1, 2), (2, 3, 4)])),
+    realize_structure(structure(4, [(1, 3), (3, 4)])),
+], ids=["brunnian-3-2", "brunnian-2-3", "realized-nested", "realized-chain"])
+def test_variable_order_moves_every_verdict(dist):
+    for perm in itertools.permutations(range(dist.variables)):
+        check_variable_order(dist, list(perm))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rv_cases(), st.data())
+def test_variable_order_moves_every_verdict_on_drawn_tables(case, data):
+    outcomes, table, kind, _ = case
+    perm = data.draw(st.permutations(range(len(outcomes))))
+    dist = FiniteJointDistribution(outcomes, table)
+    check_variable_order(dist, list(perm), kind if isinstance(kind, float) else DEFAULT_TOL)
 
 
 def test_float_probabilities_accepted():
