@@ -68,7 +68,6 @@ from .quantum import (
     Verdict,
     builtin_state,
     partial_trace,
-    ppt_is_separable,
     purity,
     tensor_state,
 )

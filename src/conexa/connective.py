@@ -120,6 +120,19 @@ def _bipartitions(positions) -> tuple:
     )
 
 
+@functools.cache
+def _subsets(k: int) -> tuple:
+    """(sites, mask) of every subset of k sites with two or more sites.
+
+    This is the order in which subsets are judged: by size, then in
+    `itertools.combinations` order, so the full site set comes last.  The
+    sites are a sorted 0-based tuple and the mask has bit s set for site s.
+    """
+    return tuple(
+        (j, _mask(j)) for r in range(2, k + 1) for j in itertools.combinations(range(k), r)
+    )
+
+
 def _check_indices(indices, count: int, noun: str) -> tuple:
     """Distinct indices into `count` items, sorted; `noun` names an item."""
     indices = tuple(sorted(map(int, indices)))
@@ -129,26 +142,6 @@ def _check_indices(indices, count: int, noun: str) -> tuple:
         i = next(i for i in indices if not 0 <= i < count)
         raise DomainError(f"{noun} index {i} out of range for {count} {noun}s")
     return indices
-
-
-def _check_partition(part_a, part_b, count: int, noun: str) -> tuple:
-    """Two nonempty index sets, each sorted, that partition `count` items.
-
-    Two nonempty tuples of ints that hold 0..count-1 between them, as every
-    cut of `_bipartitions` does, pass on a type test and one comparison;
-    anything else goes through the detailed checks, which name the fault.
-    """
-    if type(part_a) is tuple is type(part_b) and part_a and part_b:
-        whole = part_a + part_b
-        if all(type(i) is int for i in whole) and sorted(whole) == list(range(count)):
-            return tuple(sorted(part_a)), tuple(sorted(part_b))
-    a = _check_indices(part_a, count, noun)
-    b = _check_indices(part_b, count, noun)
-    if not a or not b:
-        raise DomainError("both parts of a bipartition must be nonempty")
-    if set(a) & set(b) or len(a) + len(b) != count:
-        raise DomainError(f"{a} and {b} do not partition the {count} {noun}s")
-    return a, b
 
 
 def _check_labels(label_sets, kind: str) -> tuple:
@@ -173,6 +166,10 @@ def _check_labels(label_sets, kind: str) -> tuple:
 
 def _mask_positions(mask: int) -> tuple:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _mask(positions) -> int:
+    return sum(1 << p for p in positions)
 
 
 def _as_mask(ground: GroundSet, subset) -> int:
@@ -210,23 +207,18 @@ def generate_integral(ground: GroundSet, generators: Iterable) -> ConnectiveStru
 def _subset_structures(k: int, verdict, families: Mapping) -> tuple:
     """(verdicts, structures): judge every subset of k sites, then generate.
 
-    `verdict(j)` is called once per sorted 0-based site tuple j with at least
-    two sites, by size and then in `itertools.combinations` order, so the
-    full site set comes last; each verdict is keyed by the 1-based labels
-    of j.  Structure `name` on the ground 1..k is generated by the subsets
-    whose verdict `families[name]` accepts.
+    `verdict(j)` is called once per site tuple j of `_subsets(k)`, in that
+    order; each verdict is keyed by the 1-based labels of j.  Structure
+    `name` on the ground 1..k is generated by the masks of the subsets whose
+    verdict `families[name]` accepts.
     """
-    verdicts = {
-        tuple(s + 1 for s in j): verdict(j)
-        for r in range(2, k + 1)
-        for j in itertools.combinations(range(k), r)
-    }
+    judged = [(j, mask, verdict(j)) for j, mask in _subsets(k)]
     ground = GroundSet(range(1, k + 1))
     structures = {
-        name: generate_integral(ground, [j for j, v in verdicts.items() if accepts(v)])
+        name: generate_integral(ground, [mask for _, mask, v in judged if accepts(v)])
         for name, accepts in families.items()
     }
-    return verdicts, structures
+    return {tuple(s + 1 for s in j): v for j, _, v in judged}, structures
 
 
 def is_connected_set(structure: ConnectiveStructure, subset) -> bool:

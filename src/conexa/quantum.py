@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .connective import _bipartitions, _check_indices, _check_partition
+from .connective import _bipartitions, _check_indices
 from .errors import DomainError
 
 DEFAULT_TOL = 1e-9
@@ -415,13 +415,6 @@ def _transposed(tens: np.ndarray, sites) -> np.ndarray:
     return tens.transpose(perm)
 
 
-def partial_transpose(rho: DensityOperator, sites) -> np.ndarray:
-    """Matrix of the partial transpose over the given sites."""
-    sites = _check_indices(sites, rho.layout.sites, "site")
-    n = rho.layout.total_dim
-    return _transposed(rho.matrix.reshape(rho.layout.dims * 2), sites).reshape(n, n)
-
-
 def _frobenius(mat: np.ndarray) -> float:
     return math.sqrt(np.vdot(mat, mat).real)
 
@@ -481,26 +474,14 @@ def _ppt_verdict(tens: np.ndarray, a: tuple, b: tuple, norm: float, tol: float) 
     return Verdict.PPT_INCONCLUSIVE
 
 
-def ppt_is_separable(rho: DensityOperator, j1, j2, tol: float = DEFAULT_TOL) -> Verdict:
-    """Peres-Horodecki decision across a bipartition.
+def ppt_verdicts(rho: DensityOperator, tol: float = DEFAULT_TOL) -> tuple:
+    """Peres-Horodecki decision across every bipartition of rho's sites, in one pass.
 
     A side of dimension 1 makes every operator a product across the cut.
     Otherwise a partial-transpose eigenvalue below -tol certifies
     entanglement in any dimension; a positive partial transpose certifies
-    separability only for 2x2 and 2x3 local dimensions, so larger systems
-    return PPT_INCONCLUSIVE.  The eigenvalue test is `_min_eig_below`: one
-    Cholesky factorization of the partial transpose shifted just below -tol
-    settles the entangled case, a second one shifted just above it the
-    positive case, and only a least eigenvalue within the rounding band
-    between the two shifts is computed by eigvalsh.
-    """
-    a, b = _check_partition(j1, j2, rho.layout.sites, "site")
-    tens = rho.matrix.reshape(rho.layout.dims * 2)
-    return _ppt_verdict(tens, a, b, _frobenius(rho.matrix), tol)
-
-
-def ppt_verdicts(rho: DensityOperator, tol: float = DEFAULT_TOL) -> tuple:
-    """`ppt_is_separable` on every bipartition of rho's sites, in one pass.
+    separability only for 2x2 and 2x3 local dimensions, so larger cuts get
+    PPT_INCONCLUSIVE.  The eigenvalue test is `_min_eig_below`.
 
     The cuts come in the order of `connective._bipartitions`, and the pass
     ends at the first PPT_INCONCLUSIVE verdict: a tuple shorter than the

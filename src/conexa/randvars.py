@@ -30,7 +30,9 @@ from .connective import (
     _bipartitions,
     _check_indices,
     _check_labels,
+    _mask,
     _subset_structures,
+    _subsets,
     irreducibles,
 )
 from .errors import DomainError
@@ -156,35 +158,30 @@ def _rank(keys: np.ndarray) -> tuple:
     return row_ids, ranks[:, -1] + 1
 
 
-def _mask(positions) -> int:
-    return sum(1 << p for p in positions)
-
-
 @functools.cache
 def _plan(k: int) -> tuple:
-    """(levels, subsets, starts, cuts): what `_sweep` ranks and decides on k variables.
+    """(levels, starts, cuts): what `_sweep` ranks and decides on k variables.
 
     Subsets are bitmasks over the variables.  `levels` holds, for each size
     s = 1..k, the (masks, prefixes, lasts) arrays of the size-s subsets in
-    `itertools.combinations` order: each subset, the subset without its last
-    variable, and that variable.  `subsets` lists the sorted position tuples
-    of size >= 2 in the order `_subset_structures` judges them, `cuts` the
-    (3, cuts) masks (J, a, b) of their cuts, each subset's in `_bipartitions`
-    order, and `starts` the index of each subset's first cut.
+    the order of `connective._subsets`: each subset, the subset without its
+    last variable, and that variable.  `cuts` holds the (3, cuts) masks
+    (J, a, b) of the cuts of each subset of `_subsets(k)`, in that order and
+    each subset's in `_bipartitions` order, and `starts` the index of each
+    subset's first cut.
     """
-    levels, subsets, starts, cuts = [], [], [], []
-    for s in range(1, k + 1):
-        combos = list(itertools.combinations(range(k), s))
-        masks = [_mask(j) for j in combos]
-        lasts = [j[-1] for j in combos]
+    subsets = _subsets(k)
+    levels, starts, cuts = [], [], []
+    singles = tuple(((p,), 1 << p) for p in range(k))
+    for _, level in itertools.groupby(singles + subsets, key=lambda subset: len(subset[0])):
+        masks, lasts = zip(*((mask, j[-1]) for j, mask in level))
         prefixes = [m ^ 1 << last for m, last in zip(masks, lasts)]
         levels.append(tuple(np.array(v, dtype=np.intp) for v in (masks, prefixes, lasts)))
-        for j in combos if s >= 2 else ():
-            subsets.append(j)
-            starts.append(len(cuts))
-            cuts += [(_mask(j), _mask(a), _mask(b)) for a, b in _bipartitions(j)]
+    for j, mask in subsets:
+        starts.append(len(cuts))
+        cuts += [(mask, _mask(a), _mask(b)) for a, b in _bipartitions(j)]
     cuts = np.array(cuts, dtype=np.intp).reshape(-1, 3).T
-    return tuple(levels), tuple(subsets), np.array(starts, dtype=np.intp), cuts
+    return tuple(levels), np.array(starts, dtype=np.intp), cuts
 
 
 # the weight test takes its passing cuts in steps, so that each (cuts, rows)
@@ -214,7 +211,7 @@ def _sweep(dist: FiniteJointDistribution, tol: float) -> tuple:
     """
     weights = dist._weights
     columns = np.ascontiguousarray(dist._index.T)
-    levels, _, _, cuts = _plan(dist.variables)
+    levels, _, cuts = _plan(dist.variables)
     alphabets = np.array([len(labels) for labels in dist.outcomes], dtype=np.int64)
     row_ids = np.zeros((1 << dist.variables, len(weights)), dtype=np.int64)
     sizes = np.ones(1 << dist.variables, dtype=np.int64)
@@ -271,18 +268,20 @@ class RvReport:
 
 def rv_analysis(dist: FiniteJointDistribution, tol: float = DEFAULT_TOL) -> RvReport:
     """Inseparable subsets, the structure they generate, and whether generation
-    was needed at all (the raw family can already be closed)."""
-    _, subsets, starts, _ = _plan(dist.variables)
-    separable = np.logical_or.reduceat(_sweep(dist, tol)[2], starts)
-    verdicts = dict(zip(subsets, np.logical_not(separable).tolist()))
-    inseparable, structures = _subset_structures(
-        dist.variables, verdicts.__getitem__, {"rv": bool}
-    )
+    was needed at all (the raw family can already be closed).
+
+    A subset is separable when any of its cuts of `_sweep` is independent;
+    the verdicts follow the subsets of `connective._subsets`.  The structure
+    contains every raw generator, so it adds none exactly when its parts of
+    two or more points are as many as the raw generators.
+    """
+    k = dist.variables
+    separable = np.logical_or.reduceat(_sweep(dist, tol)[2], _plan(k)[1])
+    verdicts = dict(zip((j for j, _ in _subsets(k)), np.logical_not(separable).tolist()))
+    inseparable, structures = _subset_structures(k, verdicts.__getitem__, {"rv": bool})
     structure = structures["rv"]
     raw = tuple(j for j, insep in inseparable.items() if insep)
-    raw_masks = {structure.ground.mask_of(j) for j in raw}
-    closure_masks = {m for m in structure.connected if m.bit_count() >= 2}
-    return RvReport(structure, raw, raw_masks == closure_masks)
+    return RvReport(structure, raw, len(structure.connected) - k - 1 == len(raw))
 
 
 def brunnian_family(k: int, n: int) -> FiniteJointDistribution:

@@ -1,17 +1,19 @@
 """Connectivity-structure kernel: generation, irreducibles, order, meet."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conexa.connective import (
     GroundSet,
-    _bipartitions,
     _check_indices,
     _check_labels,
-    _check_partition,
     _subset_structures,
+    _subsets,
     brunnian_structure,
     closure_axiom_holds,
     connective_order,
@@ -22,10 +24,19 @@ from conexa.connective import (
     is_connected_set,
     meet_structures,
 )
-from conexa.devices import Device, builtin_device, derive_device, sub_device
+from conexa.density import density_structures
+from conexa.devices import Device, builtin_device, derive_device, device_structures, sub_device
+from conexa.disentangle import disentanglement_structures
 from conexa.errors import DomainError
-from conexa.quantum import builtin_state, partial_trace, ppt_is_separable
-from conexa.randvars import FiniteJointDistribution, brunnian_family, marginal
+from conexa.quantum import builtin_state, partial_trace
+from conexa.randvars import (
+    FiniteJointDistribution,
+    _plan,
+    brunnian_family,
+    marginal,
+    realize_structure,
+    rv_analysis,
+)
 
 from helpers import (
     all_integral_structures,
@@ -234,41 +245,6 @@ def test_index_rule_is_shared(indices, message):
     assert _check_indices([2, 0], 3, "site") == (0, 2)
 
 
-def test_partition_rule_is_shared():
-    calls = [
-        ("site", lambda: _check_partition([0], [1], 3, "site")),
-        ("site", lambda: ppt_is_separable(builtin_state("GHZ").density(), [0], [1])),
-    ]
-    for noun, call in calls:
-        with pytest.raises(DomainError, match=f"do not partition the 3 {noun}s"):
-            call()
-    with pytest.raises(DomainError, match="nonempty"):
-        _check_partition([], [0, 1, 2], 3, "site")
-    assert _check_partition([2], [1, 0], 3, "site") == ((2,), (0, 1))
-
-
-def test_partition_shortcut_agrees_with_the_detailed_checks():
-    # the cuts of _bipartitions take the shortcut; any other spelling of
-    # a cut, or a fault, takes the detailed checks
-    for k in range(2, 6):
-        for a, b in _bipartitions(range(k)):
-            assert _check_partition(a, b, k, "site") == (a, b)
-            assert _check_partition(b[::-1], list(a), k, "site") == (b, a)
-    cut = _check_partition((np.int64(2), 0.0), [True], 3, "site")
-    assert cut == ((0, 2), (1,)) and {type(i) for part in cut for i in part} == {int}
-    faults = {
-        ((0, 1), (1, 2)): "(0, 1) and (1, 2) do not partition the 3 sites",
-        ((0,), (1,)): "(0,) and (1,) do not partition the 3 sites",
-        ((0, 0), (1, 2)): "duplicate site indices: (0, 0)",
-        ((0, 1), (3,)): "site index 3 out of range for 3 sites",
-        ((), (0, 1, 2)): "both parts of a bipartition must be nonempty",
-    }
-    for (a, b), message in faults.items():
-        with pytest.raises(DomainError) as caught:
-            _check_partition(a, b, 3, "site")
-        assert str(caught.value) == message
-
-
 def _label_calls(labels):
     """Each call puts `labels` in the second slot of a two-slot label list."""
     bits = ("0", "1")
@@ -311,7 +287,9 @@ def test_integer_relation_and_table_keys_are_refused():
         FiniteJointDistribution([["0", "1"], ["0", "1"]], {(0, 0): half, (1, 1): half})
 
 
-def test_subset_driver_order_and_labels():
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.data())
+def test_subset_driver_order_and_labels(k, data):
     seen = []
 
     def verdict(j):
@@ -330,3 +308,46 @@ def test_subset_driver_order_and_labels():
     assert list(structures) == ["pairs", "none"]
     assert structures["pairs"] == indiscrete_structure(GroundSet(range(1, 5)))
     assert structures["none"] == discrete_structure(GroundSet(range(1, 5)))
+
+    # a drawn accept set on k sites: each family's structure is the one the
+    # accepted 1-based label tuples generate
+    judged = [j for r in range(2, k + 1) for j in itertools.combinations(range(k), r)]
+    accept = dict(zip(judged, data.draw(st.lists(st.booleans(), min_size=len(judged),
+                                                 max_size=len(judged)))))
+    seen.clear()
+
+    def drawn(j):
+        seen.append(j)
+        return accept[j]
+
+    verdicts, structures = _subset_structures(k, drawn, {"in": bool, "out": lambda v: not v})
+    assert seen == judged and [j for j, _ in _subsets(k)] == judged
+    assert list(verdicts) == [tuple(s + 1 for s in j) for j in judged]
+    ground_k = GroundSet(range(1, k + 1))
+    for name, want in (("in", True), ("out", False)):
+        labels = [label for label, v in verdicts.items() if v is want]
+        assert structures[name] == generate_integral(ground_k, labels)
+    # the rv sweep ranks and cuts the subsets in the order the skeleton judges them
+    masks = [sum(1 << s for s in j) for j in judged]
+    levels, starts, cuts = _plan(k)
+    assert np.concatenate([level[0] for level in levels[1:]]).tolist() == masks
+    assert cuts[0, starts].tolist() == masks
+    assert cuts[0].tolist() == np.repeat(masks, np.diff(starts, append=cuts.shape[1])).tolist()
+
+
+@pytest.mark.parametrize("run, make", [
+    (disentanglement_structures, lambda: builtin_state("GHZ")),
+    (density_structures, lambda: builtin_state("GHZ").density()),
+    (device_structures, lambda: builtin_device("K")),
+    (rv_analysis, lambda: brunnian_family(2, 2)),
+    (rv_analysis, lambda: realize_structure(power_set(3))),
+], ids=["states", "density", "devices", "rvs-brunnian", "rvs-power-set"])
+def test_engines_generate_from_masks(monkeypatch, run, make):
+    # no engine turns a subset's labels back into a mask
+    report = run(make())
+
+    def refuse(ground, subset):
+        raise AssertionError(f"mask_of({subset!r}) on an engine path")
+
+    monkeypatch.setattr(GroundSet, "mask_of", refuse)
+    assert run(make()) == report

@@ -14,11 +14,15 @@ from conexa.connective import _bipartitions
 from conexa.devices import derive_device
 from conexa.errors import DomainError
 from conexa.quantum import (
+    DEFAULT_TOL,
     DensityOperator,
     _matricize,
+    _frobenius,
     _min_eig_below,
+    _ppt_verdict,
     _residuals,
     _separable_cuts,
+    _transposed,
     Observable,
     PureState,
     SiteLayout,
@@ -26,10 +30,8 @@ from conexa.quantum import (
     basis_state,
     builtin_state,
     partial_trace,
-    partial_transpose,
     pauli_x,
     pauli_z,
-    ppt_is_separable,
     ppt_verdicts,
     purity,
     tensor_state,
@@ -57,6 +59,12 @@ def qubit(a, b) -> PureState:
 def random_pure(rng, dims) -> PureState:
     layout = SiteLayout(dims)
     return PureState(layout, random_state_vector(rng, layout.total_dim))
+
+
+def ppt(rho, a, b, tol=DEFAULT_TOL) -> Verdict:
+    """The per-cut PPT step on the cut a|b of rho, as `ppt_verdicts` runs it."""
+    tens = rho.matrix.reshape(rho.layout.dims * 2)
+    return _ppt_verdict(tens, tuple(a), tuple(b), _frobenius(rho.matrix), tol)
 
 
 def schmidt(psi, part) -> np.ndarray:
@@ -138,24 +146,11 @@ def test_schmidt_squares_sum_to_one_and_swap_invariance():
             assert np.allclose(sorted(a[a > 1e-12]), sorted(b[b > 1e-12]))
 
 
-def test_schmidt_rejects_trivial_bipartition():
-    rho = builtin_state("EPR").density()
-    with pytest.raises(DomainError, match="nonempty"):
-        ppt_is_separable(rho, [], [0, 1])
-    with pytest.raises(DomainError, match="nonempty"):
-        ppt_is_separable(rho, [0, 1], [])
-
-
 def test_separability_examples():
     epr = builtin_state("EPR")
     assert not separable(epr, [0], [1])
     assert separable(basis_state((2, 2), (0, 0)), [0], [1])
     assert not separable(builtin_state("GHZ"), [0], [1, 2])
-
-
-def test_separability_needs_partition():
-    with pytest.raises(DomainError):
-        ppt_is_separable(builtin_state("GHZ").density(), [0], [1])
 
 
 # Second Schmidt coefficients planted by `_planted_cut`: a Haar matrix, an
@@ -487,7 +482,7 @@ def test_ppt_epr_entangled_with_eigenvalue_oracle():
     rho = epr.density()
     pt = oracle_partial_transpose(rho.matrix, (2, 2), [1])
     assert abs(float(np.linalg.eigvalsh(pt)[0]) + 0.5) < 1e-12
-    assert ppt_is_separable(rho, [0], [1]) is Verdict.ENTANGLED
+    assert ppt(rho, [0], [1]) is Verdict.ENTANGLED
 
 
 def test_ppt_classical_mixture_separable():
@@ -495,21 +490,21 @@ def test_ppt_classical_mixture_separable():
     mats[0, 0] = 0.5
     mats[3, 3] = 0.5
     rho = DensityOperator(SiteLayout((2, 2)), mats)
-    assert ppt_is_separable(rho, [0], [1]) is Verdict.SEPARABLE
+    assert ppt(rho, [0], [1]) is Verdict.SEPARABLE
 
 
 def test_ppt_product_state_separable():
     rng = np.random.default_rng(13)
     for _ in range(10):
         joint = tensor_state(random_pure(rng, (2,)), random_pure(rng, (2,)))
-        assert ppt_is_separable(joint.density(), [0], [1]) is Verdict.SEPARABLE
+        assert ppt(joint.density(), [0], [1]) is Verdict.SEPARABLE
 
 
 def test_ppt_mixed_product_separable():
     rng = np.random.default_rng(15)
     factor = random_pure(rng, (2,)).density().matrix
     rho = DensityOperator(SiteLayout((2, 2)), np.kron(np.eye(2) / 2, factor))
-    assert ppt_is_separable(rho, [0], [1]) is Verdict.SEPARABLE
+    assert ppt(rho, [0], [1]) is Verdict.SEPARABLE
 
 
 def test_ppt_inconclusive_beyond_low_dimensions():
@@ -517,10 +512,10 @@ def test_ppt_inconclusive_beyond_low_dimensions():
     a = random_pure(rng, (2, 2))
     b = random_pure(rng, (2, 2))
     joint = tensor_state(a, b).density()
-    assert ppt_is_separable(joint, [0, 1], [2, 3]) is Verdict.PPT_INCONCLUSIVE
+    assert ppt(joint, [0, 1], [2, 3]) is Verdict.PPT_INCONCLUSIVE
     # a 1 x 4 cut has a side of dimension 1: always a product
     epr = PureState(SiteLayout((1, 2, 2)), [1, 0, 0, 1]).density()
-    assert ppt_is_separable(epr, [0], [1, 2]) is Verdict.SEPARABLE
+    assert ppt(epr, [0], [1, 2]) is Verdict.SEPARABLE
 
 
 def _planted(rng, n, lowest):
@@ -554,9 +549,9 @@ def test_min_eig_below_agrees_with_eigvalsh(k, n, bound, seed):
 
 
 def test_min_eig_below_leaves_its_input_unwritten():
-    # a side of dimension 1 makes the partial transpose a view of rho.matrix
+    # the partial transpose is a view of rho.matrix
     rho = PureState(SiteLayout((1, 2)), [1, 0]).density()
-    assert _min_eig_below(partial_transpose(rho, [0]), 0.5, 1.0)
+    assert _min_eig_below(_transposed(rho.matrix.reshape(rho.layout.dims * 2), [0]), 0.5, 1.0)
     assert np.array_equal(rho.matrix, [[1, 0], [0, 0]])
 
 
@@ -575,14 +570,14 @@ def test_ppt_entangled_states_stay_inconclusive(a):
     # so neither ENTANGLED nor, beyond 2x3, SEPARABLE may be returned
     for dims, matrix in (((2, 4), horodecki_2x4(a)), ((3, 3), tiles_upb(a))):
         rho = DensityOperator(SiteLayout(dims), matrix)
-        assert ppt_is_separable(rho, [0], [1]) is Verdict.PPT_INCONCLUSIVE
+        assert ppt(rho, [0], [1]) is Verdict.PPT_INCONCLUSIVE
 
 
 def test_tiles_state_kernel_stays_inconclusive():
     # without noise the partial transpose equals the state and has a
     # five-dimensional kernel: its least eigenvalue rounds to about 0
     rho = DensityOperator(SiteLayout((3, 3)), tiles_upb(1.0))
-    assert ppt_is_separable(rho, [0], [1]) is Verdict.PPT_INCONCLUSIVE
+    assert ppt(rho, [0], [1]) is Verdict.PPT_INCONCLUSIVE
 
 
 @pytest.mark.parametrize("p", [0, 0.1, 0.2, 0.3, 0.32, 0.35, 0.4, 0.6, 0.8, 1])
@@ -591,8 +586,8 @@ def test_werner_state_is_entangled_exactly_above_one_third(p):
     werner = p * np.outer(singlet, singlet) + (1 - p) * np.eye(4) / 4
     rho = DensityOperator(SiteLayout((2, 2)), werner)
     want = Verdict.ENTANGLED if p > 1 / 3 else Verdict.SEPARABLE
-    assert ppt_is_separable(rho, [0], [1]) is want
-    assert ppt_is_separable(rho, [1], [0]) is want
+    assert ppt(rho, [0], [1]) is want
+    assert ppt(rho, [1], [0]) is want
 
 
 def _oracle_ppt(matrix, dims, a, b, tol):
@@ -631,7 +626,7 @@ def _maximally_correlated(dims):
 def test_ppt_verdicts_at_the_rounding_band(dims, kind, tol):
     # each cut's least partial-transpose eigenvalue is placed at -tol and at
     # -tol +- {1, 10} delta, with delta the band of rho's own norm: every
-    # verdict of the one-pass decision and of ppt_is_separable is eigvalsh's
+    # verdict of the one-pass decision and of the per-cut step is eigvalsh's
     rng = np.random.default_rng(sum(dims) * 10 + len(kind))
     sigma = (_maximally_correlated(dims) if kind == "werner"
              else random_density_matrix(rng, dims, int(kind[-1])))
@@ -656,7 +651,7 @@ def test_ppt_verdicts_at_the_rounding_band(dims, kind, tol):
                 assert spy.call_count > 0
             assert spy.call_count == 0 or abs(k) < 10
             for cut in cuts:
-                assert ppt_is_separable(rho, *cut, tol=tol) is _oracle_ppt(matrix, dims, *cut, tol)
+                assert ppt(rho, *cut, tol=tol) is _oracle_ppt(matrix, dims, *cut, tol)
 
 
 def test_state_normalization_and_zero_rejection():

@@ -48,7 +48,7 @@ def mask(positions) -> int:
 
 def independent(dist, a, b, tol=DEFAULT_TOL) -> bool:
     """Whether the blocks a and b are independent: the sweep's verdict on that cut."""
-    _, left, right = _plan(dist.variables)[3]
+    _, left, right = _plan(dist.variables)[2]
     a, b = mask(a), mask(b)
     (cut,) = np.flatnonzero((left == a) & (right == b) | (left == b) & (right == a))
     return bool(_sweep(dist, tol)[2][cut])
@@ -249,12 +249,11 @@ def test_raw_family_closed_flag():
     assert report.raw_generators == ((1, 2, 3),)
     assert report.raw_family_closed
 
-    # two overlapping correlated pairs: raw family lacks the generated union
-    kappa = power_set(3)
-    report = rv_analysis(realize_structure(kappa))
-    assert not report.raw_family_closed or set(report.raw_generators) == {
-        (1, 2), (1, 3), (2, 3), (1, 2, 3)
-    }
+    # the power-set realization: every pair and the triple are inseparable,
+    # so the raw family is already the whole structure
+    report = rv_analysis(realize_structure(power_set(3)))
+    assert report.raw_generators == ((1, 2), (1, 3), (2, 3), (1, 2, 3))
+    assert report.raw_family_closed
 
 
 def test_sparse_table_over_large_alphabets():
@@ -391,8 +390,13 @@ def test_rv_analysis_matches_oracle(case):
         assume(math.lcm(*(p.denominator for p in table.values())) ** 2 >= 2**62)
     tol = kind if isinstance(kind, float) else DEFAULT_TOL
     dist = FiniteJointDistribution(outcomes, table)
-    raw = set(rv_analysis(dist, tol=tol).raw_generators)
+    report = rv_analysis(dist, tol=tol)
+    raw = set(report.raw_generators)
     assert raw == oracle_rv_inseparable(outcomes, table, tol if isinstance(kind, float) else 0)
+    # independence across A|B passes to every sub-cut, so two overlapping
+    # inseparable subsets of an exact table have an inseparable union
+    if not isinstance(kind, float):
+        assert report.raw_family_closed
     if blocks == 2:
         assert tuple(range(1, len(outcomes) + 1)) not in raw
     # the table, then its JSON keys in the order of the outcome indices
@@ -410,7 +414,7 @@ def test_rv_analysis_matches_oracle(case):
 def sweep_cuts(dist):
     """(J, a, b) position tuples of each cut of the sweep, in its order."""
     return [tuple(tuple(p for p in range(dist.variables) if m >> p & 1) for m in cut)
-            for cut in _plan(dist.variables)[3].T.tolist()]
+            for cut in _plan(dist.variables)[2].T.tolist()]
 
 
 def check_sweep_against_oracle(outcomes, table, tol=DEFAULT_TOL):
