@@ -18,6 +18,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import DomainError
 
 MAX_GROUND_SIZE = 24
@@ -131,6 +133,23 @@ def _subsets(k: int) -> tuple:
     return tuple(
         (j, _mask(j)) for r in range(2, k + 1) for j in itertools.combinations(range(k), r)
     )
+
+
+@functools.cache
+def _cut_table(k: int) -> tuple:
+    """(starts, cuts): every cut of every subset of `_subsets(k)`, as bitmasks.
+
+    `cuts` holds the (3, cuts) masks (J, a, b), the subsets in `_subsets`
+    order and each subset's cuts in `_bipartitions` order, and `starts` the
+    index of each subset's first cut: a per-cut array reduces to one verdict
+    per subset with `np.logical_or.reduceat(..., starts)`.
+    """
+    starts, cuts = [], []
+    for j, mask in _subsets(k):
+        starts.append(len(cuts))
+        cuts += [(mask, _mask(a), _mask(b)) for a, b in _bipartitions(j)]
+    cuts = np.array(cuts, dtype=np.intp).reshape(-1, 3).T
+    return np.array(starts, dtype=np.intp), cuts
 
 
 def _check_indices(indices, count: int, noun: str) -> tuple:

@@ -12,10 +12,18 @@ is at most tol in modulus.  Then ||D||_F <= n tol for rho_J of dimension n,
 and the Frobenius norm of a Kronecker product is the product of the norms,
 so by the triangle inequality such a cut has
 | ||rho_J||_F - ||rho_A||_F ||rho_B||_F | <= n tol, up to a rounding band
-(`_norms_allow_product`).  Each reduction's norm is
-computed once, and a cut whose norms break that bound is not tested entrywise.
-The bound is only necessary: the entrywise test still decides every cut that
-meets it, so every verdict is the one the entrywise test alone gives.
+(`_norms_allow_product`).  `_split_cuts` decides every cut of every subset
+in one step: the norm and the dimension of each reduction sit in arrays
+indexed by site mask, one array expression applies the bound to every cut
+of `connective._cut_table`, and only the cuts that meet it form their
+product for the entrywise test.  The bound is only necessary, so every
+verdict is the one the entrywise test alone gives.  One
+`np.logical_or.reduceat` over the cut verdicts gives each subset's.
+
+Entanglement is judged per subset: a pure reduction by the Schmidt
+coefficients of its top eigenvector across each cut, a mixed one by
+`quantum.ppt_verdicts`, which certifies most entangled cuts from small
+principal blocks of their partial transposes before it factorizes the rest.
 """
 
 from __future__ import annotations
@@ -31,7 +39,10 @@ import numpy as np
 from .connective import (
     ConnectiveStructure,
     _bipartitions,
+    _cut_table,
+    _mask_positions,
     _subset_structures,
+    _subsets,
     connective_order,
 )
 from .disentangle import disentanglement_structures
@@ -86,17 +97,11 @@ def _reductions(rho: DensityOperator):
     return functools.cache(lambda sites: partial_trace(rho, sites))
 
 
-def _norms(reduce):
-    """Frobenius norm of each reduction by site tuple, each computed once."""
-    return functools.cache(lambda sites: _frobenius(reduce(sites).matrix))
-
-
-def _norms_allow_product(norm_j: float, norm_a: float, norm_b: float, n: int,
-                         tol: float) -> bool:
+def _norms_allow_product(norm_j, norm_a, norm_b, n, tol: float):
     """Whether |norm_j - norm_a norm_b| <= n tol + delta for computed
-    Frobenius norms: False only when the entrywise test max |rho_J - P| <= tol,
-    run in floating point on P = rho_A (x) rho_B in J order, cannot pass.
-    rho_J has dimension n.
+    Frobenius norms, elementwise over arrays: False only when the entrywise
+    test max |rho_J - P| <= tol, run in floating point on P = rho_A (x) rho_B
+    in J order, cannot pass.  rho_J has dimension n.
 
     With u the unit roundoff (eps / 2): an accepted entry of the computed
     difference puts the exact one within tol (1 + 4u), and each entry of the
@@ -113,10 +118,11 @@ def _norms_allow_product(norm_j: float, norm_a: float, norm_b: float, n: int,
     in delta.  A norm or bound that overflows makes the comparison inf or
     nan, and the cut is left to the entrywise test.
     """
-    product = norm_a * norm_b
-    delta = (2 * (n * n + 8) * _EPS * (norm_j + product) + 4 * n * _EPS * tol
-             + 2 * n * math.sqrt(_TINY) * (1 + norm_a + norm_b))
-    return not abs(norm_j - product) > n * tol + delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = norm_a * norm_b
+        delta = (2 * (n * n + 8) * _EPS * (norm_j + product) + 4 * n * _EPS * tol
+                 + 2 * n * math.sqrt(_TINY) * (1 + norm_a + norm_b))
+        return np.logical_not(abs(norm_j - product) > n * tol + delta)
 
 
 def _product(sides, cut) -> np.ndarray:
@@ -133,15 +139,28 @@ def _product(sides, cut) -> np.ndarray:
     return np.einsum(*operands, list(range(2 * k))).reshape(n, n)
 
 
-def _completely_correlated(reduce, norm, j: tuple, tol: float) -> bool:
-    reduced = reduce(j).matrix
-    for cut in _bipartitions(range(len(j))):
-        sides = [tuple(j[p] for p in side) for side in cut]
-        # the norms rule out most cuts before any product is formed
-        if (_norms_allow_product(norm(j), *map(norm, sides), reduced.shape[0], tol)
-                and np.max(np.abs(_product([reduce(s) for s in sides], cut) - reduced)) <= tol):
-            return False
-    return True
+def _split_cuts(reduce, k: int, tol: float) -> np.ndarray:
+    """Bool per cut of `connective._cut_table(k)`: whether the cut (J, a, b)
+    factorizes rho_J, max |rho_J - rho_a (x) rho_b| <= tol.
+
+    The norm and the dimension of every reduction sit in arrays indexed by
+    site mask, so one `_norms_allow_product` call applies the norm bound to
+    every cut; only the cuts that meet it form their product.
+    """
+    norms, dims = np.zeros(1 << k), np.ones(1 << k)
+    for mask in range(1, 1 << k):
+        matrix = reduce(_mask_positions(mask)).matrix
+        norms[mask], dims[mask] = _frobenius(matrix), len(matrix)
+    cuts = _cut_table(k)[1]
+    j, a, b = cuts
+    split = _norms_allow_product(norms[j], norms[a], norms[b], dims[j], tol)
+    passing = np.flatnonzero(split)
+    for c, masks in zip(passing, cuts[:, passing].T.tolist()):
+        sites, *sides = map(_mask_positions, masks)
+        cut = [tuple(map(sites.index, side)) for side in sides]
+        product = _product([reduce(side) for side in sides], cut)
+        split[c] = np.max(np.abs(product - reduce(sites).matrix)) <= tol
+    return split
 
 
 def _completely_entangled(reduced: DensityOperator, tol: float) -> tuple:
@@ -165,11 +184,11 @@ def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> Densit
     if k < 2:
         raise DomainError("density analysis needs at least two sites")
     reduce = _reductions(rho)
-    norm = _norms(reduce)
+    split = np.logical_or.reduceat(_split_cuts(reduce, k, tol), _cut_table(k)[0])
+    correlated = dict(zip((j for j, _ in _subsets(k)), np.logical_not(split).tolist()))
 
     def verdict(j):
-        corr = _completely_correlated(reduce, norm, j, tol)
-        return SubsetDensityVerdict(corr, *_completely_entangled(reduce(j), tol))
+        return SubsetDensityVerdict(correlated[j], *_completely_entangled(reduce(j), tol))
 
     subsets, structures = _subset_structures(k, verdict, {
         "corr": lambda v: v.completely_correlated,

@@ -13,6 +13,7 @@ residual norm is > tol, that is, its probability is > tol^2.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -27,6 +28,9 @@ DEFAULT_TOL = 1e-9
 MAX_TOTAL_DIM = 2**14
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
+# the largest principal block of a partial transpose that `ppt_verdicts`
+# diagonalizes, stacked, before any cut is factorized
+_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -419,6 +423,12 @@ def _frobenius(mat: np.ndarray) -> float:
     return math.sqrt(np.vdot(mat, mat).real)
 
 
+def _eig_band(n: int, norm: float, bound: float) -> float:
+    """The rounding band delta of `_min_eig_below` for an n x n matrix of
+    Frobenius norm `norm`, tested against `bound`."""
+    return 4 * n * (n + 1) * _EPS * (norm + abs(bound)) + _TINY
+
+
 def _min_eig_below(mat: np.ndarray, bound: float, norm: float) -> bool:
     """Whether `float(np.linalg.eigvalsh(mat.reshape(n, n))[0]) < bound`,
     decided by Cholesky, for an array `mat` of n^2 entries with Frobenius
@@ -441,7 +451,7 @@ def _min_eig_below(mat: np.ndarray, bound: float, norm: float) -> bool:
     of a read-only operator.
     """
     n = math.isqrt(mat.size)
-    delta = 4 * n * (n + 1) * _EPS * (norm + abs(bound)) + _TINY
+    delta = _eig_band(n, norm, bound)
     if not math.isfinite(delta):
         return float(np.linalg.eigvalsh(mat.reshape(n, n))[0]) < bound
     work = mat.copy().reshape(n, n)
@@ -474,6 +484,73 @@ def _ppt_verdict(tens: np.ndarray, a: tuple, b: tuple, norm: float, tol: float) 
     return Verdict.PPT_INCONCLUSIVE
 
 
+@functools.cache
+def _block_plan(dims: tuple) -> tuple:
+    """(lead, inners, rows, keys): what `_block_certificates` stacks for an
+    operator over `dims`, which depends on the dimensions alone.
+
+    The trailing sites T = lead..k-1 are the last ones whose dimensions
+    multiply to at most `_BLOCK`.  `rows` lists the cuts of
+    `connective._bipartitions` whose sides both have dimension > 1 and whose
+    b holds some but not all of T; `inners` lists the distinct position sets
+    of b's sites within T over those cuts, and `keys` each row's index into
+    it.  Nothing is stacked when T leaves no leading site or has fewer than
+    two sites.
+    """
+    k = len(dims)
+    lead, m = k, 1
+    while lead and m * dims[lead - 1] <= _BLOCK:
+        lead -= 1
+        m *= dims[lead]
+    rows, inners = [], {}
+    if lead and k - lead > 1:
+        for c, (a, b) in enumerate(_bipartitions(range(k))):
+            inner = tuple(s - lead for s in b if s >= lead)
+            if (0 < len(inner) < k - lead
+                    and min(math.prod(dims[s] for s in side) for side in (a, b)) > 1):
+                rows.append((c, inners.setdefault(inner, len(inners))))
+    rows = np.array(rows, dtype=np.intp).reshape(-1, 2).T
+    return lead, tuple(inners), *rows
+
+
+def _block_certificates(tens: np.ndarray, norm: float, tol: float) -> np.ndarray:
+    """Bool per cut (a, b) of `connective._bipartitions`: whether a small
+    principal block of the partial transpose over b shows
+    `_min_eig_below(..., -tol, norm)` True, for the operator with tensor
+    `tens` (k ket axes, then k bra axes) and Frobenius norm `norm`.
+
+    The block keeps the trailing sites T of `_block_plan` and fixes every
+    leading index at 0, in ket and bra alike: it is a principal submatrix of
+    the partial transpose, and the partial transpose over the sites of b in
+    T of rho's own block.  By Cauchy interlacing (Horn and Johnson, *Matrix
+    Analysis*, Thm 4.3.28) the least eigenvalue of the whole matrix is at
+    most the block's.  eigvalsh on the block, of dimension m < n and norm at
+    most rho's, is off by less than the band delta that `_min_eig_below`
+    derives for n from rho's norm.  So a computed block eigenvalue below
+    -tol - 3 delta puts the exact least eigenvalue of the partial transpose
+    below -tol - 2 delta, where each branch of `_min_eig_below` answers
+    True: the first factorization fails, or the second fails and eigvalsh,
+    off by less than delta, is below -tol.
+
+    A block transposed on none or all of T is a principal block of rho or
+    of its transpose, so only cuts whose b splits T are tested.  Cuts with
+    equal sites of b in T share one block, and the distinct blocks go
+    through one batched eigvalsh.
+    """
+    k = tens.ndim // 2
+    dims = tens.shape[:k]
+    lead, inners, rows, keys = _block_plan(dims)
+    certified = np.zeros(len(_bipartitions(range(k))), dtype=bool)
+    if len(rows):
+        corner = (0,) * lead + (slice(None),) * (k - lead)
+        block = tens[corner + corner]
+        m = math.isqrt(block.size)
+        stack = np.array([_transposed(block, inner).reshape(m, m) for inner in inners])
+        delta = _eig_band(math.prod(dims), norm, -tol)
+        certified[rows] = np.linalg.eigvalsh(stack)[keys, 0] < -tol - 3 * delta
+    return certified
+
+
 def ppt_verdicts(rho: DensityOperator, tol: float = DEFAULT_TOL) -> tuple:
     """Peres-Horodecki decision across every bipartition of rho's sites, in one pass.
 
@@ -486,14 +563,17 @@ def ppt_verdicts(rho: DensityOperator, tol: float = DEFAULT_TOL) -> tuple:
     The cuts come in the order of `connective._bipartitions`, and the pass
     ends at the first PPT_INCONCLUSIVE verdict: a tuple shorter than the
     list of cuts ends with that verdict.  rho's norm is computed once for
-    every cut's rounding band, and each cut's partial transpose is copied
-    once, into the matrix that is factorized.
+    every cut's rounding band.  A cut that `_block_certificates` certifies
+    is ENTANGLED without a factorization, which is `_min_eig_below`'s
+    answer too; every other cut's partial transpose is copied once, into
+    the matrix that is factorized.
     """
     tens = rho.matrix.reshape(rho.layout.dims * 2)
     norm = _frobenius(rho.matrix)
+    certified = _block_certificates(tens, norm, tol)
     verdicts = []
-    for a, b in _bipartitions(range(rho.layout.sites)):
-        verdicts.append(_ppt_verdict(tens, a, b, norm, tol))
+    for (a, b), entangled in zip(_bipartitions(range(rho.layout.sites)), certified.tolist()):
+        verdicts.append(Verdict.ENTANGLED if entangled else _ppt_verdict(tens, a, b, norm, tol))
         if verdicts[-1] is Verdict.PPT_INCONCLUSIVE:
             break
     return tuple(verdicts)

@@ -27,10 +27,9 @@ import numpy as np
 
 from .connective import (
     ConnectiveStructure,
-    _bipartitions,
     _check_indices,
     _check_labels,
-    _mask,
+    _cut_table,
     _subset_structures,
     _subsets,
     irreducibles,
@@ -160,28 +159,19 @@ def _rank(keys: np.ndarray) -> tuple:
 
 @functools.cache
 def _plan(k: int) -> tuple:
-    """(levels, starts, cuts): what `_sweep` ranks and decides on k variables.
+    """The rank levels `_sweep` runs on k variables, as bitmasks.
 
-    Subsets are bitmasks over the variables.  `levels` holds, for each size
-    s = 1..k, the (masks, prefixes, lasts) arrays of the size-s subsets in
-    the order of `connective._subsets`: each subset, the subset without its
-    last variable, and that variable.  `cuts` holds the (3, cuts) masks
-    (J, a, b) of the cuts of each subset of `_subsets(k)`, in that order and
-    each subset's in `_bipartitions` order, and `starts` the index of each
-    subset's first cut.
+    For each size s = 1..k, the (masks, prefixes, lasts) arrays of the
+    size-s subsets in the order of `connective._subsets`: each subset, the
+    subset without its last variable, and that variable.
     """
-    subsets = _subsets(k)
-    levels, starts, cuts = [], [], []
+    levels = []
     singles = tuple(((p,), 1 << p) for p in range(k))
-    for _, level in itertools.groupby(singles + subsets, key=lambda subset: len(subset[0])):
+    for _, level in itertools.groupby(singles + _subsets(k), key=lambda subset: len(subset[0])):
         masks, lasts = zip(*((mask, j[-1]) for j, mask in level))
         prefixes = [m ^ 1 << last for m, last in zip(masks, lasts)]
         levels.append(tuple(np.array(v, dtype=np.intp) for v in (masks, prefixes, lasts)))
-    for j, mask in subsets:
-        starts.append(len(cuts))
-        cuts += [(mask, _mask(a), _mask(b)) for a, b in _bipartitions(j)]
-    cuts = np.array(cuts, dtype=np.intp).reshape(-1, 3).T
-    return tuple(levels), np.array(starts, dtype=np.intp), cuts
+    return tuple(levels)
 
 
 # the weight test takes its passing cuts in steps, so that each (cuts, rows)
@@ -201,17 +191,17 @@ def _sweep(dist: FiniteJointDistribution, tol: float) -> tuple:
     the size: the keys stay below the rows times an alphabet, and no array
     over the product of the alphabets is ever built.
 
-    `independent` holds one verdict per cut of `_plan`: the blocks a and b
-    of J are independent when J's support is the product of theirs,
-    size[J] == size[a] * size[b], and on every row J's weight sum times the
-    scale matches the product of a's and b's within tol, which is 0 for
-    exact tables: their integer counts make that equality exact.  Weight
-    sums are formed, by one np.add.at in row order, only for the subsets
-    that the cuts passing the support test touch.
+    `independent` holds one verdict per cut of `connective._cut_table`: the
+    blocks a and b of J are independent when J's support is the product of
+    theirs, size[J] == size[a] * size[b], and on every row J's weight sum
+    times the scale matches the product of a's and b's within tol, which is
+    0 for exact tables: their integer counts make that equality exact.
+    Weight sums are formed, by one np.add.at in row order, only for the
+    subsets that the cuts passing the support test touch.
     """
     weights = dist._weights
     columns = np.ascontiguousarray(dist._index.T)
-    levels, _, cuts = _plan(dist.variables)
+    levels, cuts = _plan(dist.variables), _cut_table(dist.variables)[1]
     alphabets = np.array([len(labels) for labels in dist.outcomes], dtype=np.int64)
     row_ids = np.zeros((1 << dist.variables, len(weights)), dtype=np.int64)
     sizes = np.ones(1 << dist.variables, dtype=np.int64)
@@ -276,7 +266,7 @@ def rv_analysis(dist: FiniteJointDistribution, tol: float = DEFAULT_TOL) -> RvRe
     two or more points are as many as the raw generators.
     """
     k = dist.variables
-    separable = np.logical_or.reduceat(_sweep(dist, tol)[2], _plan(k)[1])
+    separable = np.logical_or.reduceat(_sweep(dist, tol)[2], _cut_table(k)[0])
     verdicts = dict(zip((j for j, _ in _subsets(k)), np.logical_not(separable).tolist()))
     inseparable, structures = _subset_structures(k, verdicts.__getitem__, {"rv": bool})
     structure = structures["rv"]

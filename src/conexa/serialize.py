@@ -9,7 +9,9 @@ the file.
 
 from __future__ import annotations
 
+import itertools
 import json
+from array import array
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -44,13 +46,23 @@ def split_key(key: str, arity: int) -> tuple:
 
 
 def _split_keys(table: Mapping, arity: int) -> dict:
-    """The table keyed by split_key, refusing two keys that split alike."""
-    keys = {}
-    for key in table:
-        parts = split_key(key, arity)
-        if keys.setdefault(parts, key) != key:
-            raise DomainError(f"keys {keys[parts]!r} and {key!r} both name {parts}")
-    return {parts: table[key] for parts, key in keys.items()}
+    """The table keyed by the label tuples `split_key` gives its keys,
+    refusing two keys that split alike with split_key's messages.
+
+    Every key is split by split_key's rule in one comprehension; only a
+    table that fails the arity or the set-size check is scanned again, key
+    by key, to name the first offending key as split_key would.
+    """
+    parts = [tuple(key.split(",")) if arity == 1 or "," in key else tuple(key) for key in table]
+    keyed = dict(zip(parts, table.values()))
+    if len(keyed) < len(parts) or not set(map(len, keyed)) <= {arity}:
+        seen = {}
+        for key, p in zip(table, parts):
+            if len(p) != arity:
+                raise DomainError(f"key {key!r} does not split into {arity} labels")
+            if seen.setdefault(p, key) != key:
+                raise DomainError(f"keys {seen[p]!r} and {key!r} both name {p}")
+    return keyed
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +96,21 @@ def _complex_pair(z: complex) -> list:
 def _complex_array(data, ndim: int) -> np.ndarray:
     """Complex array of `ndim` >= 1 dimensions from nested lists of [re, im] pairs.
 
-    Each entry is complex(re, im), which takes numbers only: a numeric
-    string is an error, not a number.
+    The lists of each level must share one length and the pairs have length
+    2.  Their numbers fill one float buffer, viewed as complex, which takes
+    numbers only, as complex(re, im) does: a numeric string or null is an
+    error, not a number, and an integer beyond float range overflows.
     """
-    def decode(x, depth):
-        if depth == 1:
-            return [complex(re, im) for re, im in x]
-        return [decode(y, depth - 1) for y in x]
-
-    return np.array(decode(data, ndim), dtype=np.complex128)
+    level, shape = [data], []
+    for _ in range(ndim + 1):
+        lengths = set(map(len, level))
+        if len(lengths) != 1:
+            raise ValueError(f"nested lists of unequal lengths {sorted(lengths)}")
+        shape += lengths
+        level = list(itertools.chain.from_iterable(level))
+    if shape[-1] != 2:
+        raise ValueError(f"complex entries must be [re, im] pairs, not of length {shape[-1]}")
+    return np.frombuffer(array("d", level), dtype=np.complex128).reshape(shape[:-1])
 
 
 def state_to_dict(psi: PureState) -> dict:

@@ -185,30 +185,36 @@ def random_density_matrix(rng: np.random.Generator, dims, rank: int) -> np.ndarr
     return mat / np.trace(mat).real
 
 
+def oracle_factorizes(reduced: np.ndarray, dims, a, tol: float = 1e-9) -> bool:
+    """Whether the operator `reduced` over `dims` is the product of its
+    reductions to the positions a and to the rest within tol entrywise, all
+    by index loops."""
+    k = len(dims)
+    b = [p for p in range(k) if p not in a]
+    rho_a = oracle_partial_trace(reduced, dims, list(a))
+    rho_b = oracle_partial_trace(reduced, dims, b)
+    order = list(a) + b
+    raw = np.kron(rho_a, rho_b)
+    tens = raw.reshape([dims[p] for p in order] * 2)
+    inverse = [order.index(i) for i in range(k)]
+    perm = inverse + [k + p for p in inverse]
+    side = int(np.prod(dims))
+    product = np.transpose(tens, perm).reshape(side, side)
+    return bool(np.max(np.abs(product - reduced)) <= tol)
+
+
 def oracle_completely_correlated(matrix: np.ndarray, dims, sites) -> bool:
     """Reduced-product comparison across every bipartition, all by index loops."""
     sites = sorted(sites)
     reduced = oracle_partial_trace(matrix, dims, sites)
     sub_dims = [dims[s] for s in sites]
     positions = range(len(sites))
-    for r in range(1, len(sites)):
-        for a in itertools.combinations(positions, r):
-            if 0 not in a:
-                continue
-            b = tuple(p for p in positions if p not in a)
-            rho_a = oracle_partial_trace(reduced, sub_dims, list(a))
-            rho_b = oracle_partial_trace(reduced, sub_dims, list(b))
-            k = len(sites)
-            order = list(a) + list(b)
-            raw = np.kron(rho_a, rho_b)
-            tens = raw.reshape([sub_dims[p] for p in order] * 2)
-            inverse = [order.index(i) for i in range(k)]
-            perm = inverse + [k + p for p in inverse]
-            side = int(np.prod(sub_dims))
-            product = np.transpose(tens, perm).reshape(side, side)
-            if np.max(np.abs(product - reduced)) <= 1e-9:
-                return False
-    return True
+    return not any(
+        oracle_factorizes(reduced, sub_dims, a)
+        for r in range(1, len(sites))
+        for a in itertools.combinations(positions, r)
+        if 0 in a
+    )
 
 
 def oracle_completely_entangled(matrix: np.ndarray, dims, sites, tol: float = 1e-9) -> tuple:

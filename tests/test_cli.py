@@ -514,6 +514,14 @@ MALFORMED_INPUTS = {
         ["analyze-state", "--file"],
         json.dumps({"dims": [2, 2], "amplitudes": [[1, 0], [0], [0, 0], [1, 0]]}),
     ),
+    "numeric-string amplitude": (
+        ["analyze-state", "--file"],
+        json.dumps({"dims": [2, 2], "amplitudes": [["1", 0], *_AMPS[1:]]}),
+    ),
+    "three-entry density pair": (
+        ["analyze-density", "--file"],
+        json.dumps({"dims": [2, 2], "matrix": _identity4((0.0, 0.0, 0.0))}),
+    ),
     "missing amplitudes": (["analyze-state", "--file"], '{"dims": [2, 2]}'),
     "non-integer dims": (
         ["analyze-state", "--file"],

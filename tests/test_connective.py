@@ -12,6 +12,7 @@ from conexa.connective import (
     GroundSet,
     _check_indices,
     _check_labels,
+    _cut_table,
     _subset_structures,
     _subsets,
     brunnian_structure,
@@ -327,9 +328,10 @@ def test_subset_driver_order_and_labels(k, data):
     for name, want in (("in", True), ("out", False)):
         labels = [label for label, v in verdicts.items() if v is want]
         assert structures[name] == generate_integral(ground_k, labels)
-    # the rv sweep ranks and cuts the subsets in the order the skeleton judges them
+    # the rv sweep ranks, and the shared cut table cuts, the subsets in the
+    # order the skeleton judges them
     masks = [sum(1 << s for s in j) for j in judged]
-    levels, starts, cuts = _plan(k)
+    levels, (starts, cuts) = _plan(k), _cut_table(k)
     assert np.concatenate([level[0] for level in levels[1:]]).tolist() == masks
     assert cuts[0, starts].tolist() == masks
     assert cuts[0].tolist() == np.repeat(masks, np.diff(starts, append=cuts.shape[1])).tolist()

@@ -1,18 +1,19 @@
 """Density-side structures: complete correlation, complete entanglement, orders."""
 
 import functools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conexa.connective import _cut_table
 from conexa.density import (
     VerdictQuality,
-    _norms,
     _norms_allow_product,
     _product,
+    _reductions,
+    _split_cuts,
     density_structures,
     total_order,
 )
@@ -20,6 +21,7 @@ from conexa.disentangle import IntricationClass, classify_on_subset
 from conexa.errors import DomainError
 from conexa.quantum import (
     DensityOperator,
+    _frobenius,
     PureState,
     SiteLayout,
     basis_state,
@@ -37,6 +39,8 @@ from helpers import (
     horodecki_2x4,
     oracle_completely_correlated,
     oracle_completely_entangled,
+    oracle_factorizes,
+    oracle_partial_trace,
     power_set,
     random_density_matrix,
     random_state_vector,
@@ -226,6 +230,32 @@ def test_density_structures_match_oracles(case):
         assert (verdict.completely_entangled, verdict.quality.value) == (entangled, quality)
 
 
+# a correlated classical law whose norm equals the product of its marginals'
+# norms (0.41^2 + 2 * 0.29^2 + 0.01^2 = 0.58^2): the norm bound keeps its
+# cut, and only the entrywise test rules it out
+_NORM_TIGHT = np.diag([0.41, 0.29, 0.29, 0.01]).astype(complex)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(density_cases())
+@example(((2, 2, 2), _EPR_AND_QUBIT))
+@example(((2, 2), _NORM_TIGHT))
+@example(((2, 2, 2), np.kron(_NORM_TIGHT, np.full((2, 2), 0.5))))
+def test_every_cut_splits_as_the_entrywise_oracle(case):
+    # the norm bound rules cuts out and the entrywise test decides the rest:
+    # each cut of the shared cut table gets the entrywise comparison's answer
+    dims, matrix = case
+    k = len(dims)
+    split = _split_cuts(_reductions(DensityOperator(SiteLayout(dims), matrix)), k, 1e-9)
+    cuts = _cut_table(k)[1].T.tolist()
+    assert split.shape == (len(cuts),)
+    for verdict, masks in zip(split.tolist(), cuts):
+        sites, a, _ = ([s for s in range(k) if mask >> s & 1] for mask in masks)
+        reduced = oracle_partial_trace(matrix, dims, sites)
+        a = [sites.index(s) for s in a]
+        assert verdict is oracle_factorizes(reduced, [dims[s] for s in sites], a), masks
+
+
 def _noisy(amplitudes, p):
     """(1 - p) |psi><psi| + p I / n for the normalized amplitudes psi."""
     v = np.asarray(amplitudes, dtype=complex)
@@ -328,9 +358,8 @@ def near_products(draw):
 
 def _bound_allows(reduced, rho_a, rho_b, tol):
     """_norms_allow_product on the analysis's norms of rho_J, rho_A and rho_B."""
-    ops = {"J": SimpleNamespace(matrix=reduced), "A": rho_a, "B": rho_b}
-    norm = _norms(ops.__getitem__)
-    return _norms_allow_product(norm("J"), norm("A"), norm("B"), reduced.shape[0], tol)
+    norms = [_frobenius(m) for m in (reduced, rho_a.matrix, rho_b.matrix)]
+    return bool(_norms_allow_product(*norms, reduced.shape[0], tol))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -16,6 +16,7 @@ from conexa.errors import DomainError
 from conexa.quantum import (
     DEFAULT_TOL,
     DensityOperator,
+    _block_certificates,
     _matricize,
     _frobenius,
     _min_eig_below,
@@ -646,12 +647,64 @@ def test_ppt_verdicts_at_the_rounding_band(dims, kind, tol):
             with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
                 assert ppt_verdicts(rho, tol=tol) == tuple(want)
             # once the pass reaches the cut, eigvalsh decides it at the
-            # bound; ten deltas out, the factorizations decide every cut
+            # bound; ten deltas out, the factorizations decide every cut.
+            # Only calls on the whole matrix count: the stacked principal
+            # blocks of the certificate are smaller
+            n = len(matrix)
+            full = sum(call.args[0].shape == (n, n) for call in spy.call_args_list)
             if k == 0 and cuts.index((a, b)) < len(want):
-                assert spy.call_count > 0
-            assert spy.call_count == 0 or abs(k) < 10
+                assert full > 0
+            assert full == 0 or abs(k) < 10
             for cut in cuts:
                 assert ppt(rho, *cut, tol=tol) is _oracle_ppt(matrix, dims, *cut, tol)
+
+
+@st.composite
+def qutrit_operators(draw):
+    """(dims, matrix) with a 3 among the dims: a rank-1 or rank-2 operator on
+    2-4 sites of total dimension <= 36, or the Horodecki 2x4 or tiles UPB
+    state beside a random operator on one more site, the sites in drawn
+    order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("rank", "horodecki", "upb")))
+    if kind == "rank":
+        dims = draw(st.lists(st.sampled_from((2, 3)), min_size=2, max_size=4)
+                    .filter(lambda d: 3 in d and math.prod(d) <= 36))
+        return tuple(dims), random_density_matrix(rng, dims, draw(st.integers(1, 2)))
+    weight = draw(st.floats(0.05, 0.95))
+    if kind == "horodecki":
+        dims, core = (2, 2, 2, 3), horodecki_2x4(weight)
+    else:
+        dims, core = (3, 3, draw(st.sampled_from((2, 3)))), tiles_upb(weight)
+    matrix = np.kron(core, random_density_matrix(rng, dims[-1:], draw(st.integers(1, 2))))
+    perm = draw(st.permutations(range(len(dims))))
+    k, n = len(dims), len(matrix)
+    moved = np.transpose(matrix.reshape(dims * 2), [*perm, *(k + p for p in perm)])
+    return tuple(dims[p] for p in perm), moved.reshape(n, n)
+
+
+def test_ppt_verdicts_match_the_oracle_with_block_certificates():
+    # every verdict of the pass is the eigvalsh oracle's, and a principal
+    # block certifies only cuts that the oracle calls ENTANGLED
+    fired = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(qutrit_operators())
+    def check(case):
+        dims, matrix = case
+        rho = DensityOperator(SiteLayout(dims), matrix)
+        cuts = _bipartitions(range(len(dims)))
+        want = [_oracle_ppt(matrix, dims, *cut, DEFAULT_TOL) for cut in cuts]
+        tens = rho.matrix.reshape(dims * 2)
+        certified = _block_certificates(tens, _frobenius(rho.matrix), DEFAULT_TOL)
+        assert all(w is Verdict.ENTANGLED for w, c in zip(want, certified.tolist()) if c)
+        if Verdict.PPT_INCONCLUSIVE in want:
+            want = want[: want.index(Verdict.PPT_INCONCLUSIVE) + 1]
+        assert ppt_verdicts(rho) == tuple(want)
+        fired.append(bool(certified.any()))
+
+    check()
+    assert any(fired) and not all(fired)
 
 
 def test_state_normalization_and_zero_rejection():

@@ -16,11 +16,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conexa import randvars
+from conexa.connective import _cut_table
 from conexa.errors import DomainError
 from conexa.quantum import DEFAULT_TOL
 from conexa.randvars import (
     FiniteJointDistribution,
-    _plan,
     _sweep,
     brunnian_family,
     marginal,
@@ -48,7 +48,7 @@ def mask(positions) -> int:
 
 def independent(dist, a, b, tol=DEFAULT_TOL) -> bool:
     """Whether the blocks a and b are independent: the sweep's verdict on that cut."""
-    _, left, right = _plan(dist.variables)[2]
+    _, left, right = _cut_table(dist.variables)[1]
     a, b = mask(a), mask(b)
     (cut,) = np.flatnonzero((left == a) & (right == b) | (left == b) & (right == a))
     return bool(_sweep(dist, tol)[2][cut])
@@ -414,7 +414,7 @@ def test_rv_analysis_matches_oracle(case):
 def sweep_cuts(dist):
     """(J, a, b) position tuples of each cut of the sweep, in its order."""
     return [tuple(tuple(p for p in range(dist.variables) if m >> p & 1) for m in cut)
-            for cut in _plan(dist.variables)[2].T.tolist()]
+            for cut in _cut_table(dist.variables)[1].T.tolist()]
 
 
 def check_sweep_against_oracle(outcomes, table, tol=DEFAULT_TOL):

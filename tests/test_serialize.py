@@ -10,7 +10,9 @@ from conexa.errors import DomainError
 from conexa.quantum import builtin_state, partial_trace
 from conexa.randvars import FiniteJointDistribution, brunnian_family
 from conexa.serialize import (
+    _complex_array,
     _prob_from_json,
+    _split_keys,
     canonical_json,
     density_from_dict,
     density_to_dict,
@@ -38,6 +40,9 @@ def test_key_join_and_split():
     assert split_key("-1,1", 2) == ("-1", "1")
     with pytest.raises(DomainError):
         split_key("011", 2)
+    # a whole table's keys split by the same rule
+    assert _split_keys({"ab": 1, "b,a": 2}, 2) == {("a", "b"): 1, ("b", "a"): 2}
+    assert _split_keys({"ab": 1, "b": 2}, 1) == {("ab",): 1, ("b",): 2}
 
 
 def test_structure_round_trip_and_order():
@@ -149,3 +154,38 @@ def test_canonical_json_is_stable():
     payload = {"b": 1, "a": [3, 2]}
     assert canonical_json(payload) == canonical_json({"a": [3, 2], "b": 1})
     assert canonical_json(payload).endswith("\n")
+
+
+@pytest.mark.parametrize("keys, message", [
+    (["ab", "a,b"], "keys 'ab' and 'a,b' both name ('a', 'b')"),
+    (["ab", "abc", "a,b"], "key 'abc' does not split into 2 labels"),
+    (["ab", "a,b", "abc"], "keys 'ab' and 'a,b' both name ('a', 'b')"),
+    (["a,b,c"], "key 'a,b,c' does not split into 2 labels"),
+])
+def test_split_keys_names_the_first_faulty_key(keys, message):
+    # the whole table is split at once; a fault is then named as a scan in
+    # key order meets it first
+    with pytest.raises(DomainError) as caught:
+        _split_keys(dict.fromkeys(keys, 1), 2)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("data, ndim", [
+    ([["1", 0]], 1),              # numeric string
+    ([[None, 0]], 1),             # null
+    ([[1, 0], [0]], 1),           # ragged
+    ([[1, 0, 0]], 1),             # a pair of three entries
+    ([[10**400, 0]], 1),          # overflows a float
+    ([[1, 0], [0, -1]], 2),       # a matrix of numbers, not of pairs
+])
+def test_complex_array_refuses_what_complex_refuses(data, ndim):
+    with pytest.raises((TypeError, ValueError, OverflowError)):
+        _complex_array(data, ndim)
+
+
+def test_complex_array_takes_numbers_as_complex_does():
+    data = [[[1, 0], [True, -0.0]], [[2**70, 0.5], [-3, 1e-300]]]
+    got = _complex_array(data, 2)
+    want = np.array([[complex(*pair) for pair in row] for row in data])
+    assert got.dtype == np.complex128 and got.shape == (2, 2)
+    assert got.tobytes() == want.tobytes()
