@@ -200,18 +200,23 @@ def _as_mask(ground: GroundSet, subset) -> int:
 
 
 def _close(ground_size: int, masks: Iterable[int]) -> frozenset:
-    """Fixpoint of pairwise union-with-common-point, seeded with all singletons."""
+    """Fixpoint of pairwise union-with-common-point, seeded with all singletons.
+
+    The fixpoint holds the empty set, the singletons and every union of
+    generators (the masks of two or more points) whose intersection graph is
+    connected.  Such a union is reached from any one of its generators by
+    adding one generator that meets the union so far at a time, so each new
+    set is extended by the generators alone, not by every member: the cost is
+    O(|C| |G|) for C the family and G the generators, not O(|C|^2).
+    """
     connected = {0} | {1 << i for i in range(ground_size)} | set(masks)
-    work = list(connected)
+    generators = [m for m in connected if m & (m - 1)]
+    work = list(generators)
     while work:
         a = work.pop()
-        fresh = []
-        for b in connected:
-            u = a | b
-            if a & b and u not in connected:
-                fresh.append(u)
-        for u in fresh:
-            if u not in connected:
+        for g in generators:
+            u = a | g
+            if a & g and u not in connected:
                 connected.add(u)
                 work.append(u)
     return frozenset(connected)

@@ -10,7 +10,8 @@ questions each output reads.  A realization factors along a partition of the
 sites exactly when no output reads a question outside its block, so the
 locality predicates (and the tensorial structures built from them) come from
 the codes and the pairs the factoring realizations select; the domanial
-structures are the meet of every code's domain structures.
+structures are the meet of every code's domain structures, each distinct code
+folded in once.
 """
 
 from __future__ import annotations
@@ -186,6 +187,10 @@ def realization_count(device: Device) -> int:
 # Most realizations per vectorized step of the scan; a step holds more only
 # when its one question axis alone has more.
 _CHUNK = 1 << 18
+# Widest dependency codes, in bits, that the scan tells apart by a bool table
+# over the code space (64 KiB at 16 bits); at 25 bits np.unique per block
+# beats scattering into a 32 MiB table.
+_TABLE_BITS = 16
 
 
 def _axis_any(x: np.ndarray) -> list:
@@ -198,6 +203,20 @@ def _axis_any(x: np.ndarray) -> list:
     return _axis_any(x.any(axis=tuple(range(half, x.ndim)))) + _axis_any(
         x.any(axis=tuple(range(half)))
     )
+
+
+def _fresh_codes(dep: np.ndarray, seen) -> list:
+    """The distinct codes of the block `dep` that `seen` lacks, ascending;
+    `seen` records them.  It is a bool table indexed by code, or a set."""
+    if isinstance(seen, set):
+        fresh = [code for code in np.unique(dep).tolist() if code not in seen]
+        seen.update(fresh)
+        return fresh
+    hits = np.zeros_like(seen)
+    hits[dep] = True
+    fresh = np.flatnonzero(hits & ~seen)
+    seen[fresh] = True
+    return fresh.tolist()
 
 
 def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
@@ -217,9 +236,12 @@ def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
 
     The scan loops over the leading axes and broadcasts over the trailing
     ones: at most `_CHUNK` realizations per block, but at least one axis.
-    `early_exit(codes)` sees each block's distinct codes until it first
-    returns true, and is not called again after that; the scan stops once it
-    has returned true (when given) and every entry is true.
+    `early_exit(codes)` sees, for each block until it first returns true, the
+    codes that no earlier block held, so each distinct code once; it is not
+    called again after that, and the scan stops once it has returned true
+    (when given) and every entry is true.  Codes of k * k <= `_TABLE_BITS`
+    bits (k <= 4 sites) are told apart by a bool table over the code space,
+    wider ones by `np.unique` of each block and a set.
     """
     total = realization_count(device)
     if total > cap:
@@ -279,6 +301,7 @@ def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
     ]
     coverage = np.zeros((len(partitions), offsets[-1]), dtype=bool)
     settled = early_exit is None
+    seen = np.zeros(1 << k * k, dtype=bool) if k * k <= _TABLE_BITS else set()
 
     for idx in np.ndindex(*(sizes[qi] for qi in leading)):
         const = 0
@@ -298,7 +321,7 @@ def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
                 for span, hit in zip(spans, hits):
                     row[span] |= hit
         if not settled:
-            settled = bool(early_exit(np.unique(dep).tolist()))
+            settled = bool(early_exit(_fresh_codes(dep, seen)))
         if settled and coverage.all():
             break
     return coverage
@@ -408,26 +431,35 @@ class _DomanialMeets:
     """Running meets of the per-realization domain structures, each a
     frozenset of masks over the sites.
 
-    Called with dependency codes, it says whether both meets have reached the
-    discrete family (the empty set and the k singletons), the bottom of the
-    meet lattice.  Until then it folds in the codes it has not seen; past it
-    no code can change them.
+    Called with dependency codes that it has not been given before (the scan
+    passes each distinct code once), it says whether both meets have reached
+    the discrete family (the empty set and the k singletons), the bottom of
+    the meet lattice.  Until then it folds in each code's two closures; past
+    it no code can change them.  A closure depends only on its set of
+    generators, which many codes share (the dp generators ignore the bits
+    (i, i)), and a meet is idempotent, so each set is closed once per meet.
     """
 
     def __init__(self, k: int):
         self.k = k
         self.do = self.dp = frozenset(range(1 << k))
-        self.seen: set = set()
+        self.folded_do: set = set()
+        self.folded_dp: set = set()
 
     def __call__(self, codes) -> bool:
         k = self.k
-        for code in set(codes) - self.seen:
+        for code in codes:
             if len(self.do) == len(self.dp) == k + 1:
                 break
-            self.seen.add(code)
             masks = [code >> (i * k) & ((1 << k) - 1) for i in range(k)]
-            self.do &= _close(k, masks)
-            self.dp &= _close(k, [m | 1 << i for i, m in enumerate(masks)])
+            do = frozenset(masks)
+            if do not in self.folded_do:
+                self.folded_do.add(do)
+                self.do &= _close(k, do)
+            dp = frozenset(m | 1 << i for i, m in enumerate(masks))
+            if dp not in self.folded_dp:
+                self.folded_dp.add(dp)
+                self.dp &= _close(k, dp)
         return len(self.do) == len(self.dp) == k + 1
 
     def structures(self) -> tuple:

@@ -152,15 +152,21 @@ def test_brunnian_structure_examples():
         brunnian_structure(0)
 
 
-def test_closure_axiom_on_generated_structures():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = int(rng.integers(2, 6))
-        g = ground(n)
-        gens = [int(rng.integers(1, g.full_mask + 1)) for _ in range(int(rng.integers(0, 5)))]
-        s = generate_integral(g, gens)
-        assert closure_axiom_holds(s)
-        assert s.connected == oracle_close(n, gens)
+@st.composite
+def _generator_lists(draw):
+    """A ground size n <= 7 and up to 2n nonempty masks over it."""
+    n = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=2 * n))
+    return n, gens
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_generator_lists())
+def test_closure_axiom_on_generated_structures(case):
+    n, gens = case
+    s = generate_integral(ground(n), gens)
+    assert closure_axiom_holds(s)
+    assert s.connected == oracle_close(n, gens)
 
 
 def test_generate_is_idempotent():

@@ -380,16 +380,35 @@ class _CountingExit:
 
 def test_scan_stops_asking_early_exit_once_it_holds():
     # the meets of K are discrete after its first block, and the coverage
-    # matrix still needs every later one
+    # matrix still needs every later one; K's 9-bit codes go through the
+    # code table, never through np.unique
     dev = builtin_device("K")
     cuts = _bipartitions(range(dev.uplicity))
     meets = _CountingExit(devices._DomanialMeets(dev.uplicity))
-    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+    with mock.patch.object(devices, "_fresh_codes", wraps=devices._fresh_codes) as fold, \
+            mock.patch.object(np, "unique", wraps=np.unique) as unique:
         coverage = devices._scan(dev, devices.DEFAULT_CAP, cuts, meets)
     assert meets.answers == [True]
-    assert unique.call_count == 1
+    assert fold.call_count == 1
+    assert unique.call_count == 0
     assert not coverage.all()
     assert coverage.tolist() == _scan_results(dev)[0]
+
+
+# With the width limit at 0 bits every code goes through np.unique and a set,
+# the path of 5 to 7 sites.
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(coherent_devices(sites=(2, 4), labels=2, budget=256))
+def test_code_table_and_unique_fold_agree(dev):
+    table = _results_per_block_size(dev)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(devices, "_TABLE_BITS", 0)
+        unique = _results_per_block_size(dev)
+    assert table == unique
+    for _, meets, alone in table:
+        assert meets == alone == oracle_domanial(dev)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

@@ -1,9 +1,12 @@
 """JSON round trips and canonical-ordering stability."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conexa.devices import builtin_device
 from conexa.errors import DomainError
@@ -154,6 +157,49 @@ def test_canonical_json_is_stable():
     payload = {"b": 1, "a": [3, 2]}
     assert canonical_json(payload) == canonical_json({"a": [3, 2], "b": 1})
     assert canonical_json(payload).endswith("\n")
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+# Leaves include escaped and non-ASCII strings, ints past 64 bits, -0.0, NaN
+# and the infinities; each dict has keys of one type, as sorting needs.
+_json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(1 << 80), 1 << 80)
+    | st.floats() | st.sampled_from([-0.0, 0.0]) | st.text()
+    | st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f", "\u00e9", "\u2028", "\U0001f600"]),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=4)
+        | st.dictionaries(st.integers(-300, 300), children, max_size=3)
+        | st.dictionaries(st.floats(allow_nan=False), children, max_size=3)
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_json_trees)
+def test_canonical_json_renders_the_bytes_of_json_dumps(tree):
+    assert canonical_json(tree) == _dumps(tree)
+
+
+@pytest.mark.parametrize("tree", [
+    {}, [], (), {"a": {}, "b": []}, [[], {}], {None: 1}, {True: [0]}, {False: None},
+    {1.5: "x"}, {-0.0: "z"}, {10: 1, 9: 2}, float("nan"), [float("-inf")], 1 << 100,
+])
+def test_canonical_json_edge_cases(tree):
+    assert canonical_json(tree) == _dumps(tree)
+
+
+@pytest.mark.parametrize("tree", [{1: 2, "a": 3}, {(1, 2): 3}, {"a": {1, 2}}, [np.int64(1)]])
+def test_canonical_json_refuses_what_json_refuses(tree):
+    with pytest.raises(TypeError):
+        _dumps(tree)
+    with pytest.raises(TypeError):
+        canonical_json(tree)
 
 
 @pytest.mark.parametrize("keys, message", [
