@@ -3,7 +3,7 @@
 Subpackages by concern:
 
 - ``connective``: finite integral connectivity structures (generation,
-  irreducibles, order, meet).
+  irreducibles, order).
 - ``quantum``: dense states, the one contraction kernel behind every local
   measurement, partial trace, PPT.
 - ``disentangle``: measurement-pool classification of pure states and the six
@@ -21,14 +21,9 @@ __version__ = "0.1.0"
 from .connective import (
     ConnectiveStructure,
     GroundSet,
-    brunnian_structure,
     connective_order,
-    discrete_structure,
     generate_integral,
-    indiscrete_structure,
     irreducibles,
-    is_connected_set,
-    meet_structures,
 )
 from .density import (
     DensityReport,
@@ -44,10 +39,8 @@ from .devices import (
     builtin_device,
     derive_device,
     device_structures,
-    locality_profile,
     realization_count,
     sub_device,
-    tensor_device,
 )
 from .disentangle import (
     Classification,
@@ -69,7 +62,6 @@ from .quantum import (
     builtin_state,
     partial_trace,
     purity,
-    tensor_state,
 )
 from .randvars import (
     FiniteJointDistribution,

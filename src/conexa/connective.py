@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -245,11 +245,6 @@ def _subset_structures(k: int, verdict, families: Mapping) -> tuple:
     return {tuple(s + 1 for s in j): v for j, _, v in judged}, structures
 
 
-def is_connected_set(structure: ConnectiveStructure, subset) -> bool:
-    """Membership test for a subset (mask or label collection)."""
-    return _as_mask(structure.ground, subset) in structure.connected
-
-
 def irreducibles(structure: ConnectiveStructure) -> frozenset:
     """Connected parts (size >= 2) not regenerated by the other connected parts.
 
@@ -284,43 +279,3 @@ def connective_order(structure: ConnectiveStructure) -> int:
         height[k] = h
         best = max(best, h)
     return best
-
-
-def meet_structures(structures: Sequence[ConnectiveStructure]) -> ConnectiveStructure:
-    """Intersection of the connected families; integral structures are closed under it."""
-    if not structures:
-        raise DomainError("meet of an empty list of structures")
-    ground = structures[0].ground
-    for s in structures[1:]:
-        if s.ground != ground:
-            raise DomainError("meet requires structures over the same ground set")
-    connected = frozenset.intersection(*(s.connected for s in structures))
-    return ConnectiveStructure(ground, connected)
-
-
-def brunnian_structure(n: int) -> ConnectiveStructure:
-    """Structure on {0,..,n-1} whose only connected part of size >= 2 is the full set."""
-    if n < 1:
-        raise DomainError(f"brunnian structure needs n >= 1, got {n}")
-    ground = GroundSet(range(n))
-    return ConnectiveStructure(ground, [ground.full_mask])
-
-
-def discrete_structure(ground: GroundSet) -> ConnectiveStructure:
-    """Finest integral structure: empty set and singletons only."""
-    return ConnectiveStructure(ground, [])
-
-
-def indiscrete_structure(ground: GroundSet) -> ConnectiveStructure:
-    """Coarsest structure: every subset connected."""
-    return ConnectiveStructure(ground, range(ground.full_mask + 1))
-
-
-def closure_axiom_holds(structure: ConnectiveStructure) -> bool:
-    """Exhaustive pair scan of the union-with-common-point axiom."""
-    members = list(structure.connected)
-    for a in members:
-        for b in members:
-            if a & b and (a | b) not in structure.connected:
-                return False
-    return True

@@ -165,17 +165,6 @@ def _sub_devices(device: Device):
     return functools.cache(lambda j: device if len(j) == k else sub_device(device, j))
 
 
-def tensor_device(a: Device, b: Device) -> Device:
-    """Cartesian-product relation; the result's sites are a's then b's."""
-    questions = a.questions + b.questions
-    results = a.results + b.results
-    relation = {}
-    for qa, answers_a in a.relation.items():
-        for qb, answers_b in b.relation.items():
-            relation[qa + qb] = {ra + rb for ra in answers_a for rb in answers_b}
-    return Device(questions, results, relation)
-
-
 def realization_count(device: Device) -> int:
     """Number of deterministic realizations: the product of answer-set sizes."""
     return math.prod(len(v) for v in device.relation.values())
@@ -383,17 +372,6 @@ def _profile(reduce, j: tuple, cap: int, early_exit=None) -> LocalityProfile:
     return profile
 
 
-def locality_profile(device: Device, cap: int = DEFAULT_CAP) -> LocalityProfile:
-    """Decide the seven locality notions for a coherent device of uplicity >= 2.
-
-    Raises ResourceError when the device has more than `cap` deterministic
-    realizations.
-    """
-    if device.uplicity < 2:
-        raise DomainError("locality analysis is defined for uplicity >= 2 only")
-    return _profile(_sub_devices(device), tuple(range(device.uplicity)), cap)
-
-
 # ---------------------------------------------------------------------------
 # tensorial structures
 
@@ -511,7 +489,7 @@ def _format_eigenvalue(value: float) -> str:
     rounded = round(value, 9)
     if rounded == int(rounded):
         return str(int(rounded))
-    return repr(rounded)
+    return repr(float(rounded))
 
 
 def derive_device(

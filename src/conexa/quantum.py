@@ -111,15 +111,6 @@ class PureState:
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.layout.dims)
 
-    def overlap(self, other: "PureState") -> complex:
-        if self.layout != other.layout:
-            raise DomainError("overlap requires identical layouts")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def equals_up_to_phase(self, other: "PureState", tol: float = DEFAULT_TOL) -> bool:
-        """Phase-blind equality: |<a|b>| = 1 within tolerance."""
-        return abs(self.overlap(other)) > 1.0 - tol
-
     def density(self) -> "DensityOperator":
         return DensityOperator(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -243,12 +234,6 @@ class Verdict(enum.Enum):
 
 # ---------------------------------------------------------------------------
 # state operations
-
-
-def tensor_state(a: PureState, b: PureState) -> PureState:
-    """Kronecker product; the result's sites are a's sites followed by b's."""
-    layout = SiteLayout(a.layout.dims + b.layout.dims)
-    return PureState(layout, np.kron(a.amplitudes, b.amplitudes))
 
 
 def _matricize(psi: PureState, part: tuple) -> np.ndarray:
@@ -599,17 +584,6 @@ def pauli_z_binary() -> np.ndarray:
 def pauli_x_binary() -> np.ndarray:
     """Same eigenbasis as X but with eigenvalues 0 (for |+>) and 1 (for |->)."""
     return 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=np.complex128)
-
-
-def basis_state(dims: Sequence[int], indices: Sequence[int]) -> PureState:
-    """Computational basis state |indices...> on the given layout."""
-    layout = SiteLayout(dims)
-    amp = np.zeros(layout.total_dim, dtype=np.complex128)
-    flat = 0
-    for d, i in zip(layout.dims, indices):
-        flat = flat * d + i
-    amp[flat] = 1.0
-    return PureState(layout, amp)
 
 
 def _epr() -> PureState:

@@ -10,8 +10,7 @@ the caller's tolerance.
 `rv_analysis` decides every cut of every subset in one sweep over the subset
 sizes: one ranking per size gives every subset of that size its support
 rows' ids, one array comparison applies the support-size test to every cut,
-and one more step tests the weights of the cuts that pass it.  `marginal`
-ranks its positions with the same routine, one position at a time.
+and one more step tests the weights of the cuts that pass it.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 
 from .connective import (
     ConnectiveStructure,
-    _check_indices,
     _check_labels,
     _cut_table,
     _subset_structures,
@@ -118,8 +116,15 @@ class FiniteJointDistribution:
 
     @property
     def prob(self) -> dict:
-        """The table: each support outcome's probability, in first-occurrence order."""
-        return marginal(self, range(self.variables))
+        """The table: each support outcome's probability, in first-occurrence order.
+
+        The count rows are distinct and their weights nonzero, so each row is
+        one entry."""
+        value = (lambda w: Fraction(w, self._scale)) if self.exact else float
+        return {
+            tuple(map(tuple.__getitem__, self.outcomes, row)): value(w)
+            for row, w in zip(self._index.tolist(), self._weights.tolist())
+        }
 
     def __repr__(self):
         return f"FiniteJointDistribution(outcomes={self.outcomes!r}, prob={self.prob!r})"
@@ -229,24 +234,6 @@ def _sweep(dist: FiniteJointDistribution, tol: float) -> tuple:
         joint, left, right = cells[line[cuts[:, chunk]]]
         independent[chunk] = np.all(np.abs(joint * scale - left * right) <= tol, axis=1)
     return row_ids, sizes, independent
-
-
-def marginal(dist: FiniteJointDistribution, positions) -> dict:
-    """Marginal table over the given variable positions (sorted)."""
-    positions = _check_indices(positions, dist.variables, "variable")
-    # the ids along the prefix chain, one `_rank` line per position
-    row_ids, size = np.zeros(len(dist._weights), dtype=np.int64), 1
-    for p in positions:
-        ids, sizes = _rank((row_ids * len(dist.outcomes[p]) + dist._index[:, p])[None])
-        row_ids, size = ids[0], int(sizes[0])
-    weight = np.zeros(size, dtype=dist._weights.dtype)
-    np.add.at(weight, row_ids, dist._weights)
-    first = np.sort(np.unique(row_ids, return_index=True)[1])
-    value = (lambda w: Fraction(int(w), dist._scale)) if dist.exact else float
-    return {
-        tuple(dist.outcomes[p][row[p]] for p in positions): value(weight[i])
-        for row, i in zip(dist._index[first].tolist(), row_ids[first].tolist())
-    }
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .connective import ConnectiveStructure, GroundSet
+from .connective import ConnectiveStructure
 from .devices import Device
 from .errors import DomainError
 from .quantum import DEFAULT_TOL, DensityOperator, PureState, SiteLayout
@@ -33,36 +33,25 @@ def make_key_joiner(label_sets: Sequence[Sequence[str]]):
     return ",".join
 
 
-def split_key(key: str, arity: int) -> tuple:
-    if "," in key:
-        parts = tuple(key.split(","))
-    elif arity == 1:
-        parts = (key,)
-    else:
-        parts = tuple(key)
-    if len(parts) != arity:
-        raise DomainError(f"key {key!r} does not split into {arity} labels")
-    return parts
+def _split_keys(keys, arity: int, distinct: bool = True) -> list:
+    """The label tuple of each key: split at commas when the key holds one or
+    `arity` is 1, into single characters otherwise.
 
-
-def _split_keys(table: Mapping, arity: int) -> dict:
-    """The table keyed by the label tuples `split_key` gives its keys,
-    refusing two keys that split alike with split_key's messages.
-
-    Every key is split by split_key's rule in one comprehension; only a
-    table that fails the arity or the set-size check is scanned again, key
-    by key, to name the first offending key as split_key would.
+    A key that does not split into `arity` labels is refused, and so, when
+    `distinct`, is a key naming the tuple of an earlier, different key.
+    Every key is split in one comprehension; only a key list that fails a
+    check is scanned again, key by key, to name the first offending key.
     """
-    parts = [tuple(key.split(",")) if arity == 1 or "," in key else tuple(key) for key in table]
-    keyed = dict(zip(parts, table.values()))
-    if len(keyed) < len(parts) or not set(map(len, keyed)) <= {arity}:
+    keys = list(keys)
+    parts = [tuple(key.split(",")) if arity == 1 or "," in key else tuple(key) for key in keys]
+    if not set(map(len, parts)) <= {arity} or distinct and len(set(parts)) < len(parts):
         seen = {}
-        for key, p in zip(table, parts):
+        for key, p in zip(keys, parts):
             if len(p) != arity:
                 raise DomainError(f"key {key!r} does not split into {arity} labels")
-            if seen.setdefault(p, key) != key:
+            if distinct and seen.setdefault(p, key) != key:
                 raise DomainError(f"keys {seen[p]!r} and {key!r} both name {p}")
-    return keyed
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +65,6 @@ def structure_to_dict(structure: ConnectiveStructure) -> dict:
             [str(lab) for lab in labels] for labels in structure.member_labels()
         ],
     }
-
-
-def structure_from_dict(data: Mapping) -> ConnectiveStructure:
-    ground = GroundSet(data["ground"])
-    return ConnectiveStructure(
-        ground, [ground.mask_of(subset) for subset in data["connected"]]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +149,10 @@ def device_to_dict(device: Device) -> dict:
 
 def device_from_dict(data: Mapping) -> Device:
     k = len(data["questions"])
+    table = data["relation"]
     relation = {
-        q: {split_key(r, k) for r in answers}
-        for q, answers in _split_keys(data["relation"], k).items()
+        q: set(_split_keys(answers, k, distinct=False))
+        for q, answers in zip(_split_keys(table, k), table.values())
     }
     return Device(data["questions"], data["results"], relation)
 
@@ -228,7 +211,8 @@ def distribution_from_dict(data: Mapping, tol: float = DEFAULT_TOL) -> FiniteJoi
             parsed[value] = _prob_from_json(value)
         return parsed[value]
 
-    prob = {t: parse(value) for t, value in _split_keys(data["prob"], k).items()}
+    table = data["prob"]
+    prob = dict(zip(_split_keys(table, k), map(parse, table.values())))
     return FiniteJointDistribution(data["outcomes"], prob, tol=tol)
 
 

@@ -10,6 +10,8 @@ import itertools
 import numpy as np
 
 from conexa.connective import ConnectiveStructure, GroundSet
+from conexa.devices import Device
+from conexa.quantum import PureState, SiteLayout
 
 
 def ground(n: int) -> GroundSet:
@@ -33,6 +35,35 @@ def power_set(n: int) -> ConnectiveStructure:
 
 def discrete(n: int) -> ConnectiveStructure:
     return structure(n, [])
+
+
+def basis_state(dims, indices) -> PureState:
+    """Computational basis state |indices...> on the given layout."""
+    layout = SiteLayout(dims)
+    amp = np.zeros(layout.total_dim, dtype=np.complex128)
+    amp[np.ravel_multi_index(tuple(indices), layout.dims)] = 1.0
+    return PureState(layout, amp)
+
+
+def tensor_state(a: PureState, b: PureState) -> PureState:
+    """Kronecker product; the result's sites are a's sites followed by b's."""
+    layout = SiteLayout(a.layout.dims + b.layout.dims)
+    return PureState(layout, np.kron(a.amplitudes, b.amplitudes))
+
+
+def tensor_device(a: Device, b: Device) -> Device:
+    """Cartesian-product relation; the result's sites are a's then b's."""
+    relation = {
+        qa + qb: {ra + rb for ra in answers_a for rb in answers_b}
+        for qa, answers_a in a.relation.items()
+        for qb, answers_b in b.relation.items()
+    }
+    return Device(a.questions + b.questions, a.results + b.results, relation)
+
+
+def same_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
+    """Phase-blind equality of two states on one layout: |<a|b>| = 1 within tol."""
+    return a.layout == b.layout and abs(np.vdot(a.amplitudes, b.amplitudes)) > 1.0 - tol
 
 
 def oracle_close(ground_size: int, masks) -> frozenset:

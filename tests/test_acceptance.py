@@ -20,7 +20,6 @@ from conexa.devices import (
     builtin_device,
     derive_device,
     device_structures,
-    locality_profile,
     realization_count,
 )
 from conexa.disentangle import IntricationClass, disentanglement_structures
@@ -43,6 +42,7 @@ from helpers import (
     borromean,
     discrete,
     ground,
+    oracle_close,
     oracle_completely_correlated,
     power_set,
     random_state_vector,
@@ -227,7 +227,8 @@ def test_criterion_07_k_device_structures():
     dk = builtin_device("K")
     assert realization_count(dk) == 1_048_576
     start = time.perf_counter()
-    structures = device_structures(dk).structures
+    report = device_structures(dk)
+    structures = report.structures
     kappa_do, kappa_dp = structures["do"], structures["dp"]
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"K analysis took {elapsed:.3f}s"
@@ -240,7 +241,7 @@ def test_criterion_07_k_device_structures():
         f"K is partially separable along every cut.  computed: NPS={structures['NPS']!r},"
         f" dp={kappa_dp!r}"
     )
-    profile = locality_profile(dk)
+    profile = report.profile
     assert profile.partially_separable and not profile.partially_local
 
     # Plain-Python derivation from the parity rule.
@@ -264,10 +265,11 @@ def test_criterion_07_k_device_structures():
 
 def test_criterion_08_epr_device_profile():
     depr = builtin_device("EPR")
-    profile = locality_profile(depr)
+    report = device_structures(depr)
+    profile = report.profile
     assert profile.quasi_separable
     assert not profile.separable
-    structures = device_structures(depr).structures
+    structures = report.structures
     assert structures["NS"] == power_set(2)
     assert structures["NL"] == power_set(2)
     for name in ("NPS", "NOS", "NPL", "NQS", "NQL"):
@@ -301,8 +303,6 @@ def test_criterion_10_property_suites():
     rng = np.random.default_rng(2024)
 
     # closure axiom on every structure emitted across one analysis of each kind
-    from conexa.connective import closure_axiom_holds
-
     emitted = []
     rep = disentanglement_structures(builtin_state("GHZ"))
     emitted.extend(rep.structures.values())
@@ -311,7 +311,7 @@ def test_criterion_10_property_suites():
     emitted.extend(device_structures(builtin_device("EPR")).structures.values())
     emitted.extend(device_structures(builtin_device("EPR2")).structures.values())
     emitted.append(rv_analysis(brunnian_family(2, 2)).structure)
-    assert all(closure_axiom_holds(s) for s in emitted)
+    assert all(oracle_close(s.ground.size, s.connected) == s.connected for s in emitted)
 
     # six-structure inclusion chains on 50 random three-qubit states
     for _ in range(50):

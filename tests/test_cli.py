@@ -11,7 +11,7 @@ import pytest
 
 from conexa import devices
 from conexa.cli import main
-from conexa.connective import GroundSet, brunnian_structure, connective_order, generate_integral
+from conexa.connective import GroundSet, connective_order, generate_integral
 from conexa.serialize import (
     canonical_json,
     density_to_dict,
@@ -24,7 +24,7 @@ from conexa.devices import builtin_device
 from conexa.quantum import DensityOperator, PureState, SiteLayout, builtin_state
 from conexa.randvars import realize_structure
 
-from helpers import random_density_matrix, random_state_vector
+from helpers import random_density_matrix, random_state_vector, tensor_device
 
 
 def run_cli(capsys, *argv):
@@ -340,7 +340,7 @@ def test_analyze_state_reports_pinned(source, tmp_path, capsys):
 
 # Structures realized as random-variable families for the analyze-rvs goldens.
 REALIZED = {
-    "brunnian 3": brunnian_structure(3),
+    "brunnian 3": generate_integral(GroundSet(range(3)), [(0, 1, 2)]),
     "pair and triple 4": generate_integral(GroundSet(range(4)), [(0, 1), (1, 2, 3)]),
     "chain 5": generate_integral(GroundSet(range(5)), [(0, 1, 2), (2, 3), (3, 4)]),
 }
@@ -451,7 +451,7 @@ def test_analyze_device_matches_separate_layers(tmp_path, capsys):
     """The one-pass report equals the one assembled from each layer on its own."""
     cases = [(["--builtin", name], builtin_device(name)) for name in ("EPR", "EPR2", "GHZ", "K")]
     epr = builtin_device("EPR")
-    separable = devices.tensor_device(epr, epr)
+    separable = tensor_device(epr, epr)
     for i, dev in enumerate([separable, *_random_devices()]):
         path = tmp_path / f"dev{i}.json"
         path.write_text(json.dumps(device_to_dict(dev)))
@@ -460,9 +460,8 @@ def test_analyze_device_matches_separate_layers(tmp_path, capsys):
         code, out, _ = run_cli(capsys, "analyze-device", *argv)
         assert code == 0
         result = load_report(out)["result"]
-        profile = devices.locality_profile(dev)
         # the tensorial layer without early exit, the domanial one from its own scan
-        structures = devices._tensorial(dev, devices.DEFAULT_CAP)[1]
+        profile, structures = devices._tensorial(dev, devices.DEFAULT_CAP)
         tensorial = max(connective_order(s) for s in structures.values())
         meets = devices._DomanialMeets(dev.uplicity)
         devices._scan(dev, devices.DEFAULT_CAP, early_exit=meets)
@@ -774,6 +773,23 @@ def test_derive_device_refuses_two_eigenvalues_with_one_label(tmp_path, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: observable 'a' on site 0 has two eigenvalues with one label\n"
+
+
+@pytest.mark.parametrize("value, label", [(0.5, "0.5"), (2**0.5, "1.414213562")])
+def test_derive_device_names_non_integer_eigenvalues(value, label, tmp_path, capsys):
+    # diag(v, -v) on both EPR sites: each answer is its eigenvalue rounded to
+    # 9 decimals as a plain decimal, and the answers sort by value
+    path = tmp_path / "menus.json"
+    matrix = [[[value, 0], [0, 0]], [[0, 0], [-value, 0]]]
+    path.write_text(json.dumps([[{"label": "h", "matrix": matrix}]] * 2))
+    argv = ["derive-device", "--builtin-state", "EPR", "--menus", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    report = load_report(out)
+    validate_schema(report)
+    device = report["result"]["device"]
+    assert device["results"] == [["-" + label, label]] * 2
+    assert device["relation"] == {"hh": [f"-{label},-{label}", f"{label},{label}"]}
 
 
 def test_analyze_rvs_tol_reaches_float_tables(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Connectivity-structure kernel: generation, irreducibles, order, meet."""
+"""Connectivity-structure kernel: generation, irreducibles, order."""
 
 import itertools
 from fractions import Fraction
@@ -15,15 +15,9 @@ from conexa.connective import (
     _cut_table,
     _subset_structures,
     _subsets,
-    brunnian_structure,
-    closure_axiom_holds,
     connective_order,
-    discrete_structure,
     generate_integral,
-    indiscrete_structure,
     irreducibles,
-    is_connected_set,
-    meet_structures,
 )
 from conexa.density import density_structures
 from conexa.devices import Device, builtin_device, derive_device, device_structures, sub_device
@@ -34,7 +28,6 @@ from conexa.randvars import (
     FiniteJointDistribution,
     _plan,
     brunnian_family,
-    marginal,
     realize_structure,
     rv_analysis,
 )
@@ -74,15 +67,15 @@ def test_generator_outside_ground_rejected():
 
 
 def test_is_connected_set():
-    b3 = brunnian_structure(3)
-    assert not is_connected_set(b3, (0, 1))
-    assert is_connected_set(b3, (0, 1, 2))
-    assert is_connected_set(b3, (1,))
-    assert is_connected_set(b3, ())
+    b3 = borromean(3)
+    assert b3.ground.mask_of((1, 2)) not in b3.connected
+    assert b3.ground.mask_of((1, 2, 3)) in b3.connected
+    assert b3.ground.mask_of((2,)) in b3.connected
+    assert b3.ground.mask_of(()) in b3.connected
 
 
 def test_irreducibles_borromean():
-    b3 = brunnian_structure(3)
+    b3 = borromean(3)
     assert irreducibles(b3) == frozenset({b3.ground.full_mask})
 
 
@@ -108,15 +101,15 @@ def test_irreducibles_match_oracle_on_all_small_structures():
 
 def test_connective_order_examples():
     assert connective_order(discrete(3)) == 0
-    assert connective_order(brunnian_structure(3)) == 1
+    assert connective_order(borromean(3)) == 1
     assert connective_order(power_set(3)) == 1
     assert connective_order(structure(3, [(2, 3), (1, 2, 3)])) == 2
 
 
 def test_connective_order_brunnian_family():
     for n in range(2, 7):
-        assert connective_order(brunnian_structure(n)) == 1
-    assert connective_order(brunnian_structure(1)) == 0
+        assert connective_order(borromean(n)) == 1
+    assert connective_order(borromean(1)) == 0
 
 
 def test_connective_order_deep_chain():
@@ -124,32 +117,13 @@ def test_connective_order_deep_chain():
     assert connective_order(s) == 3
 
 
-def test_meet_idempotent_and_absorbing():
-    b3 = borromean(3)
-    assert meet_structures([b3]) == b3
-    assert meet_structures([b3, power_set(3)]) == b3
-
-
-def test_meet_of_disjoint_pairs_is_discrete():
-    a = generate_integral(ground(3), [(1, 2)])
-    b = generate_integral(ground(3), [(2, 3)])
-    assert meet_structures([a, b]) == discrete(3)
-
-
-def test_meet_requires_same_ground():
-    with pytest.raises(DomainError):
-        meet_structures([borromean(3), brunnian_structure(3)])
-    with pytest.raises(DomainError):
-        meet_structures([])
-
-
 def test_brunnian_structure_examples():
-    b1 = brunnian_structure(1)
+    b1 = borromean(1)
     assert b1.members() == [0, 1]
-    b4 = brunnian_structure(4)
+    b4 = borromean(4)
     assert len(b4.connected) == 6
     with pytest.raises(DomainError):
-        brunnian_structure(0)
+        borromean(0)
 
 
 @st.composite
@@ -165,7 +139,7 @@ def _generator_lists(draw):
 def test_closure_axiom_on_generated_structures(case):
     n, gens = case
     s = generate_integral(ground(n), gens)
-    assert closure_axiom_holds(s)
+    assert oracle_close(n, s.connected) == s.connected
     assert s.connected == oracle_close(n, gens)
 
 
@@ -212,9 +186,9 @@ def test_ground_set_validation():
 
 
 def test_indiscrete_structure_is_everything():
-    s = indiscrete_structure(ground(3))
+    s = power_set(3)
     assert len(s.connected) == 8
-    assert closure_axiom_holds(s)
+    assert oracle_close(3, s.connected) == s.connected
 
 
 def test_structure_counts_small_grounds():
@@ -223,8 +197,7 @@ def test_structure_counts_small_grounds():
 
 
 def test_discrete_structure_matches_empty_generation():
-    g = ground(4)
-    assert discrete_structure(g) == generate_integral(g, [])
+    assert discrete(4) == generate_integral(ground(4), [])
 
 
 # The shared input rules, each reached directly and through the engines that
@@ -237,7 +210,6 @@ def _index_calls(indices):
         ("site", lambda: _check_indices(indices, 3, "site")),
         ("site", lambda: partial_trace(rho, indices)),
         ("site", lambda: sub_device(builtin_device("K"), indices)),
-        ("variable", lambda: marginal(brunnian_family(2, 2), indices)),
     ]
 
 
@@ -313,8 +285,8 @@ def test_subset_driver_order_and_labels(k, data):
     assert list(verdicts) == [tuple(s + 1 for s in j) for j in seen]
     assert list(verdicts.values()) == [len(j) for j in seen]
     assert list(structures) == ["pairs", "none"]
-    assert structures["pairs"] == indiscrete_structure(GroundSet(range(1, 5)))
-    assert structures["none"] == discrete_structure(GroundSet(range(1, 5)))
+    assert structures["pairs"] == power_set(4)
+    assert structures["none"] == discrete(4)
 
     # a drawn accept set on k sites: each family's structure is the one the
     # accepted 1-based label tuples generate

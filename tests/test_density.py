@@ -24,15 +24,14 @@ from conexa.quantum import (
     _frobenius,
     PureState,
     SiteLayout,
-    basis_state,
     builtin_state,
     partial_trace,
-    tensor_state,
 )
 from conexa.randvars import brunnian_family, realize_structure, rv_analysis
 
 from helpers import (
     all_integral_structures,
+    basis_state,
     borromean,
     discrete,
     haar_unitary,
@@ -45,6 +44,7 @@ from helpers import (
     random_density_matrix,
     random_state_vector,
     structure,
+    tensor_state,
 )
 
 def random_pure(rng, dims):

@@ -7,11 +7,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conexa import devices
 from conexa.connective import _bipartitions
+from conexa.density import density_structures
 from conexa.devices import (
     _INCLUSIONS,
     _STRUCTURE_OF,
@@ -19,10 +20,8 @@ from conexa.devices import (
     builtin_device,
     derive_device,
     device_structures,
-    locality_profile,
     realization_count,
     sub_device,
-    tensor_device,
 )
 from conexa.errors import DomainError, ResourceError
 from conexa.quantum import (
@@ -33,7 +32,6 @@ from conexa.quantum import (
     pauli_x_binary,
     pauli_z,
     pauli_z_binary,
-    tensor_state,
 )
 
 from helpers import (
@@ -43,8 +41,11 @@ from helpers import (
     oracle_domanial,
     oracle_locality_profile,
     oracle_realizations,
+    haar_unitary,
     power_set,
     random_state_vector,
+    tensor_device,
+    tensor_state,
 )
 
 BITS = ("0", "1")
@@ -67,6 +68,12 @@ def random_device(rng, k=2) -> Device:
         selector = int(rng.integers(1, 2 ** len(answers)))
         relation[q] = {r for i, r in enumerate(answers) if selector >> i & 1}
     return Device(questions, (BITS,) * k, relation)
+
+
+def locality(dev):
+    """The full-device locality profile, from one scan without the domanial early exit."""
+    sites = tuple(range(dev.uplicity))
+    return devices._profile(devices._sub_devices(dev), sites, devices.DEFAULT_CAP)
 
 
 def tensorial(dev) -> dict:
@@ -182,7 +189,7 @@ def test_union_of_realizations_reconstructs_device():
 
 
 def test_epr_profile():
-    p = locality_profile(builtin_device("EPR"))
+    p = locality(builtin_device("EPR"))
     assert not p.local
     assert not p.separable
     assert p.quasi_separable
@@ -194,7 +201,7 @@ def test_epr_profile():
 
 def test_tensor_of_single_site_devices_fully_local():
     pair = tensor_device(coin(), coin())
-    p = locality_profile(pair)
+    p = locality(pair)
     assert all(
         getattr(p, name)
         for name in (
@@ -215,7 +222,7 @@ def test_k_device_profile_separable_but_not_local():
     # four parity constraints sum to an odd total and forbid any fully local
     # realization
     dk = builtin_device("K")
-    p = locality_profile(dk)
+    p = locality(dk)
     assert p.partially_separable
     assert not p.partially_local
     assert not p.quasi_local
@@ -236,7 +243,7 @@ def test_k_device_profile_separable_but_not_local():
 
 def test_k_sub_pair_partially_separable():
     pair = sub_device(builtin_device("K"), (0, 1))
-    assert locality_profile(pair).partially_separable
+    assert locality(pair).partially_separable
 
 
 def test_epr2_profile_and_structures():
@@ -244,7 +251,7 @@ def test_epr2_profile_and_structures():
     # constant local functions satisfy, so the device is quasi-local; it is
     # not a product because the matching questions exclude discordant answers
     depr2 = builtin_device("EPR2")
-    p = locality_profile(depr2)
+    p = locality(depr2)
     assert p.quasi_local and not p.local
     assert p.quasi_separable and not p.separable
     structures = tensorial(depr2)
@@ -258,7 +265,7 @@ def test_implication_lattice_random_devices():
     rng = np.random.default_rng(3)
     for _ in range(50):
         dev = random_device(rng, k=2)
-        assert locality_profile(dev).check_implications() == []
+        assert locality(dev).check_implications() == []
 
 
 def test_deterministic_collapse_of_taxonomy():
@@ -267,7 +274,7 @@ def test_deterministic_collapse_of_taxonomy():
     rng = np.random.default_rng(4)
     for _ in range(20):
         dev = random_deterministic_device(rng, k=3)
-        p = locality_profile(dev)
+        p = locality(dev)
         assert p.local == p.quasi_local == p.partially_local
         assert (
             p.separable == p.quasi_separable == p.pseudo_separable == p.partially_separable
@@ -300,7 +307,7 @@ def coherent_devices(draw, sites=(2, 3), labels=3, budget=4096):
 @given(coherent_devices())
 def test_locality_profile_matches_oracle(dev):
     assert realization_count(dev) <= 4096
-    profile = locality_profile(dev)
+    profile = locality(dev)
     assert dataclasses.asdict(profile) == oracle_locality_profile(dev)
     assert device_structures(dev).profile == profile
 
@@ -314,7 +321,7 @@ def test_locality_profile_matches_oracle(dev):
 def test_locality_profile_matches_oracle_across_chunks(dev):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(devices, "_CHUNK", 7)
-        profile = locality_profile(dev)
+        profile = locality(dev)
         full = device_structures(dev).profile
     assert dataclasses.asdict(profile) == oracle_locality_profile(dev)
     assert full == profile
@@ -336,7 +343,7 @@ def test_domanial_structures_match_bruteforce_across_chunks(dev):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(coherent_devices(sites=(4, 5), labels=2, budget=64))
 def test_wide_devices_match_oracles(dev):
-    assert dataclasses.asdict(locality_profile(dev)) == oracle_locality_profile(dev)
+    assert dataclasses.asdict(locality(dev)) == oracle_locality_profile(dev)
     assert domanial(dev) == oracle_domanial(dev)
 
 
@@ -429,7 +436,7 @@ def test_scan_block_of_one_axis_above_the_chunk():
     dev = Device((BITS,) * 3, (BITS,) * 3, relation)
     one, seven, default = _results_per_block_size(dev)
     assert one == seven == default
-    assert dataclasses.asdict(locality_profile(dev)) == oracle_locality_profile(dev)
+    assert dataclasses.asdict(locality(dev)) == oracle_locality_profile(dev)
     assert domanial(dev) == oracle_domanial(dev)
 
 
@@ -442,7 +449,7 @@ def test_scan_gives_no_axis_to_questions_with_one_answer():
         relation[q] = {tuple(rng.choice(BITS) for _ in range(4)) for _ in range(1 + (n % 16 == 0))}
     dev = Device((("0", "1", "2"),) * 4, (BITS,) * 4, relation)
     assert realization_count(dev) == 32
-    assert dataclasses.asdict(locality_profile(dev)) == oracle_locality_profile(dev)
+    assert dataclasses.asdict(locality(dev)) == oracle_locality_profile(dev)
     assert domanial(dev) == oracle_domanial(dev)
 
 
@@ -631,9 +638,57 @@ def test_derived_product_state_device_is_separable():
     b = PureState(SiteLayout((2,)), random_state_vector(rng, 2))
     joint = tensor_state(a, b)
     dev = derive_device(joint, zx_menus(2), recode="paper")
-    profile = locality_profile(dev)
+    profile = locality(dev)
     assert profile.separable
     assert profile.separable_cut == ((0,), (1,))
+
+
+def _qubit(rng):
+    return PureState(SiteLayout((2,)), random_state_vector(rng, 2))
+
+
+# States for the NS inclusion: builtins, Bell (x) |0>, products of three
+# random qubits, and Haar states.
+_PREPARED = {
+    "GHZ": lambda rng: builtin_state("GHZ"),
+    "K": lambda rng: builtin_state("K"),
+    "O2": lambda rng: builtin_state("O2"),
+    "Bell0": lambda rng: tensor_state(builtin_state("EPR"), PureState(SiteLayout((2,)), [1, 0])),
+    "product": lambda rng: tensor_state(tensor_state(_qubit(rng), _qubit(rng)), _qubit(rng)),
+    "Haar": lambda rng: PureState(SiteLayout((2, 2, 2)), random_state_vector(rng, 8)),
+}
+
+
+_BASES = (
+    lambda rng: np.eye(2),
+    lambda rng: np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0),
+    lambda rng: haar_unitary(rng, 2),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_PREPARED)), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(1, 2), min_size=3, max_size=3),
+       st.sampled_from([(0.5, -0.5), (1.0, -1.0)]))
+def test_derived_device_ns_lies_inside_the_correlation_structure(name, seed, counts, spectrum):
+    # a cut along which |psi><psi| restricted to J factorizes makes every
+    # measured sub-device on J a product along it, so a subset that is not
+    # separable as a device is completely correlated: NS <= kappa_corr
+    rng = np.random.default_rng(seed)
+    psi = _PREPARED[name](rng)
+    menus = []
+    for count in counts:
+        # Z and X eigenbases as well as Haar ones: possibilistic devices from
+        # generic bases relate every answer tuple, so their NS is discrete
+        bases = [_BASES[int(rng.integers(3))](rng) for _ in range(count)]
+        menus.append([(label, u @ np.diag(spectrum) @ u.conj().T)
+                      for label, u in zip("ab", bases)])
+    dev = derive_device(psi, menus)
+    try:
+        ns = device_structures(dev).structures["NS"]
+    except ResourceError:
+        reject()
+    assert ns.connected <= density_structures(psi.density()).kappa_corr.connected
 
 
 def test_tensorial_inclusions_follow_the_implication_lattice():

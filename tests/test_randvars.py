@@ -23,7 +23,6 @@ from conexa.randvars import (
     FiniteJointDistribution,
     _sweep,
     brunnian_family,
-    marginal,
     realize_structure,
     rv_analysis,
 )
@@ -157,7 +156,7 @@ def test_xor_triple_pairwise_separable():
     # the marginal pair families are independent
     xor = brunnian_family(2, 2)
     for pair in ((0, 1), (0, 2), (1, 2)):
-        table = marginal(xor, pair)
+        table = oracle_marginal(xor.prob, pair)
         pair_dist = FiniteJointDistribution((("0", "1"),) * 2, table)
         assert independent(pair_dist, [0], [1])
         assert all(p == Fraction(1, 4) for p in table.values())
@@ -231,7 +230,7 @@ def test_marginalization_commutes_with_structure_analysis():
         k = dist.variables
         raw = rv_analysis(dist).raw_generators
         for j in itertools.combinations(range(k), 3):
-            table = marginal(dist, j)
+            table = oracle_marginal(dist.prob, j)
             sub = FiniteJointDistribution(tuple(dist.outcomes[i] for i in j), table)
             sub_report = rv_analysis(sub)
             expected = {
@@ -267,7 +266,7 @@ def test_sparse_table_over_large_alphabets():
     )
     report = rv_analysis(dist)
     assert (report.structure, report.raw_generators) == (borromean(3), ((1, 2, 3),))
-    assert marginal(dist, [0, 2]) == {
+    assert oracle_marginal(dist.prob, [0, 2]) == {
         (alphabet[0], alphabet[0]): Fraction(1, 4), (alphabet[0], alphabet[-1]): Fraction(1, 4),
         (alphabet[-1], alphabet[-1]): Fraction(1, 4), (alphabet[-1], alphabet[0]): Fraction(1, 4),
     }
@@ -404,11 +403,6 @@ def test_rv_analysis_matches_oracle(case):
     assert list(dist.prob.items()) == list(full.items())
     by_index = sorted(full, key=lambda t: [outcomes[i].index(x) for i, x in enumerate(t)])
     assert list(distribution_to_dict(dist)["prob"]) == ["".join(t) for t in by_index]
-    # same entries in the same (first-occurrence) order
-    for r in range(len(outcomes) + 1):
-        for positions in itertools.combinations(range(len(outcomes)), r):
-            expected = oracle_marginal(table, positions)
-            assert list(marginal(dist, positions).items()) == list(expected.items())
 
 
 def sweep_cuts(dist):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conexa.connective import GroundSet, generate_integral
 from conexa.devices import builtin_device
 from conexa.errors import DomainError
 from conexa.quantum import builtin_state, partial_trace
@@ -24,10 +25,8 @@ from conexa.serialize import (
     distribution_from_dict,
     distribution_to_dict,
     make_key_joiner,
-    split_key,
     state_from_dict,
     state_to_dict,
-    structure_from_dict,
     structure_to_dict,
 )
 
@@ -39,13 +38,13 @@ def test_key_join_and_split():
     assert make_key_joiner([("-1", "1")] * 2)(("-1", "1")) == "-1,1"
     # one multi-character label in any slot comma-joins every key of the table
     assert make_key_joiner([("0", "1"), ("0", "10")])(("0", "1")) == "0,1"
-    assert split_key("01", 2) == ("0", "1")
-    assert split_key("-1,1", 2) == ("-1", "1")
+    assert _split_keys(["01"], 2) == [("0", "1")]
+    assert _split_keys(["-1,1"], 2) == [("-1", "1")]
     with pytest.raises(DomainError):
-        split_key("011", 2)
+        _split_keys(["011"], 2)
     # a whole table's keys split by the same rule
-    assert _split_keys({"ab": 1, "b,a": 2}, 2) == {("a", "b"): 1, ("b", "a"): 2}
-    assert _split_keys({"ab": 1, "b": 2}, 1) == {("ab",): 1, ("b",): 2}
+    assert _split_keys({"ab": 1, "b,a": 2}, 2) == [("a", "b"), ("b", "a")]
+    assert _split_keys({"ab": 1, "b": 2}, 1) == [("ab",), ("b",)]
 
 
 def test_structure_round_trip_and_order():
@@ -59,7 +58,7 @@ def test_structure_round_trip_and_order():
         ["2", "3"],
         ["1", "2", "3"],
     ]
-    back = structure_from_dict(data)
+    back = generate_integral(GroundSet(data["ground"]), data["connected"])
     assert structure_to_dict(back) == data
 
 
