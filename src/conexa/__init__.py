@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 from .connective import (
     ConnectiveStructure,
-    GroundSet,
     connective_order,
     generate_integral,
     irreducibles,
@@ -55,7 +54,6 @@ from .disentangle import (
 from .errors import DomainError, ResourceError
 from .quantum import (
     DensityOperator,
-    Observable,
     PureState,
     SiteLayout,
     Verdict,

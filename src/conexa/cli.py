@@ -138,8 +138,12 @@ def _emit(report: dict, fmt: str) -> None:
     if "structure" in result:
         print("structure:")
         print(_structure_lines("rv", result["structure"]))
-    if "device" in result:
-        print(json.dumps(result["device"], sort_keys=True))
+    for key in ("states", "devices"):
+        if key in result:
+            print(f"{key}: " + " ".join(result[key]))
+    for key in ("state", "device"):
+        if key in result:
+            print(json.dumps(result[key], sort_keys=True))
     if "orders" in result:
         print("orders: " + json.dumps(result["orders"], sort_keys=True))
     for key in ("omega_c", "omega_f", "omega", "order", "realizations"):

@@ -7,8 +7,9 @@ closure coincides with closure under unions of arbitrary subfamilies with
 nonempty intersection: any such union is reachable by binary steps through a
 shared point.
 
-Subsets are encoded as bitmasks over the ground order, so union/intersection
-are single integer operations.  Ground sets are capped at 24 points.
+Every structure here is on the points 1..k, and its subsets are bitmasks (bit
+p for point p + 1), so union/intersection are single integer operations.
+Grounds are capped at 24 points.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -26,83 +27,34 @@ MAX_GROUND_SIZE = 24
 
 
 @dataclass(frozen=True)
-class GroundSet:
-    """Ordered set of distinct point labels; subsets are bitmasks over this order."""
-
-    labels: tuple
-
-    def __init__(self, labels: Iterable):
-        labels = tuple(labels)
-        if not labels:
-            raise DomainError("ground set must contain at least one point")
-        if len(labels) > MAX_GROUND_SIZE:
-            raise DomainError(f"ground set size {len(labels)} exceeds cap {MAX_GROUND_SIZE}")
-        if len(set(labels)) != len(labels):
-            raise DomainError(f"ground set labels must be distinct: {labels!r}")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
-
-    def index(self, label) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise DomainError(f"label {label!r} is not a ground point") from None
-
-    def mask_of(self, subset: Iterable) -> int:
-        mask = 0
-        for label in subset:
-            mask |= 1 << self.index(label)
-        return mask
-
-    def labels_of(self, mask: int) -> tuple:
-        if mask < 0 or mask > self.full_mask:
-            raise DomainError(f"mask {mask} is out of range for ground of size {self.size}")
-        return tuple(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.labels)
-
-    def __eq__(self, other):
-        return isinstance(other, GroundSet) and self.labels == other.labels
-
-    def __hash__(self):
-        return hash(self.labels)
-
-
-@dataclass(frozen=True)
 class ConnectiveStructure:
-    """Ground set plus the family of connected subsets, each a bitmask.
+    """The connected subsets of the points 1..size, each a bitmask: bit p
+    stands for point p + 1.
 
     Always integral: the empty set and every singleton are stored as connected.
     """
 
-    ground: GroundSet
+    size: int
     connected: frozenset
 
-    def __init__(self, ground: GroundSet, connected: Iterable[int]):
-        object.__setattr__(self, "ground", ground)
+    def __init__(self, size: int, connected: Iterable[int]):
+        if not 1 <= size <= MAX_GROUND_SIZE:
+            raise DomainError(f"ground size {size} is not in 1..{MAX_GROUND_SIZE}")
         masks = frozenset(int(m) for m in connected)
-        base = {0} | {1 << i for i in range(ground.size)}
-        object.__setattr__(self, "connected", masks | base)
+        if masks and not 0 <= min(masks) <= max(masks) < 1 << size:
+            bad = min(masks) if min(masks) < 0 else max(masks)
+            raise DomainError(f"mask {bad} is out of range for ground of size {size}")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "connected", masks | {0} | {1 << i for i in range(size)})
 
     def members(self) -> list:
-        """Connected subsets in canonical order: by size, then by ground positions."""
-        return sorted(self.connected, key=lambda m: (m.bit_count(), _mask_positions(m)))
-
-    def member_labels(self) -> list:
-        return [self.ground.labels_of(m) for m in self.members()]
+        """The 0-based positions of each connected subset, in canonical order:
+        by size, then by positions."""
+        return sorted(map(_mask_positions, self.connected), key=lambda p: (len(p), p))
 
     def __repr__(self):
-        parts = ["{" + ",".join(str(l) for l in labs) + "}" for labs in self.member_labels()]
-        return f"ConnectiveStructure({list(self.ground.labels)}: {' '.join(parts)})"
+        parts = ["{" + ",".join(str(p + 1) for p in m) + "}" for m in self.members()]
+        return f"ConnectiveStructure({self.size}: {' '.join(parts)})"
 
 
 @functools.cache
@@ -191,14 +143,6 @@ def _mask(positions) -> int:
     return sum(1 << p for p in positions)
 
 
-def _as_mask(ground: GroundSet, subset) -> int:
-    if isinstance(subset, int):
-        if subset < 0 or subset > ground.full_mask:
-            raise DomainError(f"mask {subset} not a subset of the ground set")
-        return subset
-    return ground.mask_of(subset)
-
-
 def _close(ground_size: int, masks: Iterable[int]) -> frozenset:
     """Fixpoint of pairwise union-with-common-point, seeded with all singletons.
 
@@ -222,10 +166,10 @@ def _close(ground_size: int, masks: Iterable[int]) -> frozenset:
     return frozenset(connected)
 
 
-def generate_integral(ground: GroundSet, generators: Iterable) -> ConnectiveStructure:
-    """Smallest integral structure whose connected family contains all generators."""
-    masks = [_as_mask(ground, g) for g in generators]
-    return ConnectiveStructure(ground, _close(ground.size, masks))
+def generate_integral(size: int, masks: Iterable[int]) -> ConnectiveStructure:
+    """Smallest integral structure on the points 1..size whose connected
+    family contains every mask."""
+    return ConnectiveStructure(size, _close(size, masks))
 
 
 def _subset_structures(k: int, verdict, families: Mapping) -> tuple:
@@ -233,13 +177,12 @@ def _subset_structures(k: int, verdict, families: Mapping) -> tuple:
 
     `verdict(j)` is called once per site tuple j of `_subsets(k)`, in that
     order; each verdict is keyed by the 1-based labels of j.  Structure
-    `name` on the ground 1..k is generated by the masks of the subsets whose
+    `name` on the points 1..k is generated by the masks of the subsets whose
     verdict `families[name]` accepts.
     """
     judged = [(j, mask, verdict(j)) for j, mask in _subsets(k)]
-    ground = GroundSet(range(1, k + 1))
     structures = {
-        name: generate_integral(ground, [mask for _, mask, v in judged if accepts(v)])
+        name: generate_integral(k, [mask for _, mask, v in judged if accepts(v)])
         for name, accepts in families.items()
     }
     return {tuple(s + 1 for s in j): v for j, _, v in judged}, structures

@@ -26,7 +26,6 @@ import numpy as np
 
 from .connective import (
     ConnectiveStructure,
-    GroundSet,
     _bipartitions,
     _check_indices,
     _check_labels,
@@ -35,7 +34,7 @@ from .connective import (
     connective_order,
 )
 from .errors import DomainError, ResourceError
-from .quantum import DEFAULT_TOL, Observable, PureState, _residuals
+from .quantum import DEFAULT_TOL, PureState, _eigensystem, _residuals
 
 # 2**20, not 10**6: the reference three-site device has exactly 4^4 * 8^4
 # deterministic realizations and must stay enumerable under the default.
@@ -208,7 +207,7 @@ def _fresh_codes(dep: np.ndarray, seen) -> list:
     return fresh.tolist()
 
 
-def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
+def _scan(device: Device, cap: int, cuts=(), early_exit=None, sites=()) -> np.ndarray:
     """Coverage matrix over the deterministic realizations: one row per
     partition, and one column per related (question, answer) pair, sorted.
     Given `cuts`, the partitions are the singletons followed by each cut;
@@ -230,11 +229,16 @@ def _scan(device: Device, cap: int, cuts=(), early_exit=None) -> np.ndarray:
     called again after that, and the scan stops once it has returned true
     (when given) and every entry is true.  Codes of k * k <= `_TABLE_BITS`
     bits (k <= 4 sites) are told apart by a bool table over the code space,
-    wider ones by `np.unique` of each block and a set.
+    wider ones by `np.unique` of each block and a set.  A device above `cap`
+    is refused by name: `sites`, its 0-based sites within the device it was
+    taken from, by default all of its own.
     """
     total = realization_count(device)
     if total > cap:
-        raise ResourceError(f"device has {total} deterministic realizations, above the cap {cap}")
+        on = ",".join(str(s + 1) for s in sites or range(device.uplicity))
+        raise ResourceError(
+            f"device on sites {on} has {total} deterministic realizations, above the cap {cap}"
+        )
     qs = device.question_tuples()
     k = device.uplicity
     if k * k > 63:
@@ -344,7 +348,7 @@ def _profile(reduce, j: tuple, cap: int, early_exit=None) -> LocalityProfile:
     device = reduce(j)
     k = len(j)
     cuts = _bipartitions(range(k))
-    coverage = _scan(device, cap, cuts, early_exit)
+    coverage = _scan(device, cap, cuts, early_exit, j)
     every, some = coverage.all(axis=1), coverage.any(axis=1)
 
     def product_along(blocks):
@@ -441,9 +445,8 @@ class _DomanialMeets:
         return len(self.do) == len(self.dp) == k + 1
 
     def structures(self) -> tuple:
-        """(kappa_do, kappa_dp) on the labels 1..k."""
-        ground = GroundSet(range(1, self.k + 1))
-        return ConnectiveStructure(ground, self.do), ConnectiveStructure(ground, self.dp)
+        """(kappa_do, kappa_dp) on the points 1..k."""
+        return ConnectiveStructure(self.k, self.do), ConnectiveStructure(self.k, self.dp)
 
 
 @dataclass(frozen=True)
@@ -517,14 +520,14 @@ def derive_device(
     for site, (labels, menu) in enumerate(zip(questions, menus)):
         by_label = {}
         for label, (_, matrix) in zip(labels, menu):
-            obs = Observable(site, matrix, tol=tol)
-            if obs.dim != psi.layout.dims[site]:
+            by_label[label] = _eigensystem(matrix, tol)
+            vals = by_label[label][0]
+            if len(vals) != psi.layout.dims[site]:
                 raise DomainError(
-                    f"observable on site {site} has dimension {obs.dim}, "
+                    f"observable on site {site} has dimension {len(vals)}, "
                     f"site has {psi.layout.dims[site]}"
                 )
-            by_label[label] = obs.eigensystem()
-            if len({_format_eigenvalue(v) for v in by_label[label][0]}) < obs.dim:
+            if len({_format_eigenvalue(v) for v in vals}) < len(vals):
                 raise DomainError(
                     f"observable {label!r} on site {site} has two eigenvalues with one label"
                 )

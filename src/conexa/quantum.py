@@ -186,44 +186,18 @@ class DensityOperator:
         return hash((self.layout, self.matrix.tobytes()))
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Nondegenerate Hermitian operator on one site: no two eigenvalues within tol."""
-
-    site: int
-    matrix: np.ndarray
-
-    def __init__(self, site: int, matrix, tol: float = DEFAULT_TOL):
-        mat = _finite_copy(matrix, "observable")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DomainError(f"observable must be a square matrix, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > tol:
-            raise DomainError("observable is not Hermitian within tolerance")
-        eigenvalues = np.linalg.eigvalsh(mat)
-        if len(eigenvalues) > 1 and np.min(np.diff(eigenvalues)) <= tol:
-            raise DomainError("observable has (numerically) repeated eigenvalues")
-        mat.setflags(write=False)
-        object.__setattr__(self, "site", int(site))
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigensystem(self):
-        """Eigenvalues ascending, eigenvectors as matching columns."""
-        vals, vecs = np.linalg.eigh(self.matrix)
-        return vals, vecs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Observable)
-            and self.site == other.site
-            and np.array_equal(self.matrix, other.matrix)
-        )
-
-    def __hash__(self):
-        return hash((self.site, self.matrix.tobytes()))
+def _eigensystem(matrix, tol: float) -> tuple:
+    """(eigenvalues ascending, eigenvectors as matching columns) of a finite
+    square Hermitian matrix, no two of whose eigenvalues lie within tol."""
+    mat = _finite_copy(matrix, "observable")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DomainError(f"observable must be a square matrix, got shape {mat.shape}")
+    if np.max(np.abs(mat - mat.conj().T)) > tol:
+        raise DomainError("observable is not Hermitian within tolerance")
+    vals, vecs = np.linalg.eigh(mat)
+    if len(vals) > 1 and np.min(np.diff(vals)) <= tol:
+        raise DomainError("observable has (numerically) repeated eigenvalues")
+    return vals, vecs
 
 
 class Verdict(enum.Enum):

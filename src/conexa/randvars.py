@@ -286,7 +286,7 @@ def realize_structure(kappa: ConnectiveStructure) -> FiniteJointDistribution:
     every variable is nondegenerate.  A point's variable is the string of its
     bits across the blocks containing it, in block order.
     """
-    k = kappa.ground.size
+    k = kappa.size
     generators = sorted(irreducibles(kappa), key=lambda m: (m.bit_count(), m))
     blocks = [[i for i in range(k) if mask >> i & 1] for mask in generators]
     blocks += [[i] for i in range(k) if not any(i in b for b in blocks)]

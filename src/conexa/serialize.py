@@ -60,10 +60,8 @@ def _split_keys(keys, arity: int, distinct: bool = True) -> list:
 
 def structure_to_dict(structure: ConnectiveStructure) -> dict:
     return {
-        "ground": [str(lab) for lab in structure.ground.labels],
-        "connected": [
-            [str(lab) for lab in labels] for labels in structure.member_labels()
-        ],
+        "ground": [str(p) for p in range(1, structure.size + 1)],
+        "connected": [[str(p + 1) for p in m] for m in structure.members()],
     }
 
 

@@ -9,28 +9,29 @@ import itertools
 
 import numpy as np
 
-from conexa.connective import ConnectiveStructure, GroundSet
+from conexa.connective import ConnectiveStructure
 from conexa.devices import Device
 from conexa.quantum import PureState, SiteLayout
 
 
-def ground(n: int) -> GroundSet:
-    return GroundSet(range(1, n + 1))
+def mask(points) -> int:
+    """Bitmask of a subset of the points 1..n, given by its 1-based points."""
+    return sum(1 << (p - 1) for p in points)
 
 
 def structure(n: int, subsets) -> ConnectiveStructure:
-    g = ground(n)
-    return ConnectiveStructure(g, [g.mask_of(s) for s in subsets])
+    """The structure on the points 1..n with the given connected subsets,
+    each a tuple of 1-based points."""
+    return ConnectiveStructure(n, [mask(s) for s in subsets])
 
 
 def borromean(n: int) -> ConnectiveStructure:
-    """Only the full set connected, on labels 1..n."""
+    """Only the full set connected, on the points 1..n."""
     return structure(n, [tuple(range(1, n + 1))])
 
 
 def power_set(n: int) -> ConnectiveStructure:
-    g = ground(n)
-    return ConnectiveStructure(g, range(g.full_mask + 1))
+    return ConnectiveStructure(n, range(1 << n))
 
 
 def discrete(n: int) -> ConnectiveStructure:
@@ -84,21 +85,20 @@ def oracle_irreducibles(s: ConnectiveStructure) -> set:
     out = set()
     for k in members:
         rest = [m for m in members if m != k]
-        if k not in oracle_close(s.ground.size, rest):
+        if k not in oracle_close(s.size, rest):
             out.add(k)
     return out
 
 
 def all_integral_structures(n: int):
-    """Every integral structure on labels 1..n, by exhaustive closure check."""
-    g = ground(n)
-    candidates = [m for m in range(1, g.full_mask + 1) if bin(m).count("1") >= 2]
+    """Every integral structure on the points 1..n, by exhaustive closure check."""
+    candidates = [m for m in range(1, 1 << n) if bin(m).count("1") >= 2]
     out = []
     for selector in itertools.product((0, 1), repeat=len(candidates)):
         family = {m for m, keep in zip(candidates, selector) if keep}
         base = family | {0} | {1 << i for i in range(n)}
         if oracle_close(n, family) == frozenset(base):
-            out.append(ConnectiveStructure(g, family))
+            out.append(ConnectiveStructure(n, family))
     return out
 
 
@@ -392,7 +392,7 @@ def oracle_domanial(device) -> tuple:
         f_do = oracle_close(k, masks)
         f_dp = oracle_close(k, [m | 1 << i for i, m in enumerate(masks)])
         do, dp = (f_do, f_dp) if do is None else (do & f_do, dp & f_dp)
-    return ConnectiveStructure(ground(k), do), ConnectiveStructure(ground(k), dp)
+    return ConnectiveStructure(k, do), ConnectiveStructure(k, dp)
 
 
 def _oracle_separable(tensor: np.ndarray, part, tol: float) -> bool:

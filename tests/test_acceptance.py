@@ -24,9 +24,10 @@ from conexa.devices import (
 )
 from conexa.disentangle import IntricationClass, disentanglement_structures
 from conexa.quantum import (
-    Observable,
+    DEFAULT_TOL,
     PureState,
     SiteLayout,
+    _eigensystem,
     _residuals,
     builtin_state,
     partial_trace,
@@ -41,7 +42,7 @@ from helpers import (
     all_integral_structures,
     borromean,
     discrete,
-    ground,
+    mask,
     oracle_close,
     oracle_completely_correlated,
     power_set,
@@ -155,14 +156,13 @@ def test_criterion_04_sugita_and_correlation():
     assert all(v.quality is VerdictQuality.EXACT for v in report.subsets.values())
     assert report.kappa_corr == power_set(3)
     # independent reduced-product oracle over every subset
-    g = ground(3)
     oracle_generators = [
-        labels
+        mask(labels)
         for labels, sites in [((1, 2), (0, 1)), ((1, 3), (0, 2)), ((2, 3), (1, 2)),
                               ((1, 2, 3), (0, 1, 2))]
         if oracle_completely_correlated(ghz.density().matrix, (2, 2, 2), sites)
     ]
-    assert generate_integral(g, oracle_generators) == power_set(3)
+    assert generate_integral(3, oracle_generators) == power_set(3)
     conclude(4, "GHZ: kappa_S borromean (EXACT), kappa_corr coarse (oracle agreed)")
 
 
@@ -311,7 +311,7 @@ def test_criterion_10_property_suites():
     emitted.extend(device_structures(builtin_device("EPR")).structures.values())
     emitted.extend(device_structures(builtin_device("EPR2")).structures.values())
     emitted.append(rv_analysis(brunnian_family(2, 2)).structure)
-    assert all(oracle_close(s.ground.size, s.connected) == s.connected for s in emitted)
+    assert all(oracle_close(s.size, s.connected) == s.connected for s in emitted)
 
     # six-structure inclusion chains on 50 random three-qubit states
     for _ in range(50):
@@ -338,7 +338,7 @@ def test_criterion_10_property_suites():
 
     # measurement probabilities (squared residual norms) sum to one on 100 random states
     menu = (pauli_z(), pauli_x(), pauli_z())
-    bases = [Observable(s, m).eigensystem()[1][None] for s, m in enumerate(menu)]
+    bases = [_eigensystem(m, DEFAULT_TOL)[1][None] for m in menu]
     for _ in range(100):
         psi = PureState(SiteLayout((2, 2, 2)), random_state_vector(rng, 8))
         _, norms = _residuals(psi, (0, 1, 2), bases)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 from importlib import resources
 
 import jsonschema
@@ -11,7 +12,7 @@ import pytest
 
 from conexa import devices
 from conexa.cli import main
-from conexa.connective import GroundSet, connective_order, generate_integral
+from conexa.connective import connective_order, generate_integral
 from conexa.serialize import (
     canonical_json,
     density_to_dict,
@@ -24,7 +25,7 @@ from conexa.devices import builtin_device
 from conexa.quantum import DensityOperator, PureState, SiteLayout, builtin_state
 from conexa.randvars import realize_structure
 
-from helpers import random_density_matrix, random_state_vector, tensor_device
+from helpers import mask, random_density_matrix, random_state_vector, tensor_device
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +197,26 @@ def test_analyze_device_cap_bounds_realizations(tmp_path, capsys):
     assert "20736" in err
 
 
+def test_analyze_device_cap_names_the_refused_sub_device(tmp_path, capsys):
+    """A sub-device pools the answers of every extension: this 4-site device
+    has 32 realizations, and its sub-device on sites 1, 2, 3 about 10^12."""
+    rng = random.Random(15)
+    relation = {}
+    for n, q in enumerate(itertools.product("012", repeat=4)):
+        answers = {tuple(rng.choice("01") for _ in range(4)) for _ in range(1 + (n % 16 == 0))}
+        relation["".join(q)] = ["".join(r) for r in answers]
+    path = tmp_path / "pooled.json"
+    path.write_text(json.dumps(
+        {"questions": [["0", "1", "2"]] * 4, "results": [["0", "1"]] * 4, "relation": relation}
+    ))
+    code, _, err = run_cli(capsys, "analyze-device", "--file", str(path))
+    assert code == 3
+    assert err == (
+        "resource error: device on sites 1,2,3 has 1057916215296 deterministic "
+        "realizations, above the cap 1048576\n"
+    )
+
+
 def test_analyze_device_with_more_questions_than_array_dimensions(tmp_path, capsys):
     """81 question tuples, above numpy's 64 array dimensions: a local
     deterministic device whose outputs are the question parities."""
@@ -287,6 +308,17 @@ def test_builtin_listing_and_emission(capsys):
     assert load_report(out)["result"]["state"] == state_to_dict(builtin_state("GHZ"))
 
 
+@pytest.mark.parametrize("request_args, payload", [
+    (("--list",), ["states: EPR GHZ K O2", "devices: EPR EPR2 GHZ K"]),
+    (("--state", "GHZ"), [json.dumps(state_to_dict(builtin_state("GHZ")), sort_keys=True)]),
+    (("--device", "K"), [json.dumps(device_to_dict(builtin_device("K")), sort_keys=True)]),
+], ids=["list", "state", "device"])
+def test_builtin_text_output_holds_its_payload(capsys, request_args, payload):
+    code, out, _ = run_cli(capsys, "builtin", *request_args, "--format", "text")
+    assert code == 0
+    assert out.splitlines() == ["conexa 0.1.0 -- builtin", *payload]
+
+
 def test_malformed_json_exit_code_and_position(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"dims": [2, 2], "amplitudes": [[1, 0],')
@@ -340,9 +372,9 @@ def test_analyze_state_reports_pinned(source, tmp_path, capsys):
 
 # Structures realized as random-variable families for the analyze-rvs goldens.
 REALIZED = {
-    "brunnian 3": generate_integral(GroundSet(range(3)), [(0, 1, 2)]),
-    "pair and triple 4": generate_integral(GroundSet(range(4)), [(0, 1), (1, 2, 3)]),
-    "chain 5": generate_integral(GroundSet(range(5)), [(0, 1, 2), (2, 3), (3, 4)]),
+    "brunnian 3": generate_integral(3, [mask((1, 2, 3))]),
+    "pair and triple 4": generate_integral(4, [mask((1, 2)), mask((2, 3, 4))]),
+    "chain 5": generate_integral(5, [mask((1, 2, 3)), mask((3, 4)), mask((4, 5))]),
 }
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conexa.connective import (
-    GroundSet,
+    ConnectiveStructure,
     _check_indices,
     _check_labels,
     _cut_table,
@@ -19,24 +19,16 @@ from conexa.connective import (
     generate_integral,
     irreducibles,
 )
-from conexa.density import density_structures
-from conexa.devices import Device, builtin_device, derive_device, device_structures, sub_device
-from conexa.disentangle import disentanglement_structures
+from conexa.devices import Device, builtin_device, derive_device, sub_device
 from conexa.errors import DomainError
 from conexa.quantum import builtin_state, partial_trace
-from conexa.randvars import (
-    FiniteJointDistribution,
-    _plan,
-    brunnian_family,
-    realize_structure,
-    rv_analysis,
-)
+from conexa.randvars import FiniteJointDistribution, _plan
 
 from helpers import (
     all_integral_structures,
     borromean,
     discrete,
-    ground,
+    mask,
     oracle_close,
     oracle_irreducibles,
     power_set,
@@ -45,50 +37,49 @@ from helpers import (
 
 
 def test_generate_two_overlapping_pairs():
-    s = generate_integral(ground(3), [(1, 2), (2, 3)])
+    s = generate_integral(3, [mask((1, 2)), mask((2, 3))])
     assert s == structure(3, [(1, 2), (2, 3), (1, 2, 3)])
 
 
 def test_generate_full_set_gives_borromean():
-    g = GroundSet((0, 1, 2))
-    s = generate_integral(g, [(0, 1, 2)])
+    s = generate_integral(3, [mask((1, 2, 3))])
     nontrivial = [m for m in s.connected if bin(m).count("1") >= 2]
-    assert nontrivial == [g.full_mask]
+    assert nontrivial == [0b111]
 
 
 def test_generate_empty_generators_is_discrete():
-    s = generate_integral(ground(2), [])
+    s = generate_integral(2, [])
     assert s == discrete(2)
 
 
 def test_generator_outside_ground_rejected():
     with pytest.raises(DomainError):
-        generate_integral(ground(2), [(1, 3)])
+        generate_integral(2, [mask((1, 3))])
 
 
 def test_is_connected_set():
     b3 = borromean(3)
-    assert b3.ground.mask_of((1, 2)) not in b3.connected
-    assert b3.ground.mask_of((1, 2, 3)) in b3.connected
-    assert b3.ground.mask_of((2,)) in b3.connected
-    assert b3.ground.mask_of(()) in b3.connected
+    assert mask((1, 2)) not in b3.connected
+    assert mask((1, 2, 3)) in b3.connected
+    assert mask((2,)) in b3.connected
+    assert mask(()) in b3.connected
 
 
 def test_irreducibles_borromean():
     b3 = borromean(3)
-    assert irreducibles(b3) == frozenset({b3.ground.full_mask})
+    assert irreducibles(b3) == frozenset({0b111})
 
 
 def test_irreducibles_power_set_three_points():
     s = power_set(3)
-    expected = {s.ground.mask_of(p) for p in [(1, 2), (1, 3), (2, 3)]}
+    expected = {mask(p) for p in [(1, 2), (1, 3), (2, 3)]}
     assert irreducibles(s) == frozenset(expected)
     assert irreducibles(s) == frozenset(oracle_irreducibles(s))
 
 
 def test_irreducibles_nested_example():
     s = structure(3, [(2, 3), (1, 2, 3)])
-    expected = {s.ground.mask_of(p) for p in [(2, 3), (1, 2, 3)]}
+    expected = {mask(p) for p in [(2, 3), (1, 2, 3)]}
     assert irreducibles(s) == frozenset(expected)
     assert irreducibles(s) == frozenset(oracle_irreducibles(s))
 
@@ -119,7 +110,7 @@ def test_connective_order_deep_chain():
 
 def test_brunnian_structure_examples():
     b1 = borromean(1)
-    assert b1.members() == [0, 1]
+    assert b1.members() == [(), (0,)]
     b4 = borromean(4)
     assert len(b4.connected) == 6
     with pytest.raises(DomainError):
@@ -138,7 +129,7 @@ def _generator_lists(draw):
 @given(_generator_lists())
 def test_closure_axiom_on_generated_structures(case):
     n, gens = case
-    s = generate_integral(ground(n), gens)
+    s = generate_integral(n, gens)
     assert oracle_close(n, s.connected) == s.connected
     assert s.connected == oracle_close(n, gens)
 
@@ -147,42 +138,40 @@ def test_generate_is_idempotent():
     rng = np.random.default_rng(12)
     for _ in range(30):
         n = int(rng.integers(2, 6))
-        g = ground(n)
-        gens = [int(rng.integers(1, g.full_mask + 1)) for _ in range(3)]
-        s = generate_integral(g, gens)
-        assert generate_integral(g, s.connected) == s
+        gens = [int(rng.integers(1, 1 << n)) for _ in range(3)]
+        s = generate_integral(n, gens)
+        assert generate_integral(n, s.connected) == s
 
 
 def test_generate_is_monotone():
     rng = np.random.default_rng(13)
     for _ in range(30):
         n = int(rng.integers(2, 6))
-        g = ground(n)
-        small = [int(rng.integers(1, g.full_mask + 1)) for _ in range(2)]
-        large = small + [int(rng.integers(1, g.full_mask + 1)) for _ in range(2)]
-        assert generate_integral(g, small).connected <= generate_integral(g, large).connected
+        small = [int(rng.integers(1, 1 << n)) for _ in range(2)]
+        large = small + [int(rng.integers(1, 1 << n)) for _ in range(2)]
+        assert generate_integral(n, small).connected <= generate_integral(n, large).connected
 
 
 def test_irreducibles_regenerate_structure():
     # exhaustive for up to 4 points, sampled on 5
     for n in (2, 3, 4):
         for s in all_integral_structures(n):
-            assert generate_integral(s.ground, irreducibles(s)) == s
+            assert generate_integral(n, irreducibles(s)) == s
     rng = np.random.default_rng(14)
-    g5 = ground(5)
     for _ in range(200):
-        gens = [int(rng.integers(1, g5.full_mask + 1)) for _ in range(int(rng.integers(0, 6)))]
-        s = generate_integral(g5, gens)
-        assert generate_integral(g5, irreducibles(s)) == s
+        gens = [int(rng.integers(1, 1 << 5)) for _ in range(int(rng.integers(0, 6)))]
+        s = generate_integral(5, gens)
+        assert generate_integral(5, irreducibles(s)) == s
 
 
 def test_ground_set_validation():
-    with pytest.raises(DomainError):
-        GroundSet(())
-    with pytest.raises(DomainError):
-        GroundSet((1, 1))
-    with pytest.raises(DomainError):
-        GroundSet(range(25))
+    with pytest.raises(DomainError, match="ground size 0 is not in 1..24"):
+        ConnectiveStructure(0, [])
+    with pytest.raises(DomainError, match="ground size 25 is not in 1..24"):
+        ConnectiveStructure(25, [])
+    for bad in (-1, 0b100):
+        with pytest.raises(DomainError, match=f"mask {bad} is out of range for ground of size 2"):
+            ConnectiveStructure(2, [0b11, bad])
 
 
 def test_indiscrete_structure_is_everything():
@@ -197,7 +186,7 @@ def test_structure_counts_small_grounds():
 
 
 def test_discrete_structure_matches_empty_generation():
-    assert discrete(4) == generate_integral(ground(4), [])
+    assert discrete(4) == generate_integral(4, [])
 
 
 # The shared input rules, each reached directly and through the engines that
@@ -302,10 +291,9 @@ def test_subset_driver_order_and_labels(k, data):
     verdicts, structures = _subset_structures(k, drawn, {"in": bool, "out": lambda v: not v})
     assert seen == judged and [j for j, _ in _subsets(k)] == judged
     assert list(verdicts) == [tuple(s + 1 for s in j) for j in judged]
-    ground_k = GroundSet(range(1, k + 1))
     for name, want in (("in", True), ("out", False)):
         labels = [label for label, v in verdicts.items() if v is want]
-        assert structures[name] == generate_integral(ground_k, labels)
+        assert structures[name] == generate_integral(k, [mask(j) for j in labels])
     # the rv sweep ranks, and the shared cut table cuts, the subsets in the
     # order the skeleton judges them
     masks = [sum(1 << s for s in j) for j in judged]
@@ -313,21 +301,3 @@ def test_subset_driver_order_and_labels(k, data):
     assert np.concatenate([level[0] for level in levels[1:]]).tolist() == masks
     assert cuts[0, starts].tolist() == masks
     assert cuts[0].tolist() == np.repeat(masks, np.diff(starts, append=cuts.shape[1])).tolist()
-
-
-@pytest.mark.parametrize("run, make", [
-    (disentanglement_structures, lambda: builtin_state("GHZ")),
-    (density_structures, lambda: builtin_state("GHZ").density()),
-    (device_structures, lambda: builtin_device("K")),
-    (rv_analysis, lambda: brunnian_family(2, 2)),
-    (rv_analysis, lambda: realize_structure(power_set(3))),
-], ids=["states", "density", "devices", "rvs-brunnian", "rvs-power-set"])
-def test_engines_generate_from_masks(monkeypatch, run, make):
-    # no engine turns a subset's labels back into a mask
-    report = run(make())
-
-    def refuse(ground, subset):
-        raise AssertionError(f"mask_of({subset!r}) on an engine path")
-
-    monkeypatch.setattr(GroundSet, "mask_of", refuse)
-    assert run(make()) == report

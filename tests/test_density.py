@@ -17,7 +17,7 @@ from conexa.density import (
     density_structures,
     total_order,
 )
-from conexa.disentangle import IntricationClass, classify_on_subset
+from conexa.disentangle import IntricationClass, classify_on_subset, disentanglement_structures
 from conexa.errors import DomainError
 from conexa.quantum import (
     DensityOperator,
@@ -177,6 +177,46 @@ def test_pure_state_cross_module_agreement_on_full_set():
         verdict = verdict_on(psi.density(), (0, 1, 2)).completely_entangled
         cls = classify_on_subset(psi, (0, 1, 2))
         assert verdict == (cls.kind is IntricationClass.GLOBALLY_ENTANGLED)
+
+
+# The classes of a subset J that some experiment on the complement leaves
+# separable in every possible residual.
+_SEPARATED_BY_SOME_EXPERIMENT = {
+    IntricationClass.TOTALLY_SEPARATED,
+    IntricationClass.CLEARLY_SEPARABLE_ONLY,
+    IntricationClass.GLOBALLY_SEPARABLE_ONLY,
+    IntricationClass.WELL_SEPARABLE_ONLY,
+    IntricationClass.WELL_ENTANGLED_AND_SEPARABLE,
+}
+
+_PAIR_STATES = {
+    "GHZ": lambda rng: builtin_state("GHZ"),
+    "O2": lambda rng: builtin_state("O2"),
+    "Bell0": lambda rng: tensor_state(builtin_state("EPR"), basis_state((2,), (0,))),
+    "0Bell": lambda rng: tensor_state(basis_state((2,), (0,)), builtin_state("EPR")),
+    "product": lambda rng: tensor_state(
+        tensor_state(random_pure(rng, (2,)), random_pure(rng, (3,))), random_pure(rng, (2,))
+    ),
+    "Haar pair (x) qubit": lambda rng: tensor_state(random_pure(rng, (2, 2)),
+                                                    random_pure(rng, (2,))),
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_PAIR_STATES)), st.integers(0, 2**32 - 1))
+def test_pairs_some_experiment_separates_are_not_completely_entangled(name, seed):
+    # an experiment leaving every residual on the pair J separable writes
+    # rho_J as a mixture of product states, so J is not completely entangled
+    psi = _PAIR_STATES[name](np.random.default_rng(seed))
+    classes = disentanglement_structures(psi).classes
+    subsets = density_structures(psi.density()).subsets
+    separated = [
+        j for j, cls in classes.items()
+        if len(j) == 2 and cls.kind in _SEPARATED_BY_SOME_EXPERIMENT
+    ]
+    assert separated
+    for j in separated:
+        assert not subsets[j].completely_entangled, j
 
 
 def test_total_order_reference_states():

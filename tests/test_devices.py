@@ -485,6 +485,57 @@ def test_k_tensorial_structures():
     assert structures["NQS"] == discrete(3)
 
 
+def moved_device(dev, perm, questions, answers):
+    """The device whose site i is site perm[i] of dev, with the labels of
+    site s renamed by the maps questions[s] and answers[s]."""
+    return Device(
+        [[questions[p][x] for x in dev.questions[p]] for p in perm],
+        [[answers[p][x] for x in dev.results[p]] for p in perm],
+        {
+            tuple(questions[p][q[p]] for p in perm): {
+                tuple(answers[p][r[p]] for p in perm) for r in rs
+            }
+            for q, rs in dev.relation.items()
+        },
+    )
+
+
+@st.composite
+def moved_devices(draw):
+    """(device, perm, moved device): a builtin or drawn 3-site device, and the
+    device its sites move to under perm, each site's labels renamed by a
+    drawn bijection."""
+    dev = draw(st.one_of(
+        st.sampled_from([builtin_device(name) for name in ("EPR2", "GHZ", "K")]),
+        coherent_devices(sites=(3, 3), labels=2),
+    ))
+    perm = draw(st.permutations(range(dev.uplicity)))
+
+    def renaming(labels):
+        return dict(zip(labels, draw(st.permutations(labels))))
+
+    questions = [renaming(labels) for labels in dev.questions]
+    answers = [renaming(labels) for labels in dev.results]
+    return dev, perm, moved_device(dev, perm, questions, answers)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(moved_devices())
+def test_site_permutation_permutes_every_notion_and_structure(case):
+    # renaming labels changes nothing, and site i of the moved device is
+    # site perm[i] of dev: every structure's masks move with the sites, and
+    # the full-device notions stay
+    dev, perm, moved = case
+    before, after = device_structures(dev), device_structures(moved)
+    for notion in _STRUCTURE_OF:
+        assert getattr(after.profile, notion) == getattr(before.profile, notion), notion
+    assert list(after.structures) == list(before.structures)
+    for name, s in after.structures.items():
+        image = {sum(1 << p for i, p in enumerate(perm) if m >> i & 1) for m in s.connected}
+        assert image == before.structures[name].connected, name
+    assert after.orders == before.orders
+
+
 def test_tensorial_chains_random_devices():
     rng = np.random.default_rng(5)
     for _ in range(50):

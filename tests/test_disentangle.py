@@ -473,3 +473,48 @@ def test_wrong_dimension_bases_raise_domain_error():
         classify_on_subset(ghz, (0, 1), qutrit_pool)
     with pytest.raises(DomainError):
         _residuals(ghz, (2,), [np.eye(3)[None]])
+
+
+def moved_state(psi, perm):
+    """The state whose site i is site perm[i] of psi."""
+    dims = psi.layout.dims
+    amplitudes = np.transpose(psi.amplitudes.reshape(dims), perm).reshape(-1)
+    return PureState(SiteLayout([dims[p] for p in perm]), amplitudes)
+
+
+# States for the site-permutation property: builtins, Haar states on three
+# and four sites, and products with a Bell pair, with a Haar pair or of three
+# Haar sites.
+_PERMUTED = {
+    "GHZ": lambda rng: builtin_state("GHZ"),
+    "O2": lambda rng: builtin_state("O2"),
+    "K": lambda rng: builtin_state("K"),
+    "Haar 2x2x2": lambda rng: random_pure(rng, (2, 2, 2)),
+    "Haar 2x2x2x2": lambda rng: random_pure(rng, (2, 2, 2, 2)),
+    "Haar 2x3x2": lambda rng: random_pure(rng, (2, 3, 2)),
+    "Bell (x) Haar 2x2": lambda rng: tensor_state(builtin_state("EPR"), random_pure(rng, (2, 2))),
+    "Haar 2x3 (x) qubit": lambda rng: tensor_state(random_pure(rng, (2, 3)),
+                                                   random_pure(rng, (2,))),
+    "product": lambda rng: tensor_state(
+        tensor_state(random_pure(rng, (2,)), random_pure(rng, (3,))), random_pure(rng, (2,))
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_PERMUTED)), st.integers(0, 2**32 - 1), st.data())
+def test_site_permutation_permutes_every_class_and_structure(name, seed, data):
+    # site i of the moved state is site perm[i] of psi: the class of a subset
+    # of the moved sites is psi's class of its image, and every structure's
+    # masks move with it
+    psi = _PERMUTED[name](np.random.default_rng(seed))
+    perm = data.draw(st.permutations(range(psi.layout.sites)))
+    before = disentanglement_structures(psi)
+    after = disentanglement_structures(moved_state(psi, perm))
+    assert len(after.classes) == len(before.classes)
+    for labels, cls in after.classes.items():
+        assert cls == before.classes[tuple(sorted(perm[s - 1] + 1 for s in labels))], labels
+    for kind, moved in after.structures.items():
+        image = {sum(1 << p for i, p in enumerate(perm) if m >> i & 1) for m in moved.connected}
+        assert image == before.structures[kind].connected, kind
+    assert after.omega_c == before.omega_c

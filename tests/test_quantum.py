@@ -17,6 +17,7 @@ from conexa.quantum import (
     DEFAULT_TOL,
     DensityOperator,
     _block_certificates,
+    _eigensystem,
     _matricize,
     _frobenius,
     _min_eig_below,
@@ -24,7 +25,6 @@ from conexa.quantum import (
     _residuals,
     _separable_cuts,
     _transposed,
-    Observable,
     PureState,
     SiteLayout,
     Verdict,
@@ -90,7 +90,7 @@ def contract(psi, site_vectors):
 def measure(psi, observables, tol=1e-9) -> list:
     """(eigenvalues, probability, residual) of each possible joint outcome of
     the (site, matrix) observables, as `derive_device` measures them."""
-    systems = [Observable(site, m).eigensystem() for site, m in observables]
+    systems = [_eigensystem(m, DEFAULT_TOL) for _, m in observables]
     sites = tuple(site for site, _ in observables)
     residuals, norms = _residuals(psi, sites, [vecs[None] for _, vecs in systems])
     out = []
@@ -298,12 +298,12 @@ def test_measure_rejects_duplicate_sites():
 
 def test_observable_rejects_non_hermitian():
     with pytest.raises(DomainError):
-        Observable(0, [[0, 1], [0, 0]])
+        _eigensystem([[0, 1], [0, 0]], DEFAULT_TOL)
 
 
 def test_nondegenerate_flag_rejects_identity():
     with pytest.raises(DomainError):
-        Observable(0, np.eye(2))
+        _eigensystem(np.eye(2), DEFAULT_TOL)
 
 
 @pytest.mark.parametrize("psi, matrix", [
@@ -392,7 +392,7 @@ def test_measure_projective_matches_projector_oracle(case, data):
     order = data.draw(st.permutations(range(len(dims))))
     sites = tuple(order[: data.draw(st.integers(1, len(dims)))])
     observables = [(s, _case_observable(rng, dims[s], computational)) for s in sites]
-    systems = [Observable(s, m).eigensystem() for s, m in observables]
+    systems = [_eigensystem(m, DEFAULT_TOL) for _, m in observables]
     residuals, norms = _residuals(psi, sites, [vecs[None] for _, vecs in systems])
     rest = tuple(s for s in range(len(dims)) if s not in sites)
     possible = np.flatnonzero(norms[0] > 1e-9)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conexa.connective import GroundSet, generate_integral
+from conexa.connective import generate_integral
 from conexa.devices import builtin_device
 from conexa.errors import DomainError
 from conexa.quantum import builtin_state, partial_trace
@@ -30,7 +30,7 @@ from conexa.serialize import (
     structure_to_dict,
 )
 
-from helpers import structure
+from helpers import mask, structure
 
 
 def test_key_join_and_split():
@@ -58,7 +58,9 @@ def test_structure_round_trip_and_order():
         ["2", "3"],
         ["1", "2", "3"],
     ]
-    back = generate_integral(GroundSet(data["ground"]), data["connected"])
+    back = generate_integral(
+        len(data["ground"]), [mask(map(int, subset)) for subset in data["connected"]]
+    )
     assert structure_to_dict(back) == data
 
 
