@@ -56,7 +56,6 @@ from .quantum import (
     DensityOperator,
     PureState,
     SiteLayout,
-    Verdict,
     builtin_state,
     partial_trace,
     purity,

@@ -22,7 +22,7 @@ verdict is the one the entrywise test alone gives.  One
 
 Entanglement is judged per subset: a pure reduction by the Schmidt
 coefficients of its top eigenvector across each cut, a mixed one by
-`quantum.ppt_verdicts`, which certifies most entangled cuts from small
+`quantum.ppt_entangled`, which certifies most entangled cuts from small
 principal blocks of their partial transposes before it factorizes the rest.
 """
 
@@ -53,11 +53,10 @@ from .quantum import (
     DEFAULT_TOL,
     DensityOperator,
     PureState,
-    Verdict,
     _frobenius,
     _separable_cuts,
     partial_trace,
-    ppt_verdicts,
+    ppt_entangled,
     purity,
 )
 
@@ -170,12 +169,9 @@ def _completely_entangled(reduced: DensityOperator, tol: float) -> tuple:
         split = _separable_cuts(top, reduced.layout.dims, cuts, tol)
         return not split.any(), VerdictQuality.EXACT
     # positive partial transpose is only necessary for separability: an
-    # inconclusive cut counts as separable but degrades the quality flag, so
-    # the first one settles both and ends the pass over the cuts
-    verdicts = ppt_verdicts(reduced, tol=tol)
-    if verdicts[-1] is Verdict.PPT_INCONCLUSIVE:
-        return False, VerdictQuality.PPT_NECESSARY
-    return all(v is Verdict.ENTANGLED for v in verdicts), VerdictQuality.EXACT
+    # inconclusive cut counts as separable but degrades the quality flag
+    entangled, exact = ppt_entangled(reduced, tol)
+    return entangled, VerdictQuality.EXACT if exact else VerdictQuality.PPT_NECESSARY
 
 
 def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> DensityReport:

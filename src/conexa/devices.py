@@ -207,11 +207,10 @@ def _fresh_codes(dep: np.ndarray, seen) -> list:
     return fresh.tolist()
 
 
-def _scan(device: Device, cap: int, cuts=(), early_exit=None, sites=()) -> np.ndarray:
+def _scan(device: Device, cap: int, cuts, early_exit=None, sites=()) -> np.ndarray:
     """Coverage matrix over the deterministic realizations: one row per
     partition, and one column per related (question, answer) pair, sorted.
-    Given `cuts`, the partitions are the singletons followed by each cut;
-    without them the matrix has no rows and the scan only feeds `early_exit`.
+    The partitions are the singletons followed by each of `cuts`.
 
     A realization is a choice index per question, so the realizations form an
     array in C order, with one axis per question that has two or more
@@ -287,7 +286,7 @@ def _scan(device: Device, cap: int, cuts=(), early_exit=None, sites=()) -> np.nd
     offsets = np.cumsum([0, *sizes])
     spans = [slice(offsets[qi], offsets[qi + 1]) for qi in axis]
 
-    partitions = [tuple((s,) for s in range(k)), *cuts] if cuts else []
+    partitions = [tuple((s,) for s in range(k)), *cuts]
     crossing = [
         sum(1 << (i * k + j) for a in blocks for b in blocks if a != b for i in a for j in b)
         for blocks in partitions
@@ -377,35 +376,6 @@ def _profile(reduce, j: tuple, cap: int, early_exit=None) -> LocalityProfile:
 
 
 # ---------------------------------------------------------------------------
-# tensorial structures
-
-
-def _tensorial(device: Device, cap: int, early_exit=None) -> tuple:
-    """(full-device profile, the seven tensorial structures, labels 1..k).
-
-    Every sub-device on two or more sites is profiled, the full device last,
-    its scan passing `early_exit` on to `_scan`.  One cache serves every
-    profile, so each sub-device is built once.
-    """
-    k = device.uplicity
-    if k < 2:
-        raise DomainError("device structures need uplicity >= 2")
-    reduce = _sub_devices(device)
-
-    def verdict(j):
-        return _profile(reduce, j, cap, early_exit if len(j) == k else None)
-
-    profiles, structures = _subset_structures(k, verdict, {
-        name: lambda profile, notion=notion: not getattr(profile, notion)
-        for notion, name in _STRUCTURE_OF.items()
-    })
-    for fine, coarse in _INCLUSIONS:
-        if not structures[fine].connected <= structures[coarse].connected:
-            raise RuntimeError(f"tensorial inclusion {fine} <= {coarse} violated")
-    return profiles[tuple(range(1, k + 1))], structures
-
-
-# ---------------------------------------------------------------------------
 # domanial structures
 
 
@@ -470,18 +440,33 @@ def device_structures(device: Device, cap: int = DEFAULT_CAP) -> DeviceReport:
     """Every device layer once: sub-device profiles, tensorial and domanial
     structures, and their orders.
 
-    One scan of the full device yields both its locality profile and the
-    domanial meets; it stops once the meets are discrete and every partition
-    selects every pair.  Each device scanned, the full one and every sub-device
-    on two or more sites, must have at most `cap` realizations.
+    Every sub-device on two or more sites is profiled, the full device last;
+    one cache serves every profile, so each sub-device is built once.  The
+    full device's one scan yields both its locality profile and the domanial
+    meets; it stops once the meets are discrete and every partition selects
+    every pair.  Each device scanned must have at most `cap` realizations.
     """
-    meets = _DomanialMeets(device.uplicity)
-    profile, structures = _tensorial(device, cap, meets)
+    k = device.uplicity
+    if k < 2:
+        raise DomainError("device structures need uplicity >= 2")
+    reduce = _sub_devices(device)
+    meets = _DomanialMeets(k)
+
+    def verdict(j):
+        return _profile(reduce, j, cap, meets if len(j) == k else None)
+
+    profiles, structures = _subset_structures(k, verdict, {
+        name: lambda profile, notion=notion: not getattr(profile, notion)
+        for notion, name in _STRUCTURE_OF.items()
+    })
+    for fine, coarse in _INCLUSIONS:
+        if not structures[fine].connected <= structures[coarse].connected:
+            raise RuntimeError(f"tensorial inclusion {fine} <= {coarse} violated")
     tensorial = max(connective_order(s) for s in structures.values())
     structures["do"], structures["dp"] = meets.structures()
     domanial = max(connective_order(structures["do"]), connective_order(structures["dp"]))
     orders = DeviceOrders(tensorial, domanial, max(tensorial, domanial))
-    return DeviceReport(profile, structures, orders)
+    return DeviceReport(profiles[tuple(range(1, k + 1))], structures, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -516,25 +501,27 @@ def derive_device(
     if len(menus) != k:
         raise DomainError(f"expected one menu per site ({k}), got {len(menus)}")
     questions = _check_labels([[label for label, _ in menu] for menu in menus], "question")
+    # per site: label -> (the eigenvalue label of each eigenvector, eigenvectors)
     systems: list = []
     for site, (labels, menu) in enumerate(zip(questions, menus)):
         by_label = {}
         for label, (_, matrix) in zip(labels, menu):
-            by_label[label] = _eigensystem(matrix, tol)
-            vals = by_label[label][0]
+            vals, vecs = _eigensystem(matrix, tol)
             if len(vals) != psi.layout.dims[site]:
                 raise DomainError(
                     f"observable on site {site} has dimension {len(vals)}, "
                     f"site has {psi.layout.dims[site]}"
                 )
-            if len({_format_eigenvalue(v) for v in vals}) < len(vals):
+            raws = [_format_eigenvalue(v) for v in vals]
+            if len(set(raws)) < len(raws):
                 raise DomainError(
                     f"observable {label!r} on site {site} has two eigenvalues with one label"
                 )
+            by_label[label] = raws, vecs
         systems.append(by_label)
 
     raw_results = [
-        sorted({_format_eigenvalue(v) for vals, _ in by_label.values() for v in vals}, key=float)
+        sorted({raw for raws, _ in by_label.values() for raw in raws}, key=float)
         for by_label in systems
     ]
     if recode == "paper":
@@ -542,13 +529,12 @@ def derive_device(
     else:
         results = tuple(tuple(rs) for rs in raw_results)
     # per site: label -> the answer of each eigenvector
-    answers_of = [
-        {
-            label: [names[raws.index(_format_eigenvalue(v))] for v in vals]
-            for label, (vals, _) in by_label.items()
-        }
-        for by_label, raws, names in zip(systems, raw_results, results)
-    ]
+    answers_of = []
+    for by_label, site_raws, names in zip(systems, raw_results, results):
+        rename = dict(zip(site_raws, names))
+        answers_of.append({
+            label: [rename[raw] for raw in raws] for label, (raws, _) in by_label.items()
+        })
 
     tuples = list(itertools.product(*questions))
     bases = [

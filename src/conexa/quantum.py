@@ -12,7 +12,6 @@ residual norm is > tol, that is, its probability is > tol^2.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import operator
@@ -28,7 +27,7 @@ DEFAULT_TOL = 1e-9
 MAX_TOTAL_DIM = 2**14
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
-# the largest principal block of a partial transpose that `ppt_verdicts`
+# the largest principal block of a partial transpose that `ppt_entangled`
 # diagonalizes, stacked, before any cut is factorized
 _BLOCK = 8
 
@@ -198,12 +197,6 @@ def _eigensystem(matrix, tol: float) -> tuple:
     if len(vals) > 1 and np.min(np.diff(vals)) <= tol:
         raise DomainError("observable has (numerically) repeated eigenvalues")
     return vals, vecs
-
-
-class Verdict(enum.Enum):
-    SEPARABLE = "SEPARABLE"
-    ENTANGLED = "ENTANGLED"
-    PPT_INCONCLUSIVE = "PPT_INCONCLUSIVE"
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +421,6 @@ def _min_eig_below(mat: np.ndarray, bound: float, norm: float) -> bool:
     return False
 
 
-def _ppt_verdict(tens: np.ndarray, a: tuple, b: tuple, norm: float, tol: float) -> Verdict:
-    """The Peres-Horodecki verdict on the cut a|b of the operator with tensor
-    `tens` (k ket axes, then k bra axes) and Frobenius norm `norm`; the cut
-    is not checked."""
-    da = math.prod(tens.shape[s] for s in a)
-    db = math.prod(tens.shape[s] for s in b)
-    if min(da, db) == 1:
-        return Verdict.SEPARABLE
-    if _min_eig_below(_transposed(tens, b), -tol, norm):
-        return Verdict.ENTANGLED
-    if (da, db) in {(2, 2), (2, 3), (3, 2)}:
-        return Verdict.SEPARABLE
-    return Verdict.PPT_INCONCLUSIVE
-
-
 @functools.cache
 def _block_plan(dims: tuple) -> tuple:
     """(lead, inners, rows, keys): what `_block_certificates` stacks for an
@@ -510,32 +488,35 @@ def _block_certificates(tens: np.ndarray, norm: float, tol: float) -> np.ndarray
     return certified
 
 
-def ppt_verdicts(rho: DensityOperator, tol: float = DEFAULT_TOL) -> tuple:
-    """Peres-Horodecki decision across every bipartition of rho's sites, in one pass.
+def ppt_entangled(rho: DensityOperator, tol: float = DEFAULT_TOL) -> tuple:
+    """(entangled, exact): whether the Peres-Horodecki test finds rho
+    entangled across every bipartition of its sites, and whether that is exact.
 
     A side of dimension 1 makes every operator a product across the cut.
-    Otherwise a partial-transpose eigenvalue below -tol certifies
-    entanglement in any dimension; a positive partial transpose certifies
-    separability only for 2x2 and 2x3 local dimensions, so larger cuts get
-    PPT_INCONCLUSIVE.  The eigenvalue test is `_min_eig_below`.
+    Otherwise a partial-transpose eigenvalue below -tol (`_min_eig_below`)
+    certifies entanglement in any dimension; a positive partial transpose
+    certifies separability only for 2x2 and 2x3 local dimensions.
 
-    The cuts come in the order of `connective._bipartitions`, and the pass
-    ends at the first PPT_INCONCLUSIVE verdict: a tuple shorter than the
-    list of cuts ends with that verdict.  rho's norm is computed once for
-    every cut's rounding band.  A cut that `_block_certificates` certifies
-    is ENTANGLED without a factorization, which is `_min_eig_below`'s
-    answer too; every other cut's partial transpose is copied once, into
-    the matrix that is factorized.
+    One pass takes the cuts in the order of `connective._bipartitions`: a
+    product or separable cut makes the answer False and the pass goes on, and
+    the first other PPT cut ends it with (False, False).  rho's norm, computed
+    once, sets every cut's rounding band.  A cut that `_block_certificates`
+    certifies is entangled without a factorization, `_min_eig_below`'s answer
+    too; every other cut's partial transpose is copied once, into the matrix
+    that is factorized.
     """
     tens = rho.matrix.reshape(rho.layout.dims * 2)
     norm = _frobenius(rho.matrix)
     certified = _block_certificates(tens, norm, tol)
-    verdicts = []
-    for (a, b), entangled in zip(_bipartitions(range(rho.layout.sites)), certified.tolist()):
-        verdicts.append(Verdict.ENTANGLED if entangled else _ppt_verdict(tens, a, b, norm, tol))
-        if verdicts[-1] is Verdict.PPT_INCONCLUSIVE:
-            break
-    return tuple(verdicts)
+    entangled = True
+    for (a, b), certain in zip(_bipartitions(range(rho.layout.sites)), certified.tolist()):
+        da, db = (math.prod(tens.shape[s] for s in side) for side in (a, b))
+        if certain or (min(da, db) > 1 and _min_eig_below(_transposed(tens, b), -tol, norm)):
+            continue
+        if min(da, db) > 1 and {da, db} not in ({2}, {2, 3}):
+            return False, False
+        entangled = False
+    return entangled, True
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,12 @@ import pytest
 
 from conexa import devices
 from conexa.cli import main
-from conexa.connective import connective_order, generate_integral
+from conexa.connective import (
+    _bipartitions,
+    _subset_structures,
+    connective_order,
+    generate_integral,
+)
 from conexa.serialize import (
     canonical_json,
     density_to_dict,
@@ -492,11 +497,18 @@ def test_analyze_device_matches_separate_layers(tmp_path, capsys):
         code, out, _ = run_cli(capsys, "analyze-device", *argv)
         assert code == 0
         result = load_report(out)["result"]
-        # the tensorial layer without early exit, the domanial one from its own scan
-        profile, structures = devices._tensorial(dev, devices.DEFAULT_CAP)
+        # the tensorial layer from a profile of each sub-device without early
+        # exit, the domanial one from its own scan of the full device
+        reduce = devices._sub_devices(dev)
+        profiles, structures = _subset_structures(
+            dev.uplicity, lambda j: devices._profile(reduce, j, devices.DEFAULT_CAP), {
+                name: lambda p, notion=notion: not getattr(p, notion)
+                for notion, name in devices._STRUCTURE_OF.items()
+            })
+        profile = profiles[tuple(range(1, dev.uplicity + 1))]
         tensorial = max(connective_order(s) for s in structures.values())
         meets = devices._DomanialMeets(dev.uplicity)
-        devices._scan(dev, devices.DEFAULT_CAP, early_exit=meets)
+        devices._scan(dev, devices.DEFAULT_CAP, _bipartitions(range(dev.uplicity)), meets)
         structures["do"], structures["dp"] = meets.structures()
         domanial = max(connective_order(structures["do"]), connective_order(structures["dp"]))
         expected = {

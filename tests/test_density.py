@@ -270,6 +270,42 @@ def test_density_structures_match_oracles(case):
         assert (verdict.completely_entangled, verdict.quality.value) == (entangled, quality)
 
 
+@st.composite
+def cores(draw):
+    """(dims, matrix) on three sites: an operator of rank 1-3 or full rank on
+    dimensions 2 and 3, or Horodecki's 2x4 state, PPT across 2|4, on (2, 2, 2)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return (2, 2, 2), horodecki_2x4(draw(st.floats(0.05, 0.95)))
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=3, max_size=3)))
+    rank = draw(st.sampled_from((1, 2, 3, int(np.prod(dims)))))
+    return dims, random_density_matrix(rng, dims, rank)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_site_of_dimension_one_keeps_every_flag_of_the_oracle(position):
+    # a site of dimension 1 makes each subset holding it a product across
+    # the cut that isolates it; an inconclusive cut of the subset, before or
+    # after that one, still flags it PPT_NECESSARY
+    flagged = []
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(cores())
+    def check(core):
+        dims, matrix = core
+        dims = dims[:position] + (1,) + dims[position:]
+        report = density_structures(DensityOperator(SiteLayout(dims), matrix))
+        for labels, verdict in report.subsets.items():
+            sites = [s - 1 for s in labels]
+            entangled, quality = oracle_completely_entangled(matrix, dims, sites)
+            assert (verdict.completely_entangled, verdict.quality.value) == (entangled, quality)
+            if position in sites and quality == "PPT_NECESSARY":
+                flagged.append(labels)
+
+    check()
+    assert flagged
+
+
 # a correlated classical law whose norm equals the product of its marginals'
 # norms (0.41^2 + 2 * 0.29^2 + 0.01^2 = 0.58^2): the norm bound keeps its
 # cut, and only the entrywise test rules it out

@@ -77,15 +77,16 @@ def locality(dev):
 
 
 def tensorial(dev) -> dict:
-    """The seven tensorial structures, from profiles without the domanial early exit."""
-    return devices._tensorial(dev, devices.DEFAULT_CAP)[1]
+    """The seven tensorial structures of the device's report."""
+    structures = device_structures(dev).structures
+    return {name: structures[name] for name in _STRUCTURE_OF.values()}
 
 
 def domanial(dev) -> tuple:
-    """(kappa_do, kappa_dp) from a scan for the domanial meets alone, which
-    may stop once both are discrete."""
+    """(kappa_do, kappa_dp) from one scan of the full device along every
+    partition, whose early exit stops folding codes once both are discrete."""
     meets = devices._DomanialMeets(dev.uplicity)
-    devices._scan(dev, devices.DEFAULT_CAP, early_exit=meets)
+    devices._scan(dev, devices.DEFAULT_CAP, _bipartitions(range(dev.uplicity)), meets)
     return meets.structures()
 
 
@@ -168,7 +169,7 @@ def test_realization_count_of_k_device():
 def test_realization_cap_enforced():
     dk = builtin_device("K")
     with pytest.raises(ResourceError, match="above the cap 1000"):
-        devices._scan(dk, 1000)
+        devices._scan(dk, 1000, _bipartitions(range(3)))
     with pytest.raises(ResourceError, match="above the cap 1000"):
         device_structures(dk, cap=1000)
 
@@ -349,12 +350,12 @@ def test_wide_devices_match_oracles(dev):
 
 def _scan_results(dev):
     """The coverage matrix and both meets of a scan along every partition,
-    as `device_structures` makes, and the meets of a stand-alone scan."""
+    and the meets of the device's report."""
     cuts = _bipartitions(range(dev.uplicity))
-    meets, alone = devices._DomanialMeets(dev.uplicity), devices._DomanialMeets(dev.uplicity)
+    meets = devices._DomanialMeets(dev.uplicity)
     coverage = devices._scan(dev, devices.DEFAULT_CAP, cuts, meets)
-    devices._scan(dev, devices.DEFAULT_CAP, early_exit=alone)
-    return coverage.tolist(), meets.structures(), alone.structures()
+    report = device_structures(dev).structures
+    return coverage.tolist(), meets.structures(), (report["do"], report["dp"])
 
 
 def _results_per_block_size(dev):
@@ -414,8 +415,8 @@ def test_code_table_and_unique_fold_agree(dev):
         mp.setattr(devices, "_TABLE_BITS", 0)
         unique = _results_per_block_size(dev)
     assert table == unique
-    for _, meets, alone in table:
-        assert meets == alone == oracle_domanial(dev)
+    for _, meets, reported in table:
+        assert meets == reported == oracle_domanial(dev)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

@@ -21,18 +21,16 @@ from conexa.quantum import (
     _matricize,
     _frobenius,
     _min_eig_below,
-    _ppt_verdict,
     _residuals,
     _separable_cuts,
     _transposed,
     PureState,
     SiteLayout,
-    Verdict,
     builtin_state,
     partial_trace,
     pauli_x,
     pauli_z,
-    ppt_verdicts,
+    ppt_entangled,
     purity,
 )
 
@@ -63,10 +61,28 @@ def random_pure(rng, dims) -> PureState:
     return PureState(layout, random_state_vector(rng, layout.total_dim))
 
 
-def ppt(rho, a, b, tol=DEFAULT_TOL) -> Verdict:
-    """The per-cut PPT step on the cut a|b of rho, as `ppt_verdicts` runs it."""
+# the Peres-Horodecki verdicts on one cut
+SEPARABLE, ENTANGLED, PPT_INCONCLUSIVE = "SEPARABLE", "ENTANGLED", "PPT_INCONCLUSIVE"
+
+
+def ppt(rho, a, b, tol=DEFAULT_TOL) -> str:
+    """The verdict on the cut a|b of rho from the two rules that `ppt_entangled`
+    applies to each cut: the eigenvalue test and the dimension rule."""
+    da, db = (math.prod(rho.layout.dims[s] for s in side) for side in (a, b))
+    if min(da, db) == 1:
+        return SEPARABLE
     tens = rho.matrix.reshape(rho.layout.dims * 2)
-    return _ppt_verdict(tens, tuple(a), tuple(b), _frobenius(rho.matrix), tol)
+    if _min_eig_below(_transposed(tens, b), -tol, _frobenius(rho.matrix)):
+        return ENTANGLED
+    return SEPARABLE if {da, db} in ({2}, {2, 3}) else PPT_INCONCLUSIVE
+
+
+def ppt_answer(verdicts) -> tuple:
+    """The (entangled, exact) pair of `ppt_entangled` for per-cut verdicts in
+    cut order, which the pass reads up to the first inconclusive one."""
+    if PPT_INCONCLUSIVE in verdicts:
+        return False, False
+    return all(v == ENTANGLED for v in verdicts), True
 
 
 def schmidt(psi, part) -> np.ndarray:
@@ -484,7 +500,7 @@ def test_ppt_epr_entangled_with_eigenvalue_oracle():
     rho = epr.density()
     pt = oracle_partial_transpose(rho.matrix, (2, 2), [1])
     assert abs(float(np.linalg.eigvalsh(pt)[0]) + 0.5) < 1e-12
-    assert ppt(rho, [0], [1]) is Verdict.ENTANGLED
+    assert ppt(rho, [0], [1]) == ENTANGLED
 
 
 def test_ppt_classical_mixture_separable():
@@ -492,21 +508,21 @@ def test_ppt_classical_mixture_separable():
     mats[0, 0] = 0.5
     mats[3, 3] = 0.5
     rho = DensityOperator(SiteLayout((2, 2)), mats)
-    assert ppt(rho, [0], [1]) is Verdict.SEPARABLE
+    assert ppt(rho, [0], [1]) == SEPARABLE
 
 
 def test_ppt_product_state_separable():
     rng = np.random.default_rng(13)
     for _ in range(10):
         joint = tensor_state(random_pure(rng, (2,)), random_pure(rng, (2,)))
-        assert ppt(joint.density(), [0], [1]) is Verdict.SEPARABLE
+        assert ppt(joint.density(), [0], [1]) == SEPARABLE
 
 
 def test_ppt_mixed_product_separable():
     rng = np.random.default_rng(15)
     factor = random_pure(rng, (2,)).density().matrix
     rho = DensityOperator(SiteLayout((2, 2)), np.kron(np.eye(2) / 2, factor))
-    assert ppt(rho, [0], [1]) is Verdict.SEPARABLE
+    assert ppt(rho, [0], [1]) == SEPARABLE
 
 
 def test_ppt_inconclusive_beyond_low_dimensions():
@@ -514,10 +530,10 @@ def test_ppt_inconclusive_beyond_low_dimensions():
     a = random_pure(rng, (2, 2))
     b = random_pure(rng, (2, 2))
     joint = tensor_state(a, b).density()
-    assert ppt(joint, [0, 1], [2, 3]) is Verdict.PPT_INCONCLUSIVE
+    assert ppt(joint, [0, 1], [2, 3]) == PPT_INCONCLUSIVE
     # a 1 x 4 cut has a side of dimension 1: always a product
     epr = PureState(SiteLayout((1, 2, 2)), [1, 0, 0, 1]).density()
-    assert ppt(epr, [0], [1, 2]) is Verdict.SEPARABLE
+    assert ppt(epr, [0], [1, 2]) == SEPARABLE
 
 
 def _planted(rng, n, lowest):
@@ -572,14 +588,14 @@ def test_ppt_entangled_states_stay_inconclusive(a):
     # so neither ENTANGLED nor, beyond 2x3, SEPARABLE may be returned
     for dims, matrix in (((2, 4), horodecki_2x4(a)), ((3, 3), tiles_upb(a))):
         rho = DensityOperator(SiteLayout(dims), matrix)
-        assert ppt(rho, [0], [1]) is Verdict.PPT_INCONCLUSIVE
+        assert ppt(rho, [0], [1]) == PPT_INCONCLUSIVE
 
 
 def test_tiles_state_kernel_stays_inconclusive():
     # without noise the partial transpose equals the state and has a
     # five-dimensional kernel: its least eigenvalue rounds to about 0
     rho = DensityOperator(SiteLayout((3, 3)), tiles_upb(1.0))
-    assert ppt(rho, [0], [1]) is Verdict.PPT_INCONCLUSIVE
+    assert ppt(rho, [0], [1]) == PPT_INCONCLUSIVE
 
 
 @pytest.mark.parametrize("p", [0, 0.1, 0.2, 0.3, 0.32, 0.35, 0.4, 0.6, 0.8, 1])
@@ -587,9 +603,9 @@ def test_werner_state_is_entangled_exactly_above_one_third(p):
     singlet = np.array([0, 1, -1, 0]) / math.sqrt(2)
     werner = p * np.outer(singlet, singlet) + (1 - p) * np.eye(4) / 4
     rho = DensityOperator(SiteLayout((2, 2)), werner)
-    want = Verdict.ENTANGLED if p > 1 / 3 else Verdict.SEPARABLE
-    assert ppt(rho, [0], [1]) is want
-    assert ppt(rho, [1], [0]) is want
+    want = ENTANGLED if p > 1 / 3 else SEPARABLE
+    assert ppt(rho, [0], [1]) == want
+    assert ppt(rho, [1], [0]) == want
 
 
 def _oracle_ppt(matrix, dims, a, b, tol):
@@ -598,10 +614,10 @@ def _oracle_ppt(matrix, dims, a, b, tol):
     da = math.prod(dims[s] for s in a)
     db = math.prod(dims[s] for s in b)
     if min(da, db) == 1:
-        return Verdict.SEPARABLE
+        return SEPARABLE
     if np.linalg.eigvalsh(oracle_partial_transpose(matrix, dims, b))[0] < -tol:
-        return Verdict.ENTANGLED
-    return Verdict.SEPARABLE if {da, db} in ({2}, {2, 3}) else Verdict.PPT_INCONCLUSIVE
+        return ENTANGLED
+    return SEPARABLE if {da, db} in ({2}, {2, 3}) else PPT_INCONCLUSIVE
 
 
 def _least_pt_eigenvalue_at(sigma, dims, b, target):
@@ -627,8 +643,8 @@ def _maximally_correlated(dims):
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 2, 2)])
 def test_ppt_verdicts_at_the_rounding_band(dims, kind, tol):
     # each cut's least partial-transpose eigenvalue is placed at -tol and at
-    # -tol +- {1, 10} delta, with delta the band of rho's own norm: every
-    # verdict of the one-pass decision and of the per-cut step is eigvalsh's
+    # -tol +- {1, 10} delta, with delta the band of rho's own norm: the
+    # one-pass answer and every per-cut verdict are eigvalsh's
     rng = np.random.default_rng(sum(dims) * 10 + len(kind))
     sigma = (_maximally_correlated(dims) if kind == "werner"
              else random_density_matrix(rng, dims, int(kind[-1])))
@@ -642,11 +658,12 @@ def test_ppt_verdicts_at_the_rounding_band(dims, kind, tol):
             least = np.linalg.eigvalsh(oracle_partial_transpose(matrix, dims, b))[0]
             assert abs(least - (-tol + k * delta)) < delta / 4
             rho = DensityOperator(SiteLayout(dims), matrix)
+            # the cuts that the pass reaches
             want = [_oracle_ppt(matrix, dims, *cut, tol) for cut in cuts]
-            if Verdict.PPT_INCONCLUSIVE in want:
-                want = want[: want.index(Verdict.PPT_INCONCLUSIVE) + 1]
+            if PPT_INCONCLUSIVE in want:
+                want = want[: want.index(PPT_INCONCLUSIVE) + 1]
             with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
-                assert ppt_verdicts(rho, tol=tol) == tuple(want)
+                assert ppt_entangled(rho, tol=tol) == ppt_answer(want)
             # once the pass reaches the cut, eigvalsh decides it at the
             # bound; ten deltas out, the factorizations decide every cut.
             # Only calls on the whole matrix count: the stacked principal
@@ -657,7 +674,7 @@ def test_ppt_verdicts_at_the_rounding_band(dims, kind, tol):
                 assert full > 0
             assert full == 0 or abs(k) < 10
             for cut in cuts:
-                assert ppt(rho, *cut, tol=tol) is _oracle_ppt(matrix, dims, *cut, tol)
+                assert ppt(rho, *cut, tol=tol) == _oracle_ppt(matrix, dims, *cut, tol)
 
 
 @st.composite
@@ -685,7 +702,7 @@ def qutrit_operators(draw):
 
 
 def test_ppt_verdicts_match_the_oracle_with_block_certificates():
-    # every verdict of the pass is the eigvalsh oracle's, and a principal
+    # the pass answers as the eigvalsh oracle's verdicts do, and a principal
     # block certifies only cuts that the oracle calls ENTANGLED
     fired = []
 
@@ -698,10 +715,8 @@ def test_ppt_verdicts_match_the_oracle_with_block_certificates():
         want = [_oracle_ppt(matrix, dims, *cut, DEFAULT_TOL) for cut in cuts]
         tens = rho.matrix.reshape(dims * 2)
         certified = _block_certificates(tens, _frobenius(rho.matrix), DEFAULT_TOL)
-        assert all(w is Verdict.ENTANGLED for w, c in zip(want, certified.tolist()) if c)
-        if Verdict.PPT_INCONCLUSIVE in want:
-            want = want[: want.index(Verdict.PPT_INCONCLUSIVE) + 1]
-        assert ppt_verdicts(rho) == tuple(want)
+        assert all(w == ENTANGLED for w, c in zip(want, certified.tolist()) if c)
+        assert ppt_entangled(rho) == ppt_answer(want)
         fired.append(bool(certified.any()))
 
     check()
