@@ -115,9 +115,12 @@ def _envelope(command: str, args, result: dict) -> dict:
     }
 
 
+def _sets(subsets) -> str:
+    return " ".join("{" + ",".join(subset) + "}" for subset in subsets)
+
+
 def _structure_lines(name: str, data: dict) -> str:
-    parts = ["{" + ",".join(subset) + "}" for subset in data["connected"]]
-    return f"  {name}: " + " ".join(parts)
+    return f"  {name}: " + _sets(data["connected"])
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -138,15 +141,19 @@ def _emit(report: dict, fmt: str) -> None:
     if "structure" in result:
         print("structure:")
         print(_structure_lines("rv", result["structure"]))
-    for key in ("states", "devices"):
+    if "raw_generators" in result:
+        print("raw_generators: " + _sets(result["raw_generators"]))
+    for key in ("dims", "states", "devices"):
         if key in result:
-            print(f"{key}: " + " ".join(result[key]))
+            print(f"{key}: " + " ".join(str(x) for x in result[key]))
     for key in ("state", "device"):
         if key in result:
             print(json.dumps(result[key], sort_keys=True))
     if "orders" in result:
         print("orders: " + json.dumps(result["orders"], sort_keys=True))
-    for key in ("omega_c", "omega_f", "omega", "order", "realizations"):
+    scalars = ("uplicity", "variables", "omega_c", "omega_f", "omega", "order", "realizations",
+               "raw_family_closed")
+    for key in scalars:
         if key in result:
             print(f"{key}: {result[key]}")
 

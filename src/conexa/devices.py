@@ -193,24 +193,11 @@ def _axis_any(x: np.ndarray) -> list:
     )
 
 
-def _fresh_codes(dep: np.ndarray, seen) -> list:
-    """The distinct codes of the block `dep` that `seen` lacks, ascending;
-    `seen` records them.  It is a bool table indexed by code, or a set."""
-    if isinstance(seen, set):
-        fresh = [code for code in np.unique(dep).tolist() if code not in seen]
-        seen.update(fresh)
-        return fresh
-    hits = np.zeros_like(seen)
-    hits[dep] = True
-    fresh = np.flatnonzero(hits & ~seen)
-    seen[fresh] = True
-    return fresh.tolist()
-
-
-def _scan(device: Device, cap: int, cuts, early_exit=None, sites=()) -> np.ndarray:
-    """Coverage matrix over the deterministic realizations: one row per
-    partition, and one column per related (question, answer) pair, sorted.
-    The partitions are the singletons followed by each of `cuts`.
+def _scan(device: Device, cuts) -> tuple:
+    """(coverage, codes) over the deterministic realizations.  The coverage
+    matrix has one row per partition, and one column per related (question,
+    answer) pair, sorted.  The partitions are the singletons followed by each
+    of `cuts`.  `codes` lists the distinct dependency codes, ascending.
 
     A realization is a choice index per question, so the realizations form an
     array in C order, with one axis per question that has two or more
@@ -223,25 +210,12 @@ def _scan(device: Device, cap: int, cuts, early_exit=None, sites=()) -> np.ndarr
 
     The scan loops over the leading axes and broadcasts over the trailing
     ones: at most `_CHUNK` realizations per block, but at least one axis.
-    `early_exit(codes)` sees, for each block until it first returns true, the
-    codes that no earlier block held, so each distinct code once; it is not
-    called again after that, and the scan stops once it has returned true
-    (when given) and every entry is true.  Codes of k * k <= `_TABLE_BITS`
-    bits (k <= 4 sites) are told apart by a bool table over the code space,
-    wider ones by `np.unique` of each block and a set.  A device above `cap`
-    is refused by name: `sites`, its 0-based sites within the device it was
-    taken from, by default all of its own.
+    Codes of k * k <= `_TABLE_BITS` bits (k <= 4 sites) are collected in a
+    bool table over the code space, wider ones by `np.unique` of each block
+    into a set.
     """
-    total = realization_count(device)
-    if total > cap:
-        on = ",".join(str(s + 1) for s in sites or range(device.uplicity))
-        raise ResourceError(
-            f"device on sites {on} has {total} deterministic realizations, above the cap {cap}"
-        )
     qs = device.question_tuples()
     k = device.uplicity
-    if k * k > 63:
-        raise ResourceError("dependency scan supports at most 7 sites")
     code_dtype = np.min_scalar_type((1 << k * k) - 1)
     answers = [np.array(sorted(device.relation[q])) for q in qs]
     sizes = [len(choices) for choices in answers]
@@ -292,7 +266,6 @@ def _scan(device: Device, cap: int, cuts, early_exit=None, sites=()) -> np.ndarr
         for blocks in partitions
     ]
     coverage = np.zeros((len(partitions), offsets[-1]), dtype=bool)
-    settled = early_exit is None
     seen = np.zeros(1 << k * k, dtype=bool) if k * k <= _TABLE_BITS else set()
 
     for idx in np.ndindex(*(sizes[qi] for qi in leading)):
@@ -312,11 +285,12 @@ def _scan(device: Device, cap: int, cuts, early_exit=None, sites=()) -> np.ndarr
                 row[[offsets[qi] + choice[qi] for qi in fixed]] = True
                 for span, hit in zip(spans, hits):
                     row[span] |= hit
-        if not settled:
-            settled = bool(early_exit(_fresh_codes(dep, seen)))
-        if settled and coverage.all():
-            break
-    return coverage
+        if isinstance(seen, set):
+            seen.update(np.unique(dep).tolist())
+        else:
+            seen[dep] = True
+    codes = sorted(seen) if isinstance(seen, set) else np.flatnonzero(seen).tolist()
+    return coverage, codes
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +313,23 @@ def _is_product_along(device: Device, parts: Sequence[Device], blocks: Sequence[
     )
 
 
-def _profile(reduce, j: tuple, cap: int, early_exit=None) -> LocalityProfile:
-    """The seven notions of the sub-device `reduce(j)` from one `_scan` along
-    the singletons and every cut: which pairs the realizations factoring
-    along each select.  The product tests read the block sub-devices from
-    `reduce` too; cuts and blocks are positions within J."""
+def _profile(reduce, j: tuple, cap: int) -> tuple:
+    """(profile, codes) of the sub-device `reduce(j)` from one `_scan` along
+    the singletons and every cut: the seven notions, from which pairs the
+    realizations factoring along each select, and the scan's distinct
+    dependency codes.  The product tests read the block sub-devices from
+    `reduce` too; cuts and blocks are positions within J.  A sub-device
+    above `cap` realizations is refused by its 1-based sites."""
     device = reduce(j)
+    total = realization_count(device)
+    if total > cap:
+        on = ",".join(str(s + 1) for s in j)
+        raise ResourceError(
+            f"device on sites {on} has {total} deterministic realizations, above the cap {cap}"
+        )
     k = len(j)
     cuts = _bipartitions(range(k))
-    coverage = _scan(device, cap, cuts, early_exit, j)
+    coverage, codes = _scan(device, cuts)
     every, some = coverage.all(axis=1), coverage.any(axis=1)
 
     def product_along(blocks):
@@ -372,51 +354,40 @@ def _profile(reduce, j: tuple, cap: int, early_exit=None) -> LocalityProfile:
     violations = profile.check_implications()
     if violations:
         raise RuntimeError(f"locality implication lattice violated: {violations}")
-    return profile
+    return profile, codes
 
 
 # ---------------------------------------------------------------------------
 # domanial structures
 
 
-class _DomanialMeets:
-    """Running meets of the per-realization domain structures, each a
-    frozenset of masks over the sites.
+def _domanial(k: int, codes) -> tuple:
+    """(kappa_do, kappa_dp) on the points 1..k: the meets of the domain
+    structures of every dependency code, each a frozenset of masks over the
+    sites.
 
-    Called with dependency codes that it has not been given before (the scan
-    passes each distinct code once), it says whether both meets have reached
-    the discrete family (the empty set and the k singletons), the bottom of
-    the meet lattice.  Until then it folds in each code's two closures; past
-    it no code can change them.  A closure depends only on its set of
-    generators, which many codes share (the dp generators ignore the bits
-    (i, i)), and a meet is idempotent, so each set is closed once per meet.
+    A closure depends only on its set of generators, which many codes share
+    (the dp generators ignore the bits (i, i)), and a meet is idempotent, so
+    each set is closed once per meet.  The fold stops once both meets are the
+    discrete family (the empty set and the k singletons), the bottom of the
+    meet lattice, which no code can change.
     """
-
-    def __init__(self, k: int):
-        self.k = k
-        self.do = self.dp = frozenset(range(1 << k))
-        self.folded_do: set = set()
-        self.folded_dp: set = set()
-
-    def __call__(self, codes) -> bool:
-        k = self.k
-        for code in codes:
-            if len(self.do) == len(self.dp) == k + 1:
-                break
-            masks = [code >> (i * k) & ((1 << k) - 1) for i in range(k)]
-            do = frozenset(masks)
-            if do not in self.folded_do:
-                self.folded_do.add(do)
-                self.do &= _close(k, do)
-            dp = frozenset(m | 1 << i for i, m in enumerate(masks))
-            if dp not in self.folded_dp:
-                self.folded_dp.add(dp)
-                self.dp &= _close(k, dp)
-        return len(self.do) == len(self.dp) == k + 1
-
-    def structures(self) -> tuple:
-        """(kappa_do, kappa_dp) on the points 1..k."""
-        return ConnectiveStructure(self.k, self.do), ConnectiveStructure(self.k, self.dp)
+    do = dp = frozenset(range(1 << k))
+    folded_do: set = set()
+    folded_dp: set = set()
+    for code in codes:
+        if len(do) == len(dp) == k + 1:
+            break
+        masks = [code >> (i * k) & ((1 << k) - 1) for i in range(k)]
+        generators = frozenset(masks)
+        if generators not in folded_do:
+            folded_do.add(generators)
+            do &= _close(k, generators)
+        generators = frozenset(m | 1 << i for i, m in enumerate(masks))
+        if generators not in folded_dp:
+            folded_dp.add(generators)
+            dp &= _close(k, generators)
+    return ConnectiveStructure(k, do), ConnectiveStructure(k, dp)
 
 
 @dataclass(frozen=True)
@@ -442,31 +413,30 @@ def device_structures(device: Device, cap: int = DEFAULT_CAP) -> DeviceReport:
 
     Every sub-device on two or more sites is profiled, the full device last;
     one cache serves every profile, so each sub-device is built once.  The
-    full device's one scan yields both its locality profile and the domanial
-    meets; it stops once the meets are discrete and every partition selects
-    every pair.  Each device scanned must have at most `cap` realizations.
+    full device's one scan yields both its locality profile and the codes
+    whose domain structures meet to the domanial ones.  A device of more than
+    7 sites is refused before any scan (its k * k-bit codes would not fit),
+    and each device scanned must have at most `cap` realizations.
     """
     k = device.uplicity
     if k < 2:
         raise DomainError("device structures need uplicity >= 2")
+    if k * k > 63:
+        raise ResourceError("dependency scan supports at most 7 sites")
     reduce = _sub_devices(device)
-    meets = _DomanialMeets(k)
-
-    def verdict(j):
-        return _profile(reduce, j, cap, meets if len(j) == k else None)
-
-    profiles, structures = _subset_structures(k, verdict, {
-        name: lambda profile, notion=notion: not getattr(profile, notion)
+    verdicts, structures = _subset_structures(k, lambda j: _profile(reduce, j, cap), {
+        name: lambda verdict, notion=notion: not getattr(verdict[0], notion)
         for notion, name in _STRUCTURE_OF.items()
     })
+    profile, codes = verdicts[tuple(range(1, k + 1))]
     for fine, coarse in _INCLUSIONS:
         if not structures[fine].connected <= structures[coarse].connected:
             raise RuntimeError(f"tensorial inclusion {fine} <= {coarse} violated")
     tensorial = max(connective_order(s) for s in structures.values())
-    structures["do"], structures["dp"] = meets.structures()
+    structures["do"], structures["dp"] = _domanial(k, codes)
     domanial = max(connective_order(structures["do"]), connective_order(structures["dp"]))
     orders = DeviceOrders(tensorial, domanial, max(tensorial, domanial))
-    return DeviceReport(profiles[tuple(range(1, k + 1))], structures, orders)
+    return DeviceReport(profile, structures, orders)
 
 
 # ---------------------------------------------------------------------------

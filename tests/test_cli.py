@@ -222,6 +222,28 @@ def test_analyze_device_cap_names_the_refused_sub_device(tmp_path, capsys):
     )
 
 
+def test_analyze_device_refuses_eight_sites_before_any_scan(tmp_path, capsys, monkeypatch):
+    """An 8-site table exits 3 on the site limit, with none of its 246
+    sub-devices of 2 to 7 sites scanned first."""
+    scanned = []
+    original = devices._scan
+
+    def counted(device, *args, **kwargs):
+        scanned.append(device.uplicity)
+        return original(device, *args, **kwargs)
+
+    monkeypatch.setattr(devices, "_scan", counted)
+    relation = {"".join(q): ["".join(q)] for q in itertools.product("01", repeat=8)}
+    path = tmp_path / "eight.json"
+    path.write_text(json.dumps(
+        {"questions": [["0", "1"]] * 8, "results": [["0", "1"]] * 8, "relation": relation}
+    ))
+    code, _, err = run_cli(capsys, "analyze-device", "--file", str(path))
+    assert code == 3
+    assert err == "resource error: dependency scan supports at most 7 sites\n"
+    assert scanned == []
+
+
 def test_analyze_device_with_more_questions_than_array_dimensions(tmp_path, capsys):
     """81 question tuples, above numpy's 64 array dimensions: a local
     deterministic device whose outputs are the question parities."""
@@ -451,6 +473,41 @@ def test_text_format(capsys):
     assert "omega" in out or "orders" in out
 
 
+XOR_RVS = {
+    "outcomes": [["0", "1"], ["0", "1"], ["0", "1"]],
+    "prob": {"000": "1/4", "011": "1/4", "101": "1/4", "110": "1/4"},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze-state", "--builtin", "GHZ"),
+    ("analyze-density", "--builtin", "GHZ"),
+    ("analyze-device", "--builtin", "K"),
+    ("analyze-rvs", "--file", "@xor.json"),
+    ("derive-device", "--builtin-state", "GHZ", "--menus", "ZX"),
+    ("order", "--builtin", "O2"),
+    ("builtin", "--list"),
+    ("builtin", "--state", "GHZ"),
+    ("builtin", "--device", "K"),
+], ids=lambda argv: " ".join(argv))
+def test_text_format_prints_every_result_key(tmp_path, capsys, argv):
+    """Each key of the JSON result is a `key:` line of the text output, or
+    its value is one JSON line there (the emitted state or device)."""
+    (tmp_path / "xor.json").write_text(json.dumps(XOR_RVS))
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    result = load_report(out)["result"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    for key, value in result.items():
+        assert any(
+            line.startswith(f"{key}:") or line == json.dumps(value, sort_keys=True)
+            for line in lines
+        ), key
+
+
 def test_analyze_device_runs_each_layer_once(capsys, monkeypatch):
     """One realization scan per device: the full device's scan feeds both its
     locality profile and the domanial meets."""
@@ -497,19 +554,18 @@ def test_analyze_device_matches_separate_layers(tmp_path, capsys):
         code, out, _ = run_cli(capsys, "analyze-device", *argv)
         assert code == 0
         result = load_report(out)["result"]
-        # the tensorial layer from a profile of each sub-device without early
-        # exit, the domanial one from its own scan of the full device
+        # the tensorial layer from a profile of each sub-device, the domanial
+        # one from the codes of its own scan of the full device
         reduce = devices._sub_devices(dev)
         profiles, structures = _subset_structures(
-            dev.uplicity, lambda j: devices._profile(reduce, j, devices.DEFAULT_CAP), {
+            dev.uplicity, lambda j: devices._profile(reduce, j, devices.DEFAULT_CAP)[0], {
                 name: lambda p, notion=notion: not getattr(p, notion)
                 for notion, name in devices._STRUCTURE_OF.items()
             })
         profile = profiles[tuple(range(1, dev.uplicity + 1))]
         tensorial = max(connective_order(s) for s in structures.values())
-        meets = devices._DomanialMeets(dev.uplicity)
-        devices._scan(dev, devices.DEFAULT_CAP, _bipartitions(range(dev.uplicity)), meets)
-        structures["do"], structures["dp"] = meets.structures()
+        _, codes = devices._scan(dev, _bipartitions(range(dev.uplicity)))
+        structures["do"], structures["dp"] = devices._domanial(dev.uplicity, codes)
         domanial = max(connective_order(structures["do"]), connective_order(structures["dp"]))
         expected = {
             "uplicity": dev.uplicity,

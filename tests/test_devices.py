@@ -71,9 +71,9 @@ def random_device(rng, k=2) -> Device:
 
 
 def locality(dev):
-    """The full-device locality profile, from one scan without the domanial early exit."""
+    """The full-device locality profile, from one scan."""
     sites = tuple(range(dev.uplicity))
-    return devices._profile(devices._sub_devices(dev), sites, devices.DEFAULT_CAP)
+    return devices._profile(devices._sub_devices(dev), sites, devices.DEFAULT_CAP)[0]
 
 
 def tensorial(dev) -> dict:
@@ -83,11 +83,10 @@ def tensorial(dev) -> dict:
 
 
 def domanial(dev) -> tuple:
-    """(kappa_do, kappa_dp) from one scan of the full device along every
-    partition, whose early exit stops folding codes once both are discrete."""
-    meets = devices._DomanialMeets(dev.uplicity)
-    devices._scan(dev, devices.DEFAULT_CAP, _bipartitions(range(dev.uplicity)), meets)
-    return meets.structures()
+    """(kappa_do, kappa_dp) from the codes of one scan of the full device
+    along every partition."""
+    _, codes = devices._scan(dev, _bipartitions(range(dev.uplicity)))
+    return devices._domanial(dev.uplicity, codes)
 
 
 def random_deterministic_device(rng, k=3) -> Device:
@@ -169,7 +168,7 @@ def test_realization_count_of_k_device():
 def test_realization_cap_enforced():
     dk = builtin_device("K")
     with pytest.raises(ResourceError, match="above the cap 1000"):
-        devices._scan(dk, 1000, _bipartitions(range(3)))
+        devices._profile(devices._sub_devices(dk), (0, 1, 2), 1000)
     with pytest.raises(ResourceError, match="above the cap 1000"):
         device_structures(dk, cap=1000)
 
@@ -349,13 +348,12 @@ def test_wide_devices_match_oracles(dev):
 
 
 def _scan_results(dev):
-    """The coverage matrix and both meets of a scan along every partition,
-    and the meets of the device's report."""
-    cuts = _bipartitions(range(dev.uplicity))
-    meets = devices._DomanialMeets(dev.uplicity)
-    coverage = devices._scan(dev, devices.DEFAULT_CAP, cuts, meets)
+    """The coverage matrix, the codes and both meets of a scan along every
+    partition, and the meets of the device's report."""
+    coverage, codes = devices._scan(dev, _bipartitions(range(dev.uplicity)))
     report = device_structures(dev).structures
-    return coverage.tolist(), meets.structures(), (report["do"], report["dp"])
+    meets = devices._domanial(dev.uplicity, codes)
+    return coverage.tolist(), codes, meets, (report["do"], report["dp"])
 
 
 def _results_per_block_size(dev):
@@ -375,34 +373,6 @@ def test_scan_results_do_not_depend_on_block_size(dev):
     assert one == seven == default
 
 
-class _CountingExit:
-    """An early-exit callback that records each answer of the one it wraps."""
-
-    def __init__(self, inner):
-        self.inner, self.answers = inner, []
-
-    def __call__(self, codes):
-        self.answers.append(bool(self.inner(codes)))
-        return self.answers[-1]
-
-
-def test_scan_stops_asking_early_exit_once_it_holds():
-    # the meets of K are discrete after its first block, and the coverage
-    # matrix still needs every later one; K's 9-bit codes go through the
-    # code table, never through np.unique
-    dev = builtin_device("K")
-    cuts = _bipartitions(range(dev.uplicity))
-    meets = _CountingExit(devices._DomanialMeets(dev.uplicity))
-    with mock.patch.object(devices, "_fresh_codes", wraps=devices._fresh_codes) as fold, \
-            mock.patch.object(np, "unique", wraps=np.unique) as unique:
-        coverage = devices._scan(dev, devices.DEFAULT_CAP, cuts, meets)
-    assert meets.answers == [True]
-    assert fold.call_count == 1
-    assert unique.call_count == 0
-    assert not coverage.all()
-    assert coverage.tolist() == _scan_results(dev)[0]
-
-
 # With the width limit at 0 bits every code goes through np.unique and a set,
 # the path of 5 to 7 sites.
 
@@ -415,19 +385,45 @@ def test_code_table_and_unique_fold_agree(dev):
         mp.setattr(devices, "_TABLE_BITS", 0)
         unique = _results_per_block_size(dev)
     assert table == unique
-    for _, meets, reported in table:
+    for _, _, meets, reported in table:
         assert meets == reported == oracle_domanial(dev)
 
 
+def oracle_codes(dev) -> list:
+    """The distinct dependency codes of the device's realizations, ascending:
+    bit i * k + j is set when output i reads slot j."""
+    k = dev.uplicity
+    return sorted({
+        sum(1 << (i * k + j) for i in range(k) for j in oracle_dependency_domain(f, i))
+        for f in oracle_realizations(dev)
+    })
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(coherent_devices(budget=512), st.sampled_from([1, 7]))
-def test_scan_asks_early_exit_until_it_first_holds(dev, chunk):
+@given(coherent_devices(sites=(2, 5), labels=2, budget=64))
+def test_scan_codes_match_the_oracle(dev):
+    expected = oracle_codes(dev)
     cuts = _bipartitions(range(dev.uplicity))
+    for patch in ({"_CHUNK": 1}, {"_CHUNK": 7}, {}, {"_TABLE_BITS": 0}):
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in patch.items():
+                mp.setattr(devices, name, value)
+            assert devices._scan(dev, cuts)[1] == expected
+
+
+def test_k_codes_never_reach_np_unique():
+    # K's 9-bit codes go through the code table, never through np.unique;
+    # its meets are discrete while not every partition selects every pair
+    dev = builtin_device("K")
+    cuts = _bipartitions(range(dev.uplicity))
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        coverage, codes = devices._scan(dev, cuts)
+    assert unique.call_count == 0
+    assert not coverage.all()
+    assert devices._domanial(dev.uplicity, codes) == (discrete(3), discrete(3))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(devices, "_CHUNK", chunk)
-        meets = _CountingExit(devices._DomanialMeets(dev.uplicity))
-        devices._scan(dev, devices.DEFAULT_CAP, cuts, meets)
-    assert True not in meets.answers[:-1]
+        mp.setattr(devices, "_TABLE_BITS", 0)
+        assert devices._scan(dev, cuts)[1] == codes
 
 
 def test_scan_block_of_one_axis_above_the_chunk():
