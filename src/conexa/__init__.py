@@ -46,8 +46,6 @@ from .disentangle import (
     Confidence,
     DisentanglementReport,
     IntricationClass,
-    MeasurementPool,
-    build_pool,
     classify_on_subset,
     disentanglement_structures,
 )

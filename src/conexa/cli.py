@@ -78,6 +78,10 @@ def _load(path: str, decode):
             data = json.load(fh, object_pairs_hook=unique_keys)
     except FileNotFoundError:
         raise DomainError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"cannot read {path}: byte {exc.start} is not UTF-8") from None
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -8,22 +8,21 @@ finite pool of product bases (every combination of the structured bases,
 then one experiment in a generic basis at every site) and results are
 flagged POOL_LIMITED unless an exact factorization certificate removes the
 pool dependence altogether.  The pool is a function of the dimensions of the
-measured sites alone (`build_pool(dims)`), so every analysis is
-deterministic, and one analysis builds one pool per tuple of complement
-dimensions and reads it for every complement of that shape.
+measured sites alone (`_pool(dims)`), so every analysis is deterministic,
+and one pool per tuple of complement dimensions is built once per process
+and read for every complement of that shape.
 
-A pool holds one stack of unitaries per measured site, in site order, one row
-per experiment, checked for orthonormality once per stack; it names no
-sites.  For a chunk of experiments, the contraction kernel
-`quantum._residuals` measures every site outside J for every experiment and
-outcome at once, giving the residual J-states as one (experiments, outcomes,
-dim_J) array; an outcome is possible iff its residual norm is > tol.  Each
-bipartition of J is then tested for every possible outcome by
-`quantum._separable_cuts` (second Schmidt coefficient <= tol): the cuts
-whose shorter side has dimension 2 together in closed form, with LAPACK only
-inside a rounding band around tol, and every other cut by one stacked SVD.
-Residuals are not deduplicated, since a repeated state never changes the
-any/all tests of the classification.
+A pool holds one read-only stack of unitaries per measured site, in site
+order, one row per experiment; it names no sites.  For a chunk of
+experiments, the contraction kernel `quantum._residuals` measures every site
+outside J for every experiment and outcome at once, giving the residual
+J-states as one (experiments, outcomes, dim_J) array; an outcome is possible
+iff its residual norm is > tol.  Each bipartition of J is then tested for
+every possible outcome by `quantum._separable_cuts` (second Schmidt
+coefficient <= tol): the cuts whose shorter side has dimension 2 together in
+closed form, with LAPACK only inside a rounding band around tol, and every
+other cut by one stacked SVD.  Residuals are not deduplicated, since a
+repeated state never changes the any/all tests of the classification.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from .errors import DomainError
 from .quantum import (
     DEFAULT_TOL,
     PureState,
-    SiteLayout,
     _matricize,
     _residuals,
     _separable_cuts,
@@ -107,39 +105,6 @@ STRUCTURE_NAMES = tuple(_FAMILY_CLASSES)
 
 
 @dataclass(frozen=True)
-class MeasurementPool:
-    """Finite stand-in for the continuum of determinant experiments on the
-    sites outside J.
-
-    `bases[i]` stacks one unitary per experiment for the i-th measured site
-    in site order, shape (experiments, d, d), with the basis vectors as
-    columns; experiment e measures every site in its basis at row e.  A pool
-    holds no site numbers: it serves every site set whose dimensions match
-    its stacks.  A basis stands for any nondegenerate observable with that
-    eigenbasis, since eigenvalue labels never affect residual states.
-    """
-
-    bases: tuple
-
-    def __init__(self, bases: Iterable[np.ndarray]):
-        bases = tuple(np.array(b, dtype=np.complex128) for b in bases)
-        if not bases:
-            raise DomainError("a measurement pool measures at least one site")
-        for i, b in enumerate(bases):
-            if b.ndim != 3 or b.shape[1] != b.shape[2]:
-                raise DomainError(f"bases for measured site {i} must stack square matrices")
-            if not len(b):
-                raise DomainError("a measurement pool cannot be empty")
-            if len(b) != len(bases[0]):
-                raise DomainError("every site needs one basis per experiment")
-            gram = b.conj().transpose(0, 2, 1) @ b
-            if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-9:
-                raise DomainError(f"basis for measured site {i} is not orthonormal")
-            b.setflags(write=False)
-        object.__setattr__(self, "bases", bases)
-
-
-@dataclass(frozen=True)
 class Classification:
     kind: IntricationClass
     confidence: Confidence
@@ -183,28 +148,36 @@ def _generic_basis(dim: int) -> np.ndarray:
     return basis
 
 
-def build_pool(dims) -> MeasurementPool:
+@functools.cache
+def _pool(dims: tuple) -> tuple:
     """The pool on measured sites of dimensions `dims`, in site order.
 
-    Every combination of the structured bases across the sites (row-major),
-    then one experiment that measures every site in its `_generic_basis`.
+    One read-only stack per site, shape (experiments, d, d), with the basis
+    vectors as columns; experiment e measures every site in its basis at row
+    e.  The experiments are every combination of the structured bases across
+    the sites (row-major), then one that measures every site in its
+    `_generic_basis`.  A basis stands for any nondegenerate observable with
+    that eigenbasis, since eigenvalue labels never affect residual states.
     """
-    dims = SiteLayout(dims).dims
     combos = itertools.product(*(_structured_bases(d) for d in dims))
-    return MeasurementPool(
+    stacks = tuple(
         np.stack([*column, _generic_basis(d)]) for d, column in zip(dims, zip(*combos))
     )
+    for stack in stacks:
+        stack.setflags(write=False)
+    return stacks
 
 
-def _factor_on(psi: PureState, j: tuple, tol: float) -> Optional[PureState]:
-    """The J-factor of psi when psi splits as (J-part) x (rest), else None."""
+def _factor_on(psi: PureState, j: tuple, tol: float) -> Optional[np.ndarray]:
+    """The J-factor of psi, as a vector over J's sites, when psi splits as
+    (J-part) x (rest), else None."""
     if len(j) == psi.layout.sites:
-        return psi
+        return psi.amplitudes
     mat = _matricize(psi, j)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     if len(s) >= 2 and float(s[1]) > tol:
         return None
-    return PureState(SiteLayout(psi.layout.dims[site] for site in j), u[:, 0])
+    return u[:, 0]
 
 
 def _decide(ent_here, sep_here, sep_along) -> IntricationClass:
@@ -236,21 +209,15 @@ def _decide(ent_here, sep_here, sep_along) -> IntricationClass:
     return IntricationClass.TOTALLY_MIXED
 
 
-def classify_on_subset(
-    psi: PureState,
-    j_sites,
-    pool: Optional[MeasurementPool] = None,
-    tol: float = DEFAULT_TOL,
-) -> Classification:
+def classify_on_subset(psi: PureState, j_sites, tol: float = DEFAULT_TOL) -> Classification:
     """Classify the entanglement of psi on the subset J.
 
-    Quantifiers over measurements run on the finite pool, one stack per site
-    of the complement of J in site order (`build_pool` of the complement's
-    dimensions when none is given; reading a pool of other dimensions raises
-    DomainError).  The result is CERTIFIED, and no pool is read, when J is
-    the full site set (only the identity measurement exists) or when psi
-    factors across (J, complement), which pins the residual set to the
-    J-factor for every conceivable experiment.
+    Quantifiers over measurements run on `_pool` of the dimensions of the
+    complement of J, one stack per site in site order.  The result is
+    CERTIFIED, and no pool is read, when J is the full site set (only the
+    identity measurement exists) or when psi factors across (J, complement),
+    which pins the residual set to the J-factor for every conceivable
+    experiment.
     Experiments are contracted in chunks of at most _CHUNK amplitudes, and
     residuals are not deduplicated: a repeated state never changes the
     any/all tests below.
@@ -261,21 +228,19 @@ def classify_on_subset(
     if any(psi.layout.dims[s] < 2 for s in psi.layout.site_indices()):
         raise DomainError("analysis requires every site dimension >= 2")
     cuts = _bipartitions(range(len(j)))
+    dims_j = tuple(psi.layout.dims[s] for s in j)
 
     factor = _factor_on(psi, j, tol)
     if factor is not None:
         # the one residual state of every experiment: one experiment, one outcome
-        profile = _separable_cuts(factor.amplitudes, factor.layout.dims, cuts, tol)
+        profile = _separable_cuts(factor, dims_j, cuts, tol)
         separable = profile.any(axis=1)
         kind = _decide(~separable, separable, profile.all(axis=0))
         return Classification(kind, Confidence.CERTIFIED)
 
     complement = tuple(s for s in psi.layout.site_indices() if s not in j)
-    if pool is None:
-        pool = build_pool(psi.layout.dims[s] for s in complement)
-
-    count = len(pool.bases[0])
-    dims_j = tuple(psi.layout.dims[s] for s in j)
+    pool = _pool(tuple(psi.layout.dims[s] for s in complement))
+    count = len(pool[0])
     # per experiment: some outcome splits along no cut / along some cut
     ent_here = np.zeros(count, dtype=bool)
     sep_here = np.zeros(count, dtype=bool)
@@ -283,7 +248,7 @@ def classify_on_subset(
     sep_along = np.ones(len(cuts), dtype=bool)
     step = max(1, _CHUNK // psi.layout.total_dim)
     for start in range(0, count, step):
-        chunk = [b[start:start + step] for b in pool.bases]
+        chunk = [b[start:start + step] for b in pool]
         residuals, norms = _residuals(psi, complement, chunk)
         possible = norms > tol
         owner = start + np.nonzero(possible)[0]
@@ -298,24 +263,14 @@ def classify_on_subset(
 def disentanglement_structures(psi: PureState, tol: float = DEFAULT_TOL) -> DisentanglementReport:
     """Classify every subset with >= 2 sites and generate the six structures.
 
-    A pool depends only on the dimensions of the measured sites, so one pool
-    is built (and checked) per distinct tuple of complement dimensions and
-    serves every complement of that shape; the pools live as long as this
-    call.  J = every site measures nothing and needs no pool.  Ground labels
-    are 1-based site numbers.
+    Ground labels are 1-based site numbers.
     """
     k = psi.layout.sites
     if k < 2:
         raise DomainError("disentanglement analysis needs at least two sites")
-    pool = functools.cache(build_pool)
-
-    def verdict(j):
-        shape = tuple(d for s, d in enumerate(psi.layout.dims) if s not in j)
-        return classify_on_subset(psi, j, pool(shape) if shape else None, tol=tol)
-
     classes, structures = _subset_structures(
         k,
-        verdict,
+        lambda j: classify_on_subset(psi, j, tol=tol),
         {name: lambda c, kinds=kinds: c.kind in kinds for name, kinds in _FAMILY_CLASSES.items()},
     )
     omega = max(connective_order(s) for s in structures.values())

@@ -187,13 +187,16 @@ class DensityOperator:
 
 def _eigensystem(matrix, tol: float) -> tuple:
     """(eigenvalues ascending, eigenvectors as matching columns) of a finite
-    square Hermitian matrix, no two of whose eigenvalues lie within tol."""
+    square Hermitian matrix whose eigenvalues are finite, no two of them
+    within tol."""
     mat = _finite_copy(matrix, "observable")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError(f"observable must be a square matrix, got shape {mat.shape}")
     if np.max(np.abs(mat - mat.conj().T)) > tol:
         raise DomainError("observable is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(mat)
+    if not np.isfinite(vals).all():
+        raise DomainError("observable has an eigenvalue too large to represent")
     if len(vals) > 1 and np.min(np.diff(vals)) <= tol:
         raise DomainError("observable has (numerically) repeated eigenvalues")
     return vals, vecs

@@ -716,6 +716,11 @@ MALFORMED_INPUTS = {
         ["derive-device", "--builtin-state", "EPR", "--menus"],
         json.dumps([[{"label": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}]] * 2),
     ),
+    # every entry finite, but the eigenvalue 2e308 is not
+    "menu spectrum overflows": (
+        ["derive-device", "--builtin-state", "EPR", "--menus"],
+        json.dumps([[{"label": "*", "matrix": [[[1e308, 0]] * 2] * 2}]] * 2),
+    ),
 }
 
 
@@ -728,6 +733,21 @@ def test_malformed_input_exits_2(kind, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not UTF-8"])
+def test_unreadable_input_file_exits_2(kind, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not UTF-8":
+        path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "analyze-state", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if kind == "missing":
+        assert err == f"error: no such file: {path}\n"
 
 
 def test_zero_denominator_probability_message(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -13,8 +14,6 @@ from conexa import disentangle
 from conexa.disentangle import (
     Confidence,
     IntricationClass,
-    MeasurementPool,
-    build_pool,
     classify_on_subset,
     disentanglement_structures,
 )
@@ -46,7 +45,16 @@ def random_pure(rng, dims):
 
 def experiments_of(pool):
     """Per-experiment bases, one matrix per measured site, read from the stacks."""
-    return [[b[e] for b in pool.bases] for e in range(len(pool.bases[0]))]
+    return [[b[e] for b in pool] for e in range(len(pool[0]))]
+
+
+@contextmanager
+def pool_replaced(stacks):
+    """Classify with `stacks`, one (experiments, d, d) stack per measured site,
+    as the pool of every complement."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(disentangle, "_pool", lambda dims: tuple(np.asarray(b) for b in stacks))
+        yield
 
 
 def residual_states(psi, j, bases, tol=1e-9) -> list:
@@ -58,34 +66,45 @@ def residual_states(psi, j, bases, tol=1e-9) -> list:
 
 
 def pool_with_extras(dims, extras):
-    """The pool `build_pool(dims)` would be with the bases `extras[i]` appended
+    """The pool `_pool(dims)` would be with the bases `extras[i]` appended
     to the structured ones of measured site i: every combination across the
     sites, then the generic experiment."""
     options = [disentangle._structured_bases(d) + list(more) for d, more in zip(dims, extras)]
     combos = list(itertools.product(*options))
-    return MeasurementPool(
+    return tuple(
         np.stack([*column, disentangle._generic_basis(d)]) for d, column in zip(dims, zip(*combos))
     )
 
 
 def test_pool_structured_sizes():
     # the structured grid, then the one generic experiment
-    assert [b.shape for b in build_pool((2,)).bases] == [(3, 2, 2)]
-    assert [b.shape for b in build_pool((2, 2)).bases] == [(5, 2, 2)] * 2
+    assert [b.shape for b in disentangle._pool((2,))] == [(3, 2, 2)]
+    assert [b.shape for b in disentangle._pool((2, 2))] == [(5, 2, 2)] * 2
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (4,), (5,), (2, 3), (3, 2)])
+def test_pool_stacks_are_unitary_cached_and_read_only(dims):
+    pool = disentangle._pool(dims)
+    assert [b.shape[1:] for b in pool] == [(d, d) for d in dims]
+    for stack in pool:
+        gram = stack.conj().transpose(0, 2, 1) @ stack
+        assert np.max(np.abs(gram - np.eye(stack.shape[1]))) <= 1e-12
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0
+    assert disentangle._pool(dims) is pool
 
 
 def test_pool_on_a_site_of_dimension_one():
     # a one-dimensional site has only the 1x1 bases; the generic one is a phase
-    pool = build_pool((1, 2))
-    trivial = pool.bases[0]
+    pool = disentangle._pool((1, 2))
+    trivial = pool[0]
     assert trivial.shape == (5, 1, 1)
     assert np.allclose(np.abs(trivial), 1.0)
     assert np.allclose(trivial[-1], np.exp(1j * math.sqrt(2)))
 
 
 def test_fourier_basis_used_for_qutrits():
-    pool = build_pool((3,))
-    assert pool.bases[0].shape == (3, 3, 3)
+    assert disentangle._pool((3,))[0].shape == (3, 3, 3)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -100,8 +119,7 @@ def test_pool_ends_with_the_generic_basis(d):
     expected = second * np.exp(1j * math.sqrt(2) * np.arange(1, d + 1))[:, None]
     c, s = math.cos(0.4), math.sin(0.4)
     expected[:2] = np.array([[c, -s], [s, c]]) @ expected[:2]
-    pool = build_pool((d, d))
-    for stack in pool.bases:
+    for stack in disentangle._pool((d, d)):
         generic = stack[-1]
         assert np.allclose(generic, expected, atol=1e-12)
         assert np.allclose(generic.conj().T @ generic, np.eye(d), atol=1e-12)
@@ -134,8 +152,7 @@ def test_post_states_of_product_factorize():
     psi_rest = random_pure(rng, (2,))
     # joint layout: J = sites (0, 1), measured site = 2
     joint = tensor_state(psi_j, psi_rest)
-    pool = build_pool((2,))
-    for bases in experiments_of(pool):
+    for bases in experiments_of(disentangle._pool((2,))):
         # both outcomes are possible, and each leaves the J-factor
         states = residual_states(joint, (0, 1), bases)
         assert len(states) == 2
@@ -249,10 +266,9 @@ def test_pool_monotonicity_verdict_movement():
         psi = random_pure(rng, (2, 2, 2))
         for j in ((0, 1), (0, 2), (1, 2)):
             (c,) = {0, 1, 2} - set(j)
-            small = build_pool((2,))
-            large = pool_with_extras((2,), [[_random_basis(rng, 2)]])
-            c_small = classify_on_subset(psi, j, small).kind
-            c_large = classify_on_subset(psi, j, large).kind
+            c_small = classify_on_subset(psi, j).kind
+            with pool_replaced(pool_with_extras((2,), [[_random_basis(rng, 2)]])):
+                c_large = classify_on_subset(psi, j).kind
             if c_small in mixed_family:
                 assert c_large in mixed_family
             if c_large is IntricationClass.GLOBALLY_ENTANGLED:
@@ -271,63 +287,44 @@ def test_generic_experiment_decides_the_adversarial_state():
         assert cls == disentangle.Classification(
             IntricationClass.WELL_ENTANGLED_ONLY, Confidence.POOL_LIMITED
         )
-        grid = MeasurementPool([np.stack([np.eye(2), hadamard])])
-        assert classify_on_subset(psi, j, grid).kind is IntricationClass.TOTALLY_MIXED
-
-
-def test_pool_mismatched_experiments_rejected():
-    eye = np.eye(2)[None]
-    with pytest.raises(DomainError):  # one experiment on site 0, two on site 1
-        MeasurementPool([eye, np.concatenate([eye, eye])])
-    with pytest.raises(DomainError):  # no measured site
-        MeasurementPool([])
-    with pytest.raises(DomainError):
-        build_pool(())
-    with pytest.raises(DomainError):  # a matrix, not a stack of them
-        MeasurementPool([np.eye(2)])
-    with pytest.raises(DomainError):
-        MeasurementPool([np.empty((0, 2, 2))])
-    with pytest.raises(DomainError):  # two measured sites, one stack
-        classify_on_subset(random_pure(np.random.default_rng(23), (2, 2, 2, 2)), (0, 1),
-                           MeasurementPool([eye]))
-
-
-def test_experiment_requires_orthonormal_basis():
-    singular = np.array([[1, 1], [0, 0]])
-    with pytest.raises(DomainError, match="not orthonormal"):
-        MeasurementPool([np.stack([np.eye(2), singular])])
-    with pytest.raises(DomainError, match="not orthonormal"):
-        MeasurementPool([singular[None]])
-    with pytest.raises(DomainError, match="not orthonormal"):
-        pool_with_extras((2,), [[singular]])
+        with pool_replaced([np.stack([np.eye(2), hadamard])]):
+            assert classify_on_subset(psi, j).kind is IntricationClass.TOTALLY_MIXED
 
 
 def test_one_pool_per_complement_shape():
     # complements of (2, 3, 2, 2): shapes (2, 3), (2, 2), (3, 2), (2,) and (3,)
-    # over 11 subsets; J = every site measures nothing and needs no pool
+    # over 11 subsets; J = every site measures nothing and reads no pool
     psi = random_pure(np.random.default_rng(21), (2, 3, 2, 2))
-    with mock.patch.object(disentangle, "build_pool", wraps=build_pool) as pools, \
-            mock.patch.object(disentangle, "classify_on_subset",
-                              wraps=classify_on_subset) as classify:
+    disentangle._pool.cache_clear()
+    with mock.patch.object(disentangle, "classify_on_subset",
+                           wraps=classify_on_subset) as classify:
         report = disentanglement_structures(psi)
-    shapes = [call.args[0] for call in pools.call_args_list]
-    assert sorted(shapes) == [(2,), (2, 2), (2, 3), (3,), (3, 2)]
+    assert disentangle._pool.cache_info().misses == 5
     assert classify.call_count == 11
-    # each subset is classified as with a pool built for its own complement
+    # each subset is classified as when classified alone
     for j, c in report.classes.items():
         assert classify_on_subset(psi, tuple(s - 1 for s in j)) == c
 
 
 def test_classify_rejects_a_wrong_explicit_pool():
     psi = random_pure(np.random.default_rng(22), (2, 3, 2))
-    # built for a qubit where the complement, site 1, is a qutrit
-    with pytest.raises(DomainError):
-        classify_on_subset(psi, (0, 2), build_pool((2,)))
-    # built for two measured sites where the complement is one
-    with pytest.raises(DomainError):
-        classify_on_subset(psi, (0, 2), build_pool((2, 3)))
-    with pytest.raises(DomainError, match="not orthonormal"):
-        classify_on_subset(psi, (0, 2), MeasurementPool([2 * np.eye(3)[None]]))
+    # stacks for a qubit where the complement, site 1, is a qutrit
+    with pool_replaced(disentangle._pool((2,))), pytest.raises(DomainError):
+        classify_on_subset(psi, (0, 2))
+    # stacks for two measured sites where the complement is one
+    with pool_replaced(disentangle._pool((2, 3))), pytest.raises(DomainError):
+        classify_on_subset(psi, (0, 2))
+    four = random_pure(np.random.default_rng(23), (2, 2, 2, 2))
+    eye = np.eye(2)[None]
+    # one stack where two sites are measured
+    with pool_replaced([eye]), pytest.raises(DomainError):
+        classify_on_subset(four, (0, 1))
+    # one experiment on site 2, two on site 3
+    with pool_replaced([eye, np.concatenate([eye, eye])]), pytest.raises(DomainError):
+        classify_on_subset(four, (0, 1))
+    # matrices, not stacks of them
+    with pool_replaced([np.eye(2)] * 2), pytest.raises(DomainError):
+        classify_on_subset(four, (0, 1))
 
 
 def _oracle_state(kind, dims, rng):
@@ -373,7 +370,8 @@ def oracle_cases(draw):
     """A 3-4-site state with local dims in {2, 3}, a subset J, a pool kind and a tol.
 
     Pool kinds: the default pool, the default pool with one random extra basis
-    per measured site (`pool_with_extras`), or a caller's `MeasurementPool`.
+    per measured site (`pool_with_extras`), or a caller's stacks in place of
+    `_pool`.
 
     Under the large tolerance some experiments have no possible outcome.
     """
@@ -390,16 +388,17 @@ def _check_against_oracle(case):
     rng = np.random.default_rng(seed)
     psi = PureState(SiteLayout(dims), _oracle_state(kind, dims, rng))
     shape = tuple(d for s, d in enumerate(dims) if s not in j)
-    pool, experiments = None, []
+    pool, experiments = disentangle._pool(shape), []
     if shape:
         if pool_kind == "caller":
             options = [[np.eye(d), _random_basis(rng, d)] for d in shape]
             combos = list(itertools.product(*options))
-            pool = MeasurementPool(np.stack(bases) for bases in zip(*combos))
+            pool = tuple(np.stack(bases) for bases in zip(*combos))
         elif pool_kind == "extras":
             pool = pool_with_extras(shape, [[_random_basis(rng, d)] for d in shape])
-        experiments = experiments_of(pool or build_pool(shape))
-    cls = classify_on_subset(psi, j, pool, tol=tol)
+        experiments = experiments_of(pool)
+    with pool_replaced(pool):
+        cls = classify_on_subset(psi, j, tol=tol)
     expected = oracle_classify(psi.amplitudes, dims, j, experiments, tol)
     assert (cls.kind.value, cls.confidence.value) == expected
 
@@ -442,7 +441,7 @@ def test_classify_matches_oracle_across_chunks(case):
 def test_oracle_examples_hit_impossible_outcomes_and_certified_path():
     dims, kind, seed, j = GHZ_LIKE[:4]
     ghz = PureState(SiteLayout(dims), _oracle_state(kind, dims, np.random.default_rng(seed)))
-    z_on_qutrit = experiments_of(build_pool((3,)))[0]
+    z_on_qutrit = experiments_of(disentangle._pool((3,)))[0]
     assert len(residual_states(ghz, j, z_on_qutrit)) == 2  # outcome 2 is impossible
     dims, kind, seed, j = PRODUCT[:4]
     product = PureState(SiteLayout(dims), _oracle_state(kind, dims, np.random.default_rng(seed)))
@@ -459,8 +458,8 @@ def test_classify_conjugates_the_measured_basis():
     psi = PureState(SiteLayout((2, 2, 2)), tensor.reshape(-1))
     tilted = np.array([[-2j, 1], [1, -2j]]) / math.sqrt(5.0)
     experiments = [np.eye(2), tilted]
-    pool = MeasurementPool([np.stack(experiments)])
-    cls = classify_on_subset(psi, (0, 1), pool)
+    with pool_replaced([np.stack(experiments)]):
+        cls = classify_on_subset(psi, (0, 1))
     assert cls.kind is IntricationClass.WELL_ENTANGLED_ONLY
     expected = oracle_classify(psi.amplitudes, (2, 2, 2), (0, 1), [[b] for b in experiments])
     assert (cls.kind.value, cls.confidence.value) == expected
@@ -468,9 +467,8 @@ def test_classify_conjugates_the_measured_basis():
 
 def test_wrong_dimension_bases_raise_domain_error():
     ghz = builtin_state("GHZ")
-    qutrit_pool = MeasurementPool([np.eye(3)[None]])
-    with pytest.raises(DomainError):
-        classify_on_subset(ghz, (0, 1), qutrit_pool)
+    with pool_replaced([np.eye(3)[None]]), pytest.raises(DomainError):
+        classify_on_subset(ghz, (0, 1))
     with pytest.raises(DomainError):
         _residuals(ghz, (2,), [np.eye(3)[None]])
 
