@@ -19,10 +19,10 @@ outside J for every experiment and outcome at once, giving the residual
 J-states as one (experiments, outcomes, dim_J) array; an outcome is possible
 iff its residual norm is > tol.  Each bipartition of J is then tested for
 every possible outcome by `quantum._separable_cuts` (second Schmidt
-coefficient <= tol): the cuts whose shorter side has dimension 2 together in
-closed form, with LAPACK only inside a rounding band around tol, and every
-other cut by one stacked SVD.  Residuals are not deduplicated, since a
-repeated state never changes the any/all tests of the classification.
+coefficient <= tol): the cuts whose shorter sides have equal dimensions
+together, by one closed-form projection test, with LAPACK only inside a
+rounding band around tol.  Residuals are not deduplicated, since a repeated
+state never changes the any/all tests of the classification.
 """
 
 from __future__ import annotations
@@ -46,15 +46,11 @@ from .errors import DomainError
 from .quantum import (
     DEFAULT_TOL,
     PureState,
+    _CHUNK,
     _matricize,
     _residuals,
     _separable_cuts,
 )
-
-# Residual amplitudes contracted at once: classification takes the pool's
-# experiments in chunks of at most this many amplitudes (at least one
-# experiment), which bounds memory up to MAX_TOTAL_DIM.
-_CHUNK = 1 << 16
 
 
 class IntricationClass(enum.Enum):

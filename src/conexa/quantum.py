@@ -30,6 +30,11 @@ _TINY = float(np.finfo(np.float64).tiny)
 # the largest principal block of a partial transpose that `ppt_entangled`
 # diagonalizes, stacked, before any cut is factorized
 _BLOCK = 8
+# Amplitudes processed at once: `_separable_cuts` stacks at most this many
+# (at least one cut), and pure-state classification contracts the pool's
+# experiments in chunks of at most this many residual amplitudes (at least
+# one experiment), which bounds memory up to MAX_TOTAL_DIM.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,13 @@ def _finite_copy(values, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DomainError(f"{what} has non-finite entries")
     return arr
+
+
+def _hermitian(mat: np.ndarray, tol: float) -> bool:
+    """Whether every entry of mat - mat^H has modulus <= tol; an entry that
+    overflows has not."""
+    with np.errstate(over="ignore"):
+        return bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
 
 
 @dataclass(frozen=True)
@@ -153,7 +165,7 @@ class DensityOperator:
         n = layout.total_dim
         if mat.shape != (n, n):
             raise DomainError(f"density matrix shape {mat.shape} != ({n}, {n})")
-        if np.max(np.abs(mat - mat.conj().T)) > tol:
+        if not _hermitian(mat, tol):
             raise DomainError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > tol + n * _EPS * (1 + tol):
@@ -192,7 +204,7 @@ def _eigensystem(matrix, tol: float) -> tuple:
     mat = _finite_copy(matrix, "observable")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError(f"observable must be a square matrix, got shape {mat.shape}")
-    if np.max(np.abs(mat - mat.conj().T)) > tol:
+    if not _hermitian(mat, tol):
         raise DomainError("observable is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(mat)
     if not np.isfinite(vals).all():
@@ -221,82 +233,112 @@ def _separable_cuts(states: np.ndarray, dims: tuple, cuts, tol: float) -> np.nda
     `states` holds one unit vector over the layout `dims` per row.  A state
     splits along a cut when the second Schmidt coefficient of its
     matricization is <= tol, exactly as `np.linalg.svd` computes it: a side of
-    dimension 1 leaves one coefficient, so every state splits there; the cuts
-    whose shorter side has dimension 2 are decided together by
-    `_second_below`, and every other cut by one stacked SVD.
+    dimension 1 leaves one coefficient, so every state splits there.  Every
+    other cut is grouped with the cuts whose shorter side has its dimension
+    r, which fixes the matrix shape up to transposition, and each group goes
+    to `_second_below` in stacks of at most `_CHUNK` amplitudes (at least one
+    cut): no cut costs a call of its own.
     """
     tensors = states.reshape(-1, *dims)
+    size = math.prod(dims)
     out = np.ones((len(tensors), len(cuts)), dtype=bool)
-    two_rows, two_row_mats = [], []
+    groups = {}
     for c, (a, b) in enumerate(cuts):
-        axes = (0, *(p + 1 for p in a + b))
         rows = math.prod(dims[p] for p in a)
-        cols = math.prod(dims) // rows
-        if min(rows, cols) == 1:
-            continue
-        mats = tensors.transpose(axes).reshape(len(tensors), rows, cols)
-        if min(rows, cols) == 2:
-            two_rows.append(c)
-            two_row_mats.append(mats)
-        else:
-            out[:, c] = np.linalg.svd(mats, compute_uv=False)[:, 1] <= tol
-    if two_rows:
-        out[:, two_rows] = _second_below(two_row_mats, tol)
+        r = min(rows, size // rows)
+        if r > 1:
+            groups.setdefault(r, []).append((c, a + b if rows == r else b + a, rows != r))
+    step = max(1, _CHUNK // max(tensors.size, 1))
+    for r, group in groups.items():
+        for start in range(0, len(group), step):
+            positions, orders, flipped = zip(*group[start:start + step])
+            out[:, positions] = _second_below(tensors, r, orders, flipped, tol)
     return out
 
 
-def _second_below(mats: list, tol: float) -> np.ndarray:
-    """Bool array (matrices, stacks): `np.linalg.svd(m, compute_uv=False)[:, 1]
-    <= tol` for each stack m in `mats`, all of one shape with 2 rows or 2
-    columns, decided without LAPACK outside a rounding band.
+def _second_below(tensors: np.ndarray, r: int, orders, flipped, tol: float) -> np.ndarray:
+    """Bool array (states, cuts): `np.linalg.svd(m, compute_uv=False)[:, 1]
+    <= tol` for the stack m of matricizations of `tensors` (one state per
+    leading index) along each cut, decided without LAPACK outside a rounding
+    band.  `orders[i]` lists cut i's positions, those of its shorter side
+    first, and that side has dimension r >= 2 for every cut; `flipped[i]`
+    says that the shorter side is b, so that the given matrix, rows indexed
+    by a, is the transpose of the one tested.
 
-    Let a be the longer of a matrix M's two rows (or columns), b the other,
-    and r = b - (<a,b>/||a||^2) a the part of b orthogonal to a.  Then
-    sigma_1 sigma_2 = ||a|| ||r|| =: P (P^2 is the Gram determinant) and
-    sigma_1^2 + sigma_2^2 = ||M||_F^2 =: F^2, so F/sqrt(2) <= sigma_1 <= F
-    puts sigma_2 in [P/F, sqrt(2) P/F].
+    Each matrix M is tested with its r rows along the shorter side; m is the
+    dimension of the longer side, F = ||M||_F, and a is the longest row of M.
 
-    Rounding, with m the longer side and eps the machine epsilon: each
-    computed dot product and squared norm of length m is off by at most about
-    m eps times the product of its operands' norms (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, Sec. 3.1).  As ||a|| >= ||b||, the
-    coefficient <a,b>/||a||^2 has modulus <= 1, so the computed r is within
-    about 3 m eps ||b|| of the exact one, P within about 4 m eps ||a|| ||b||
-    <= 2 m eps F^2, and each computed end of the interval within
-    (4 m + 10) eps F of the exact one.  LAPACK's sigma_2 is off by at most
-    p eps sigma_1, with p growing like the Householder reduction's backward
-    error, c m (LAPACK Users' Guide Sec. 4.9; Higham Thm 19.4).  The band
-    half-width delta = 16 (m + 2) eps F covers both with room, plus the
-    least normal float so that a zero matrix falls inside the band.
+    - r = 2: with b the other row and R = b - (<a,b>/||a||^2) a,
+      sigma_1 sigma_2 = ||a|| ||R|| =: P (P^2 is the Gram determinant) and
+      sigma_1^2 + sigma_2^2 = F^2, so F/sqrt(2) <= sigma_1 <= F puts sigma_2
+      in [P/F, sqrt(2) P/F].
+    - r > 2: R holds the rows of M minus their projections onto a.  M minus R
+      has rank 1, so sigma_2 <= ||R||_F (Eckart-Young).  Write M = sigma_1 u
+      v* + E with ||E||_2 = sigma_2 and ||E||_F <= sqrt(r - 1) sigma_2.  The
+      distance from a to the line of v is at most sigma_2, and ||a|| >=
+      F/sqrt(r) >= sigma_1/sqrt(r), so projecting out a leaves at most
+      sqrt(r) sigma_2 of the rank-1 part and at most ||E||_F of E: sigma_2 is
+      in [||R||_F / (sqrt(r) + sqrt(r - 1)), ||R||_F].
+
+    Rounding, with eps the machine epsilon: each computed dot product and
+    squared norm of length m is off by at most about m eps times the product
+    of its operands' norms (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Sec. 3.1).  As a is the longest row, every coefficient
+    <a,b>/||a||^2 has modulus <= 1, so each computed row of R is within about
+    (3 m + 3) eps ||b|| of the exact one, and summing the 2 r m squares of
+    ||R||_F^2 adds at most r m eps F to the norm.  Each computed end of the
+    interval is within 3 r (m + 2) eps F of the exact one (for r = 2 the
+    Gram-determinant route above stays within (4 m + 10) eps F).  LAPACK's
+    sigma_2 is off by at most p eps sigma_1, with p growing like the
+    Householder reduction's backward error, c r m (LAPACK Users' Guide
+    Sec. 4.9; Higham Thm 19.4).  The band half-width delta = 8 r (m + 2) eps
+    F covers both with room, plus the least normal float so that a zero
+    matrix falls inside the band.
 
     An upper end below tol - delta answers "separable" and a lower end above
     tol + delta "entangled".  Only the matrices in between, or with a zero or
-    non-finite F, go to the stacked SVD, on the matrices as given: a
+    non-finite F, go to `np.linalg.svd`, in their given orientation: a
     transposed matrix can round sigma_2 = tol the other way.  The work is
-    O(m) per matrix; no m x m array of 2 x 2 minors is formed.
+    O(r m) per matrix and no r x r Gram matrix is formed: its eigenvalues
+    carry rounding of about eps F^2, above tol^2 = 1e-18.
     """
-    # (2 stacks, matrices, m): every first row (or column), then every second
-    pairs = np.array([m[:, i] if m.shape[1] == 2 else m[:, :, i] for i in (0, 1) for m in mats])
-    flat = pairs.view(np.float64)
-    squares = np.einsum("vnk,vnk->vn", flat, flat)
-    first, second = pairs[: len(mats)], pairs[len(mats):]
-    sq_first, sq_second = squares[: len(mats)], squares[len(mats):]
-    swap = (sq_second > sq_first)[..., None]
-    a = np.where(swap, second, first)
-    b = np.where(swap, first, second)
-    sq_a = np.maximum(sq_first, sq_second)
-    frob = np.sqrt(sq_first + sq_second)
+    count, *dims = tensors.shape
+    m = math.prod(dims) // r
+    # (r, cuts, states, m): row i of every matrix, its shorter side as rows
+    stack = np.empty((r, len(orders), count, m), dtype=np.complex128)
+    for i, order in enumerate(orders):
+        stack[:, i] = tensors.transpose(0, *(p + 1 for p in order)).reshape(
+            count, r, m).swapaxes(0, 1)
+    flat = stack.view(np.float64)
+    squares = np.einsum("...k,...k->...", flat, flat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.einsum("cnk,cnk->cn", a.conj(), b) / sq_a
-        residual = (b - coef[..., None] * a).view(np.float64)
-        low = np.sqrt(sq_a * np.einsum("cnk,cnk->cn", residual, residual)) / frob
-    delta = 16 * (pairs.shape[-1] + 2) * _EPS * frob + _TINY
-    out = math.sqrt(2.0) * low < tol - delta
+        if r == 2:
+            sq_first, sq_second = squares
+            swap = (sq_second > sq_first)[..., None]
+            a = np.where(swap, stack[1], stack[0])
+            b = np.where(swap, stack[0], stack[1])
+            sq_a = np.maximum(sq_first, sq_second)
+            frob = np.sqrt(sq_first + sq_second)
+            coef = np.einsum("...k,...k->...", a.conj(), b) / sq_a
+            residual = (b - coef[..., None] * a).view(np.float64)
+            low = np.sqrt(sq_a * np.einsum("...k,...k->...", residual, residual)) / frob
+            high = math.sqrt(2.0) * low
+        else:
+            sq_a = squares.max(axis=0)
+            frob = np.sqrt(squares.sum(axis=0))
+            lead = squares.reshape(r, -1).argmax(axis=0)
+            a = stack.reshape(r, -1, m)[lead, np.arange(len(lead))].reshape(stack.shape[1:])
+            coef = np.einsum("...k,r...k->r...", a.conj(), stack) / sq_a
+            residual = (stack - coef[..., None] * a).view(np.float64)
+            high = np.sqrt(np.einsum("r...k,r...k->...", residual, residual))
+            low = high / (math.sqrt(r) + math.sqrt(r - 1))
+    delta = 8 * r * (m + 2) * _EPS * frob + _TINY
+    out = high < tol - delta
     band = ~(out | (low > tol + delta))
     if band.any():
-        for m, rows, verdicts in zip(mats, band, out):
-            if rows.any():
-                verdicts[rows] = np.linalg.svd(m[rows], compute_uv=False)[:, 1] <= tol
+        for i in np.flatnonzero(band.any(axis=1)):
+            given = stack[:, i, band[i]].transpose((1, 2, 0) if flipped[i] else (1, 0, 2))
+            out[i, band[i]] = np.linalg.svd(given, compute_uv=False)[:, 1] <= tol
     return out.T
 
 

@@ -603,6 +603,13 @@ def _identity4(entry01=(0.0, 0.0)):
     return rows
 
 
+def _overflowing_asymmetry(rows):
+    """`rows` (JSON pairs) with 1e308 in the top right corner and -1e308 in
+    the bottom left."""
+    rows[0][-1], rows[-1][0] = [1e308, 0.0], [-1e308, 0.0]
+    return rows
+
+
 _AMPS = [[1, 0], [0, 0], [0, 0], [1, 0]]
 _BITS = [["0", "1"], ["0", "1"]]
 
@@ -720,6 +727,16 @@ MALFORMED_INPUTS = {
     "menu spectrum overflows": (
         ["derive-device", "--builtin-state", "EPR", "--menus"],
         json.dumps([[{"label": "*", "matrix": [[[1e308, 0]] * 2] * 2}]] * 2),
+    ),
+    # every entry finite, but the Hermitian check's difference 2e308 is not
+    "density asymmetry overflows": (
+        ["analyze-density", "--file"],
+        json.dumps({"dims": [2, 2], "matrix": _overflowing_asymmetry(_identity4())}),
+    ),
+    "menu asymmetry overflows": (
+        ["derive-device", "--builtin-state", "EPR", "--menus"],
+        json.dumps([[{"label": "*", "matrix": _overflowing_asymmetry(
+            [[[0.0, 0.0]] * 2, [[0.0, 0.0]] * 2])}]] * 2),
     ),
 }
 

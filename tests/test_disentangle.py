@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conexa import disentangle
+from conexa import disentangle, quantum
 from conexa.disentangle import (
     Confidence,
     IntricationClass,
@@ -304,6 +304,20 @@ def test_one_pool_per_complement_shape():
     # each subset is classified as when classified alone
     for j, c in report.classes.items():
         assert classify_on_subset(psi, tuple(s - 1 for s in j)) == c
+
+
+def test_haar_six_qubits_run_lapack_only_to_factor():
+    # the 56 subsets short of the full set each try one factorization (a
+    # matrix); no cut of a residual reaches the stacked SVD
+    psi = random_pure(np.random.default_rng(6), (2,) * 6)
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        report = disentanglement_structures(psi)
+    assert svd.call_count == 56
+    assert all(call.args[0].ndim == 2 for call in svd.call_args_list)
+    # one cut per stack gives every verdict again
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantum, "_CHUNK", 1)
+        assert disentanglement_structures(psi) == report
 
 
 def test_classify_rejects_a_wrong_explicit_pool():

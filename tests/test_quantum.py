@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conexa import quantum
 from conexa.connective import _bipartitions
 from conexa.devices import derive_device
 from conexa.errors import DomainError
@@ -184,17 +185,43 @@ def _unitary(rng, d):
     return q * (np.diagonal(r) / abs(np.diagonal(r)))
 
 
-def _planted_cut(rng, kind, m, tol):
-    """A unit 2 x m matrix of the given kind."""
+def _planted_cut(rng, kind, m, tol, r=2):
+    """An r x m matrix (r <= m) of the given kind, of unit norm except for a
+    near kind with r > 2: that one has the singular values sqrt(1 - s^2), s
+    and r - 2 more up to s, with s its planted second coefficient."""
     if kind == "haar":
-        mat = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
+        mat = rng.normal(size=(r, m)) + 1j * rng.normal(size=(r, m))
         return mat / np.linalg.norm(mat)
     if kind.endswith("product"):
-        row = np.eye(2)[rng.integers(2)] if kind == "basis product" else _unitary(rng, 2)[:, 0]
+        row = np.eye(r)[rng.integers(r)] if kind == "basis product" else _unitary(rng, r)[:, 0]
         return np.outer(row, _unitary(rng, m)[0])
     second = tol * _NEAR[int(kind.split()[1])]
-    values = np.array([math.sqrt(1 - second**2), second])
-    return (_unitary(rng, 2) * values) @ _unitary(rng, m)[:2].conj()
+    tail = second * rng.uniform(size=r - 2) if r > 2 else []
+    values = np.array([math.sqrt(1 - second**2), second, *tail])
+    return (_unitary(rng, r) * values) @ _unitary(rng, m)[:r].conj()
+
+
+def _check_cuts_against_svd(kinds, r, m, tall, tol, seed):
+    """`_separable_cuts` on planted r x m matrices (m x r when tall), one cut
+    between the two sites of an (r, m) layout, against `np.linalg.svd`."""
+    rng = np.random.default_rng(seed)
+    mats = np.stack([_planted_cut(rng, kind, m, tol, r) for kind in kinds])
+    if tall:
+        mats = mats.transpose(0, 2, 1).copy()
+    want = np.linalg.svd(mats, compute_uv=False)[:, 1] <= tol
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as spy:
+        got = _separable_cuts(mats.reshape(len(kinds), -1), mats.shape[1:], [((0,), (1,))], tol)
+    assert got[:, 0].tolist() == want.tolist()
+    # LAPACK runs only on the matrices in the rounding band around tol, and
+    # on them as given, not transposed; the band holds only second
+    # coefficients within a factor sqrt(r) + sqrt(r - 1) of tol
+    if tol < 1e-6 and all(not kind.startswith("near") for kind in kinds):
+        assert spy.call_count == 0
+    spread = math.sqrt(r) + math.sqrt(r - 1)
+    for call in spy.call_args_list:
+        assert call.args[0].shape[1:] == mats.shape[1:]
+        second = np.linalg.svd(call.args[0], compute_uv=False)[:, 1]
+        assert (tol / spread - 1e-10 <= second).all() and (second <= spread * tol + 1e-10).all()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -203,26 +230,24 @@ def _planted_cut(rng, kind, m, tol):
        seed=st.integers(0, 2**32 - 1))
 @example(kinds=["near 5"] * 4, m=3, tall=True, tol=1e-9, seed=0)
 def test_two_row_cuts_agree_with_svd(kinds, m, tall, tol, seed):
-    rng = np.random.default_rng(seed)
-    mats = np.stack([_planted_cut(rng, kind, m, tol) for kind in kinds])
-    if tall:
-        mats = mats.transpose(0, 2, 1).copy()
-    want = np.linalg.svd(mats, compute_uv=False)[:, 1] <= tol
-    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as spy:
-        got = _separable_cuts(mats.reshape(len(kinds), -1), mats.shape[1:], [((0,), (1,))], tol)
-    assert got[:, 0].tolist() == want.tolist()
-    # LAPACK runs only on the matrices in the rounding band around tol, and
-    # on them as given, not transposed
-    if tol < 1e-6 and all(not kind.startswith("near") for kind in kinds):
-        assert spy.call_count == 0
-    for call in spy.call_args_list:
-        assert call.args[0].shape[1:] == mats.shape[1:]
+    _check_cuts_against_svd(kinds, 2, m, tall, tol, seed)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kinds=st.lists(st.sampled_from(_CUT_KINDS), min_size=1, max_size=6),
+       r=st.integers(3, 8), extra=st.integers(0, 40), tall=st.booleans(),
+       tol=st.sampled_from([1e-9, 0.3, 0.6]), seed=st.integers(0, 2**32 - 1))
+@example(kinds=["near 5"] * 4, r=3, extra=0, tall=False, tol=1e-9, seed=0)
+@example(kinds=["near 0", "haar", "product"], r=8, extra=0, tall=True, tol=0.6, seed=0)
+def test_every_shorter_side_agrees_with_svd(kinds, r, extra, tall, tol, seed):
+    _check_cuts_against_svd(kinds, r, r + extra, tall, tol, seed)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=4), seed=st.integers(0, 2**32 - 1))
 def test_every_cut_agrees_with_svd(dims, seed):
-    # random states and products of two random factors, over every cut
+    # random states and products of two random factors, over every cut, with
+    # every group of cuts in one stack and with one cut per stack
     rng = np.random.default_rng(seed)
     layout = SiteLayout(dims)
     split = int(rng.integers(1, len(dims)))
@@ -232,6 +257,9 @@ def test_every_cut_agrees_with_svd(dims, seed):
     cuts = [(a, tuple(s for s in range(len(dims)) if s not in a))
             for r in range(1, len(dims)) for a in itertools.combinations(range(len(dims)), r)]
     got = _separable_cuts(amplitudes, layout.dims, cuts, 1e-9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantum, "_CHUNK", 1)
+        assert np.array_equal(_separable_cuts(amplitudes, layout.dims, cuts, 1e-9), got)
     for c, (a, b) in enumerate(cuts):
         for i, psi in enumerate(states):
             coeffs = np.linalg.svd(psi.tensor.transpose(a + b).reshape(
