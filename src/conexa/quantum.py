@@ -236,8 +236,10 @@ def _separable_cuts(states: np.ndarray, dims: tuple, cuts, tol: float) -> np.nda
     dimension 1 leaves one coefficient, so every state splits there.  Every
     other cut is grouped with the cuts whose shorter side has its dimension
     r, which fixes the matrix shape up to transposition, and each group goes
-    to `_second_below` in stacks of at most `_CHUNK` amplitudes (at least one
-    cut): no cut costs a call of its own.
+    to `_second_below` in stacks of at most `_CHUNK` amplitudes, at least one
+    cut.  The bound caps memory: a batch of `states` that holds `_CHUNK`
+    amplitudes or more, as the residual chunks of large states do, is tested
+    one cut per call.
     """
     tensors = states.reshape(-1, *dims)
     size = math.prod(dims)
@@ -266,31 +268,25 @@ def _second_below(tensors: np.ndarray, r: int, orders, flipped, tol: float) -> n
     by a, is the transpose of the one tested.
 
     Each matrix M is tested with its r rows along the shorter side; m is the
-    dimension of the longer side, F = ||M||_F, and a is the longest row of M.
-
-    - r = 2: with b the other row and R = b - (<a,b>/||a||^2) a,
-      sigma_1 sigma_2 = ||a|| ||R|| =: P (P^2 is the Gram determinant) and
-      sigma_1^2 + sigma_2^2 = F^2, so F/sqrt(2) <= sigma_1 <= F puts sigma_2
-      in [P/F, sqrt(2) P/F].
-    - r > 2: R holds the rows of M minus their projections onto a.  M minus R
-      has rank 1, so sigma_2 <= ||R||_F (Eckart-Young).  Write M = sigma_1 u
-      v* + E with ||E||_2 = sigma_2 and ||E||_F <= sqrt(r - 1) sigma_2.  The
-      distance from a to the line of v is at most sigma_2, and ||a|| >=
-      F/sqrt(r) >= sigma_1/sqrt(r), so projecting out a leaves at most
-      sqrt(r) sigma_2 of the rank-1 part and at most ||E||_F of E: sigma_2 is
-      in [||R||_F / (sqrt(r) + sqrt(r - 1)), ||R||_F].
+    dimension of the longer side, F = ||M||_F, a is the longest row of M and
+    R holds the rows of M minus their projections onto a.  M minus R has rank
+    1, so sigma_2 <= ||R||_F (Eckart-Young).  Write M = sigma_1 u v* + E with
+    ||E||_2 = sigma_2 and ||E||_F <= sqrt(r - 1) sigma_2.  The distance from
+    a to the line of v is at most sigma_2, and ||a|| >= F/sqrt(r) >=
+    sigma_1/sqrt(r), so projecting out a leaves at most sqrt(r) sigma_2 of the
+    rank-1 part and at most ||E||_F of E: sigma_2 is in
+    [||R||_F / (sqrt(r) + sqrt(r - 1)), ||R||_F].
 
     Rounding, with eps the machine epsilon: each computed dot product and
     squared norm of length m is off by at most about m eps times the product
     of its operands' norms (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, Sec. 3.1).  As a is the longest row, every coefficient
-    <a,b>/||a||^2 has modulus <= 1, so each computed row of R is within about
-    (3 m + 3) eps ||b|| of the exact one, and summing the 2 r m squares of
-    ||R||_F^2 adds at most r m eps F to the norm.  Each computed end of the
-    interval is within 3 r (m + 2) eps F of the exact one (for r = 2 the
-    Gram-determinant route above stays within (4 m + 10) eps F).  LAPACK's
-    sigma_2 is off by at most p eps sigma_1, with p growing like the
-    Householder reduction's backward error, c r m (LAPACK Users' Guide
+    Algorithms*, Sec. 3.1).  As a is the longest row, the coefficient
+    <a,b>/||a||^2 of every row b has modulus <= 1, so each computed row of R
+    is within about (3 m + 3) eps ||b|| of the exact one, and summing the
+    2 r m squares of ||R||_F^2 adds at most r m eps F to the norm.  Each
+    computed end of the interval is within 3 r (m + 2) eps F of the exact
+    one.  LAPACK's sigma_2 is off by at most p eps sigma_1, with p growing
+    like the Householder reduction's backward error, c r m (LAPACK Users' Guide
     Sec. 4.9; Higham Thm 19.4).  The band half-width delta = 8 r (m + 2) eps
     F covers both with room, plus the least normal float so that a zero
     matrix falls inside the band.
@@ -311,27 +307,15 @@ def _second_below(tensors: np.ndarray, r: int, orders, flipped, tol: float) -> n
             count, r, m).swapaxes(0, 1)
     flat = stack.view(np.float64)
     squares = np.einsum("...k,...k->...", flat, flat)
+    sq_a = squares.max(axis=0)
+    frob = np.sqrt(squares.sum(axis=0))
+    lead = squares.reshape(r, -1).argmax(axis=0)
+    a = stack.reshape(r, -1, m)[lead, np.arange(len(lead))].reshape(stack.shape[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
-        if r == 2:
-            sq_first, sq_second = squares
-            swap = (sq_second > sq_first)[..., None]
-            a = np.where(swap, stack[1], stack[0])
-            b = np.where(swap, stack[0], stack[1])
-            sq_a = np.maximum(sq_first, sq_second)
-            frob = np.sqrt(sq_first + sq_second)
-            coef = np.einsum("...k,...k->...", a.conj(), b) / sq_a
-            residual = (b - coef[..., None] * a).view(np.float64)
-            low = np.sqrt(sq_a * np.einsum("...k,...k->...", residual, residual)) / frob
-            high = math.sqrt(2.0) * low
-        else:
-            sq_a = squares.max(axis=0)
-            frob = np.sqrt(squares.sum(axis=0))
-            lead = squares.reshape(r, -1).argmax(axis=0)
-            a = stack.reshape(r, -1, m)[lead, np.arange(len(lead))].reshape(stack.shape[1:])
-            coef = np.einsum("...k,r...k->r...", a.conj(), stack) / sq_a
-            residual = (stack - coef[..., None] * a).view(np.float64)
-            high = np.sqrt(np.einsum("r...k,r...k->...", residual, residual))
-            low = high / (math.sqrt(r) + math.sqrt(r - 1))
+        coef = np.einsum("...k,r...k->r...", a.conj(), stack) / sq_a
+        residual = (stack - coef[..., None] * a).view(np.float64)
+        high = np.sqrt(np.einsum("r...k,r...k->...", residual, residual))
+    low = high / (math.sqrt(r) + math.sqrt(r - 1))
     delta = 8 * r * (m + 2) * _EPS * frob + _TINY
     out = high < tol - delta
     band = ~(out | (low > tol + delta))
