@@ -26,6 +26,12 @@ from .errors import DomainError
 MAX_GROUND_SIZE = 24
 
 
+def _check_ground(size: int) -> None:
+    """Refuse a ground of `size` points outside 1..MAX_GROUND_SIZE."""
+    if not 1 <= size <= MAX_GROUND_SIZE:
+        raise DomainError(f"ground size {size} is not in 1..{MAX_GROUND_SIZE}")
+
+
 @dataclass(frozen=True)
 class ConnectiveStructure:
     """The connected subsets of the points 1..size, each a bitmask: bit p
@@ -38,8 +44,7 @@ class ConnectiveStructure:
     connected: frozenset
 
     def __init__(self, size: int, connected: Iterable[int]):
-        if not 1 <= size <= MAX_GROUND_SIZE:
-            raise DomainError(f"ground size {size} is not in 1..{MAX_GROUND_SIZE}")
+        _check_ground(size)
         masks = frozenset(int(m) for m in connected)
         if masks and not 0 <= min(masks) <= max(masks) < 1 << size:
             bad = min(masks) if min(masks) < 0 else max(masks)
@@ -58,19 +63,18 @@ class ConnectiveStructure:
 
 
 @functools.cache
-def _bipartitions(positions) -> tuple:
-    """Unordered bipartitions (a, b) of the positions, a holding the first one.
+def _bipartitions(n: int) -> tuple:
+    """Unordered bipartitions (a, b) of the positions 0..n-1, a holding 0.
 
     Sizes of a ascend and members follow `itertools.combinations` order, so
-    callers that report the first cut they find report a stable one.  The
-    positions are a tuple or a range, and each one's cuts are built once.
+    callers that report the first cut they find report a stable one.  Each
+    site count's cuts are built once.
     """
-    positions = tuple(positions)
     return tuple(
-        (a, tuple(p for p in positions if p not in a))
-        for r in range(1, len(positions))
-        for a in itertools.combinations(positions, r)
-        if positions[0] in a
+        (a, tuple(p for p in range(n) if p not in a))
+        for r in range(1, n)
+        for a in itertools.combinations(range(n), r)
+        if a[0] == 0
     )
 
 
@@ -99,7 +103,8 @@ def _cut_table(k: int) -> tuple:
     starts, cuts = [], []
     for j, mask in _subsets(k):
         starts.append(len(cuts))
-        cuts += [(mask, _mask(a), _mask(b)) for a, b in _bipartitions(j)]
+        sides = [_mask(j[p] for p in a) for a, _ in _bipartitions(len(j))]
+        cuts += [(mask, a, mask ^ a) for a in sides]
     cuts = np.array(cuts, dtype=np.intp).reshape(-1, 3).T
     return np.array(starts, dtype=np.intp), cuts
 
@@ -143,33 +148,39 @@ def _mask(positions) -> int:
     return sum(1 << p for p in positions)
 
 
-def _close(ground_size: int, masks: Iterable[int]) -> frozenset:
-    """Fixpoint of pairwise union-with-common-point, seeded with all singletons.
+def _close(ground_size: int, masks: Iterable[int]) -> tuple:
+    """(family, kept): the fixpoint of pairwise union-with-common-point,
+    seeded with all singletons, and the masks it kept.
 
-    The fixpoint holds the empty set, the singletons and every union of
-    generators (the masks of two or more points) whose intersection graph is
-    connected.  Such a union is reached from any one of its generators by
-    adding one generator that meets the union so far at a time, so each new
-    set is extended by the generators alone, not by every member: the cost is
-    O(|C| |G|) for C the family and G the generators, not O(|C|^2).
+    The masks are taken by size, and one the family already holds is
+    skipped.  A kept mask is extended by the kept masks that meet the set
+    grown so far; a union the family held needs no extending, as the family
+    was closed before.  A mask is held on arrival exactly when it is the
+    union of two smaller connected members that meet, so the kept masks are
+    the irreducibles of the family, and of `masks` when it is closed.
     """
-    connected = {0} | {1 << i for i in range(ground_size)} | set(masks)
-    generators = [m for m in connected if m & (m - 1)]
-    work = list(generators)
-    while work:
-        a = work.pop()
-        for g in generators:
-            u = a | g
-            if a & g and u not in connected:
-                connected.add(u)
-                work.append(u)
-    return frozenset(connected)
+    family = {0} | {1 << i for i in range(ground_size)}
+    kept: list = []
+    for g in sorted(set(masks), key=int.bit_count):
+        if g in family:
+            continue
+        kept.append(g)
+        family.add(g)
+        work = [g]
+        while work:
+            a = work.pop()
+            for h in kept:
+                u = a | h
+                if a & h and u not in family:
+                    family.add(u)
+                    work.append(u)
+    return frozenset(family), kept
 
 
 def generate_integral(size: int, masks: Iterable[int]) -> ConnectiveStructure:
     """Smallest integral structure on the points 1..size whose connected
     family contains every mask."""
-    return ConnectiveStructure(size, _close(size, masks))
+    return ConnectiveStructure(size, _close(size, map(int, masks))[0])
 
 
 def _subset_structures(k: int, verdict, families: Mapping) -> tuple:
@@ -189,20 +200,10 @@ def _subset_structures(k: int, verdict, families: Mapping) -> tuple:
 
 
 def irreducibles(structure: ConnectiveStructure) -> frozenset:
-    """Connected parts (size >= 2) not regenerated by the other connected parts.
-
-    The family is closed under unions with a common point, so a part k is
-    regenerated exactly when k = a | b for connected proper subsets a, b of k
-    that meet: the last union step producing k is such a pair.  Singletons
-    and the empty set are never irreducible: integrality restores them.
-    """
-    candidates = [m for m in structure.connected if m.bit_count() >= 2]
-    result = set()
-    for k in candidates:
-        parts = [m for m in candidates if m != k and m & k == m]
-        if not any(a & b and a | b == k for a, b in itertools.combinations(parts, 2)):
-            result.add(k)
-    return frozenset(result)
+    """Connected parts (size >= 2) that are not the union of two smaller
+    connected parts that meet: the masks `_close` keeps.  Singletons and the
+    empty set are never irreducible: integrality restores them."""
+    return frozenset(_close(structure.size, structure.connected)[1])
 
 
 def connective_order(structure: ConnectiveStructure) -> int:
@@ -211,14 +212,7 @@ def connective_order(structure: ConnectiveStructure) -> int:
     An antichain of irreducibles has order 1; no irreducibles at all gives 0,
     so a discrete structure has order 0.
     """
-    irr = sorted(irreducibles(structure), key=int.bit_count)
-    height: dict = {}
-    best = 0
-    for k in irr:
-        h = 1
-        for m in irr:
-            if m != k and m & k == m and m in height:
-                h = max(h, height[m] + 1)
-        height[k] = h
-        best = max(best, h)
-    return best
+    height = {0: 0}  # the empty set, below every irreducible
+    for k in sorted(irreducibles(structure), key=int.bit_count):
+        height[k] = 1 + max([h for m, h in height.items() if m & k == m])
+    return max(height.values())

@@ -165,7 +165,7 @@ def _split_cuts(reduce, k: int, tol: float) -> np.ndarray:
 def _completely_entangled(reduced: DensityOperator, tol: float) -> tuple:
     if abs(purity(reduced) - 1.0) <= tol:
         top = np.linalg.eigh(reduced.matrix)[1][:, -1]
-        cuts = _bipartitions(range(reduced.layout.sites))
+        cuts = _bipartitions(reduced.layout.sites)
         split = _separable_cuts(top, reduced.layout.dims, cuts, tol)
         return not split.any(), VerdictQuality.EXACT
     # positive partial transpose is only necessary for separability: an

@@ -328,7 +328,7 @@ def _profile(reduce, j: tuple, cap: int) -> tuple:
             f"device on sites {on} has {total} deterministic realizations, above the cap {cap}"
         )
     k = len(j)
-    cuts = _bipartitions(range(k))
+    cuts = _bipartitions(k)
     coverage, codes = _scan(device, cuts)
     every, some = coverage.all(axis=1), coverage.any(axis=1)
 
@@ -382,11 +382,11 @@ def _domanial(k: int, codes) -> tuple:
         generators = frozenset(masks)
         if generators not in folded_do:
             folded_do.add(generators)
-            do &= _close(k, generators)
+            do &= _close(k, generators)[0]
         generators = frozenset(m | 1 << i for i, m in enumerate(masks))
         if generators not in folded_dp:
             folded_dp.add(generators)
-            dp &= _close(k, generators)
+            dp &= _close(k, generators)[0]
     return ConnectiveStructure(k, do), ConnectiveStructure(k, dp)
 
 

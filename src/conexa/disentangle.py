@@ -223,7 +223,7 @@ def classify_on_subset(psi: PureState, j_sites, tol: float = DEFAULT_TOL) -> Cla
         raise DomainError("classification needs a subset with at least two sites")
     if any(psi.layout.dims[s] < 2 for s in psi.layout.site_indices()):
         raise DomainError("analysis requires every site dimension >= 2")
-    cuts = _bipartitions(range(len(j)))
+    cuts = _bipartitions(len(j))
     dims_j = tuple(psi.layout.dims[s] for s in j)
 
     factor = _factor_on(psi, j, tol)

@@ -470,7 +470,7 @@ def _block_plan(dims: tuple) -> tuple:
         m *= dims[lead]
     rows, inners = [], {}
     if lead and k - lead > 1:
-        for c, (a, b) in enumerate(_bipartitions(range(k))):
+        for c, (a, b) in enumerate(_bipartitions(k)):
             inner = tuple(s - lead for s in b if s >= lead)
             if (0 < len(inner) < k - lead
                     and min(math.prod(dims[s] for s in side) for side in (a, b)) > 1):
@@ -506,7 +506,7 @@ def _block_certificates(tens: np.ndarray, norm: float, tol: float) -> np.ndarray
     k = tens.ndim // 2
     dims = tens.shape[:k]
     lead, inners, rows, keys = _block_plan(dims)
-    certified = np.zeros(len(_bipartitions(range(k))), dtype=bool)
+    certified = np.zeros(len(_bipartitions(k)), dtype=bool)
     if len(rows):
         corner = (0,) * lead + (slice(None),) * (k - lead)
         block = tens[corner + corner]
@@ -538,7 +538,7 @@ def ppt_entangled(rho: DensityOperator, tol: float = DEFAULT_TOL) -> tuple:
     norm = _frobenius(rho.matrix)
     certified = _block_certificates(tens, norm, tol)
     entangled = True
-    for (a, b), certain in zip(_bipartitions(range(rho.layout.sites)), certified.tolist()):
+    for (a, b), certain in zip(_bipartitions(rho.layout.sites), certified.tolist()):
         da, db = (math.prod(tens.shape[s] for s in side) for side in (a, b))
         if certain or (min(da, db) > 1 and _min_eig_below(_transposed(tens, b), -tol, norm)):
             continue

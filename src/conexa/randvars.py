@@ -26,6 +26,7 @@ import numpy as np
 
 from .connective import (
     ConnectiveStructure,
+    _check_ground,
     _check_labels,
     _cut_table,
     _subset_structures,
@@ -33,14 +34,17 @@ from .connective import (
     irreducibles,
 )
 from .errors import DomainError
-from .quantum import DEFAULT_TOL
+from .quantum import _EPS, DEFAULT_TOL
 
 
 @dataclass(frozen=True)
 class FiniteJointDistribution:
     """Probability table over a product of finite outcome alphabets.
 
-    A float table must sum to 1 within `tol`; an exact one exactly.  A table
+    An exact table must sum to 1 exactly, a float one within tol plus the band
+    n eps (1 + tol), n its nonzero entries: rounding each entry and summing
+    them moves a sum of at most 1 + tol by no more (as for the trace of a
+    `DensityOperator`), so a rounded table passes at tol = 0.  A table
     with any float entry, a zero included, is a float table.  A boolean is an
     error, not a probability to convert.  Entries naming one outcome add up.
 
@@ -100,7 +104,7 @@ class FiniteJointDistribution:
         total = sum(weights)
         if exact and total != scale:
             raise DomainError(f"probabilities sum to {Fraction(total, scale)}, not 1")
-        if not exact and abs(total - 1.0) > tol:
+        if not exact and abs(total - 1.0) > tol + len(entries) * _EPS * (1 + tol):
             raise DomainError(f"probabilities sum to {total}, not 1 within {tol}")
         dtype = float if not exact else np.int64 if scale * scale < 2**62 else object
         object.__setattr__(self, "outcomes", outcomes)
@@ -253,6 +257,7 @@ def rv_analysis(dist: FiniteJointDistribution, tol: float = DEFAULT_TOL) -> RvRe
     two or more points are as many as the raw generators.
     """
     k = dist.variables
+    _check_ground(k)
     separable = np.logical_or.reduceat(_sweep(dist, tol)[2], _cut_table(k)[0])
     verdicts = dict(zip((j for j, _ in _subsets(k)), np.logical_not(separable).tolist()))
     inseparable, structures = _subset_structures(k, verdicts.__getitem__, {"rv": bool})

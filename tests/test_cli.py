@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conexa import devices
+from conexa import devices, randvars
 from conexa.cli import main
 from conexa.connective import (
     _bipartitions,
@@ -564,7 +564,7 @@ def test_analyze_device_matches_separate_layers(tmp_path, capsys):
             })
         profile = profiles[tuple(range(1, dev.uplicity + 1))]
         tensorial = max(connective_order(s) for s in structures.values())
-        _, codes = devices._scan(dev, _bipartitions(range(dev.uplicity)))
+        _, codes = devices._scan(dev, _bipartitions(dev.uplicity))
         structures["do"], structures["dp"] = devices._domanial(dev.uplicity, codes)
         domanial = max(connective_order(structures["do"]), connective_order(structures["dp"]))
         expected = {
@@ -943,3 +943,35 @@ def test_analyze_rvs_tol_reaches_float_tables(tmp_path, capsys):
         structures[tol] = report["result"]["structure"]["connected"]
     dependent = [[], ["1"], ["2"], ["1", "2"]]
     assert structures == {"0": dependent, "1e-9": dependent, "0.5": [[], ["1"], ["2"]]}
+
+
+@pytest.mark.parametrize("offset, code", [(0.0, 0), (1e-12, 2)])
+def test_analyze_rvs_tol_zero_accepts_a_rounded_sum(offset, code, tmp_path, capsys):
+    # ten entries of 0.1 sum to 0.9999999999999999 in floats: rounding alone,
+    # which the sum check's band absorbs; an entry off by 1e-12 is beyond it
+    prob = {f"{a}{b}": 0.1 for a in "01234" for b in "01"}
+    prob["00"] += offset
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps({"outcomes": [list("01234"), ["0", "1"]], "prob": prob}))
+    status, out, err = run_cli(capsys, "analyze-rvs", "--file", str(path), "--tol", "0")
+    assert status == code
+    if code:
+        assert out == "" and err.startswith("error: probabilities sum to 1.00000000000")
+        assert err.endswith(", not 1 within 0.0\n")
+    else:
+        assert err == "" and load_report(out)["tolerance"] == 0
+
+
+def test_analyze_rvs_refuses_too_many_variables_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # 25 binary variables, all 0 or all 1: the sweep would build every one of
+    # the 2^25 subsets before any structure refused its ground
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(randvars, "_sweep", no_sweep)
+    path = tmp_path / "dist.json"
+    prob = {"0" * 25: "1/2", "1" * 25: "1/2"}
+    path.write_text(json.dumps({"outcomes": [["0", "1"]] * 25, "prob": prob}))
+    code, out, err = run_cli(capsys, "analyze-rvs", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: ground size 25 is not in 1..24\n"

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from conexa.connective import (
     ConnectiveStructure,
+    _bipartitions,
     _check_indices,
     _check_labels,
+    _close,
     _cut_table,
     _subset_structures,
     _subsets,
@@ -118,9 +120,9 @@ def test_brunnian_structure_examples():
 
 
 @st.composite
-def _generator_lists(draw):
-    """A ground size n <= 7 and up to 2n nonempty masks over it."""
-    n = draw(st.integers(1, 7))
+def _generator_lists(draw, max_n=7):
+    """A ground size n <= max_n and up to 2n nonempty masks over it."""
+    n = draw(st.integers(1, max_n))
     gens = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=2 * n))
     return n, gens
 
@@ -132,6 +134,63 @@ def test_closure_axiom_on_generated_structures(case):
     s = generate_integral(n, gens)
     assert oracle_close(n, s.connected) == s.connected
     assert s.connected == oracle_close(n, gens)
+    # the kept masks are the irreducibles: each is a drawn generator, and
+    # together they regenerate the structure
+    assert frozenset(_close(n, gens)[1]) == irreducibles(s) <= set(gens)
+    assert generate_integral(n, irreducibles(s)) == s
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_generator_lists(max_n=6))
+def test_irreducibles_match_oracle_on_drawn_families(case):
+    n, gens = case
+    s = generate_integral(n, gens)
+    assert irreducibles(s) == frozenset(oracle_irreducibles(s))
+
+
+@pytest.mark.parametrize("k", [10, 11, 12])
+def test_power_set_closure_past_ten_points(k):
+    # every mask of two or more points, accepted as for a W_k state's kappa_corr
+    s = generate_integral(k, [m for m in range(1 << k) if m.bit_count() >= 2])
+    assert s.connected == frozenset(range(1 << k))
+    assert irreducibles(s) == frozenset(mask(p) for p in itertools.combinations(range(1, k + 1), 2))
+    assert connective_order(s) == 1
+
+
+@pytest.mark.parametrize("k", [10, 11, 12])
+def test_sparse_families_past_ten_points_match_oracle(k):
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        gens = [
+            mask(rng.choice(np.arange(1, k + 1), size=int(rng.integers(2, 5)), replace=False).tolist())
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        assert generate_integral(k, gens).connected == oracle_close(k, gens)
+
+
+def test_nested_chain_of_twelve_points():
+    s = structure(12, [tuple(range(1, top + 1)) for top in range(2, 13)])
+    assert irreducibles(s) == frozenset(mask(range(1, top + 1)) for top in range(2, 13))
+    assert connective_order(s) == 11
+
+
+def test_cut_table_caches_one_cut_list_per_site_count():
+    _bipartitions.cache_clear()
+    _cut_table.cache_clear()
+    starts, cuts = _cut_table(10)
+    assert _bipartitions.cache_info().currsize <= 10
+    inline, first = [], []
+    for r in range(2, 11):
+        for j in itertools.combinations(range(10), r):
+            first.append(len(inline))
+            inline += [
+                [sum(1 << s for s in j), sum(1 << s for s in a), sum(1 << s for s in j if s not in a)]
+                for size in range(1, r)
+                for a in itertools.combinations(j, size)
+                if j[0] in a
+            ]
+    assert starts.tolist() == first
+    assert cuts.T.tolist() == inline
 
 
 def test_generate_is_idempotent():

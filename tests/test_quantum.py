@@ -676,7 +676,7 @@ def test_ppt_verdicts_at_the_rounding_band(dims, kind, tol):
     rng = np.random.default_rng(sum(dims) * 10 + len(kind))
     sigma = (_maximally_correlated(dims) if kind == "werner"
              else random_density_matrix(rng, dims, int(kind[-1])))
-    cuts = _bipartitions(range(len(dims)))
+    cuts = _bipartitions(len(dims))
     for a, b in cuts:
         if min(math.prod(dims[s] for s in side) for side in (a, b)) == 1:
             continue
@@ -739,7 +739,7 @@ def test_ppt_verdicts_match_the_oracle_with_block_certificates():
     def check(case):
         dims, matrix = case
         rho = DensityOperator(SiteLayout(dims), matrix)
-        cuts = _bipartitions(range(len(dims)))
+        cuts = _bipartitions(len(dims))
         want = [_oracle_ppt(matrix, dims, *cut, DEFAULT_TOL) for cut in cuts]
         tens = rho.matrix.reshape(dims * 2)
         certified = _block_certificates(tens, _frobenius(rho.matrix), DEFAULT_TOL)
