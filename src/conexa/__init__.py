@@ -53,7 +53,6 @@ from .errors import DomainError, ResourceError
 from .quantum import (
     DensityOperator,
     PureState,
-    SiteLayout,
     builtin_state,
     partial_trace,
     purity,

@@ -173,14 +173,14 @@ def _cmd_analyze_state(args) -> dict:
                  "provide --file or --builtin")
     report = disentanglement_structures(psi, tol=args.tol)
     selected = STRUCTURE_NAMES
-    if args.structures:
+    if args.structures is not None:
         selected = tuple(name.strip() for name in args.structures.split(","))
         unknown = [n for n in selected if n not in STRUCTURE_NAMES]
         if unknown:
             raise DomainError(f"unknown structure names {unknown}; known: {STRUCTURE_NAMES}")
-    key = _subset_key(psi.layout.sites)
+    key = _subset_key(len(psi.dims))
     return {
-        "dims": list(psi.layout.dims),
+        "dims": list(psi.dims),
         "classes": {
             key(j): {"class": cls.kind.value, "confidence": cls.confidence.value}
             for j, cls in report.classes.items()
@@ -197,9 +197,9 @@ def _cmd_analyze_density(args) -> dict:
                  lambda data: density_from_dict(data, tol=args.tol),
                  "provide --file or --builtin")
     report = density_structures(rho, tol=args.tol)
-    key = _subset_key(rho.layout.sites)
+    key = _subset_key(len(rho.dims))
     return {
-        "dims": list(rho.layout.dims),
+        "dims": list(rho.dims),
         "subsets": {
             key(j): {
                 "completely_correlated": v.completely_correlated,
@@ -285,7 +285,7 @@ def _cmd_derive_device(args) -> dict:
     if args.menus.endswith(".json"):
         menus = _load(args.menus, menus_from_dict)
     else:
-        menus = _parse_menu_tokens(args.menus, psi.layout.sites)
+        menus = _parse_menu_tokens(args.menus, len(psi.dims))
     recode = args.recode if args.recode != "raw" else None
     device = derive_device(psi, menus, recode=recode, tol=args.tol)
     return {"device": device_to_dict(device)}

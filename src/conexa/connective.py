@@ -99,14 +99,22 @@ def _cut_table(k: int) -> tuple:
     order and each subset's cuts in `_bipartitions` order, and `starts` the
     index of each subset's first cut: a per-cut array reduces to one verdict
     per subset with `np.logical_or.reduceat(..., starts)`.
+
+    Each subset size r is one array step: the (subsets, r) site bits of the
+    size-r subsets times the (cuts, r) 0/1 matrix of the sides a of
+    `_bipartitions(r)` gives every side mask a, and b = J ^ a.
     """
-    starts, cuts = [], []
-    for j, mask in _subsets(k):
-        starts.append(len(cuts))
-        sides = [_mask(j[p] for p in a) for a, _ in _bipartitions(len(j))]
-        cuts += [(mask, a, mask ^ a) for a in sides]
-    cuts = np.array(cuts, dtype=np.intp).reshape(-1, 3).T
-    return np.array(starts, dtype=np.intp), cuts
+    starts, cuts, count = [np.zeros(0, dtype=np.intp)], [np.zeros((3, 0), dtype=np.intp)], 0
+    for r in range(2, k + 1):
+        sites = itertools.chain.from_iterable(itertools.combinations(range(k), r))
+        bits = 1 << np.fromiter(sites, dtype=np.intp).reshape(-1, r)
+        sides = np.array([[p in a for p in range(r)] for a, _ in _bipartitions(r)], dtype=np.intp)
+        a = (bits @ sides.T).reshape(-1)
+        j = np.repeat(bits.sum(axis=1), len(sides))
+        starts.append(count + len(sides) * np.arange(len(bits), dtype=np.intp))
+        cuts.append(np.stack([j, a, j ^ a]))
+        count += len(a)
+    return np.concatenate(starts), np.concatenate(cuts, axis=1)
 
 
 def _check_indices(indices, count: int, noun: str) -> tuple:

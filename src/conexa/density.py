@@ -132,7 +132,7 @@ def _product(sides, cut) -> np.ndarray:
     k = len(cut[0]) + len(cut[1])
     operands = []
     for rho_side, side in zip(sides, cut):
-        operands.append(rho_side.matrix.reshape(rho_side.layout.dims * 2))
+        operands.append(rho_side.matrix.reshape(rho_side.dims * 2))
         operands.append([*side, *(k + p for p in side)])
     n = sides[0].matrix.shape[0] * sides[1].matrix.shape[0]
     return np.einsum(*operands, list(range(2 * k))).reshape(n, n)
@@ -165,8 +165,8 @@ def _split_cuts(reduce, k: int, tol: float) -> np.ndarray:
 def _completely_entangled(reduced: DensityOperator, tol: float) -> tuple:
     if abs(purity(reduced) - 1.0) <= tol:
         top = np.linalg.eigh(reduced.matrix)[1][:, -1]
-        cuts = _bipartitions(reduced.layout.sites)
-        split = _separable_cuts(top, reduced.layout.dims, cuts, tol)
+        cuts = _bipartitions(len(reduced.dims))
+        split = _separable_cuts(top, reduced.dims, cuts, tol)
         return not split.any(), VerdictQuality.EXACT
     # positive partial transpose is only necessary for separability: an
     # inconclusive cut counts as separable but degrades the quality flag
@@ -176,7 +176,7 @@ def _completely_entangled(reduced: DensityOperator, tol: float) -> tuple:
 
 def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> DensityReport:
     """Evaluate both predicates on every subset and generate kappa_corr, kappa_S."""
-    k = rho.layout.sites
+    k = len(rho.dims)
     if k < 2:
         raise DomainError("density analysis needs at least two sites")
     reduce = _reductions(rho)

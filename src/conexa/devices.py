@@ -113,14 +113,6 @@ class Device:
     def question_tuples(self) -> list:
         return sorted(self.relation)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Device)
-            and self.questions == other.questions
-            and self.results == other.results
-            and self.relation == other.relation
-        )
-
 
 @dataclass(frozen=True)
 class LocalityProfile:
@@ -467,7 +459,7 @@ def derive_device(
     """
     if recode not in (None, "paper"):
         raise DomainError(f"unknown recode option {recode!r}")
-    k = psi.layout.sites
+    k = len(psi.dims)
     if len(menus) != k:
         raise DomainError(f"expected one menu per site ({k}), got {len(menus)}")
     questions = _check_labels([[label for label, _ in menu] for menu in menus], "question")
@@ -477,10 +469,10 @@ def derive_device(
         by_label = {}
         for label, (_, matrix) in zip(labels, menu):
             vals, vecs = _eigensystem(matrix, tol)
-            if len(vals) != psi.layout.dims[site]:
+            if len(vals) != psi.dims[site]:
                 raise DomainError(
                     f"observable on site {site} has dimension {len(vals)}, "
-                    f"site has {psi.layout.dims[site]}"
+                    f"site has {psi.dims[site]}"
                 )
             raws = [_format_eigenvalue(v) for v in vals]
             if len(set(raws)) < len(raws):
@@ -511,7 +503,7 @@ def derive_device(
         np.stack([by_label[q[site]][1] for q in tuples]) for site, by_label in enumerate(systems)
     ]
     _, norms = _residuals(psi, tuple(range(k)), bases)
-    indices = np.indices(psi.layout.dims).reshape(k, -1).T
+    indices = np.indices(psi.dims).reshape(k, -1).T
     relation = {
         q: {
             tuple(answers_of[site][q[site]][i] for site, i in enumerate(indices[o]))

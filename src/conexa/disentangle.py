@@ -167,7 +167,7 @@ def _pool(dims: tuple) -> tuple:
 def _factor_on(psi: PureState, j: tuple, tol: float) -> Optional[np.ndarray]:
     """The J-factor of psi, as a vector over J's sites, when psi splits as
     (J-part) x (rest), else None."""
-    if len(j) == psi.layout.sites:
+    if len(j) == len(psi.dims):
         return psi.amplitudes
     mat = _matricize(psi, j)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
@@ -218,13 +218,13 @@ def classify_on_subset(psi: PureState, j_sites, tol: float = DEFAULT_TOL) -> Cla
     residuals are not deduplicated: a repeated state never changes the
     any/all tests below.
     """
-    j = _check_indices(j_sites, psi.layout.sites, "site")
+    j = _check_indices(j_sites, len(psi.dims), "site")
     if len(j) < 2:
         raise DomainError("classification needs a subset with at least two sites")
-    if any(psi.layout.dims[s] < 2 for s in psi.layout.site_indices()):
+    if min(psi.dims) < 2:
         raise DomainError("analysis requires every site dimension >= 2")
     cuts = _bipartitions(len(j))
-    dims_j = tuple(psi.layout.dims[s] for s in j)
+    dims_j = tuple(psi.dims[s] for s in j)
 
     factor = _factor_on(psi, j, tol)
     if factor is not None:
@@ -234,15 +234,15 @@ def classify_on_subset(psi: PureState, j_sites, tol: float = DEFAULT_TOL) -> Cla
         kind = _decide(~separable, separable, profile.all(axis=0))
         return Classification(kind, Confidence.CERTIFIED)
 
-    complement = tuple(s for s in psi.layout.site_indices() if s not in j)
-    pool = _pool(tuple(psi.layout.dims[s] for s in complement))
+    complement = tuple(s for s in range(len(psi.dims)) if s not in j)
+    pool = _pool(tuple(psi.dims[s] for s in complement))
     count = len(pool[0])
     # per experiment: some outcome splits along no cut / along some cut
     ent_here = np.zeros(count, dtype=bool)
     sep_here = np.zeros(count, dtype=bool)
     # per cut: every outcome of every experiment splits along it
     sep_along = np.ones(len(cuts), dtype=bool)
-    step = max(1, _CHUNK // psi.layout.total_dim)
+    step = max(1, _CHUNK // psi.amplitudes.size)
     for start in range(0, count, step):
         chunk = [b[start:start + step] for b in pool]
         residuals, norms = _residuals(psi, complement, chunk)
@@ -261,7 +261,7 @@ def disentanglement_structures(psi: PureState, tol: float = DEFAULT_TOL) -> Dise
 
     Ground labels are 1-based site numbers.
     """
-    k = psi.layout.sites
+    k = len(psi.dims)
     if k < 2:
         raise DomainError("disentanglement analysis needs at least two sites")
     classes, structures = _subset_structures(

@@ -37,39 +37,17 @@ _BLOCK = 8
 _CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class SiteLayout:
-    """Local Hilbert-space dimensions, one per site, in fixed row-major order.
-
-    Dimensions must be integers: a string, a float or a boolean is an error,
-    not a dimension to convert.
-    """
-
-    dims: tuple
-
-    def __init__(self, dims: Iterable[int]):
-        values = tuple(dims)
-        dims = tuple(operator.index(d) for d in values)
-        if any(isinstance(v, bool) or d < 1 for v, d in zip(values, dims)):
-            raise DomainError(f"site dimensions must be integers >= 1: {values}")
-        if math.prod(dims) > MAX_TOTAL_DIM:
-            raise DomainError(f"total dimension {math.prod(dims)} exceeds cap {MAX_TOTAL_DIM}")
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def sites(self) -> int:
-        return len(self.dims)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
-
-    def site_indices(self) -> tuple:
-        return tuple(range(self.sites))
-
-    def restrict(self, sites: Iterable[int]) -> "SiteLayout":
-        sites = _check_indices(sites, self.sites, "site")
-        return SiteLayout(self.dims[s] for s in sites)
+def _check_dims(dims: Iterable[int]) -> tuple:
+    """Local Hilbert-space dimensions, one per site in row-major order, as a
+    tuple of ints: integers >= 1 (a string, a float or a boolean is an error,
+    not a dimension to convert) whose product is at most MAX_TOTAL_DIM."""
+    values = tuple(dims)
+    dims = tuple(operator.index(d) for d in values)
+    if any(isinstance(v, bool) or d < 1 for v, d in zip(values, dims)):
+        raise DomainError(f"site dimensions must be integers >= 1: {values}")
+    if math.prod(dims) > MAX_TOTAL_DIM:
+        raise DomainError(f"total dimension {math.prod(dims)} exceeds cap {MAX_TOTAL_DIM}")
+    return dims
 
 
 def _finite_copy(values, what: str) -> np.ndarray:
@@ -89,21 +67,22 @@ def _hermitian(mat: np.ndarray, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit vector over the layout's product space, auto-normalized on construction.
+    """Unit vector over the product space of `dims`, auto-normalized on construction.
 
     A vector whose norm overflows or is at most 1e-12 is first divided by its
     largest real or imaginary part; any other vector is normalized as given.
     Only a vector with no nonzero entry is refused.
     """
 
-    layout: SiteLayout
+    dims: tuple
     amplitudes: np.ndarray
 
-    def __init__(self, layout: SiteLayout, amplitudes):
+    def __init__(self, dims: Iterable[int], amplitudes):
+        dims = _check_dims(dims)
         amp = _finite_copy(amplitudes, "state vector").reshape(-1)
-        if amp.size != layout.total_dim:
+        if amp.size != math.prod(dims):
             raise DomainError(
-                f"amplitude length {amp.size} != total dimension {layout.total_dim}"
+                f"amplitude length {amp.size} != total dimension {math.prod(dims)}"
             )
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(amp))
@@ -115,25 +94,25 @@ class PureState:
             norm = float(np.linalg.norm(amp))
         amp /= norm
         amp.setflags(write=False)
-        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amp)
 
     @property
     def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.layout.dims)
+        return self.amplitudes.reshape(self.dims)
 
     def density(self) -> "DensityOperator":
-        return DensityOperator(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityOperator(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def __eq__(self, other):
         return (
             isinstance(other, PureState)
-            and self.layout == other.layout
+            and self.dims == other.dims
             and np.array_equal(self.amplitudes, other.amplitudes)
         )
 
     def __hash__(self):
-        return hash((self.layout, self.amplitudes.tobytes()))
+        return hash((self.dims, self.amplitudes.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -157,12 +136,13 @@ class DensityOperator:
       (4 n (n + 1) + 1) eps (1 + tol).
     """
 
-    layout: SiteLayout
+    dims: tuple
     matrix: np.ndarray
 
-    def __init__(self, layout: SiteLayout, matrix, tol: float = DEFAULT_TOL):
+    def __init__(self, dims: Iterable[int], matrix, tol: float = DEFAULT_TOL):
+        dims = _check_dims(dims)
         mat = _finite_copy(matrix, "density matrix")
-        n = layout.total_dim
+        n = math.prod(dims)
         if mat.shape != (n, n):
             raise DomainError(f"density matrix shape {mat.shape} != ({n}, {n})")
         if not _hermitian(mat, tol):
@@ -174,27 +154,27 @@ class DensityOperator:
         if _min_eig_below(mat, bound, _frobenius(mat)):
             raise DomainError("density matrix has a significantly negative eigenvalue")
         mat.setflags(write=False)
-        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def _derived(cls, layout: SiteLayout, mat: np.ndarray) -> "DensityOperator":
-        """Wrap a matrix computed from a validated operator, without the input checks."""
+    def _derived(cls, dims: tuple, mat: np.ndarray) -> "DensityOperator":
+        """Wrap dims and a matrix computed from a validated operator, without the input checks."""
         mat.setflags(write=False)
         rho = object.__new__(cls)
-        object.__setattr__(rho, "layout", layout)
+        object.__setattr__(rho, "dims", dims)
         object.__setattr__(rho, "matrix", mat)
         return rho
 
     def __eq__(self, other):
         return (
             isinstance(other, DensityOperator)
-            and self.layout == other.layout
+            and self.dims == other.dims
             and np.array_equal(self.matrix, other.matrix)
         )
 
     def __hash__(self):
-        return hash((self.layout, self.matrix.tobytes()))
+        return hash((self.dims, self.matrix.tobytes()))
 
 
 def _eigensystem(matrix, tol: float) -> tuple:
@@ -220,10 +200,10 @@ def _eigensystem(matrix, tol: float) -> tuple:
 
 def _matricize(psi: PureState, part: tuple) -> np.ndarray:
     """Rows indexed by `part` (sorted), columns by the complementary sites."""
-    rest = tuple(s for s in psi.layout.site_indices() if s not in part)
+    rest = tuple(s for s in range(len(psi.dims)) if s not in part)
     perm = part + rest
     t = np.transpose(psi.tensor, perm)
-    rows = math.prod(psi.layout.dims[s] for s in part)
+    rows = math.prod(psi.dims[s] for s in part)
     return t.reshape(rows, -1)
 
 
@@ -337,18 +317,18 @@ def _residuals(psi: PureState, sites: tuple, bases: Sequence[np.ndarray]) -> tup
     and their norms (n, outcomes).  The squared norm is the outcome
     probability, and an outcome is possible iff its norm is > tol.
     """
-    _check_indices(sites, psi.layout.sites, "site")
+    _check_indices(sites, len(psi.dims), "site")
     if not sites or len(bases) != len(sites):
         raise DomainError("one basis stack per measured site is required")
-    dims = psi.layout.dims
+    dims = psi.dims
     n = len(bases[0])
     for s, b in zip(sites, bases):
         if b.ndim != 3 or b.shape[0] != n or b.shape[1] != dims[s]:
             raise DomainError(
                 f"bases for site {s} have shape {b.shape}, expected ({n}, {dims[s]}, m)"
             )
-    rest = tuple(s for s in psi.layout.site_indices() if s not in sites)
-    total = psi.layout.total_dim
+    rest = tuple(s for s in range(len(dims)) if s not in sites)
+    total = psi.amplitudes.size
     # axes: (stack entry, outcomes so far, unmeasured amplitudes)
     t = np.transpose(psi.tensor, tuple(sites) + rest).reshape(1, 1, total)
     t = np.broadcast_to(t, (n, 1, total))
@@ -368,21 +348,22 @@ def _residuals(psi: PureState, sites: tuple, bases: Sequence[np.ndarray]) -> tup
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """Reduce to the sites in `keep`, tracing everything else out.
 
-    The result skips the input checks that rho passed: rounding grows with
-    the number of sites traced out, and must not fail a valid operator.
+    The result skips the input checks that rho passed: its dims are a
+    selection of rho's, and rounding, which grows with the number of sites
+    traced out, must not fail a valid operator.
     """
-    keep = _check_indices(keep, rho.layout.sites, "site")
+    dims = rho.dims
+    k = len(dims)
+    keep = _check_indices(keep, k, "site")
     if not keep:
         raise DomainError("partial_trace needs a nonempty set of sites to keep")
-    k = rho.layout.sites
-    dims = rho.layout.dims
     tens = rho.matrix.reshape(dims + dims)
     ket = list(range(k))
     bra = [k + i if i in keep else i for i in range(k)]
     out = [i for i in keep] + [k + i for i in keep]
     reduced = np.einsum(tens, ket + bra, out)
     side = math.prod(dims[s] for s in keep)
-    return DensityOperator._derived(rho.layout.restrict(keep), reduced.reshape(side, side))
+    return DensityOperator._derived(tuple(dims[s] for s in keep), reduced.reshape(side, side))
 
 
 def purity(rho: DensityOperator) -> float:
@@ -534,11 +515,11 @@ def ppt_entangled(rho: DensityOperator, tol: float = DEFAULT_TOL) -> tuple:
     too; every other cut's partial transpose is copied once, into the matrix
     that is factorized.
     """
-    tens = rho.matrix.reshape(rho.layout.dims * 2)
+    tens = rho.matrix.reshape(rho.dims * 2)
     norm = _frobenius(rho.matrix)
     certified = _block_certificates(tens, norm, tol)
     entangled = True
-    for (a, b), certain in zip(_bipartitions(rho.layout.sites), certified.tolist()):
+    for (a, b), certain in zip(_bipartitions(len(rho.dims)), certified.tolist()):
         da, db = (math.prod(tens.shape[s] for s in side) for side in (a, b))
         if certain or (min(da, db) > 1 and _min_eig_below(_transposed(tens, b), -tol, norm)):
             continue
@@ -571,19 +552,19 @@ def pauli_x_binary() -> np.ndarray:
 
 
 def _epr() -> PureState:
-    return PureState(SiteLayout((2, 2)), [1, 0, 0, 1])
+    return PureState((2, 2), [1, 0, 0, 1])
 
 
 def _ghz() -> PureState:
-    return PureState(SiteLayout((2, 2, 2)), [1, 0, 0, 0, 0, 0, 0, 1])
+    return PureState((2, 2, 2), [1, 0, 0, 0, 0, 0, 0, 1])
 
 
 def _o2() -> PureState:
-    return PureState(SiteLayout((2, 2, 2)), [2, 0, 0, 2, 2, 0, 0, -1])
+    return PureState((2, 2, 2), [2, 0, 0, 2, 2, 0, 0, -1])
 
 
 def _k_state() -> PureState:
-    return PureState(SiteLayout((2, 2, 2)), [0, -1, -1, 0, -1, 0, 0, 1])
+    return PureState((2, 2, 2), [0, -1, -1, 0, -1, 0, 0, 1])
 
 
 BUILTIN_STATES = {

@@ -20,7 +20,7 @@ import numpy as np
 from .connective import ConnectiveStructure
 from .devices import Device
 from .errors import DomainError
-from .quantum import DEFAULT_TOL, DensityOperator, PureState, SiteLayout
+from .quantum import DEFAULT_TOL, DensityOperator, PureState
 from .randvars import FiniteJointDistribution
 
 
@@ -95,24 +95,24 @@ def _complex_array(data, ndim: int) -> np.ndarray:
 
 def state_to_dict(psi: PureState) -> dict:
     return {
-        "dims": list(psi.layout.dims),
+        "dims": list(psi.dims),
         "amplitudes": [_complex_pair(z) for z in psi.amplitudes],
     }
 
 
 def state_from_dict(data: Mapping) -> PureState:
-    return PureState(SiteLayout(data["dims"]), _complex_array(data["amplitudes"], 1))
+    return PureState(data["dims"], _complex_array(data["amplitudes"], 1))
 
 
 def density_to_dict(rho: DensityOperator) -> dict:
     return {
-        "dims": list(rho.layout.dims),
+        "dims": list(rho.dims),
         "matrix": [[_complex_pair(z) for z in row] for row in rho.matrix],
     }
 
 
 def density_from_dict(data: Mapping, tol: float = DEFAULT_TOL) -> DensityOperator:
-    return DensityOperator(SiteLayout(data["dims"]), _complex_array(data["matrix"], 2), tol=tol)
+    return DensityOperator(data["dims"], _complex_array(data["matrix"], 2), tol=tol)
 
 
 def menus_from_dict(data: Sequence) -> list:

@@ -6,12 +6,13 @@ code under test is never used to produce its own expected output.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from conexa.connective import ConnectiveStructure
 from conexa.devices import Device
-from conexa.quantum import PureState, SiteLayout
+from conexa.quantum import PureState
 
 
 def mask(points) -> int:
@@ -39,17 +40,15 @@ def discrete(n: int) -> ConnectiveStructure:
 
 
 def basis_state(dims, indices) -> PureState:
-    """Computational basis state |indices...> on the given layout."""
-    layout = SiteLayout(dims)
-    amp = np.zeros(layout.total_dim, dtype=np.complex128)
-    amp[np.ravel_multi_index(tuple(indices), layout.dims)] = 1.0
-    return PureState(layout, amp)
+    """Computational basis state |indices...> over the site dimensions `dims`."""
+    amp = np.zeros(math.prod(dims), dtype=np.complex128)
+    amp[np.ravel_multi_index(tuple(indices), dims)] = 1.0
+    return PureState(dims, amp)
 
 
 def tensor_state(a: PureState, b: PureState) -> PureState:
     """Kronecker product; the result's sites are a's sites followed by b's."""
-    layout = SiteLayout(a.layout.dims + b.layout.dims)
-    return PureState(layout, np.kron(a.amplitudes, b.amplitudes))
+    return PureState(a.dims + b.dims, np.kron(a.amplitudes, b.amplitudes))
 
 
 def tensor_device(a: Device, b: Device) -> Device:
@@ -63,8 +62,8 @@ def tensor_device(a: Device, b: Device) -> Device:
 
 
 def same_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
-    """Phase-blind equality of two states on one layout: |<a|b>| = 1 within tol."""
-    return a.layout == b.layout and abs(np.vdot(a.amplitudes, b.amplitudes)) > 1.0 - tol
+    """Phase-blind equality of two states with one dims: |<a|b>| = 1 within tol."""
+    return a.dims == b.dims and abs(np.vdot(a.amplitudes, b.amplitudes)) > 1.0 - tol
 
 
 def oracle_close(ground_size: int, masks) -> frozenset:

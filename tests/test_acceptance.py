@@ -26,7 +26,6 @@ from conexa.disentangle import IntricationClass, disentanglement_structures
 from conexa.quantum import (
     DEFAULT_TOL,
     PureState,
-    SiteLayout,
     _eigensystem,
     _residuals,
     builtin_state,
@@ -315,7 +314,7 @@ def test_criterion_10_property_suites():
 
     # six-structure inclusion chains on 50 random three-qubit states
     for _ in range(50):
-        psi = PureState(SiteLayout((2, 2, 2)), random_state_vector(rng, 8))
+        psi = PureState((2, 2, 2), random_state_vector(rng, 8))
         s = {k: v.connected for k, v in disentanglement_structures(psi).structures.items()}
         assert s["GI"] <= s["BIP"] <= s["IP"]
         assert s["GI"] <= s["MT"] <= s["IP"]
@@ -340,7 +339,7 @@ def test_criterion_10_property_suites():
     menu = (pauli_z(), pauli_x(), pauli_z())
     bases = [_eigensystem(m, DEFAULT_TOL)[1][None] for m in menu]
     for _ in range(100):
-        psi = PureState(SiteLayout((2, 2, 2)), random_state_vector(rng, 8))
+        psi = PureState((2, 2, 2), random_state_vector(rng, 8))
         _, norms = _residuals(psi, (0, 1, 2), bases)
         possible = norms[norms > 1e-9]
         assert abs(float(np.sum(possible**2)) - 1.0) < 1e-9

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from importlib import resources
 
@@ -27,7 +28,7 @@ from conexa.serialize import (
     structure_to_dict,
 )
 from conexa.devices import builtin_device
-from conexa.quantum import DensityOperator, PureState, SiteLayout, builtin_state
+from conexa.quantum import DensityOperator, PureState, builtin_state
 from conexa.randvars import realize_structure
 
 from helpers import mask, random_density_matrix, random_state_vector, tensor_device
@@ -85,6 +86,14 @@ def test_analyze_state_structure_filter(capsys):
     assert sorted(report["result"]["structures"]) == ["GI", "MT"]
 
 
+@pytest.mark.parametrize("names", ["", " ", "GI,"], ids=repr)
+def test_analyze_state_empty_structure_name_exits_2(names, capsys):
+    # an empty name is an unknown name, also when it is the whole option
+    code, out, err = run_cli(capsys, "analyze-state", "--builtin", "EPR", "--structures", names)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown structure names") and err.count("\n") == 1
+
+
 def test_analyze_state_requires_seed(capsys):
     # no seed is required: the pool is fixed, and --seed is parsed and ignored
     for command in ("analyze-state", "order"):
@@ -139,13 +148,30 @@ def test_analyze_density_does_not_revalidate_reductions(tmp_path, capsys):
     t = np.arange(32)
     matrix[t, 32 + t] += 0.45e-9
     matrix[32 + t, t] -= 0.45e-9
-    rho = DensityOperator(SiteLayout((2,) * 6), matrix)
+    rho = DensityOperator((2,) * 6, matrix)
     assert abs(partial_trace(rho, [0]).matrix[0, 1] - 32 * 0.45e-9) < 1e-15
     path = tmp_path / "rho.json"
     path.write_text(json.dumps(density_to_dict(rho)))
     code, out, err = run_cli(capsys, "analyze-density", "--file", str(path))
     assert (code, err) == (0, "")
     assert load_report(out)["result"]["orders"]["omega_f"] == 0
+
+
+def test_analyze_density_checks_dims_once(tmp_path, capsys, monkeypatch):
+    # the file's dims are checked where the operator is built; every
+    # reduction takes its dims from it unchecked
+    from conexa import quantum
+    from conexa.serialize import density_to_dict
+
+    matrix = random_density_matrix(np.random.default_rng(3), (2,) * 5, 2)
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(density_to_dict(DensityOperator((2,) * 5, matrix))))
+    calls = []
+    check = quantum._check_dims
+    monkeypatch.setattr(quantum, "_check_dims", lambda dims: calls.append(dims) or check(dims))
+    code, _, err = run_cli(capsys, "analyze-density", "--file", str(path))
+    assert (code, err) == (0, "")
+    assert calls == [[2] * 5]
 
 
 def test_analyze_device_builtin_k(capsys):
@@ -387,8 +413,7 @@ def test_analyze_state_reports_pinned(source, tmp_path, capsys):
         argv = list(source)
     else:
         seed, dims = source
-        layout = SiteLayout(dims)
-        psi = PureState(layout, random_state_vector(np.random.default_rng(seed), layout.total_dim))
+        psi = PureState(dims, random_state_vector(np.random.default_rng(seed), math.prod(dims)))
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state_to_dict(psi)))
         argv = ["--file", str(path)]
@@ -452,7 +477,7 @@ def _golden_argv(command, name, tmp_path) -> list:
     if name in SEEDED_DENSITIES:
         dims, matrix = SEEDED_DENSITIES[name](np.random.default_rng(19))
         path = tmp_path / "rho.json"
-        path.write_text(json.dumps(density_to_dict(DensityOperator(SiteLayout(dims), matrix))))
+        path.write_text(json.dumps(density_to_dict(DensityOperator(dims, matrix))))
         return [command, "--file", str(path)]
     return [command, "--builtin", name]
 
@@ -677,6 +702,22 @@ MALFORMED_INPUTS = {
     "boolean dims": (
         ["analyze-density", "--file"],
         json.dumps({"dims": [True, 2, 2], "matrix": _identity4()}),
+    ),
+    "zero dims (state)": (
+        ["analyze-state", "--file"],
+        json.dumps({"dims": [2, 0], "amplitudes": _AMPS}),
+    ),
+    "zero dims (density)": (
+        ["analyze-density", "--file"],
+        json.dumps({"dims": [0, 2, 2], "matrix": _identity4()}),
+    ),
+    "dims over the cap (state)": (
+        ["analyze-state", "--file"],
+        json.dumps({"dims": [2] * 15, "amplitudes": _AMPS}),
+    ),
+    "dims over the cap (density)": (
+        ["analyze-density", "--file"],
+        json.dumps({"dims": [2] * 15, "matrix": _identity4()}),
     ),
     "fractional dims": (
         ["analyze-state", "--file"],

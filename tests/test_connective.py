@@ -177,20 +177,24 @@ def test_nested_chain_of_twelve_points():
 def test_cut_table_caches_one_cut_list_per_site_count():
     _bipartitions.cache_clear()
     _cut_table.cache_clear()
-    starts, cuts = _cut_table(10)
+    _cut_table(10)
     assert _bipartitions.cache_info().currsize <= 10
-    inline, first = [], []
-    for r in range(2, 11):
-        for j in itertools.combinations(range(10), r):
-            first.append(len(inline))
-            inline += [
-                [sum(1 << s for s in j), sum(1 << s for s in a), sum(1 << s for s in j if s not in a)]
-                for size in range(1, r)
-                for a in itertools.combinations(j, size)
-                if j[0] in a
-            ]
-    assert starts.tolist() == first
-    assert cuts.T.tolist() == inline
+    for k in range(1, 11):
+        starts, cuts = _cut_table(k)
+        inline, first = [], []
+        for r in range(2, k + 1):
+            for j in itertools.combinations(range(k), r):
+                first.append(len(inline))
+                inline += [
+                    [sum(1 << s for s in j), sum(1 << s for s in a),
+                     sum(1 << s for s in j if s not in a)]
+                    for size in range(1, r)
+                    for a in itertools.combinations(j, size)
+                    if j[0] in a
+                ]
+        assert starts.dtype == cuts.dtype == np.intp
+        assert starts.tolist() == first
+        assert cuts.shape == (3, len(inline)) and cuts.T.tolist() == inline
 
 
 def test_generate_is_idempotent():

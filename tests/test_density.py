@@ -1,6 +1,7 @@
 """Density-side structures: complete correlation, complete entanglement, orders."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from conexa.quantum import (
     DensityOperator,
     _frobenius,
     PureState,
-    SiteLayout,
     builtin_state,
     partial_trace,
 )
@@ -48,8 +48,7 @@ from helpers import (
 )
 
 def random_pure(rng, dims):
-    layout = SiteLayout(dims)
-    return PureState(layout, random_state_vector(rng, layout.total_dim))
+    return PureState(dims, random_state_vector(rng, math.prod(dims)))
 
 
 def verdict_on(rho, j):
@@ -60,7 +59,7 @@ def verdict_on(rho, j):
 def test_ghz_pair_completely_correlated_matches_oracle():
     rho = builtin_state("GHZ").density()
     assert verdict_on(rho, (0, 1)).completely_correlated
-    assert oracle_completely_correlated(rho.matrix, rho.layout.dims, (0, 1))
+    assert oracle_completely_correlated(rho.matrix, rho.dims, (0, 1))
 
 
 def test_product_density_not_correlated():
@@ -82,7 +81,7 @@ def test_correlation_ignores_uncorrelated_bystander():
     triple = tensor_state(builtin_state("EPR"), random_pure(rng, (2,))).density()
     assert verdict_on(triple, (0, 1)).completely_correlated
     assert not verdict_on(triple, (0, 1, 2)).completely_correlated
-    assert oracle_completely_correlated(triple.matrix, triple.layout.dims, (0, 1, 2)) is False
+    assert oracle_completely_correlated(triple.matrix, triple.dims, (0, 1, 2)) is False
 
 
 def test_ghz_full_set_completely_entangled_exact():
@@ -113,7 +112,7 @@ def test_inconclusive_cut_flags_ppt_necessary(dims):
     # has a side of dimension 1 and is exactly separable; the later
     # inconclusive cuts still flag the subset
     matrix = horodecki_2x4(0.5)
-    rho = DensityOperator(SiteLayout(dims), matrix)
+    rho = DensityOperator(dims, matrix)
     v = verdict_on(rho, (0, 1, 2))
     assert (v.completely_entangled, v.quality) == (False, VerdictQuality.PPT_NECESSARY)
     assert oracle_completely_entangled(matrix, dims, [0, 1, 2]) == (False, "PPT_NECESSARY")
@@ -261,7 +260,7 @@ _EPR_AND_QUBIT = np.kron(builtin_state("EPR").density().matrix, np.full((2, 2), 
 @example(((2, 2, 2), _EPR_AND_QUBIT))
 def test_density_structures_match_oracles(case):
     dims, matrix = case
-    report = density_structures(DensityOperator(SiteLayout(dims), matrix))
+    report = density_structures(DensityOperator(dims, matrix))
     assert len(report.subsets) == 2 ** len(dims) - len(dims) - 1
     for labels, verdict in report.subsets.items():
         sites = [s - 1 for s in labels]
@@ -294,7 +293,7 @@ def test_site_of_dimension_one_keeps_every_flag_of_the_oracle(position):
     def check(core):
         dims, matrix = core
         dims = dims[:position] + (1,) + dims[position:]
-        report = density_structures(DensityOperator(SiteLayout(dims), matrix))
+        report = density_structures(DensityOperator(dims, matrix))
         for labels, verdict in report.subsets.items():
             sites = [s - 1 for s in labels]
             entangled, quality = oracle_completely_entangled(matrix, dims, sites)
@@ -322,7 +321,7 @@ def test_every_cut_splits_as_the_entrywise_oracle(case):
     # each cut of the shared cut table gets the entrywise comparison's answer
     dims, matrix = case
     k = len(dims)
-    split = _split_cuts(_reductions(DensityOperator(SiteLayout(dims), matrix)), k, 1e-9)
+    split = _split_cuts(_reductions(DensityOperator(dims, matrix)), k, 1e-9)
     cuts = _cut_table(k)[1].T.tolist()
     assert split.shape == (len(cuts),)
     for verdict, masks in zip(split.tolist(), cuts):
@@ -362,9 +361,8 @@ def test_density_structures_are_local_unitary_invariant(matrix, seed):
     # (U_1 (x) U_2 (x) U_3) rho (...)^dagger gets every verdict and flag of rho
     rng = np.random.default_rng(seed)
     u = functools.reduce(np.kron, [haar_unitary(rng, 2) for _ in range(3)])
-    layout = SiteLayout((2, 2, 2))
-    turned = density_structures(DensityOperator(layout, u @ matrix @ u.conj().T))
-    assert turned.subsets == density_structures(DensityOperator(layout, matrix)).subsets
+    turned = density_structures(DensityOperator((2, 2, 2), u @ matrix @ u.conj().T))
+    assert turned.subsets == density_structures(DensityOperator((2, 2, 2), matrix)).subsets
 
 
 _NAMED = [((2, 2, 2), builtin_state(name).density().matrix) for name in ("GHZ", "O2", "K")] + [
@@ -388,9 +386,9 @@ def test_site_permutation_permutes_every_verdict(case):
     dims, matrix, perm = case
     k, n = len(dims), len(matrix)
     moved = np.transpose(matrix.reshape(dims * 2), [*perm, *(k + p for p in perm)])
-    before = density_structures(DensityOperator(SiteLayout(dims), matrix)).subsets
+    before = density_structures(DensityOperator(dims, matrix)).subsets
     after = density_structures(
-        DensityOperator(SiteLayout(dims[p] for p in perm), moved.reshape(n, n))
+        DensityOperator(tuple(dims[p] for p in perm), moved.reshape(n, n))
     ).subsets
     assert len(after) == len(before)
     for labels, verdict in after.items():
@@ -419,7 +417,7 @@ def near_products(draw):
         side_dims = [dims[p] for p in part]
         matrix = (random_density_matrix(rng, side_dims, draw(st.integers(1, 3)))
                   if draw(st.booleans()) else _uniform(int(np.prod(side_dims))))
-        sides.append(DensityOperator(SiteLayout(side_dims), matrix))
+        sides.append(DensityOperator(side_dims, matrix))
     scale = tol * draw(st.one_of(
         st.floats(0, 1, exclude_max=True), st.sampled_from((1 - 2**-40, 1 - 2**-20))
     ))
@@ -453,8 +451,8 @@ def test_norm_bound_keeps_every_cut_the_product_test_accepts(case):
 def test_norm_bound_is_tight_on_uniform_products():
     # |+><+| (x) |+><+| + s tol J has a norm gap of exactly n s tol: kept
     # just below s = 1, ruled out just above it
-    rho_a = DensityOperator(SiteLayout((2, 2)), _uniform(4))
-    rho_b = DensityOperator(SiteLayout((2,)), _uniform(2))
+    rho_a = DensityOperator((2, 2), _uniform(4))
+    rho_b = DensityOperator((2,), _uniform(2))
     cut = ((0, 2), (1,))
     product = _product([rho_a, rho_b], cut)
     tol = 1e-6
@@ -465,7 +463,7 @@ def test_norm_bound_is_tight_on_uniform_products():
 
 
 def test_site_of_dimension_one_is_analyzed():
-    rho = PureState(SiteLayout((1, 2, 2)), [1, 0, 0, 1]).density()
+    rho = PureState((1, 2, 2), [1, 0, 0, 1]).density()
     report = density_structures(rho)
     pair = report.subsets[(2, 3)]
     assert (pair.completely_correlated, pair.completely_entangled, pair.quality) == (
@@ -484,7 +482,7 @@ def _diagonal_embedding(dist):
     for outcome, p in dist.prob.items():
         index = [alphabet.index(x) for alphabet, x in zip(dist.outcomes, outcome)]
         diag[np.ravel_multi_index(index, dims)] = float(p)
-    return DensityOperator(SiteLayout(dims), np.diag(diag))
+    return DensityOperator(dims, np.diag(diag))
 
 
 def test_classical_density_matches_rv_engine():

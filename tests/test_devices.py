@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import random
 from unittest import mock
 
@@ -26,13 +27,13 @@ from conexa.devices import (
 from conexa.errors import DomainError, ResourceError
 from conexa.quantum import (
     PureState,
-    SiteLayout,
     builtin_state,
     pauli_x,
     pauli_x_binary,
     pauli_z,
     pauli_z_binary,
 )
+from conexa.serialize import device_from_dict, device_to_dict
 
 from helpers import (
     borromean,
@@ -110,6 +111,17 @@ def test_relation_keys_naming_one_question_pool_their_answers():
     })
     assert dev.relation[("0", "1")] == {("0", "1"), ("1", "1")}
     assert realization_count(dev) == 2
+
+
+def test_devices_compare_by_value():
+    # equality compares questions, results and relation; a device is unhashable
+    k = builtin_device("K")
+    back = device_from_dict(json.loads(json.dumps(device_to_dict(k))))
+    assert back == k and back is not k
+    assert k != builtin_device("GHZ")
+    assert k != 3
+    with pytest.raises(TypeError):
+        hash(k)
 
 
 def test_incoherent_device_rejected():
@@ -682,8 +694,8 @@ def test_derive_rejects_degenerate_observable():
 
 def test_derived_product_state_device_is_separable():
     rng = np.random.default_rng(8)
-    a = PureState(SiteLayout((2,)), random_state_vector(rng, 2))
-    b = PureState(SiteLayout((2,)), random_state_vector(rng, 2))
+    a = PureState((2,), random_state_vector(rng, 2))
+    b = PureState((2,), random_state_vector(rng, 2))
     joint = tensor_state(a, b)
     dev = derive_device(joint, zx_menus(2), recode="paper")
     profile = locality(dev)
@@ -692,7 +704,7 @@ def test_derived_product_state_device_is_separable():
 
 
 def _qubit(rng):
-    return PureState(SiteLayout((2,)), random_state_vector(rng, 2))
+    return PureState((2,), random_state_vector(rng, 2))
 
 
 # States for the NS inclusion: builtins, Bell (x) |0>, products of three
@@ -701,9 +713,9 @@ _PREPARED = {
     "GHZ": lambda rng: builtin_state("GHZ"),
     "K": lambda rng: builtin_state("K"),
     "O2": lambda rng: builtin_state("O2"),
-    "Bell0": lambda rng: tensor_state(builtin_state("EPR"), PureState(SiteLayout((2,)), [1, 0])),
+    "Bell0": lambda rng: tensor_state(builtin_state("EPR"), PureState((2,), [1, 0])),
     "product": lambda rng: tensor_state(tensor_state(_qubit(rng), _qubit(rng)), _qubit(rng)),
-    "Haar": lambda rng: PureState(SiteLayout((2, 2, 2)), random_state_vector(rng, 8)),
+    "Haar": lambda rng: PureState((2, 2, 2), random_state_vector(rng, 8)),
 }
 
 

@@ -20,7 +20,6 @@ from conexa.disentangle import (
 from conexa.errors import DomainError
 from conexa.quantum import (
     PureState,
-    SiteLayout,
     _residuals,
     builtin_state,
 )
@@ -39,8 +38,7 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def random_pure(rng, dims):
-    layout = SiteLayout(dims)
-    return PureState(layout, random_state_vector(rng, layout.total_dim))
+    return PureState(dims, random_state_vector(rng, math.prod(dims)))
 
 
 def experiments_of(pool):
@@ -60,9 +58,9 @@ def pool_replaced(stacks):
 def residual_states(psi, j, bases, tol=1e-9) -> list:
     """The possible residual J-states of psi, in outcome order, under one
     experiment: one basis per site outside J, in site order."""
-    complement = tuple(s for s in range(psi.layout.sites) if s not in j)
+    complement = tuple(s for s in range(len(psi.dims)) if s not in j)
     residuals, norms = _residuals(psi, complement, [np.asarray(b)[None] for b in bases])
-    return [PureState(psi.layout.restrict(j), v) for v in residuals[0][norms[0] > tol]]
+    return [PureState(tuple(psi.dims[s] for s in j), v) for v in residuals[0][norms[0] > tol]]
 
 
 def pool_with_extras(dims, extras):
@@ -140,7 +138,7 @@ def test_post_states_ghz_x_experiment_all_entangled():
     h = np.array([[1, 1], [1, -1]]) * INV_SQRT2
     states = residual_states(ghz, (1, 2), [h])
     epr_plus = builtin_state("EPR")
-    epr_minus = PureState(SiteLayout((2, 2)), [1, 0, 0, -1])
+    epr_minus = PureState((2, 2), [1, 0, 0, -1])
     assert len(states) == 2
     for s in states:
         assert same_up_to_phase(s, epr_plus) or same_up_to_phase(s, epr_minus)
@@ -226,7 +224,7 @@ def test_o2_subset_classes_and_structures():
     v = np.array([1.0, -1.0]) * INV_SQRT2
     residuals, norms = _residuals(o2, (0,), [v.reshape(1, 2, 1)])
     assert abs(norms[0, 0] ** 2 - 9.0 / 26.0) < 1e-12
-    hit = PureState(SiteLayout((2, 2)), residuals[0, 0])
+    hit = PureState((2, 2), residuals[0, 0])
     assert same_up_to_phase(hit, basis_state((2, 2), (1, 1)))
 
     rep = disentanglement_structures(o2)
@@ -280,7 +278,7 @@ def test_generic_experiment_decides_the_adversarial_state():
     # exactly the Z and X ones, so every structured experiment mixes product and
     # entangled outcomes; only the generic experiment is entangled throughout.
     amplitudes = np.array([1, 0, 0, 0, 0, 1, 1, 1]) / 2.0
-    psi = PureState(SiteLayout((2, 2, 2)), amplitudes)
+    psi = PureState((2, 2, 2), amplitudes)
     hadamard = np.array([[1, 1], [1, -1]]) * INV_SQRT2
     for j in ((0, 1), (0, 2), (1, 2)):
         cls = classify_on_subset(psi, j)
@@ -400,7 +398,7 @@ def oracle_cases(draw):
 def _check_against_oracle(case):
     dims, kind, seed, j, pool_kind, tol = case
     rng = np.random.default_rng(seed)
-    psi = PureState(SiteLayout(dims), _oracle_state(kind, dims, rng))
+    psi = PureState(dims, _oracle_state(kind, dims, rng))
     shape = tuple(d for s, d in enumerate(dims) if s not in j)
     pool, experiments = disentangle._pool(shape), []
     if shape:
@@ -454,11 +452,11 @@ def test_classify_matches_oracle_across_chunks(case):
 
 def test_oracle_examples_hit_impossible_outcomes_and_certified_path():
     dims, kind, seed, j = GHZ_LIKE[:4]
-    ghz = PureState(SiteLayout(dims), _oracle_state(kind, dims, np.random.default_rng(seed)))
+    ghz = PureState(dims, _oracle_state(kind, dims, np.random.default_rng(seed)))
     z_on_qutrit = experiments_of(disentangle._pool((3,)))[0]
     assert len(residual_states(ghz, j, z_on_qutrit)) == 2  # outcome 2 is impossible
     dims, kind, seed, j = PRODUCT[:4]
-    product = PureState(SiteLayout(dims), _oracle_state(kind, dims, np.random.default_rng(seed)))
+    product = PureState(dims, _oracle_state(kind, dims, np.random.default_rng(seed)))
     assert classify_on_subset(product, j).confidence is Confidence.CERTIFIED
 
 
@@ -469,7 +467,7 @@ def test_classify_conjugates_the_measured_basis():
     tensor = np.zeros((2, 2, 2), dtype=complex)
     tensor[:, :, 0] = np.eye(2)
     tensor[:, :, 1] = np.diag([-2j, -3])
-    psi = PureState(SiteLayout((2, 2, 2)), tensor.reshape(-1))
+    psi = PureState((2, 2, 2), tensor.reshape(-1))
     tilted = np.array([[-2j, 1], [1, -2j]]) / math.sqrt(5.0)
     experiments = [np.eye(2), tilted]
     with pool_replaced([np.stack(experiments)]):
@@ -489,9 +487,9 @@ def test_wrong_dimension_bases_raise_domain_error():
 
 def moved_state(psi, perm):
     """The state whose site i is site perm[i] of psi."""
-    dims = psi.layout.dims
+    dims = psi.dims
     amplitudes = np.transpose(psi.amplitudes.reshape(dims), perm).reshape(-1)
-    return PureState(SiteLayout([dims[p] for p in perm]), amplitudes)
+    return PureState([dims[p] for p in perm], amplitudes)
 
 
 # States for the site-permutation property: builtins, Haar states on three
@@ -520,7 +518,7 @@ def test_site_permutation_permutes_every_class_and_structure(name, seed, data):
     # of the moved sites is psi's class of its image, and every structure's
     # masks move with it
     psi = _PERMUTED[name](np.random.default_rng(seed))
-    perm = data.draw(st.permutations(range(psi.layout.sites)))
+    perm = data.draw(st.permutations(range(len(psi.dims))))
     before = disentanglement_structures(psi)
     after = disentanglement_structures(moved_state(psi, perm))
     assert len(after.classes) == len(before.classes)

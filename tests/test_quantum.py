@@ -26,7 +26,6 @@ from conexa.quantum import (
     _separable_cuts,
     _transposed,
     PureState,
-    SiteLayout,
     builtin_state,
     partial_trace,
     pauli_x,
@@ -54,12 +53,11 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def qubit(a, b) -> PureState:
-    return PureState(SiteLayout((2,)), [a, b])
+    return PureState((2,), [a, b])
 
 
 def random_pure(rng, dims) -> PureState:
-    layout = SiteLayout(dims)
-    return PureState(layout, random_state_vector(rng, layout.total_dim))
+    return PureState(dims, random_state_vector(rng, math.prod(dims)))
 
 
 # the Peres-Horodecki verdicts on one cut
@@ -69,10 +67,10 @@ SEPARABLE, ENTANGLED, PPT_INCONCLUSIVE = "SEPARABLE", "ENTANGLED", "PPT_INCONCLU
 def ppt(rho, a, b, tol=DEFAULT_TOL) -> str:
     """The verdict on the cut a|b of rho from the two rules that `ppt_entangled`
     applies to each cut: the eigenvalue test and the dimension rule."""
-    da, db = (math.prod(rho.layout.dims[s] for s in side) for side in (a, b))
+    da, db = (math.prod(rho.dims[s] for s in side) for side in (a, b))
     if min(da, db) == 1:
         return SEPARABLE
-    tens = rho.matrix.reshape(rho.layout.dims * 2)
+    tens = rho.matrix.reshape(rho.dims * 2)
     if _min_eig_below(_transposed(tens, b), -tol, _frobenius(rho.matrix)):
         return ENTANGLED
     return SEPARABLE if {da, db} in ({2}, {2, 3}) else PPT_INCONCLUSIVE
@@ -92,7 +90,7 @@ def schmidt(psi, part) -> np.ndarray:
 
 def separable(psi, a, b, tol=1e-9) -> bool:
     cut = (tuple(a), tuple(b))
-    return bool(_separable_cuts(psi.amplitudes, psi.layout.dims, [cut], tol)[0, 0])
+    return bool(_separable_cuts(psi.amplitudes, psi.dims, [cut], tol)[0, 0])
 
 
 def contract(psi, site_vectors):
@@ -100,8 +98,8 @@ def contract(psi, site_vectors):
     sites = tuple(site_vectors)
     bases = [np.reshape(site_vectors[s], (1, -1, 1)) for s in sites]
     residuals, norms = _residuals(psi, sites, bases)
-    rest = [d for s, d in enumerate(psi.layout.dims) if s not in sites]
-    return PureState(SiteLayout(rest), residuals[0, 0]), float(norms[0, 0]) ** 2
+    rest = [d for s, d in enumerate(psi.dims) if s not in sites]
+    return PureState(rest, residuals[0, 0]), float(norms[0, 0]) ** 2
 
 
 def measure(psi, observables, tol=1e-9) -> list:
@@ -249,17 +247,16 @@ def test_every_cut_agrees_with_svd(dims, seed):
     # random states and products of two random factors, over every cut, with
     # every group of cuts in one stack and with one cut per stack
     rng = np.random.default_rng(seed)
-    layout = SiteLayout(dims)
     split = int(rng.integers(1, len(dims)))
     states = [random_pure(rng, dims), tensor_state(random_pure(rng, dims[:split]),
                                                    random_pure(rng, dims[split:]))]
     amplitudes = np.stack([psi.amplitudes for psi in states])
     cuts = [(a, tuple(s for s in range(len(dims)) if s not in a))
             for r in range(1, len(dims)) for a in itertools.combinations(range(len(dims)), r)]
-    got = _separable_cuts(amplitudes, layout.dims, cuts, 1e-9)
+    got = _separable_cuts(amplitudes, dims, cuts, 1e-9)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantum, "_CHUNK", 1)
-        assert np.array_equal(_separable_cuts(amplitudes, layout.dims, cuts, 1e-9), got)
+        assert np.array_equal(_separable_cuts(amplitudes, dims, cuts, 1e-9), got)
     for c, (a, b) in enumerate(cuts):
         for i, psi in enumerate(states):
             coeffs = np.linalg.svd(psi.tensor.transpose(a + b).reshape(
@@ -358,7 +355,7 @@ def test_measure_rejects_degenerate_observable(psi, matrix):
     # the kernel measures rank-1 projectors only, so a repeated eigenvalue
     # would split one outcome into several with equal values
     with pytest.raises(DomainError, match="repeated eigenvalues"):
-        derive_device(psi, [[("*", matrix)]] * psi.layout.sites)
+        derive_device(psi, [[("*", matrix)]] * len(psi.dims))
 
 
 def test_partial_contract_agrees_with_measurement():
@@ -381,7 +378,7 @@ def test_partial_contract_agrees_with_measurement():
 @pytest.mark.parametrize("amplitude, possible", [(1e-6, True), (1e-10, False)])
 def test_one_possibility_rule(amplitude, possible):
     # |11> has probability amplitude**2: possible iff its residual norm is > tol
-    psi = PureState(SiteLayout((2, 2)), [1, 0, 0, amplitude])
+    psi = PureState((2, 2), [1, 0, 0, amplitude])
     _, norms = _residuals(psi, (0,), [np.eye(2)[None]])
     assert (norms[0] > 1e-9).tolist() == [True, possible]
     values = [values for values, _, _ in measure(psi, [(0, pauli_z()), (1, pauli_z())])]
@@ -432,7 +429,7 @@ def test_measure_projective_matches_projector_oracle(case, data):
     # eigenvector product times the residual is the post-state up to phase
     dims, seed, sparse, computational = case
     rng = np.random.default_rng(seed)
-    psi = PureState(SiteLayout(dims), _case_state(rng, dims, sparse))
+    psi = PureState(dims, _case_state(rng, dims, sparse))
     order = data.draw(st.permutations(range(len(dims))))
     sites = tuple(order[: data.draw(st.integers(1, len(dims)))])
     observables = [(s, _case_observable(rng, dims[s], computational)) for s in sites]
@@ -458,7 +455,7 @@ def test_measure_projective_matches_projector_oracle(case, data):
 def test_derive_device_matches_projector_oracle(case, data):
     dims, seed, sparse, computational = case
     rng = np.random.default_rng(seed)
-    psi = PureState(SiteLayout(dims), _case_state(rng, dims, sparse))
+    psi = PureState(dims, _case_state(rng, dims, sparse))
     menus = [
         [(label, _case_observable(rng, d, computational)) for label in "ab"[: rng.integers(1, 3)]]
         for d in dims
@@ -517,7 +514,7 @@ def test_partial_trace_properties_random_states():
 def test_purity_examples():
     ghz = builtin_state("GHZ")
     assert abs(purity(ghz.density()) - 1.0) < 1e-9
-    mixed = DensityOperator(SiteLayout((2,)), np.eye(2) / 2)
+    mixed = DensityOperator((2,), np.eye(2) / 2)
     assert abs(purity(mixed) - 0.5) < 1e-12
     reduced = partial_trace(ghz.density(), [0, 1])
     assert abs(purity(reduced) - 0.5) < 1e-9
@@ -535,7 +532,7 @@ def test_ppt_classical_mixture_separable():
     mats = np.zeros((4, 4), dtype=complex)
     mats[0, 0] = 0.5
     mats[3, 3] = 0.5
-    rho = DensityOperator(SiteLayout((2, 2)), mats)
+    rho = DensityOperator((2, 2), mats)
     assert ppt(rho, [0], [1]) == SEPARABLE
 
 
@@ -549,7 +546,7 @@ def test_ppt_product_state_separable():
 def test_ppt_mixed_product_separable():
     rng = np.random.default_rng(15)
     factor = random_pure(rng, (2,)).density().matrix
-    rho = DensityOperator(SiteLayout((2, 2)), np.kron(np.eye(2) / 2, factor))
+    rho = DensityOperator((2, 2), np.kron(np.eye(2) / 2, factor))
     assert ppt(rho, [0], [1]) == SEPARABLE
 
 
@@ -560,7 +557,7 @@ def test_ppt_inconclusive_beyond_low_dimensions():
     joint = tensor_state(a, b).density()
     assert ppt(joint, [0, 1], [2, 3]) == PPT_INCONCLUSIVE
     # a 1 x 4 cut has a side of dimension 1: always a product
-    epr = PureState(SiteLayout((1, 2, 2)), [1, 0, 0, 1]).density()
+    epr = PureState((1, 2, 2), [1, 0, 0, 1]).density()
     assert ppt(epr, [0], [1, 2]) == SEPARABLE
 
 
@@ -596,18 +593,17 @@ def test_min_eig_below_agrees_with_eigvalsh(k, n, bound, seed):
 
 def test_min_eig_below_leaves_its_input_unwritten():
     # the partial transpose is a view of rho.matrix
-    rho = PureState(SiteLayout((1, 2)), [1, 0]).density()
-    assert _min_eig_below(_transposed(rho.matrix.reshape(rho.layout.dims * 2), [0]), 0.5, 1.0)
+    rho = PureState((1, 2), [1, 0]).density()
+    assert _min_eig_below(_transposed(rho.matrix.reshape(rho.dims * 2), [0]), 0.5, 1.0)
     assert np.array_equal(rho.matrix, [[1, 0], [0, 0]])
 
 
 def test_density_negative_eigenvalue_check():
-    layout = SiteLayout((2,))
-    DensityOperator(layout, np.diag([1 + 5e-10, -5e-10]))
+    DensityOperator((2,), np.diag([1 + 5e-10, -5e-10]))
     for mat in (np.diag([1 + 2e-9, -2e-9]), [[0.5, 1e200], [1e200, 0.5]]):
         # the second one's norm overflows, which leaves the decision to eigvalsh
         with pytest.raises(DomainError, match="negative eigenvalue"):
-            DensityOperator(layout, mat)
+            DensityOperator((2,), mat)
 
 
 @pytest.mark.parametrize("a", np.linspace(0.05, 0.95, 19))
@@ -615,14 +611,14 @@ def test_ppt_entangled_states_stay_inconclusive(a):
     # PPT but entangled: the partial transpose has no negative eigenvalue,
     # so neither ENTANGLED nor, beyond 2x3, SEPARABLE may be returned
     for dims, matrix in (((2, 4), horodecki_2x4(a)), ((3, 3), tiles_upb(a))):
-        rho = DensityOperator(SiteLayout(dims), matrix)
+        rho = DensityOperator(dims, matrix)
         assert ppt(rho, [0], [1]) == PPT_INCONCLUSIVE
 
 
 def test_tiles_state_kernel_stays_inconclusive():
     # without noise the partial transpose equals the state and has a
     # five-dimensional kernel: its least eigenvalue rounds to about 0
-    rho = DensityOperator(SiteLayout((3, 3)), tiles_upb(1.0))
+    rho = DensityOperator((3, 3), tiles_upb(1.0))
     assert ppt(rho, [0], [1]) == PPT_INCONCLUSIVE
 
 
@@ -630,7 +626,7 @@ def test_tiles_state_kernel_stays_inconclusive():
 def test_werner_state_is_entangled_exactly_above_one_third(p):
     singlet = np.array([0, 1, -1, 0]) / math.sqrt(2)
     werner = p * np.outer(singlet, singlet) + (1 - p) * np.eye(4) / 4
-    rho = DensityOperator(SiteLayout((2, 2)), werner)
+    rho = DensityOperator((2, 2), werner)
     want = ENTANGLED if p > 1 / 3 else SEPARABLE
     assert ppt(rho, [0], [1]) == want
     assert ppt(rho, [1], [0]) == want
@@ -685,7 +681,7 @@ def test_ppt_verdicts_at_the_rounding_band(dims, kind, tol):
             matrix = _least_pt_eigenvalue_at(sigma, dims, b, -tol + k * delta)
             least = np.linalg.eigvalsh(oracle_partial_transpose(matrix, dims, b))[0]
             assert abs(least - (-tol + k * delta)) < delta / 4
-            rho = DensityOperator(SiteLayout(dims), matrix)
+            rho = DensityOperator(dims, matrix)
             # the cuts that the pass reaches
             want = [_oracle_ppt(matrix, dims, *cut, tol) for cut in cuts]
             if PPT_INCONCLUSIVE in want:
@@ -738,7 +734,7 @@ def test_ppt_verdicts_match_the_oracle_with_block_certificates():
     @given(qutrit_operators())
     def check(case):
         dims, matrix = case
-        rho = DensityOperator(SiteLayout(dims), matrix)
+        rho = DensityOperator(dims, matrix)
         cuts = _bipartitions(len(dims))
         want = [_oracle_ppt(matrix, dims, *cut, DEFAULT_TOL) for cut in cuts]
         tens = rho.matrix.reshape(dims * 2)
@@ -752,22 +748,36 @@ def test_ppt_verdicts_match_the_oracle_with_block_certificates():
 
 
 def test_state_normalization_and_zero_rejection():
-    s = PureState(SiteLayout((2,)), [3.0, 4.0])
+    s = PureState((2,), [3.0, 4.0])
     assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
     with pytest.raises(DomainError):
-        PureState(SiteLayout((2,)), [0.0, 0.0])
+        PureState((2,), [0.0, 0.0])
 
 
 def test_layout_cap():
-    with pytest.raises(DomainError):
-        SiteLayout((2,) * 15)
+    # the dims are checked before the amplitudes or the matrix
+    with pytest.raises(DomainError, match="exceeds cap"):
+        PureState((2,) * 15, [1.0])
+    with pytest.raises(DomainError, match="exceeds cap"):
+        DensityOperator((2,) * 15, np.eye(1))
+
+
+def test_numpy_integer_dims_become_a_tuple_of_ints():
+    amplitudes = [1.0, 0.0, 0.0, 1.0]
+    psi = PureState(np.array([2, 2]), amplitudes)
+    assert type(psi.dims) is tuple and all(type(d) is int for d in psi.dims)
+    assert psi == PureState((2, 2), amplitudes)
+    assert hash(psi) == hash(PureState((2, 2), amplitudes))
+    rho = DensityOperator(np.array([2, 2], dtype=np.int32), psi.density().matrix)
+    assert type(rho.dims) is tuple and all(type(d) is int for d in rho.dims)
+    assert rho == psi.density() and hash(rho) == hash(psi.density())
 
 
 def test_density_validation():
     with pytest.raises(DomainError):
-        DensityOperator(SiteLayout((2,)), np.eye(2))  # trace 2
+        DensityOperator((2,), np.eye(2))  # trace 2
     with pytest.raises(DomainError):
-        DensityOperator(SiteLayout((2,)), np.array([[1, 1], [0, 0]]))
+        DensityOperator((2,), np.array([[1, 1], [0, 0]]))
 
 
 def test_builtin_state_names():

@@ -67,7 +67,7 @@ def test_structure_round_trip_and_order():
 def test_state_round_trip():
     psi = builtin_state("O2")
     back = state_from_dict(state_to_dict(psi))
-    assert back.layout == psi.layout
+    assert back.dims == psi.dims
     assert np.allclose(back.amplitudes, psi.amplitudes)
 
 
