@@ -2,8 +2,8 @@
 
 Subpackages by concern:
 
-- ``connective``: finite integral connectivity structures (generation,
-  irreducibles, order).
+- ``connective``: finite integral connectivity structures, each closed by its
+  constructor, which keeps its irreducibles; connective order.
 - ``quantum``: dense states, the one contraction kernel behind every local
   measurement, partial trace, PPT.
 - ``disentangle``: measurement-pool classification of pure states and the six
@@ -18,12 +18,7 @@ Subpackages by concern:
 
 __version__ = "0.1.0"
 
-from .connective import (
-    ConnectiveStructure,
-    connective_order,
-    generate_integral,
-    irreducibles,
-)
+from .connective import ConnectiveStructure, connective_order
 from .density import (
     DensityReport,
     TotalOrder,

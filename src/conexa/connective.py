@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -34,23 +35,29 @@ def _check_ground(size: int) -> None:
 
 @dataclass(frozen=True)
 class ConnectiveStructure:
-    """The connected subsets of the points 1..size, each a bitmask: bit p
-    stands for point p + 1.
+    """The smallest integral structure on the points 1..size whose connected
+    family holds every given mask; each subset is a bitmask, bit p standing
+    for point p + 1.
 
-    Always integral: the empty set and every singleton are stored as connected.
+    The masks are closed once, by `_close`: `connected` is the closed family
+    (the empty set and every singleton included) and `irreducibles` the
+    masks the closure kept.
     """
 
     size: int
     connected: frozenset
+    irreducibles: frozenset = field(compare=False)
 
-    def __init__(self, size: int, connected: Iterable[int]):
+    def __init__(self, size: int, masks: Iterable[int]):
         _check_ground(size)
-        masks = frozenset(int(m) for m in connected)
+        masks = frozenset(map(int, masks))
         if masks and not 0 <= min(masks) <= max(masks) < 1 << size:
             bad = min(masks) if min(masks) < 0 else max(masks)
             raise DomainError(f"mask {bad} is out of range for ground of size {size}")
+        connected, kept = _close(size, masks)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "connected", masks | {0} | {1 << i for i in range(size)})
+        object.__setattr__(self, "connected", connected)
+        object.__setattr__(self, "irreducibles", frozenset(kept))
 
     def members(self) -> list:
         """The 0-based positions of each connected subset, in canonical order:
@@ -118,8 +125,15 @@ def _cut_table(k: int) -> tuple:
 
 
 def _check_indices(indices, count: int, noun: str) -> tuple:
-    """Distinct indices into `count` items, sorted; `noun` names an item."""
-    indices = tuple(sorted(map(int, indices)))
+    """Distinct indices into `count` items, sorted; `noun` names an item.
+
+    An index is an integer: a float, a string or a boolean is an error, not
+    an index to convert.
+    """
+    values = tuple(indices)
+    if any(isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__") for i in values):
+        raise DomainError(f"{noun} indices must be integers: {values}")
+    indices = tuple(sorted(map(operator.index, values)))
     if len(set(indices)) != len(indices):
         raise DomainError(f"duplicate {noun} indices: {indices}")
     if indices and not 0 <= indices[0] <= indices[-1] < count:
@@ -165,7 +179,7 @@ def _close(ground_size: int, masks: Iterable[int]) -> tuple:
     grown so far; a union the family held needs no extending, as the family
     was closed before.  A mask is held on arrival exactly when it is the
     union of two smaller connected members that meet, so the kept masks are
-    the irreducibles of the family, and of `masks` when it is closed.
+    the irreducibles of the family, whether or not `masks` was closed.
     """
     family = {0} | {1 << i for i in range(ground_size)}
     kept: list = []
@@ -185,12 +199,6 @@ def _close(ground_size: int, masks: Iterable[int]) -> tuple:
     return frozenset(family), kept
 
 
-def generate_integral(size: int, masks: Iterable[int]) -> ConnectiveStructure:
-    """Smallest integral structure on the points 1..size whose connected
-    family contains every mask."""
-    return ConnectiveStructure(size, _close(size, map(int, masks))[0])
-
-
 def _subset_structures(k: int, verdict, families: Mapping) -> tuple:
     """(verdicts, structures): judge every subset of k sites, then generate.
 
@@ -201,17 +209,10 @@ def _subset_structures(k: int, verdict, families: Mapping) -> tuple:
     """
     judged = [(j, mask, verdict(j)) for j, mask in _subsets(k)]
     structures = {
-        name: generate_integral(k, [mask for _, mask, v in judged if accepts(v)])
+        name: ConnectiveStructure(k, [mask for _, mask, v in judged if accepts(v)])
         for name, accepts in families.items()
     }
     return {tuple(s + 1 for s in j): v for j, _, v in judged}, structures
-
-
-def irreducibles(structure: ConnectiveStructure) -> frozenset:
-    """Connected parts (size >= 2) that are not the union of two smaller
-    connected parts that meet: the masks `_close` keeps.  Singletons and the
-    empty set are never irreducible: integrality restores them."""
-    return frozenset(_close(structure.size, structure.connected)[1])
 
 
 def connective_order(structure: ConnectiveStructure) -> int:
@@ -221,6 +222,6 @@ def connective_order(structure: ConnectiveStructure) -> int:
     so a discrete structure has order 0.
     """
     height = {0: 0}  # the empty set, below every irreducible
-    for k in sorted(irreducibles(structure), key=int.bit_count):
+    for k in sorted(structure.irreducibles, key=int.bit_count):
         height[k] = 1 + max([h for m, h in height.items() if m & k == m])
     return max(height.values())

@@ -102,7 +102,10 @@ class PureState:
         return self.amplitudes.reshape(self.dims)
 
     def density(self) -> "DensityOperator":
-        return DensityOperator(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
+        """|psi><psi|, unchecked: the outer product of a unit vector is a
+        valid operator up to rounding that the input checks allow."""
+        amp = self.amplitudes
+        return DensityOperator._derived(self.dims, np.outer(amp, amp.conj()))
 
     def __eq__(self, other):
         return (

@@ -31,7 +31,6 @@ from .connective import (
     _cut_table,
     _subset_structures,
     _subsets,
-    irreducibles,
 )
 from .errors import DomainError
 from .quantum import _EPS, DEFAULT_TOL
@@ -292,7 +291,7 @@ def realize_structure(kappa: ConnectiveStructure) -> FiniteJointDistribution:
     bits across the blocks containing it, in block order.
     """
     k = kappa.size
-    generators = sorted(irreducibles(kappa), key=lambda m: (m.bit_count(), m))
+    generators = sorted(kappa.irreducibles, key=lambda m: (m.bit_count(), m))
     blocks = [[i for i in range(k) if mask >> i & 1] for mask in generators]
     blocks += [[i] for i in range(k) if not any(i in b for b in blocks)]
     # a generator's last member takes the parity of the others' bits; a

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conexa.connective import generate_integral
+from conexa.connective import ConnectiveStructure
 from conexa.density import VerdictQuality, density_structures, total_order
 from conexa.devices import (
     builtin_device,
@@ -161,7 +161,7 @@ def test_criterion_04_sugita_and_correlation():
                               ((1, 2, 3), (0, 1, 2))]
         if oracle_completely_correlated(ghz.density().matrix, (2, 2, 2), sites)
     ]
-    assert generate_integral(3, oracle_generators) == power_set(3)
+    assert ConnectiveStructure(3, oracle_generators) == power_set(3)
     conclude(4, "GHZ: kappa_S borromean (EXACT), kappa_corr coarse (oracle agreed)")
 
 

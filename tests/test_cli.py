@@ -14,10 +14,10 @@ import pytest
 from conexa import devices, randvars
 from conexa.cli import main
 from conexa.connective import (
+    ConnectiveStructure,
     _bipartitions,
     _subset_structures,
     connective_order,
-    generate_integral,
 )
 from conexa.serialize import (
     canonical_json,
@@ -424,9 +424,9 @@ def test_analyze_state_reports_pinned(source, tmp_path, capsys):
 
 # Structures realized as random-variable families for the analyze-rvs goldens.
 REALIZED = {
-    "brunnian 3": generate_integral(3, [mask((1, 2, 3))]),
-    "pair and triple 4": generate_integral(4, [mask((1, 2)), mask((2, 3, 4))]),
-    "chain 5": generate_integral(5, [mask((1, 2, 3)), mask((3, 4)), mask((4, 5))]),
+    "brunnian 3": ConnectiveStructure(3, [mask((1, 2, 3))]),
+    "pair and triple 4": ConnectiveStructure(4, [mask((1, 2)), mask((2, 3, 4))]),
+    "chain 5": ConnectiveStructure(5, [mask((1, 2, 3)), mask((3, 4)), mask((4, 5))]),
 }
 
 

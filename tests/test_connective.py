@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conexa.connective import (
@@ -18,10 +18,9 @@ from conexa.connective import (
     _subset_structures,
     _subsets,
     connective_order,
-    generate_integral,
-    irreducibles,
 )
 from conexa.devices import Device, builtin_device, derive_device, sub_device
+from conexa.disentangle import classify_on_subset
 from conexa.errors import DomainError
 from conexa.quantum import builtin_state, partial_trace
 from conexa.randvars import FiniteJointDistribution, _plan
@@ -39,24 +38,24 @@ from helpers import (
 
 
 def test_generate_two_overlapping_pairs():
-    s = generate_integral(3, [mask((1, 2)), mask((2, 3))])
+    s = ConnectiveStructure(3, [mask((1, 2)), mask((2, 3))])
     assert s == structure(3, [(1, 2), (2, 3), (1, 2, 3)])
 
 
 def test_generate_full_set_gives_borromean():
-    s = generate_integral(3, [mask((1, 2, 3))])
+    s = ConnectiveStructure(3, [mask((1, 2, 3))])
     nontrivial = [m for m in s.connected if bin(m).count("1") >= 2]
     assert nontrivial == [0b111]
 
 
 def test_generate_empty_generators_is_discrete():
-    s = generate_integral(2, [])
+    s = ConnectiveStructure(2, [])
     assert s == discrete(2)
 
 
 def test_generator_outside_ground_rejected():
     with pytest.raises(DomainError):
-        generate_integral(2, [mask((1, 3))])
+        ConnectiveStructure(2, [mask((1, 3))])
 
 
 def test_is_connected_set():
@@ -69,27 +68,27 @@ def test_is_connected_set():
 
 def test_irreducibles_borromean():
     b3 = borromean(3)
-    assert irreducibles(b3) == frozenset({0b111})
+    assert b3.irreducibles == frozenset({0b111})
 
 
 def test_irreducibles_power_set_three_points():
     s = power_set(3)
     expected = {mask(p) for p in [(1, 2), (1, 3), (2, 3)]}
-    assert irreducibles(s) == frozenset(expected)
-    assert irreducibles(s) == frozenset(oracle_irreducibles(s))
+    assert s.irreducibles == frozenset(expected)
+    assert s.irreducibles == frozenset(oracle_irreducibles(s))
 
 
 def test_irreducibles_nested_example():
     s = structure(3, [(2, 3), (1, 2, 3)])
     expected = {mask(p) for p in [(2, 3), (1, 2, 3)]}
-    assert irreducibles(s) == frozenset(expected)
-    assert irreducibles(s) == frozenset(oracle_irreducibles(s))
+    assert s.irreducibles == frozenset(expected)
+    assert s.irreducibles == frozenset(oracle_irreducibles(s))
 
 
 def test_irreducibles_match_oracle_on_all_small_structures():
     for n in (2, 3, 4):
         for s in all_integral_structures(n):
-            assert irreducibles(s) == frozenset(oracle_irreducibles(s))
+            assert s.irreducibles == frozenset(oracle_irreducibles(s))
 
 
 def test_connective_order_examples():
@@ -127,33 +126,39 @@ def _generator_lists(draw, max_n=7):
     return n, gens
 
 
+# two pairs that meet, not closed: the constructor must add their union
+_OPEN_PAIRS = (3, [0b011, 0b110])
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_generator_lists())
+@example(_OPEN_PAIRS)
 def test_closure_axiom_on_generated_structures(case):
     n, gens = case
-    s = generate_integral(n, gens)
+    s = ConnectiveStructure(n, gens)
     assert oracle_close(n, s.connected) == s.connected
     assert s.connected == oracle_close(n, gens)
     # the kept masks are the irreducibles: each is a drawn generator, and
     # together they regenerate the structure
-    assert frozenset(_close(n, gens)[1]) == irreducibles(s) <= set(gens)
-    assert generate_integral(n, irreducibles(s)) == s
+    assert frozenset(_close(n, gens)[1]) == s.irreducibles <= set(gens)
+    assert ConnectiveStructure(n, s.irreducibles) == s
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(_generator_lists(max_n=6))
+@example(_OPEN_PAIRS)
 def test_irreducibles_match_oracle_on_drawn_families(case):
     n, gens = case
-    s = generate_integral(n, gens)
-    assert irreducibles(s) == frozenset(oracle_irreducibles(s))
+    s = ConnectiveStructure(n, gens)
+    assert s.irreducibles == frozenset(oracle_irreducibles(s))
 
 
 @pytest.mark.parametrize("k", [10, 11, 12])
 def test_power_set_closure_past_ten_points(k):
     # every mask of two or more points, accepted as for a W_k state's kappa_corr
-    s = generate_integral(k, [m for m in range(1 << k) if m.bit_count() >= 2])
+    s = ConnectiveStructure(k, [m for m in range(1 << k) if m.bit_count() >= 2])
     assert s.connected == frozenset(range(1 << k))
-    assert irreducibles(s) == frozenset(mask(p) for p in itertools.combinations(range(1, k + 1), 2))
+    assert s.irreducibles == frozenset(mask(p) for p in itertools.combinations(range(1, k + 1), 2))
     assert connective_order(s) == 1
 
 
@@ -165,12 +170,12 @@ def test_sparse_families_past_ten_points_match_oracle(k):
             mask(rng.choice(np.arange(1, k + 1), size=int(rng.integers(2, 5)), replace=False).tolist())
             for _ in range(int(rng.integers(1, 6)))
         ]
-        assert generate_integral(k, gens).connected == oracle_close(k, gens)
+        assert ConnectiveStructure(k, gens).connected == oracle_close(k, gens)
 
 
 def test_nested_chain_of_twelve_points():
     s = structure(12, [tuple(range(1, top + 1)) for top in range(2, 13)])
-    assert irreducibles(s) == frozenset(mask(range(1, top + 1)) for top in range(2, 13))
+    assert s.irreducibles == frozenset(mask(range(1, top + 1)) for top in range(2, 13))
     assert connective_order(s) == 11
 
 
@@ -202,8 +207,8 @@ def test_generate_is_idempotent():
     for _ in range(30):
         n = int(rng.integers(2, 6))
         gens = [int(rng.integers(1, 1 << n)) for _ in range(3)]
-        s = generate_integral(n, gens)
-        assert generate_integral(n, s.connected) == s
+        s = ConnectiveStructure(n, gens)
+        assert ConnectiveStructure(n, s.connected) == s
 
 
 def test_generate_is_monotone():
@@ -212,19 +217,19 @@ def test_generate_is_monotone():
         n = int(rng.integers(2, 6))
         small = [int(rng.integers(1, 1 << n)) for _ in range(2)]
         large = small + [int(rng.integers(1, 1 << n)) for _ in range(2)]
-        assert generate_integral(n, small).connected <= generate_integral(n, large).connected
+        assert ConnectiveStructure(n, small).connected <= ConnectiveStructure(n, large).connected
 
 
 def test_irreducibles_regenerate_structure():
     # exhaustive for up to 4 points, sampled on 5
     for n in (2, 3, 4):
         for s in all_integral_structures(n):
-            assert generate_integral(n, irreducibles(s)) == s
+            assert ConnectiveStructure(n, s.irreducibles) == s
     rng = np.random.default_rng(14)
     for _ in range(200):
         gens = [int(rng.integers(1, 1 << 5)) for _ in range(int(rng.integers(0, 6)))]
-        s = generate_integral(5, gens)
-        assert generate_integral(5, irreducibles(s)) == s
+        s = ConnectiveStructure(5, gens)
+        assert ConnectiveStructure(5, s.irreducibles) == s
 
 
 def test_ground_set_validation():
@@ -249,7 +254,7 @@ def test_structure_counts_small_grounds():
 
 
 def test_discrete_structure_matches_empty_generation():
-    assert discrete(4) == generate_integral(4, [])
+    assert discrete(4) == ConnectiveStructure(4, [])
 
 
 # The shared input rules, each reached directly and through the engines that
@@ -257,17 +262,26 @@ def test_discrete_structure_matches_empty_generation():
 
 
 def _index_calls(indices):
-    rho = builtin_state("GHZ").density()
+    ghz = builtin_state("GHZ")
+    rho = ghz.density()
     return [
         ("site", lambda: _check_indices(indices, 3, "site")),
         ("site", lambda: partial_trace(rho, indices)),
+        ("site", lambda: classify_on_subset(ghz, indices)),
         ("site", lambda: sub_device(builtin_device("K"), indices)),
     ]
 
 
 @pytest.mark.parametrize(
     "indices, message",
-    [((0, 3), "{noun} index 3 out of range for 3 {noun}s"), ((1, 1), "duplicate {noun} indices")],
+    [
+        ((0, 3), "{noun} index 3 out of range for 3 {noun}s"),
+        ((1, 1), "duplicate {noun} indices"),
+        # a float or a boolean is refused, not truncated to an index
+        ((0.9, 1.2), "{noun} indices must be integers"),
+        ((0.5, True), "{noun} indices must be integers"),
+        ((True, 2), "{noun} indices must be integers"),
+    ],
 )
 def test_index_rule_is_shared(indices, message):
     for noun, call in _index_calls(indices):
@@ -356,7 +370,7 @@ def test_subset_driver_order_and_labels(k, data):
     assert list(verdicts) == [tuple(s + 1 for s in j) for j in judged]
     for name, want in (("in", True), ("out", False)):
         labels = [label for label, v in verdicts.items() if v is want]
-        assert structures[name] == generate_integral(k, [mask(j) for j in labels])
+        assert structures[name] == ConnectiveStructure(k, [mask(j) for j in labels])
     # the rv sweep ranks, and the shared cut table cuts, the subsets in the
     # order the skeleton judges them
     masks = [sum(1 << s for s in j) for j in judged]

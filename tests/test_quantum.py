@@ -606,6 +606,20 @@ def test_density_negative_eigenvalue_check():
             DensityOperator((2,), mat)
 
 
+def test_pure_state_density_is_the_outer_product_unchecked():
+    # |psi><psi| of a unit vector is valid as computed, up to rounding the
+    # input checks allow, so none of them runs on it
+    psi = PureState((2, 3, 2), random_state_vector(np.random.default_rng(4), 12))
+    with mock.patch.object(quantum, "_min_eig_below", wraps=_min_eig_below) as spy:
+        rho = psi.density()
+    assert spy.call_count == 0
+    outer = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    assert rho.dims == psi.dims
+    assert rho.matrix.dtype == outer.dtype and rho.matrix.tobytes() == outer.tobytes()
+    assert not rho.matrix.flags.writeable
+    assert DensityOperator(psi.dims, outer) == rho
+
+
 @pytest.mark.parametrize("a", np.linspace(0.05, 0.95, 19))
 def test_ppt_entangled_states_stay_inconclusive(a):
     # PPT but entangled: the partial transpose has no negative eigenvalue,

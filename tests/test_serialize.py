@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conexa.connective import generate_integral
+from conexa.connective import ConnectiveStructure
 from conexa.devices import builtin_device
 from conexa.errors import DomainError
 from conexa.quantum import builtin_state, partial_trace
@@ -58,7 +58,7 @@ def test_structure_round_trip_and_order():
         ["2", "3"],
         ["1", "2", "3"],
     ]
-    back = generate_integral(
+    back = ConnectiveStructure(
         len(data["ground"]), [mask(map(int, subset)) for subset in data["connected"]]
     )
     assert structure_to_dict(back) == data
