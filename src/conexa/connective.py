@@ -50,7 +50,7 @@ class ConnectiveStructure:
 
     def __init__(self, size: int, masks: Iterable[int]):
         _check_ground(size)
-        masks = frozenset(map(int, masks))
+        masks = frozenset(_integers(masks, "masks must be integers"))
         if masks and not 0 <= min(masks) <= max(masks) < 1 << size:
             bad = min(masks) if min(masks) < 0 else max(masks)
             raise DomainError(f"mask {bad} is out of range for ground of size {size}")
@@ -124,16 +124,19 @@ def _cut_table(k: int) -> tuple:
     return np.concatenate(starts), np.concatenate(cuts, axis=1)
 
 
-def _check_indices(indices, count: int, noun: str) -> tuple:
-    """Distinct indices into `count` items, sorted; `noun` names an item.
+def _integers(values, rule: str) -> tuple:
+    """The values as ints.  A float, a string or a boolean is an error, not
+    an integer to convert: a DomainError names `rule` and the values."""
+    values = tuple(values)
+    types = {*map(type, values)} - {int}  # values of other types need converting
+    if types and any(t in (bool, np.bool_) or not hasattr(t, "__index__") for t in types):
+        raise DomainError(f"{rule}: {values}")
+    return tuple(map(operator.index, values)) if types else values
 
-    An index is an integer: a float, a string or a boolean is an error, not
-    an index to convert.
-    """
-    values = tuple(indices)
-    if any(isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__") for i in values):
-        raise DomainError(f"{noun} indices must be integers: {values}")
-    indices = tuple(sorted(map(operator.index, values)))
+
+def _check_indices(indices, count: int, noun: str) -> tuple:
+    """Distinct integer indices into `count` items, sorted; `noun` names an item."""
+    indices = tuple(sorted(_integers(indices, f"{noun} indices must be integers")))
     if len(set(indices)) != len(indices):
         raise DomainError(f"duplicate {noun} indices: {indices}")
     if indices and not 0 <= indices[0] <= indices[-1] < count:

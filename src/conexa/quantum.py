@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .connective import _bipartitions, _check_indices
+from .connective import _bipartitions, _check_indices, _integers
 from .errors import DomainError
 
 DEFAULT_TOL = 1e-9
@@ -41,10 +40,9 @@ def _check_dims(dims: Iterable[int]) -> tuple:
     """Local Hilbert-space dimensions, one per site in row-major order, as a
     tuple of ints: integers >= 1 (a string, a float or a boolean is an error,
     not a dimension to convert) whose product is at most MAX_TOTAL_DIM."""
-    values = tuple(dims)
-    dims = tuple(operator.index(d) for d in values)
-    if any(isinstance(v, bool) or d < 1 for v, d in zip(values, dims)):
-        raise DomainError(f"site dimensions must be integers >= 1: {values}")
+    dims = _integers(dims, "site dimensions must be integers >= 1")
+    if any(d < 1 for d in dims):
+        raise DomainError(f"site dimensions must be integers >= 1: {dims}")
     if math.prod(dims) > MAX_TOTAL_DIM:
         raise DomainError(f"total dimension {math.prod(dims)} exceeds cap {MAX_TOTAL_DIM}")
     return dims

@@ -7,10 +7,11 @@ denominator D, so the independence tests on the reference examples compare
 integers and involve no tolerances at all; float tables are compared within
 the caller's tolerance.
 
-`rv_analysis` decides every cut of every subset in one sweep over the subset
-sizes: one ranking per size gives every subset of that size its support
-rows' ids, one array comparison applies the support-size test to every cut,
-and one more step tests the weights of the cuts that pass it.
+A table is built from one column of labels per variable and one value per
+entry, in whole-list steps.  `rv_analysis` decides every cut of every subset
+in one sweep: one ranking of every subset's mixed-radix row codes gives each
+subset its support rows' ids, one array comparison applies the support-size
+test to every cut, and one more step tests the weights of the passing cuts.
 """
 
 from __future__ import annotations
@@ -60,56 +61,72 @@ class FiniteJointDistribution:
 
     def __init__(self, outcomes, prob: Mapping, tol: float = DEFAULT_TOL):
         outcomes = _check_labels(outcomes, "outcome")
+        k, keys = len(outcomes), list(map(tuple, prob))
+        rows = keys
+        if set(map(len, keys)) - {k}:  # a key of another arity names no outcome
+            rows = [t if len(t) == k else (None,) * k for t in keys]
+        columns, values = list(zip(*rows)) or [()] * k, list(prob.values())
+        aliased = len(set(keys)) < len(keys)
+        self._assemble(outcomes, columns, values, tol, keys.__getitem__, aliased=aliased)
+
+    @classmethod
+    def _from_columns(cls, outcomes, columns, values, tol: float, key_of):
+        """The table of entries i with distinct labels columns[v][i] and values
+        values[i]; `key_of(i)` names entry i in an error."""
+        dist, outcomes = cls.__new__(cls), _check_labels(outcomes, "outcome")
+        dist._assemble(outcomes, columns, values, tol, key_of, aliased=False)
+        return dist
+
+    def _assemble(self, outcomes: tuple, columns, values, tol: float, key_of, aliased) -> None:
+        """Check and store the entries given as label columns and values.
+
+        Each column is mapped to outcome indices by one `map`, and each distinct
+        value object (held by `values`, so no id is reused) is read once, in the
+        order of its first entry, up to the first key naming no outcome: so the
+        first faulty entry is the one named.  Zero entries are dropped; when
+        `aliased`, entries naming one row are summed in first-occurrence order.
+        """
         if not outcomes:
             raise DomainError("a joint distribution needs at least one variable")
-        k = len(outcomes)
-        label_index = [{x: i for i, x in enumerate(labels)} for labels in outcomes]
-        # each distinct value object is checked once: `checked` maps its id to
-        # (the object, its slot in `values`, or None when it is zero), and
-        # holding the object keeps the id from being reused by another value
-        checked, values, rows, entries = {}, [], {}, []
-        exact = True
-        for t, p in prob.items():
-            t = tuple(t)
-            row = tuple(map(dict.get, label_index, t))
-            if len(t) != k or None in row:
-                raise DomainError(f"outcome tuple {t} is not well-typed")
-            seen = checked.get(id(p))
-            if seen is None:
-                if isinstance(p, bool):
-                    raise DomainError(f"probability {p} for {t} is a boolean, not a number")
-                if isinstance(p, (int, Fraction)):
-                    value, sign = p, p.numerator  # has p's sign, and is 0 with p
-                else:
-                    value = sign = float(p)
-                    exact = False
-                if not sign >= 0:  # also rejects NaN
-                    raise DomainError(f"probability {value} for {t} is not >= 0")
-                seen = checked[id(p)] = (p, len(values) if sign else None)
-                if sign:
-                    values.append(value)
-            if seen[1] is not None:
-                entries.append((rows.setdefault(row, len(rows)), seen[1]))
-        if not rows:
+        index = [
+            list(map(dict(zip(labels, range(len(labels)))).get, column))
+            for labels, column in zip(outcomes, columns)
+        ]
+        ids = list(map(id, values))
+        bad = min((column.index(None) for column in index if None in column), default=len(ids))
+        num = {}
+        for oid, p in dict(zip(ids[:bad], values[:bad])).items():
+            num[oid], sign = (p, p.numerator) if isinstance(p, (int, Fraction)) else (float(p),) * 2
+            if isinstance(p, bool) or not sign >= 0:  # `not >=` also refuses NaN
+                fault = "is a boolean, not a number" if isinstance(p, bool) else "is not >= 0"
+                raise DomainError(f"probability {num[oid]} for {key_of(ids.index(oid))} {fault}")
+        if bad < len(ids):
+            raise DomainError(f"outcome tuple {key_of(bad)} is not well-typed")
+        exact = not any(isinstance(v, float) for v in num.values())
+        scale = math.lcm(*(v.denominator for v in num.values())) if exact else 1.0
+        weigh = (lambda v: v.numerator * (scale // v.denominator)) if exact else float
+        weights = list(map({oid: weigh(v) for oid, v in num.items()}.__getitem__, ids))
+        if not all(weights):
+            nonzero = list(map(bool, weights))
+            weights = list(itertools.compress(weights, nonzero))
+            index = [list(itertools.compress(column, nonzero)) for column in index]
+        if not weights:
             raise DomainError("distribution support is empty")
-        if exact:
-            scale = math.lcm(*(p.denominator for p in values))
-            values = [p.numerator * (scale // p.denominator) for p in values]
-        else:
-            scale, values = 1.0, [float(p) for p in values]
-        weights = [0] * len(rows)
-        for r, v in entries:
-            weights[r] += values[v]
+        entries = len(weights)
+        if aliased:
+            rows = dict.fromkeys(zip(*index), 0)
+            for row, w in zip(zip(*index), weights):
+                rows[row] += w
+            index, weights = list(zip(*rows)), list(rows.values())
         total = sum(weights)
         if exact and total != scale:
             raise DomainError(f"probabilities sum to {Fraction(total, scale)}, not 1")
-        if not exact and abs(total - 1.0) > tol + len(entries) * _EPS * (1 + tol):
+        if not exact and abs(total - 1.0) > tol + entries * _EPS * (1 + tol):
             raise DomainError(f"probabilities sum to {total}, not 1 within {tol}")
         dtype = float if not exact else np.int64 if scale * scale < 2**62 else object
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "exact", exact)
-        index = np.fromiter(itertools.chain.from_iterable(rows), np.int64, len(rows) * k)
-        object.__setattr__(self, "_index", index.reshape(len(rows), k))
+        object.__setattr__(self, "_index", np.array(index, dtype=np.int64).T)
         object.__setattr__(self, "_weights", np.array(weights, dtype=dtype))
         object.__setattr__(self, "_scale", scale)
 
@@ -166,25 +183,24 @@ def _rank(keys: np.ndarray) -> tuple:
 
 
 @functools.cache
-def _plan(k: int) -> tuple:
-    """The rank levels `_sweep` runs on k variables, as bitmasks.
+def _plan(lo: int, hi: int) -> tuple:
+    """The subsets `_sweep` ranks for the run of variables lo..hi-1, as bitmasks.
 
-    For each size s = 1..k, the (masks, prefixes, lasts) arrays of the
-    size-s subsets in the order of `connective._subsets`: each subset, the
-    subset without its last variable, and that variable.
+    (own, bits, prefixes, lasts): the run's nonempty subsets Q, as masks and
+    as the (subsets, hi - lo) 0/1 matrix of their variables, then every
+    nonempty subset P of the variables before lo beside every Q, as the
+    masks of the pairs (P, Q).
     """
-    levels = []
-    singles = tuple(((p,), 1 << p) for p in range(k))
-    for _, level in itertools.groupby(singles + _subsets(k), key=lambda subset: len(subset[0])):
-        masks, lasts = zip(*((mask, j[-1]) for j, mask in level))
-        prefixes = [m ^ 1 << last for m, last in zip(masks, lasts)]
-        levels.append(tuple(np.array(v, dtype=np.intp) for v in (masks, prefixes, lasts)))
-    return tuple(levels)
+    own = np.arange(1, 1 << (hi - lo), dtype=np.intp)
+    bits = (own[:, None] >> np.arange(hi - lo) & 1).astype(np.int64)
+    prefixes = np.repeat(np.arange(1, 1 << lo, dtype=np.intp), len(own))
+    return own << lo, bits, prefixes, np.tile(own << lo, (1 << lo) - 1)
 
 
-# the weight test takes its passing cuts in steps, so that each (cuts, rows)
-# array it gathers holds at most this many entries, or one cut's rows
-_CHUNK = 1 << 20
+# each stack of keys that `_sweep` ranks, and each (cuts, rows) array its
+# weight test gathers, holds at most _CHUNK entries, or one line's rows; the
+# variables of one run have alphabets whose product is below _RADIX_LIMIT
+_CHUNK, _RADIX_LIMIT = 1 << 20, 1 << 62
 
 
 def _sweep(dist: FiniteJointDistribution, tol: float) -> tuple:
@@ -193,11 +209,15 @@ def _sweep(dist: FiniteJointDistribution, tol: float) -> tuple:
     `row_ids[m]` holds the rows' ids on the subset with bitmask m (rows
     agreeing on its variables share an id, counted up from 0 in the order
     of its outcome indices) and `sizes[m]` its support size; m = 0 is the
-    empty subset.  One size at a time, each subset's key is its prefix's
-    row ids times its last variable's alphabet size plus that variable's
-    outcome index, and one `_rank` call ranks the keys of every subset of
-    the size: the keys stay below the rows times an alphabet, and no array
-    over the product of the alphabets is ever built.
+    empty subset.  A subset's key on a row is the mixed-radix code of the
+    row's outcome indices on it, the first variable most significant: one
+    integer product of the subsets' 0/1 rows with the stride-scaled index
+    columns, ranked by one `_rank` call per stack.  Where the product of
+    the alphabets would reach 2**62, the variables are split into runs whose
+    products stay below it; a subset P | Q, with P before the run and Q in
+    it, is then keyed by P's ids times Q's support size plus Q's ids.  The
+    keys stay below 2**62 or the rows squared, and no array over the
+    product of the alphabets is ever built.
 
     `independent` holds one verdict per cut of `connective._cut_table`: the
     blocks a and b of J are independent when J's support is the product of
@@ -207,15 +227,25 @@ def _sweep(dist: FiniteJointDistribution, tol: float) -> tuple:
     Weight sums are formed, by one np.add.at in row order, only for the
     subsets that the cuts passing the support test touch.
     """
-    weights = dist._weights
-    columns = np.ascontiguousarray(dist._index.T)
-    levels, cuts = _plan(dist.variables), _cut_table(dist.variables)[1]
-    alphabets = np.array([len(labels) for labels in dist.outcomes], dtype=np.int64)
+    weights, cuts = dist._weights, _cut_table(dist.variables)[1]
+    alphabets = [len(labels) for labels in dist.outcomes]
     row_ids = np.zeros((1 << dist.variables, len(weights)), dtype=np.int64)
     sizes = np.ones(1 << dist.variables, dtype=np.int64)
-    for masks, prefixes, lasts in levels:
-        keys = row_ids[prefixes] * alphabets[lasts, None] + columns[lasts]
-        row_ids[masks], sizes[masks] = _rank(keys)
+    step = max(1, _CHUNK // len(weights))
+    bounds = [0]  # the first variable of each run
+    for v in range(1, dist.variables):
+        if math.prod(alphabets[bounds[-1] : v + 1]) >= _RADIX_LIMIT:
+            bounds.append(v)
+    for lo, hi in zip(bounds, bounds[1:] + [dist.variables]):
+        own, bits, prefixes, lasts = _plan(lo, hi)
+        strides = [math.prod(alphabets[v + 1 : hi]) for v in range(lo, hi)]
+        scaled = dist._index.T[lo:hi] * np.array(strides, dtype=np.int64)[:, None]
+        for s in range(0, len(own), step):
+            q = own[s : s + step]
+            row_ids[q], sizes[q] = _rank(bits[s : s + step] @ scaled)
+        for s in range(0, len(lasts), step):
+            p, q = prefixes[s : s + step], lasts[s : s + step]
+            row_ids[p | q], sizes[p | q] = _rank(row_ids[p] * sizes[q, None] + row_ids[q])
     j, a, b = cuts
     independent = np.zeros(len(j), dtype=bool)
     passing = np.flatnonzero(sizes[j] == sizes[a] * sizes[b])

@@ -4,7 +4,7 @@ The `*_from_dict` decoders are the one place that turns outside input into
 values.  A malformed document makes them raise whatever its shape provokes
 (KeyError, TypeError, ValueError, ...), and two table keys naming one tuple
 a DomainError; the CLI's loader reports any of these as a DomainError naming
-the file.
+the file.  A distribution table is decoded into label columns, not tuples.
 """
 
 from __future__ import annotations
@@ -197,21 +197,27 @@ def distribution_to_dict(dist: FiniteJointDistribution) -> dict:
 
 
 def distribution_from_dict(data: Mapping, tol: float = DEFAULT_TOL) -> FiniteJointDistribution:
-    """The table with each distinct probability string parsed once: its
-    entries share one value, which the constructor then checks once."""
+    """The table as label columns: one split of the joined keys for comma
+    keys, and `_split_keys` for any other table, a faulty one included.  Each
+    distinct probability string is parsed once, so its entries share one value."""
     k = len(data["outcomes"])
-    parsed = {}
-
-    def parse(value):
-        if not isinstance(value, str):
-            return _prob_from_json(value)
-        if value not in parsed:
-            parsed[value] = _prob_from_json(value)
-        return parsed[value]
-
     table = data["prob"]
-    prob = dict(zip(_split_keys(table, k), map(parse, table.values())))
-    return FiniteJointDistribution(data["outcomes"], prob, tol=tol)
+    keys, values = list(table), list(table.values())
+    commas = set(map(str.count, keys, itertools.repeat(",")))
+    if keys and commas == {k - 1}:
+        labels = ",".join(keys).split(",")
+    else:
+        labels = list(itertools.chain.from_iterable(_split_keys(keys, k)))
+    columns = [labels[v::k] for v in range(k)]
+    # each distinct string, and each other value object, is parsed once, in
+    # entry order; the values list holds every object, so no id is reused
+    strings = set(map(type, values)) <= {str}
+    keys = values if strings else [v if type(v) is str else id(v) for v in values]
+    parsed = {key: _prob_from_json(v) for key, v in dict(zip(keys, values)).items()}
+    values = list(map(parsed.__getitem__, keys))
+    return FiniteJointDistribution._from_columns(
+        data["outcomes"], columns, values, tol, lambda i: tuple(c[i] for c in columns)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ code under test is never used to produce its own expected output.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -526,6 +527,25 @@ def oracle_marginal(prob, positions) -> dict:
         key = tuple(t[i] for i in positions)
         out[key] = out.get(key, 0) + p
     return out
+
+
+def oracle_index(outcomes, prob) -> tuple:
+    """(rows, weights, scale, exact) of a table by one scan in table order.
+
+    `rows` are the outcome-index tuples of the nonzero entries in order of
+    first occurrence, entries naming one row summed.  A table with no float
+    entry is exact: each row's weight is its probability times the lcm
+    `scale` of the entries' denominators, an int.  Otherwise each weight is
+    the float sum of the row's entries, and the scale is 1.0.
+    """
+    exact = not any(isinstance(p, float) for p in prob.values())
+    scale = math.lcm(*(Fraction(p).denominator for p in prob.values())) if exact else 1.0
+    sums = {}
+    for t, p in prob.items():
+        if p:
+            row = tuple(labels.index(x) for labels, x in zip(outcomes, t))
+            sums[row] = sums.get(row, 0) + (p * scale if exact else float(p))
+    return list(sums), [int(w) if exact else w for w in sums.values()], scale, exact
 
 
 def oracle_independent(outcomes, prob, part_a, part_b, tol=0) -> bool:

@@ -703,6 +703,14 @@ MALFORMED_INPUTS = {
         ["analyze-density", "--file"],
         json.dumps({"dims": [True, 2, 2], "matrix": _identity4()}),
     ),
+    "float dims (state)": (
+        ["analyze-state", "--file"],
+        json.dumps({"dims": [2.0, 2], "amplitudes": _AMPS}),
+    ),
+    "float dims (density)": (
+        ["analyze-density", "--file"],
+        json.dumps({"dims": [2.0, 2], "matrix": _identity4()}),
+    ),
     "zero dims (state)": (
         ["analyze-state", "--file"],
         json.dumps({"dims": [2, 0], "amplitudes": _AMPS}),
@@ -791,6 +799,18 @@ def test_malformed_input_exits_2(kind, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["float dims (state)", "float dims (density)", "boolean dims"])
+def test_bad_dims_name_the_dims_rule(kind, tmp_path, capsys):
+    # a dimension that is no integer breaks the dims rule, not a conversion
+    argv, text = MALFORMED_INPUTS[kind]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    dims = tuple(json.loads(text)["dims"])
+    assert run_cli(capsys, *argv, str(path)) == (
+        2, "", f"error: site dimensions must be integers >= 1: {dims}\n"
+    )
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not UTF-8"])

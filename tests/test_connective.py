@@ -242,6 +242,14 @@ def test_ground_set_validation():
             ConnectiveStructure(2, [0b11, bad])
 
 
+@pytest.mark.parametrize("masks", [[3.7, True], [np.True_], [1, "3"], [2.0]])
+def test_masks_must_be_integers(masks):
+    # a float, a string or a boolean is refused, not truncated to a mask
+    with pytest.raises(DomainError, match="masks must be integers"):
+        ConnectiveStructure(3, masks)
+    assert ConnectiveStructure(3, [np.int64(3), 5]) == ConnectiveStructure(3, [3, 5])
+
+
 def test_indiscrete_structure_is_everything():
     s = power_set(3)
     assert len(s.connected) == 8
@@ -371,10 +379,15 @@ def test_subset_driver_order_and_labels(k, data):
     for name, want in (("in", True), ("out", False)):
         labels = [label for label, v in verdicts.items() if v is want]
         assert structures[name] == ConnectiveStructure(k, [mask(j) for j in labels])
-    # the rv sweep ranks, and the shared cut table cuts, the subsets in the
-    # order the skeleton judges them
+    # the shared cut table cuts the subsets in the order the skeleton judges
+    # them, and the rv sweep ranks every nonempty subset once, whether its
+    # variables form one run or are split into two
     masks = [sum(1 << s for s in j) for j in judged]
-    levels, (starts, cuts) = _plan(k), _cut_table(k)
-    assert np.concatenate([level[0] for level in levels[1:]]).tolist() == masks
+    starts, cuts = _cut_table(k)
+    own = _plan(0, k)[0]
+    assert own.tolist() == list(range(1, 1 << k))
+    for lo in range(1, k):
+        ranked = [_plan(0, lo)[0], _plan(lo, k)[0], np.bitwise_or(*_plan(lo, k)[2:])]
+        assert sorted(np.concatenate(ranked).tolist()) == own.tolist()
     assert cuts[0, starts].tolist() == masks
     assert cuts[0].tolist() == np.repeat(masks, np.diff(starts, append=cuts.shape[1])).tolist()

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -774,6 +775,16 @@ def test_layout_cap():
         PureState((2,) * 15, [1.0])
     with pytest.raises(DomainError, match="exceeds cap"):
         DensityOperator((2,) * 15, np.eye(1))
+
+
+@pytest.mark.parametrize("dims", [(2.5, 2), (2.0, 2), ("2", 2), (True, 2), (np.True_, 2), (0, 2)])
+def test_dims_rule_names_itself(dims):
+    # a dimension that is no integer >= 1 breaks the rule, whatever its type
+    message = re.escape(f"site dimensions must be integers >= 1: {dims}")
+    with pytest.raises(DomainError, match=message):
+        PureState(dims, [1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(DomainError, match=message):
+        DensityOperator(dims, np.eye(4) / 4)
 
 
 def test_numpy_integer_dims_become_a_tuple_of_ints():

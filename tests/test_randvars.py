@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import math
 import operator
 import random
@@ -33,6 +34,7 @@ from helpers import (
     borromean,
     discrete,
     oracle_independent,
+    oracle_index,
     oracle_irreducibles,
     oracle_marginal,
     oracle_rv_inseparable,
@@ -437,13 +439,90 @@ def test_sweep_decides_every_cut_as_the_oracle(case):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(rv_cases(), st.integers(1, 3))
-def test_sweep_decides_every_cut_as_the_oracle_in_steps(case, cuts_per_step):
-    # a weight-test step of 1-3 cuts, so that the passing cuts span several steps
+@given(rv_cases(), st.integers(1, 3), st.sampled_from((2, 3, 4, 9, 2**62)))
+def test_sweep_decides_every_cut_as_the_oracle_in_steps(case, lines_per_step, radix_limit):
+    # a stack of 1-3 subsets or cuts, so that the ranking and the passing cuts
+    # span several stacks, and runs of variables whose alphabets multiply to
+    # less than `radix_limit`, so that most subsets are ranked as pairs (P, Q)
     outcomes, table, kind, _ = case
+    stacks = []
+
+    def rank(keys):
+        stacks.append(len(keys))
+        return rank_once(keys)
+
+    rank_once = randvars._rank
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(randvars, "_CHUNK", cuts_per_step * len(table))
+        mp.setattr(randvars, "_CHUNK", lines_per_step * len(table))
+        mp.setattr(randvars, "_RADIX_LIMIT", radix_limit)
+        mp.setattr(randvars, "_rank", rank)
         check_sweep_against_oracle(outcomes, table, kind if isinstance(kind, float) else DEFAULT_TOL)
+    # every nonempty subset is ranked once, in stacks of at most lines_per_step
+    assert sum(stacks) == 2 ** len(outcomes) - 1 and max(stacks) <= lines_per_step
+
+
+def test_sweep_splits_alphabets_whose_product_reaches_2_to_62():
+    # two parity triples over 6 variables of 2,048 labels each: 2048**6 = 2**66,
+    # so variables 1-5 form one run and variable 6 another, and the second
+    # triple's subsets are ranked as pairs across the two runs
+    kappa = structure(6, [(1, 2, 3), (4, 5, 6)])
+    small = realize_structure(kappa)
+    alphabet = tuple(str(v) for v in range(2048))
+    relabel = [{x: alphabet[(577 * j + 131 * v) % 2048] for j, x in enumerate(labels)}
+               for v, labels in enumerate(small.outcomes)]
+    table = {tuple(r[x] for r, x in zip(relabel, t)): p for t, p in small.prob.items()}
+    runs = []
+
+    def plan(lo, hi):
+        runs.append((lo, hi))
+        return plan_once(lo, hi)
+
+    plan_once = randvars._plan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randvars, "_plan", plan)
+        dist = FiniteJointDistribution((alphabet,) * 6, table)
+        row_ids, sizes, independent = _sweep(dist, DEFAULT_TOL)
+    assert runs == [(0, 5), (5, 6)]
+    for m in range(1, 1 << 6):
+        positions = [p for p in range(6) if m >> p & 1]
+        unique, inverse = np.unique(dist._index[:, positions], axis=0, return_inverse=True)
+        assert row_ids[m].tolist() == inverse.ravel().tolist() and sizes[m] == len(unique)
+    # the oracle walks the labels the table uses; the others have no mass
+    used = [sorted(r.values(), key=alphabet.index) for r in relabel]
+    for (_, a, b), verdict in zip(sweep_cuts(dist), independent.tolist()):
+        assert verdict == oracle_independent(used, table, a, b)
+    assert rv_analysis(dist).structure == kappa
+
+
+def _json_table(items, form, commas):
+    """The JSON "prob" object of a table's (key tuple, value) items: compact,
+    comma or, per `commas`, mixed keys; Fractions as "p/q" strings."""
+    return json.loads(json.dumps({
+        ",".join(t) if form == "comma" or form == "mixed" and c else "".join(t):
+        f"{p.numerator}/{p.denominator}" if isinstance(p, Fraction) else p
+        for (t, p), c in zip(items, commas)
+    }))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(rv_cases(), st.sampled_from(("compact", "comma", "mixed")), st.data())
+def test_json_decoder_matches_the_constructor_and_the_oracle(case, form, data):
+    # the table with some zero entries (the JSON integer 0, which keeps a
+    # table exact) off its support, in a drawn entry order
+    outcomes, table, _, _ = case
+    missing = [t for t in itertools.product(*outcomes) if t not in table]
+    zeros = data.draw(st.lists(st.sampled_from(missing), unique=True)) if missing else []
+    items = data.draw(st.permutations([*table.items(), *((t, 0) for t in zeros)]))
+    commas = data.draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+    json_table = _json_table(items, form, commas)
+    decoded = distribution_from_dict({"outcomes": outcomes, "prob": json_table})
+    built = FiniteJointDistribution(outcomes, dict(items))
+    rows, weights, scale, exact = oracle_index(outcomes, dict(items))
+    dtype = np.dtype(float if not exact else np.int64 if scale**2 < 2**62 else object)
+    for dist in (decoded, built):
+        assert dist._index.tolist() == [list(row) for row in rows]
+        assert dist._weights.tolist() == weights and dist._weights.dtype == dtype
+        assert dist._scale == scale and dist.exact == exact
 
 
 def test_sweep_on_one_row_and_object_weights():

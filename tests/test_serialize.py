@@ -154,6 +154,55 @@ def test_repeated_bad_probability_names_its_first_entry(value, message):
     assert str(caught.value) == message
 
 
+_BITS = [["0", "1"], ["0", "1"]]
+
+
+@pytest.mark.parametrize("outcomes, prob, message", [
+    # a key naming no outcome and a negative value: the earlier entry is named
+    (_BITS, {"0,2": "1/2", "1,1": "-1/2", "0,0": "1"},
+     "outcome tuple ('0', '2') is not well-typed"),
+    (_BITS, {"1,1": "-1/2", "0,2": "1/2", "0,0": "1"},
+     "probability -1/2 for ('1', '1') is not >= 0"),
+    (_BITS, {"02": "1/2", "11": "-1/2"}, "outcome tuple ('0', '2') is not well-typed"),
+    # a boolean after a valid entry, before an entry naming no outcome
+    (_BITS, {"00": "1/2", "11": True, "22": "1/2"},
+     "probability true is a boolean, not a number"),
+    # aliased keys, even after a negative value: every key is split first
+    ([["a", "b"]] * 2, {"ab": "1/2", "a,b": "1/2"},
+     "keys 'ab' and 'a,b' both name ('a', 'b')"),
+    ([["a", "b"]] * 2, {"ab": "-1/2", "ba": "1", "a,b": "1/2"},
+     "keys 'ab' and 'a,b' both name ('a', 'b')"),
+    # a wrong-arity key in a comma table, also where the label counts add up
+    (_BITS, {"0,0": "1/2", "0,1": "-1/2", "0,1,1": "1/2"},
+     "key '0,1,1' does not split into 2 labels"),
+    ([["0", "1"]] * 3, {"0,0,0,0": "1/2", "0,0": "1/2"},
+     "key '0,0,0,0' does not split into 3 labels"),
+])
+def test_first_faulty_entry_is_named(outcomes, prob, message):
+    with pytest.raises(DomainError) as caught:
+        distribution_from_dict({"outcomes": outcomes, "prob": prob})
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("prob, message", [
+    ({("0", "2"): Fraction(1, 2), ("1", "1"): Fraction(-1, 2)},
+     "outcome tuple ('0', '2') is not well-typed"),
+    ({("1", "1"): -0.5, ("0", "2"): Fraction(1, 2)},
+     "probability -0.5 for ('1', '1') is not >= 0"),
+    ({("0", "0"): Fraction(1, 2), ("1", "1"): True, ("2", "2"): Fraction(1, 2)},
+     "probability True for ('1', '1') is a boolean, not a number"),
+    # a key of another arity names no outcome, in entry order
+    ({("0",): Fraction(1, 2), ("1", "1"): Fraction(-1, 2)},
+     "outcome tuple ('0',) is not well-typed"),
+    ({("1", "1"): Fraction(-1, 2), ("0", "1", "1"): 1},
+     "probability -1/2 for ('1', '1') is not >= 0"),
+])
+def test_constructor_names_the_first_faulty_entry(prob, message):
+    with pytest.raises(DomainError) as caught:
+        FiniteJointDistribution(_BITS, prob)
+    assert str(caught.value) == message
+
+
 def test_canonical_json_is_stable():
     payload = {"b": 1, "a": [3, 2]}
     assert canonical_json(payload) == canonical_json({"a": [3, 2], "b": 1})
