@@ -38,7 +38,6 @@ import numpy as np
 
 from .connective import (
     ConnectiveStructure,
-    _bipartitions,
     _cut_table,
     _mask_positions,
     _subset_structures,
@@ -77,7 +76,6 @@ class SubsetDensityVerdict:
 class DensityReport:
     """Per-subset verdicts, the corr and Sugita structures, and their max order."""
 
-    sites: int
     subsets: Mapping[tuple, SubsetDensityVerdict]
     kappa_corr: ConnectiveStructure
     kappa_s: ConnectiveStructure
@@ -165,8 +163,7 @@ def _split_cuts(reduce, k: int, tol: float) -> np.ndarray:
 def _completely_entangled(reduced: DensityOperator, tol: float) -> tuple:
     if abs(purity(reduced) - 1.0) <= tol:
         top = np.linalg.eigh(reduced.matrix)[1][:, -1]
-        cuts = _bipartitions(len(reduced.dims))
-        split = _separable_cuts(top, reduced.dims, cuts, tol)
+        split = _separable_cuts(top, reduced.dims, tol)
         return not split.any(), VerdictQuality.EXACT
     # positive partial transpose is only necessary for separability: an
     # inconclusive cut counts as separable but degrades the quality flag
@@ -192,7 +189,7 @@ def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> Densit
     })
     kappa_corr, kappa_s = structures["corr"], structures["S"]
     omega_f = max(connective_order(kappa_corr), connective_order(kappa_s))
-    return DensityReport(k, subsets, kappa_corr, kappa_s, omega_f)
+    return DensityReport(subsets, kappa_corr, kappa_s, omega_f)
 
 
 def total_order(psi: PureState, tol: float = DEFAULT_TOL) -> TotalOrder:

@@ -185,11 +185,12 @@ def _axis_any(x: np.ndarray) -> list:
     )
 
 
-def _scan(device: Device, cuts) -> tuple:
+def _scan(device: Device) -> tuple:
     """(coverage, codes) over the deterministic realizations.  The coverage
     matrix has one row per partition, and one column per related (question,
     answer) pair, sorted.  The partitions are the singletons followed by each
-    of `cuts`.  `codes` lists the distinct dependency codes, ascending.
+    cut of `connective._bipartitions`.  `codes` lists the distinct dependency
+    codes, ascending.
 
     A realization is a choice index per question, so the realizations form an
     array in C order, with one axis per question that has two or more
@@ -252,7 +253,7 @@ def _scan(device: Device, cuts) -> tuple:
     offsets = np.cumsum([0, *sizes])
     spans = [slice(offsets[qi], offsets[qi + 1]) for qi in axis]
 
-    partitions = [tuple((s,) for s in range(k)), *cuts]
+    partitions = [tuple((s,) for s in range(k)), *_bipartitions(k)]
     crossing = [
         sum(1 << (i * k + j) for a in blocks for b in blocks if a != b for i in a for j in b)
         for blocks in partitions
@@ -321,7 +322,7 @@ def _profile(reduce, j: tuple, cap: int) -> tuple:
         )
     k = len(j)
     cuts = _bipartitions(k)
-    coverage, codes = _scan(device, cuts)
+    coverage, codes = _scan(device)
     every, some = coverage.all(axis=1), coverage.any(axis=1)
 
     def product_along(blocks):

@@ -19,10 +19,10 @@ outside J for every experiment and outcome at once, giving the residual
 J-states as one (experiments, outcomes, dim_J) array; an outcome is possible
 iff its residual norm is > tol.  Each bipartition of J is then tested for
 every possible outcome by `quantum._separable_cuts` (second Schmidt
-coefficient <= tol): the cuts whose shorter sides have equal dimensions
-together, by one closed-form projection test, with LAPACK only inside a
-rounding band around tol.  Residuals are not deduplicated, since a repeated
-state never changes the any/all tests of the classification.
+coefficient <= tol), which plans the cuts of each layout once and decides
+them by a closed-form projection test, with LAPACK only inside a rounding
+band around tol.  Residuals are not deduplicated, since a repeated state
+never changes the any/all tests of the classification.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 
 from .connective import (
     ConnectiveStructure,
-    _bipartitions,
     _check_indices,
     _subset_structures,
     connective_order,
@@ -110,7 +109,6 @@ class Classification:
 class DisentanglementReport:
     """Per-subset classes, the six generated structures, and their maximal order."""
 
-    sites: int
     classes: Mapping[tuple, Classification]
     structures: Mapping[str, ConnectiveStructure]
     omega_c: int
@@ -223,13 +221,12 @@ def classify_on_subset(psi: PureState, j_sites, tol: float = DEFAULT_TOL) -> Cla
         raise DomainError("classification needs a subset with at least two sites")
     if min(psi.dims) < 2:
         raise DomainError("analysis requires every site dimension >= 2")
-    cuts = _bipartitions(len(j))
     dims_j = tuple(psi.dims[s] for s in j)
 
     factor = _factor_on(psi, j, tol)
     if factor is not None:
         # the one residual state of every experiment: one experiment, one outcome
-        profile = _separable_cuts(factor, dims_j, cuts, tol)
+        profile = _separable_cuts(factor, dims_j, tol)
         separable = profile.any(axis=1)
         kind = _decide(~separable, separable, profile.all(axis=0))
         return Classification(kind, Confidence.CERTIFIED)
@@ -240,15 +237,16 @@ def classify_on_subset(psi: PureState, j_sites, tol: float = DEFAULT_TOL) -> Cla
     # per experiment: some outcome splits along no cut / along some cut
     ent_here = np.zeros(count, dtype=bool)
     sep_here = np.zeros(count, dtype=bool)
-    # per cut: every outcome of every experiment splits along it
-    sep_along = np.ones(len(cuts), dtype=bool)
+    # per cut: every outcome of every experiment splits along it (an array
+    # from the first chunk on)
+    sep_along = True
     step = max(1, _CHUNK // psi.amplitudes.size)
     for start in range(0, count, step):
         chunk = [b[start:start + step] for b in pool]
         residuals, norms = _residuals(psi, complement, chunk)
         possible = norms > tol
         owner = start + np.nonzero(possible)[0]
-        profiles = _separable_cuts(residuals[possible], dims_j, cuts, tol)
+        profiles = _separable_cuts(residuals[possible], dims_j, tol)
         separable = profiles.any(axis=1)
         ent_here[owner[~separable]] = True
         sep_here[owner[separable]] = True
@@ -270,4 +268,4 @@ def disentanglement_structures(psi: PureState, tol: float = DEFAULT_TOL) -> Dise
         {name: lambda c, kinds=kinds: c.kind in kinds for name, kinds in _FAMILY_CLASSES.items()},
     )
     omega = max(connective_order(s) for s in structures.values())
-    return DisentanglementReport(k, classes, structures, omega)
+    return DisentanglementReport(classes, structures, omega)

@@ -8,6 +8,9 @@ One kernel, `_residuals`, contracts sites of a pure state against stacked
 local bases; the disentanglement classification and `devices.derive_device`
 both measure through it, under one rule: an outcome is possible iff its
 residual norm is > tol, that is, its probability is > tol^2.
+
+The rank and PPT tests judge every cut of `connective._bipartitions` and
+take no cut list: `_cut_plan` plans each layout's cuts once.
 """
 
 from __future__ import annotations
@@ -208,29 +211,24 @@ def _matricize(psi: PureState, part: tuple) -> np.ndarray:
     return t.reshape(rows, -1)
 
 
-def _separable_cuts(states: np.ndarray, dims: tuple, cuts, tol: float) -> np.ndarray:
-    """Bool array (states, cuts): which bipartitions (by position) split each state.
+def _separable_cuts(states: np.ndarray, dims: tuple, tol: float) -> np.ndarray:
+    """Bool array (states, cuts): which cuts of `connective._bipartitions`
+    split each state.
 
     `states` holds one unit vector over the layout `dims` per row.  A state
     splits along a cut when the second Schmidt coefficient of its
     matricization is <= tol, exactly as `np.linalg.svd` computes it: a side of
     dimension 1 leaves one coefficient, so every state splits there.  Every
-    other cut is grouped with the cuts whose shorter side has its dimension
-    r, which fixes the matrix shape up to transposition, and each group goes
-    to `_second_below` in stacks of at most `_CHUNK` amplitudes, at least one
-    cut.  The bound caps memory: a batch of `states` that holds `_CHUNK`
-    amplitudes or more, as the residual chunks of large states do, is tested
-    one cut per call.
+    other cut is in the group of its shorter side's dimension r in
+    `_cut_plan(dims)`, which fixes the matrix shape up to transposition, and
+    each group goes to `_second_below` in stacks of at most `_CHUNK`
+    amplitudes, at least one cut.  The bound caps memory: a batch of `states`
+    that holds `_CHUNK` amplitudes or more, as the residual chunks of large
+    states do, is tested one cut per call.
     """
     tensors = states.reshape(-1, *dims)
-    size = math.prod(dims)
-    out = np.ones((len(tensors), len(cuts)), dtype=bool)
-    groups = {}
-    for c, (a, b) in enumerate(cuts):
-        rows = math.prod(dims[p] for p in a)
-        r = min(rows, size // rows)
-        if r > 1:
-            groups.setdefault(r, []).append((c, a + b if rows == r else b + a, rows != r))
+    sides, groups, _ = _cut_plan(dims)
+    out = np.ones((len(tensors), len(sides)), dtype=bool)
     step = max(1, _CHUNK // max(tensors.size, 1))
     for r, group in groups.items():
         for start in range(0, len(group), step):
@@ -433,32 +431,37 @@ def _min_eig_below(mat: np.ndarray, bound: float, norm: float) -> bool:
 
 
 @functools.cache
-def _block_plan(dims: tuple) -> tuple:
-    """(lead, inners, rows, keys): what `_block_certificates` stacks for an
-    operator over `dims`, which depends on the dimensions alone.
+def _cut_plan(dims: tuple) -> tuple:
+    """(sides, groups, blocks): the cuts of `connective._bipartitions` over
+    the layout `dims`, planned once for every kernel that judges them.
 
-    The trailing sites T = lead..k-1 are the last ones whose dimensions
-    multiply to at most `_BLOCK`.  `rows` lists the cuts of
-    `connective._bipartitions` whose sides both have dimension > 1 and whose
-    b holds some but not all of T; `inners` lists the distinct position sets
-    of b's sites within T over those cuts, and `keys` each row's index into
-    it.  Nothing is stacked when T leaves no leading site or has fewer than
-    two sites.
+    `sides[c]` holds the dimensions (da, db) of cut c = (a, b).  `groups`
+    maps each shorter-side dimension r >= 2 to its cuts as (c, positions,
+    flipped): the positions of the shorter side first, and whether that side
+    is b; a cut with a side of dimension 1 is in no group.  `blocks` is
+    (lead, inners, rows, keys), what `_block_certificates` stacks: the
+    trailing sites T = lead..k-1 are the last ones whose dimensions multiply
+    to at most `_BLOCK`; when T leaves a leading site, `rows` lists the
+    grouped cuts whose b holds some but not all of T, `inners` the distinct
+    position sets of b's sites within T over those cuts, and `keys` each
+    row's index into it.
     """
     k = len(dims)
     lead, m = k, 1
     while lead and m * dims[lead - 1] <= _BLOCK:
         lead -= 1
         m *= dims[lead]
-    rows, inners = [], {}
-    if lead and k - lead > 1:
-        for c, (a, b) in enumerate(_bipartitions(k)):
+    sides, groups, rows, inners = [], {}, [], {}
+    for c, (a, b) in enumerate(_bipartitions(k)):
+        da, db = math.prod(dims[p] for p in a), math.prod(dims[p] for p in b)
+        sides.append((da, db))
+        if min(da, db) > 1:
+            groups.setdefault(min(da, db), []).append((c, a + b if da <= db else b + a, da > db))
             inner = tuple(s - lead for s in b if s >= lead)
-            if (0 < len(inner) < k - lead
-                    and min(math.prod(dims[s] for s in side) for side in (a, b)) > 1):
+            if lead and 0 < len(inner) < k - lead:
                 rows.append((c, inners.setdefault(inner, len(inners))))
     rows = np.array(rows, dtype=np.intp).reshape(-1, 2).T
-    return lead, tuple(inners), *rows
+    return tuple(sides), groups, (lead, tuple(inners), *rows)
 
 
 def _block_certificates(tens: np.ndarray, norm: float, tol: float) -> np.ndarray:
@@ -467,7 +470,7 @@ def _block_certificates(tens: np.ndarray, norm: float, tol: float) -> np.ndarray
     `_min_eig_below(..., -tol, norm)` True, for the operator with tensor
     `tens` (k ket axes, then k bra axes) and Frobenius norm `norm`.
 
-    The block keeps the trailing sites T of `_block_plan` and fixes every
+    The block keeps the trailing sites T of `_cut_plan` and fixes every
     leading index at 0, in ket and bra alike: it is a principal submatrix of
     the partial transpose, and the partial transpose over the sites of b in
     T of rho's own block.  By Cauchy interlacing (Horn and Johnson, *Matrix
@@ -487,8 +490,8 @@ def _block_certificates(tens: np.ndarray, norm: float, tol: float) -> np.ndarray
     """
     k = tens.ndim // 2
     dims = tens.shape[:k]
-    lead, inners, rows, keys = _block_plan(dims)
-    certified = np.zeros(len(_bipartitions(k)), dtype=bool)
+    sides, _, (lead, inners, rows, keys) = _cut_plan(dims)
+    certified = np.zeros(len(sides), dtype=bool)
     if len(rows):
         corner = (0,) * lead + (slice(None),) * (k - lead)
         block = tens[corner + corner]
@@ -508,20 +511,20 @@ def ppt_entangled(rho: DensityOperator, tol: float = DEFAULT_TOL) -> tuple:
     certifies entanglement in any dimension; a positive partial transpose
     certifies separability only for 2x2 and 2x3 local dimensions.
 
-    One pass takes the cuts in the order of `connective._bipartitions`: a
-    product or separable cut makes the answer False and the pass goes on, and
-    the first other PPT cut ends it with (False, False).  rho's norm, computed
-    once, sets every cut's rounding band.  A cut that `_block_certificates`
-    certifies is entangled without a factorization, `_min_eig_below`'s answer
-    too; every other cut's partial transpose is copied once, into the matrix
-    that is factorized.
+    One pass takes the cuts in the order of `connective._bipartitions`, with
+    their side dimensions from `_cut_plan`: a product or separable cut makes
+    the answer False and the pass goes on, and the first other PPT cut ends it
+    with (False, False).  rho's norm, computed once, sets every cut's rounding
+    band.  A cut that `_block_certificates` certifies is entangled without a
+    factorization, `_min_eig_below`'s answer too; every other cut's partial
+    transpose is copied once, into the matrix that is factorized.
     """
     tens = rho.matrix.reshape(rho.dims * 2)
     norm = _frobenius(rho.matrix)
     certified = _block_certificates(tens, norm, tol)
     entangled = True
-    for (a, b), certain in zip(_bipartitions(len(rho.dims)), certified.tolist()):
-        da, db = (math.prod(tens.shape[s] for s in side) for side in (a, b))
+    cuts = zip(_bipartitions(len(rho.dims)), _cut_plan(rho.dims)[0], certified.tolist())
+    for (a, b), (da, db), certain in cuts:
         if certain or (min(da, db) > 1 and _min_eig_below(_transposed(tens, b), -tol, norm)):
             continue
         if min(da, db) > 1 and {da, db} not in ({2}, {2, 3}):

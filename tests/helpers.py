@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conexa.connective import ConnectiveStructure
+from conexa.connective import ConnectiveStructure, _bipartitions
 from conexa.devices import Device
 from conexa.quantum import PureState
 
@@ -393,6 +393,34 @@ def oracle_domanial(device) -> tuple:
         f_dp = oracle_close(k, [m | 1 << i for i, m in enumerate(masks)])
         do, dp = (f_do, f_dp) if do is None else (do & f_do, dp & f_dp)
     return ConnectiveStructure(k, do), ConnectiveStructure(k, dp)
+
+
+def oracle_cut_plan(dims) -> tuple:
+    """(lead, cuts): the trailing sites lead..k-1 of the principal blocks,
+    and per cut (a, b) of `_bipartitions(len(dims))`, worked out on its own,
+    (sides, group, inner).
+
+    sides = (da, db), the products of the dimensions on a and on b.  group is
+    None when a side has dimension 1, else (r, positions, flipped): r the
+    least side dimension, the positions of the shorter side first (a on a
+    tie) and flipped iff da > db.  The trailing sites T are the longest run
+    at the end whose dimensions multiply to at most 8; inner holds b's
+    positions within T when the cut has a group, some site precedes T and b
+    holds some but not all of T, else None.
+    """
+    k = len(dims)
+    lead = next(t for t in range(k + 1) if math.prod(dims[t:]) <= 8)
+    cuts = []
+    for a, b in _bipartitions(k):
+        da, db = math.prod(dims[p] for p in a), math.prod(dims[p] for p in b)
+        group = inner = None
+        if da > 1 and db > 1:
+            group = (da, a + b, False) if da <= db else (db, b + a, True)
+            in_t = tuple(p - lead for p in b if p >= lead)
+            if lead > 0 and in_t and len(in_t) < k - lead:
+                inner = in_t
+        cuts.append(((da, db), group, inner))
+    return lead, cuts
 
 
 def _oracle_separable(tensor: np.ndarray, part, tol: float) -> bool:

@@ -11,12 +11,12 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conexa import devices, randvars
+from conexa import devices, quantum, randvars
 from conexa.cli import main
 from conexa.connective import (
     ConnectiveStructure,
-    _bipartitions,
     _subset_structures,
+    _subsets,
     connective_order,
 )
 from conexa.serialize import (
@@ -489,6 +489,27 @@ def test_engine_reports_pinned(source, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[source]
 
 
+@pytest.mark.parametrize("command, dims", [("analyze-state", (2,) * 6),
+                                           ("analyze-density", (2,) * 5)])
+def test_each_layout_is_planned_once(command, dims, tmp_path, capsys):
+    # the kernels miss the cut-plan cache once per distinct dims tuple of the
+    # subsets judged, however many subsets, chunks and kernels share it: a
+    # seeded Haar state, and a seeded rank-1 operator whose full set takes the
+    # rank test and whose reductions take the PPT test
+    rng = np.random.default_rng(7)
+    if command == "analyze-state":
+        payload = state_to_dict(PureState(dims, random_state_vector(rng, math.prod(dims))))
+    else:
+        payload = density_to_dict(DensityOperator(dims, random_density_matrix(rng, dims, 1)))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    quantum._cut_plan.cache_clear()
+    code, _, _ = run_cli(capsys, command, "--file", str(path))
+    assert code == 0
+    judged = {tuple(dims[s] for s in j) for j, _ in _subsets(len(dims))}
+    assert quantum._cut_plan.cache_info().misses == len(judged)
+
+
 def test_text_format(capsys):
     code, out, _ = run_cli(
         capsys, "analyze-state", "--builtin", "EPR", "--format", "text"
@@ -589,7 +610,7 @@ def test_analyze_device_matches_separate_layers(tmp_path, capsys):
             })
         profile = profiles[tuple(range(1, dev.uplicity + 1))]
         tensorial = max(connective_order(s) for s in structures.values())
-        _, codes = devices._scan(dev, _bipartitions(dev.uplicity))
+        _, codes = devices._scan(dev)
         structures["do"], structures["dp"] = devices._domanial(dev.uplicity, codes)
         domanial = max(connective_order(structures["do"]), connective_order(structures["dp"]))
         expected = {

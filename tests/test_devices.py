@@ -12,7 +12,6 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conexa import devices
-from conexa.connective import _bipartitions
 from conexa.density import density_structures
 from conexa.devices import (
     _INCLUSIONS,
@@ -86,7 +85,7 @@ def tensorial(dev) -> dict:
 def domanial(dev) -> tuple:
     """(kappa_do, kappa_dp) from the codes of one scan of the full device
     along every partition."""
-    _, codes = devices._scan(dev, _bipartitions(dev.uplicity))
+    _, codes = devices._scan(dev)
     return devices._domanial(dev.uplicity, codes)
 
 
@@ -362,7 +361,7 @@ def test_wide_devices_match_oracles(dev):
 def _scan_results(dev):
     """The coverage matrix, the codes and both meets of a scan along every
     partition, and the meets of the device's report."""
-    coverage, codes = devices._scan(dev, _bipartitions(dev.uplicity))
+    coverage, codes = devices._scan(dev)
     report = device_structures(dev).structures
     meets = devices._domanial(dev.uplicity, codes)
     return coverage.tolist(), codes, meets, (report["do"], report["dp"])
@@ -415,27 +414,25 @@ def oracle_codes(dev) -> list:
 @given(coherent_devices(sites=(2, 5), labels=2, budget=64))
 def test_scan_codes_match_the_oracle(dev):
     expected = oracle_codes(dev)
-    cuts = _bipartitions(dev.uplicity)
     for patch in ({"_CHUNK": 1}, {"_CHUNK": 7}, {}, {"_TABLE_BITS": 0}):
         with pytest.MonkeyPatch.context() as mp:
             for name, value in patch.items():
                 mp.setattr(devices, name, value)
-            assert devices._scan(dev, cuts)[1] == expected
+            assert devices._scan(dev)[1] == expected
 
 
 def test_k_codes_never_reach_np_unique():
     # K's 9-bit codes go through the code table, never through np.unique;
     # its meets are discrete while not every partition selects every pair
     dev = builtin_device("K")
-    cuts = _bipartitions(dev.uplicity)
     with mock.patch.object(np, "unique", wraps=np.unique) as unique:
-        coverage, codes = devices._scan(dev, cuts)
+        coverage, codes = devices._scan(dev)
     assert unique.call_count == 0
     assert not coverage.all()
     assert devices._domanial(dev.uplicity, codes) == (discrete(3), discrete(3))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(devices, "_TABLE_BITS", 0)
-        assert devices._scan(dev, cuts)[1] == codes
+        assert devices._scan(dev)[1] == codes
 
 
 def test_scan_block_of_one_axis_above_the_chunk():

@@ -1,7 +1,6 @@
 """Quantum kernel: tensor products, Schmidt data, measurement, reductions, PPT."""
 
 import functools
-import itertools
 import math
 import re
 from unittest import mock
@@ -19,6 +18,7 @@ from conexa.quantum import (
     DEFAULT_TOL,
     DensityOperator,
     _block_certificates,
+    _cut_plan,
     _eigensystem,
     _matricize,
     _frobenius,
@@ -39,6 +39,7 @@ from helpers import (
     basis_state,
     haar_unitary,
     horodecki_2x4,
+    oracle_cut_plan,
     oracle_device_relation,
     oracle_measure,
     oracle_partial_trace,
@@ -90,8 +91,8 @@ def schmidt(psi, part) -> np.ndarray:
 
 
 def separable(psi, a, b, tol=1e-9) -> bool:
-    cut = (tuple(a), tuple(b))
-    return bool(_separable_cuts(psi.amplitudes, psi.dims, [cut], tol)[0, 0])
+    cut = _bipartitions(len(psi.dims)).index((tuple(a), tuple(b)))
+    return bool(_separable_cuts(psi.amplitudes, psi.dims, tol)[0, cut])
 
 
 def contract(psi, site_vectors):
@@ -201,15 +202,15 @@ def _planted_cut(rng, kind, m, tol, r=2):
 
 
 def _check_cuts_against_svd(kinds, r, m, tall, tol, seed):
-    """`_separable_cuts` on planted r x m matrices (m x r when tall), one cut
-    between the two sites of an (r, m) layout, against `np.linalg.svd`."""
+    """`_separable_cuts` on planted r x m matrices (m x r when tall), on the
+    one cut of a two-site layout, against `np.linalg.svd`."""
     rng = np.random.default_rng(seed)
     mats = np.stack([_planted_cut(rng, kind, m, tol, r) for kind in kinds])
     if tall:
         mats = mats.transpose(0, 2, 1).copy()
     want = np.linalg.svd(mats, compute_uv=False)[:, 1] <= tol
     with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as spy:
-        got = _separable_cuts(mats.reshape(len(kinds), -1), mats.shape[1:], [((0,), (1,))], tol)
+        got = _separable_cuts(mats.reshape(len(kinds), -1), mats.shape[1:], tol)
     assert got[:, 0].tolist() == want.tolist()
     # LAPACK runs only on the matrices in the rounding band around tol, and
     # on them as given, not transposed; the band holds only second
@@ -243,7 +244,8 @@ def test_every_shorter_side_agrees_with_svd(kinds, r, extra, tall, tol, seed):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=4), seed=st.integers(0, 2**32 - 1))
+@given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=4).map(tuple),
+       seed=st.integers(0, 2**32 - 1))
 def test_every_cut_agrees_with_svd(dims, seed):
     # random states and products of two random factors, over every cut, with
     # every group of cuts in one stack and with one cut per stack
@@ -252,17 +254,34 @@ def test_every_cut_agrees_with_svd(dims, seed):
     states = [random_pure(rng, dims), tensor_state(random_pure(rng, dims[:split]),
                                                    random_pure(rng, dims[split:]))]
     amplitudes = np.stack([psi.amplitudes for psi in states])
-    cuts = [(a, tuple(s for s in range(len(dims)) if s not in a))
-            for r in range(1, len(dims)) for a in itertools.combinations(range(len(dims)), r)]
-    got = _separable_cuts(amplitudes, dims, cuts, 1e-9)
+    got = _separable_cuts(amplitudes, dims, 1e-9)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantum, "_CHUNK", 1)
-        assert np.array_equal(_separable_cuts(amplitudes, dims, cuts, 1e-9), got)
-    for c, (a, b) in enumerate(cuts):
+        assert np.array_equal(_separable_cuts(amplitudes, dims, 1e-9), got)
+    for c, (a, b) in enumerate(_bipartitions(len(dims))):
         for i, psi in enumerate(states):
             coeffs = np.linalg.svd(psi.tensor.transpose(a + b).reshape(
                 math.prod(dims[p] for p in a), -1), compute_uv=False)
             assert got[i, c] == (len(coeffs) < 2 or coeffs[1] <= 1e-9)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=7).map(tuple))
+def test_cut_plan_matches_a_per_cut_recomputation(dims):
+    sides, groups, (lead, inners, rows, keys) = _cut_plan(dims)
+    want_lead, want = oracle_cut_plan(dims)
+    assert sides == tuple(side for side, _, _ in want)
+    # every cut with both sides above 1 sits in exactly one group, keyed by
+    # its least side, and no other cut sits in any
+    placed = [(c, (r, positions, flipped))
+              for r, group in groups.items() for c, positions, flipped in group]
+    assert sorted(placed) == [(c, g) for c, (_, g, _) in enumerate(want) if g is not None]
+    # the principal blocks: one row per cut whose b splits T, in cut order,
+    # each keyed to its distinct inner position set, first seen first
+    blocks = [(c, inner) for c, (_, _, inner) in enumerate(want) if inner is not None]
+    assert [(c, inners[key]) for c, key in zip(rows.tolist(), keys.tolist())] == blocks
+    assert inners == tuple(dict.fromkeys(inner for _, inner in blocks))
+    assert not blocks or lead == want_lead
 
 
 def test_tensor_then_separable_on_build_seam():
