@@ -171,13 +171,12 @@ def _subset_key(sites: int):
 def _cmd_analyze_state(args) -> dict:
     psi = _input(args.file, args.builtin, builtin_state, state_from_dict,
                  "provide --file or --builtin")
+    selected = STRUCTURE_NAMES if args.structures is None else tuple(
+        name.strip() for name in args.structures.split(","))
+    unknown = [n for n in selected if n not in STRUCTURE_NAMES]
+    if unknown:
+        raise DomainError(f"unknown structure names {unknown}; known: {STRUCTURE_NAMES}")
     report = disentanglement_structures(psi, tol=args.tol)
-    selected = STRUCTURE_NAMES
-    if args.structures is not None:
-        selected = tuple(name.strip() for name in args.structures.split(","))
-        unknown = [n for n in selected if n not in STRUCTURE_NAMES]
-        if unknown:
-            raise DomainError(f"unknown structure names {unknown}; known: {STRUCTURE_NAMES}")
     key = _subset_key(len(psi.dims))
     return {
         "dims": list(psi.dims),
@@ -286,8 +285,7 @@ def _cmd_derive_device(args) -> dict:
         menus = _load(args.menus, menus_from_dict)
     else:
         menus = _parse_menu_tokens(args.menus, len(psi.dims))
-    recode = args.recode if args.recode != "raw" else None
-    device = derive_device(psi, menus, recode=recode, tol=args.tol)
+    device = derive_device(psi, menus, recode=args.recode, tol=args.tol)
     return {"device": device_to_dict(device)}
 
 

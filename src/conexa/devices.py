@@ -31,6 +31,7 @@ from .connective import (
     _check_labels,
     _close,
     _subset_structures,
+    _subsets,
     connective_order,
 )
 from .errors import DomainError, ResourceError
@@ -306,20 +307,13 @@ def _is_product_along(device: Device, parts: Sequence[Device], blocks: Sequence[
     )
 
 
-def _profile(reduce, j: tuple, cap: int) -> tuple:
+def _profile(reduce, j: tuple) -> tuple:
     """(profile, codes) of the sub-device `reduce(j)` from one `_scan` along
     the singletons and every cut: the seven notions, from which pairs the
     realizations factoring along each select, and the scan's distinct
     dependency codes.  The product tests read the block sub-devices from
-    `reduce` too; cuts and blocks are positions within J.  A sub-device
-    above `cap` realizations is refused by its 1-based sites."""
+    `reduce` too; cuts and blocks are positions within J."""
     device = reduce(j)
-    total = realization_count(device)
-    if total > cap:
-        on = ",".join(str(s + 1) for s in j)
-        raise ResourceError(
-            f"device on sites {on} has {total} deterministic realizations, above the cap {cap}"
-        )
     k = len(j)
     cuts = _bipartitions(k)
     coverage, codes = _scan(device)
@@ -407,9 +401,10 @@ def device_structures(device: Device, cap: int = DEFAULT_CAP) -> DeviceReport:
     Every sub-device on two or more sites is profiled, the full device last;
     one cache serves every profile, so each sub-device is built once.  The
     full device's one scan yields both its locality profile and the codes
-    whose domain structures meet to the domanial ones.  A device of more than
-    7 sites is refused before any scan (its k * k-bit codes would not fit),
-    and each device scanned must have at most `cap` realizations.
+    whose domain structures meet to the domanial ones.  Before any scan, a
+    device of more than 7 sites is refused (its k * k-bit codes would not
+    fit), and so is one with a sub-device above `cap` realizations: the first
+    in `_subsets` order, named by its 1-based sites.
     """
     k = device.uplicity
     if k < 2:
@@ -417,7 +412,14 @@ def device_structures(device: Device, cap: int = DEFAULT_CAP) -> DeviceReport:
     if k * k > 63:
         raise ResourceError("dependency scan supports at most 7 sites")
     reduce = _sub_devices(device)
-    verdicts, structures = _subset_structures(k, lambda j: _profile(reduce, j, cap), {
+    for j, _ in _subsets(k):
+        total = realization_count(reduce(j))
+        if total > cap:
+            on = ",".join(str(s + 1) for s in j)
+            raise ResourceError(
+                f"device on sites {on} has {total} deterministic realizations, above the cap {cap}"
+            )
+    verdicts, structures = _subset_structures(k, lambda j: _profile(reduce, j), {
         name: lambda verdict, notion=notion: not getattr(verdict[0], notion)
         for notion, name in _STRUCTURE_OF.items()
     })
@@ -446,7 +448,7 @@ def _format_eigenvalue(value: float) -> str:
 def derive_device(
     psi: PureState,
     menus: Sequence[Sequence[tuple]],
-    recode: Optional[str] = None,
+    recode: str = "raw",
     tol: float = DEFAULT_TOL,
 ) -> Device:
     """Device table of local menu measurements on a prepared state.
@@ -455,10 +457,11 @@ def derive_device(
     being the site's questions; every observable must be Hermitian and
     nondegenerate within `tol`.  Answers are eigenvalue labels (rounded to 9
     decimals), and no two eigenvalues of one observable may share one; with
-    recode="paper" each site's eigenvalues are renamed by ascending index
-    ("0", "1", ...), so a +/-1 spectrum becomes -1 -> "0", +1 -> "1".
+    recode="raw" they are the answers, and with recode="paper" each site's
+    eigenvalues are renamed by ascending index ("0", "1", ...), so a +/-1
+    spectrum becomes -1 -> "0", +1 -> "1".
     """
-    if recode not in (None, "paper"):
+    if recode not in ("raw", "paper"):
         raise DomainError(f"unknown recode option {recode!r}")
     k = len(psi.dims)
     if len(menus) != k:

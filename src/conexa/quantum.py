@@ -314,18 +314,11 @@ def _residuals(psi: PureState, sites: tuple, bases: Sequence[np.ndarray]) -> tup
     site order), shape (n, outcomes, dim_rest) with outcomes in row-major
     order over `sites` as given, normalized wherever the norm is nonzero,
     and their norms (n, outcomes).  The squared norm is the outcome
-    probability, and an outcome is possible iff its norm is > tol.
+    probability, and an outcome is possible iff its norm is > tol.  Nothing is
+    checked: each caller passes distinct sites and the stacks of their dims.
     """
-    _check_indices(sites, len(psi.dims), "site")
-    if not sites or len(bases) != len(sites):
-        raise DomainError("one basis stack per measured site is required")
     dims = psi.dims
     n = len(bases[0])
-    for s, b in zip(sites, bases):
-        if b.ndim != 3 or b.shape[0] != n or b.shape[1] != dims[s]:
-            raise DomainError(
-                f"bases for site {s} have shape {b.shape}, expected ({n}, {dims[s]}, m)"
-            )
     rest = tuple(s for s in range(len(dims)) if s not in sites)
     total = psi.amplitudes.size
     # axes: (stack entry, outcomes so far, unmeasured amplitudes)

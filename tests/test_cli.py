@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conexa import devices, quantum, randvars
+from conexa import cli, devices, quantum, randvars
 from conexa.cli import main
 from conexa.connective import (
     ConnectiveStructure,
@@ -90,6 +90,16 @@ def test_analyze_state_structure_filter(capsys):
 def test_analyze_state_empty_structure_name_exits_2(names, capsys):
     # an empty name is an unknown name, also when it is the whole option
     code, out, err = run_cli(capsys, "analyze-state", "--builtin", "EPR", "--structures", names)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown structure names") and err.count("\n") == 1
+
+
+def test_analyze_state_checks_structure_names_before_the_analysis(capsys, monkeypatch):
+    def analysis(*args, **kwargs):
+        raise AssertionError("the state was analyzed")
+
+    monkeypatch.setattr(cli, "disentanglement_structures", analysis)
+    code, out, err = run_cli(capsys, "analyze-state", "--builtin", "GHZ", "--structures", "FOO")
     assert (code, out) == (2, "")
     assert err.startswith("error: unknown structure names") and err.count("\n") == 1
 
@@ -193,7 +203,7 @@ def test_analyze_device_builtin_k(capsys):
 
 
 def test_analyze_device_cap_exit_code(capsys):
-    # cap below the 256 realizations of each pair sub-device, scanned first
+    # cap below the 256 realizations of each pair sub-device, checked first
     code, _, err = run_cli(capsys, "analyze-device", "--builtin", "K", "--cap", "10")
     assert code == 3
     assert "cap" in err
@@ -228,7 +238,7 @@ def test_analyze_device_cap_bounds_realizations(tmp_path, capsys):
     assert "20736" in err
 
 
-def test_analyze_device_cap_names_the_refused_sub_device(tmp_path, capsys):
+def _pooled_device_file(tmp_path):
     """A sub-device pools the answers of every extension: this 4-site device
     has 32 realizations, and its sub-device on sites 1, 2, 3 about 10^12."""
     rng = random.Random(15)
@@ -240,12 +250,29 @@ def test_analyze_device_cap_names_the_refused_sub_device(tmp_path, capsys):
     path.write_text(json.dumps(
         {"questions": [["0", "1", "2"]] * 4, "results": [["0", "1"]] * 4, "relation": relation}
     ))
-    code, _, err = run_cli(capsys, "analyze-device", "--file", str(path))
-    assert code == 3
-    assert err == (
-        "resource error: device on sites 1,2,3 has 1057916215296 deterministic "
-        "realizations, above the cap 1048576\n"
-    )
+    return path
+
+
+_POOLED_REFUSAL = (
+    "resource error: device on sites 1,2,3 has 1057916215296 deterministic "
+    "realizations, above the cap 1048576\n"
+)
+
+
+def test_analyze_device_cap_names_the_refused_sub_device(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "analyze-device", "--file", str(_pooled_device_file(tmp_path)))
+    assert (code, err) == (3, _POOLED_REFUSAL)
+
+
+def test_analyze_device_checks_every_count_before_any_scan(tmp_path, capsys, monkeypatch):
+    """The six pair sub-devices of the pooled table fit the cap, and none of
+    them is scanned before sites 1, 2, 3 are refused."""
+    def scan(device, *args, **kwargs):
+        raise AssertionError("a sub-device was scanned")
+
+    monkeypatch.setattr(devices, "_scan", scan)
+    code, _, err = run_cli(capsys, "analyze-device", "--file", str(_pooled_device_file(tmp_path)))
+    assert (code, err) == (3, _POOLED_REFUSAL)
 
 
 def test_analyze_device_refuses_eight_sites_before_any_scan(tmp_path, capsys, monkeypatch):
@@ -604,7 +631,7 @@ def test_analyze_device_matches_separate_layers(tmp_path, capsys):
         # one from the codes of its own scan of the full device
         reduce = devices._sub_devices(dev)
         profiles, structures = _subset_structures(
-            dev.uplicity, lambda j: devices._profile(reduce, j, devices.DEFAULT_CAP)[0], {
+            dev.uplicity, lambda j: devices._profile(reduce, j)[0], {
                 name: lambda p, notion=notion: not getattr(p, notion)
                 for notion, name in devices._STRUCTURE_OF.items()
             })

@@ -73,7 +73,7 @@ def random_device(rng, k=2) -> Device:
 def locality(dev):
     """The full-device locality profile, from one scan."""
     sites = tuple(range(dev.uplicity))
-    return devices._profile(devices._sub_devices(dev), sites, devices.DEFAULT_CAP)[0]
+    return devices._profile(devices._sub_devices(dev), sites)[0]
 
 
 def tensorial(dev) -> dict:
@@ -177,11 +177,9 @@ def test_realization_count_of_k_device():
 
 
 def test_realization_cap_enforced():
-    dk = builtin_device("K")
-    with pytest.raises(ResourceError, match="above the cap 1000"):
-        devices._profile(devices._sub_devices(dk), (0, 1, 2), 1000)
-    with pytest.raises(ResourceError, match="above the cap 1000"):
-        device_structures(dk, cap=1000)
+    # the pair sub-devices have 256 realizations each, the full device 4^4 * 8^4
+    with pytest.raises(ResourceError, match="sites 1,2,3 has 1048576 .* above the cap 1000$"):
+        device_structures(builtin_device("K"), cap=1000)
 
 
 def test_union_of_realizations_reconstructs_device():
@@ -682,6 +680,13 @@ def test_derive_without_recode_keeps_eigenvalues():
     derived = derive_device(builtin_state("EPR"), [[("*", pauli_z())]] * 2)
     assert derived.results == (("-1", "1"), ("-1", "1"))
     assert derived.relation[("*", "*")] == {("-1", "-1"), ("1", "1")}
+
+
+@pytest.mark.parametrize("recode", [None, "", "Paper", "0"])
+def test_derive_refuses_an_unknown_recode(recode):
+    # "raw" and "paper" are the only values, in the library as on the command line
+    with pytest.raises(DomainError, match="unknown recode option"):
+        derive_device(builtin_state("EPR"), [[("*", pauli_z())]] * 2, recode=recode)
 
 
 def test_derive_rejects_degenerate_observable():

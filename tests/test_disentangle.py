@@ -318,27 +318,6 @@ def test_haar_six_qubits_run_lapack_only_to_factor():
         assert disentanglement_structures(psi) == report
 
 
-def test_classify_rejects_a_wrong_explicit_pool():
-    psi = random_pure(np.random.default_rng(22), (2, 3, 2))
-    # stacks for a qubit where the complement, site 1, is a qutrit
-    with pool_replaced(disentangle._pool((2,))), pytest.raises(DomainError):
-        classify_on_subset(psi, (0, 2))
-    # stacks for two measured sites where the complement is one
-    with pool_replaced(disentangle._pool((2, 3))), pytest.raises(DomainError):
-        classify_on_subset(psi, (0, 2))
-    four = random_pure(np.random.default_rng(23), (2, 2, 2, 2))
-    eye = np.eye(2)[None]
-    # one stack where two sites are measured
-    with pool_replaced([eye]), pytest.raises(DomainError):
-        classify_on_subset(four, (0, 1))
-    # one experiment on site 2, two on site 3
-    with pool_replaced([eye, np.concatenate([eye, eye])]), pytest.raises(DomainError):
-        classify_on_subset(four, (0, 1))
-    # matrices, not stacks of them
-    with pool_replaced([np.eye(2)] * 2), pytest.raises(DomainError):
-        classify_on_subset(four, (0, 1))
-
-
 def _oracle_state(kind, dims, rng):
     """Amplitudes of a random, product, GHZ-like, block-product or sparse state."""
     total = math.prod(dims)
@@ -475,14 +454,6 @@ def test_classify_conjugates_the_measured_basis():
     assert cls.kind is IntricationClass.WELL_ENTANGLED_ONLY
     expected = oracle_classify(psi.amplitudes, (2, 2, 2), (0, 1), [[b] for b in experiments])
     assert (cls.kind.value, cls.confidence.value) == expected
-
-
-def test_wrong_dimension_bases_raise_domain_error():
-    ghz = builtin_state("GHZ")
-    with pool_replaced([np.eye(3)[None]]), pytest.raises(DomainError):
-        classify_on_subset(ghz, (0, 1))
-    with pytest.raises(DomainError):
-        _residuals(ghz, (2,), [np.eye(3)[None]])
 
 
 def moved_state(psi, perm):

@@ -352,11 +352,6 @@ def test_measurement_probabilities_sum_to_one():
         assert abs(total - 1.0) < 1e-9
 
 
-def test_measure_rejects_duplicate_sites():
-    with pytest.raises(DomainError, match="duplicate site"):
-        _residuals(builtin_state("EPR"), (0, 0), [np.eye(2)[None]] * 2)
-
-
 def test_observable_rejects_non_hermitian():
     with pytest.raises(DomainError):
         _eigensystem([[0, 1], [0, 0]], DEFAULT_TOL)
@@ -409,8 +404,6 @@ def test_one_possibility_rule(amplitude, possible):
 
 
 def test_kernel_rejects_wrong_dimension():
-    with pytest.raises(DomainError):
-        _residuals(builtin_state("EPR"), (1,), [np.eye(3)[None]])
     with pytest.raises(DomainError):
         derive_device(builtin_state("EPR"), [[("*", pauli_z())], [("*", np.diag([0.0, 1.0, 2.0]))]])
 
@@ -484,9 +477,9 @@ def test_derive_device_matches_projector_oracle(case, data):
     # ascending eigenvalues of each menu observable, and each site's sorted union
     spectra = [{label: np.round(np.linalg.eigvalsh(m)).astype(int) for label, m in menu} for menu in menus]
     union = [sorted(set().union(*map(set, site.values()))) for site in spectra]
-    for recode in (None, "paper"):
+    for recode in ("raw", "paper"):
         def name(site, value):
-            return str(union[site].index(value)) if recode else str(value)
+            return str(union[site].index(value)) if recode == "paper" else str(value)
         device = derive_device(psi, menus, recode=recode)
         assert device.results == tuple(tuple(name(s, v) for v in vals) for s, vals in enumerate(union))
         expected = {
