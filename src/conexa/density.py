@@ -20,7 +20,8 @@ product for the entrywise test.  The bound is only necessary, so every
 verdict is the one the entrywise test alone gives.  One
 `np.logical_or.reduceat` over the cut verdicts gives each subset's.
 
-Entanglement is judged per subset: a pure reduction by the Schmidt
+Entanglement is judged on the subsets that no cut factorizes (a factoring
+cut settles it, see `density_structures`): a pure reduction by the Schmidt
 coefficients of its top eigenvector across each cut, a mixed one by
 `quantum.ppt_entangled`, which certifies most entangled cuts from small
 principal blocks of their partial transposes before it factorizes the rest.
@@ -172,7 +173,12 @@ def _completely_entangled(reduced: DensityOperator, tol: float) -> tuple:
 
 
 def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> DensityReport:
-    """Evaluate both predicates on every subset and generate kappa_corr, kappa_S."""
+    """Evaluate both predicates on every subset and generate kappa_corr, kappa_S.
+
+    A factoring cut decides that J is not completely entangled, EXACT: rho_J is
+    within tol of rho_A (x) rho_B, separable along the cut.  (Closeness entrywise
+    bounds the partial transpose's eigenvalues only to about dim_J tol.)
+    """
     k = len(rho.dims)
     if k < 2:
         raise DomainError("density analysis needs at least two sites")
@@ -181,7 +187,9 @@ def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> Densit
     correlated = dict(zip((j for j, _ in _subsets(k)), np.logical_not(split).tolist()))
 
     def verdict(j):
-        return SubsetDensityVerdict(correlated[j], *_completely_entangled(reduce(j), tol))
+        if not correlated[j]:  # a factoring cut decides
+            return SubsetDensityVerdict(False, False, VerdictQuality.EXACT)
+        return SubsetDensityVerdict(True, *_completely_entangled(reduce(j), tol))
 
     subsets, structures = _subset_structures(k, verdict, {
         "corr": lambda v: v.completely_correlated,
@@ -196,8 +204,5 @@ def total_order(psi: PureState, tol: float = DEFAULT_TOL) -> TotalOrder:
     """Run both pipelines on a pure state; the total order is their maximum."""
     report_c = disentanglement_structures(psi, tol=tol)
     report_f = density_structures(psi.density(), tol=tol)
-    return TotalOrder(
-        report_c.omega_c,
-        report_f.omega_f,
-        max(report_c.omega_c, report_f.omega_f),
-    )
+    omega_c, omega_f = report_c.omega_c, report_f.omega_f
+    return TotalOrder(omega_c, omega_f, max(omega_c, omega_f))

@@ -234,14 +234,14 @@ def oracle_factorizes(reduced: np.ndarray, dims, a, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(product - reduced)) <= tol)
 
 
-def oracle_completely_correlated(matrix: np.ndarray, dims, sites) -> bool:
+def oracle_completely_correlated(matrix: np.ndarray, dims, sites, tol: float = 1e-9) -> bool:
     """Reduced-product comparison across every bipartition, all by index loops."""
     sites = sorted(sites)
     reduced = oracle_partial_trace(matrix, dims, sites)
     sub_dims = [dims[s] for s in sites]
     positions = range(len(sites))
     return not any(
-        oracle_factorizes(reduced, sub_dims, a)
+        oracle_factorizes(reduced, sub_dims, a, tol)
         for r in range(1, len(sites))
         for a in itertools.combinations(positions, r)
         if 0 in a
@@ -251,12 +251,15 @@ def oracle_completely_correlated(matrix: np.ndarray, dims, sites) -> bool:
 def oracle_completely_entangled(matrix: np.ndarray, dims, sites, tol: float = 1e-9) -> tuple:
     """(verdict, quality name) for entanglement of the reduction across every cut.
 
-    A pure reduction (tr r^2 = 1 within tol) is tested with one SVD per cut
+    A reduction that some cut factorizes within tol is decided by that cut:
+    not entangled, EXACT.  Otherwise a pure reduction (tr r^2 = 1 within tol) is tested with one SVD per cut
     of its top eigenvector; a mixed one with the smallest eigenvalue of the
     partial transpose per cut, whose positivity decides separability only
     for 2x2 and 2x3 cuts and cuts with a side of dimension 1, and flags the
     verdict PPT_NECESSARY otherwise.
     """
+    if not oracle_completely_correlated(matrix, dims, sites, tol):
+        return False, "EXACT"
     sites = sorted(sites)
     reduced = oracle_partial_trace(matrix, dims, sites)
     sub_dims = [dims[s] for s in sites]

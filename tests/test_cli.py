@@ -480,7 +480,7 @@ GOLDEN_REPORTS = {
     ("analyze-density", "rank-2 5-qubit"):
         "768443e1c19d1a1214d31d2aeac64560c1d511880982668bf5e1ad4d2f4bc77f",
     ("analyze-density", "product 23x22"):
-        "37e1bb2626d55f04cfc327d39142cb5615640d520678bc30521360acd57fecb2",
+        "e8e6c9b4357c81a9bd54e568afa33b65111394ca99a7789319d612692fa8322a",
     ("order", "EPR"): "344367186f409220408276ecad6f40ece801aa14628de6827ae77ba030049db6",
     ("order", "GHZ"): "344367186f409220408276ecad6f40ece801aa14628de6827ae77ba030049db6",
     ("order", "O2"): "feb8ea0c687514ea17fd886d55c0715284e37b9a44e67a6dbd19891627559f40",

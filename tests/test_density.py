@@ -108,14 +108,16 @@ def test_product_not_completely_entangled():
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (1, 2, 4)])
 def test_inconclusive_cut_flags_ppt_necessary(dims):
-    # Horodecki's 2x4 state is PPT across 2|4.  On (1, 2, 4) the first cut
-    # has a side of dimension 1 and is exactly separable; the later
-    # inconclusive cuts still flag the subset
+    # Horodecki's 2x4 state is PPT across 2|4.  On (2, 2, 2) no cut factors
+    # it, and its inconclusive cuts flag the subset.  On (1, 2, 4) the first
+    # cut has a side of dimension 1, so it factors the operator and decides
+    # the subset: not completely entangled, EXACT
+    quality = VerdictQuality.EXACT if 1 in dims else VerdictQuality.PPT_NECESSARY
     matrix = horodecki_2x4(0.5)
     rho = DensityOperator(dims, matrix)
     v = verdict_on(rho, (0, 1, 2))
-    assert (v.completely_entangled, v.quality) == (False, VerdictQuality.PPT_NECESSARY)
-    assert oracle_completely_entangled(matrix, dims, [0, 1, 2]) == (False, "PPT_NECESSARY")
+    assert (v.completely_entangled, v.quality) == (False, quality)
+    assert oracle_completely_entangled(matrix, dims, [0, 1, 2]) == (False, quality.value)
 
 
 def test_small_subsets_rejected():
@@ -284,10 +286,9 @@ def cores(draw):
 @pytest.mark.parametrize("position", range(4))
 def test_site_of_dimension_one_keeps_every_flag_of_the_oracle(position):
     # a site of dimension 1 makes each subset holding it a product across
-    # the cut that isolates it; an inconclusive cut of the subset, before or
-    # after that one, still flags it PPT_NECESSARY
-    flagged = []
-
+    # the cut that isolates it, and that cut decides the subset: not
+    # completely entangled, EXACT, whatever its other cuts would flag; every
+    # verdict is the oracle's
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
     @given(cores())
     def check(core):
@@ -298,11 +299,11 @@ def test_site_of_dimension_one_keeps_every_flag_of_the_oracle(position):
             sites = [s - 1 for s in labels]
             entangled, quality = oracle_completely_entangled(matrix, dims, sites)
             assert (verdict.completely_entangled, verdict.quality.value) == (entangled, quality)
-            if position in sites and quality == "PPT_NECESSARY":
-                flagged.append(labels)
+            if position in sites:
+                assert (verdict.completely_entangled, verdict.quality) == (
+                    False, VerdictQuality.EXACT)
 
     check()
-    assert flagged
 
 
 # a correlated classical law whose norm equals the product of its marginals'
