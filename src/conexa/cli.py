@@ -13,7 +13,6 @@ and ignored.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -225,7 +224,7 @@ def _cmd_analyze_device(args) -> dict:
         "realizations": realization_count(device),
         "profile": {
             name: _cut_json(value) if name.endswith("_cut") else value
-            for name, value in dataclasses.asdict(report.profile).items()
+            for name, value in vars(report.profile).items()
         },
         "structures": {name: structure_to_dict(s) for name, s in report.structures.items()},
         "orders": {

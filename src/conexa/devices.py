@@ -204,9 +204,12 @@ def _scan(device: Device) -> tuple:
 
     The scan loops over the leading axes and broadcasts over the trailing
     ones: at most `_CHUNK` realizations per block, but at least one axis.
-    Codes of k * k <= `_TABLE_BITS` bits (k <= 4 sites) are collected in a
-    bool table over the code space, wider ones by `np.unique` of each block
-    into a set.
+    The pair tables are ORed together while they are small, so a block's
+    codes take one full-size OR, or none when the block adds nothing to the
+    block-invariant `base`.  Codes of k * k <= `_TABLE_BITS` bits (k <= 4
+    sites) are collected in a bool table over the code space, indexed by
+    intp slices of 2^15 codes; wider ones by `np.unique` of each block into
+    a set.
     """
     qs = device.question_tuples()
     k = device.uplicity
@@ -227,28 +230,34 @@ def _scan(device: Device) -> tuple:
 
     # Each pair of questions a < b differing in slot j alone sets the bits
     # (i, j) its two choices give, by a table of shape (sizes[a], sizes[b]).
-    # A table on no leading question is the same in every block and ORs into
-    # `base`; a table on leading a and block axis b gives each block one row,
-    # and any other table one entry.
+    # A table on no leading question is the same in every block and joins
+    # `grow[n]`, n the first block axis it spans, so that `base` grows one
+    # axis at a time from the last, by one broadcast each.  A table on leading
+    # a and block axis b joins a's rows, one row per block; any other gives
+    # each block one entry.
     q_pos = {q: idx for idx, q in enumerate(qs)}
-    base = np.zeros(block, dtype=code_dtype)
-    rows, entries = [], []
+    grow = [0] * len(block)
+    rows, entries = {}, []
+    bits = [np.array([1 << (i * k + j) for i in range(k)], dtype=np.int64) for j in range(k)]
     for a, q in enumerate(qs):
         for j in range(k):
-            bits = np.array([1 << (i * k + j) for i in range(k)], dtype=np.int64)
             for lab in device.questions[j]:
                 b = q_pos[q[:j] + (lab,) + q[j + 1:]]
                 if b <= a:
                     continue
                 differ = answers[a][:, None, :] != answers[b][None, :, :]
-                table = (differ * bits).sum(axis=-1).astype(code_dtype)
+                table = (differ @ bits[j]).astype(code_dtype)
                 shape = [sizes[qi] if qi in (a, b) else 1 for qi in axis]
                 if a not in leading and b not in leading:
-                    base |= table.reshape(shape)
+                    n = axis.get(a, axis.get(b, 0))
+                    grow[n] = grow[n] | table.reshape(shape[n:])
                 elif b in axis:
-                    rows.append((a, table.reshape(sizes[a], *shape)))
+                    rows[a] = rows.get(a, 0) | table.reshape(sizes[a], *shape)
                 else:
                     entries.append((a, b, table.tolist()))
+    base = np.zeros((), dtype=code_dtype)
+    for n in reversed(range(len(block))):
+        base = np.bitwise_or(grow[n], base, out=np.empty(block[n:], code_dtype))
     # question qi's pairs are the columns offsets[qi]:offsets[qi + 1]; block
     # axis n's are spans[n]
     offsets = np.cumsum([0, *sizes])
@@ -262,15 +271,17 @@ def _scan(device: Device) -> tuple:
     coverage = np.zeros((len(partitions), offsets[-1]), dtype=bool)
     seen = np.zeros(1 << k * k, dtype=bool) if k * k <= _TABLE_BITS else set()
 
+    out = np.empty_like(base) if leading else None
     for idx in np.ndindex(*(sizes[qi] for qi in leading)):
-        const = 0
         for qi, c in zip(leading, idx):
             choice[qi] = c
+        add = 0
         for a, b, table in entries:
-            const |= table[choice[a]][choice[b]]
-        dep = base | const
-        for a, table in rows:
-            dep |= table[choice[a]]
+            add |= table[choice[a]][choice[b]]
+        for a, table in rows.items():
+            add = add | table[choice[a]]
+        # one full-size OR per block, into `out`; none when it adds nothing
+        dep = np.bitwise_or(base, add, out=out) if rows or add else base
         for mask, row in zip(crossing, coverage):
             if row.all():
                 continue
@@ -282,7 +293,11 @@ def _scan(device: Device) -> tuple:
         if isinstance(seen, set):
             seen.update(np.unique(dep).tolist())
         else:
-            seen[dep] = True
+            # intp indices scatter about twice as fast as uint16 ones; a
+            # slice bounds the cast copy at 256 KiB
+            flat = dep.reshape(-1)
+            for start in range(0, flat.size, 1 << 15):
+                seen[flat[start:start + (1 << 15)].astype(np.intp)] = True
     codes = sorted(seen) if isinstance(seen, set) else np.flatnonzero(seen).tolist()
     return coverage, codes
 

@@ -2,9 +2,10 @@
 
 The `*_from_dict` decoders are the one place that turns outside input into
 values.  A malformed document makes them raise whatever its shape provokes
-(KeyError, TypeError, ValueError, ...), and two table keys naming one tuple
-a DomainError; the CLI's loader reports any of these as a DomainError naming
-the file.  A distribution table is decoded into label columns, not tuples.
+(KeyError, TypeError, ValueError, ...), and two table keys naming one tuple,
+or device answers that are not a list of strings, a DomainError; the CLI's
+loader reports any of these as a DomainError naming the file.  A
+distribution table is decoded into label columns, not tuples.
 """
 
 from __future__ import annotations
@@ -148,6 +149,9 @@ def device_to_dict(device: Device) -> dict:
 def device_from_dict(data: Mapping) -> Device:
     k = len(data["questions"])
     table = data["relation"]
+    for key, answers in table.items():
+        if not isinstance(answers, list) or not all(isinstance(r, str) for r in answers):
+            raise DomainError(f"answers of question {key!r} are not a list of strings")
     relation = {
         q: set(_split_keys(answers, k, distinct=False))
         for q, answers in zip(_split_keys(table, k), table.values())

@@ -62,6 +62,32 @@ def tensor_device(a: Device, b: Device) -> Device:
     return Device(a.questions + b.questions, a.results + b.results, relation)
 
 
+# Pinned answers of `ladder_device` (question -> (answer slot, value)): site
+# 1's answer on questions 000 and 010 and site 2's on 100 and 101.  Every
+# realization's site-1 output then reads site 2's question and its site-2
+# output site 3's, so kappa_dp connects {1,2,3} and no scan exits early.
+LADDER_PINS = {
+    ("0", "0", "0"): (0, "0"), ("0", "1", "0"): (0, "1"),
+    ("1", "0", "0"): (1, "0"), ("1", "0", "1"): (1, "1"),
+}
+
+
+def ladder_device(rng, log2_count: int) -> Device:
+    """Binary 3-site device with exactly 2**log2_count deterministic
+    realizations, drawn from the `random.Random` rng."""
+    questions = list(itertools.product("01", repeat=3))
+    while True:
+        exps = [rng.randint(0, 2 if q in LADDER_PINS else 3) for q in questions]
+        if sum(exps) == log2_count:
+            break
+    relation = {}
+    for q, e in zip(questions, exps):
+        slot, value = LADDER_PINS.get(q, (0, None))
+        pool = [r for r in questions if value is None or r[slot] == value]
+        relation[q] = set(rng.sample(pool, 1 << e))
+    return Device((("0", "1"),) * 3, (("0", "1"),) * 3, relation)
+
+
 def same_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
     """Phase-blind equality of two states with one dims: |<a|b>| = 1 within tol."""
     return a.dims == b.dims and abs(np.vdot(a.amplitudes, b.amplitudes)) > 1.0 - tol

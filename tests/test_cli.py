@@ -31,7 +31,13 @@ from conexa.devices import builtin_device
 from conexa.quantum import DensityOperator, PureState, builtin_state
 from conexa.randvars import realize_structure
 
-from helpers import mask, random_density_matrix, random_state_vector, tensor_device
+from helpers import (
+    ladder_device,
+    mask,
+    random_density_matrix,
+    random_state_vector,
+    tensor_device,
+)
 
 
 def run_cli(capsys, *argv):
@@ -470,8 +476,9 @@ SEEDED_DENSITIES = {
 
 # sha256 of the canonical reports of the other engines: analyze-density and
 # order on the builtin states, analyze-density on SEEDED_DENSITIES,
-# analyze-device on the builtin devices, analyze-rvs on the REALIZED
-# families.  K is left out of `order` for the reason given above.
+# analyze-device on the builtin devices and on a seeded ladder table of 2^18
+# realizations, analyze-rvs on the REALIZED families.  K is left out of
+# `order` for the reason given above.
 GOLDEN_REPORTS = {
     ("analyze-density", "EPR"): "9bba03901656ad592f6113cbc9d7d9f1c99379e226e991b17665babe3a65af54",
     ("analyze-density", "GHZ"): "2dde1bb94d06f6410c2b84a72a885f05abcdc91b2ced92cc38c8f1f77f44a0f8",
@@ -488,6 +495,8 @@ GOLDEN_REPORTS = {
     ("analyze-device", "EPR2"): "368169c710a3ace4115a20c72f604068d2e91280399219cdd84ce82c21b264a0",
     ("analyze-device", "GHZ"): "a34bc31cc08ad74f8addaf8ca60dc635d6ac3ff9216ccd47b8dac5c51831c109",
     ("analyze-device", "K"): "65b986c757a4547b085a29dff9c4b1bb85ca98e11f9e93a1a66126bc67c3eabf",
+    ("analyze-device", "ladder 2^18"):
+        "3887bc10ad47b0ebfe2104efbd3a8dfed93e989a9406adf6af57ea1dd6d0653d",
     ("analyze-rvs", "brunnian 3"):
         "bd5ed7ce77509dbe4c05b7d84876f681b23ca79cc69952ca1d171423d7c96cb5",
     ("analyze-rvs", "pair and triple 4"):
@@ -500,6 +509,10 @@ def _golden_argv(command, name, tmp_path) -> list:
     if command == "analyze-rvs":
         path = tmp_path / "dist.json"
         path.write_text(json.dumps(distribution_to_dict(realize_structure(REALIZED[name]))))
+        return [command, "--file", str(path)]
+    if name == "ladder 2^18":
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps(device_to_dict(ladder_device(random.Random(5), 18))))
         return [command, "--file", str(path)]
     if name in SEEDED_DENSITIES:
         dims, matrix = SEEDED_DENSITIES[name](np.random.default_rng(19))
@@ -796,6 +809,11 @@ MALFORMED_INPUTS = {
         ["analyze-device", "--file"],
         json.dumps({"questions": [[0], [0]], "results": _BITS,
                     "relation": {"00": ["00", "11"]}}),
+    ),
+    "device answers as label lists": (
+        ["analyze-device", "--file"],
+        json.dumps({"questions": [["*"], ["*"]], "results": _BITS,
+                    "relation": {"**": [["0", "0"], ["1", "1"]]}}),
     ),
     "distribution labels as numbers": (
         ["analyze-rvs", "--file"],

@@ -42,6 +42,7 @@ from helpers import (
     oracle_locality_profile,
     oracle_realizations,
     haar_unitary,
+    ladder_device,
     power_set,
     random_state_vector,
     tensor_device,
@@ -442,6 +443,22 @@ def test_scan_block_of_one_axis_above_the_chunk():
     assert one == seven == default
     assert dataclasses.asdict(locality(dev)) == oracle_locality_profile(dev)
     assert domanial(dev) == oracle_domanial(dev)
+
+
+def test_ladder_scan_does_not_depend_on_block_size():
+    # 2^18 realizations, one block at the default _CHUNK.  At 2^12 the
+    # questions 000, 001 and 011 lead and 010 has one answer, so entries, rows
+    # and the block-invariant base all add to each of the 256 blocks' codes
+    dev = ladder_device(random.Random(5), 18)
+    assert realization_count(dev) == 1 << 18
+    coverage, codes = devices._scan(dev)
+    for name, value in (("_CHUNK", 1 << 12), ("_TABLE_BITS", 0)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(devices, name, value)
+            other_coverage, other_codes = devices._scan(dev)
+        assert np.array_equal(other_coverage, coverage)
+        assert other_codes == codes
+    assert 0b111 in devices._domanial(3, codes)[1].connected
 
 
 def test_scan_gives_no_axis_to_questions_with_one_answer():

@@ -98,6 +98,21 @@ def test_device_round_trip_with_multichar_labels():
     assert device_from_dict(data) == raw
 
 
+@pytest.mark.parametrize("questions, relation, key", [
+    # an answer set is a JSON list of strings: a list of label lists and a
+    # bare string are refused alike, on one site or on several
+    pytest.param([["0"], ["0"]], {"00": [["0", "0"]]}, "00", id="label list, two sites"),
+    pytest.param([["0"]], {"0": [["0"]]}, "0", id="label list, one site"),
+    pytest.param([["0"], ["0"]], {"00": "00"}, "00", id="string"),
+    pytest.param([["0", "1"]], {"0": ["0"], "1": "1"}, "1", id="string after a list"),
+])
+def test_device_answers_must_be_lists_of_strings(questions, relation, key):
+    data = {"questions": questions, "results": [["0", "1"]] * len(questions), "relation": relation}
+    with pytest.raises(DomainError) as caught:
+        device_from_dict(data)
+    assert str(caught.value) == f"answers of question {key!r} are not a list of strings"
+
+
 def test_distribution_round_trip_rational():
     dist = brunnian_family(2, 2)
     data = distribution_to_dict(dist)
