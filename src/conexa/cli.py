@@ -87,8 +87,8 @@ def _load(path: str, decode):
         ) from None
     try:
         return decode(data)
-    except DomainError:
-        raise
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
     except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError) as exc:
         reason = " ".join(f"{type(exc).__name__}: {exc}".split())
         raise DomainError(f"malformed input in {path}: {reason}") from None

@@ -482,7 +482,7 @@ def derive_device(
     if len(menus) != k:
         raise DomainError(f"expected one menu per site ({k}), got {len(menus)}")
     questions = _check_labels([[label for label, _ in menu] for menu in menus], "question")
-    # per site: label -> (the eigenvalue label of each eigenvector, eigenvectors)
+    # per site: label -> (the eigenvalue label of each eigenvector, their bras as rows)
     systems: list = []
     for site, (labels, menu) in enumerate(zip(questions, menus)):
         by_label = {}
@@ -498,7 +498,7 @@ def derive_device(
                 raise DomainError(
                     f"observable {label!r} on site {site} has two eigenvalues with one label"
                 )
-            by_label[label] = raws, vecs
+            by_label[label] = raws, vecs.conj().T
         systems.append(by_label)
 
     raw_results = [
@@ -518,10 +518,10 @@ def derive_device(
         })
 
     tuples = list(itertools.product(*questions))
-    bases = [
+    bras = [
         np.stack([by_label[q[site]][1] for q in tuples]) for site, by_label in enumerate(systems)
     ]
-    _, norms = _residuals(psi, tuple(range(k)), bases)
+    _, norms = _residuals(psi, tuple(range(k)), bras)
     indices = np.indices(psi.dims).reshape(k, -1).T
     relation = {
         q: {

@@ -12,17 +12,20 @@ measured sites alone (`_pool(dims)`), so every analysis is deterministic,
 and one pool per tuple of complement dimensions is built once per process
 and read for every complement of that shape.
 
-A pool holds one read-only stack of unitaries per measured site, in site
-order, one row per experiment; it names no sites.  For a chunk of
-experiments, the contraction kernel `quantum._residuals` measures every site
-outside J for every experiment and outcome at once, giving the residual
-J-states as one (experiments, outcomes, dim_J) array; an outcome is possible
-iff its residual norm is > tol.  Each bipartition of J is then tested for
-every possible outcome by `quantum._separable_cuts` (second Schmidt
-coefficient <= tol), which plans the cuts of each layout once and decides
-them by a closed-form projection test, with LAPACK only inside a rounding
-band around tol.  Residuals are not deduplicated, since a repeated state
-never changes the any/all tests of the classification.
+A pool holds one read-only stack of bras per measured site, in site order,
+one entry per experiment holding the conjugate transpose of its basis; it
+names no sites.  For a chunk of experiments, the contraction kernel
+`quantum._residuals` measures every site outside J for every experiment and
+outcome at once, giving the residual J-states as one (experiments, outcomes,
+dim_J) array; an outcome is possible iff its residual norm is > tol.  Each
+bipartition of J is then tested for every possible outcome by
+`quantum._separable_cuts` (second Schmidt coefficient <= tol), which plans
+the cuts of each layout once and decides them by a closed-form projection
+test, with LAPACK only inside a rounding band around tol, and the chunk's
+verdicts are tallied per experiment in whole-array steps.  Residuals are
+not deduplicated, since a repeated state never changes the any/all tests of
+the classification.  Whether psi factors across J is decided from singular
+values alone; singular vectors are computed only for a state that does.
 """
 
 from __future__ import annotations
@@ -144,18 +147,20 @@ def _generic_basis(dim: int) -> np.ndarray:
 
 @functools.cache
 def _pool(dims: tuple) -> tuple:
-    """The pool on measured sites of dimensions `dims`, in site order.
+    """The pool on measured sites of dimensions `dims`, in site order, as bras.
 
-    One read-only stack per site, shape (experiments, d, d), with the basis
-    vectors as columns; experiment e measures every site in its basis at row
-    e.  The experiments are every combination of the structured bases across
-    the sites (row-major), then one that measures every site in its
+    One read-only stack per site, shape (experiments, d, d), holding the
+    conjugate transpose of each basis, so that row o is the bra of basis
+    vector o; experiment e measures every site in its basis at row e.  The
+    experiments are every combination of the structured bases across the
+    sites (row-major), then one that measures every site in its
     `_generic_basis`.  A basis stands for any nondegenerate observable with
     that eigenbasis, since eigenvalue labels never affect residual states.
     """
     combos = itertools.product(*(_structured_bases(d) for d in dims))
     stacks = tuple(
-        np.stack([*column, _generic_basis(d)]) for d, column in zip(dims, zip(*combos))
+        np.stack([*column, _generic_basis(d)]).conj().swapaxes(1, 2).copy()
+        for d, column in zip(dims, zip(*combos))
     )
     for stack in stacks:
         stack.setflags(write=False)
@@ -164,14 +169,17 @@ def _pool(dims: tuple) -> tuple:
 
 def _factor_on(psi: PureState, j: tuple, tol: float) -> Optional[np.ndarray]:
     """The J-factor of psi, as a vector over J's sites, when psi splits as
-    (J-part) x (rest), else None."""
+    (J-part) x (rest), else None.
+
+    The split is decided from the singular values alone (sigma_2 <= tol);
+    the left singular vector is computed only for a state that splits.
+    """
     if len(j) == len(psi.dims):
         return psi.amplitudes
     mat = _matricize(psi, j)
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    if len(s) >= 2 and float(s[1]) > tol:
+    if np.linalg.svd(mat, compute_uv=False)[1] > tol:
         return None
-    return u[:, 0]
+    return np.linalg.svd(mat, full_matrices=False)[0][:, 0]
 
 
 def _decide(ent_here, sep_here, sep_along) -> IntricationClass:
@@ -245,11 +253,12 @@ def classify_on_subset(psi: PureState, j_sites, tol: float = DEFAULT_TOL) -> Cla
         chunk = [b[start:start + step] for b in pool]
         residuals, norms = _residuals(psi, complement, chunk)
         possible = norms > tol
-        owner = start + np.nonzero(possible)[0]
         profiles = _separable_cuts(residuals[possible], dims_j, tol)
-        separable = profiles.any(axis=1)
-        ent_here[owner[~separable]] = True
-        sep_here[owner[separable]] = True
+        # (experiments, outcomes): the outcome is possible and splits along some cut
+        split = np.zeros_like(possible)
+        split[possible] = profiles.any(axis=1)
+        ent_here[start:start + step] = (possible & ~split).any(axis=1)
+        sep_here[start:start + step] = split.any(axis=1)
         sep_along &= profiles.all(axis=0)
     return Classification(_decide(ent_here, sep_here, sep_along), Confidence.POOL_LIMITED)
 

@@ -5,9 +5,10 @@ site dimensions; density operators are positive unit-trace matrices over the
 same indexing.  Everything here is a pure function over immutable values.
 
 One kernel, `_residuals`, contracts sites of a pure state against stacked
-local bases; the disentanglement classification and `devices.derive_device`
-both measure through it, under one rule: an outcome is possible iff its
-residual norm is > tol, that is, its probability is > tol^2.
+local bras, the conjugate transposes of the measured bases; the
+disentanglement classification and `devices.derive_device` both measure
+through it, under one rule: an outcome is possible iff its residual norm is
+> tol, that is, its probability is > tol^2.
 
 The rank and PPT tests judge every cut of `connective._bipartitions` and
 take no cut list: `_cut_plan` plans each layout's cuts once.
@@ -305,30 +306,29 @@ def _second_below(tensors: np.ndarray, r: int, orders, flipped, tol: float) -> n
     return out.T
 
 
-def _residuals(psi: PureState, sites: tuple, bases: Sequence[np.ndarray]) -> tuple:
+def _residuals(psi: PureState, sites: tuple, bras: Sequence[np.ndarray]) -> tuple:
     """Contract `sites` of psi against stacked local bras: the one contraction kernel.
 
-    `bases[i]` has shape (n, d, m) for site `sites[i]` of dimension d: stack
-    entry e holds m column vectors, and outcome o of entry e applies the bras
-    of their conjugates.  Returns the residuals over the unmeasured sites (in
-    site order), shape (n, outcomes, dim_rest) with outcomes in row-major
-    order over `sites` as given, normalized wherever the norm is nonzero,
-    and their norms (n, outcomes).  The squared norm is the outcome
-    probability, and an outcome is possible iff its norm is > tol.  Nothing is
-    checked: each caller passes distinct sites and the stacks of their dims.
+    `bras[i]` has shape (n, m, d) for site `sites[i]` of dimension d: outcome
+    o of stack entry e applies the bra in row o of entry e.  Returns the
+    residuals over the unmeasured sites (in site order), shape (n, outcomes,
+    dim_rest) with outcomes in row-major order over `sites` as given,
+    normalized wherever the norm is nonzero, and their norms (n, outcomes).
+    The squared norm is the outcome probability, and an outcome is possible
+    iff its norm is > tol.  Nothing is checked: each caller passes distinct
+    sites and the stacks of their dims.
     """
     dims = psi.dims
-    n = len(bases[0])
     rest = tuple(s for s in range(len(dims)) if s not in sites)
-    total = psi.amplitudes.size
-    # axes: (stack entry, outcomes so far, unmeasured amplitudes)
-    t = np.transpose(psi.tensor, tuple(sites) + rest).reshape(1, 1, total)
-    t = np.broadcast_to(t, (n, 1, total))
-    for s, b in zip(sites, bases):
-        bras = b.conj().transpose(0, 2, 1)
-        t = bras[:, None] @ t.reshape(n, -1, dims[s], t.shape[-1] // dims[s])
+    first, *others = bras
+    n = len(first)
+    # axes: (stack entry, outcomes so far, amplitudes not yet measured)
+    t = first @ np.transpose(psi.tensor, tuple(sites) + rest).reshape(dims[sites[0]], -1)
+    for s, b in zip(sites[1:], others):
+        t = np.einsum("npd,nodr->nopr", b, t.reshape(n, -1, dims[s], t.shape[-1] // dims[s]))
     t = t.reshape(n, -1, math.prod(dims[s] for s in rest))
-    norms = np.linalg.norm(t, axis=-1)
+    flat = t.view(np.float64)
+    norms = np.sqrt(np.einsum("...k,...k->...", flat, flat))
     nonzero = (norms > 0)[..., None]
     return np.divide(t, norms[..., None], out=np.zeros_like(t), where=nonzero), norms
 

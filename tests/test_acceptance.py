@@ -337,10 +337,10 @@ def test_criterion_10_property_suites():
 
     # measurement probabilities (squared residual norms) sum to one on 100 random states
     menu = (pauli_z(), pauli_x(), pauli_z())
-    bases = [_eigensystem(m, DEFAULT_TOL)[1][None] for m in menu]
+    bras = [_eigensystem(m, DEFAULT_TOL)[1].conj().T[None] for m in menu]
     for _ in range(100):
         psi = PureState((2, 2, 2), random_state_vector(rng, 8))
-        _, norms = _residuals(psi, (0, 1, 2), bases)
+        _, norms = _residuals(psi, (0, 1, 2), bras)
         possible = norms[norms > 1e-9]
         assert abs(float(np.sum(possible**2)) - 1.0) < 1e-9
 

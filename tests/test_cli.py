@@ -867,6 +867,21 @@ def test_malformed_input_exits_2(kind, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("relation, message", [
+    ({"**": [["0", "0"], ["1", "1"]]}, "answers of question '**' are not a list of strings"),
+    ({"***": ["00"]}, "key '***' does not split into 2 labels"),
+])
+def test_decoder_faults_name_the_file(relation, message, tmp_path, capsys):
+    # a fault the decoder finds is reported after the file's path, as every
+    # other fault of a file is
+    path = tmp_path / "device.json"
+    path.write_text(json.dumps({"questions": [["*"], ["*"]], "results": _BITS,
+                                "relation": relation}))
+    code, out, err = run_cli(capsys, "analyze-device", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("kind", ["float dims (state)", "float dims (density)", "boolean dims"])
 def test_bad_dims_name_the_dims_rule(kind, tmp_path, capsys):
     # a dimension that is no integer breaks the dims rule, not a conversion
@@ -875,7 +890,7 @@ def test_bad_dims_name_the_dims_rule(kind, tmp_path, capsys):
     path.write_text(text)
     dims = tuple(json.loads(text)["dims"])
     assert run_cli(capsys, *argv, str(path)) == (
-        2, "", f"error: site dimensions must be integers >= 1: {dims}\n"
+        2, "", f"error: {path}: site dimensions must be integers >= 1: {dims}\n"
     )
 
 
@@ -933,7 +948,7 @@ def test_analyze_density_refuses_an_eigenvalue_beyond_rounding(tol, tmp_path, ca
     path.write_text(json.dumps({"dims": [2, 2], "matrix": rows}))
     code, out, err = run_cli(capsys, "analyze-density", "--file", str(path), "--tol", tol)
     assert (code, out) == (2, "")
-    assert err == "error: density matrix has a significantly negative eigenvalue\n"
+    assert err == f"error: {path}: density matrix has a significantly negative eigenvalue\n"
 
 
 def test_derive_device_tol_reaches_menu_observables(tmp_path, capsys):
@@ -962,7 +977,8 @@ def test_overflowing_norm_reports_like_the_unscaled_state(tmp_path, capsys):
         amplitudes = [[scale * re, 0.0] for re, _ in _AMPS]
         path.write_text(json.dumps({"dims": [2, 2], "amplitudes": amplitudes}))
         code, out, err = run_cli(capsys, "analyze-state", "--file", str(path))
-        assert (code, err) == ((2, "error: state vector is zero\n") if scale == 0 else (0, ""))
+        assert (code, err) == ((2, f"error: {path}: state vector is zero\n") if scale == 0
+                               else (0, ""))
         reports.append(out)
     assert reports[0] == reports[1] == reports[2] == reports[3]
     assert reports[4] == ""
@@ -1083,7 +1099,7 @@ def test_analyze_rvs_tol_zero_accepts_a_rounded_sum(offset, code, tmp_path, caps
     status, out, err = run_cli(capsys, "analyze-rvs", "--file", str(path), "--tol", "0")
     assert status == code
     if code:
-        assert out == "" and err.startswith("error: probabilities sum to 1.00000000000")
+        assert out == "" and err.startswith(f"error: {path}: probabilities sum to 1.00000000000")
         assert err.endswith(", not 1 within 0.0\n")
     else:
         assert err == "" and load_report(out)["tolerance"] == 0

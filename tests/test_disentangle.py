@@ -20,6 +20,7 @@ from conexa.disentangle import (
 from conexa.errors import DomainError
 from conexa.quantum import (
     PureState,
+    _matricize,
     _residuals,
     builtin_state,
 )
@@ -41,15 +42,22 @@ def random_pure(rng, dims):
     return PureState(dims, random_state_vector(rng, math.prod(dims)))
 
 
+def bras_of(bases):
+    """The conjugate transpose of a basis, or of each basis of a stack: the
+    bras, as rows, that measure in it."""
+    return np.conj(np.swapaxes(np.asarray(bases), -1, -2))
+
+
 def experiments_of(pool):
-    """Per-experiment bases, one matrix per measured site, read from the stacks."""
-    return [[b[e] for b in pool] for e in range(len(pool[0]))]
+    """Per-experiment bases (columns = basis vectors), one matrix per measured
+    site, read from the stacks of bras."""
+    return [[bras_of(b[e]) for b in pool] for e in range(len(pool[0]))]
 
 
 @contextmanager
 def pool_replaced(stacks):
-    """Classify with `stacks`, one (experiments, d, d) stack per measured site,
-    as the pool of every complement."""
+    """Classify with `stacks`, one (experiments, d, d) stack of bras per
+    measured site, as the pool of every complement."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(disentangle, "_pool", lambda dims: tuple(np.asarray(b) for b in stacks))
         yield
@@ -59,18 +67,19 @@ def residual_states(psi, j, bases, tol=1e-9) -> list:
     """The possible residual J-states of psi, in outcome order, under one
     experiment: one basis per site outside J, in site order."""
     complement = tuple(s for s in range(len(psi.dims)) if s not in j)
-    residuals, norms = _residuals(psi, complement, [np.asarray(b)[None] for b in bases])
+    residuals, norms = _residuals(psi, complement, [bras_of(b)[None] for b in bases])
     return [PureState(tuple(psi.dims[s] for s in j), v) for v in residuals[0][norms[0] > tol]]
 
 
 def pool_with_extras(dims, extras):
     """The pool `_pool(dims)` would be with the bases `extras[i]` appended
     to the structured ones of measured site i: every combination across the
-    sites, then the generic experiment."""
+    sites, then the generic experiment, as stacks of bras."""
     options = [disentangle._structured_bases(d) + list(more) for d, more in zip(dims, extras)]
     combos = list(itertools.product(*options))
     return tuple(
-        np.stack([*column, disentangle._generic_basis(d)]) for d, column in zip(dims, zip(*combos))
+        bras_of(np.stack([*column, disentangle._generic_basis(d)]))
+        for d, column in zip(dims, zip(*combos))
     )
 
 
@@ -93,12 +102,13 @@ def test_pool_stacks_are_unitary_cached_and_read_only(dims):
 
 
 def test_pool_on_a_site_of_dimension_one():
-    # a one-dimensional site has only the 1x1 bases; the generic one is a phase
+    # a one-dimensional site has only the 1x1 bases; the generic one is a
+    # phase, held as its bra
     pool = disentangle._pool((1, 2))
     trivial = pool[0]
     assert trivial.shape == (5, 1, 1)
     assert np.allclose(np.abs(trivial), 1.0)
-    assert np.allclose(trivial[-1], np.exp(1j * math.sqrt(2)))
+    assert np.allclose(trivial[-1], np.exp(-1j * math.sqrt(2)))
 
 
 def test_fourier_basis_used_for_qutrits():
@@ -118,10 +128,10 @@ def test_pool_ends_with_the_generic_basis(d):
     c, s = math.cos(0.4), math.sin(0.4)
     expected[:2] = np.array([[c, -s], [s, c]]) @ expected[:2]
     for stack in disentangle._pool((d, d)):
-        generic = stack[-1]
+        generic = bras_of(stack[-1])
         assert np.allclose(generic, expected, atol=1e-12)
         assert np.allclose(generic.conj().T @ generic, np.eye(d), atol=1e-12)
-        assert not any(np.allclose(generic, b) for b in stack[:-1])
+        assert not any(np.allclose(stack[-1], b) for b in stack[:-1])
 
 
 def test_post_states_ghz_z_experiment():
@@ -222,7 +232,7 @@ def test_o2_subset_classes_and_structures():
     # global-entanglement structure collapses to the borromean one.
     o2 = builtin_state("O2")
     v = np.array([1.0, -1.0]) * INV_SQRT2
-    residuals, norms = _residuals(o2, (0,), [v.reshape(1, 2, 1)])
+    residuals, norms = _residuals(o2, (0,), [v.reshape(1, 1, 2)])
     assert abs(norms[0, 0] ** 2 - 9.0 / 26.0) < 1e-12
     hit = PureState((2, 2), residuals[0, 0])
     assert same_up_to_phase(hit, basis_state((2, 2), (1, 1)))
@@ -285,7 +295,7 @@ def test_generic_experiment_decides_the_adversarial_state():
         assert cls == disentangle.Classification(
             IntricationClass.WELL_ENTANGLED_ONLY, Confidence.POOL_LIMITED
         )
-        with pool_replaced([np.stack([np.eye(2), hadamard])]):
+        with pool_replaced([bras_of(np.stack([np.eye(2), hadamard]))]):
             assert classify_on_subset(psi, j).kind is IntricationClass.TOTALLY_MIXED
 
 
@@ -316,6 +326,50 @@ def test_haar_six_qubits_run_lapack_only_to_factor():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantum, "_CHUNK", 1)
         assert disentanglement_structures(psi) == report
+
+
+@st.composite
+def planted_splits(draw):
+    """(state, J, factor, tol): a 3-5-site state with local dims in {2, 3}
+    whose matricization along J, a proper subset of at least two sites, has
+    the two singular values sqrt(1 - sigma_2^2) and sigma_2 = factor * tol."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=3, max_size=5)))
+    j = tuple(sorted(draw(st.sets(st.integers(0, len(dims) - 1), min_size=2,
+                                  max_size=len(dims) - 1))))
+    factor = draw(st.sampled_from((0.0, 0.5, 0.999, 1.001, 2.0)))
+    tol = draw(st.sampled_from((1e-9, 1e-4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rest = tuple(s for s in range(len(dims)) if s not in j)
+    # two orthonormal columns over J (a) and over the rest (b)
+    a, b = (_random_basis(rng, math.prod(dims[s] for s in side))[:, :2] for side in (j, rest))
+    second = factor * tol
+    mat = math.sqrt(1 - second**2) * np.outer(a[:, 0], b[:, 0])
+    mat += second * np.outer(a[:, 1], b[:, 1])
+    tensor = mat.reshape([dims[s] for s in j + rest]).transpose(np.argsort(j + rest))
+    return PureState(dims, tensor.reshape(-1)), j, factor, tol
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(planted_splits())
+def test_factor_on_decides_by_the_second_singular_value(case):
+    # on every subset: a J-factor exactly when sigma_2 <= tol, equal to the
+    # leading left singular vector up to phase, and a CERTIFIED class exactly then
+    psi, planted, factor, tol = case
+    k = len(psi.dims)
+    factored = set()
+    for j in (j for r in range(2, k) for j in itertools.combinations(range(k), r)):
+        mat = _matricize(psi, j)
+        vector = disentangle._factor_on(psi, j, tol)
+        assert (vector is not None) == (np.linalg.svd(mat, compute_uv=False)[1] <= tol)
+        if vector is not None:
+            lead = np.linalg.svd(mat)[0][:, 0]
+            phase = np.vdot(lead, vector)
+            assert np.max(np.abs(vector - phase / abs(phase) * lead)) <= 1e-12
+            factored.add(j)
+        certified = classify_on_subset(psi, j, tol=tol).confidence is Confidence.CERTIFIED
+        assert certified == (j in factored)
+    # the planted sigma_2 is off tol by 1e-3 of it at least, far beyond rounding
+    assert (planted in factored) == (factor < 1)
 
 
 def _oracle_state(kind, dims, rng):
@@ -384,7 +438,7 @@ def _check_against_oracle(case):
         if pool_kind == "caller":
             options = [[np.eye(d), _random_basis(rng, d)] for d in shape]
             combos = list(itertools.product(*options))
-            pool = tuple(np.stack(bases) for bases in zip(*combos))
+            pool = tuple(bras_of(np.stack(bases)) for bases in zip(*combos))
         elif pool_kind == "extras":
             pool = pool_with_extras(shape, [[_random_basis(rng, d)] for d in shape])
         experiments = experiments_of(pool)
@@ -449,7 +503,7 @@ def test_classify_conjugates_the_measured_basis():
     psi = PureState((2, 2, 2), tensor.reshape(-1))
     tilted = np.array([[-2j, 1], [1, -2j]]) / math.sqrt(5.0)
     experiments = [np.eye(2), tilted]
-    with pool_replaced([np.stack(experiments)]):
+    with pool_replaced([bras_of(np.stack(experiments))]):
         cls = classify_on_subset(psi, (0, 1))
     assert cls.kind is IntricationClass.WELL_ENTANGLED_ONLY
     expected = oracle_classify(psi.amplitudes, (2, 2, 2), (0, 1), [[b] for b in experiments])

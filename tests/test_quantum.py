@@ -98,8 +98,8 @@ def separable(psi, a, b, tol=1e-9) -> bool:
 def contract(psi, site_vectors):
     """(residual state, probability) of projecting each site onto its vector."""
     sites = tuple(site_vectors)
-    bases = [np.reshape(site_vectors[s], (1, -1, 1)) for s in sites]
-    residuals, norms = _residuals(psi, sites, bases)
+    bras = [np.conj(site_vectors[s]).reshape(1, 1, -1) for s in sites]
+    residuals, norms = _residuals(psi, sites, bras)
     rest = [d for s, d in enumerate(psi.dims) if s not in sites]
     return PureState(rest, residuals[0, 0]), float(norms[0, 0]) ** 2
 
@@ -109,7 +109,7 @@ def measure(psi, observables, tol=1e-9) -> list:
     the (site, matrix) observables, as `derive_device` measures them."""
     systems = [_eigensystem(m, DEFAULT_TOL) for _, m in observables]
     sites = tuple(site for site, _ in observables)
-    residuals, norms = _residuals(psi, sites, [vecs[None] for _, vecs in systems])
+    residuals, norms = _residuals(psi, sites, [vecs.conj().T[None] for _, vecs in systems])
     out = []
     for o in np.flatnonzero(norms[0] > tol):
         idx = np.unravel_index(o, [len(vals) for vals, _ in systems])
@@ -311,7 +311,7 @@ def test_partial_contract_ghz_x_outcome_is_epr():
 def test_partial_contract_impossible_outcome_is_none():
     # a zero residual stays zero instead of being divided by its norm
     s01 = basis_state((2, 2), (0, 1))
-    residuals, norms = _residuals(s01, (0,), [np.array([0.0, 1.0]).reshape(1, 2, 1)])
+    residuals, norms = _residuals(s01, (0,), [np.array([0.0, 1.0]).reshape(1, 1, 2)])
     assert norms.tolist() == [[0.0]]
     assert not residuals.any()
 
@@ -447,7 +447,7 @@ def test_measure_projective_matches_projector_oracle(case, data):
     sites = tuple(order[: data.draw(st.integers(1, len(dims)))])
     observables = [(s, _case_observable(rng, dims[s], computational)) for s in sites]
     systems = [_eigensystem(m, DEFAULT_TOL) for _, m in observables]
-    residuals, norms = _residuals(psi, sites, [vecs[None] for _, vecs in systems])
+    residuals, norms = _residuals(psi, sites, [vecs.conj().T[None] for _, vecs in systems])
     rest = tuple(s for s in range(len(dims)) if s not in sites)
     possible = np.flatnonzero(norms[0] > 1e-9)
     want = oracle_measure(psi.amplitudes, dims, observables)
