@@ -280,11 +280,12 @@ def _parse_menu_tokens(spec: str, sites: int) -> list:
 def _cmd_derive_device(args) -> dict:
     psi = _input(args.state, args.builtin_state, builtin_state, state_from_dict,
                  "provide --state or --builtin-state")
+    derive = functools.partial(derive_device, psi, recode=args.recode, tol=args.tol)
     if args.menus.endswith(".json"):
-        menus = _load(args.menus, menus_from_dict)
+        # derived inside the decode step, so a fault of a menu names the file
+        device = _load(args.menus, lambda data: derive(menus_from_dict(data)))
     else:
-        menus = _parse_menu_tokens(args.menus, len(psi.dims))
-    device = derive_device(psi, menus, recode=args.recode, tol=args.tol)
+        device = derive(_parse_menu_tokens(args.menus, len(psi.dims)))
     return {"device": device_to_dict(device)}
 
 

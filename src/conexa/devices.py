@@ -521,7 +521,7 @@ def derive_device(
     bras = [
         np.stack([by_label[q[site]][1] for q in tuples]) for site, by_label in enumerate(systems)
     ]
-    _, norms = _residuals(psi, tuple(range(k)), bras)
+    _, norms = _residuals(psi.tensor, bras)
     indices = np.indices(psi.dims).reshape(k, -1).T
     relation = {
         q: {

@@ -14,18 +14,20 @@ and read for every complement of that shape.
 
 A pool holds one read-only stack of bras per measured site, in site order,
 one entry per experiment holding the conjugate transpose of its basis; it
-names no sites.  For a chunk of experiments, the contraction kernel
-`quantum._residuals` measures every site outside J for every experiment and
-outcome at once, giving the residual J-states as one (experiments, outcomes,
-dim_J) array; an outcome is possible iff its residual norm is > tol.  Each
-bipartition of J is then tested for every possible outcome by
-`quantum._separable_cuts` (second Schmidt coefficient <= tol), which plans
-the cuts of each layout once and decides them by a closed-form projection
-test, with LAPACK only inside a rounding band around tol, and the chunk's
-verdicts are tallied per experiment in whole-array steps.  Residuals are
-not deduplicated, since a repeated state never changes the any/all tests of
-the classification.  Whether psi factors across J is decided from singular
-values alone; singular vectors are computed only for a state that does.
+names no sites.  Each subset copies psi once with its axes ordered, the
+sites outside J first, then J's.  Whether psi factors across J is decided
+from that copy's J-rows matricization, by singular values alone; singular
+vectors are computed only for a state that does.  Otherwise, for a chunk of
+experiments, the contraction kernel `quantum._residuals` measures the copy's
+leading axes for every experiment and outcome at once, giving the residual
+J-states as one (experiments, outcomes, dim_J) array; an outcome is
+possible iff its residual norm is > tol.  Each bipartition of J is then
+tested for every possible outcome by `quantum._separable_cuts` (second
+Schmidt coefficient <= tol), which plans the cuts of each layout once and
+decides them by a closed-form projection test, with LAPACK only inside a
+rounding band around tol, and the chunk's verdicts are tallied per
+experiment in whole-array steps.  Residuals are not deduplicated, since a
+repeated state never changes the any/all tests of the classification.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -49,7 +52,6 @@ from .quantum import (
     DEFAULT_TOL,
     PureState,
     _CHUNK,
-    _matricize,
     _residuals,
     _separable_cuts,
 )
@@ -167,16 +169,17 @@ def _pool(dims: tuple) -> tuple:
     return stacks
 
 
-def _factor_on(psi: PureState, j: tuple, tol: float) -> Optional[np.ndarray]:
+def _factor_on(mat: np.ndarray, tol: float) -> Optional[np.ndarray]:
     """The J-factor of psi, as a vector over J's sites, when psi splits as
     (J-part) x (rest), else None.
 
-    The split is decided from the singular values alone (sigma_2 <= tol);
-    the left singular vector is computed only for a state that splits.
+    `mat` is psi's matricization with rows over J's sites and columns over
+    the rest; a single column is the factor itself.  Otherwise the split is
+    decided from the singular values alone (sigma_2 <= tol), and the left
+    singular vector is computed only for a state that splits.
     """
-    if len(j) == len(psi.dims):
-        return psi.amplitudes
-    mat = _matricize(psi, j)
+    if mat.shape[1] == 1:
+        return mat[:, 0]
     if np.linalg.svd(mat, compute_uv=False)[1] > tol:
         return None
     return np.linalg.svd(mat, full_matrices=False)[0][:, 0]
@@ -214,6 +217,8 @@ def _decide(ent_here, sep_here, sep_along) -> IntricationClass:
 def classify_on_subset(psi: PureState, j_sites, tol: float = DEFAULT_TOL) -> Classification:
     """Classify the entanglement of psi on the subset J.
 
+    The factor test and the contraction read one copy of psi, the complement
+    of J's axes first, then J's (psi itself when J is the full site set).
     Quantifiers over measurements run on `_pool` of the dimensions of the
     complement of J, one stack per site in site order.  The result is
     CERTIFIED, and no pool is read, when J is the full site set (only the
@@ -230,8 +235,10 @@ def classify_on_subset(psi: PureState, j_sites, tol: float = DEFAULT_TOL) -> Cla
     if min(psi.dims) < 2:
         raise DomainError("analysis requires every site dimension >= 2")
     dims_j = tuple(psi.dims[s] for s in j)
+    complement = tuple(s for s in range(len(psi.dims)) if s not in j)
+    ordered = np.ascontiguousarray(psi.tensor.transpose(complement + j))
 
-    factor = _factor_on(psi, j, tol)
+    factor = _factor_on(ordered.reshape(-1, math.prod(dims_j)).T, tol)
     if factor is not None:
         # the one residual state of every experiment: one experiment, one outcome
         profile = _separable_cuts(factor, dims_j, tol)
@@ -239,7 +246,6 @@ def classify_on_subset(psi: PureState, j_sites, tol: float = DEFAULT_TOL) -> Cla
         kind = _decide(~separable, separable, profile.all(axis=0))
         return Classification(kind, Confidence.CERTIFIED)
 
-    complement = tuple(s for s in range(len(psi.dims)) if s not in j)
     pool = _pool(tuple(psi.dims[s] for s in complement))
     count = len(pool[0])
     # per experiment: some outcome splits along no cut / along some cut
@@ -251,7 +257,7 @@ def classify_on_subset(psi: PureState, j_sites, tol: float = DEFAULT_TOL) -> Cla
     step = max(1, _CHUNK // psi.amplitudes.size)
     for start in range(0, count, step):
         chunk = [b[start:start + step] for b in pool]
-        residuals, norms = _residuals(psi, complement, chunk)
+        residuals, norms = _residuals(ordered, chunk)
         possible = norms > tol
         profiles = _separable_cuts(residuals[possible], dims_j, tol)
         # (experiments, outcomes): the outcome is possible and splits along some cut

@@ -4,8 +4,9 @@ Pure states are complex amplitude vectors over a row-major product of local
 site dimensions; density operators are positive unit-trace matrices over the
 same indexing.  Everything here is a pure function over immutable values.
 
-One kernel, `_residuals`, contracts sites of a pure state against stacked
-local bras, the conjugate transposes of the measured bases; the
+One kernel, `_residuals`, contracts the leading axes of a pure state's
+tensor against stacked local bras, the conjugate transposes of the measured
+bases; its callers order the axes, measured sites first.  The
 disentanglement classification and `devices.derive_device` both measure
 through it, under one rule: an outcome is possible iff its residual norm is
 > tol, that is, its probability is > tol^2.
@@ -203,15 +204,6 @@ def _eigensystem(matrix, tol: float) -> tuple:
 # state operations
 
 
-def _matricize(psi: PureState, part: tuple) -> np.ndarray:
-    """Rows indexed by `part` (sorted), columns by the complementary sites."""
-    rest = tuple(s for s in range(len(psi.dims)) if s not in part)
-    perm = part + rest
-    t = np.transpose(psi.tensor, perm)
-    rows = math.prod(psi.dims[s] for s in part)
-    return t.reshape(rows, -1)
-
-
 def _separable_cuts(states: np.ndarray, dims: tuple, tol: float) -> np.ndarray:
     """Bool array (states, cuts): which cuts of `connective._bipartitions`
     split each state.
@@ -306,27 +298,28 @@ def _second_below(tensors: np.ndarray, r: int, orders, flipped, tol: float) -> n
     return out.T
 
 
-def _residuals(psi: PureState, sites: tuple, bras: Sequence[np.ndarray]) -> tuple:
-    """Contract `sites` of psi against stacked local bras: the one contraction kernel.
+def _residuals(tensor: np.ndarray, bras: Sequence[np.ndarray]) -> tuple:
+    """Contract the leading axes of `tensor` against stacked local bras: the
+    one contraction kernel.
 
-    `bras[i]` has shape (n, m, d) for site `sites[i]` of dimension d: outcome
-    o of stack entry e applies the bra in row o of entry e.  Returns the
-    residuals over the unmeasured sites (in site order), shape (n, outcomes,
-    dim_rest) with outcomes in row-major order over `sites` as given,
-    normalized wherever the norm is nonzero, and their norms (n, outcomes).
-    The squared norm is the outcome probability, and an outcome is possible
-    iff its norm is > tol.  Nothing is checked: each caller passes distinct
-    sites and the stacks of their dims.
+    Axis i of `tensor`, of dimension d, is measured by `bras[i]` of shape
+    (n, m, d): outcome o of stack entry e applies the bra in row o of entry
+    e.  Returns the residuals over the remaining axes, in their order, shape
+    (n, outcomes, dim_rest) with outcomes in row-major order over the
+    measured axes, normalized wherever the norm is nonzero, and their norms
+    (n, outcomes).  The squared norm is the outcome probability, and an
+    outcome is possible iff its norm is > tol.  Nothing is checked and
+    nothing is transposed: each caller orders the tensor's axes and passes
+    the stacks of their dims.
     """
-    dims = psi.dims
-    rest = tuple(s for s in range(len(dims)) if s not in sites)
     first, *others = bras
     n = len(first)
     # axes: (stack entry, outcomes so far, amplitudes not yet measured)
-    t = first @ np.transpose(psi.tensor, tuple(sites) + rest).reshape(dims[sites[0]], -1)
-    for s, b in zip(sites[1:], others):
-        t = np.einsum("npd,nodr->nopr", b, t.reshape(n, -1, dims[s], t.shape[-1] // dims[s]))
-    t = t.reshape(n, -1, math.prod(dims[s] for s in rest))
+    t = first @ tensor.reshape(len(tensor), -1)
+    for b in others:
+        d = b.shape[-1]
+        t = np.einsum("npd,nodr->nopr", b, t.reshape(n, -1, d, t.shape[-1] // d))
+    t = t.reshape(n, -1, math.prod(tensor.shape[len(bras):]))
     flat = t.view(np.float64)
     norms = np.sqrt(np.einsum("...k,...k->...", flat, flat))
     nonzero = (norms > 0)[..., None]

@@ -47,6 +47,18 @@ def basis_state(dims, indices) -> PureState:
     return PureState(dims, amp)
 
 
+def measured_first(psi: PureState, sites) -> np.ndarray:
+    """psi's tensor with the axes of `sites` first, in the order given, then
+    the other sites' axes in site order: what `quantum._residuals` measures."""
+    rest = [s for s in range(len(psi.dims)) if s not in sites]
+    return psi.tensor.transpose(*sites, *rest)
+
+
+def matricize(psi: PureState, part) -> np.ndarray:
+    """psi as a matrix, rows over the sites of `part`, columns over the rest."""
+    return measured_first(psi, part).reshape(math.prod(psi.dims[s] for s in part), -1)
+
+
 def tensor_state(a: PureState, b: PureState) -> PureState:
     """Kronecker product; the result's sites are a's sites followed by b's."""
     return PureState(a.dims + b.dims, np.kron(a.amplitudes, b.amplitudes))

@@ -340,7 +340,7 @@ def test_criterion_10_property_suites():
     bras = [_eigensystem(m, DEFAULT_TOL)[1].conj().T[None] for m in menu]
     for _ in range(100):
         psi = PureState((2, 2, 2), random_state_vector(rng, 8))
-        _, norms = _residuals(psi, (0, 1, 2), bras)
+        _, norms = _residuals(psi.tensor, bras)
         possible = norms[norms > 1e-9]
         assert abs(float(np.sum(possible**2)) - 1.0) < 1e-9
 

@@ -419,6 +419,39 @@ def test_unknown_builtin_exit_code(capsys):
     assert "unknown builtin" in err
 
 
+_ONE_SITE_DEVICE = {"questions": [["0", "1"]], "results": [["0", "1"]],
+                    "relation": {"0": ["0"], "1": ["1"]}}
+
+# (argv, JSON text of a file to append to argv or None, message) for each
+# refusal of a valid file or of a command line: no path precedes the message
+REFUSALS = {
+    "one-site device": (["analyze-device", "--file"], json.dumps(_ONE_SITE_DEVICE),
+                        "device structures need uplicity >= 2"),
+    "unknown builtin device": (["analyze-device", "--builtin", "FOO"], None,
+                               "unknown builtin device 'FOO'; known: ['EPR', 'EPR2', 'GHZ', 'K']"),
+    "one-site state": (["analyze-state", "--file"],
+                       json.dumps({"dims": [2], "amplitudes": [[1, 0], [0, 0]]}),
+                       "disentanglement analysis needs at least two sites"),
+    "a site of dimension 1": (["analyze-state", "--file"],
+                              json.dumps({"dims": [1, 2, 2], "amplitudes": [[1, 0]] * 4}),
+                              "analysis requires every site dimension >= 2"),
+    "analyze-state with no input": (["analyze-state"], None, "provide --file or --builtin"),
+    "builtin with no request": (["builtin"], None, "provide --list, --state or --device"),
+    "unknown menu token": (["derive-device", "--builtin-state", "EPR", "--menus", "Q"], None,
+                           "unknown observable token 'Q'; known: ['X', 'Xp', 'Z', 'Zp']"),
+}
+
+
+@pytest.mark.parametrize("kind", list(REFUSALS))
+def test_refusals_exit_2(kind, tmp_path, capsys):
+    argv, text, message = REFUSALS[kind]
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = [*argv, str(path)]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_byte_identical_reports(capsys):
     args = ("analyze-state", "--builtin", "GHZ")
     _, first, _ = run_cli(capsys, *args)
@@ -853,6 +886,40 @@ MALFORMED_INPUTS = {
         json.dumps([[{"label": "*", "matrix": _overflowing_asymmetry(
             [[[0.0, 0.0]] * 2, [[0.0, 0.0]] * 2])}]] * 2),
     ),
+    "amplitude count off the dims": (
+        ["analyze-state", "--file"],
+        json.dumps({"dims": [2, 2], "amplitudes": _AMPS[:3]}),
+    ),
+    "density matrix of the wrong shape": (
+        ["analyze-density", "--file"],
+        json.dumps({"dims": [2], "matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]}),
+    ),
+    "menu observable not square": (
+        ["derive-device", "--builtin-state", "EPR", "--menus"],
+        json.dumps([[{"label": "*", "matrix": [[[1, 0], [0, 0], [0, 0]],
+                                               [[0, 0], [1, 0], [0, 0]]]}]] * 2),
+    ),
+    "menus for the wrong number of sites": (
+        ["derive-device", "--builtin-state", "EPR", "--menus"],
+        json.dumps([[{"label": "*", "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}]]),
+    ),
+    "more question lists than result lists": (
+        ["analyze-device", "--file"],
+        json.dumps({"questions": [["0"], ["0"]], "results": [["0"]], "relation": {}}),
+    ),
+    "device with no sites": (
+        ["analyze-device", "--file"],
+        json.dumps({"questions": [], "results": [], "relation": {}}),
+    ),
+    "relation entry outside the question product": (
+        ["analyze-device", "--file"],
+        json.dumps({"questions": [["0"], ["0"]], "results": [["0"], ["0"]],
+                    "relation": {"00": ["00"], "01": ["00"]}}),
+    ),
+    "distribution with no variables": (
+        ["analyze-rvs", "--file"],
+        json.dumps({"outcomes": [], "prob": {}}),
+    ),
 }
 
 
@@ -865,6 +932,7 @@ def test_malformed_input_exits_2(kind, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert str(path) in err
 
 
 @pytest.mark.parametrize("relation, message", [
@@ -996,7 +1064,7 @@ TOL_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9", "abc"])
 @pytest.mark.parametrize("command", list(TOL_COMMANDS))
 def test_tol_must_be_finite_and_non_negative(command, value, capsys):
     with pytest.raises(SystemExit) as exit_:
@@ -1052,7 +1120,7 @@ def test_derive_device_refuses_two_eigenvalues_with_one_label(tmp_path, capsys):
     argv = ["derive-device", "--builtin-state", "EPR", "--menus", str(path), "--tol", "1e-12"]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "error: observable 'a' on site 0 has two eigenvalues with one label\n"
+    assert err == f"error: {path}: observable 'a' on site 0 has two eigenvalues with one label\n"
 
 
 @pytest.mark.parametrize("value, label", [(0.5, "0.5"), (2**0.5, "1.414213562")])

@@ -155,6 +155,11 @@ def test_sub_device_of_tensor_recovers_factor():
     assert sub_device(joined, (2,)) == b
 
 
+def test_sub_device_needs_a_site():
+    with pytest.raises(DomainError, match="sub-device needs a nonempty site set"):
+        sub_device(builtin_device("EPR"), [])
+
+
 def test_tensor_of_two_coins_differs_from_epr():
     pair = tensor_device(coin(), coin())
     assert pair.relation[("*", "*")] == full_answers(2)

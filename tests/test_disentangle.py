@@ -20,7 +20,6 @@ from conexa.disentangle import (
 from conexa.errors import DomainError
 from conexa.quantum import (
     PureState,
-    _matricize,
     _residuals,
     builtin_state,
 )
@@ -28,6 +27,8 @@ from conexa.quantum import (
 from helpers import (
     basis_state,
     borromean,
+    matricize,
+    measured_first,
     oracle_classify,
     power_set,
     random_state_vector,
@@ -67,7 +68,8 @@ def residual_states(psi, j, bases, tol=1e-9) -> list:
     """The possible residual J-states of psi, in outcome order, under one
     experiment: one basis per site outside J, in site order."""
     complement = tuple(s for s in range(len(psi.dims)) if s not in j)
-    residuals, norms = _residuals(psi, complement, [bras_of(b)[None] for b in bases])
+    bras = [bras_of(b)[None] for b in bases]
+    residuals, norms = _residuals(measured_first(psi, complement), bras)
     return [PureState(tuple(psi.dims[s] for s in j), v) for v in residuals[0][norms[0] > tol]]
 
 
@@ -210,6 +212,27 @@ def test_classify_rejects_small_subsets():
         classify_on_subset(builtin_state("GHZ"), (0,))
 
 
+# (ent_here, sep_here, sep_along) over two experiments and three cuts, as
+# each class's definition forces them: every experiment has some possible
+# outcome, and a cut splits every outcome only when every outcome splits
+DECIDE_ROWS = {
+    IntricationClass.GLOBALLY_ENTANGLED: ([1, 1], [0, 0], [0, 0, 0]),
+    IntricationClass.TOTALLY_MIXED: ([1, 1], [1, 1], [0, 0, 0]),
+    IntricationClass.WELL_ENTANGLED_ONLY: ([1, 1], [0, 1], [0, 0, 0]),
+    IntricationClass.WELL_SEPARABLE_ONLY: ([0, 1], [1, 1], [0, 0, 0]),
+    IntricationClass.WELL_ENTANGLED_AND_SEPARABLE: ([1, 0], [0, 1], [0, 0, 0]),
+    IntricationClass.GLOBALLY_SEPARABLE_ONLY: ([0, 0], [1, 1], [0, 0, 0]),
+    IntricationClass.CLEARLY_SEPARABLE_ONLY: ([0, 0], [1, 1], [0, 1, 0]),
+    IntricationClass.TOTALLY_SEPARATED: ([0, 0], [1, 1], [1, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("kind", list(IntricationClass), ids=lambda kind: kind.value)
+def test_decide_reaches_every_class(kind):
+    ent_here, sep_here, sep_along = (np.array(t, dtype=bool) for t in DECIDE_ROWS[kind])
+    assert disentangle._decide(ent_here, sep_here, sep_along) is kind
+
+
 def test_ghz_structures_pinned():
     rep = disentanglement_structures(builtin_state("GHZ"))
     assert rep.structures["GI"] == borromean(3)
@@ -232,7 +255,7 @@ def test_o2_subset_classes_and_structures():
     # global-entanglement structure collapses to the borromean one.
     o2 = builtin_state("O2")
     v = np.array([1.0, -1.0]) * INV_SQRT2
-    residuals, norms = _residuals(o2, (0,), [v.reshape(1, 1, 2)])
+    residuals, norms = _residuals(o2.tensor, [v.reshape(1, 1, 2)])
     assert abs(norms[0, 0] ** 2 - 9.0 / 26.0) < 1e-12
     hit = PureState((2, 2), residuals[0, 0])
     assert same_up_to_phase(hit, basis_state((2, 2), (1, 1)))
@@ -358,8 +381,8 @@ def test_factor_on_decides_by_the_second_singular_value(case):
     k = len(psi.dims)
     factored = set()
     for j in (j for r in range(2, k) for j in itertools.combinations(range(k), r)):
-        mat = _matricize(psi, j)
-        vector = disentangle._factor_on(psi, j, tol)
+        mat = matricize(psi, j)
+        vector = disentangle._factor_on(mat, tol)
         assert (vector is not None) == (np.linalg.svd(mat, compute_uv=False)[1] <= tol)
         if vector is not None:
             lead = np.linalg.svd(mat)[0][:, 0]

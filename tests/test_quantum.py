@@ -20,7 +20,6 @@ from conexa.quantum import (
     _block_certificates,
     _cut_plan,
     _eigensystem,
-    _matricize,
     _frobenius,
     _min_eig_below,
     _residuals,
@@ -39,6 +38,8 @@ from helpers import (
     basis_state,
     haar_unitary,
     horodecki_2x4,
+    matricize,
+    measured_first,
     oracle_cut_plan,
     oracle_device_relation,
     oracle_measure,
@@ -87,7 +88,7 @@ def ppt_answer(verdicts) -> tuple:
 
 
 def schmidt(psi, part) -> np.ndarray:
-    return np.linalg.svd(_matricize(psi, tuple(part)), compute_uv=False)
+    return np.linalg.svd(matricize(psi, tuple(part)), compute_uv=False)
 
 
 def separable(psi, a, b, tol=1e-9) -> bool:
@@ -99,7 +100,7 @@ def contract(psi, site_vectors):
     """(residual state, probability) of projecting each site onto its vector."""
     sites = tuple(site_vectors)
     bras = [np.conj(site_vectors[s]).reshape(1, 1, -1) for s in sites]
-    residuals, norms = _residuals(psi, sites, bras)
+    residuals, norms = _residuals(measured_first(psi, sites), bras)
     rest = [d for s, d in enumerate(psi.dims) if s not in sites]
     return PureState(rest, residuals[0, 0]), float(norms[0, 0]) ** 2
 
@@ -109,7 +110,8 @@ def measure(psi, observables, tol=1e-9) -> list:
     the (site, matrix) observables, as `derive_device` measures them."""
     systems = [_eigensystem(m, DEFAULT_TOL) for _, m in observables]
     sites = tuple(site for site, _ in observables)
-    residuals, norms = _residuals(psi, sites, [vecs.conj().T[None] for _, vecs in systems])
+    bras = [vecs.conj().T[None] for _, vecs in systems]
+    residuals, norms = _residuals(measured_first(psi, sites), bras)
     out = []
     for o in np.flatnonzero(norms[0] > tol):
         idx = np.unravel_index(o, [len(vals) for vals, _ in systems])
@@ -148,7 +150,7 @@ def test_schmidt_of_ghz_matches_svd_oracle():
     ghz = builtin_state("GHZ")
     mat = ghz.amplitudes.reshape(2, 4)
     expected = np.linalg.svd(mat, compute_uv=False)
-    assert np.array_equal(_matricize(ghz, (0,)), mat)
+    assert np.array_equal(matricize(ghz, (0,)), mat)
     assert np.allclose(schmidt(ghz, [0]), expected)
     assert np.allclose(expected, [INV_SQRT2, INV_SQRT2])
 
@@ -311,7 +313,7 @@ def test_partial_contract_ghz_x_outcome_is_epr():
 def test_partial_contract_impossible_outcome_is_none():
     # a zero residual stays zero instead of being divided by its norm
     s01 = basis_state((2, 2), (0, 1))
-    residuals, norms = _residuals(s01, (0,), [np.array([0.0, 1.0]).reshape(1, 1, 2)])
+    residuals, norms = _residuals(s01.tensor, [np.array([0.0, 1.0]).reshape(1, 1, 2)])
     assert norms.tolist() == [[0.0]]
     assert not residuals.any()
 
@@ -394,7 +396,7 @@ def test_partial_contract_agrees_with_measurement():
 def test_one_possibility_rule(amplitude, possible):
     # |11> has probability amplitude**2: possible iff its residual norm is > tol
     psi = PureState((2, 2), [1, 0, 0, amplitude])
-    _, norms = _residuals(psi, (0,), [np.eye(2)[None]])
+    _, norms = _residuals(psi.tensor, [np.eye(2)[None]])
     assert (norms[0] > 1e-9).tolist() == [True, possible]
     values = [values for values, _, _ in measure(psi, [(0, pauli_z()), (1, pauli_z())])]
     assert values == ([(-1.0, -1.0), (1.0, 1.0)] if possible else [(1.0, 1.0)])
@@ -447,7 +449,8 @@ def test_measure_projective_matches_projector_oracle(case, data):
     sites = tuple(order[: data.draw(st.integers(1, len(dims)))])
     observables = [(s, _case_observable(rng, dims[s], computational)) for s in sites]
     systems = [_eigensystem(m, DEFAULT_TOL) for _, m in observables]
-    residuals, norms = _residuals(psi, sites, [vecs.conj().T[None] for _, vecs in systems])
+    bras = [vecs.conj().T[None] for _, vecs in systems]
+    residuals, norms = _residuals(measured_first(psi, sites), bras)
     rest = tuple(s for s in range(len(dims)) if s not in sites)
     possible = np.flatnonzero(norms[0] > 1e-9)
     want = oracle_measure(psi.amplitudes, dims, observables)
@@ -493,6 +496,11 @@ def test_partial_trace_of_epr_is_maximally_mixed():
     epr = builtin_state("EPR")
     reduced = partial_trace(epr.density(), [0])
     assert np.max(np.abs(reduced.matrix - np.eye(2) / 2)) < 1e-12
+
+
+def test_partial_trace_needs_a_site_to_keep():
+    with pytest.raises(DomainError, match="partial_trace needs a nonempty set of sites"):
+        partial_trace(builtin_state("EPR").density(), [])
 
 
 def test_partial_trace_of_product_returns_factor():
