@@ -14,18 +14,17 @@ and read for every complement of that shape.
 
 A pool holds one read-only stack of bras per measured site, in site order,
 one entry per experiment holding the conjugate transpose of its basis; it
-names no sites.  Each subset copies psi once with its axes ordered, the
-sites outside J first, then J's.  Whether psi factors across J is decided
-from that copy's J-rows matricization, by singular values alone; singular
-vectors are computed only for a state that does.  Otherwise, for a chunk of
-experiments, the contraction kernel `quantum._residuals` measures the copy's
-leading axes for every experiment and outcome at once, giving the residual
-J-states as one (experiments, outcomes, dim_J) array; an outcome is
-possible iff its residual norm is > tol.  Each bipartition of J is then
-tested for every possible outcome by `quantum._separable_cuts` (second
-Schmidt coefficient <= tol), which plans the cuts of each layout once and
-decides them by a closed-form projection test, with LAPACK only inside a
-rounding band around tol, and the chunk's verdicts are tallied per
+names no sites.  Each subset copies psi once, the sites outside J first,
+then J's.  Whether psi factors across J is decided from that copy's J-rows
+matricization by singular values alone; singular vectors are computed only
+for a state that does.  Otherwise `quantum._residuals` contracts the copy's
+leading axes for a chunk of experiments and every outcome at once, giving
+the residual J-states as one (experiments, outcomes, dim_J) array; an
+outcome is possible iff its residual norm is > tol.  Each bipartition of J
+is then tested for every possible outcome by `quantum._separable_cuts`
+(second Schmidt coefficient <= tol), which plans the cuts of each layout
+once and decides them by a closed-form projection test, with LAPACK only
+inside a rounding band around tol, and the chunk's verdicts are tallied per
 experiment in whole-array steps.  Residuals are not deduplicated, since a
 repeated state never changes the any/all tests of the classification.
 """

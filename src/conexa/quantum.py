@@ -4,10 +4,9 @@ Pure states are complex amplitude vectors over a row-major product of local
 site dimensions; density operators are positive unit-trace matrices over the
 same indexing.  Everything here is a pure function over immutable values.
 
-One kernel, `_residuals`, contracts the leading axes of a pure state's
-tensor against stacked local bras, the conjugate transposes of the measured
-bases; its callers order the axes, measured sites first.  The
-disentanglement classification and `devices.derive_device` both measure
+One kernel, `_residuals`, contracts the leading axes of a state tensor
+against stacked local bras, the conjugate transposes of the measured bases;
+the disentanglement classification and `devices.derive_device` both measure
 through it, under one rule: an outcome is possible iff its residual norm is
 > tol, that is, its probability is > tol^2.
 
@@ -299,18 +298,16 @@ def _second_below(tensors: np.ndarray, r: int, orders, flipped, tol: float) -> n
 
 
 def _residuals(tensor: np.ndarray, bras: Sequence[np.ndarray]) -> tuple:
-    """Contract the leading axes of `tensor` against stacked local bras: the
-    one contraction kernel.
+    """Contract the leading axes of `tensor` against stacked local bras: the one kernel.
 
-    Axis i of `tensor`, of dimension d, is measured by `bras[i]` of shape
-    (n, m, d): outcome o of stack entry e applies the bra in row o of entry
-    e.  Returns the residuals over the remaining axes, in their order, shape
-    (n, outcomes, dim_rest) with outcomes in row-major order over the
-    measured axes, normalized wherever the norm is nonzero, and their norms
-    (n, outcomes).  The squared norm is the outcome probability, and an
-    outcome is possible iff its norm is > tol.  Nothing is checked and
-    nothing is transposed: each caller orders the tensor's axes and passes
-    the stacks of their dims.
+    `bras[i]` has shape (n, m, d) for axis i of `tensor`, of dimension d:
+    outcome o of stack entry e applies the bra in row o of entry e.  Returns
+    the residuals over the remaining axes, in order, shape (n, outcomes,
+    dim_rest) with outcomes in row-major order over the measured axes,
+    normalized wherever the norm is nonzero, and their norms (n, outcomes).
+    The squared norm is the outcome probability, and an outcome is possible
+    iff its norm is > tol.  Nothing is checked or transposed: each caller
+    orders the axes and passes the stacks of their dims.
     """
     first, *others = bras
     n = len(first)
@@ -319,7 +316,7 @@ def _residuals(tensor: np.ndarray, bras: Sequence[np.ndarray]) -> tuple:
     for b in others:
         d = b.shape[-1]
         t = np.einsum("npd,nodr->nopr", b, t.reshape(n, -1, d, t.shape[-1] // d))
-    t = t.reshape(n, -1, math.prod(tensor.shape[len(bras):]))
+    t = t.reshape(n, -1, t.shape[-1])
     flat = t.view(np.float64)
     norms = np.sqrt(np.einsum("...k,...k->...", flat, flat))
     nonzero = (norms > 0)[..., None]
