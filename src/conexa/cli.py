@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -281,8 +282,9 @@ def _cmd_derive_device(args) -> dict:
     psi = _input(args.state, args.builtin_state, builtin_state, state_from_dict,
                  "provide --state or --builtin-state")
     derive = functools.partial(derive_device, psi, recode=args.recode, tol=args.tol)
-    if args.menus.endswith(".json"):
-        # derived inside the decode step, so a fault of a menu names the file
+    # no menu token holds a dot or a path separator: a value with one is a
+    # file, derived inside the decode step so a fault of a menu names it
+    if {".", "/", os.sep} & set(args.menus):
         device = _load(args.menus, lambda data: derive(menus_from_dict(data)))
     else:
         device = derive(_parse_menu_tokens(args.menus, len(psi.dims)))
@@ -384,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive-device", help="device table of menu measurements on a state")
     add_input(p, "--state", "--builtin-state")
     p.add_argument("--menus", required=True,
-                   help="menu JSON path or shorthand tokens (Z, X, Zp, Xp)")
+                   help="menus JSON file (any value with a dot or a path separator) "
+                        "or shorthand tokens (Z, X, Zp, Xp)")
     p.add_argument("--recode", choices=("paper", "raw"), default="raw")
     add_common(p)
     p.set_defaults(fn=_cmd_derive_device)

@@ -202,6 +202,12 @@ def _close(ground_size: int, masks: Iterable[int]) -> tuple:
     return frozenset(family), kept
 
 
+def _restrictions(whole, k: int, restrict):
+    """`restrict(whole, sites)` by sorted site tuple, each tuple built once;
+    the tuple of all k sites is `whole` itself."""
+    return functools.cache(lambda sites: whole if len(sites) == k else restrict(whole, sites))
+
+
 def _subset_structures(k: int, verdict, families: Mapping) -> tuple:
     """(verdicts, structures): judge every subset of k sites, then generate.
 

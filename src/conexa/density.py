@@ -4,8 +4,9 @@ A reduced operator on a subset J is *completely correlated* when no
 bipartition of J factorizes it, and *completely entangled* when it is
 entangled across every bipartition of J.  Both predicates feed generator
 families for integral connectivity structures on the site set.  An
-analysis reduces rho to each site tuple once: a subset's reduction serves
-both predicates and the correlation test of every subset it is a side of.
+analysis reduces rho to each proper site tuple once, and the full set is rho
+itself (`connective._restrictions`): a subset's reduction serves both
+predicates and the correlation test of every subset it is a side of.
 
 A cut A|B of J factorizes rho_J when every entry of D = rho_J - rho_A (x) rho_B
 is at most tol in modulus.  Then ||D||_F <= n tol for rho_J of dimension n,
@@ -30,7 +31,6 @@ principal blocks of their partial transposes before it factorizes the rest.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -41,6 +41,7 @@ from .connective import (
     ConnectiveStructure,
     _cut_table,
     _mask_positions,
+    _restrictions,
     _subset_structures,
     _subsets,
     connective_order,
@@ -88,11 +89,6 @@ class TotalOrder:
     omega_c: int
     omega_f: int
     omega: int
-
-
-def _reductions(rho: DensityOperator):
-    """partial_trace of rho by sorted site tuple, each tuple reduced once."""
-    return functools.cache(lambda sites: partial_trace(rho, sites))
 
 
 def _norms_allow_product(norm_j, norm_a, norm_b, n, tol: float):
@@ -182,7 +178,7 @@ def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> Densit
     k = len(rho.dims)
     if k < 2:
         raise DomainError("density analysis needs at least two sites")
-    reduce = _reductions(rho)
+    reduce = _restrictions(rho, k, partial_trace)
     split = np.logical_or.reduceat(_split_cuts(reduce, k, tol), _cut_table(k)[0])
     correlated = dict(zip((j for j, _ in _subsets(k)), np.logical_not(split).tolist()))
 

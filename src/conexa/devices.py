@@ -16,7 +16,6 @@ folded in once.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ from .connective import (
     _check_indices,
     _check_labels,
     _close,
+    _restrictions,
     _subset_structures,
     _subsets,
     connective_order,
@@ -148,13 +148,6 @@ def sub_device(device: Device, j_sites) -> Device:
     for q, answers in device.relation.items():
         relation[tuple(q[s] for s in j)].update(tuple(r[s] for s in j) for r in answers)
     return Device(questions, results, relation)
-
-
-def _sub_devices(device: Device):
-    """sub_device of the device by sorted site tuple, each tuple built once;
-    the tuple of every site is the device itself."""
-    k = device.uplicity
-    return functools.cache(lambda j: device if len(j) == k else sub_device(device, j))
 
 
 def realization_count(device: Device) -> int:
@@ -414,7 +407,8 @@ def device_structures(device: Device, cap: int = DEFAULT_CAP) -> DeviceReport:
     structures, and their orders.
 
     Every sub-device on two or more sites is profiled, the full device last;
-    one cache serves every profile, so each sub-device is built once.  The
+    one restriction cache (`connective._restrictions`) serves every profile,
+    so each sub-device is built once and the full one is the device.  The
     full device's one scan yields both its locality profile and the codes
     whose domain structures meet to the domanial ones.  Before any scan, a
     device of more than 7 sites is refused (its k * k-bit codes would not
@@ -426,7 +420,7 @@ def device_structures(device: Device, cap: int = DEFAULT_CAP) -> DeviceReport:
         raise DomainError("device structures need uplicity >= 2")
     if k * k > 63:
         raise ResourceError("dependency scan supports at most 7 sites")
-    reduce = _sub_devices(device)
+    reduce = _restrictions(device, k, sub_device)
     for j, _ in _subsets(k):
         total = realization_count(reduce(j))
         if total > cap:

@@ -261,7 +261,6 @@ def _sweep(dist: FiniteJointDistribution, tol: float) -> tuple:
     np.add.at(sums, flat.ravel(), np.tile(weights, len(touched)))
     cells = sums[flat]
     scale, tol = dist._scale, 0 if dist.exact else tol
-    step = max(1, _CHUNK // len(weights))
     for lo in range(0, len(passing), step):
         chunk = passing[lo : lo + step]
         joint, left, right = cells[line[cuts[:, chunk]]]

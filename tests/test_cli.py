@@ -15,6 +15,7 @@ from conexa import cli, devices, quantum, randvars
 from conexa.cli import main
 from conexa.connective import (
     ConnectiveStructure,
+    _restrictions,
     _subset_structures,
     _subsets,
     connective_order,
@@ -675,7 +676,7 @@ def test_analyze_device_matches_separate_layers(tmp_path, capsys):
         result = load_report(out)["result"]
         # the tensorial layer from a profile of each sub-device, the domanial
         # one from the codes of its own scan of the full device
-        reduce = devices._sub_devices(dev)
+        reduce = _restrictions(dev, dev.uplicity, devices.sub_device)
         profiles, structures = _subset_structures(
             dev.uplicity, lambda j: devices._profile(reduce, j)[0], {
                 name: lambda p, notion=notion: not getattr(p, notion)
@@ -1033,6 +1034,25 @@ def test_derive_device_tol_reaches_menu_observables(tmp_path, capsys):
     _, expected, _ = run_cli(capsys, "derive-device", "--builtin-state", "EPR", "--menus", "Z",
                              "--tol", "1e-6")
     assert out == expected
+
+
+def test_derive_device_reads_a_menus_file_of_any_name(tmp_path, capsys):
+    # a value with a dot or a path separator names a file, whatever its
+    # suffix; shorthand tokens hold neither
+    menus = json.dumps([[{"label": "*", "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}]] * 2)
+    outs = []
+    for name in ("menus.json", "menus.txt"):
+        path = tmp_path / name
+        path.write_text(menus)
+        code, out, err = run_cli(capsys, "derive-device", "--builtin-state", "EPR", "--menus",
+                                 str(path))
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_cli(capsys, "derive-device", "--builtin-state", "EPR", "--menus",
+                             str(missing))
+    assert (code, out, err) == (2, "", f"error: no such file: {missing}\n")
 
 
 def test_overflowing_norm_reports_like_the_unscaled_state(tmp_path, capsys):

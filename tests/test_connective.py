@@ -15,6 +15,7 @@ from conexa.connective import (
     _check_labels,
     _close,
     _cut_table,
+    _restrictions,
     _subset_structures,
     _subsets,
     connective_order,
@@ -338,6 +339,24 @@ def test_integer_relation_and_table_keys_are_refused():
     half = Fraction(1, 2)
     with pytest.raises(DomainError, match="not well-typed"):
         FiniteJointDistribution([["0", "1"], ["0", "1"]], {(0, 0): half, (1, 1): half})
+
+
+def test_restrictions_build_each_proper_tuple_once_and_return_the_whole():
+    # one cache serves the density and the device engines: a proper site
+    # tuple is restricted once, and the tuple of every site is the input
+    for whole, restrict in ((builtin_state("GHZ").density(), partial_trace),
+                            (builtin_device("GHZ"), sub_device)):
+        calls = []
+
+        def counted(w, sites):
+            calls.append(sites)
+            return restrict(w, sites)
+
+        reduce = _restrictions(whole, 3, counted)
+        assert reduce((0, 1, 2)) is whole
+        assert reduce((0, 2)) is reduce((0, 2))
+        assert type(reduce((1,))) is type(whole)
+        assert calls == [(0, 2), (1,)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -1,6 +1,7 @@
 """Density-side structures: complete correlation, complete entanglement, orders."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conexa.connective import _cut_table
+from conexa import density
+from conexa.connective import _cut_table, _restrictions
 from conexa.density import (
     VerdictQuality,
     _norms_allow_product,
     _product,
-    _reductions,
     _split_cuts,
     density_structures,
     total_order,
@@ -322,7 +323,7 @@ def test_every_cut_splits_as_the_entrywise_oracle(case):
     # each cut of the shared cut table gets the entrywise comparison's answer
     dims, matrix = case
     k = len(dims)
-    split = _split_cuts(_reductions(DensityOperator(dims, matrix)), k, 1e-9)
+    split = _split_cuts(_restrictions(DensityOperator(dims, matrix), k, partial_trace), k, 1e-9)
     cuts = _cut_table(k)[1].T.tolist()
     assert split.shape == (len(cuts),)
     for verdict, masks in zip(split.tolist(), cuts):
@@ -330,6 +331,32 @@ def test_every_cut_splits_as_the_entrywise_oracle(case):
         reduced = oracle_partial_trace(matrix, dims, sites)
         a = [sites.index(s) for s in a]
         assert verdict is oracle_factorizes(reduced, [dims[s] for s in sites], a), masks
+
+
+def test_one_analysis_traces_each_proper_subset_once(monkeypatch):
+    # 2^k - 2 partial traces for k = 4: every nonempty proper site tuple once,
+    # and the full-set verdict reads the operator itself
+    dims = (2, 2, 2, 2)
+    rho = DensityOperator(dims, random_density_matrix(np.random.default_rng(7), dims, 2))
+    traced, judged = [], []
+
+    def trace(r, keep):
+        traced.append(tuple(keep))
+        return partial_trace(r, keep)
+
+    def entangled(reduced, tol):
+        judged.append(reduced)
+        return completely_entangled(reduced, tol)
+
+    completely_entangled = density._completely_entangled
+    monkeypatch.setattr(density, "partial_trace", trace)
+    monkeypatch.setattr(density, "_completely_entangled", entangled)
+    report = density_structures(rho)
+    assert len(traced) == 2 ** 4 - 2
+    assert set(traced) == {j for n in (1, 2, 3) for j in itertools.combinations(range(4), n)}
+    assert report.subsets[(1, 2, 3, 4)].completely_correlated
+    full = [r for r in judged if r.dims == dims]
+    assert len(full) == 1 and full[0] is rho
 
 
 def _noisy(amplitudes, p):

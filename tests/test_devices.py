@@ -12,6 +12,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conexa import devices
+from conexa.connective import _restrictions
 from conexa.density import density_structures
 from conexa.devices import (
     _INCLUSIONS,
@@ -74,7 +75,7 @@ def random_device(rng, k=2) -> Device:
 def locality(dev):
     """The full-device locality profile, from one scan."""
     sites = tuple(range(dev.uplicity))
-    return devices._profile(devices._sub_devices(dev), sites)[0]
+    return devices._profile(_restrictions(dev, dev.uplicity, sub_device), sites)[0]
 
 
 def tensorial(dev) -> dict:
