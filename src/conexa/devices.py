@@ -16,6 +16,7 @@ folded in once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -74,7 +75,8 @@ class Device:
 
     Coherence (a nonempty answer set for every question tuple) is enforced at
     construction time.  The relation is a set of pairs, so relation keys that
-    name one question tuple pool their answers.
+    name one question tuple pool their answers; each pool is frozen in sorted
+    order, so equal tables have equal reprs.
     """
 
     questions: tuple
@@ -91,7 +93,6 @@ class Device:
         table: dict = {}
         for q, answers in relation.items():
             table.setdefault(tuple(q), set()).update(tuple(r) for r in answers)
-        table = {q: frozenset(answers) for q, answers in table.items()}
         result_sets = [set(rs) for rs in results]
         for q in itertools.product(*questions):
             if q not in table or not table[q]:
@@ -105,7 +106,16 @@ class Device:
             raise DomainError("relation has entries outside the question product")
         object.__setattr__(self, "questions", questions)
         object.__setattr__(self, "results", results)
-        object.__setattr__(self, "relation", table)
+        object.__setattr__(self, "relation", {q: frozenset(sorted(a)) for q, a in table.items()})
+
+    @classmethod
+    def _derived(cls, questions: tuple, results: tuple, relation: dict) -> "Device":
+        """Wrap the tables of a checked device's restriction, without the input checks."""
+        device = object.__new__(cls)
+        object.__setattr__(device, "questions", questions)
+        object.__setattr__(device, "results", results)
+        object.__setattr__(device, "relation", relation)
+        return device
 
     @property
     def uplicity(self) -> int:
@@ -147,7 +157,8 @@ def sub_device(device: Device, j_sites) -> Device:
     relation: dict = {q: set() for q in itertools.product(*questions)}
     for q, answers in device.relation.items():
         relation[tuple(q[s] for s in j)].update(tuple(r[s] for s in j) for r in answers)
-    return Device(questions, results, relation)
+    table = {q: frozenset(sorted(answers)) for q, answers in relation.items()}
+    return Device._derived(questions, results, table)
 
 
 def realization_count(device: Device) -> int:
@@ -299,22 +310,6 @@ def _scan(device: Device) -> tuple:
 # locality predicates
 
 
-def _is_product_along(device: Device, parts: Sequence[Device], blocks: Sequence[tuple]) -> bool:
-    """Whether the device equals the tensor of `parts`, its sub-devices on the blocks.
-
-    Each answer set R(q) lies inside the product over the blocks B of the
-    sub-device answer sets R_B(q_B), because R_B(q_B) holds the B-part of
-    every answer in R(q).  The blocks partition the sites, so R(q) equals that
-    product exactly when the sizes agree: |R(q)| = prod_B |R_B(q_B)|.
-    """
-    return all(
-        len(answers) == math.prod(
-            len(part.relation[tuple(q[s] for s in block)]) for part, block in zip(parts, blocks)
-        )
-        for q, answers in device.relation.items()
-    )
-
-
 def _profile(reduce, j: tuple) -> tuple:
     """(profile, codes) of the sub-device `reduce(j)` from one `_scan` along
     the singletons and every cut: the seven notions, from which pairs the
@@ -328,8 +323,16 @@ def _profile(reduce, j: tuple) -> tuple:
     every, some = coverage.all(axis=1), coverage.any(axis=1)
 
     def product_along(blocks):
-        parts = [reduce(tuple(j[p] for p in block)) for block in blocks]
-        return _is_product_along(device, parts, blocks)
+        # R(q) lies inside the product of the block sub-devices' answer sets
+        # R_B(q_B), and the blocks partition the sites, so the device is their
+        # tensor exactly when the sizes agree: |R(q)| = prod_B |R_B(q_B)|.
+        parts = [(reduce(tuple(j[p] for p in block)), block) for block in blocks]
+        return all(
+            len(answers) == math.prod(
+                len(part.relation[tuple(q[s] for s in block)]) for part, block in parts
+            )
+            for q, answers in device.relation.items()
+        )
 
     separable_cut = next((cut for cut in cuts if product_along(cut)), None)
     quasi_separable_cut = next((cut for cut, e in zip(cuts, every[1:]) if e), None)
@@ -362,26 +365,19 @@ def _domanial(k: int, codes) -> tuple:
     sites.
 
     A closure depends only on its set of generators, which many codes share
-    (the dp generators ignore the bits (i, i)), and a meet is idempotent, so
-    each set is closed once per meet.  The fold stops once both meets are the
-    discrete family (the empty set and the k singletons), the bottom of the
-    meet lattice, which no code can change.
+    (the dp generators ignore the bits (i, i)), so one cache closes each set
+    once for both meets, and a meet is idempotent.  The fold stops once both
+    meets are the discrete family (the empty set and the k singletons), the
+    bottom of the meet lattice, which no code can change.
     """
+    closed = functools.cache(lambda generators: _close(k, generators)[0])
     do = dp = frozenset(range(1 << k))
-    folded_do: set = set()
-    folded_dp: set = set()
     for code in codes:
         if len(do) == len(dp) == k + 1:
             break
         masks = [code >> (i * k) & ((1 << k) - 1) for i in range(k)]
-        generators = frozenset(masks)
-        if generators not in folded_do:
-            folded_do.add(generators)
-            do &= _close(k, generators)[0]
-        generators = frozenset(m | 1 << i for i, m in enumerate(masks))
-        if generators not in folded_dp:
-            folded_dp.add(generators)
-            dp &= _close(k, generators)[0]
+        do &= closed(frozenset(masks))
+        dp &= closed(frozenset(m | 1 << i for i, m in enumerate(masks)))
     return ConnectiveStructure(k, do), ConnectiveStructure(k, dp)
 
 
@@ -495,31 +491,22 @@ def derive_device(
             by_label[label] = raws, vecs.conj().T
         systems.append(by_label)
 
-    raw_results = [
-        sorted({raw for raws, _ in by_label.values() for raw in raws}, key=float)
-        for by_label in systems
-    ]
-    if recode == "paper":
-        results = tuple(tuple(str(idx) for idx in range(len(rs))) for rs in raw_results)
-    else:
-        results = tuple(tuple(rs) for rs in raw_results)
-    # per site: label -> the answer of each eigenvector
-    answers_of = []
-    for by_label, site_raws, names in zip(systems, raw_results, results):
-        rename = dict(zip(site_raws, names))
-        answers_of.append({
-            label: [rename[raw] for raw in raws] for label, (raws, _) in by_label.items()
-        })
+    # per site: each eigenvalue label, ascending -> its answer
+    rename = []
+    for by_label in systems:
+        ranked = sorted({raw for raws, _ in by_label.values() for raw in raws}, key=float)
+        rename.append({raw: str(i) if recode == "paper" else raw for i, raw in enumerate(ranked)})
+    results = tuple(tuple(names.values()) for names in rename)
 
     tuples = list(itertools.product(*questions))
     bras = [
         np.stack([by_label[q[site]][1] for q in tuples]) for site, by_label in enumerate(systems)
     ]
     _, norms = _residuals(psi.tensor, bras)
-    indices = np.indices(psi.dims).reshape(k, -1).T
+    outcomes = list(itertools.product(*map(range, psi.dims)))
     relation = {
         q: {
-            tuple(answers_of[site][q[site]][i] for site, i in enumerate(indices[o]))
+            tuple(rename[site][systems[site][q[site]][0][i]] for site, i in enumerate(outcomes[o]))
             for o in np.flatnonzero(possible)
         }
         for q, possible in zip(tuples, norms > tol)
@@ -529,10 +516,6 @@ def derive_device(
 
 # ---------------------------------------------------------------------------
 # builtin devices
-
-
-def _full(*label_sets) -> set:
-    return set(itertools.product(*label_sets))
 
 
 def _builtin_epr() -> Device:
@@ -552,8 +535,8 @@ def _builtin_epr2() -> Device:
         relation={
             ("0", "0"): agree,
             ("1", "1"): agree,
-            ("0", "1"): _full(bits, bits),
-            ("1", "0"): _full(bits, bits),
+            ("0", "1"): set(itertools.product(bits, repeat=2)),
+            ("1", "0"): set(itertools.product(bits, repeat=2)),
         },
     )
 
@@ -575,7 +558,7 @@ def _builtin_ghz() -> Device:
                 r for r in itertools.product(bits, repeat=3) if r[fixed[0]] == r[fixed[1]]
             }
         elif len(ones) == 2:
-            relation[q] = _full(bits, bits, bits)
+            relation[q] = set(itertools.product(bits, repeat=3))
         else:
             relation[q] = {
                 r for r in itertools.product(bits, repeat=3) if r.count("1") % 2 == 1
@@ -595,7 +578,7 @@ def _builtin_k() -> Device:
         elif ones == 1:
             relation[q] = even
         else:
-            relation[q] = _full(bits, bits, bits)
+            relation[q] = set(itertools.product(bits, repeat=3))
     return Device((bits,) * 3, (bits,) * 3, relation)
 
 

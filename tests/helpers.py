@@ -74,6 +74,23 @@ def tensor_device(a: Device, b: Device) -> Device:
     return Device(a.questions + b.questions, a.results + b.results, relation)
 
 
+def oracle_sub_device(device: Device, j) -> Device:
+    """Restriction to the sorted site tuple j by its definition, through the
+    checking constructor: the restricted question q_J relates the restricted
+    answer r_J when some related pair (q, r) of the device restricts to them."""
+    questions = tuple(device.questions[s] for s in j)
+    relation = {
+        qj: {
+            tuple(r[s] for s in j)
+            for q, answers in device.relation.items()
+            if tuple(q[s] for s in j) == qj
+            for r in answers
+        }
+        for qj in itertools.product(*questions)
+    }
+    return Device(questions, tuple(device.results[s] for s in j), relation)
+
+
 # Pinned answers of `ladder_device` (question -> (answer slot, value)): site
 # 1's answer on questions 000 and 010 and site 2's on 100 and 101.  Every
 # realization's site-1 output then reads site 2's question and its site-2

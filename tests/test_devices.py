@@ -42,6 +42,7 @@ from helpers import (
     oracle_domanial,
     oracle_locality_profile,
     oracle_realizations,
+    oracle_sub_device,
     haar_unitary,
     ladder_device,
     power_set,
@@ -581,6 +582,41 @@ def test_device_structures_builds_each_sub_device_once():
     tuples = [call.args[1] for call in built.call_args_list]
     assert len(tuples) == 14
     assert set(tuples) == {j for n in (1, 2, 3) for j in itertools.combinations(range(4), n)}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin_device("K"),
+    lambda: builtin_device("GHZ"),
+    lambda: tensor_device(builtin_device("EPR2"), builtin_device("EPR")),
+], ids=["K", "GHZ", "EPR2xEPR"])
+def test_device_structures_checks_no_sub_device(make, monkeypatch):
+    # a device is checked once, where it enters; its sub-devices are
+    # restrictions of checked tables and skip the checking constructor
+    dev = make()
+    checked = []
+    init = Device.__init__
+
+    def counted(self, *args, **kwargs):
+        checked.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Device, "__init__", counted)
+    device_structures(dev)
+    assert checked == []
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(coherent_devices())
+def test_sub_device_matches_oracle_and_checking_constructor(dev):
+    k = dev.uplicity
+    for j in itertools.chain.from_iterable(
+        itertools.combinations(range(k), n) for n in range(1, k + 1)
+    ):
+        sub = sub_device(dev, j)
+        assert sub == oracle_sub_device(dev, j)
+        checked = Device(sub.questions, sub.results, sub.relation)
+        assert checked == sub
+        assert repr(checked) == repr(sub)
 
 
 # ---------------------------------------------------------------------------
