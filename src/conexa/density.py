@@ -23,9 +23,10 @@ verdict is the one the entrywise test alone gives.  One
 
 Entanglement is judged on the subsets that no cut factorizes (a factoring
 cut settles it, see `density_structures`): a pure reduction by the Schmidt
-coefficients of its top eigenvector across each cut, a mixed one by
-`quantum.ppt_entangled`, which certifies most entangled cuts from small
-principal blocks of their partial transposes before it factorizes the rest.
+coefficients of its top eigenvector across each cut, and the mixed ones of
+each layout together by one `quantum.ppt_entangled` call, which decides a
+small layout's cuts in one stacked eigvalsh and certifies most entangled cuts
+of a larger one from small principal blocks before it factorizes the rest.
 """
 
 from __future__ import annotations
@@ -157,35 +158,43 @@ def _split_cuts(reduce, k: int, tol: float) -> np.ndarray:
     return split
 
 
-def _completely_entangled(reduced: DensityOperator, tol: float) -> tuple:
-    if abs(purity(reduced) - 1.0) <= tol:
-        top = np.linalg.eigh(reduced.matrix)[1][:, -1]
-        split = _separable_cuts(top, reduced.dims, tol)
-        return not split.any(), VerdictQuality.EXACT
-    # positive partial transpose is only necessary for separability: an
-    # inconclusive cut counts as separable but degrades the quality flag
-    entangled, exact = ppt_entangled(reduced, tol)
-    return entangled, VerdictQuality.EXACT if exact else VerdictQuality.PPT_NECESSARY
-
-
 def density_structures(rho: DensityOperator, tol: float = DEFAULT_TOL) -> DensityReport:
     """Evaluate both predicates on every subset and generate kappa_corr, kappa_S.
 
     A factoring cut decides that J is not completely entangled, EXACT: rho_J is
     within tol of rho_A (x) rho_B, separable along the cut.  (Closeness entrywise
-    bounds the partial transpose's eigenvalues only to about dim_J tol.)
+    bounds the partial transpose's eigenvalues only to about dim_J tol.)  A pure
+    reduction is judged by the Schmidt coefficients of its top eigenvector.
+    The mixed reductions of one layout go to one `ppt_entangled` call, where
+    a positive partial transpose is only necessary for separability: an
+    inconclusive cut counts as separable but degrades the quality flag.
     """
     k = len(rho.dims)
     if k < 2:
         raise DomainError("density analysis needs at least two sites")
     reduce = _restrictions(rho, k, partial_trace)
     split = np.logical_or.reduceat(_split_cuts(reduce, k, tol), _cut_table(k)[0])
-    correlated = dict(zip((j for j, _ in _subsets(k)), np.logical_not(split).tolist()))
+    entangled, layouts = {}, {}
+    for (j, _), factors in zip(_subsets(k), split.tolist()):
+        if factors:  # a factoring cut decides
+            continue
+        reduced = reduce(j)
+        if abs(purity(reduced) - 1.0) <= tol:
+            top = np.linalg.eigh(reduced.matrix)[1][:, -1]
+            entangled[j] = not _separable_cuts(top, reduced.dims, tol).any(), True
+        else:
+            layouts.setdefault(reduced.dims, []).append((j, reduced))
+    for stack in layouts.values():
+        js, operators = zip(*stack)
+        npt, exact = ppt_entangled(operators, tol)
+        entangled.update(zip(js, zip(npt.tolist(), exact.tolist())))
 
     def verdict(j):
-        if not correlated[j]:  # a factoring cut decides
+        if j not in entangled:
             return SubsetDensityVerdict(False, False, VerdictQuality.EXACT)
-        return SubsetDensityVerdict(True, *_completely_entangled(reduce(j), tol))
+        npt, exact = entangled[j]
+        quality = VerdictQuality.EXACT if exact else VerdictQuality.PPT_NECESSARY
+        return SubsetDensityVerdict(True, npt, quality)
 
     subsets, structures = _subset_structures(k, verdict, {
         "corr": lambda v: v.completely_correlated,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -76,7 +77,8 @@ class Device:
     Coherence (a nonempty answer set for every question tuple) is enforced at
     construction time.  The relation is a set of pairs, so relation keys that
     name one question tuple pool their answers; each pool is frozen in sorted
-    order, so equal tables have equal reprs.
+    order, so equal tables have equal reprs.  The relation is a read-only
+    view, so a checked table cannot change after its checks.
     """
 
     questions: tuple
@@ -106,7 +108,8 @@ class Device:
             raise DomainError("relation has entries outside the question product")
         object.__setattr__(self, "questions", questions)
         object.__setattr__(self, "results", results)
-        object.__setattr__(self, "relation", {q: frozenset(sorted(a)) for q, a in table.items()})
+        relation = {q: frozenset(sorted(a)) for q, a in table.items()}
+        object.__setattr__(self, "relation", types.MappingProxyType(relation))
 
     @classmethod
     def _derived(cls, questions: tuple, results: tuple, relation: dict) -> "Device":
@@ -114,7 +117,7 @@ class Device:
         device = object.__new__(cls)
         object.__setattr__(device, "questions", questions)
         object.__setattr__(device, "results", results)
-        object.__setattr__(device, "relation", relation)
+        object.__setattr__(device, "relation", types.MappingProxyType(relation))
         return device
 
     @property

@@ -415,105 +415,136 @@ def _min_eig_below(mat: np.ndarray, bound: float, norm: float) -> bool:
 
 @functools.cache
 def _cut_plan(dims: tuple) -> tuple:
-    """(sides, groups, blocks): the cuts of `connective._bipartitions` over
-    the layout `dims`, planned once for every kernel that judges them.
+    """(sides, groups, ppt): the cuts of `connective._bipartitions` over the
+    layout `dims`, planned once for every kernel that judges them.
 
     `sides[c]` holds the dimensions (da, db) of cut c = (a, b).  `groups`
     maps each shorter-side dimension r >= 2 to its cuts as (c, positions,
     flipped): the positions of the shorter side first, and whether that side
-    is b; a cut with a side of dimension 1 is in no group.  `blocks` is
-    (lead, inners, rows, keys), what `_block_certificates` stacks: the
-    trailing sites T = lead..k-1 are the last ones whose dimensions multiply
-    to at most `_BLOCK`; when T leaves a leading site, `rows` lists the
-    grouped cuts whose b holds some but not all of T, `inners` the distinct
-    position sets of b's sites within T over those cuts, and `keys` each
-    row's index into it.
+    is b; a cut with a side of dimension 1 is in no group.  `ppt` is (lead,
+    positions, rows, keys, loose), what `ppt_entangled` reads: the trailing
+    sites T = lead..k-1 are the last ones whose dimensions multiply to at
+    most `_BLOCK`, so lead is 0 exactly when the whole layout is that small.
+    `rows` lists the grouped cuts whose b holds some but not all of T's
+    sites of dimension >= 2; cuts whose b holds the same of those sites share
+    a block, at most 6 blocks as T has at most 3 such sites, and `keys` gives
+    each row's block, numbered as first seen.  `positions[i]` holds, for the
+    m x m matrix of block i (m the dimension of T), the flat index of each
+    entry in rho's top-left m x m corner, transposed on that block's sites:
+    the corner is rho's principal block with every leading index at 0, and
+    the whole matrix when lead is 0.  `loose` marks the grouped cuts other
+    than 2x2 and 2x3, where a positive partial transpose proves nothing.
     """
     k = len(dims)
     lead, m = k, 1
     while lead and m * dims[lead - 1] <= _BLOCK:
         lead -= 1
         m *= dims[lead]
+    wide = [s for s in range(lead, k) if dims[s] > 1]
     sides, groups, rows, inners = [], {}, [], {}
     for c, (a, b) in enumerate(_bipartitions(k)):
         da, db = math.prod(dims[p] for p in a), math.prod(dims[p] for p in b)
         sides.append((da, db))
         if min(da, db) > 1:
             groups.setdefault(min(da, db), []).append((c, a + b if da <= db else b + a, da > db))
-            inner = tuple(s - lead for s in b if s >= lead)
-            if lead and 0 < len(inner) < k - lead:
+            inner = tuple(s - lead for s in b if s in wide)
+            if 0 < len(inner) < len(wide):
                 rows.append((c, inners.setdefault(inner, len(inners))))
+    corner = np.arange(m * m).reshape(dims[lead:] * 2)
+    positions = np.array([_transposed(corner, inner).reshape(m, m) for inner in inners],
+                         dtype=np.intp).reshape(-1, m, m)
     rows = np.array(rows, dtype=np.intp).reshape(-1, 2).T
-    return tuple(sides), groups, (lead, tuple(inners), *rows)
+    loose = np.array([min(side) > 1 and set(side) not in ({2}, {2, 3}) for side in sides],
+                     dtype=bool)
+    return tuple(sides), groups, (lead, positions, *rows, loose)
 
 
-def _block_certificates(tens: np.ndarray, norm: float, tol: float) -> np.ndarray:
-    """Bool per cut (a, b) of `connective._bipartitions`: whether a small
-    principal block of the partial transpose over b shows
-    `_min_eig_below(..., -tol, norm)` True, for the operator with tensor
-    `tens` (k ket axes, then k bra axes) and Frobenius norm `norm`.
+def _block_npt(operators: Sequence[DensityOperator], norms, tol: float) -> np.ndarray:
+    """Bool (operators, cuts of `connective._bipartitions`): the cuts whose
+    partial transpose a block of `_cut_plan` shows NPT, with
+    `_min_eig_below(..., -tol, norm)` True, for operators of one layout;
+    `norms`, their Frobenius norms, are read only on a layout of dimension
+    above `_BLOCK`.
 
-    The block keeps the trailing sites T of `_cut_plan` and fixes every
-    leading index at 0, in ket and bra alike: it is a principal submatrix of
-    the partial transpose, and the partial transpose over the sites of b in
-    T of rho's own block.  By Cauchy interlacing (Horn and Johnson, *Matrix
-    Analysis*, Thm 4.3.28) the least eigenvalue of the whole matrix is at
-    most the block's.  eigvalsh on the block, of dimension m < n and norm at
-    most rho's, is off by less than the band delta that `_min_eig_below`
-    derives for n from rho's norm.  So a computed block eigenvalue below
-    -tol - 3 delta puts the exact least eigenvalue of the partial transpose
-    below -tol - 2 delta, where each branch of `_min_eig_below` answers
-    True: the first factorization fails, or the second fails and eigvalsh,
-    off by less than delta, is below -tol.
-
-    A block transposed on none or all of T is a principal block of rho or
-    of its transpose, so only cuts whose b splits T are tested.  Cuts with
-    equal sites of b in T share one block, and the distinct blocks go
-    through one batched eigvalsh.
+    Each step stacks the top-left m x m corners of as many operators as
+    `_CHUNK` amplitudes of blocks allow, at least one, and gathers every
+    block from them through the plan's positions into one eigvalsh.  On a
+    layout of dimension n <= `_BLOCK` each block is the whole partial
+    transpose of a cut, and its least eigenvalue below -tol decides the cut,
+    exactly as `_min_eig_below` does.  On a larger layout a block is a
+    principal submatrix of the partial transpose over b, transposed on b's
+    sites in T: by Cauchy interlacing (Horn and Johnson, *Matrix Analysis*,
+    Thm 4.3.28) the least eigenvalue of the whole matrix is at most the
+    block's.  eigvalsh on the block, of dimension m < n and norm at most
+    rho's, is off by less than the band delta that `_min_eig_below` derives
+    for n from rho's norm.  So a block eigenvalue below -tol - 3 delta puts
+    the exact least eigenvalue below -tol - 2 delta, where each branch of
+    `_min_eig_below` answers True: the first factorization fails, or the
+    second fails and eigvalsh, off by less than delta, is below -tol.  A
+    block transposed on none or all of T's sites of dimension >= 2 is a
+    principal block of rho or of its transpose, so only cuts whose b splits
+    them have one, and False there certifies nothing.
     """
-    k = tens.ndim // 2
-    dims = tens.shape[:k]
-    sides, _, (lead, inners, rows, keys) = _cut_plan(dims)
-    certified = np.zeros(len(sides), dtype=bool)
-    if len(rows):
-        corner = (0,) * lead + (slice(None),) * (k - lead)
-        block = tens[corner + corner]
-        m = math.isqrt(block.size)
-        stack = np.array([_transposed(block, inner).reshape(m, m) for inner in inners])
-        delta = _eig_band(math.prod(dims), norm, -tol)
-        certified[rows] = np.linalg.eigvalsh(stack)[keys, 0] < -tol - 3 * delta
-    return certified
+    dims = operators[0].dims
+    sides, _, (lead, positions, rows, keys, _) = _cut_plan(dims)
+    npt = np.zeros((len(operators), len(sides)), dtype=bool)
+    if not len(rows):
+        return npt
+    m = positions.shape[-1]
+    least = np.empty((len(operators), len(positions)))
+    step = max(1, _CHUNK // positions.size)
+    for start in range(0, len(operators), step):
+        corners = np.array([rho.matrix[:m, :m] for rho in operators[start:start + step]])
+        blocks = corners.reshape(len(corners), m * m).take(positions, axis=1)
+        least[start:start + step] = np.linalg.eigvalsh(blocks)[..., 0]
+    if lead:
+        n = math.prod(dims)
+        bound = np.array([[-tol - 3 * _eig_band(n, norm, -tol)] for norm in norms])
+    else:
+        bound = -tol
+    npt[:, rows] = least[:, keys] < bound
+    return npt
 
 
-def ppt_entangled(rho: DensityOperator, tol: float = DEFAULT_TOL) -> tuple:
-    """(entangled, exact): whether the Peres-Horodecki test finds rho
-    entangled across every bipartition of its sites, and whether that is exact.
+def ppt_entangled(operators: Sequence[DensityOperator], tol: float = DEFAULT_TOL) -> tuple:
+    """(entangled, exact), two bool arrays with one entry per operator:
+    whether the Peres-Horodecki test finds the operator entangled across
+    every bipartition of its sites, and whether that is exact.  Every
+    operator has the same dims.
 
     A side of dimension 1 makes every operator a product across the cut.
     Otherwise a partial-transpose eigenvalue below -tol (`_min_eig_below`)
     certifies entanglement in any dimension; a positive partial transpose
-    certifies separability only for 2x2 and 2x3 local dimensions.
+    certifies separability only for 2x2 and 2x3 local dimensions.  So an
+    operator with some PPT cut outside those gets (False, False), whatever
+    the cut order, and any other gets (every cut NPT, True).
 
-    One pass takes the cuts in the order of `connective._bipartitions`, with
-    their side dimensions from `_cut_plan`: a product or separable cut makes
-    the answer False and the pass goes on, and the first other PPT cut ends it
-    with (False, False).  rho's norm, computed once, sets every cut's rounding
-    band.  A cut that `_block_certificates` certifies is entangled without a
-    factorization, `_min_eig_below`'s answer too; every other cut's partial
-    transpose is copied once, into the matrix that is factorized.
+    `_block_npt` judges the blocks of every operator in stacked steps; on a
+    layout of dimension <= `_BLOCK` that decides every cut.  On a larger one
+    each operator's norm, computed once, sets the rounding band of every
+    cut, and its other cuts go to `_min_eig_below` in cut order, each
+    partial transpose copied once into the matrix that is factorized, up to
+    the first PPT cut outside 2x2 and 2x3.
     """
-    tens = rho.matrix.reshape(rho.dims * 2)
-    norm = _frobenius(rho.matrix)
-    certified = _block_certificates(tens, norm, tol)
-    entangled = True
-    cuts = zip(_bipartitions(len(rho.dims)), _cut_plan(rho.dims)[0], certified.tolist())
-    for (a, b), (da, db), certain in cuts:
-        if certain or (min(da, db) > 1 and _min_eig_below(_transposed(tens, b), -tol, norm)):
-            continue
-        if min(da, db) > 1 and {da, db} not in ({2}, {2, 3}):
-            return False, False
-        entangled = False
-    return entangled, True
+    layouts = {rho.dims for rho in operators}
+    if len(layouts) != 1:
+        raise DomainError(f"ppt_entangled needs operators of one layout, got {sorted(layouts)}")
+    (dims,) = layouts
+    sides, _, (lead, *_, loose) = _cut_plan(dims)
+    norms = [_frobenius(rho.matrix) for rho in operators] if lead else None
+    npt = _block_npt(operators, norms, tol)
+    if lead:  # the blocks only certify: factorize every other cut
+        cuts = _bipartitions(len(dims))
+        for rho, norm, row in zip(operators, norms, npt):
+            tens = rho.matrix.reshape(dims * 2)
+            for c in np.flatnonzero(~row).tolist():
+                if min(sides[c]) == 1:  # a product across the cut
+                    continue
+                if _min_eig_below(_transposed(tens, cuts[c][1]), -tol, norm):
+                    row[c] = True
+                elif loose[c]:
+                    break
+    return npt.all(axis=1), (npt | ~loose).all(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -462,20 +462,22 @@ def oracle_cut_plan(dims) -> tuple:
     None when a side has dimension 1, else (r, positions, flipped): r the
     least side dimension, the positions of the shorter side first (a on a
     tie) and flipped iff da > db.  The trailing sites T are the longest run
-    at the end whose dimensions multiply to at most 8; inner holds b's
-    positions within T when the cut has a group, some site precedes T and b
-    holds some but not all of T, else None.
+    at the end whose dimensions multiply to at most 8; inner holds the
+    positions within T of b's sites of dimension >= 2 in T when the cut has
+    a group and b holds some but not all of T's sites of dimension >= 2,
+    else None.
     """
     k = len(dims)
     lead = next(t for t in range(k + 1) if math.prod(dims[t:]) <= 8)
+    wide_t = [p for p in range(lead, k) if dims[p] > 1]
     cuts = []
     for a, b in _bipartitions(k):
         da, db = math.prod(dims[p] for p in a), math.prod(dims[p] for p in b)
         group = inner = None
         if da > 1 and db > 1:
             group = (da, a + b, False) if da <= db else (db, b + a, True)
-            in_t = tuple(p - lead for p in b if p >= lead)
-            if lead > 0 and in_t and len(in_t) < k - lead:
+            in_t = tuple(p - lead for p in b if p in wide_t)
+            if in_t and len(in_t) < len(wide_t):
                 inner = in_t
         cuts.append(((da, db), group, inner))
     return lead, cuts

@@ -500,12 +500,16 @@ REALIZED = {
 # Seeded operators for the mixed-path analyze-density goldens, built from
 # default_rng(19): a rank-2 5-qubit operator, and rho_A (x) rho_B on (2, 3)
 # and (2, 2), whose factorizing cut passes the norm bound and takes the
-# full product test.
+# full product test; and a rank-4 4-qubit operator from default_rng(5).
 SEEDED_DENSITIES = {
     "rank-2 5-qubit": lambda rng: ((2,) * 5, random_density_matrix(rng, (2,) * 5, 2)),
     "product 23x22": lambda rng: ((2, 3, 2, 2), np.kron(
         random_density_matrix(rng, (2, 3), 2), random_density_matrix(rng, (2, 2), 2)
     )),
+    # the (2, 2, 2) reductions, one stacked PPT call, hold entangled EXACT
+    # triples beside a PPT_NECESSARY one
+    "rank-4 4-qubit": lambda _: ((2,) * 4, random_density_matrix(
+        np.random.default_rng(5), (2,) * 4, 4)),
 }
 
 # sha256 of the canonical reports of the other engines: analyze-density and
@@ -522,6 +526,8 @@ GOLDEN_REPORTS = {
         "768443e1c19d1a1214d31d2aeac64560c1d511880982668bf5e1ad4d2f4bc77f",
     ("analyze-density", "product 23x22"):
         "e8e6c9b4357c81a9bd54e568afa33b65111394ca99a7789319d612692fa8322a",
+    ("analyze-density", "rank-4 4-qubit"):
+        "89b2db0883a2510307edf2142caa4e3a4d506ac6e9e24e71892c0f2cf32bfa43",
     ("order", "EPR"): "344367186f409220408276ecad6f40ece801aa14628de6827ae77ba030049db6",
     ("order", "GHZ"): "344367186f409220408276ecad6f40ece801aa14628de6827ae77ba030049db6",
     ("order", "O2"): "feb8ea0c687514ea17fd886d55c0715284e37b9a44e67a6dbd19891627559f40",

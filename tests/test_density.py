@@ -344,19 +344,21 @@ def test_one_analysis_traces_each_proper_subset_once(monkeypatch):
         traced.append(tuple(keep))
         return partial_trace(r, keep)
 
-    def entangled(reduced, tol):
-        judged.append(reduced)
-        return completely_entangled(reduced, tol)
+    def entangled(operators, tol):
+        judged.append(operators)
+        return ppt_entangled(operators, tol)
 
-    completely_entangled = density._completely_entangled
+    ppt_entangled = density.ppt_entangled
     monkeypatch.setattr(density, "partial_trace", trace)
-    monkeypatch.setattr(density, "_completely_entangled", entangled)
+    monkeypatch.setattr(density, "ppt_entangled", entangled)
     report = density_structures(rho)
     assert len(traced) == 2 ** 4 - 2
     assert set(traced) == {j for n in (1, 2, 3) for j in itertools.combinations(range(4), n)}
     assert report.subsets[(1, 2, 3, 4)].completely_correlated
-    full = [r for r in judged if r.dims == dims]
-    assert len(full) == 1 and full[0] is rho
+    # one stacked PPT call per layout, and the full set's stack is rho itself
+    assert sorted(stack[0].dims for stack in judged) == [(2, 2), (2, 2, 2), dims]
+    full = [stack for stack in judged if stack[0].dims == dims]
+    assert len(full) == 1 and len(full[0]) == 1 and full[0][0] is rho
 
 
 def _noisy(amplitudes, p):

@@ -126,6 +126,21 @@ def test_devices_compare_by_value():
         hash(k)
 
 
+def test_checked_tables_are_read_only():
+    # the relation of a checked device, and of any restriction of one, is a
+    # read-only view: a table cannot change after its checks
+    k = builtin_device("K")
+    decoded = device_from_dict(json.loads(json.dumps(device_to_dict(k))))
+    for dev in (k, decoded, sub_device(k, (0, 2))):
+        q = next(iter(dev.relation))
+        with pytest.raises(TypeError):
+            dev.relation[q] = frozenset()
+        with pytest.raises(TypeError):
+            del dev.relation[q]
+        assert dev.relation[q]
+    assert decoded == k and sub_device(decoded, (0, 2)) == sub_device(k, (0, 2))
+
+
 def test_incoherent_device_rejected():
     with pytest.raises(DomainError):
         Device((BITS,), (BITS,), {("0",): {("0",)}, ("1",): set()})

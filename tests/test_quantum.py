@@ -17,7 +17,8 @@ from conexa.errors import DomainError
 from conexa.quantum import (
     DEFAULT_TOL,
     DensityOperator,
-    _block_certificates,
+    _BLOCK,
+    _block_npt,
     _cut_plan,
     _eigensystem,
     _frobenius,
@@ -80,11 +81,16 @@ def ppt(rho, a, b, tol=DEFAULT_TOL) -> str:
 
 
 def ppt_answer(verdicts) -> tuple:
-    """The (entangled, exact) pair of `ppt_entangled` for per-cut verdicts in
-    cut order, which the pass reads up to the first inconclusive one."""
+    """The (entangled, exact) pair of `ppt_entangled` for one operator's
+    per-cut verdicts, in any order."""
     if PPT_INCONCLUSIVE in verdicts:
         return False, False
     return all(v == ENTANGLED for v in verdicts), True
+
+
+def stacked_answers(operators, tol=DEFAULT_TOL) -> list:
+    """`ppt_entangled`'s (entangled, exact) per operator, as Python bools."""
+    return list(zip(*(a.tolist() for a in ppt_entangled(operators, tol))))
 
 
 def schmidt(psi, part) -> np.ndarray:
@@ -270,7 +276,7 @@ def test_every_cut_agrees_with_svd(dims, seed):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=7).map(tuple))
 def test_cut_plan_matches_a_per_cut_recomputation(dims):
-    sides, groups, (lead, inners, rows, keys) = _cut_plan(dims)
+    sides, groups, (lead, gathers, rows, keys, loose) = _cut_plan(dims)
     want_lead, want = oracle_cut_plan(dims)
     assert sides == tuple(side for side, _, _ in want)
     # every cut with both sides above 1 sits in exactly one group, keyed by
@@ -281,9 +287,18 @@ def test_cut_plan_matches_a_per_cut_recomputation(dims):
     # the principal blocks: one row per cut whose b splits T, in cut order,
     # each keyed to its distinct inner position set, first seen first
     blocks = [(c, inner) for c, (_, _, inner) in enumerate(want) if inner is not None]
+    inners = tuple(dict.fromkeys(inner for _, inner in blocks))
     assert [(c, inners[key]) for c, key in zip(rows.tolist(), keys.tolist())] == blocks
-    assert inners == tuple(dict.fromkeys(inner for _, inner in blocks))
     assert not blocks or lead == want_lead
+    # block i gathers rho's top-left corner over T, transposed on inners[i]
+    m = math.prod(dims[want_lead:])
+    corner = np.arange(m * m).reshape(m, m)
+    assert gathers.shape == (len(inners), m, m) and gathers.dtype == np.intp
+    for inner, gathered in zip(inners, gathers):
+        assert np.array_equal(gathered, oracle_partial_transpose(corner, dims[want_lead:], inner))
+    # PPT proves nothing on a cut whose sides are both above 1 and not 2x2 or 2x3
+    assert loose.tolist() == [g is not None and set(side) not in ({2}, {2, 3})
+                              for side, g, _ in want]
 
 
 def test_tensor_then_separable_on_build_seam():
@@ -721,19 +736,28 @@ def test_ppt_verdicts_at_the_rounding_band(dims, kind, tol):
             want = [_oracle_ppt(matrix, dims, *cut, tol) for cut in cuts]
             if PPT_INCONCLUSIVE in want:
                 want = want[: want.index(PPT_INCONCLUSIVE) + 1]
-            with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
-                assert ppt_entangled(rho, tol=tol) == ppt_answer(want)
+            for cut in cuts:
+                assert ppt(rho, *cut, tol=tol) == _oracle_ppt(matrix, dims, *cut, tol)
+            with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy, \
+                    mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
+                assert stacked_answers([rho], tol) == [ppt_answer(want)]
+            n = len(matrix)
+            if n <= _BLOCK:
+                # a small layout: one eigvalsh over the stacked partial
+                # transposes of every cut decides each of them at any k,
+                # and nothing is factorized
+                (call,) = spy.call_args_list
+                assert call.args[0].shape == (1, len(cuts), n, n)
+                assert chol.call_count == 0
+                continue
             # once the pass reaches the cut, eigvalsh decides it at the
             # bound; ten deltas out, the factorizations decide every cut.
             # Only calls on the whole matrix count: the stacked principal
             # blocks of the certificate are smaller
-            n = len(matrix)
             full = sum(call.args[0].shape == (n, n) for call in spy.call_args_list)
             if k == 0 and cuts.index((a, b)) < len(want):
                 assert full > 0
             assert full == 0 or abs(k) < 10
-            for cut in cuts:
-                assert ppt(rho, *cut, tol=tol) == _oracle_ppt(matrix, dims, *cut, tol)
 
 
 @st.composite
@@ -762,7 +786,9 @@ def qutrit_operators(draw):
 
 def test_ppt_verdicts_match_the_oracle_with_block_certificates():
     # the pass answers as the eigvalsh oracle's verdicts do, and a principal
-    # block certifies only cuts that the oracle calls ENTANGLED
+    # block certifies only cuts that the oracle calls ENTANGLED; on a layout
+    # of dimension <= _BLOCK the blocks are the whole partial transposes and
+    # certify exactly those cuts
     fired = []
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -772,14 +798,131 @@ def test_ppt_verdicts_match_the_oracle_with_block_certificates():
         rho = DensityOperator(dims, matrix)
         cuts = _bipartitions(len(dims))
         want = [_oracle_ppt(matrix, dims, *cut, DEFAULT_TOL) for cut in cuts]
-        tens = rho.matrix.reshape(dims * 2)
-        certified = _block_certificates(tens, _frobenius(rho.matrix), DEFAULT_TOL)
+        certified = _block_npt([rho], [_frobenius(rho.matrix)], DEFAULT_TOL)[0]
         assert all(w == ENTANGLED for w, c in zip(want, certified.tolist()) if c)
-        assert ppt_entangled(rho) == ppt_answer(want)
+        if len(matrix) <= _BLOCK:
+            assert certified.tolist() == [w == ENTANGLED for w in want]
+        assert stacked_answers([rho]) == [ppt_answer(want)]
         fired.append(bool(certified.any()))
 
     check()
     assert any(fired) and not all(fired)
+
+
+@st.composite
+def operator_stacks(draw):
+    """(dims, matrices): 1-6 operators of one layout, drawn as
+    `qutrit_operators` draws one.  A "rank" layout has 2-4 sites of
+    dimension 1-3 and total dimension 2..36, and each operator is rank 1-3;
+    a Horodecki 2x4 or tiles-UPB layout holds that state, each operator with
+    its own weight, beside a random operator on one more site, or a rank-2
+    operator on the whole layout.  The sites are in one drawn order, and a
+    site of dimension 1 may be inserted anywhere."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("rank", "horodecki", "upb")))
+    count = draw(st.integers(1, 6))
+    if kind == "rank":
+        dims = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)
+                          .filter(lambda d: 2 <= math.prod(d) <= 36)))
+        matrices = [random_density_matrix(rng, dims, draw(st.integers(1, 3)))
+                    for _ in range(count)]
+    else:
+        dims = (2, 2, 2, 3) if kind == "horodecki" else (3, 3, draw(st.sampled_from((2, 3))))
+        core = horodecki_2x4 if kind == "horodecki" else tiles_upb
+        matrices = [
+            np.kron(core(draw(st.floats(0.05, 0.95))),
+                    random_density_matrix(rng, dims[-1:], draw(st.integers(1, 2))))
+            if draw(st.booleans()) else random_density_matrix(rng, dims, 2)
+            for _ in range(count)
+        ]
+        perm = draw(st.permutations(range(len(dims))))
+        k, n = len(dims), math.prod(dims)
+        matrices = [np.transpose(m.reshape(dims * 2), [*perm, *(k + p for p in perm)])
+                    .reshape(n, n) for m in matrices]
+        dims = tuple(dims[p] for p in perm)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(dims)))
+        dims = dims[:at] + (1,) + dims[at:]
+    return dims, matrices
+
+
+def test_stacked_ppt_answers_match_the_oracle_and_ignore_the_stack():
+    # each operator of a stack gets ppt_answer of the eigvalsh oracle's
+    # verdicts, and permuting the stack or splitting it in two moves the
+    # answers with their operators
+    drawn = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(operator_stacks(), st.randoms(use_true_random=False))
+    def check(case, random):
+        dims, matrices = case
+        operators = [DensityOperator(dims, m) for m in matrices]
+        cuts = _bipartitions(len(dims))
+        want = [ppt_answer([_oracle_ppt(m, dims, *cut, DEFAULT_TOL) for cut in cuts])
+                for m in matrices]
+        assert stacked_answers(operators) == want
+        order = random.sample(range(len(operators)), len(operators))
+        assert stacked_answers([operators[i] for i in order]) == [want[i] for i in order]
+        cut = random.randint(1, len(operators))
+        parts = [operators[:cut], operators[cut:]]
+        assert [answer for part in parts if part for answer in stacked_answers(part)] == want
+        drawn.update((1 in dims, len(matrices[0]) <= _BLOCK, answer) for answer in want)
+
+    check()
+    # small and large layouts, with and without a site of dimension 1, and
+    # every answer (exact entangled, exact not, PPT-inconclusive) were drawn
+    assert {flags[:2] for flags in drawn} >= {(False, True), (False, False), (True, False)}
+    assert {flags[2] for flags in drawn} == {(True, True), (False, True), (False, False)}
+
+
+def test_stacked_ppt_refuses_mixed_layouts():
+    a = DensityOperator((2, 2), np.eye(4) / 4)
+    b = DensityOperator((4,), np.eye(4) / 4)
+    with pytest.raises(DomainError, match="one layout"):
+        ppt_entangled([a, b])
+    with pytest.raises(DomainError, match="one layout"):
+        ppt_entangled([])
+
+
+@pytest.mark.parametrize("chunk, steps", [(1 << 16, [7]), (400, [2, 2, 2, 1]), (100, [1] * 7)])
+def test_stacked_ppt_bounds_each_eigvalsh_step(monkeypatch, chunk, steps):
+    # each eigvalsh step holds the three 8 x 8 blocks of as many operators
+    # as the chunk of amplitudes allows, at least one, and every operator
+    # keeps its own answer: products sit at 0, 3 and 4 among entangled pure
+    # states, so no two steps hold the same pattern
+    rng = np.random.default_rng(3)
+    dims = (2, 2, 2)
+    matrices = [functools.reduce(np.kron, [random_density_matrix(rng, (2,), 1)] * 3)
+                if r in (0, 3, 4) else random_density_matrix(rng, dims, 1)
+                for r in range(7)]
+    cuts = _bipartitions(3)
+    want = [ppt_answer([_oracle_ppt(m, dims, *cut, DEFAULT_TOL) for cut in cuts])
+            for m in matrices]
+    assert len(set(want)) == 2
+    monkeypatch.setattr(quantum, "_CHUNK", chunk)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+        assert stacked_answers([DensityOperator(dims, m) for m in matrices]) == want
+    shapes = [call.args[0].shape for call in spy.call_args_list]
+    assert shapes == [(count, 3, 8, 8) for count in steps]
+
+
+def test_stacked_ppt_stops_each_operator_at_its_first_inconclusive_cut():
+    # on (2, 2, 2, 3) the first cut, {1}|{2,3,4}, holds every trailing site
+    # and has no block: Horodecki's 2x4 state beside a qutrit is PPT there,
+    # 2 x 12, so that operator's pass ends after one factorization, while
+    # the entangled operator beside it has every uncertified cut factorized
+    rng = np.random.default_rng(8)
+    dims = (2, 2, 2, 3)
+    horodecki = np.kron(horodecki_2x4(0.5), random_density_matrix(rng, (3,), 2))
+    entangled = random_density_matrix(rng, dims, 1)
+    operators = [DensityOperator(dims, m) for m in (horodecki, entangled)]
+    norms = [_frobenius(rho.matrix) for rho in operators]
+    certified = _block_npt(operators, norms, DEFAULT_TOL)
+    assert not certified[:, 0].any()
+    with mock.patch.object(quantum, "_min_eig_below", wraps=_min_eig_below) as spy:
+        assert stacked_answers(operators) == [(False, False), (True, True)]
+    uncertified = len(_bipartitions(4)) - int(certified[1].sum())
+    assert spy.call_count == 1 + uncertified
 
 
 def test_state_normalization_and_zero_rejection():
