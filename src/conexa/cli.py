@@ -137,7 +137,7 @@ def _emit(report: dict, fmt: str) -> None:
         if key in result:
             print(f"{key}:")
             for sub, val in sorted(result[key].items()):
-                print(f"  {sub}: {val}")
+                print(f"  {sub}: {json.dumps(val, sort_keys=True)}")
     if "structures" in result:
         print("structures:")
         for name, data in result["structures"].items():
@@ -159,7 +159,7 @@ def _emit(report: dict, fmt: str) -> None:
                "raw_family_closed")
     for key in scalars:
         if key in result:
-            print(f"{key}: {result[key]}")
+            print(f"{key}: {json.dumps(result[key], sort_keys=True)}")
 
 
 def _subset_key(sites: int):
@@ -262,6 +262,9 @@ def _parse_menu_tokens(spec: str, sites: int) -> list:
     Multi-observable menus are labelled "0", "1", ...; a single-observable
     menu is labelled "*".
     """
+    if not spec:
+        raise DomainError(
+            f"--menus is empty; give a menus file or tokens among {sorted(MENU_TOKENS)}")
     if "," in spec:
         tokens = [t.strip() for t in spec.split(",")]
     else:

@@ -55,7 +55,9 @@ _IMPLIES = (
     ("pseudo_separable", "partially_separable"),
 )
 # Each notion's tensorial structure, generated by the sub-devices it fails
-# on; report order.
+# on; report order.  `_profile` refuses a profile that breaks `_IMPLIES`, so
+# where a implies b every sub-device failing b fails a, and b's structure lies
+# inside a's.
 _STRUCTURE_OF = {
     "partially_separable": "NPS",
     "pseudo_separable": "NOS",
@@ -65,9 +67,6 @@ _STRUCTURE_OF = {
     "separable": "NS",
     "local": "NL",
 }
-# (fine, coarse) tensorial structures: where a implies b, every sub-device
-# failing b fails a.
-_INCLUSIONS = tuple((_STRUCTURE_OF[b], _STRUCTURE_OF[a]) for a, b in _IMPLIES)
 
 
 @dataclass(frozen=True)
@@ -432,9 +431,6 @@ def device_structures(device: Device, cap: int = DEFAULT_CAP) -> DeviceReport:
         for notion, name in _STRUCTURE_OF.items()
     })
     profile, codes = verdicts[tuple(range(1, k + 1))]
-    for fine, coarse in _INCLUSIONS:
-        if not structures[fine].connected <= structures[coarse].connected:
-            raise RuntimeError(f"tensorial inclusion {fine} <= {coarse} violated")
     tensorial = max(connective_order(s) for s in structures.values())
     structures["do"], structures["dp"] = _domanial(k, codes)
     domanial = max(connective_order(structures["do"]), connective_order(structures["dp"]))

@@ -227,55 +227,8 @@ def distribution_from_dict(data: Mapping, tol: float = DEFAULT_TOL) -> FiniteJoi
 # ---------------------------------------------------------------------------
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _render(obj, indent: str) -> str:
-    """obj as `json.dumps(obj, sort_keys=True, indent=2)` renders it at the
-    nesting of `indent`.  With `indent` set, json.dumps leaves its C encoder
-    for a pure-Python one; this renders the same bytes in fewer steps."""
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _SPECIAL_FLOATS.get(text, text)
-    inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = (",\n" + inner).join([_render(x, inner) for x in obj])
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = (",\n" + inner).join(
-            [_render_key(k) + ": " + _render(v, inner) for k, v in sorted(obj.items())]
-        )
-        return "{\n" + inner + body + "\n" + indent + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _render_key(key) -> str:
-    """A dict key as json renders it: a number, bool or None becomes the
-    string of its JSON text."""
-    if not isinstance(key, str):
-        if not isinstance(key, (int, float)) and key is not None:
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = _render(key, "")
-    return _encode_str(key)
-
-
 def canonical_json(obj) -> str:
-    """Deterministic rendering: sorted keys, two-space indent, ", " and ": "
-    separators, ASCII escapes, trailing newline; the bytes of
-    `json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "))`."""
-    return _render(obj, "") + "\n"
+    """Deterministic rendering: one line of sorted-key JSON with "," and ":"
+    separators, ASCII escapes, NaN and the infinities as `json` spells them,
+    and a trailing newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

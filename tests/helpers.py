@@ -6,6 +6,7 @@ code under test is never used to produce its own expected output.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -14,6 +15,17 @@ import numpy as np
 from conexa.connective import ConnectiveStructure, _bipartitions
 from conexa.devices import Device
 from conexa.quantum import PureState
+
+
+def pinned_layout(out: str) -> bytes:
+    """The bytes a golden digest was pinned on: the report `out` re-rendered
+    in the two-space layout reports had before they became one compact line.
+
+    `out` must be the compact sorted-key rendering of its own parse, so the
+    digest of these bytes pins `out` byte for byte."""
+    parsed = json.loads(out)
+    assert out == json.dumps(parsed, sort_keys=True, separators=(",", ":")) + "\n"
+    return (json.dumps(parsed, sort_keys=True, indent=2, separators=(",", ": ")) + "\n").encode()
 
 
 def mask(points) -> int:

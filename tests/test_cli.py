@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 from importlib import resources
 
 import jsonschema
@@ -35,6 +36,7 @@ from conexa.randvars import realize_structure
 from helpers import (
     ladder_device,
     mask,
+    pinned_layout,
     random_density_matrix,
     random_state_vector,
     tensor_device,
@@ -440,6 +442,9 @@ REFUSALS = {
     "builtin with no request": (["builtin"], None, "provide --list, --state or --device"),
     "unknown menu token": (["derive-device", "--builtin-state", "EPR", "--menus", "Q"], None,
                            "unknown observable token 'Q'; known: ['X', 'Xp', 'Z', 'Zp']"),
+    "empty menus shorthand": (["derive-device", "--builtin-state", "EPR", "--menus", ""], None,
+                              "--menus is empty; give a menus file or tokens among "
+                              "['X', 'Xp', 'Z', 'Zp']"),
 }
 
 
@@ -461,10 +466,11 @@ def test_byte_identical_reports(capsys):
     assert first == canonical_json(json.loads(first))
 
 
-# sha256 of the canonical `analyze-state` reports.  K is left out: its
-# pairs are classified GLOBALLY_ENTANGLED (POOL_LIMITED) although a Y-basis
-# measurement of site 3 separates them, and exact one-site-complement
-# classification is meant to change that report.
+# sha256 of the `analyze-state` reports in their pinned layout
+# (`helpers.pinned_layout`).  K is left out: its pairs are classified
+# GLOBALLY_ENTANGLED (POOL_LIMITED) although a Y-basis measurement of site 3
+# separates them, and exact one-site-complement classification is meant to
+# change that report.
 GOLDEN_STATE_REPORTS = {
     ("--builtin", "EPR"): "e075b05bbd83a898829f77e57126e6fff70d9b29207c9d98b43d98bca8c4c546",
     ("--builtin", "GHZ"): "dfc7cdcf918dfcff77f1e2094b23c84f0e841bcbb474c59dcf082d6d53a5e5f9",
@@ -486,7 +492,7 @@ def test_analyze_state_reports_pinned(source, tmp_path, capsys):
         argv = ["--file", str(path)]
     code, out, _ = run_cli(capsys, "analyze-state", *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STATE_REPORTS[source]
+    assert hashlib.sha256(pinned_layout(out)).hexdigest() == GOLDEN_STATE_REPORTS[source]
 
 
 # Structures realized as random-variable families for the analyze-rvs goldens.
@@ -512,11 +518,11 @@ SEEDED_DENSITIES = {
         np.random.default_rng(5), (2,) * 4, 4)),
 }
 
-# sha256 of the canonical reports of the other engines: analyze-density and
-# order on the builtin states, analyze-density on SEEDED_DENSITIES,
-# analyze-device on the builtin devices and on a seeded ladder table of 2^18
-# realizations, analyze-rvs on the REALIZED families.  K is left out of
-# `order` for the reason given above.
+# sha256 of the reports of the other engines in their pinned layout:
+# analyze-density and order on the builtin states, analyze-density on
+# SEEDED_DENSITIES, analyze-device on the builtin devices and on a seeded
+# ladder table of 2^18 realizations, analyze-rvs on the REALIZED families.
+# K is left out of `order` for the reason given above.
 GOLDEN_REPORTS = {
     ("analyze-density", "EPR"): "9bba03901656ad592f6113cbc9d7d9f1c99379e226e991b17665babe3a65af54",
     ("analyze-density", "GHZ"): "2dde1bb94d06f6410c2b84a72a885f05abcdc91b2ced92cc38c8f1f77f44a0f8",
@@ -566,7 +572,7 @@ def _golden_argv(command, name, tmp_path) -> list:
 def test_engine_reports_pinned(source, tmp_path, capsys):
     code, out, _ = run_cli(capsys, *_golden_argv(*source, tmp_path))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[source]
+    assert hashlib.sha256(pinned_layout(out)).hexdigest() == GOLDEN_REPORTS[source]
 
 
 @pytest.mark.parametrize("command, dims", [("analyze-state", (2,) * 6),
@@ -605,7 +611,8 @@ XOR_RVS = {
 }
 
 
-@pytest.mark.parametrize("argv", [
+# One call of every command; "@xor.json" names a written XOR_RVS file.
+COMMAND_ARGVS = [
     ("analyze-state", "--builtin", "GHZ"),
     ("analyze-density", "--builtin", "GHZ"),
     ("analyze-device", "--builtin", "K"),
@@ -615,12 +622,20 @@ XOR_RVS = {
     ("builtin", "--list"),
     ("builtin", "--state", "GHZ"),
     ("builtin", "--device", "K"),
-], ids=lambda argv: " ".join(argv))
+]
+
+
+def _command(argv, tmp_path) -> list:
+    (tmp_path / "xor.json").write_text(json.dumps(XOR_RVS))
+    return [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=" ".join)
 def test_text_format_prints_every_result_key(tmp_path, capsys, argv):
     """Each key of the JSON result is a `key:` line of the text output, or
-    its value is one JSON line there (the emitted state or device)."""
-    (tmp_path / "xor.json").write_text(json.dumps(XOR_RVS))
-    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    its value is one JSON line there (the emitted state or device); values
+    are JSON, so no line holds a Python repr outside a string."""
+    argv = _command(argv, tmp_path)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     result = load_report(out)["result"]
@@ -632,6 +647,17 @@ def test_text_format_prints_every_result_key(tmp_path, capsys, argv):
             line.startswith(f"{key}:") or line == json.dumps(value, sort_keys=True)
             for line in lines
         ), key
+    for line in lines:
+        bare = re.sub(r'"(?:[^"\\]|\\.)*"', '""', line)
+        assert "'" not in bare and not re.search(r"\b(True|False|None)\b", bare), line
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=" ".join)
+def test_json_report_is_one_line(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, *_command(argv, tmp_path))
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert out == canonical_json(json.loads(out))
 
 
 def test_analyze_device_runs_each_layer_once(capsys, monkeypatch):

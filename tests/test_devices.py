@@ -8,14 +8,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conexa import devices
 from conexa.connective import _restrictions
 from conexa.density import density_structures
 from conexa.devices import (
-    _INCLUSIONS,
+    _IMPLIES,
     _STRUCTURE_OF,
     Device,
     builtin_device,
@@ -827,12 +827,24 @@ def test_derived_device_ns_lies_inside_the_correlation_structure(name, seed, cou
     assert ns.connected <= density_structures(psi.density()).kappa_corr.connected
 
 
-def test_tensorial_inclusions_follow_the_implication_lattice():
-    # the inclusion chains once written out by hand next to the lattice
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(coherent_devices())
+@example(builtin_device("EPR"))
+@example(builtin_device("EPR2"))
+@example(builtin_device("GHZ"))
+@example(builtin_device("K"))
+def test_tensorial_inclusions_follow_the_implication_lattice(dev):
+    # where a implies b, every sub-device failing b fails a, so b's structure
+    # lies inside a's: the eight (fine, coarse) pairs, the inclusion chains
+    # once written out by hand next to the lattice, hold on every report
     chains = {
         ("NPS", "NPL"), ("NPL", "NQL"), ("NQL", "NL"), ("NPS", "NOS"),
         ("NOS", "NQS"), ("NQS", "NS"), ("NS", "NL"), ("NQS", "NQL"),
     }
-    assert len(_INCLUSIONS) == 8
-    assert set(_INCLUSIONS) == chains
+    inclusions = {(_STRUCTURE_OF[b], _STRUCTURE_OF[a]) for a, b in _IMPLIES}
+    assert len(_IMPLIES) == 8
+    assert inclusions == chains
     assert list(_STRUCTURE_OF.values()) == ["NPS", "NOS", "NPL", "NQS", "NQL", "NS", "NL"]
+    structures = device_structures(dev).structures
+    for fine, coarse in inclusions:
+        assert structures[fine].connected <= structures[coarse].connected, (fine, coarse)

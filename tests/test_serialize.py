@@ -225,7 +225,7 @@ def test_canonical_json_is_stable():
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # Leaves include escaped and non-ASCII strings, ints past 64 bits, -0.0, NaN
@@ -248,7 +248,9 @@ _json_trees = st.recursive(
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(_json_trees)
 def test_canonical_json_renders_the_bytes_of_json_dumps(tree):
+    # one line: every newline in a string is escaped
     assert canonical_json(tree) == _dumps(tree)
+    assert canonical_json(tree).count("\n") == 1
 
 
 @pytest.mark.parametrize("tree", [
