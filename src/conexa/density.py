@@ -26,7 +26,8 @@ cut settles it, see `density_structures`): a pure reduction by the Schmidt
 coefficients of its top eigenvector across each cut, and the mixed ones of
 each layout together by one `quantum.ppt_entangled` call, which decides a
 small layout's cuts in one stacked eigvalsh and certifies most entangled cuts
-of a larger one from small principal blocks before it factorizes the rest.
+of a larger one from small principal blocks, over its leading and its
+trailing sites, before it factorizes the rest.
 """
 
 from __future__ import annotations

@@ -422,41 +422,63 @@ def _cut_plan(dims: tuple) -> tuple:
     maps each shorter-side dimension r >= 2 to its cuts as (c, positions,
     flipped): the positions of the shorter side first, and whether that side
     is b; a cut with a side of dimension 1 is in no group.  `ppt` is (lead,
-    positions, rows, keys, loose), what `ppt_entangled` reads: the trailing
-    sites T = lead..k-1 are the last ones whose dimensions multiply to at
-    most `_BLOCK`, so lead is 0 exactly when the whole layout is that small.
-    `rows` lists the grouped cuts whose b holds some but not all of T's
-    sites of dimension >= 2; cuts whose b holds the same of those sites share
-    a block, at most 6 blocks as T has at most 3 such sites, and `keys` gives
-    each row's block, numbered as first seen.  `positions[i]` holds, for the
-    m x m matrix of block i (m the dimension of T), the flat index of each
-    entry in rho's top-left m x m corner, transposed on that block's sites:
-    the corner is rho's principal block with every leading index at 0, and
-    the whole matrix when lead is 0.  `loose` marks the grouped cuts other
-    than 2x2 and 2x3, where a positive partial transpose proves nothing.
+    stacks, cover, loose), what `ppt_entangled` reads.
+
+    The principal blocks come from runs of sites.  The trailing sites
+    T = lead..k-1 are the last ones whose dimensions multiply to at most
+    `_BLOCK`, so lead is 0 exactly when the whole layout is that small; on a
+    larger layout the leading sites L = 0..t-1 are the first ones chosen the
+    same way.  The corner of rho over a run R of dimension m is its m x m
+    principal block whose rows and columns have every index outside R at 0:
+    rho's first m rows and columns for T, the whole matrix when lead is 0,
+    and every (n / m)-th for L.  A grouped cut has a block from R when b
+    holds some but not all of R's sites of dimension >= 2: the corner
+    transposed on those sites of b.  Cuts whose b holds the same of those
+    sites share the block.  Where lead > 0 the blocks only certify, and the
+    corner transposed on R's other such sites is the block's transpose, with
+    the same eigenvalues, so that one serves whenever b holds R's first
+    such site.
+
+    `stacks` holds one (blocks, m, m) array per block size m, ascending, the
+    flat index in rho's n x n matrix of each block entry.  `cover[i, c]` is
+    1.0 when block i, numbered through the stacks in order, is a block of
+    cut c, else 0.0: a float, so that a product with it runs in BLAS.
+    `loose` marks the grouped cuts other than 2x2 and 2x3, where a positive
+    partial transpose proves nothing.
     """
-    k = len(dims)
-    lead, m = k, 1
-    while lead and m * dims[lead - 1] <= _BLOCK:
-        lead -= 1
-        m *= dims[lead]
-    wide = [s for s in range(lead, k) if dims[s] > 1]
-    sides, groups, rows, inners = [], {}, [], {}
+    k, n = len(dims), math.prod(dims)
+    lead = next(t for t in range(k + 1) if math.prod(dims[t:]) <= _BLOCK)
+    runs = [range(lead, k)]
+    if lead:
+        runs.append(range(max(t for t in range(k) if math.prod(dims[:t]) <= _BLOCK)))
+    sides, groups, blocks = [], {}, {}
     for c, (a, b) in enumerate(_bipartitions(k)):
         da, db = math.prod(dims[p] for p in a), math.prod(dims[p] for p in b)
         sides.append((da, db))
         if min(da, db) > 1:
             groups.setdefault(min(da, db), []).append((c, a + b if da <= db else b + a, da > db))
-            inner = tuple(s - lead for s in b if s in wide)
-            if 0 < len(inner) < len(wide):
-                rows.append((c, inners.setdefault(inner, len(inners))))
-    corner = np.arange(m * m).reshape(dims[lead:] * 2)
-    positions = np.array([_transposed(corner, inner).reshape(m, m) for inner in inners],
-                         dtype=np.intp).reshape(-1, m, m)
-    rows = np.array(rows, dtype=np.intp).reshape(-1, 2).T
+            for run in runs:
+                wide = [s for s in run if dims[s] > 1]
+                inner = [s for s in b if s in wide]
+                if lead and inner[:1] == wide[:1]:  # its transpose, same eigenvalues
+                    inner = [s for s in wide if s not in inner]
+                if 0 < len(inner) < len(wide):
+                    blocks.setdefault((run, tuple(inner)), []).append(c)
+    size = {run: math.prod(dims[s] for s in run) for run in runs}
+    order = sorted(blocks, key=lambda block: size[block[0]])
+    stacks, cover = {}, np.zeros((len(order), len(sides)))
+    for i, (run, inner) in enumerate(order):
+        cover[i, blocks[run, inner]] = 1.0
+        m = size[run]
+        corner = np.arange(m * m).reshape(tuple(dims[s] for s in run) * 2)
+        entry = _transposed(corner, [s - run.start for s in inner]).reshape(m, m)
+        # corner entry (u, v) is rho's (u s, v s), s the dimension after R
+        stride = math.prod(dims[run.stop:])
+        stacks.setdefault(m, []).append(stride * (entry // m * n + entry % m))
+    stacks = tuple(np.array(entries, dtype=np.intp) for entries in stacks.values())
     loose = np.array([min(side) > 1 and set(side) not in ({2}, {2, 3}) for side in sides],
                      dtype=bool)
-    return tuple(sides), groups, (lead, positions, *rows, loose)
+    return tuple(sides), groups, (lead, stacks, cover, loose)
 
 
 def _block_npt(operators: Sequence[DensityOperator], norms, tol: float) -> np.ndarray:
@@ -466,44 +488,50 @@ def _block_npt(operators: Sequence[DensityOperator], norms, tol: float) -> np.nd
     `norms`, their Frobenius norms, are read only on a layout of dimension
     above `_BLOCK`.
 
-    Each step stacks the top-left m x m corners of as many operators as
-    `_CHUNK` amplitudes of blocks allow, at least one, and gathers every
-    block from them through the plan's positions into one eigvalsh.  On a
-    layout of dimension n <= `_BLOCK` each block is the whole partial
-    transpose of a cut, and its least eigenvalue below -tol decides the cut,
-    exactly as `_min_eig_below` does.  On a larger layout a block is a
-    principal submatrix of the partial transpose over b, transposed on b's
-    sites in T: by Cauchy interlacing (Horn and Johnson, *Matrix Analysis*,
-    Thm 4.3.28) the least eigenvalue of the whole matrix is at most the
-    block's.  eigvalsh on the block, of dimension m < n and norm at most
-    rho's, is off by less than the band delta that `_min_eig_below` derives
-    for n from rho's norm.  So a block eigenvalue below -tol - 3 delta puts
-    the exact least eigenvalue below -tol - 2 delta, where each branch of
-    `_min_eig_below` answers True: the first factorization fails, or the
-    second fails and eigvalsh, off by less than delta, is below -tol.  A
-    block transposed on none or all of T's sites of dimension >= 2 is a
-    principal block of rho or of its transpose, so only cuts whose b splits
-    them have one, and False there certifies nothing.
+    Each step takes as many operators as `_CHUNK` amplitudes of blocks
+    allow, at least one, gathers their blocks through the plan's flat
+    indices and makes one eigvalsh per block size, at most two.  On a layout
+    of dimension n <= `_BLOCK` each block is the whole partial transpose of
+    a cut, and its least eigenvalue below -tol decides the cut, exactly as
+    `_min_eig_below` does.  On a larger layout a block over a run R of the
+    plan, T or L, is the principal submatrix of the partial transpose over b
+    whose rows and columns have every index outside R at 0: transposing b's
+    sites outside R leaves those entries in place, as their ket and bra
+    indices are both 0, so the submatrix is rho's corner over R transposed
+    on b's sites in R, and the block is that submatrix or its transpose,
+    with the same eigenvalues.  By Cauchy interlacing (Horn and Johnson,
+    *Matrix Analysis*, Thm 4.3.28) the least eigenvalue of the whole matrix
+    is at most the block's.  eigvalsh on the block, of dimension m < n and
+    norm at most rho's, is off by less than the band delta that
+    `_min_eig_below` derives for n from rho's norm.  So a block eigenvalue
+    below -tol - 3 delta puts the exact least eigenvalue below -tol - 2
+    delta, where each branch of `_min_eig_below` answers True: the first
+    factorization fails, or the second fails and eigvalsh, off by less than
+    delta, is below -tol.  A cut is certified when any of its blocks, one
+    per run that its b splits, is below that bound.  A corner transposed on
+    none or all of R's sites of dimension >= 2 is a principal block of rho
+    or of its transpose, so a cut whose b splits neither run has no block,
+    and False certifies nothing.
     """
     dims = operators[0].dims
-    sides, _, (lead, positions, rows, keys, _) = _cut_plan(dims)
-    npt = np.zeros((len(operators), len(sides)), dtype=bool)
-    if not len(rows):
-        return npt
-    m = positions.shape[-1]
-    least = np.empty((len(operators), len(positions)))
-    step = max(1, _CHUNK // positions.size)
+    sides, _, (lead, stacks, cover, _) = _cut_plan(dims)
+    if not len(cover):
+        return np.zeros((len(operators), len(sides)), dtype=bool)
+    least = np.empty((len(operators), len(cover)))
+    step = max(1, _CHUNK // sum(entries.size for entries in stacks))
     for start in range(0, len(operators), step):
-        corners = np.array([rho.matrix[:m, :m] for rho in operators[start:start + step]])
-        blocks = corners.reshape(len(corners), m * m).take(positions, axis=1)
-        least[start:start + step] = np.linalg.eigvalsh(blocks)[..., 0]
+        flats = [rho.matrix.reshape(-1) for rho in operators[start:start + step]]
+        at = 0
+        for entries in stacks:
+            blocks = np.array([flat.take(entries) for flat in flats])
+            least[start:start + step, at:at + len(entries)] = np.linalg.eigvalsh(blocks)[..., 0]
+            at += len(entries)
     if lead:
         n = math.prod(dims)
         bound = np.array([[-tol - 3 * _eig_band(n, norm, -tol)] for norm in norms])
     else:
         bound = -tol
-    npt[:, rows] = least[:, keys] < bound
-    return npt
+    return (least < bound) @ cover > 0
 
 
 def ppt_entangled(operators: Sequence[DensityOperator], tol: float = DEFAULT_TOL) -> tuple:
@@ -522,9 +550,12 @@ def ppt_entangled(operators: Sequence[DensityOperator], tol: float = DEFAULT_TOL
     `_block_npt` judges the blocks of every operator in stacked steps; on a
     layout of dimension <= `_BLOCK` that decides every cut.  On a larger one
     each operator's norm, computed once, sets the rounding band of every
-    cut, and its other cuts go to `_min_eig_below` in cut order, each
-    partial transpose copied once into the matrix that is factorized, up to
-    the first PPT cut outside 2x2 and 2x3.
+    cut; a principal block over the leading or the trailing sites certifies
+    a cut NPT whenever its least eigenvalue falls below that band, and only
+    the other cuts, those whose b splits neither run or whose blocks stay
+    above it, go to `_min_eig_below` in cut order, each partial transpose
+    copied once into the matrix that is factorized, up to the first PPT cut
+    outside 2x2 and 2x3.
     """
     layouts = {rho.dims for rho in operators}
     if len(layouts) != 1:

@@ -466,33 +466,49 @@ def oracle_domanial(device) -> tuple:
 
 
 def oracle_cut_plan(dims) -> tuple:
-    """(lead, cuts): the trailing sites lead..k-1 of the principal blocks,
-    and per cut (a, b) of `_bipartitions(len(dims))`, worked out on its own,
-    (sides, group, inner).
+    """(runs, cuts): the runs of sites that the principal blocks are taken
+    from, as (start, stop) pairs, and per cut (a, b) of
+    `_bipartitions(len(dims))`, worked out on its own, (sides, group,
+    inners).
 
-    sides = (da, db), the products of the dimensions on a and on b.  group is
-    None when a side has dimension 1, else (r, positions, flipped): r the
-    least side dimension, the positions of the shorter side first (a on a
-    tie) and flipped iff da > db.  The trailing sites T are the longest run
-    at the end whose dimensions multiply to at most 8; inner holds the
-    positions within T of b's sites of dimension >= 2 in T when the cut has
-    a group and b holds some but not all of T's sites of dimension >= 2,
-    else None.
+    The trailing sites T are the longest run at the end whose dimensions
+    multiply to at most 8; when T is not every site, the leading sites L,
+    the longest run at the start whose dimensions multiply to at most 8,
+    follow it.  sides = (da, db), the products of the dimensions on a and on
+    b.  group is None when a side has dimension 1, else (r, positions,
+    flipped): r the least side dimension, the positions of the shorter side
+    first (a on a tie) and flipped iff da > db.  inners holds one entry per
+    run: the positions within the run of b's sites of dimension >= 2 in it
+    when the cut has a group and b holds some but not all of the run's sites
+    of dimension >= 2, else None.  When T is not every site, a block only
+    certifies, and a block transposed on the run's other sites of dimension
+    >= 2 is its transpose, with the same eigenvalues: there the positions
+    are those of the run's other such sites when b holds the first one.
     """
     k = len(dims)
-    lead = next(t for t in range(k + 1) if math.prod(dims[t:]) <= 8)
-    wide_t = [p for p in range(lead, k) if dims[p] > 1]
+    lead = min(t for t in range(k + 1) if math.prod(dims[t:]) <= 8)
+    runs = [(lead, k)]
+    if lead:
+        stop = 0
+        while math.prod(dims[:stop + 1]) <= 8:
+            stop += 1
+        runs.append((0, stop))
     cuts = []
     for a, b in _bipartitions(k):
         da, db = math.prod(dims[p] for p in a), math.prod(dims[p] for p in b)
-        group = inner = None
+        group = None
+        inners = [None] * len(runs)
         if da > 1 and db > 1:
             group = (da, a + b, False) if da <= db else (db, b + a, True)
-            in_t = tuple(p - lead for p in b if p in wide_t)
-            if in_t and len(in_t) < len(wide_t):
-                inner = in_t
-        cuts.append(((da, db), group, inner))
-    return lead, cuts
+            for i, (start, stop) in enumerate(runs):
+                wide = [p for p in range(start, stop) if dims[p] > 1]
+                inner = tuple(p - start for p in b if p in wide)
+                if lead and wide and wide[0] - start in inner:
+                    inner = tuple(p - start for p in wide if p - start not in inner)
+                if inner and len(inner) < len(wide):
+                    inners[i] = inner
+        cuts.append(((da, db), group, tuple(inners)))
+    return runs, cuts
 
 
 def _oracle_separable(tensor: np.ndarray, part, tol: float) -> bool:

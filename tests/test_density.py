@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -359,6 +360,19 @@ def test_one_analysis_traces_each_proper_subset_once(monkeypatch):
     assert sorted(stack[0].dims for stack in judged) == [(2, 2), (2, 2, 2), dims]
     full = [stack for stack in judged if stack[0].dims == dims]
     assert len(full) == 1 and len(full[0]) == 1 and full[0][0] is rho
+
+
+def test_six_qubit_analysis_factorizes_one_cut():
+    # a seeded rank-2 operator on 6 qubits: the principal blocks over the
+    # leading and trailing three sites certify every entangled cut but
+    # {1,2,3}|{4,5,6}, which splits neither run, so one partial transpose is
+    # factorized (40 with blocks over the trailing sites alone)
+    dims = (2,) * 6
+    rho = DensityOperator(dims, random_density_matrix(np.random.default_rng(1), dims, 2))
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+        report = density_structures(rho)
+    assert cholesky.call_count == 1
+    assert report.subsets[(1, 2, 3, 4, 5, 6)].completely_entangled
 
 
 def _noisy(amplitudes, p):

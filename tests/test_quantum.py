@@ -275,30 +275,63 @@ def test_every_cut_agrees_with_svd(dims, seed):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=7).map(tuple))
+@example(dims=(2, 9, 1))  # T holds no site of dimension >= 2
 def test_cut_plan_matches_a_per_cut_recomputation(dims):
-    sides, groups, (lead, gathers, rows, keys, loose) = _cut_plan(dims)
-    want_lead, want = oracle_cut_plan(dims)
+    sides, groups, (lead, stacks, cover, loose) = _cut_plan(dims)
+    runs, want = oracle_cut_plan(dims)
     assert sides == tuple(side for side, _, _ in want)
     # every cut with both sides above 1 sits in exactly one group, keyed by
     # its least side, and no other cut sits in any
     placed = [(c, (r, positions, flipped))
               for r, group in groups.items() for c, positions, flipped in group]
     assert sorted(placed) == [(c, g) for c, (_, g, _) in enumerate(want) if g is not None]
-    # the principal blocks: one row per cut whose b splits T, in cut order,
-    # each keyed to its distinct inner position set, first seen first
-    blocks = [(c, inner) for c, (_, _, inner) in enumerate(want) if inner is not None]
-    inners = tuple(dict.fromkeys(inner for _, inner in blocks))
-    assert [(c, inners[key]) for c, key in zip(rows.tolist(), keys.tolist())] == blocks
-    assert not blocks or lead == want_lead
-    # block i gathers rho's top-left corner over T, transposed on inners[i]
-    m = math.prod(dims[want_lead:])
-    corner = np.arange(m * m).reshape(m, m)
-    assert gathers.shape == (len(inners), m, m) and gathers.dtype == np.intp
-    for inner, gathered in zip(inners, gathers):
-        assert np.array_equal(gathered, oracle_partial_transpose(corner, dims[want_lead:], inner))
+    # the principal blocks: one per run (T, then L) and distinct inner
+    # position set on it, first seen first in cut order, numbered through
+    # one stack per block size, ascending; each cut has one block per run
+    # its b splits
+    blocks = list(dict.fromkeys((r, inner) for _, _, inners in want
+                                for r, inner in enumerate(inners) if inner is not None))
+    size = [math.prod(dims[start:stop]) for start, stop in runs]
+    sizes = sorted({size[r] for r, _ in blocks})
+    blocks = [block for m in sizes for block in blocks if size[block[0]] == m]
+    assert cover.shape == (len(blocks), len(want)) and cover.dtype == np.float64
+    assert set(cover.ravel().tolist()) <= {0.0, 1.0}
+    assert [np.flatnonzero(column).tolist() for column in cover.T] == [
+        sorted(blocks.index((r, inner)) for r, inner in enumerate(inners) if inner is not None)
+        for _, _, inners in want]
+    assert lead == runs[0][0]
+    # block i gathers rho's corner over its run, the entries whose indices
+    # outside the run are all 0, transposed on inners[i], as flat indices
+    # into rho's n x n matrix
+    n = math.prod(dims)
+    assert [entries.shape for entries in stacks] == [
+        (sum(size[r] == m for r, _ in blocks), m, m) for m in sizes]
+    assert all(entries.dtype == np.intp for entries in stacks)
+    flat = np.arange(n * n).reshape(dims * 2)
+    for (r, inner), gathered in zip(blocks, [g for entries in stacks for g in entries]):
+        start, stop = runs[r]
+        corner = flat[tuple(slice(None) if start <= s < stop else 0
+                            for s in range(len(dims))) * 2].reshape(size[r], size[r])
+        assert np.array_equal(gathered, oracle_partial_transpose(corner, dims[start:stop], inner))
     # PPT proves nothing on a cut whose sides are both above 1 and not 2x2 or 2x3
     assert loose.tolist() == [g is not None and set(side) not in ({2}, {2, 3})
                               for side, g, _ in want]
+
+
+@pytest.mark.parametrize("k, blockless", [(4, 0), (5, 0), (6, 1), (7, 3)])
+def test_qubit_cuts_without_a_block_leave_both_runs_one_sided(k, blockless):
+    # on k qubits T holds the last three sites and L the first three, which
+    # overlap on 4 and 5 qubits; a grouped cut has no block exactly when its
+    # b holds all or none of T and all or none of L, and {1}|{2,...,k},
+    # which holds all of T, has L's block
+    _, _, (lead, _, cover, _) = _cut_plan((2,) * k)
+    assert lead == k - 3
+    runs = [set(range(k - 3, k)), set(range(3))]
+    none = [all(run <= set(b) or not run & set(b) for run in runs)
+            for _, b in _bipartitions(k)]
+    assert (cover.sum(axis=0) == 0).tolist() == none
+    assert sum(none) == blockless
+    assert _bipartitions(k)[0] == ((0,), tuple(range(1, k))) and cover[:, 0].sum() == 1
 
 
 def test_tensor_then_separable_on_build_seam():
@@ -784,15 +817,26 @@ def qutrit_operators(draw):
     return tuple(dims[p] for p in perm), moved.reshape(n, n)
 
 
+@st.composite
+def qubit_operators(draw):
+    """(dims, matrix): a rank 1-3 operator on 4 or 5 qubits, where the
+    leading and trailing runs of the principal blocks overlap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = (2,) * draw(st.integers(4, 5))
+    return dims, random_density_matrix(rng, dims, draw(st.integers(1, 3)))
+
+
 def test_ppt_verdicts_match_the_oracle_with_block_certificates():
     # the pass answers as the eigvalsh oracle's verdicts do, and a principal
     # block certifies only cuts that the oracle calls ENTANGLED; on a layout
     # of dimension <= _BLOCK the blocks are the whole partial transposes and
-    # certify exactly those cuts
-    fired = []
+    # certify exactly those cuts.  Among the draws, an L block certifies a
+    # cut that has no T block on 4 and on 5 qubits, where L and T overlap,
+    # and on a layout where L and T differ in size
+    fired, leading = [], set()
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(qutrit_operators())
+    @settings(max_examples=90, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(qutrit_operators(), qubit_operators()))
     def check(case):
         dims, matrix = case
         rho = DensityOperator(dims, matrix)
@@ -804,9 +848,15 @@ def test_ppt_verdicts_match_the_oracle_with_block_certificates():
             assert certified.tolist() == [w == ENTANGLED for w in want]
         assert stacked_answers([rho]) == [ppt_answer(want)]
         fired.append(bool(certified.any()))
+        runs, plan = oracle_cut_plan(dims)
+        if any(c and inners[0] is None and inners[1:] not in ((), (None,))
+               for c, (_, _, inners) in zip(certified.tolist(), plan)):
+            sizes = {math.prod(dims[start:stop]) for start, stop in runs}
+            leading.add(dims if set(dims) == {2} else len(sizes))
 
     check()
     assert any(fired) and not all(fired)
+    assert leading >= {(2,) * 4, (2,) * 5, 2}
 
 
 @st.composite
@@ -906,19 +956,46 @@ def test_stacked_ppt_bounds_each_eigvalsh_step(monkeypatch, chunk, steps):
     assert shapes == [(count, 3, 8, 8) for count in steps]
 
 
+@pytest.mark.parametrize("chunk, steps", [(1 << 16, [5]), (120, [2, 2, 1]), (50, [1] * 5)])
+def test_stacked_ppt_steps_hold_both_block_sizes(monkeypatch, chunk, steps):
+    # on (3, 2, 2) T = {2, 3} gives one 4 x 4 block and L = {1, 2} one
+    # 6 x 6 block: each step holds both for as many operators as the chunk
+    # of 16 + 36 amplitudes per operator allows, at least one, in one
+    # eigvalsh per block size, and every operator keeps the oracle's answer
+    rng = np.random.default_rng(5)
+    dims = (3, 2, 2)
+    matrices = [random_density_matrix(rng, dims, 1 + r % 3) for r in range(5)]
+    cuts = _bipartitions(3)
+    want = [ppt_answer([_oracle_ppt(m, dims, *cut, DEFAULT_TOL) for cut in cuts])
+            for m in matrices]
+    monkeypatch.setattr(quantum, "_CHUNK", chunk)
+    operators = [DensityOperator(dims, m) for m in matrices]
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+        _block_npt(operators, [_frobenius(rho.matrix) for rho in operators], DEFAULT_TOL)
+    shapes = [call.args[0].shape for call in spy.call_args_list]
+    assert shapes == [(count, 1, m, m) for count in steps for m in (4, 6)]
+    assert stacked_answers(operators) == want
+
+
 def test_stacked_ppt_stops_each_operator_at_its_first_inconclusive_cut():
     # on (2, 2, 2, 3) the first cut, {1}|{2,3,4}, holds every trailing site
-    # and has no block: Horodecki's 2x4 state beside a qutrit is PPT there,
-    # 2 x 12, so that operator's pass ends after one factorization, while
-    # the entangled operator beside it has every uncertified cut factorized
+    # and splits the leading ones, L = {1,2,3}, so it has L's block; but
+    # Horodecki's 2x4 state beside a qutrit is PPT there, 2 x 12, so no
+    # principal block of its partial transpose can show a negative
+    # eigenvalue, and that operator's pass ends after one factorization,
+    # while the entangled operator beside it has every uncertified cut
+    # factorized
     rng = np.random.default_rng(8)
     dims = (2, 2, 2, 3)
     horodecki = np.kron(horodecki_2x4(0.5), random_density_matrix(rng, (3,), 2))
     entangled = random_density_matrix(rng, dims, 1)
     operators = [DensityOperator(dims, m) for m in (horodecki, entangled)]
     norms = [_frobenius(rho.matrix) for rho in operators]
+    _, _, (_, _, cover, _) = _cut_plan(dims)
+    assert cover[:, 0].any()
+    assert _oracle_ppt(horodecki, dims, *_bipartitions(4)[0], DEFAULT_TOL) == PPT_INCONCLUSIVE
     certified = _block_npt(operators, norms, DEFAULT_TOL)
-    assert not certified[:, 0].any()
+    assert not certified[0, 0]
     with mock.patch.object(quantum, "_min_eig_below", wraps=_min_eig_below) as spy:
         assert stacked_answers(operators) == [(False, False), (True, True)]
     uncertified = len(_bipartitions(4)) - int(certified[1].sum())
