@@ -67,10 +67,11 @@ def _load(path: str, decode):
     """decode(the JSON document in `path`), with every fault of the file a DomainError."""
 
     def unique_keys(pairs):
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            repeated = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
-            raise DomainError(f"malformed JSON in {path}: key {repeated!r} repeats in one object")
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise DomainError(f"malformed JSON in {path}: key {key!r} repeats in one object")
+            obj[key] = value
         return obj
 
     try:
@@ -86,6 +87,8 @@ def _load(path: str, decode):
         raise DomainError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise DomainError(f"malformed JSON in {path}: nested too deeply to decode") from None
     try:
         return decode(data)
     except DomainError as exc:

@@ -62,9 +62,8 @@ class FiniteJointDistribution:
     def __init__(self, outcomes, prob: Mapping, tol: float = DEFAULT_TOL):
         outcomes = _check_labels(outcomes, "outcome")
         k, keys = len(outcomes), list(map(tuple, prob))
-        rows = keys
-        if set(map(len, keys)) - {k}:  # a key of another arity names no outcome
-            rows = [t if len(t) == k else (None,) * k for t in keys]
+        # a key of another arity names no outcome
+        rows = [t if len(t) == k else (None,) * k for t in keys]
         columns, values = list(zip(*rows)) or [()] * k, list(prob.values())
         aliased = len(set(keys)) < len(keys)
         self._assemble(outcomes, columns, values, tol, keys.__getitem__, aliased=aliased)

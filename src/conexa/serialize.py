@@ -39,19 +39,18 @@ def _split_keys(keys, arity: int, distinct: bool = True) -> list:
     `arity` is 1, into single characters otherwise.
 
     A key that does not split into `arity` labels is refused, and so, when
-    `distinct`, is a key naming the tuple of an earlier, different key.
-    Every key is split in one comprehension; only a key list that fails a
-    check is scanned again, key by key, to name the first offending key.
+    `distinct`, is a key naming the tuple of an earlier, different key.  The
+    keys are split and checked in one pass, so the first offending key is
+    the one named.
     """
-    keys = list(keys)
-    parts = [tuple(key.split(",")) if arity == 1 or "," in key else tuple(key) for key in keys]
-    if not set(map(len, parts)) <= {arity} or distinct and len(set(parts)) < len(parts):
-        seen = {}
-        for key, p in zip(keys, parts):
-            if len(p) != arity:
-                raise DomainError(f"key {key!r} does not split into {arity} labels")
-            if distinct and seen.setdefault(p, key) != key:
-                raise DomainError(f"keys {seen[p]!r} and {key!r} both name {p}")
+    parts, seen = [], {}
+    for key in keys:
+        p = tuple(key.split(",")) if arity == 1 or "," in key else tuple(key)
+        if len(p) != arity:
+            raise DomainError(f"key {key!r} does not split into {arity} labels")
+        if distinct and seen.setdefault(p, key) != key:
+            raise DomainError(f"keys {seen[p]!r} and {key!r} both name {p}")
+        parts.append(p)
     return parts
 
 
@@ -170,20 +169,12 @@ def _prob_to_json(p) -> object:
 
 
 def _prob_from_json(value):
-    """A `"p/q"` string as a Fraction and an integer as it is, both exact; any
-    other number as a float.
-
-    A string of ASCII digits, a slash and ASCII digits is split into its two
-    integers, which gives the value (or the ZeroDivisionError) that
-    `Fraction` gives for the string; every other string is parsed by
-    `Fraction`.
-    """
+    """A string as the Fraction that `Fraction` reads from it ("p/q", a
+    decimal or an integer) and an integer as it is, both exact; any other
+    number as a float."""
     if isinstance(value, bool):
         raise DomainError(f"probability {json.dumps(value)} is a boolean, not a number")
     if isinstance(value, str):
-        p, slash, q = value.partition("/")
-        if slash and p.isdigit() and q.isdigit() and value.isascii():
-            return Fraction(int(p), int(q))
         return Fraction(value)
     if isinstance(value, int):
         return value
@@ -215,8 +206,7 @@ def distribution_from_dict(data: Mapping, tol: float = DEFAULT_TOL) -> FiniteJoi
     columns = [labels[v::k] for v in range(k)]
     # each distinct string, and each other value object, is parsed once, in
     # entry order; the values list holds every object, so no id is reused
-    strings = set(map(type, values)) <= {str}
-    keys = values if strings else [v if type(v) is str else id(v) for v in values]
+    keys = [v if type(v) is str else id(v) for v in values]
     parsed = {key: _prob_from_json(v) for key, v in dict(zip(keys, values)).items()}
     values = list(map(parsed.__getitem__, keys))
     return FiniteJointDistribution._from_columns(

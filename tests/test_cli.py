@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import time
 from importlib import resources
 
 import jsonschema
@@ -953,6 +954,7 @@ MALFORMED_INPUTS = {
         ["analyze-rvs", "--file"],
         json.dumps({"outcomes": [], "prob": {}}),
     ),
+    "nesting too deep to decode": (["analyze-rvs", "--file"], "[" * 100000 + "]" * 100000),
 }
 
 
@@ -1008,6 +1010,37 @@ def test_unreadable_input_file_exits_2(kind, tmp_path, capsys):
     assert "Traceback" not in err
     if kind == "missing":
         assert err == f"error: no such file: {path}\n"
+
+
+def _prob_file(path, keys) -> None:
+    """An rv file over 16 bits whose prob object lists `keys` in order, each
+    at probability 0, repeats included."""
+    entries = ", ".join(f'"{key}": 0' for key in keys)
+    path.write_text(f'{{"outcomes": {json.dumps([["0", "1"]] * 16)}, "prob": {{{entries}}}}}')
+
+
+def test_repeated_key_of_a_long_object_is_named_in_one_pass(tmp_path, capsys):
+    # the last of 40,000 keys repeats the first: named in one pass over the
+    # keys, in well under a second; a rescan per key would take about a minute
+    keys = [format(i, "016b") for i in range(40_000)]
+    path = tmp_path / "rvs.json"
+    _prob_file(path, keys + keys[:1])
+    start = time.perf_counter()
+    result = run_cli(capsys, "analyze-rvs", "--file", str(path))
+    assert time.perf_counter() - start < 10
+    assert result == (
+        2, "", f"error: malformed JSON in {path}: key {keys[0]!r} repeats in one object\n"
+    )
+
+
+def test_earliest_repeat_in_document_order_is_named(tmp_path, capsys):
+    # of the keys a, b, b, a, b is the first to repeat, though a is listed first
+    path = tmp_path / "rvs.json"
+    keys = [format(i, "016b") for i in range(2)]
+    _prob_file(path, [keys[0], keys[1], keys[1], keys[0]])
+    assert run_cli(capsys, "analyze-rvs", "--file", str(path)) == (
+        2, "", f"error: malformed JSON in {path}: key {keys[1]!r} repeats in one object\n"
+    )
 
 
 def test_zero_denominator_probability_message(tmp_path, capsys):

@@ -131,7 +131,7 @@ def _generator_lists(draw, max_n=7):
 _OPEN_PAIRS = (3, [0b011, 0b110])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(_generator_lists())
 @example(_OPEN_PAIRS)
 def test_closure_axiom_on_generated_structures(case):
@@ -145,7 +145,7 @@ def test_closure_axiom_on_generated_structures(case):
     assert ConnectiveStructure(n, s.irreducibles) == s
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(_generator_lists(max_n=6))
 @example(_OPEN_PAIRS)
 def test_irreducibles_match_oracle_on_drawn_families(case):
@@ -359,7 +359,7 @@ def test_restrictions_build_each_proper_tuple_once_and_return_the_whole():
         assert calls == [(0, 2), (1,)]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(2, 6), st.data())
 def test_subset_driver_order_and_labels(k, data):
     seen = []

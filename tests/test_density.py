@@ -205,7 +205,7 @@ _PAIR_STATES = {
 }
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(st.sampled_from(sorted(_PAIR_STATES)), st.integers(0, 2**32 - 1))
 def test_pairs_some_experiment_separates_are_not_completely_entangled(name, seed):
     # an experiment leaving every residual on the pair J separable writes
@@ -259,7 +259,7 @@ def density_cases(draw):
 _EPR_AND_QUBIT = np.kron(builtin_state("EPR").density().matrix, np.full((2, 2), 0.5))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(density_cases())
 @example(((2, 2, 2), _EPR_AND_QUBIT))
 def test_density_structures_match_oracles(case):
@@ -291,7 +291,7 @@ def test_site_of_dimension_one_keeps_every_flag_of_the_oracle(position):
     # the cut that isolates it, and that cut decides the subset: not
     # completely entangled, EXACT, whatever its other cuts would flag; every
     # verdict is the oracle's
-    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=15)
     @given(cores())
     def check(core):
         dims, matrix = core
@@ -314,7 +314,7 @@ def test_site_of_dimension_one_keeps_every_flag_of_the_oracle(position):
 _NORM_TIGHT = np.diag([0.41, 0.29, 0.29, 0.01]).astype(complex)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(density_cases())
 @example(((2, 2, 2), _EPR_AND_QUBIT))
 @example(((2, 2), _NORM_TIGHT))
@@ -398,7 +398,7 @@ _LU_CASES = [
 
 
 @pytest.mark.parametrize("matrix", _LU_CASES)
-@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@settings(max_examples=5)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_density_structures_are_local_unitary_invariant(matrix, seed):
     # every structure is defined by quantifiers over all local frames, so
@@ -422,7 +422,7 @@ def permuted_cases(draw):
     return dims, matrix, draw(st.permutations(range(len(dims))))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(permuted_cases())
 def test_site_permutation_permutes_every_verdict(case):
     # site i of the moved operator is site perm[i] of rho: the verdict on a
@@ -480,7 +480,7 @@ def _bound_allows(reduced, rho_a, rho_b, tol):
     return bool(_norms_allow_product(*norms, reduced.shape[0], tol))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(near_products())
 def test_norm_bound_keeps_every_cut_the_product_test_accepts(case):
     # the bound only skips cuts: wherever the entrywise test accepts rho_J =

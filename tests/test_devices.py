@@ -335,7 +335,7 @@ def coherent_devices(draw, sites=(2, 3), labels=3, budget=4096):
     return Device(questions, results, relation)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(coherent_devices())
 def test_locality_profile_matches_oracle(dev):
     assert realization_count(dev) <= 4096
@@ -345,10 +345,10 @@ def test_locality_profile_matches_oracle(dev):
 
 
 # Seven realizations per scan chunk: coverage builds up over many chunks, and
-# the full-device scan of `device_structures` can stop between two of them.
+# the full-device scan of `device_structures` reads every one of them.
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(coherent_devices())
 def test_locality_profile_matches_oracle_across_chunks(dev):
     with pytest.MonkeyPatch.context() as mp:
@@ -359,7 +359,7 @@ def test_locality_profile_matches_oracle_across_chunks(dev):
     assert full == profile
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(coherent_devices())
 def test_domanial_structures_match_bruteforce_across_chunks(dev):
     with pytest.MonkeyPatch.context() as mp:
@@ -372,7 +372,7 @@ def test_domanial_structures_match_bruteforce_across_chunks(dev):
 # on 4 sites, uint32 on 5.
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(coherent_devices(sites=(4, 5), labels=2, budget=64))
 def test_wide_devices_match_oracles(dev):
     assert dataclasses.asdict(locality(dev)) == oracle_locality_profile(dev)
@@ -398,7 +398,7 @@ def _results_per_block_size(dev):
     return results
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(coherent_devices(budget=512))
 def test_scan_results_do_not_depend_on_block_size(dev):
     one, seven, default = _results_per_block_size(dev)
@@ -409,7 +409,7 @@ def test_scan_results_do_not_depend_on_block_size(dev):
 # the path of 5 to 7 sites.
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(coherent_devices(sites=(2, 4), labels=2, budget=256))
 def test_code_table_and_unique_fold_agree(dev):
     table = _results_per_block_size(dev)
@@ -431,7 +431,7 @@ def oracle_codes(dev) -> list:
     })
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(coherent_devices(sites=(2, 5), labels=2, budget=64))
 def test_scan_codes_match_the_oracle(dev):
     expected = oracle_codes(dev)
@@ -562,7 +562,7 @@ def moved_devices(draw):
     return dev, perm, moved_device(dev, perm, questions, answers)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(moved_devices())
 def test_site_permutation_permutes_every_notion_and_structure(case):
     # renaming labels changes nothing, and site i of the moved device is
@@ -620,7 +620,7 @@ def test_device_structures_checks_no_sub_device(make, monkeypatch):
     assert checked == []
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(coherent_devices())
 def test_sub_device_matches_oracle_and_checking_constructor(dev):
     k = dev.uplicity
@@ -802,7 +802,7 @@ _BASES = (
 )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(st.sampled_from(sorted(_PREPARED)), st.integers(0, 2**32 - 1),
        st.lists(st.integers(1, 2), min_size=3, max_size=3),
        st.sampled_from([(0.5, -0.5), (1.0, -1.0)]))
@@ -827,7 +827,7 @@ def test_derived_device_ns_lies_inside_the_correlation_structure(name, seed, cou
     assert ns.connected <= density_structures(psi.density()).kappa_corr.connected
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(coherent_devices())
 @example(builtin_device("EPR"))
 @example(builtin_device("EPR2"))

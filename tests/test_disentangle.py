@@ -372,7 +372,7 @@ def planted_splits(draw):
     return PureState(dims, tensor.reshape(-1)), j, factor, tol
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(planted_splits())
 def test_factor_on_decides_by_the_second_singular_value(case):
     # on every subset: a J-factor exactly when sigma_2 <= tol, equal to the
@@ -484,7 +484,7 @@ SPARSE_WELL_ENTANGLED = ((2, 2, 2), "sparse", 0, (0, 1), "default", 1e-9)
 GHZ4_EMPTY_CHUNK = ((2, 2, 2, 2), "ghz", 6, (0, 1), "default", 0.55)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(oracle_cases())
 @example(GHZ_LIKE)
 @example(PRODUCT)
@@ -494,7 +494,7 @@ def test_classify_matches_oracle(case):
     _check_against_oracle(case)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(oracle_cases())
 @example(GHZ_LIKE_EXTRAS)
 @example(SPARSE_WELL_ENTANGLED)
@@ -559,7 +559,7 @@ _PERMUTED = {
 }
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.sampled_from(sorted(_PERMUTED)), st.integers(0, 2**32 - 1), st.data())
 def test_site_permutation_permutes_every_class_and_structure(name, seed, data):
     # site i of the moved state is site perm[i] of psi: the class of a subset

@@ -232,7 +232,7 @@ def _check_cuts_against_svd(kinds, r, m, tall, tol, seed):
         assert (tol / spread - 1e-10 <= second).all() and (second <= spread * tol + 1e-10).all()
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(kinds=st.lists(st.sampled_from(_CUT_KINDS), min_size=1, max_size=6),
        m=st.integers(2, 64), tall=st.booleans(), tol=st.sampled_from([1e-9, 0.3, 0.6]),
        seed=st.integers(0, 2**32 - 1))
@@ -241,7 +241,7 @@ def test_two_row_cuts_agree_with_svd(kinds, m, tall, tol, seed):
     _check_cuts_against_svd(kinds, 2, m, tall, tol, seed)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(kinds=st.lists(st.sampled_from(_CUT_KINDS), min_size=1, max_size=6),
        r=st.integers(3, 8), extra=st.integers(0, 40), tall=st.booleans(),
        tol=st.sampled_from([1e-9, 0.3, 0.6]), seed=st.integers(0, 2**32 - 1))
@@ -251,7 +251,7 @@ def test_every_shorter_side_agrees_with_svd(kinds, r, extra, tall, tol, seed):
     _check_cuts_against_svd(kinds, r, r + extra, tall, tol, seed)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=4).map(tuple),
        seed=st.integers(0, 2**32 - 1))
 def test_every_cut_agrees_with_svd(dims, seed):
@@ -273,7 +273,7 @@ def test_every_cut_agrees_with_svd(dims, seed):
             assert got[i, c] == (len(coeffs) < 2 or coeffs[1] <= 1e-9)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=7).map(tuple))
 @example(dims=(2, 9, 1))  # T holds no site of dimension >= 2
 def test_cut_plan_matches_a_per_cut_recomputation(dims):
@@ -343,14 +343,14 @@ def test_tensor_then_separable_on_build_seam():
         assert separable(joined, [0, 1], [2])
 
 
-def test_partial_contract_ghz_z_outcome():
+def test_residuals_ghz_z_outcome():
     ghz = builtin_state("GHZ")
     state, probability = contract(ghz, {0: np.array([1.0, 0.0])})
     assert abs(probability - 0.5) < 1e-12
     assert same_up_to_phase(state, basis_state((2, 2), (0, 0)))
 
 
-def test_partial_contract_ghz_x_outcome_is_epr():
+def test_residuals_ghz_x_outcome_is_epr():
     ghz = builtin_state("GHZ")
     plus = np.array([1.0, 1.0]) * INV_SQRT2
     state, probability = contract(ghz, {0: plus})
@@ -358,7 +358,7 @@ def test_partial_contract_ghz_x_outcome_is_epr():
     assert same_up_to_phase(state, builtin_state("EPR"))
 
 
-def test_partial_contract_impossible_outcome_is_none():
+def test_residuals_impossible_outcome_is_zero():
     # a zero residual stays zero instead of being divided by its norm
     s01 = basis_state((2, 2), (0, 1))
     residuals, norms = _residuals(s01.tensor, [np.array([0.0, 1.0]).reshape(1, 1, 2)])
@@ -423,7 +423,7 @@ def test_measure_rejects_degenerate_observable(psi, matrix):
         derive_device(psi, [[("*", matrix)]] * len(psi.dims))
 
 
-def test_partial_contract_agrees_with_measurement():
+def test_residuals_agree_with_measurement():
     # contracting against one product of basis vectors reproduces the
     # probability and the post-state of that outcome of the projector oracle
     rng = np.random.default_rng(10)
@@ -485,7 +485,7 @@ def measurement_cases(draw, min_sites, max_sites):
     return dims, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()), draw(st.booleans())
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(measurement_cases(1, 4), st.data())
 def test_measure_projective_matches_projector_oracle(case, data):
     # the kernel's norms squared are the outcome probabilities, and each
@@ -514,7 +514,7 @@ def test_measure_projective_matches_projector_oracle(case, data):
         assert abs(np.vdot(full.reshape(-1), post)) > 1 - 1e-9
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(measurement_cases(2, 3), st.data())
 def test_derive_device_matches_projector_oracle(case, data):
     dims, seed, sparse, computational = case
@@ -645,7 +645,7 @@ def _margin(mat, bound):
 
 
 @pytest.mark.parametrize("k", [-5, -3, -1, -0.5, 0, 0.5, 1, 3, 5])
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(n=st.integers(1, 40), bound=st.sampled_from([-1e-9, 0.0, -0.3]),
        seed=st.integers(0, 2**32 - 1))
 def test_min_eig_below_agrees_with_eigvalsh(k, n, bound, seed):
@@ -826,7 +826,7 @@ def qubit_operators(draw):
     return dims, random_density_matrix(rng, dims, draw(st.integers(1, 3)))
 
 
-def test_ppt_verdicts_match_the_oracle_with_block_certificates():
+def test_ppt_entangled_matches_the_oracle_with_block_certificates():
     # the pass answers as the eigvalsh oracle's verdicts do, and a principal
     # block certifies only cuts that the oracle calls ENTANGLED; on a layout
     # of dimension <= _BLOCK the blocks are the whole partial transposes and
@@ -835,7 +835,7 @@ def test_ppt_verdicts_match_the_oracle_with_block_certificates():
     # and on a layout where L and T differ in size
     fired, leading = [], set()
 
-    @settings(max_examples=90, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=90)
     @given(st.one_of(qutrit_operators(), qubit_operators()))
     def check(case):
         dims, matrix = case
@@ -902,7 +902,7 @@ def test_stacked_ppt_answers_match_the_oracle_and_ignore_the_stack():
     # answers with their operators
     drawn = set()
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80)
     @given(operator_stacks(), st.randoms(use_true_random=False))
     def check(case, random):
         dims, matrices = case

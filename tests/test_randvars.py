@@ -384,7 +384,7 @@ def rv_cases(draw):
     return outcomes, table, kind, len(blocks)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(rv_cases())
 def test_rv_analysis_matches_oracle(case):
     outcomes, table, kind, blocks = case
@@ -432,14 +432,14 @@ def check_sweep_against_oracle(outcomes, table, tol=DEFAULT_TOL):
     return dist
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(rv_cases())
 def test_sweep_decides_every_cut_as_the_oracle(case):
     outcomes, table, kind, _ = case
     check_sweep_against_oracle(outcomes, table, kind if isinstance(kind, float) else DEFAULT_TOL)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(rv_cases(), st.integers(1, 3), st.sampled_from((2, 3, 4, 9, 2**62)))
 def test_sweep_decides_every_cut_as_the_oracle_in_steps(case, lines_per_step, radix_limit):
     # a stack of 1-3 subsets or cuts, so that the ranking and the passing cuts
@@ -505,7 +505,7 @@ def _json_table(items, form, commas):
     }))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(rv_cases(), st.sampled_from(("compact", "comma", "mixed")), st.data())
 def test_json_decoder_matches_the_constructor_and_the_oracle(case, form, data):
     # the table with some zero entries (the JSON integer 0, which keeps a
@@ -582,7 +582,7 @@ def test_variable_order_moves_every_verdict(dist):
         check_variable_order(dist, list(perm))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(rv_cases(), st.data())
 def test_variable_order_moves_every_verdict_on_drawn_tables(case, data):
     outcomes, table, kind, _ = case

@@ -151,7 +151,7 @@ def test_distribution_integer_entries_stay_exact():
 
 @pytest.mark.parametrize("text", ["2/4", " 1/2", "0.25", "1e-1", "01/06", "3", "-1/2"])
 def test_probability_strings_decode_as_fractions_do(text):
-    # plain "p/q" strings skip the string parser; the others still use it
+    # every probability string is read by `Fraction`, "p/q" or not
     value = _prob_from_json(text)
     assert type(value) is Fraction and value == Fraction(text)
 
@@ -245,7 +245,7 @@ _json_trees = st.recursive(
 )
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(_json_trees)
 def test_canonical_json_renders_the_bytes_of_json_dumps(tree):
     # one line: every newline in a string is escaped
