@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import __version__
-from .connective import connective_order
+from .connective import _named, connective_order
 from .density import density_structures, total_order
 from .devices import (
     BUILTIN_DEVICES,
@@ -272,11 +272,7 @@ def _parse_menu_tokens(spec: str, sites: int) -> list:
         tokens = [t.strip() for t in spec.split(",")]
     else:
         tokens = list(spec)
-    matrices = []
-    for token in tokens:
-        if token not in MENU_TOKENS:
-            raise DomainError(f"unknown observable token {token!r}; known: {sorted(MENU_TOKENS)}")
-        matrices.append(MENU_TOKENS[token]())
+    matrices = [_named(MENU_TOKENS, token, "observable token")() for token in tokens]
     if len(matrices) == 1:
         menu = [("*", matrices[0])]
     else:
@@ -321,26 +317,23 @@ def _cmd_builtin(args) -> dict:
     raise DomainError("provide --list, --state or --device")
 
 
-def _tolerance(text: str) -> float:
-    """The `--tol` type: a finite number >= 0, else argparse exits 2."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+def _bounded(parse, low, rule: str):
+    """An argparse type: the finite value >= low that `parse` reads, else exit 2 naming `rule`."""
+
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return check
 
 
-def _cap(text: str) -> int:
-    """The `--cap` type: an integer >= 1, else argparse exits 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+_tolerance = _bounded(float, 0, "a finite number >= 0")
+_cap = _bounded(int, 1, "an integer >= 1")
 
 
 @functools.cache

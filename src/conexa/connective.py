@@ -134,6 +134,13 @@ def _integers(values, rule: str) -> tuple:
     return tuple(map(operator.index, values)) if types else values
 
 
+def _named(table: Mapping, name, kind: str):
+    """table[name]; a name the table lacks is a DomainError listing the known ones."""
+    if name not in table:
+        raise DomainError(f"unknown {kind} {name!r}; known: {sorted(table)}")
+    return table[name]
+
+
 def _check_indices(indices, count: int, noun: str) -> tuple:
     """Distinct integer indices into `count` items, sorted; `noun` names an item."""
     indices = tuple(sorted(_integers(indices, f"{noun} indices must be integers")))

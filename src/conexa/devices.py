@@ -31,6 +31,7 @@ from .connective import (
     _check_indices,
     _check_labels,
     _close,
+    _named,
     _restrictions,
     _subset_structures,
     _subsets,
@@ -211,11 +212,11 @@ def _scan(device: Device) -> tuple:
     The scan loops over the leading axes and broadcasts over the trailing
     ones: at most `_CHUNK` realizations per block, but at least one axis.
     The pair tables are ORed together while they are small, so a block's
-    codes take one full-size OR, or none when the block adds nothing to the
-    block-invariant `base`.  Codes of k * k <= `_TABLE_BITS` bits (k <= 4
-    sites) are collected in a bool table over the code space, indexed by
-    intp slices of 2^15 codes; wider ones by `np.unique` of each block into
-    a set.
+    codes take one full-size OR, or none when no table reads a leading
+    question and the block-invariant `base` holds every block's codes.
+    Codes of k * k <= `_TABLE_BITS` bits (k <= 4 sites) are collected in a
+    bool table over the code space, indexed by intp slices of 2^15 codes;
+    wider ones by `np.unique` of each block into a set.
     """
     qs = device.question_tuples()
     k = device.uplicity
@@ -238,12 +239,12 @@ def _scan(device: Device) -> tuple:
     # (i, j) its two choices give, by a table of shape (sizes[a], sizes[b]).
     # A table on no leading question is the same in every block and joins
     # `grow[n]`, n the first block axis it spans, so that `base` grows one
-    # axis at a time from the last, by one broadcast each.  A table on leading
-    # a and block axis b joins a's rows, one row per block; any other gives
-    # each block one entry.
+    # axis at a time from the last, by one broadcast each.  Any other table
+    # joins the rows keyed by the leading questions among a and b, one row
+    # per choice of theirs, so that each block reads one row per key.
     q_pos = {q: idx for idx, q in enumerate(qs)}
     grow = [0] * len(block)
-    rows, entries = {}, []
+    rows = {}
     bits = [np.array([1 << (i * k + j) for i in range(k)], dtype=np.int64) for j in range(k)]
     for a, q in enumerate(qs):
         for j in range(k):
@@ -254,13 +255,12 @@ def _scan(device: Device) -> tuple:
                 differ = answers[a][:, None, :] != answers[b][None, :, :]
                 table = (differ @ bits[j]).astype(code_dtype)
                 shape = [sizes[qi] if qi in (a, b) else 1 for qi in axis]
-                if a not in leading and b not in leading:
+                key = tuple(qi for qi in (a, b) if qi in leading)
+                if key:
+                    rows[key] = rows.get(key, 0) | table.reshape([sizes[qi] for qi in key] + shape)
+                else:
                     n = axis.get(a, axis.get(b, 0))
                     grow[n] = grow[n] | table.reshape(shape[n:])
-                elif b in axis:
-                    rows[a] = rows.get(a, 0) | table.reshape(sizes[a], *shape)
-                else:
-                    entries.append((a, b, table.tolist()))
     base = np.zeros((), dtype=code_dtype)
     for n in reversed(range(len(block))):
         base = np.bitwise_or(grow[n], base, out=np.empty(block[n:], code_dtype))
@@ -282,12 +282,10 @@ def _scan(device: Device) -> tuple:
         for qi, c in zip(leading, idx):
             choice[qi] = c
         add = 0
-        for a, b, table in entries:
-            add |= table[choice[a]][choice[b]]
-        for a, table in rows.items():
-            add = add | table[choice[a]]
-        # one full-size OR per block, into `out`; none when it adds nothing
-        dep = np.bitwise_or(base, add, out=out) if rows or add else base
+        for key, table in rows.items():
+            add = add | table[tuple(choice[qi] for qi in key)]
+        # one full-size OR per block, into `out`
+        dep = np.bitwise_or(base, add, out=out) if rows else base
         for mask, row in zip(crossing, coverage):
             if row.all():
                 continue
@@ -591,9 +589,4 @@ BUILTIN_DEVICES = {
 
 def builtin_device(name: str) -> Device:
     """Hard-coded reference device tables."""
-    try:
-        return BUILTIN_DEVICES[name]()
-    except KeyError:
-        raise DomainError(
-            f"unknown builtin device {name!r}; known: {sorted(BUILTIN_DEVICES)}"
-        ) from None
+    return _named(BUILTIN_DEVICES, name, "builtin device")()

@@ -19,14 +19,16 @@ then J's.  Whether psi factors across J is decided from that copy's J-rows
 matricization by singular values alone; singular vectors are computed only
 for a state that does.  Otherwise `quantum._residuals` contracts the copy's
 leading axes for a chunk of experiments and every outcome at once, giving
-the residual J-states as one (experiments, outcomes, dim_J) array; an
-outcome is possible iff its residual norm is > tol.  Each bipartition of J
-is then tested for every possible outcome by `quantum._separable_cuts`
-(second Schmidt coefficient <= tol), which plans the cuts of each layout
-once and decides them by a closed-form projection test, with LAPACK only
-inside a rounding band around tol, and the chunk's verdicts are tallied per
-experiment in whole-array steps.  Residuals are not deduplicated, since a
-repeated state never changes the any/all tests of the classification.
+the unnormalized residual J-states as one (experiments, outcomes, dim_J)
+array and their norms; an outcome is possible iff its residual norm is
+> tol, and the possible residuals alone are divided by their norms.  Each
+bipartition of J is then tested for every possible outcome by
+`quantum._separable_cuts` (second Schmidt coefficient <= tol), which plans
+the cuts of each layout once and decides them by a closed-form projection
+test, with LAPACK only inside a rounding band around tol, and the chunk's
+verdicts are tallied per experiment in whole-array steps.  Residuals are
+not deduplicated, since a repeated state never changes the any/all tests of
+the classification.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ def classify_on_subset(psi: PureState, j_sites, tol: float = DEFAULT_TOL) -> Cla
         chunk = [b[start:start + step] for b in pool]
         residuals, norms = _residuals(ordered, chunk)
         possible = norms > tol
-        profiles = _separable_cuts(residuals[possible], dims_j, tol)
+        profiles = _separable_cuts(residuals[possible] / norms[possible, None], dims_j, tol)
         # (experiments, outcomes): the outcome is possible and splits along some cut
         split = np.zeros_like(possible)
         split[possible] = profiles.any(axis=1)

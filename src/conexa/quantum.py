@@ -5,10 +5,11 @@ site dimensions; density operators are positive unit-trace matrices over the
 same indexing.  Everything here is a pure function over immutable values.
 
 One kernel, `_residuals`, contracts the leading axes of a state tensor
-against stacked local bras, the conjugate transposes of the measured bases;
-the disentanglement classification and `devices.derive_device` both measure
-through it, under one rule: an outcome is possible iff its residual norm is
-> tol, that is, its probability is > tol^2.
+against stacked local bras, the conjugate transposes of the measured bases,
+and returns the raw contraction and its norms; the disentanglement
+classification and `devices.derive_device` both measure through it, under
+one rule: an outcome is possible iff its residual norm is > tol, that is, its
+probability is > tol^2.
 
 The rank and PPT tests judge every cut of `connective._bipartitions` and
 take no cut list: `_cut_plan` plans each layout's cuts once.
@@ -23,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .connective import _bipartitions, _check_indices, _integers
+from .connective import _bipartitions, _check_indices, _integers, _named
 from .errors import DomainError
 
 DEFAULT_TOL = 1e-9
@@ -302,12 +303,12 @@ def _residuals(tensor: np.ndarray, bras: Sequence[np.ndarray]) -> tuple:
 
     `bras[i]` has shape (n, m, d) for axis i of `tensor`, of dimension d:
     outcome o of stack entry e applies the bra in row o of entry e.  Returns
-    the residuals over the remaining axes, in order, shape (n, outcomes,
-    dim_rest) with outcomes in row-major order over the measured axes,
-    normalized wherever the norm is nonzero, and their norms (n, outcomes).
-    The squared norm is the outcome probability, and an outcome is possible
-    iff its norm is > tol.  Nothing is checked or transposed: each caller
-    orders the axes and passes the stacks of their dims.
+    the raw contraction over the remaining axes, in order, shape (n,
+    outcomes, dim_rest) with outcomes in row-major order over the measured
+    axes, and its norms (n, outcomes).  The squared norm is the outcome
+    probability, and an outcome is possible iff its norm is > tol.  Nothing
+    is checked, normalized or transposed: each caller orders the axes and
+    passes the stacks of their dims.
     """
     first, *others = bras
     n = len(first)
@@ -318,9 +319,7 @@ def _residuals(tensor: np.ndarray, bras: Sequence[np.ndarray]) -> tuple:
         t = np.einsum("npd,nodr->nopr", b, t.reshape(n, -1, d, t.shape[-1] // d))
     t = t.reshape(n, -1, t.shape[-1])
     flat = t.view(np.float64)
-    norms = np.sqrt(np.einsum("...k,...k->...", flat, flat))
-    nonzero = (norms > 0)[..., None]
-    return np.divide(t, norms[..., None], out=np.zeros_like(t), where=nonzero), norms
+    return t, np.sqrt(np.einsum("...k,...k->...", flat, flat))
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +625,4 @@ BUILTIN_STATES = {
 
 def builtin_state(name: str) -> PureState:
     """Named states used throughout the test corpus and the CLI."""
-    try:
-        return BUILTIN_STATES[name]()
-    except KeyError:
-        raise DomainError(
-            f"unknown builtin state {name!r}; known: {sorted(BUILTIN_STATES)}"
-        ) from None
+    return _named(BUILTIN_STATES, name, "builtin state")()

@@ -417,12 +417,6 @@ def test_malformed_json_exit_code_and_position(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
-def test_unknown_builtin_exit_code(capsys):
-    code, _, err = run_cli(capsys, "analyze-state", "--builtin", "W")
-    assert code == 2
-    assert "unknown builtin" in err
-
-
 _ONE_SITE_DEVICE = {"questions": [["0", "1"]], "results": [["0", "1"]],
                     "relation": {"0": ["0"], "1": ["1"]}}
 
@@ -433,6 +427,8 @@ REFUSALS = {
                         "device structures need uplicity >= 2"),
     "unknown builtin device": (["analyze-device", "--builtin", "FOO"], None,
                                "unknown builtin device 'FOO'; known: ['EPR', 'EPR2', 'GHZ', 'K']"),
+    "unknown builtin state": (["analyze-state", "--builtin", "W"], None,
+                              "unknown builtin state 'W'; known: ['EPR', 'GHZ', 'K', 'O2']"),
     "one-site state": (["analyze-state", "--file"],
                        json.dumps({"dims": [2], "amplitudes": [[1, 0], [0, 0]]}),
                        "disentanglement analysis needs at least two sites"),
@@ -597,23 +593,16 @@ def test_each_layout_is_planned_once(command, dims, tmp_path, capsys):
     assert quantum._cut_plan.cache_info().misses == len(judged)
 
 
-def test_text_format(capsys):
-    code, out, _ = run_cli(
-        capsys, "analyze-state", "--builtin", "EPR", "--format", "text"
-    )
-    assert code == 0
-    assert "structures:" in out
-    assert "omega" in out or "orders" in out
-
-
 XOR_RVS = {
     "outcomes": [["0", "1"], ["0", "1"], ["0", "1"]],
     "prob": {"000": "1/4", "011": "1/4", "101": "1/4", "110": "1/4"},
 }
 
 
-# One call of every command; "@xor.json" names a written XOR_RVS file.
+# One call of every command, and analyze-state on a two-site state too;
+# "@xor.json" names a written XOR_RVS file.
 COMMAND_ARGVS = [
+    ("analyze-state", "--builtin", "EPR"),
     ("analyze-state", "--builtin", "GHZ"),
     ("analyze-density", "--builtin", "GHZ"),
     ("analyze-device", "--builtin", "K"),

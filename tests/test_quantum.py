@@ -122,7 +122,7 @@ def measure(psi, observables, tol=1e-9) -> list:
     for o in np.flatnonzero(norms[0] > tol):
         idx = np.unravel_index(o, [len(vals) for vals, _ in systems])
         values = tuple(float(vals[i]) for (vals, _), i in zip(systems, idx))
-        out.append((values, float(norms[0, o]) ** 2, residuals[0, o]))
+        out.append((values, float(norms[0, o]) ** 2, residuals[0, o] / norms[0, o]))
     return out
 
 
@@ -359,11 +359,36 @@ def test_residuals_ghz_x_outcome_is_epr():
 
 
 def test_residuals_impossible_outcome_is_zero():
-    # a zero residual stays zero instead of being divided by its norm
+    # an outcome that cannot occur has a zero residual and a zero norm
     s01 = basis_state((2, 2), (0, 1))
     residuals, norms = _residuals(s01.tensor, [np.array([0.0, 1.0]).reshape(1, 1, 2)])
     assert norms.tolist() == [[0.0]]
     assert not residuals.any()
+
+
+def test_residuals_are_the_raw_contraction():
+    # each residual is the direct contraction of the measured axes against
+    # one product of bras, not divided by its norm, and `norms` are its norms
+    rng = np.random.default_rng(49)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for _ in range(30):
+        k = int(rng.integers(1, 5))
+        dims = tuple(int(d) for d in rng.choice((2, 3), size=k))
+        measured = int(rng.integers(1, k + 1))
+        n = int(rng.integers(1, 4))
+        tensor = PureState(dims, random_state_vector(rng, math.prod(dims))).tensor
+        bras = [gaussian(n, int(rng.integers(1, d + 1)), d) for d in dims[:measured]]
+        axes, outcomes = "abcd"[:k], "ABCD"[:measured]
+        spec = ",".join(f"n{o}{a}" for o, a in zip(outcomes, axes))
+        spec += f",{axes}->n{outcomes}{axes[measured:]}"
+        want = np.einsum(spec, *bras, tensor).reshape(n, -1, math.prod(dims[measured:]))
+        residuals, norms = _residuals(tensor, bras)
+        assert residuals.shape == want.shape
+        np.testing.assert_allclose(residuals, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(norms, np.linalg.norm(residuals, axis=-1), rtol=1e-12)
 
 
 def test_measure_z_on_eigenstate():
@@ -487,7 +512,7 @@ def measurement_cases(draw, min_sites, max_sites):
 
 @settings(max_examples=60)
 @given(measurement_cases(1, 4), st.data())
-def test_measure_projective_matches_projector_oracle(case, data):
+def test_residuals_match_projector_oracle(case, data):
     # the kernel's norms squared are the outcome probabilities, and each
     # eigenvector product times the residual is the post-state up to phase
     dims, seed, sparse, computational = case
@@ -509,7 +534,7 @@ def test_measure_projective_matches_projector_oracle(case, data):
             values, abs=1e-12)
         assert abs(norms[0, o] ** 2 - prob) < 1e-9
         factors = [vecs[:, i] for (_, vecs), i in zip(systems, idx)]
-        factors.append(residuals[0, o].reshape([dims[s] for s in rest]))
+        factors.append((residuals[0, o] / norms[0, o]).reshape([dims[s] for s in rest]))
         full = np.transpose(functools.reduce(np.multiply.outer, factors), np.argsort(sites + rest))
         assert abs(np.vdot(full.reshape(-1), post)) > 1 - 1e-9
 
@@ -751,7 +776,8 @@ def _maximally_correlated(dims):
 def test_ppt_verdicts_at_the_rounding_band(dims, kind, tol):
     # each cut's least partial-transpose eigenvalue is placed at -tol and at
     # -tol +- {1, 10} delta, with delta the band of rho's own norm: the
-    # one-pass answer and every per-cut verdict are eigvalsh's
+    # (entangled, exact) answer of `ppt_entangled`, and the rules it applies
+    # to each cut, agree with eigvalsh of the oracle partial transpose
     rng = np.random.default_rng(sum(dims) * 10 + len(kind))
     sigma = (_maximally_correlated(dims) if kind == "werner"
              else random_density_matrix(rng, dims, int(kind[-1])))
