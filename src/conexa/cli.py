@@ -2,12 +2,13 @@
 
 Every command prints a single report (JSON by default) to standard output and
 exits 0 on success, 2 on a domain/input error, 3 on a cap/resource error.
-Input files are read by one loader, `_load`, through the decoders in
-`serialize`, so a malformed file exits 2 like any other bad input.  Reports
-embed the tool version and the tolerances, so identical inputs produce
-byte-identical output.  Measurement pools are fixed, so no analysis draws
-random numbers; `--seed` of `analyze-state` and `order` is still accepted
-and ignored.
+The argument parser requires exactly one input source per command, so no
+command checks for one itself.  Input files are read by one loader, `_load`,
+through the decoders in `serialize`, so a malformed file exits 2 like any
+other bad input.  Reports embed the tool version and the tolerances, so
+identical inputs produce byte-identical output.  Measurement pools are fixed,
+so no analysis draws random numbers; `--seed` of `analyze-state` and `order`
+is still accepted and ignored.
 """
 
 from __future__ import annotations
@@ -98,14 +99,10 @@ def _load(path: str, decode):
         raise DomainError(f"malformed input in {path}: {reason}") from None
 
 
-def _input(path, name, builtin, decode, hint: str):
+def _input(path, name, builtin, decode):
     """builtin(name) when a builtin is named, else the decoded file at `path`;
-    the parser admits at most one of the two."""
-    if name:
-        return builtin(name)
-    if path:
-        return _load(path, decode)
-    raise DomainError(hint)
+    the parser requires exactly one of the two."""
+    return builtin(name) if name is not None else _load(path, decode)
 
 
 def _envelope(command: str, args, result: dict) -> dict:
@@ -172,13 +169,11 @@ def _subset_key(sites: int):
 
 
 def _cmd_analyze_state(args) -> dict:
-    psi = _input(args.file, args.builtin, builtin_state, state_from_dict,
-                 "provide --file or --builtin")
+    psi = _input(args.file, args.builtin, builtin_state, state_from_dict)
     selected = STRUCTURE_NAMES if args.structures is None else tuple(
         name.strip() for name in args.structures.split(","))
-    unknown = [n for n in selected if n not in STRUCTURE_NAMES]
-    if unknown:
-        raise DomainError(f"unknown structure names {unknown}; known: {STRUCTURE_NAMES}")
+    for name in selected:
+        _named(dict.fromkeys(STRUCTURE_NAMES), name, "structure name")
     report = disentanglement_structures(psi, tol=args.tol)
     key = _subset_key(len(psi.dims))
     return {
@@ -196,8 +191,7 @@ def _cmd_analyze_state(args) -> dict:
 
 def _cmd_analyze_density(args) -> dict:
     rho = _input(args.file, args.builtin, lambda name: builtin_state(name).density(),
-                 lambda data: density_from_dict(data, tol=args.tol),
-                 "provide --file or --builtin")
+                 lambda data: density_from_dict(data, tol=args.tol))
     report = density_structures(rho, tol=args.tol)
     key = _subset_key(len(rho.dims))
     return {
@@ -219,8 +213,7 @@ def _cmd_analyze_density(args) -> dict:
 
 
 def _cmd_analyze_device(args) -> dict:
-    device = _input(args.file, args.builtin, builtin_device, device_from_dict,
-                    "provide --file or --builtin")
+    device = _input(args.file, args.builtin, builtin_device, device_from_dict)
     report = device_structures(device, cap=args.cap)
     orders = report.orders
     return {
@@ -247,8 +240,7 @@ def _cut_json(cut):
 
 
 def _cmd_analyze_rvs(args) -> dict:
-    dist = _input(args.file, None, None, lambda data: distribution_from_dict(data, tol=args.tol),
-                  "provide --file with a joint-distribution JSON")
+    dist = _load(args.file, lambda data: distribution_from_dict(data, tol=args.tol))
     report = rv_analysis(dist, tol=args.tol)
     return {
         "variables": dist.variables,
@@ -281,8 +273,7 @@ def _parse_menu_tokens(spec: str, sites: int) -> list:
 
 
 def _cmd_derive_device(args) -> dict:
-    psi = _input(args.state, args.builtin_state, builtin_state, state_from_dict,
-                 "provide --state or --builtin-state")
+    psi = _input(args.state, args.builtin_state, builtin_state, state_from_dict)
     derive = functools.partial(derive_device, psi, recode=args.recode, tol=args.tol)
     # no menu token holds a dot or a path separator: a value with one is a
     # file, derived inside the decode step so a fault of a menu names it
@@ -294,8 +285,7 @@ def _cmd_derive_device(args) -> dict:
 
 
 def _cmd_order(args) -> dict:
-    psi = _input(args.file, args.builtin, builtin_state, state_from_dict,
-                 "provide --file or --builtin")
+    psi = _input(args.file, args.builtin, builtin_state, state_from_dict)
     orders = total_order(psi, tol=args.tol)
     return {
         "omega_c": orders.omega_c,
@@ -310,11 +300,9 @@ def _cmd_builtin(args) -> dict:
             "states": sorted(BUILTIN_STATES),
             "devices": sorted(BUILTIN_DEVICES),
         }
-    if args.state:
+    if args.state is not None:
         return {"state": state_to_dict(builtin_state(args.state))}
-    if args.device:
-        return {"device": device_to_dict(builtin_device(args.device))}
-    raise DomainError("provide --list, --state or --device")
+    return {"device": device_to_dict(builtin_device(args.device))}
 
 
 def _bounded(parse, low, rule: str):
@@ -356,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
 
     def add_input(p, path="--file", builtin="--builtin"):
-        # one input source: giving both exits 2 from the parser
-        group = p.add_mutually_exclusive_group()
+        # exactly one input source: giving none or both exits 2 from the parser
+        group = p.add_mutually_exclusive_group(required=True)
         group.add_argument(path)
         group.add_argument(builtin)
 
@@ -378,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_analyze_device)
 
     p = sub.add_parser("analyze-rvs", help="structure of a random-variable family")
-    p.add_argument("--file")
+    p.add_argument("--file", required=True)
     add_common(p)
     p.set_defaults(fn=_cmd_analyze_rvs)
 
@@ -397,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_order)
 
     p = sub.add_parser("builtin", help="emit a builtin state or device")
-    # one request: giving two exits 2 from the parser
-    group = p.add_mutually_exclusive_group()
+    # exactly one request: giving none or two exits 2 from the parser
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--list", action="store_true")
     group.add_argument("--state")
     group.add_argument("--device")

@@ -141,14 +141,14 @@ def _named(table: Mapping, name, kind: str):
     return table[name]
 
 
-def _check_indices(indices, count: int, noun: str) -> tuple:
-    """Distinct integer indices into `count` items, sorted; `noun` names an item."""
-    indices = tuple(sorted(_integers(indices, f"{noun} indices must be integers")))
+def _check_indices(indices, count: int) -> tuple:
+    """Distinct integer indices into `count` sites, sorted."""
+    indices = tuple(sorted(_integers(indices, "site indices must be integers")))
     if len(set(indices)) != len(indices):
-        raise DomainError(f"duplicate {noun} indices: {indices}")
+        raise DomainError(f"duplicate site indices: {indices}")
     if indices and not 0 <= indices[0] <= indices[-1] < count:
         i = next(i for i in indices if not 0 <= i < count)
-        raise DomainError(f"{noun} index {i} out of range for {count} {noun}s")
+        raise DomainError(f"site index {i} out of range for {count} sites")
     return indices
 
 

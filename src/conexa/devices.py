@@ -152,7 +152,7 @@ class LocalityProfile:
 
 def sub_device(device: Device, j_sites) -> Device:
     """Restriction to J: restricted tuples related when some full pair extends them."""
-    j = _check_indices(j_sites, device.uplicity, "site")
+    j = _check_indices(j_sites, device.uplicity)
     if not j:
         raise DomainError("sub-device needs a nonempty site set")
     questions = tuple(device.questions[s] for s in j)

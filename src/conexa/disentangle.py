@@ -230,7 +230,7 @@ def classify_on_subset(psi: PureState, j_sites, tol: float = DEFAULT_TOL) -> Cla
     residuals are not deduplicated: a repeated state never changes the
     any/all tests below.
     """
-    j = _check_indices(j_sites, len(psi.dims), "site")
+    j = _check_indices(j_sites, len(psi.dims))
     if len(j) < 2:
         raise DomainError("classification needs a subset with at least two sites")
     if min(psi.dims) < 2:

@@ -335,7 +335,7 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """
     dims = rho.dims
     k = len(dims)
-    keep = _check_indices(keep, k, "site")
+    keep = _check_indices(keep, k)
     if not keep:
         raise DomainError("partial_trace needs a nonempty set of sites to keep")
     tens = rho.matrix.reshape(dims + dims)

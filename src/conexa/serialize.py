@@ -168,19 +168,6 @@ def _prob_to_json(p) -> object:
     return float(p)
 
 
-def _prob_from_json(value):
-    """A string as the Fraction that `Fraction` reads from it ("p/q", a
-    decimal or an integer) and an integer as it is, both exact; any other
-    number as a float."""
-    if isinstance(value, bool):
-        raise DomainError(f"probability {json.dumps(value)} is a boolean, not a number")
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, int):
-        return value
-    return float(value)
-
-
 def distribution_to_dict(dist: FiniteJointDistribution) -> dict:
     join = make_key_joiner(dist.outcomes)
     label_index = [{x: i for i, x in enumerate(labels)} for labels in dist.outcomes]
@@ -194,7 +181,9 @@ def distribution_to_dict(dist: FiniteJointDistribution) -> dict:
 def distribution_from_dict(data: Mapping, tol: float = DEFAULT_TOL) -> FiniteJointDistribution:
     """The table as label columns: one split of the joined keys for comma
     keys, and `_split_keys` for any other table, a faulty one included.  Each
-    distinct probability string is parsed once, so its entries share one value."""
+    distinct probability string is parsed once by `Fraction` ("p/q", a decimal
+    or an integer), so its entries share one value; every other JSON value is
+    passed on as it is, for the table to check."""
     k = len(data["outcomes"])
     table = data["prob"]
     keys, values = list(table), list(table.values())
@@ -204,11 +193,9 @@ def distribution_from_dict(data: Mapping, tol: float = DEFAULT_TOL) -> FiniteJoi
     else:
         labels = list(itertools.chain.from_iterable(_split_keys(keys, k)))
     columns = [labels[v::k] for v in range(k)]
-    # each distinct string, and each other value object, is parsed once, in
-    # entry order; the values list holds every object, so no id is reused
-    keys = [v if type(v) is str else id(v) for v in values]
-    parsed = {key: _prob_from_json(v) for key, v in dict(zip(keys, values)).items()}
-    values = list(map(parsed.__getitem__, keys))
+    strings = dict.fromkeys(v for v in values if type(v) is str)
+    parsed = dict(zip(strings, map(Fraction, strings)))
+    values = [parsed[v] if type(v) is str else v for v in values]
     return FiniteJointDistribution._from_columns(
         data["outcomes"], columns, values, tol, lambda i: tuple(c[i] for c in columns)
     )

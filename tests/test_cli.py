@@ -96,12 +96,15 @@ def test_analyze_state_structure_filter(capsys):
     assert sorted(report["result"]["structures"]) == ["GI", "MT"]
 
 
+_STRUCTURE_NAMES = "['BIP', 'GI', 'IP', 'ML', 'MT', 'NCS']"
+
+
 @pytest.mark.parametrize("names", ["", " ", "GI,"], ids=repr)
 def test_analyze_state_empty_structure_name_exits_2(names, capsys):
     # an empty name is an unknown name, also when it is the whole option
     code, out, err = run_cli(capsys, "analyze-state", "--builtin", "EPR", "--structures", names)
     assert (code, out) == (2, "")
-    assert err.startswith("error: unknown structure names") and err.count("\n") == 1
+    assert err == f"error: unknown structure name ''; known: {_STRUCTURE_NAMES}\n"
 
 
 def test_analyze_state_checks_structure_names_before_the_analysis(capsys, monkeypatch):
@@ -111,7 +114,7 @@ def test_analyze_state_checks_structure_names_before_the_analysis(capsys, monkey
     monkeypatch.setattr(cli, "disentanglement_structures", analysis)
     code, out, err = run_cli(capsys, "analyze-state", "--builtin", "GHZ", "--structures", "FOO")
     assert (code, out) == (2, "")
-    assert err.startswith("error: unknown structure names") and err.count("\n") == 1
+    assert err == f"error: unknown structure name 'FOO'; known: {_STRUCTURE_NAMES}\n"
 
 
 def test_analyze_state_requires_seed(capsys):
@@ -435,8 +438,17 @@ REFUSALS = {
     "a site of dimension 1": (["analyze-state", "--file"],
                               json.dumps({"dims": [1, 2, 2], "amplitudes": [[1, 0]] * 4}),
                               "analysis requires every site dimension >= 2"),
-    "analyze-state with no input": (["analyze-state"], None, "provide --file or --builtin"),
-    "builtin with no request": (["builtin"], None, "provide --list, --state or --device"),
+    # the first unknown structure name is refused, as the first unknown menu token is
+    "unknown structure name": (["analyze-state", "--builtin", "GHZ", "--structures", "FOO,GI,BAR"],
+                               None, f"unknown structure name 'FOO'; known: {_STRUCTURE_NAMES}"),
+    # an empty value names a source like any other value
+    "empty --file": (["analyze-state", "--file", ""], None, "no such file: "),
+    "empty --builtin": (["analyze-state", "--builtin", ""], None,
+                        "unknown builtin state ''; known: ['EPR', 'GHZ', 'K', 'O2']"),
+    "empty builtin --state": (["builtin", "--state", ""], None,
+                              "unknown builtin state ''; known: ['EPR', 'GHZ', 'K', 'O2']"),
+    "empty builtin --device": (["builtin", "--device", ""], None,
+                               "unknown builtin device ''; known: ['EPR', 'EPR2', 'GHZ', 'K']"),
     "unknown menu token": (["derive-device", "--builtin-state", "EPR", "--menus", "Q"], None,
                            "unknown observable token 'Q'; known: ['X', 'Xp', 'Z', 'Zp']"),
     "empty menus shorthand": (["derive-device", "--builtin-state", "EPR", "--menus", ""], None,
@@ -974,6 +986,16 @@ def test_decoder_faults_name_the_file(relation, message, tmp_path, capsys):
     assert err == f"error: {path}: {message}\n"
 
 
+def test_boolean_probability_names_its_entry(tmp_path, capsys):
+    # JSON true is refused by the table, which names its entry
+    argv, text = MALFORMED_INPUTS["boolean probability"]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert run_cli(capsys, *argv, str(path)) == (
+        2, "", f"error: {path}: probability True for ('0', '0') is a boolean, not a number\n"
+    )
+
+
 @pytest.mark.parametrize("kind", ["float dims (state)", "float dims (density)", "boolean dims"])
 def test_bad_dims_name_the_dims_rule(kind, tmp_path, capsys):
     # a dimension that is no integer breaks the dims rule, not a conversion
@@ -1180,6 +1202,30 @@ def test_input_sources_are_mutually_exclusive(case, capsys):
     captured = capsys.readouterr()
     assert (exit_.value.code, captured.out) == (2, "")
     assert "not allowed with argument" in captured.err
+
+
+# Each input-taking command with no input source, and the parser's line for it
+NO_INPUT = {
+    "analyze-state": (["analyze-state"], "one of the arguments --file --builtin is required"),
+    "analyze-density": (["analyze-density"], "one of the arguments --file --builtin is required"),
+    "analyze-device": (["analyze-device"], "one of the arguments --file --builtin is required"),
+    "analyze-rvs": (["analyze-rvs"], "the following arguments are required: --file"),
+    "derive-device": (["derive-device", "--menus", "ZX"],
+                      "one of the arguments --state --builtin-state is required"),
+    "order": (["order"], "one of the arguments --file --builtin is required"),
+    "builtin": (["builtin"], "one of the arguments --list --state --device is required"),
+}
+
+
+@pytest.mark.parametrize("command", list(NO_INPUT))
+def test_no_input_source_exits_2_from_the_parser(command, capsys):
+    argv, line = NO_INPUT[command]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out) == (2, "")
+    assert captured.err.startswith("usage: ")
+    assert captured.err.endswith(f"\nconexa {command}: error: {line}\n")
 
 
 def test_derive_device_refuses_two_eigenvalues_with_one_label(tmp_path, capsys):

@@ -267,17 +267,17 @@ def test_discrete_structure_matches_empty_generation():
 
 
 # The shared input rules, each reached directly and through the engines that
-# check it: (noun in the message, call).
+# check it.
 
 
 def _index_calls(indices):
     ghz = builtin_state("GHZ")
     rho = ghz.density()
     return [
-        ("site", lambda: _check_indices(indices, 3, "site")),
-        ("site", lambda: partial_trace(rho, indices)),
-        ("site", lambda: classify_on_subset(ghz, indices)),
-        ("site", lambda: sub_device(builtin_device("K"), indices)),
+        lambda: _check_indices(indices, 3),
+        lambda: partial_trace(rho, indices),
+        lambda: classify_on_subset(ghz, indices),
+        lambda: sub_device(builtin_device("K"), indices),
     ]
 
 
@@ -293,10 +293,11 @@ def _index_calls(indices):
     ],
 )
 def test_index_rule_is_shared(indices, message):
-    for noun, call in _index_calls(indices):
-        with pytest.raises(DomainError, match=message.format(noun=noun)):
+    # every index names a site
+    for call in _index_calls(indices):
+        with pytest.raises(DomainError, match=message.format(noun="site")):
             call()
-    assert _check_indices([2, 0], 3, "site") == (0, 2)
+    assert _check_indices([2, 0], 3) == (0, 2)
 
 
 def _label_calls(labels):

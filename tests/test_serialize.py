@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conexa import serialize
 from conexa.connective import ConnectiveStructure
 from conexa.devices import builtin_device
 from conexa.errors import DomainError
@@ -15,7 +16,6 @@ from conexa.quantum import builtin_state, partial_trace
 from conexa.randvars import FiniteJointDistribution, brunnian_family
 from conexa.serialize import (
     _complex_array,
-    _prob_from_json,
     _split_keys,
     canonical_json,
     density_from_dict,
@@ -150,19 +150,27 @@ def test_distribution_integer_entries_stay_exact():
 
 
 @pytest.mark.parametrize("text", ["2/4", " 1/2", "0.25", "1e-1", "01/06", "3", "-1/2"])
-def test_probability_strings_decode_as_fractions_do(text):
-    # every probability string is read by `Fraction`, "p/q" or not
-    value = _prob_from_json(text)
-    assert type(value) is Fraction and value == Fraction(text)
+def test_probability_strings_decode_as_fractions_do(text, monkeypatch):
+    # every probability string is read by `Fraction`, "p/q" or not, once:
+    # the table receives that one value for both of its entries
+    read, received = [], []
+    monkeypatch.setattr(serialize, "Fraction", lambda s: read.append(s) or Fraction(s))
+    monkeypatch.setattr(FiniteJointDistribution, "_from_columns", classmethod(
+        lambda cls, outcomes, columns, values, *rest: received.extend(values)))
+    distribution_from_dict({"outcomes": [["0", "1"]], "prob": {"0": text, "1": text}})
+    assert read == [text]
+    assert type(received[0]) is Fraction and received[0] == Fraction(text)
+    assert received[1] is received[0]
 
 
 @pytest.mark.parametrize("value, message", [
     ("-1/4", "probability -1/4 for ('1',) is not >= 0"),
     ("-0.25", "probability -1/4 for ('1',) is not >= 0"),
-    (True, "probability true is a boolean, not a number"),
+    (True, "probability True for ('1',) is a boolean, not a number"),
 ])
 def test_repeated_bad_probability_names_its_first_entry(value, message):
-    # each distinct string is parsed and checked once, on its first entry
+    # each distinct string is parsed once, and each value is checked by the
+    # table, which names its first entry
     data = {"outcomes": [["0", "1", "2"]], "prob": {"0": "1/2", "1": value, "2": value}}
     with pytest.raises(DomainError) as caught:
         distribution_from_dict(data)
@@ -181,7 +189,7 @@ _BITS = [["0", "1"], ["0", "1"]]
     (_BITS, {"02": "1/2", "11": "-1/2"}, "outcome tuple ('0', '2') is not well-typed"),
     # a boolean after a valid entry, before an entry naming no outcome
     (_BITS, {"00": "1/2", "11": True, "22": "1/2"},
-     "probability true is a boolean, not a number"),
+     "probability True for ('1', '1') is a boolean, not a number"),
     # aliased keys, even after a negative value: every key is split first
     ([["a", "b"]] * 2, {"ab": "1/2", "a,b": "1/2"},
      "keys 'ab' and 'a,b' both name ('a', 'b')"),
